@@ -9,13 +9,18 @@
 //	cicero-chaos -profile mixed -replay 17            # replay one seed
 //	cicero-chaos -profile byzantine -canary -seeds 10 # prove the checker
 //	cicero-chaos -profile mixed -live inproc -seeds 3 # wall-clock faults
+//	cicero-chaos -profile crash -live tcp -replay 3   # one live seed, full trace
 //
 // With -live, the same fault families run wall-clock on a live backend
 // (in-process channels or localhost TCP) and the invariant plane shifts to
 // convergence checks: crashed nodes restart and must provably
 // resynchronize, and the quiesced state must match a fault-free simnet
 // reference. Live runs are not bit-reproducible; seeds fix what is
-// injected, not how it interleaves, so there is no -replay for them.
+// injected, not how it interleaves. -live with -replay therefore re-rolls
+// the interleaving of that one seed, but retains and prints the full
+// debugging trace: every broadcast message (kind "bft"), the controllers'
+// broadcast coordinates at each drain nudge ("ctl-state"), and every
+// snapshotted ledger entry ("ledger").
 //
 // Exit status is 1 when any invariant violation (or run error) occurred,
 // 0 otherwise — except with -canary, where catching the planted mutation
@@ -85,14 +90,14 @@ func run() int {
 	p.BatchDelay = *batchDelay
 
 	if *live != "" {
-		if *replay >= 0 {
-			fmt.Fprintln(os.Stderr, "cicero-chaos: -replay is simulator-only (live runs are not bit-reproducible)")
-			return 2
-		}
 		opt := chaos.LiveOptions{
 			Backend:      *live,
 			FlowWindow:   time.Duration(*flowWindow) * time.Millisecond,
 			DrainTimeout: time.Duration(*drainSecs) * time.Second,
+		}
+		if *replay >= 0 {
+			opt.Seed = *replay
+			return replayLive(p, opt, *canary)
 		}
 		return runLive(p, opt, *seedStart, *seeds, *canary, *verbose)
 	}
@@ -155,18 +160,42 @@ func replaySeed(p chaos.Profile, seed int64, canary bool) int {
 	fmt.Printf("net: sent=%d delivered=%d dropped=%d (crash=%d partition=%d injected=%d)\n",
 		res.Net.Sent, res.Net.Delivered, res.Net.Dropped,
 		res.Net.DroppedCrash, res.Net.DroppedPartition, res.Net.DroppedInjected)
-	if res.Err != "" {
-		fmt.Printf("run error: %s\n", res.Err)
+	return replayVerdict(res.Violations, res.Err, canary)
+}
+
+// replayLive runs one live seed with the debugging trace retained and
+// prints it in full, then the verdict like the simulator replay does.
+func replayLive(p chaos.Profile, opt chaos.LiveOptions, canary bool) int {
+	res := chaos.ReplayLiveSeed(p, opt)
+	for _, e := range res.Trace.Events() {
+		fmt.Println(e)
 	}
-	if len(res.Violations) == 0 {
+	fmt.Printf("\nlive=%s seed=%d profile=%s flows=%d/%d applied=%d rejected=%d ctl-restarts=%d(recovered %d) sw-restarts=%d tableMatch=%v resyncProven=%v wall=%v\n",
+		res.Backend, res.Seed, res.Profile, res.FlowsDone, res.FlowsTotal,
+		res.UpdatesApplied, res.UpdatesRejected, res.CtlRestarts, res.CtlRecovered,
+		res.SwitchRestarts, res.TableMatch, res.ResyncProven, res.Wall.Round(time.Millisecond))
+	fmt.Printf("net: sent=%d delivered=%d dropped=%d (crash=%d partition=%d injected=%d)\n",
+		res.Net.Sent, res.Net.Delivered, res.Net.Dropped,
+		res.Net.DroppedCrash, res.Net.DroppedPartition, res.Net.DroppedInjected)
+	return replayVerdict(res.Violations, res.Err, canary)
+}
+
+// replayVerdict prints a replayed seed's run error and violations (each
+// with its minimal sub-trace) and returns the exit status: 1 on a run
+// error or violation, except that under -canary catching the planted
+// mutation is the expected outcome.
+func replayVerdict(violations []chaos.Violation, runErr string, canary bool) int {
+	if runErr != "" {
+		fmt.Printf("run error: %s\n", runErr)
+	}
+	if len(violations) == 0 {
 		fmt.Println("no invariant violations")
 		if canary {
 			fmt.Println("CANARY MISSED: verification bypass was not detected")
 			return 1
 		}
-		return 0
 	}
-	for i, v := range res.Violations {
+	for i, v := range violations {
 		fmt.Printf("\nviolation %d: %s\n", i+1, v)
 		for _, e := range v.Trace {
 			fmt.Printf("    %s\n", e)
@@ -175,7 +204,10 @@ func replaySeed(p chaos.Profile, seed int64, canary bool) int {
 	if canary {
 		return 0
 	}
-	return 1
+	if len(violations) > 0 || runErr != "" {
+		return 1
+	}
+	return 0
 }
 
 // runLive executes seeds sequentially on a live backend (wall-clock runs

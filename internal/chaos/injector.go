@@ -4,65 +4,98 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"cicero/internal/bft"
+	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
-	"cicero/internal/simnet"
 )
 
-// injector implements the simnet filter: per-message link faults plus
-// Byzantine mutation of the designated controller's outgoing traffic. It
-// runs on the simulator loop and draws only from the chaos RNG, keeping
-// runs seed-deterministic.
+// injector is the one network filter: per-message link faults plus
+// Byzantine mutation of the designated controller's outgoing traffic,
+// adjudicating every admitted message identically on simnet, in-process
+// channels and TCP sockets.
+//
+// On the simulator it runs on the event loop and draws from the campaign's
+// own chaos RNG — schedule and filter share one stream, which keeps runs
+// seed-deterministic. On live backends it runs on whatever goroutine
+// called Send, so it gets a separate RNG and every draw is locked.
 type injector struct {
-	r        *run
+	c        *campaign
+	mu       sync.Mutex
+	rng      *rand.Rand
 	forgeSeq uint64
+	// tapBFT traces every broadcast message (live replays).
+	tapBFT bool
 }
-
-func newInjector(r *run) *injector { return &injector{r: r} }
 
 // byzMutateProb is the chance the Byzantine controller tampers with one of
 // its own outgoing shares or proposals.
 const byzMutateProb = 0.3
 
-func (in *injector) filter(from, to simnet.NodeID, msg simnet.Message, size int) simnet.FaultAction {
-	r := in.r
-	var act simnet.FaultAction
+func (in *injector) filter(from, to fabric.NodeID, msg fabric.Message, size int) fabric.FaultAction {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	c := in.c
+	var act fabric.FaultAction
 
+	if m, ok := msg.(protocol.MsgBFT); ok && in.tapBFT {
+		c.note("bft", fmt.Sprintf("%s->%s %s", from, to, bftString(m)))
+	}
 	// Byzantine mutation of the designated controller's own traffic.
-	if r.byz != "" && from == r.byz {
+	if c.byz != "" && from == c.byz {
 		if replaced := in.byzMutate(to, msg); replaced != nil {
 			act.Replace = replaced
 			msg = replaced
 		}
 	}
 
-	lf := r.p.Link
-	if lf.DropProb > 0 && r.rng.Float64() < lf.DropProb {
-		r.counter.Add("drop", 1)
-		r.tr.Add(r.net.Sim.Now(), "inj-drop", fmt.Sprintf("%s->%s %T", from, to, msg))
-		return simnet.FaultAction{Drop: true}
+	lf := c.p.Link
+	if lf.DropProb > 0 && in.rng.Float64() < lf.DropProb {
+		c.count("drop", 1)
+		c.note("inj-drop", fmt.Sprintf("%s->%s %T", from, to, msg))
+		return fabric.FaultAction{Drop: true}
 	}
-	if lf.CorruptProb > 0 && r.rng.Float64() < lf.CorruptProb {
+	if lf.CorruptProb > 0 && in.rng.Float64() < lf.CorruptProb {
 		if corrupted := corruptMessage(msg); corrupted != nil {
 			act.Replace = corrupted
-			r.counter.Add("corrupt", 1)
-			r.tr.Add(r.net.Sim.Now(), "inj-corrupt", fmt.Sprintf("%s->%s %T", from, to, msg))
+			c.count("corrupt", 1)
+			c.note("inj-corrupt", fmt.Sprintf("%s->%s %T", from, to, msg))
 		}
 	}
-	if lf.DupProb > 0 && r.rng.Float64() < lf.DupProb {
+	if lf.DupProb > 0 && in.rng.Float64() < lf.DupProb {
 		act.Duplicates = 1
-		r.counter.Add("dup", 1)
-		r.tr.Add(r.net.Sim.Now(), "inj-dup", fmt.Sprintf("%s->%s %T", from, to, msg))
+		c.count("dup", 1)
+		c.note("inj-dup", fmt.Sprintf("%s->%s %T", from, to, msg))
 	}
-	if lf.DelayProb > 0 && lf.DelayMax > 0 && r.rng.Float64() < lf.DelayProb {
-		act.Delay = time.Duration(r.rng.Int63n(int64(lf.DelayMax)))
-		r.counter.Add("delay", 1)
-		r.tr.Add(r.net.Sim.Now(), "inj-delay", fmt.Sprintf("%s->%s %T +%v", from, to, msg, act.Delay))
+	if lf.DelayProb > 0 && lf.DelayMax > 0 && in.rng.Float64() < lf.DelayProb {
+		act.Delay = time.Duration(in.rng.Int63n(int64(lf.DelayMax)))
+		c.count("delay", 1)
+		c.note("inj-delay", fmt.Sprintf("%s->%s %T +%v", from, to, msg, act.Delay))
 	}
 	return act
+}
+
+// bftString renders a broadcast message compactly for the trace tap.
+func bftString(m protocol.MsgBFT) string {
+	switch in := m.Inner.(type) {
+	case bft.Request:
+		return fmt.Sprintf("Request origin=%d len=%d", in.Origin, len(in.Payload))
+	case bft.PrePrepare:
+		return fmt.Sprintf("PrePrepare v=%d seq=%d d=%x", in.View, in.Seq, in.Digest[:4])
+	case bft.Prepare:
+		return fmt.Sprintf("Prepare v=%d seq=%d r=%d d=%x", in.View, in.Seq, in.Replica, in.Digest[:4])
+	case bft.Commit:
+		return fmt.Sprintf("Commit v=%d seq=%d r=%d d=%x", in.View, in.Seq, in.Replica, in.Digest[:4])
+	case bft.ViewChange:
+		return fmt.Sprintf("ViewChange nv=%d r=%d prep=%d ld=%d", in.NewView, in.Replica, len(in.Prepared), in.LastDelivered)
+	case bft.NewView:
+		return fmt.Sprintf("NewView v=%d pps=%d", in.View, len(in.PrePrepares))
+	default:
+		return fmt.Sprintf("%T", m.Inner)
+	}
 }
 
 // corruptMessage returns a deep-copied message with one payload byte
@@ -73,7 +106,7 @@ func (in *injector) filter(from, to simnet.NodeID, msg simnet.Message, size int)
 // so flipping its bytes would simulate a broken transport, not a network
 // fault, and is off-limits; so is MsgConfig (threshold-signed, but only
 // sent on membership changes that campaigns do not exercise).
-func corruptMessage(msg simnet.Message) simnet.Message {
+func corruptMessage(msg fabric.Message) fabric.Message {
 	flip := func(b []byte) []byte {
 		if len(b) == 0 {
 			return b
@@ -120,36 +153,32 @@ func corruptMessage(msg simnet.Message) simnet.Message {
 // model: bad signature shares, shares under a stale epoch, equivocating
 // proposals. They must never fabricate data that would pass verification —
 // the point is proving the protocol rejects them.
-func (in *injector) byzMutate(to simnet.NodeID, msg simnet.Message) simnet.Message {
-	r := in.r
+func (in *injector) byzMutate(to fabric.NodeID, msg fabric.Message) fabric.Message {
+	c := in.c
+	var (
+		out    fabric.Message
+		kind   string
+		detail string
+	)
 	switch m := msg.(type) {
 	case protocol.MsgUpdate:
-		out, kind := byzMutateUpdate(r.rng, len(r.ctls), m)
-		if kind == "" {
-			return nil
-		}
-		r.counter.Add(kind, 1)
-		r.tr.Add(r.net.Sim.Now(), kind, fmt.Sprintf("->%s %s", to, out.UpdateID))
-		return out
+		mut, k := byzMutateUpdate(in.rng, len(c.ctls), m)
+		out, kind, detail = mut, k, mut.UpdateID.String()
 	case protocol.MsgBatchUpdate:
-		out, kind := byzMutateBatch(r.rng, m)
-		if kind == "" {
-			return nil
-		}
-		r.counter.Add(kind, 1)
-		r.tr.Add(r.net.Sim.Now(), kind, fmt.Sprintf("->%s %s", to, out.UpdateID))
-		return out
+		mut, k := byzMutateBatch(in.rng, m)
+		out, kind, detail = mut, k, mut.UpdateID.String()
 	case protocol.MsgBFT:
-		out, kind := byzMutateBFT(r.rng, r.hosts, &in.forgeSeq, m)
-		if kind == "" {
-			return nil
+		mut, k := byzMutateBFT(in.rng, c.hosts, &in.forgeSeq, m)
+		if k != "" {
+			out, kind, detail = mut, k, fmt.Sprintf("seq=%d", mut.Inner.(bft.PrePrepare).Seq)
 		}
-		pp := out.Inner.(bft.PrePrepare)
-		r.counter.Add(kind, 1)
-		r.tr.Add(r.net.Sim.Now(), kind, fmt.Sprintf("->%s seq=%d", to, pp.Seq))
-		return out
 	}
-	return nil
+	if kind == "" {
+		return nil
+	}
+	c.count(kind, 1)
+	c.note(kind, fmt.Sprintf("->%s %s", to, detail))
+	return out
 }
 
 // byzMutateUpdate applies one of the share mutations (garbage bytes, a

@@ -1,16 +1,15 @@
 package distrib
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
+	"cicero/internal/chaos"
 	"cicero/internal/controlplane"
 	"cicero/internal/core"
-	"cicero/internal/netprop"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/topology"
@@ -97,91 +96,14 @@ func SmokeGraph() *topology.Graph {
 	return g
 }
 
-// campaignFlow is one drawn workload entry.
-type campaignFlow struct {
-	id       uint64
-	src, dst string
-	ingress  string
-}
+// flowID is the wire id of a drawn flow (flow ids on the wire start at 1).
+func flowID(f chaos.Flow) uint64 { return uint64(f.ID) + 1 }
 
-// drawFlows picks host pairs deterministically from the seed; the
-// ingress switch is the source host's attachment point.
-func drawFlows(g *topology.Graph, n int, seed int64) []campaignFlow {
-	var hosts []string
-	attach := make(map[string]string)
-	for _, node := range g.Nodes() {
-		if node.Kind != topology.KindHost {
-			continue
-		}
-		hosts = append(hosts, node.ID)
-		for _, e := range g.Neighbors(node.ID) {
-			attach[node.ID] = e.To
-		}
-	}
-	sort.Strings(hosts)
-	rng := rand.New(rand.NewSource(seed))
-	flows := make([]campaignFlow, 0, n)
-	for i := 0; i < n; i++ {
-		src := hosts[rng.Intn(len(hosts))]
-		dst := hosts[rng.Intn(len(hosts))]
-		for dst == src {
-			dst = hosts[rng.Intn(len(hosts))]
-		}
-		flows = append(flows, campaignFlow{
-			id: uint64(i + 1), src: src, dst: dst, ingress: attach[src],
-		})
-	}
-	return flows
-}
-
-// campaignReference runs the same workload fault-free on the simulator
-// and returns the canonical table digest the processes must converge to.
-func campaignReference(opt CampaignOptions, g *topology.Graph, flows []campaignFlow) (string, error) {
-	n, err := core.Build(core.Config{
-		Graph:                g,
-		Protocol:             controlplane.ProtoCicero,
-		Aggregation:          controlplane.AggSwitch,
-		ControllersPerDomain: opt.Controllers,
-		Cost:                 protocol.Calibrated(),
-		Seed:                 opt.Seed,
-		Jitter:               0.1,
-	})
-	if err != nil {
-		return "", err
-	}
-	for i, f := range flows {
-		f := f
-		ingress := n.Switches[f.ingress]
-		n.Sim.At(time.Duration(i)*time.Millisecond, func() {
-			ingress.PacketArrival(f.src, f.dst)
-		})
-	}
-	if _, err := n.Sim.RunUntil(5 * time.Second); err != nil {
-		return "", err
-	}
-	tables := make(map[string]*openflow.FlowTable, len(n.Switches))
-	for id, sw := range n.Switches {
-		tables[id] = sw.Table()
-	}
-	return tableDigest(tables), nil
-}
-
-// tableDigest canonicalizes a set of flow tables exactly as the chaos
-// plane does: sorted rule lines, hashed.
-func tableDigest(tables map[string]*openflow.FlowTable) string {
-	var lines []string
-	for id, t := range tables {
-		for _, r := range t.Rules() {
-			lines = append(lines, fmt.Sprintf("%s|%d|%s|%s|%d", id, r.Priority, r.Match, r.Action, r.Cookie))
-		}
-	}
-	sort.Strings(lines)
-	h := sha256.New()
-	for _, line := range lines {
-		h.Write([]byte(line))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// digest32 widens a wire digest (SHA-256, but a slice on the wire) to the
+// array the shared checks compare; a short one stays distinguishable.
+func digest32(b []byte) (d [32]byte) {
+	copy(d[:], b)
+	return d
 }
 
 // RunCampaign executes one multi-process chaos campaign: plan, launch
@@ -193,10 +115,21 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 	res := &CampaignResult{ChainDigests: make(map[string]string)}
 	deadline := time.Now().Add(opt.Timeout)
 
+	// The workload is the chaos plane's draw (arrival times unused: the
+	// script below injects in two halves around the faults), and the
+	// reference its fault-free simnet run of the same deployment shape.
 	g := SmokeGraph()
-	flows := drawFlows(g, opt.Flows, opt.Seed)
+	flows := chaos.DrawFlows(g, opt.Flows, time.Second, rand.New(rand.NewSource(opt.Seed)))
 	res.FlowsTotal = len(flows)
-	refDigest, err := campaignReference(opt, g, flows)
+	refDigest, err := chaos.ReferenceDigest(core.Config{
+		Graph:                g,
+		Protocol:             controlplane.ProtoCicero,
+		Aggregation:          controlplane.AggSwitch,
+		ControllersPerDomain: opt.Controllers,
+		Cost:                 protocol.Calibrated(),
+		Seed:                 opt.Seed,
+		Jitter:               0.1,
+	}, flows)
 	if err != nil {
 		return nil, fmt.Errorf("distrib: simnet reference: %w", err)
 	}
@@ -224,7 +157,7 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 	// First half of the workload, then faults mid-update.
 	half := len(flows) / 2
 	for _, f := range flows[:half] {
-		sup.InjectFlow(f.ingress, f.id, f.src, f.dst)
+		sup.InjectFlow(f.Ingress, flowID(f), f.Src, f.Dst)
 	}
 	killedCtl, killedSw := "", ""
 	if opt.KillController {
@@ -246,7 +179,7 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 		sup.Heal(a, b)
 	}
 	for _, f := range flows[half:] {
-		sup.InjectFlow(f.ingress, f.id, f.src, f.dst)
+		sup.InjectFlow(f.Ingress, flowID(f), f.Src, f.Dst)
 	}
 
 	// Restart the victims through the protocol recovery paths.
@@ -279,7 +212,7 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 	for time.Now().Before(deadline) {
 		done := 0
 		for _, f := range flows {
-			if sup.FlowDone(f.id) {
+			if sup.FlowDone(flowID(f)) {
 				done++
 			}
 		}
@@ -289,8 +222,8 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 		}
 		if round%3 == 2 {
 			for _, f := range flows {
-				if !sup.FlowDone(f.id) {
-					sup.InjectFlow(f.ingress, f.id, f.src, f.dst)
+				if !sup.FlowDone(flowID(f)) {
+					sup.InjectFlow(f.Ingress, flowID(f), f.Src, f.Dst)
 				}
 			}
 			for _, m := range dep.Members {
@@ -374,7 +307,7 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 				agree = false
 			}
 		}
-		if lens != nil && agree && equalInts(lens, lastLens) {
+		if lens != nil && agree && slices.Equal(lens, lastLens) {
 			stable++
 		} else {
 			stable = 0
@@ -417,143 +350,97 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 	return res, nil
 }
 
-// converge cross-checks final state over snapshot messages: data-plane
-// walk invariants, ledger prefix consistency, hash-chain digest
-// agreement, no-forged-rule, and the simnet reference digest.
-// transferred marks controllers whose history came from peer state
-// transfer (crash restart or a recover nudge).
+// converge fills a chaos.Snapshot over snapshot messages and runs the
+// shared convergence checks — data-plane walk invariants, ledger prefix
+// consistency, no-forged-rule, the simnet reference digest — plus the one
+// check only this backend can make: content-digest agreement across
+// process boundaries. transferred marks controllers whose history came
+// from peer state transfer (crash restart or a recover nudge).
 func converge(sup *Supervisor, dep *Deployment, res *CampaignResult, refDigest string, transferred map[string]bool) {
-	report := func(property, dedupKey, detail, traceToken string) {
+	report := func(property, detail string) {
 		res.Violations = append(res.Violations, property+": "+detail)
-		_, _ = dedupKey, traceToken
+	}
+	snap := chaos.Snapshot{
+		Hosts:      make(map[string]bool),
+		Tables:     make(map[string]*openflow.FlowTable, len(dep.Switches)),
+		FlowsDone:  res.FlowsDone,
+		FlowsTotal: res.FlowsTotal,
+	}
+	for _, n := range dep.Spec.Graph.NodesOfKind(topology.KindHost) {
+		snap.Hosts[n.ID] = true
 	}
 
 	// Switch snapshots: tables and apply records.
-	tables := make(map[string]*openflow.FlowTable, len(dep.Switches))
-	var applies []protocol.SnapshotApply
-	applySwitch := make(map[int]string)
 	for _, sw := range dep.Switches {
-		snap, err := sup.Snapshot(sw, 10*time.Second)
+		ns, err := sup.Snapshot(sw, 10*time.Second)
 		if err != nil {
-			report("snapshot", sw, fmt.Sprintf("switch %s: %v", sw, err), sw)
+			report("snapshot", fmt.Sprintf("switch %s: %v", sw, err))
 			continue
 		}
 		t := openflow.NewFlowTable()
-		for _, r := range snap.Rules {
+		for _, r := range ns.Rules {
 			t.Add(r)
 		}
-		tables[sw] = t
-		for _, ap := range snap.Applies {
-			applySwitch[len(applies)] = sw
-			applies = append(applies, ap)
+		snap.Tables[sw] = t
+		for _, ap := range ns.Applies {
+			snap.Applies = append(snap.Applies, chaos.Apply{
+				Switch: sw,
+				ID:     openflow.MsgID{Origin: ap.Origin, Seq: ap.Seq},
+				Phase:  ap.Phase,
+				Digest: digest32(ap.Digest),
+				Valid:  ap.Valid,
+			})
 		}
 	}
-	hosts := make(map[string]bool)
-	for _, n := range dep.Spec.Graph.Nodes() {
-		if n.Kind == topology.KindHost {
-			hosts[n.ID] = true
-		}
-	}
-	netprop.WalkTables(tables, hosts, report)
 
 	// Controller snapshots: event ledgers and audit digests.
-	type ledgerEntry struct {
-		subject string
-		digest  string
-	}
-	ids := make([]string, 0, len(dep.Members))
-	ledgers := make([][]ledgerEntry, 0, len(dep.Members))
-	contents := make([]string, 0, len(dep.Members))
-	legit := make(map[string]bool)
+	contents := make(map[string]string, len(dep.Members))
 	for _, m := range dep.Members {
 		id := string(m)
-		snap, err := sup.Snapshot(id, 10*time.Second)
+		ns, err := sup.Snapshot(id, 10*time.Second)
 		if err != nil {
-			report("snapshot", id, fmt.Sprintf("controller %s: %v", id, err), id)
+			report("snapshot", fmt.Sprintf("controller %s: %v", id, err))
 			continue
 		}
-		var ledger []ledgerEntry
-		for _, rec := range snap.Records {
+		ledger := chaos.Ledger{ID: id, Transferred: transferred[id]}
+		for _, rec := range ns.Records {
 			switch rec.Kind {
 			case "event":
-				ledger = append(ledger, ledgerEntry{rec.Subject, hex.EncodeToString(rec.Digest)})
+				ledger.Events = append(ledger.Events, chaos.LedgerEntry{Subject: rec.Subject, Digest: digest32(rec.Digest)})
 			case "update":
-				legit[hex.EncodeToString(rec.Digest)] = true
+				ledger.Updates = append(ledger.Updates, digest32(rec.Digest))
 			}
 		}
-		ids = append(ids, id)
-		ledgers = append(ledgers, ledger)
-		contents = append(contents, hex.EncodeToString(snap.ContentDigest))
-		res.ChainDigests[id] = hex.EncodeToString(snap.ChainDigest)
+		snap.Ledgers = append(snap.Ledgers, ledger)
+		contents[id] = hex.EncodeToString(ns.ContentDigest)
+		res.ChainDigests[id] = hex.EncodeToString(ns.ChainDigest)
 	}
 
-	// Honest controllers must agree on the event order (prefix shape —
-	// gated for every pair, including state-transferred controllers,
-	// mirroring the chaos plane's resync invariant). Controllers that
-	// never went through peer state transfer must additionally quiesce
-	// on the same order-insensitive ledger content digest: same
-	// decisions on every process, even though concurrent flows
-	// interleave event and update records in timing-dependent order (so
-	// the order-sensitive hash-chain digest only matches between
-	// byte-identical replicas, and a lawfully lagging transferred
-	// replica may hold a shorter — but prefix-identical — history, with
-	// update records re-derived during replay).
-	res.DigestAgreement = len(ids) >= 2
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			m := len(ledgers[i])
-			if len(ledgers[j]) < m {
-				m = len(ledgers[j])
-			}
-			for k := 0; k < m; k++ {
-				if ledgers[i][k] != ledgers[j][k] {
-					report("event-order", ids[i]+"|"+ids[j],
-						fmt.Sprintf("controllers %s and %s diverge at event %d: %q vs %q",
-							ids[i], ids[j], k, ledgers[i][k].subject, ledgers[j][k].subject), "")
-					break
-				}
-			}
-			if transferred[ids[i]] || transferred[ids[j]] {
+	for _, v := range chaos.Converge(snap, refDigest) {
+		report(v.Invariant, v.Detail)
+	}
+	res.TableDigest = openflow.TablesDigest(snap.Tables)
+	res.TableMatch = res.TableDigest == refDigest
+
+	// The shared checks gate the prefix shape of every pair of ledgers,
+	// state-transferred controllers included. Controllers that never went
+	// through peer state transfer must additionally quiesce on the same
+	// order-insensitive ledger content digest: same decisions on every
+	// process, even though concurrent flows interleave event and update
+	// records in timing-dependent order (so the order-sensitive hash-chain
+	// digest only matches between byte-identical replicas, and a lawfully
+	// lagging transferred replica may hold a shorter — but
+	// prefix-identical — history, with update records re-derived during
+	// replay).
+	res.DigestAgreement = len(snap.Ledgers) >= 2
+	for i, a := range snap.Ledgers {
+		for _, b := range snap.Ledgers[i+1:] {
+			if a.Transferred || b.Transferred || contents[a.ID] == contents[b.ID] {
 				continue
 			}
-			if contents[i] != contents[j] {
-				res.DigestAgreement = false
-				report("content-digest", ids[i]+"|"+ids[j],
-					fmt.Sprintf("controllers %s and %s quiesced on different audit ledger contents (%.12s vs %.12s)",
-						ids[i], ids[j], contents[i], contents[j]), "")
-			}
+			res.DigestAgreement = false
+			report("content-digest", fmt.Sprintf("controllers %s and %s quiesced on different audit ledger contents (%.12s vs %.12s)",
+				a.ID, b.ID, contents[a.ID], contents[b.ID]))
 		}
 	}
-
-	// No forged rule: every update a switch applied as valid must be
-	// committed in some controller's ledger.
-	for i, ap := range applies {
-		if !ap.Valid || legit[hex.EncodeToString(ap.Digest)] {
-			continue
-		}
-		report("no-forged-rule", fmt.Sprintf("%d", i),
-			fmt.Sprintf("switch %s applied update %s/%d phase %d that no controller committed",
-				applySwitch[i], ap.Origin, ap.Seq, ap.Phase), "")
-	}
-
-	// Reference convergence when the workload fully landed.
-	res.TableDigest = tableDigest(tables)
-	res.TableMatch = res.TableDigest == refDigest
-	if res.FlowsDone == res.FlowsTotal && !res.TableMatch {
-		report("reference", "tables",
-			fmt.Sprintf("quiesced tables (digest %.12s) diverge from the fault-free simnet reference (%.12s)",
-				res.TableDigest, refDigest), "")
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

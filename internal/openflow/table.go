@@ -1,6 +1,9 @@
 package openflow
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -126,4 +129,24 @@ func (t *FlowTable) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
+}
+
+// TablesDigest canonicalizes a set of flow tables, keyed by switch id:
+// one line per rule, sorted, hashed. Insertion order varies across
+// backends and fault schedules; content must not, so two deployments that
+// converged on the same rules digest equal however they got there.
+func TablesDigest(tables map[string]*FlowTable) string {
+	var lines []string
+	for id, t := range tables {
+		for _, r := range t.rules {
+			lines = append(lines, fmt.Sprintf("%s|%d|%s|%s|%d", id, r.Priority, r.Match, r.Action, r.Cookie))
+		}
+	}
+	sort.Strings(lines)
+	h := sha256.New()
+	for _, line := range lines {
+		h.Write([]byte(line))
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
