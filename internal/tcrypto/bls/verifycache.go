@@ -33,7 +33,8 @@ const DefaultVerifyCacheSize = 256
 
 type verifyEntry struct {
 	key [sha256.Size]byte
-	sig []byte // canonical encoding of the verified signature
+	sig []byte         // canonical encoding of the verified signature
+	pt  *pairing.Point // the verified signature itself (points are immutable)
 }
 
 // NewVerifyCache returns an LRU holding at most capacity verified
@@ -60,9 +61,9 @@ func (c *VerifyCache) cacheKey(scheme *Scheme, pk *pairing.Point, msg []byte) [s
 	return k
 }
 
-// lookup returns the verified signature bytes for key, if present,
-// promoting the entry to most-recently-used.
-func (c *VerifyCache) lookup(key [sha256.Size]byte) ([]byte, bool) {
+// lookup returns the verified signature for key, if present, promoting
+// the entry to most-recently-used. Callers must not mutate the entry.
+func (c *VerifyCache) lookup(key [sha256.Size]byte) (*verifyEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
@@ -70,20 +71,22 @@ func (c *VerifyCache) lookup(key [sha256.Size]byte) ([]byte, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*verifyEntry).sig, true
+	return el.Value.(*verifyEntry), true
 }
 
 // store records a verified signature, evicting the least-recently-used
-// entry when full.
-func (c *VerifyCache) store(key [sha256.Size]byte, sig []byte) {
+// entry when full. The point is kept next to its encoding so a hit hands
+// it back as is: ParsePoint is the trust boundary for wire bytes and pays
+// a subgroup check that bytes this process produced do not need.
+func (c *VerifyCache) store(key [sha256.Size]byte, sig []byte, pt *pairing.Point) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
-		el.Value.(*verifyEntry).sig = sig
+		el.Value = &verifyEntry{key: key, sig: sig, pt: pt}
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[key] = c.ll.PushFront(&verifyEntry{key: key, sig: sig})
+	c.m[key] = c.ll.PushFront(&verifyEntry{key: key, sig: sig, pt: pt})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -110,13 +113,13 @@ func (s *Scheme) VerifyCached(cache *VerifyCache, pk PublicKey, msg []byte, sig 
 		metrics.Crypto.VerifyCacheHits.Add(1)
 		// Uniqueness of BLS signatures: matching bytes is a proof of
 		// validity, mismatching bytes a proof of forgery.
-		return bytes.Equal(cached, sigBytes)
+		return bytes.Equal(cached.sig, sigBytes)
 	}
 	metrics.Crypto.VerifyCacheMisses.Add(1)
 	if !s.Verify(pk, msg, sig) {
 		return false
 	}
-	cache.store(key, sigBytes)
+	cache.store(key, sigBytes, sig.Point)
 	return true
 }
 
@@ -129,16 +132,14 @@ func (s *Scheme) CombineVerifiedCached(cache *VerifyCache, gk *GroupKey, msg []b
 	}
 	key := cache.cacheKey(s, gk.PK.Point, msg)
 	if cached, ok := cache.lookup(key); ok {
-		if pt, err := s.Params.ParsePoint(cached); err == nil {
-			metrics.Crypto.VerifyCacheHits.Add(1)
-			return Signature{Point: pt}, nil
-		}
+		metrics.Crypto.VerifyCacheHits.Add(1)
+		return Signature{Point: cached.pt}, nil
 	}
 	metrics.Crypto.VerifyCacheMisses.Add(1)
 	sig, err := s.CombineVerified(gk, msg, shares)
 	if err != nil {
 		return Signature{}, err
 	}
-	cache.store(key, s.Params.PointBytes(sig.Point))
+	cache.store(key, s.Params.PointBytes(sig.Point), sig.Point)
 	return sig, nil
 }

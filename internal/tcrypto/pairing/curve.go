@@ -8,33 +8,36 @@ import (
 	"math/big"
 )
 
-// Point is a point in G1, the order-r subgroup of E(F_p): y² = x³ + x.
-// The zero value (nil coordinates) is the point at infinity. Points are
-// immutable: all operations allocate fresh results.
+// Point is a point in G1, the order-r subgroup of E(F_p): y² = x³ + x,
+// in affine coordinates on Montgomery limbs. The zero value (nil field) is
+// the point at infinity. Points are immutable: all operations allocate
+// fresh results.
 type Point struct {
-	X, Y *big.Int
+	f    *field // nil marks the point at infinity
+	x, y fe
 }
 
 // Infinity returns the identity element of G1.
 func Infinity() *Point { return &Point{} }
 
 // IsInfinity reports whether pt is the identity element.
-func (pt *Point) IsInfinity() bool { return pt == nil || pt.X == nil }
+func (pt *Point) IsInfinity() bool { return pt == nil || pt.f == nil }
 
 // Equal reports whether two points are the same group element.
 func (pt *Point) Equal(o *Point) bool {
 	if pt.IsInfinity() || o.IsInfinity() {
 		return pt.IsInfinity() && o.IsInfinity()
 	}
-	return pt.X.Cmp(o.X) == 0 && pt.Y.Cmp(o.Y) == 0
+	return pt.x == o.x && pt.y == o.y
 }
 
-// Clone returns a deep copy of pt.
+// Clone returns a copy of pt.
 func (pt *Point) Clone() *Point {
 	if pt.IsInfinity() {
 		return Infinity()
 	}
-	return &Point{X: new(big.Int).Set(pt.X), Y: new(big.Int).Set(pt.Y)}
+	c := *pt
+	return &c
 }
 
 // String renders the point for debugging.
@@ -42,7 +45,7 @@ func (pt *Point) String() string {
 	if pt.IsInfinity() {
 		return "G1(∞)"
 	}
-	return fmt.Sprintf("G1(%s, %s)", pt.X.Text(16), pt.Y.Text(16))
+	return fmt.Sprintf("G1(%s, %s)", pt.f.toBig(&pt.x).Text(16), pt.f.toBig(&pt.y).Text(16))
 }
 
 // coordWidth is the byte width of one field element.
@@ -61,16 +64,21 @@ func (p *Params) PointBytes(pt *Point) []byte {
 		return out[:1]
 	}
 	out[0] = 4
-	pt.X.FillBytes(out[1 : 1+w])
-	pt.Y.FillBytes(out[1+w:])
+	p.fp.putBytes(out[1:1+w], &pt.x)
+	p.fp.putBytes(out[1+w:], &pt.y)
 	return out
 }
 
-// errBadPoint reports a malformed or off-curve encoding.
+// errBadPoint reports a malformed, off-curve or out-of-subgroup encoding.
 var errBadPoint = errors.New("pairing: invalid point encoding")
 
-// ParsePoint decodes a point produced by PointBytes, rejecting encodings
-// that are malformed or not on the curve.
+// ParsePoint decodes a point produced by PointBytes. It is the trust
+// boundary for every point that arrives from the wire: it rejects
+// encodings that are malformed, non-canonical, not on the curve, or on the
+// curve but outside G1. The last check matters because the reduced pairing
+// is trivial on the cofactor subgroup: for any T = r·Q ≠ ∞ there, σ + T
+// verifies exactly like σ while encoding differently, which breaks the
+// uniqueness of BLS signatures that bls.VerifyCache relies on.
 func (p *Params) ParsePoint(data []byte) (*Point, error) {
 	if len(data) == 1 && data[0] == 0 {
 		return Infinity(), nil
@@ -79,10 +87,11 @@ func (p *Params) ParsePoint(data []byte) (*Point, error) {
 	if len(data) != 1+2*w || data[0] != 4 {
 		return nil, errBadPoint
 	}
-	x := new(big.Int).SetBytes(data[1 : 1+w])
-	y := new(big.Int).SetBytes(data[1+w:])
-	pt := &Point{X: x, Y: y}
-	if x.Cmp(p.P) >= 0 || y.Cmp(p.P) >= 0 || !p.IsOnCurve(pt) {
+	pt := &Point{f: p.fp}
+	if !p.fp.fromBytes(&pt.x, data[1:1+w]) || !p.fp.fromBytes(&pt.y, data[1+w:]) {
+		return nil, errBadPoint
+	}
+	if !p.IsOnCurve(pt) || !p.inG1(pt) {
 		return nil, errBadPoint
 	}
 	return pt, nil
@@ -94,13 +103,30 @@ func (p *Params) IsOnCurve(pt *Point) bool {
 	if pt.IsInfinity() {
 		return true
 	}
-	lhs := new(big.Int).Mul(pt.Y, pt.Y)
-	lhs.Mod(lhs, p.P)
-	rhs := new(big.Int).Mul(pt.X, pt.X)
-	rhs.Mul(rhs, pt.X)
-	rhs.Add(rhs, pt.X)
-	rhs.Mod(rhs, p.P)
-	return lhs.Cmp(rhs) == 0
+	var lhs, rhs fe
+	p.fp.sqr(&lhs, &pt.y)
+	p.curveRHS(&rhs, &pt.x)
+	return lhs == rhs
+}
+
+// curveRHS sets z = x³ + x.
+func (p *Params) curveRHS(z, x *fe) {
+	var t fe
+	p.fp.sqr(&t, x)
+	p.fp.mul(&t, &t, x)
+	p.fp.add(z, &t, x)
+}
+
+// inG1 reports whether a curve point has order dividing r, by walking r's
+// signed digits in Jacobian coordinates and testing Z = 0: no conversion
+// back to affine, so no inversion.
+func (p *Params) inG1(pt *Point) bool {
+	if pt.IsInfinity() {
+		return true
+	}
+	var acc jacPoint
+	p.jacScalarMul(&acc, pt, p.rNAF)
+	return acc.z.isZero()
 }
 
 // Neg returns −pt.
@@ -108,9 +134,9 @@ func (p *Params) Neg(pt *Point) *Point {
 	if pt.IsInfinity() {
 		return Infinity()
 	}
-	y := new(big.Int).Neg(pt.Y)
-	y.Mod(y, p.P)
-	return &Point{X: new(big.Int).Set(pt.X), Y: y}
+	out := &Point{f: pt.f, x: pt.x}
+	p.fp.neg(&out.y, &pt.y)
+	return out
 }
 
 // Add returns a + b in the curve group.
@@ -121,52 +147,19 @@ func (p *Params) Add(a, b *Point) *Point {
 	if b.IsInfinity() {
 		return a.Clone()
 	}
-	if a.X.Cmp(b.X) == 0 {
-		sum := new(big.Int).Add(a.Y, b.Y)
-		sum.Mod(sum, p.P)
-		if sum.Sign() == 0 {
-			return Infinity()
-		}
-		return p.Double(a)
-	}
-	// λ = (y2 − y1)/(x2 − x1)
-	num := new(big.Int).Sub(b.Y, a.Y)
-	den := new(big.Int).Sub(b.X, a.X)
-	den.Mod(den, p.P)
-	den.ModInverse(den, p.P)
-	lambda := num.Mul(num, den)
-	lambda.Mod(lambda, p.P)
-	return p.chord(a, b, lambda)
+	j := jacPoint{x: a.x, y: a.y, z: p.fp.one}
+	p.jacAddAffine(&j, b, nil)
+	return p.toAffine(&j)
 }
 
 // Double returns 2·a.
 func (p *Params) Double(a *Point) *Point {
-	if a.IsInfinity() || a.Y.Sign() == 0 {
+	if a.IsInfinity() {
 		return Infinity()
 	}
-	// λ = (3x² + 1)/(2y) for the curve y² = x³ + x.
-	num := new(big.Int).Mul(a.X, a.X)
-	num.Mul(num, big.NewInt(3))
-	num.Add(num, big.NewInt(1))
-	den := new(big.Int).Lsh(a.Y, 1)
-	den.Mod(den, p.P)
-	den.ModInverse(den, p.P)
-	lambda := num.Mul(num, den)
-	lambda.Mod(lambda, p.P)
-	return p.chord(a, a, lambda)
-}
-
-// chord completes point addition given the chord/tangent slope.
-func (p *Params) chord(a, b *Point, lambda *big.Int) *Point {
-	x3 := new(big.Int).Mul(lambda, lambda)
-	x3.Sub(x3, a.X)
-	x3.Sub(x3, b.X)
-	x3.Mod(x3, p.P)
-	y3 := new(big.Int).Sub(a.X, x3)
-	y3.Mul(y3, lambda)
-	y3.Sub(y3, a.Y)
-	y3.Mod(y3, p.P)
-	return &Point{X: x3, Y: y3}
+	j := jacPoint{x: a.x, y: a.y, z: p.fp.one}
+	p.jacDouble(&j, nil)
+	return p.toAffine(&j)
 }
 
 // ScalarMul returns k·pt using inversion-free Jacobian double-and-add
@@ -182,7 +175,9 @@ func (p *Params) ScalarMul(pt *Point, k *big.Int) *Point {
 	if flip {
 		pt = p.Neg(pt)
 	}
-	return p.scalarMulDigits(pt, digits)
+	var acc jacPoint
+	p.jacScalarMul(&acc, pt, digits)
+	return p.toAffine(&acc)
 }
 
 // ScalarBaseMul returns k·G for the canonical generator.
@@ -196,7 +191,9 @@ func (p *Params) cofactorMul(pt *Point) *Point {
 	if pt.IsInfinity() {
 		return Infinity()
 	}
-	return p.scalarMulJacobian(pt, p.H)
+	var acc jacPoint
+	p.jacScalarMul(&acc, pt, p.hNAF)
+	return p.toAffine(&acc)
 }
 
 // RandomScalar returns a uniformly random scalar in [1, r−1].

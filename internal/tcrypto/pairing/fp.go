@@ -1,0 +1,309 @@
+package pairing
+
+import (
+	"math/big"
+	"math/bits"
+)
+
+// Base-field arithmetic on fixed-width limbs in Montgomery form.
+//
+// An element x of F_p is held as x·R mod p with R = 2^(64n), in n
+// little-endian 64-bit limbs of a fixed [maxLimbs]uint64 backing: n = 4
+// for the 254-bit field, n = 8 for the 512-bit one, read from the field
+// at run time so one code path serves both. Every routine returns a fully
+// reduced value in [0, p), so limb-wise equality is field equality.
+// Nothing here is constant-time: like the math/big arithmetic it
+// replaces, running time depends on operand values.
+
+// maxLimbs is the widest supported field, 512 bits.
+const maxLimbs = 8
+
+// fe is a base-field element. The zero value is 0 (in either form).
+type fe [maxLimbs]uint64
+
+// field is F_p for one modulus.
+type field struct {
+	n    int    // active limbs
+	p    fe     // the modulus
+	pInv uint64 // −p⁻¹ mod 2^64
+	one  fe     // R mod p: the Montgomery form of 1
+	r2   fe     // R² mod p: multiplying by it enters Montgomery form
+}
+
+// newField precomputes the Montgomery constants for an odd modulus.
+func newField(p *big.Int) *field {
+	n := (p.BitLen() + 63) / 64
+	if n > maxLimbs {
+		panic("pairing: field wider than 512 bits")
+	}
+	f := &field{n: n}
+	f.setLimbs(&f.p, p)
+	// Newton iteration doubles the correct low bits of p⁻¹ mod 2^64; an
+	// odd p is its own inverse mod 8.
+	inv := f.p[0]
+	for i := 0; i < 5; i++ {
+		inv *= 2 - f.p[0]*inv
+	}
+	f.pInv = -inv
+	r := new(big.Int).Lsh(big.NewInt(1), uint(64*n))
+	f.setLimbs(&f.one, new(big.Int).Mod(r, p))
+	f.setLimbs(&f.r2, r.Mul(r, r).Mod(r, p))
+	return f
+}
+
+// setLimbs writes a non-negative integer below 2^(64n) into z as plain
+// limbs. It goes through the byte encoding, not big.Int.Bits, so it is
+// independent of the platform's big.Word size.
+func (f *field) setLimbs(z *fe, x *big.Int) {
+	var buf [8 * maxLimbs]byte
+	x.FillBytes(buf[:8*f.n])
+	f.limbsFromBytes(z, buf[:8*f.n])
+}
+
+// limbsFromBytes reads a big-endian integer of at most 8n bytes into z as
+// plain limbs.
+func (f *field) limbsFromBytes(z *fe, b []byte) {
+	*z = fe{}
+	for i := 0; i < len(b); i++ {
+		z[i/8] |= uint64(b[len(b)-1-i]) << (8 * (i % 8))
+	}
+}
+
+// fromBig sets z to the Montgomery form of x, which must lie in [0, p).
+func (f *field) fromBig(z *fe, x *big.Int) {
+	f.setLimbs(z, x)
+	f.mul(z, z, &f.r2)
+}
+
+// toBig returns the integer in [0, p) that x represents.
+func (f *field) toBig(x *fe) *big.Int {
+	var buf [8 * maxLimbs]byte
+	f.putBytes(buf[:8*f.n], x)
+	return new(big.Int).SetBytes(buf[:8*f.n])
+}
+
+// fromBytes sets z to the element encoded big-endian in b (at most 8n
+// bytes) and reports whether the encoding is canonical, i.e. below p.
+func (f *field) fromBytes(z *fe, b []byte) bool {
+	f.limbsFromBytes(z, b)
+	if !f.less(z, &f.p) {
+		return false
+	}
+	f.mul(z, z, &f.r2)
+	return true
+}
+
+// putBytes writes x as a fixed-width big-endian integer filling b, which
+// must be wide enough for p.
+func (f *field) putBytes(b []byte, x *fe) {
+	var plain, unit fe
+	unit[0] = 1
+	f.mul(&plain, x, &unit) // leave Montgomery form: x·R·1·R⁻¹
+	for i := range b {
+		b[len(b)-1-i] = 0
+		if i < 8*f.n {
+			b[len(b)-1-i] = byte(plain[i/8] >> (8 * (i % 8)))
+		}
+	}
+}
+
+// limbs returns the active limb count, bounded so the compiler can drop
+// the bounds checks in the limb loops.
+func (f *field) limbs() int {
+	if f.n < 1 || f.n > maxLimbs {
+		panic("pairing: bad limb count")
+	}
+	return f.n
+}
+
+// less reports x < y on plain limbs.
+func (f *field) less(x, y *fe) bool {
+	var b uint64
+	for i, n := 0, f.limbs(); i < n; i++ {
+		_, b = bits.Sub64(x[i], y[i], b)
+	}
+	return b != 0
+}
+
+func (x *fe) isZero() bool { return *x == fe{} }
+
+// reduce sets z = t − p when t (with its overflow bit) is at least p, and
+// z = t otherwise; t < 2p always holds at the call sites, and t may be z.
+func (f *field) reduce(z, t *fe, overflow uint64) {
+	var d fe
+	var b uint64
+	n := f.limbs()
+	for i := 0; i < n; i++ {
+		d[i], b = bits.Sub64(t[i], f.p[i], b)
+	}
+	if overflow != 0 || b == 0 {
+		t = &d
+	}
+	for i := 0; i < n; i++ {
+		z[i] = t[i]
+	}
+}
+
+// add sets z = x + y.
+func (f *field) add(z, x, y *fe) {
+	var c uint64
+	for i, n := 0, f.limbs(); i < n; i++ {
+		z[i], c = bits.Add64(x[i], y[i], c)
+	}
+	f.reduce(z, z, c)
+}
+
+// dbl sets z = 2x.
+func (f *field) dbl(z, x *fe) { f.add(z, x, x) }
+
+// sub sets z = x − y.
+func (f *field) sub(z, x, y *fe) {
+	var b, c uint64
+	n := f.limbs()
+	for i := 0; i < n; i++ {
+		z[i], b = bits.Sub64(x[i], y[i], b)
+	}
+	if b != 0 {
+		for i := 0; i < n; i++ {
+			z[i], c = bits.Add64(z[i], f.p[i], c)
+		}
+	}
+}
+
+// neg sets z = −x.
+func (f *field) neg(z, x *fe) {
+	if x.isZero() {
+		*z = fe{}
+		return
+	}
+	var b uint64
+	for i, n := 0, f.limbs(); i < n; i++ {
+		z[i], b = bits.Sub64(f.p[i], x[i], b)
+	}
+}
+
+// mul sets z = x·y (Montgomery product x·y·R⁻¹), interleaving one limb of
+// multiplication with one limb of reduction (CIOS). z may alias x or y.
+// Carries are folded with Add64(hi, 0, carry) so they stay in the flags.
+func (f *field) mul(z, x, y *fe) {
+	var t [maxLimbs + 2]uint64
+	n := f.limbs()
+	for i := 0; i < n; i++ {
+		// t += x·y[i]
+		var c, cc uint64
+		yi := y[i]
+		for j := 0; j < n; j++ {
+			hi, lo := bits.Mul64(x[j], yi)
+			lo, cc = bits.Add64(lo, t[j], 0)
+			hi, _ = bits.Add64(hi, 0, cc)
+			lo, cc = bits.Add64(lo, c, 0)
+			hi, _ = bits.Add64(hi, 0, cc)
+			t[j] = lo
+			c = hi
+		}
+		t[n], cc = bits.Add64(t[n], c, 0)
+		t[n+1] = cc
+		// t = (t + m·p)/2^64 with m chosen to clear the low limb.
+		m := t[0] * f.pInv
+		hi, lo := bits.Mul64(m, f.p[0])
+		_, cc = bits.Add64(lo, t[0], 0)
+		c, _ = bits.Add64(hi, 0, cc)
+		for j := 1; j < n; j++ {
+			hi, lo := bits.Mul64(m, f.p[j])
+			lo, cc = bits.Add64(lo, t[j], 0)
+			hi, _ = bits.Add64(hi, 0, cc)
+			lo, cc = bits.Add64(lo, c, 0)
+			hi, _ = bits.Add64(hi, 0, cc)
+			t[j-1] = lo
+			c = hi
+		}
+		t[n-1], cc = bits.Add64(t[n], c, 0)
+		t[n] = t[n+1] + cc
+	}
+	// Final conditional subtraction, as in reduce but straight off t.
+	var d fe
+	var b uint64
+	for i := 0; i < n; i++ {
+		d[i], b = bits.Sub64(t[i], f.p[i], b)
+	}
+	if t[n] != 0 || b == 0 {
+		copy(t[:n], d[:n])
+	}
+	copy(z[:n], t[:n])
+}
+
+// sqr sets z = x². A dedicated squaring (cross products computed once)
+// measured no faster than mul in pure Go at either width, so there is
+// none.
+func (f *field) sqr(z, x *fe) { f.mul(z, x, x) }
+
+// exp sets z = x^e for a non-negative exponent, by square-and-multiply.
+func (f *field) exp(z, x *fe, e *big.Int) {
+	base := *x
+	*z = f.one
+	for i := e.BitLen() - 1; i >= 0; i-- {
+		f.sqr(z, z)
+		if e.Bit(i) == 1 {
+			f.mul(z, z, &base)
+		}
+	}
+}
+
+// shr1 halves the plain integer x, shifting carry in at the top.
+func (f *field) shr1(x *fe, carry uint64) {
+	n := f.limbs()
+	for i := 0; i < n-1; i++ {
+		x[i] = x[i]>>1 | x[i+1]<<63
+	}
+	x[n-1] = x[n-1]>>1 | carry<<63
+}
+
+// halve sets x = x/2 mod p on a plain residue: x is shifted when even,
+// and x + p (which is even) is shifted otherwise.
+func (f *field) halve(x *fe) {
+	var c uint64
+	if x[0]&1 == 1 {
+		for i, n := 0, f.limbs(); i < n; i++ {
+			x[i], c = bits.Add64(x[i], f.p[i], c)
+		}
+	}
+	f.shr1(x, c)
+}
+
+// inv sets z = x⁻¹ for x ≠ 0 with the binary extended Euclidean
+// algorithm. It keeps r·x ≡ u·R² and s·x ≡ v·R² (mod p) on plain
+// integers, so starting from the Montgomery form x·R the survivor at
+// u = 1 (or v = 1) is R²/(x·R) = x⁻¹·R, already in Montgomery form.
+// The inverse of 0 is 0.
+func (f *field) inv(z, x *fe) {
+	if x.isZero() {
+		*z = fe{}
+		return
+	}
+	var unit fe
+	unit[0] = 1
+	u, v := *x, f.p
+	r, s := f.r2, fe{}
+	for u != unit && v != unit {
+		for u[0]&1 == 0 {
+			f.shr1(&u, 0)
+			f.halve(&r)
+		}
+		for v[0]&1 == 0 {
+			f.shr1(&v, 0)
+			f.halve(&s)
+		}
+		if f.less(&u, &v) {
+			f.sub(&v, &v, &u) // no borrow: plain v − u
+			f.sub(&s, &s, &r)
+		} else {
+			f.sub(&u, &u, &v)
+			f.sub(&r, &r, &s)
+		}
+	}
+	if u == unit {
+		*z = r
+	} else {
+		*z = s
+	}
+}

@@ -3,232 +3,108 @@ package pairing
 import "math/big"
 
 // GT is an element of the target group, represented in F_{p^2} as
-// A + B·i with i^2 = −1. Elements are immutable: all operations allocate
-// fresh results.
+// a + b·i with i^2 = −1, both coordinates in Montgomery form. Values
+// returned by the exported API are never mutated afterwards; the pairing
+// loops mutate their own accumulator in place.
 type GT struct {
-	A, B *big.Int
+	f    *field
+	a, b fe
 }
 
 // gtOne returns the multiplicative identity of F_{p^2}.
-func gtOne() *GT {
-	return &GT{A: big.NewInt(1), B: big.NewInt(0)}
+func (p *Params) gtOne() *GT {
+	return &GT{f: p.fp, a: p.fp.one}
 }
 
 // IsOne reports whether g is the multiplicative identity.
 func (g *GT) IsOne() bool {
-	return g.A.Cmp(big.NewInt(1)) == 0 && g.B.Sign() == 0
+	return g.a == g.f.one && g.b.isZero()
 }
 
 // Equal reports whether g and o are the same F_{p^2} element.
 func (g *GT) Equal(o *GT) bool {
-	return g.A.Cmp(o.A) == 0 && g.B.Cmp(o.B) == 0
+	return g.a == o.a && g.b == o.b
 }
 
-// Bytes returns a fixed-width big-endian encoding of g, suitable for
+// gtBytes returns a fixed-width big-endian encoding of g, suitable for
 // hashing and wire transport.
 func (p *Params) gtBytes(g *GT) []byte {
-	w := (p.P.BitLen() + 7) / 8
+	w := p.coordWidth()
 	out := make([]byte, 2*w)
-	g.A.FillBytes(out[:w])
-	g.B.FillBytes(out[w:])
+	p.fp.putBytes(out[:w], &g.a)
+	p.fp.putBytes(out[w:], &g.b)
 	return out
 }
 
-// gtMul returns x·y in F_{p^2} using Karatsuba's three-multiplication
-// form: ad + bc = (a+b)(c+d) − ac − bd. Field multiplications dominate
-// the Miller loop, so one saved mult per product is ~25% off the loop.
-func (p *Params) gtMul(x, y *GT) *GT {
-	// (a+bi)(c+di) = (ac − bd) + (ad + bc)i
-	ac := new(big.Int).Mul(x.A, y.A)
-	bd := new(big.Int).Mul(x.B, y.B)
-	xs := new(big.Int).Add(x.A, x.B)
-	ys := new(big.Int).Add(y.A, y.B)
-	cross := xs.Mul(xs, ys)
-	cross.Sub(cross, ac)
-	cross.Sub(cross, bd)
-	a := ac.Sub(ac, bd)
-	p.modP(a)
-	p.modP(cross)
-	return &GT{A: a, B: cross}
+// mul sets g ← g·(c + d·i) using Karatsuba's three-multiplication form:
+// ad + bc = (a+b)(c+d) − ac − bd. Field multiplications dominate the
+// Miller loop, so one saved mult per product is ~25% off the loop.
+func (g *GT) mul(c, d *fe) {
+	f := g.f
+	var ac, bd, s, t fe
+	f.mul(&ac, &g.a, c)
+	f.mul(&bd, &g.b, d)
+	f.add(&s, &g.a, &g.b)
+	f.add(&t, c, d)
+	f.mul(&s, &s, &t)
+	f.sub(&s, &s, &ac)
+	f.sub(&g.b, &s, &bd)
+	f.sub(&g.a, &ac, &bd)
 }
 
-// gtSquare returns x² in F_{p^2}.
-func (p *Params) gtSquare(x *GT) *GT {
-	// (a+bi)^2 = (a−b)(a+b) + 2ab·i
-	sum := new(big.Int).Add(x.A, x.B)
-	diff := new(big.Int).Sub(x.A, x.B)
-	a := sum.Mul(sum, diff)
-	p.modP(a)
-	b := new(big.Int).Mul(x.A, x.B)
-	b.Lsh(b, 1)
-	p.modP(b)
-	return &GT{A: a, B: b}
+// square sets g ← g²: (a+bi)² = (a−b)(a+b) + 2ab·i.
+func (g *GT) square() {
+	f := g.f
+	var s, d fe
+	f.add(&s, &g.a, &g.b)
+	f.sub(&d, &g.a, &g.b)
+	f.mul(&g.b, &g.a, &g.b)
+	f.dbl(&g.b, &g.b)
+	f.mul(&g.a, &s, &d)
 }
 
-// gtConj returns the conjugate a − b·i, which equals x^p (the Frobenius).
-func (p *Params) gtConj(x *GT) *GT {
-	b := new(big.Int).Neg(x.B)
-	b.Mod(b, p.P)
-	return &GT{A: new(big.Int).Set(x.A), B: b}
+// conj sets g ← a − b·i, which equals g^p (the Frobenius).
+func (g *GT) conj() { g.f.neg(&g.b, &g.b) }
+
+// invert sets g ← g⁻¹ = (a − bi)/(a² + b²), paying one field inversion.
+func (g *GT) invert() {
+	f := g.f
+	var norm, bb fe
+	f.sqr(&norm, &g.a)
+	f.sqr(&bb, &g.b)
+	f.add(&norm, &norm, &bb)
+	f.inv(&norm, &norm)
+	f.mul(&g.a, &g.a, &norm)
+	f.mul(&g.b, &g.b, &norm)
+	f.neg(&g.b, &g.b)
 }
 
-// gtInv returns x^(−1) in F_{p^2}.
-func (p *Params) gtInv(x *GT) *GT {
-	// 1/(a+bi) = (a − bi)/(a² + b²)
-	norm := new(big.Int).Mul(x.A, x.A)
-	bb := new(big.Int).Mul(x.B, x.B)
-	norm.Add(norm, bb)
-	p.modP(norm)
-	norm.ModInverse(norm, p.P)
-	a := new(big.Int).Mul(x.A, norm)
-	p.modP(a)
-	b := new(big.Int).Neg(x.B)
-	b.Mul(b, norm)
-	p.modP(b)
-	return &GT{A: a, B: b}
-}
-
-// gtExp returns x^e in F_{p^2} for a non-negative exponent e.
-func (p *Params) gtExp(x *GT, e *big.Int) *GT {
-	result := gtOne()
-	if e.Sign() == 0 {
-		return result
-	}
-	base := &GT{A: new(big.Int).Set(x.A), B: new(big.Int).Set(x.B)}
+// exp sets g ← g^e for a non-negative exponent e.
+func (g *GT) exp(e *big.Int) {
+	base := *g
+	g.a, g.b = g.f.one, fe{}
 	for i := e.BitLen() - 1; i >= 0; i-- {
-		result = p.gtSquare(result)
-		if e.Bit(i) == 1 {
-			result = p.gtMul(result, base)
-		}
-	}
-	return result
-}
-
-// gtAcc is a mutable F_{p²} accumulator with preallocated scratch. The
-// pairing hot loops (PairPrepared, PairProduct, and their shared final
-// exponentiation) run thousands of field operations per call; routing
-// them through one accumulator instead of the immutable GT helpers
-// removes nearly all interior allocations. Not safe for concurrent use;
-// each pairing call creates its own.
-type gtAcc struct {
-	p              *Params
-	a, b           *big.Int // the accumulated element a + b·i
-	t1, t2, t3, t4 *big.Int // multiplication scratch
-	l              *big.Int // line-evaluation scratch
-	q              *big.Int // Barrett quotient scratch
-}
-
-func newGTAcc(p *Params) *gtAcc {
-	return &gtAcc{
-		p: p, a: big.NewInt(1), b: big.NewInt(0),
-		t1: new(big.Int), t2: new(big.Int), t3: new(big.Int), t4: new(big.Int),
-		l: new(big.Int), q: new(big.Int),
-	}
-}
-
-// reduce is modP with the accumulator's scratch quotient: no allocation.
-func (g *gtAcc) reduce(x *big.Int) {
-	p := g.p
-	if x.Sign() < 0 {
-		x.Add(x, p.twoPSquared)
-	}
-	q := g.q
-	q.Rsh(x, p.barrettLo)
-	q.Mul(q, p.barrettMu)
-	q.Rsh(q, p.barrettHi)
-	q.Mul(q, p.P)
-	x.Sub(x, q)
-	for x.Cmp(p.P) >= 0 {
-		x.Sub(x, p.P)
-	}
-}
-
-// square sets g ← g² (Karatsuba-style two-multiplication squaring).
-func (g *gtAcc) square() {
-	g.t1.Add(g.a, g.b)
-	g.t2.Sub(g.a, g.b)
-	g.t3.Mul(g.a, g.b)
-	g.a.Mul(g.t1, g.t2)
-	g.reduce(g.a)
-	g.b.Lsh(g.t3, 1)
-	g.reduce(g.b)
-}
-
-// mul sets g ← g·(la + lb·i) for reduced la, lb using three
-// multiplications.
-func (g *gtAcc) mul(la, lb *big.Int) {
-	g.t1.Mul(g.a, la) // ac
-	g.t2.Mul(g.b, lb) // bd
-	g.t3.Add(g.a, g.b)
-	g.t4.Add(la, lb)
-	g.t3.Mul(g.t3, g.t4)
-	g.t3.Sub(g.t3, g.t1) // cross = ad + bc
-	g.t3.Sub(g.t3, g.t2)
-	g.a.Sub(g.t1, g.t2)
-	g.reduce(g.a)
-	g.reduce(g.t3)
-	g.b, g.t3 = g.t3, g.b
-}
-
-// mulReal sets g ← g·la for a reduced real element (vertical lines have
-// zero imaginary part, so the full product collapses to two mults).
-func (g *gtAcc) mulReal(la *big.Int) {
-	g.t1.Mul(g.a, la)
-	g.reduce(g.t1)
-	g.a, g.t1 = g.t1, g.a
-	g.t2.Mul(g.b, la)
-	g.reduce(g.t2)
-	g.b, g.t2 = g.t2, g.b
-}
-
-// mulLine multiplies g by a cached Miller line evaluated at φ(b).
-func (g *gtAcc) mulLine(ln *line, xb, yb *big.Int) {
-	if ln.lambda == nil {
-		g.l.Neg(xb)
-		g.l.Sub(g.l, ln.x1)
-		g.reduce(g.l)
-		g.mulReal(g.l)
-		return
-	}
-	g.l.Add(xb, ln.x1)
-	g.l.Mul(g.l, ln.lambda)
-	g.l.Sub(g.l, ln.y1)
-	g.reduce(g.l)
-	g.mul(g.l, yb)
-}
-
-// finalExp applies z ↦ z^{(p²−1)/r} to the accumulator and returns the
-// result, consuming the accumulator.
-func (g *gtAcc) finalExp() *GT {
-	p := g.p
-	// z^(p−1) = conj(z)/z: one inversion, then an in-place multiply.
-	inv := p.gtInv(&GT{A: g.a, B: g.b})
-	g.b.Neg(g.b)
-	if g.b.Sign() < 0 {
-		g.b.Add(g.b, p.P)
-	}
-	g.mul(inv.A, inv.B)
-	// Raise to (p+1)/r = h by square-and-multiply.
-	ba := new(big.Int).Set(g.a)
-	bb := new(big.Int).Set(g.b)
-	for i := p.H.BitLen() - 2; i >= 0; i-- {
 		g.square()
-		if p.H.Bit(i) == 1 {
-			g.mul(ba, bb)
+		if e.Bit(i) == 1 {
+			g.mul(&base.a, &base.b)
 		}
 	}
-	return &GT{A: g.a, B: g.b}
 }
 
 // GTExp returns g^e reduced modulo the group order; it is the scalar action
 // on the target group used by tests asserting bilinearity.
 func (p *Params) GTExp(g *GT, e *big.Int) *GT {
-	re := new(big.Int).Mod(e, p.R)
-	return p.gtExp(g, re)
+	out := *g
+	out.exp(new(big.Int).Mod(e, p.R))
+	return &out
 }
 
 // GTMul returns the product of two target-group elements.
-func (p *Params) GTMul(x, y *GT) *GT { return p.gtMul(x, y) }
+func (p *Params) GTMul(x, y *GT) *GT {
+	out := *x
+	out.mul(&y.a, &y.b)
+	return &out
+}
 
 // GTBytes returns a canonical encoding of a target-group element.
 func (p *Params) GTBytes(g *GT) []byte { return p.gtBytes(g) }

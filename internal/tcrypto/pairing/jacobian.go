@@ -10,137 +10,149 @@ import "math/big"
 // share signing, batched share verification, and hashing to the curve.
 //
 // Formulas are the standard dbl-2007-bl / madd-2007-bl for
-// y² = x³ + a·x with a = 1 (this package's supersingular curve).
+// y² = x³ + a·x with a = 1 (this package's supersingular curve), with
+// their (u+v)² − u² − v² products written as plain 2·u·v: the field has no
+// squaring cheaper than a multiplication, so the trick would only add
+// additions.
 
-// jacPoint is a point in Jacobian coordinates; z == 0 is infinity.
+// jacPoint is a point in Jacobian coordinates on Montgomery limbs; z == 0
+// (in particular the zero value) is infinity. The walks below mutate one
+// accumulator in place.
 type jacPoint struct {
-	x, y, z *big.Int
-}
-
-// jacInfinity returns the identity.
-func jacInfinity() *jacPoint {
-	return &jacPoint{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
-}
-
-// fromAffine lifts an affine point to Jacobian coordinates.
-func fromAffine(pt *Point) *jacPoint {
-	return &jacPoint{x: new(big.Int).Set(pt.X), y: new(big.Int).Set(pt.Y), z: big.NewInt(1)}
+	x, y, z fe
 }
 
 // toAffine projects back, paying the single inversion.
 func (p *Params) toAffine(j *jacPoint) *Point {
-	if j.z.Sign() == 0 {
+	if j.z.isZero() {
 		return Infinity()
 	}
-	zInv := new(big.Int).ModInverse(j.z, p.P)
-	zInv2 := new(big.Int).Mul(zInv, zInv)
-	zInv2.Mod(zInv2, p.P)
-	x := new(big.Int).Mul(j.x, zInv2)
-	x.Mod(x, p.P)
-	zInv3 := zInv2.Mul(zInv2, zInv)
-	zInv3.Mod(zInv3, p.P)
-	y := new(big.Int).Mul(j.y, zInv3)
-	y.Mod(y, p.P)
-	return &Point{X: x, Y: y}
+	f := p.fp
+	var zInv, zInv2 fe
+	f.inv(&zInv, &j.z)
+	f.sqr(&zInv2, &zInv)
+	pt := &Point{f: f}
+	f.mul(&pt.x, &j.x, &zInv2)
+	f.mul(&zInv2, &zInv2, &zInv)
+	f.mul(&pt.y, &j.y, &zInv2)
+	return pt
 }
 
-// jacDouble returns 2·j.
-func (p *Params) jacDouble(j *jacPoint) *jacPoint {
-	if j.z.Sign() == 0 || j.y.Sign() == 0 {
-		return jacInfinity()
+// line is the chord or tangent a curve step passes through, as a Miller
+// loop needs it: evaluated at the distorted point φ(b) = (−x_b, i·y_b) it
+// is (a·x_b + c) + (d·y_b)·i, up to a factor in F_p* that the final
+// exponentiation kills. Carrying that factor instead of dividing it out is
+// what keeps the loop inversion-free: an affine chord with slope λ through
+// (x1, y1) evaluates to [λ·(x_b + x1) − y1] + y_b·i, and the steps below
+// scale it by the slope's denominator.
+type line struct {
+	a, c, d fe
+}
+
+// jacDouble sets j ← 2·j. When ln is non-nil and j has a tangent there
+// (j is neither infinity nor of order two, whose vertical tangent lies in
+// F_p and is dropped), ln receives it and the result is true.
+func (p *Params) jacDouble(j *jacPoint, ln *line) bool {
+	if j.z.isZero() || j.y.isZero() {
+		*j = jacPoint{}
+		return false
 	}
-	xx := new(big.Int).Mul(j.x, j.x)
-	xx.Mod(xx, p.P)
-	yy := new(big.Int).Mul(j.y, j.y)
-	yy.Mod(yy, p.P)
-	yyyy := new(big.Int).Mul(yy, yy)
-	yyyy.Mod(yyyy, p.P)
-	zz := new(big.Int).Mul(j.z, j.z)
-	zz.Mod(zz, p.P)
-	// S = 2·((X+YY)² − XX − YYYY)
-	s := new(big.Int).Add(j.x, yy)
-	s.Mul(s, s)
-	s.Sub(s, xx)
-	s.Sub(s, yyyy)
-	s.Lsh(s, 1)
-	s.Mod(s, p.P)
+	f := p.fp
+	var xx, yy, yyyy, zz, s, m, t fe
+	f.sqr(&xx, &j.x)
+	f.sqr(&yy, &j.y)
+	f.sqr(&yyyy, &yy)
+	f.sqr(&zz, &j.z)
+	// S = 4·X·YY
+	f.mul(&s, &j.x, &yy)
+	f.dbl(&s, &s)
+	f.dbl(&s, &s)
 	// M = 3·XX + a·ZZ² with a = 1.
-	m := new(big.Int).Lsh(xx, 1)
-	m.Add(m, xx)
-	zz2 := new(big.Int).Mul(zz, zz)
-	m.Add(m, zz2)
-	m.Mod(m, p.P)
+	f.dbl(&m, &xx)
+	f.add(&m, &m, &xx)
+	f.sqr(&t, &zz)
+	f.add(&m, &m, &t)
+	// Z3 = 2·Y·Z
+	f.mul(&j.z, &j.y, &j.z)
+	f.dbl(&j.z, &j.z)
+	if ln != nil {
+		// The slope is M/Z3 and (x1, y1) = (X/ZZ, Y/(Z·ZZ)); scaling
+		// the affine line by Z3·ZZ leaves
+		// [M·ZZ·x_b + M·X − 2·YY] + Z3·ZZ·y_b·i.
+		f.mul(&ln.a, &m, &zz)
+		f.mul(&ln.c, &m, &j.x)
+		f.sub(&ln.c, &ln.c, &yy)
+		f.sub(&ln.c, &ln.c, &yy)
+		f.mul(&ln.d, &j.z, &zz)
+	}
 	// X3 = M² − 2·S
-	x3 := new(big.Int).Mul(m, m)
-	x3.Sub(x3, s)
-	x3.Sub(x3, s)
-	x3.Mod(x3, p.P)
+	f.sqr(&j.x, &m)
+	f.sub(&j.x, &j.x, &s)
+	f.sub(&j.x, &j.x, &s)
 	// Y3 = M·(S − X3) − 8·YYYY
-	y3 := new(big.Int).Sub(s, x3)
-	y3.Mul(y3, m)
-	y3.Sub(y3, new(big.Int).Lsh(yyyy, 3))
-	y3.Mod(y3, p.P)
-	// Z3 = (Y+Z)² − YY − ZZ = 2·Y·Z
-	z3 := new(big.Int).Add(j.y, j.z)
-	z3.Mul(z3, z3)
-	z3.Sub(z3, yy)
-	z3.Sub(z3, zz)
-	z3.Mod(z3, p.P)
-	return &jacPoint{x: x3, y: y3, z: z3}
+	f.sub(&s, &s, &j.x)
+	f.mul(&j.y, &m, &s)
+	f.dbl(&yyyy, &yyyy)
+	f.dbl(&yyyy, &yyyy)
+	f.dbl(&yyyy, &yyyy)
+	f.sub(&j.y, &j.y, &yyyy)
+	return true
 }
 
-// jacAddAffine returns j + pt for an affine pt (mixed addition).
-func (p *Params) jacAddAffine(j *jacPoint, pt *Point) *jacPoint {
-	if j.z.Sign() == 0 {
-		return fromAffine(pt)
+// jacAddAffine sets j ← j + pt for an affine pt (mixed addition). When ln
+// is non-nil and the step has a non-vertical line — the chord through j
+// and pt, or the tangent when they coincide — ln receives it and the
+// result is true; adding to infinity or to −pt has none.
+func (p *Params) jacAddAffine(j *jacPoint, pt *Point, ln *line) bool {
+	f := p.fp
+	if j.z.isZero() {
+		*j = jacPoint{x: pt.x, y: pt.y, z: f.one}
+		return false
 	}
-	z1z1 := new(big.Int).Mul(j.z, j.z)
-	z1z1.Mod(z1z1, p.P)
-	u2 := new(big.Int).Mul(pt.X, z1z1)
-	u2.Mod(u2, p.P)
-	s2 := new(big.Int).Mul(pt.Y, j.z)
-	s2.Mul(s2, z1z1)
-	s2.Mod(s2, p.P)
-	h := new(big.Int).Sub(u2, j.x)
-	h.Mod(h, p.P)
-	r := new(big.Int).Sub(s2, j.y)
-	r.Mod(r, p.P)
-	if h.Sign() == 0 {
-		if r.Sign() == 0 {
-			return p.jacDouble(j)
+	var z1z1, u2, s2, h, r, hh, i, jj, v, t fe
+	f.sqr(&z1z1, &j.z)
+	f.mul(&u2, &pt.x, &z1z1)
+	f.mul(&s2, &pt.y, &j.z)
+	f.mul(&s2, &s2, &z1z1)
+	f.sub(&h, &u2, &j.x)
+	f.sub(&r, &s2, &j.y)
+	if h.isZero() {
+		if r.isZero() {
+			return p.jacDouble(j, ln)
 		}
-		return jacInfinity()
+		*j = jacPoint{}
+		return false
 	}
-	r.Lsh(r, 1)
-	r.Mod(r, p.P)
-	hh := new(big.Int).Mul(h, h)
-	hh.Mod(hh, p.P)
-	i := new(big.Int).Lsh(hh, 2)
-	i.Mod(i, p.P)
-	jj := new(big.Int).Mul(h, i)
-	jj.Mod(jj, p.P)
-	v := new(big.Int).Mul(j.x, i)
-	v.Mod(v, p.P)
+	f.dbl(&r, &r)
+	f.sqr(&hh, &h)
+	f.dbl(&i, &hh)
+	f.dbl(&i, &i)
+	f.mul(&jj, &h, &i)
+	f.mul(&v, &j.x, &i)
+	// Z3 = 2·Z1·H
+	f.mul(&j.z, &j.z, &h)
+	f.dbl(&j.z, &j.z)
+	if ln != nil {
+		// The slope is r/Z3; scaling the affine line through pt by Z3
+		// leaves [r·x_b + r·x2 − Z3·y2] + Z3·y_b·i.
+		ln.a = r
+		f.mul(&ln.c, &r, &pt.x)
+		f.mul(&t, &j.z, &pt.y)
+		f.sub(&ln.c, &ln.c, &t)
+		ln.d = j.z
+	}
 	// X3 = r² − J − 2·V
-	x3 := new(big.Int).Mul(r, r)
-	x3.Sub(x3, jj)
-	x3.Sub(x3, v)
-	x3.Sub(x3, v)
-	x3.Mod(x3, p.P)
+	f.sqr(&j.x, &r)
+	f.sub(&j.x, &j.x, &jj)
+	f.sub(&j.x, &j.x, &v)
+	f.sub(&j.x, &j.x, &v)
 	// Y3 = r·(V − X3) − 2·Y1·J
-	y3 := new(big.Int).Sub(v, x3)
-	y3.Mul(y3, r)
-	t := new(big.Int).Mul(j.y, jj)
-	t.Lsh(t, 1)
-	y3.Sub(y3, t)
-	y3.Mod(y3, p.P)
-	// Z3 = (Z1+H)² − Z1Z1 − HH = 2·Z1·H
-	z3 := new(big.Int).Add(j.z, h)
-	z3.Mul(z3, z3)
-	z3.Sub(z3, z1z1)
-	z3.Sub(z3, hh)
-	z3.Mod(z3, p.P)
-	return &jacPoint{x: x3, y: y3, z: z3}
+	f.mul(&t, &j.y, &jj)
+	f.dbl(&t, &t)
+	f.sub(&v, &v, &j.x)
+	f.mul(&j.y, &r, &v)
+	f.sub(&j.y, &j.y, &t)
+	return true
 }
 
 // naf returns the non-adjacent form of a non-negative k, least
@@ -182,27 +194,22 @@ func (p *Params) balancedNAF(kr *big.Int) (digits []int8, flip bool) {
 	return naf(kr), false
 }
 
-// scalarMulDigits walks a signed-digit expansion over pt.
-func (p *Params) scalarMulDigits(pt *Point, digits []int8) *Point {
+// jacScalarMul sets acc ← Σ digits[i]·2^i · pt by inversion-free signed
+// double-and-add. The expansion need not be below the group order —
+// cofactor clearing walks h's digits — and the result stays Jacobian so
+// callers that only test for infinity skip the conversion.
+func (p *Params) jacScalarMul(acc *jacPoint, pt *Point, digits []int8) {
 	neg := p.Neg(pt)
-	acc := jacInfinity()
+	*acc = jacPoint{}
 	for i := len(digits) - 1; i >= 0; i-- {
-		acc = p.jacDouble(acc)
+		p.jacDouble(acc, nil)
 		switch digits[i] {
 		case 1:
-			acc = p.jacAddAffine(acc, pt)
+			p.jacAddAffine(acc, pt, nil)
 		case -1:
-			acc = p.jacAddAffine(acc, neg)
+			p.jacAddAffine(acc, neg, nil)
 		}
 	}
-	return p.toAffine(acc)
-}
-
-// scalarMulJacobian computes k·pt (k non-negative, not necessarily below
-// the group order — cofactor clearing passes h) via inversion-free signed
-// double-and-add.
-func (p *Params) scalarMulJacobian(pt *Point, k *big.Int) *Point {
-	return p.scalarMulDigits(pt, naf(k))
 }
 
 // MultiScalarMul computes Σᵢ kᵢ·ptᵢ with a single shared doubling chain
@@ -238,20 +245,20 @@ func (p *Params) MultiScalarMul(points []*Point, scalars []*big.Int) *Point {
 	if len(terms) == 0 {
 		return Infinity()
 	}
-	acc := jacInfinity()
+	var acc jacPoint
 	for i := maxLen - 1; i >= 0; i-- {
-		acc = p.jacDouble(acc)
+		p.jacDouble(&acc, nil)
 		for _, t := range terms {
 			if i >= len(t.digits) {
 				continue
 			}
 			switch t.digits[i] {
 			case 1:
-				acc = p.jacAddAffine(acc, t.pt)
+				p.jacAddAffine(&acc, t.pt, nil)
 			case -1:
-				acc = p.jacAddAffine(acc, t.neg)
+				p.jacAddAffine(&acc, t.neg, nil)
 			}
 		}
 	}
-	return p.toAffine(acc)
+	return p.toAffine(&acc)
 }

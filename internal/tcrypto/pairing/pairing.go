@@ -17,133 +17,111 @@ import (
 // e(s·a, t·b) = e(a, b)^{s·t}.
 func (p *Params) Pair(a, b *Point) *GT {
 	if a.IsInfinity() || b.IsInfinity() {
-		return gtOne()
+		return p.gtOne()
 	}
 	metrics.Crypto.Pairings.Add(1)
-	f := p.miller(a, b)
-	return p.finalExp(f)
+	return p.millerProduct([]factor{p.liveFactor(a, b)})
 }
 
-// miller runs Miller's algorithm computing f_{r,a}(φ(b)).
-//
-// Lines through points of E(F_p) are evaluated at φ(b) = (−x_b, i·y_b):
-// a chord with slope λ through (x1, y1) evaluates to
-//
-//	(i·y_b) − y1 − λ(−x_b − x1)  =  [−y1 + λ(x_b + x1)] + y_b·i,
-//
-// and a vertical line through x1 evaluates to (−x_b − x1) + 0·i.
-func (p *Params) miller(a, b *Point) *GT {
-	xb := b.X
-	yb := b.Y
+// factor is one e(a, b) of a pairing product inside the shared Miller
+// loop. Its lines come either from a prepared first argument (prep, with
+// next the cursor into prep.lines) or from walking the running point
+// v = k·a live.
+type factor struct {
+	xb, yb fe
+	prep   *PreparedPoint
+	next   int
+	a      *Point
+	v      jacPoint
+}
 
-	f := gtOne()
-	v := a.Clone()
+// liveFactor starts the walk for an unprepared first argument at v = a.
+func (p *Params) liveFactor(a, b *Point) factor {
+	return factor{xb: b.x, yb: b.y, a: a, v: jacPoint{x: a.x, y: a.y, z: p.fp.one}}
+}
 
-	// chordAt evaluates the line with slope lambda through (x1, y1) at φ(b).
-	chordAt := func(x1, y1, lambda *big.Int) *GT {
-		re := new(big.Int).Add(xb, x1)
-		re.Mul(re, lambda)
-		re.Sub(re, y1)
-		p.modP(re)
-		return &GT{A: re, B: new(big.Int).Set(yb)}
+// millerProduct runs Miller's algorithm for every factor over one shared
+// squaring chain, computing ∏ f_{r,a}(φ(b)), and applies the final
+// exponentiation.
+//
+// Each step of a walk yields the line through the points it combines
+// (see line): f ← f²·l_{v,v}(φ(b)), v ← 2v on every bit of r, then
+// f ← f·l_{v,a}(φ(b)), v ← v + a on set bits. The lines come out of the
+// Jacobian formulas scaled by an element of F_p*, and vertical lines —
+// which evaluate inside F_p — are skipped altogether: the final
+// exponentiation sends all of F_p* to 1, so the reduced value is that of
+// the textbook affine loop while no step pays an inversion.
+func (p *Params) millerProduct(facs []factor) *GT {
+	fp := p.fp
+	f := p.gtOne()
+	var ln line
+	var re, im fe
+	mulLive := func(fc *factor) {
+		fp.mul(&re, &ln.a, &fc.xb)
+		fp.add(&re, &re, &ln.c)
+		fp.mul(&im, &ln.d, &fc.yb)
+		f.mul(&re, &im)
 	}
-	// verticalAt evaluates the vertical line x = x1 at φ(b).
-	verticalAt := func(x1 *big.Int) *GT {
-		re := new(big.Int).Neg(xb)
-		re.Sub(re, x1)
-		p.modP(re)
-		return &GT{A: re, B: big.NewInt(0)}
-	}
-
-	for i := p.R.BitLen() - 2; i >= 0; i-- {
-		// Doubling step: f ← f² · l_{v,v}(φ(b)); v ← 2v.
-		f = p.gtSquare(f)
-		if !v.IsInfinity() {
-			if v.Y.Sign() == 0 {
-				f = p.gtMul(f, verticalAt(v.X))
-				v = Infinity()
-			} else {
-				num := new(big.Int).Mul(v.X, v.X)
-				num.Mul(num, big.NewInt(3))
-				num.Add(num, big.NewInt(1))
-				den := new(big.Int).Lsh(v.Y, 1)
-				den.Mod(den, p.P)
-				den.ModInverse(den, p.P)
-				lambda := num.Mul(num, den)
-				lambda.Mod(lambda, p.P)
-				f = p.gtMul(f, chordAt(v.X, v.Y, lambda))
-				v = p.chord(v, v, lambda)
-			}
-		}
-		if p.R.Bit(i) == 1 {
-			// Addition step: f ← f · l_{v,a}(φ(b)); v ← v + a.
-			switch {
-			case v.IsInfinity():
-				v = a.Clone()
-			case v.X.Cmp(a.X) == 0:
-				sum := new(big.Int).Add(v.Y, a.Y)
-				sum.Mod(sum, p.P)
-				if sum.Sign() == 0 {
-					f = p.gtMul(f, verticalAt(v.X))
-					v = Infinity()
-				} else {
-					// v == a: tangent line (same as doubling step).
-					num := new(big.Int).Mul(v.X, v.X)
-					num.Mul(num, big.NewInt(3))
-					num.Add(num, big.NewInt(1))
-					den := new(big.Int).Lsh(v.Y, 1)
-					den.Mod(den, p.P)
-					den.ModInverse(den, p.P)
-					lambda := num.Mul(num, den)
-					lambda.Mod(lambda, p.P)
-					f = p.gtMul(f, chordAt(v.X, v.Y, lambda))
-					v = p.chord(v, v, lambda)
+	top := p.R.BitLen() - 2
+	for i := top; i >= 0; i-- {
+		f.square()
+		bit := p.R.Bit(i) == 1
+		for k := range facs {
+			fc := &facs[k]
+			if fc.prep != nil {
+				// Prepared lines are normalised to d = 1.
+				for n := fc.prep.counts[top-i]; n > 0; n-- {
+					l := &fc.prep.lines[fc.next]
+					fc.next++
+					fp.mul(&re, &l.a, &fc.xb)
+					fp.add(&re, &re, &l.c)
+					f.mul(&re, &fc.yb)
 				}
-			default:
-				num := new(big.Int).Sub(a.Y, v.Y)
-				den := new(big.Int).Sub(a.X, v.X)
-				den.Mod(den, p.P)
-				den.ModInverse(den, p.P)
-				lambda := num.Mul(num, den)
-				lambda.Mod(lambda, p.P)
-				f = p.gtMul(f, chordAt(v.X, v.Y, lambda))
-				v = p.chord(v, a, lambda)
+				continue
+			}
+			if p.jacDouble(&fc.v, &ln) {
+				mulLive(fc)
+			}
+			if bit && p.jacAddAffine(&fc.v, fc.a, &ln) {
+				mulLive(fc)
 			}
 		}
 	}
+	p.finalExp(f)
 	return f
 }
 
-// finalExp raises z to (p²−1)/r = (p−1)·h, mapping Miller-function values
-// onto the order-r subgroup of F_{p^2}.
-func (p *Params) finalExp(z *GT) *GT {
+// finalExp raises z to (p²−1)/r = (p−1)·h in place, mapping
+// Miller-function values onto the order-r subgroup of F_{p^2}.
+func (p *Params) finalExp(z *GT) {
 	// z^(p−1) = conj(z)/z: the Frobenius in F_{p^2} is conjugation.
-	t := p.gtMul(p.gtConj(z), p.gtInv(z))
+	inv := *z
+	inv.invert()
+	z.conj()
+	z.mul(&inv.a, &inv.b)
 	// Then raise to (p+1)/r = h.
-	return p.gtExp(t, p.H)
+	z.exp(p.H)
 }
 
 // HashToG1 hashes arbitrary bytes to a point of order r using
 // try-and-increment followed by cofactor clearing.
 func (p *Params) HashToG1(msg []byte) *Point {
+	fp := p.fp
 	for ctr := uint32(0); ; ctr++ {
-		x := p.hashToField(msg, ctr)
-		// y² = x³ + x
-		y2 := new(big.Int).Mul(x, x)
-		y2.Mul(y2, x)
-		y2.Add(y2, x)
-		y2.Mod(y2, p.P)
-		if y2.Sign() == 0 {
+		cand := &Point{f: fp}
+		fp.fromBig(&cand.x, p.hashToField(msg, ctr))
+		var y2, check fe
+		p.curveRHS(&y2, &cand.x)
+		if y2.isZero() {
 			continue
 		}
 		// Since p ≡ 3 (mod 4), a square root, if any, is y2^((p+1)/4).
-		y := new(big.Int).Exp(y2, p.sqrtExp, p.P)
-		check := new(big.Int).Mul(y, y)
-		check.Mod(check, p.P)
-		if check.Cmp(y2) != 0 {
+		fp.exp(&cand.y, &y2, p.sqrtExp)
+		fp.sqr(&check, &cand.y)
+		if check != y2 {
 			continue // not a quadratic residue; try next counter
 		}
-		pt := p.cofactorMul(&Point{X: x, Y: y})
+		pt := p.cofactorMul(cand)
 		if pt.IsInfinity() {
 			continue
 		}

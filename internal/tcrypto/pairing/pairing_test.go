@@ -3,6 +3,7 @@ package pairing
 import (
 	"crypto/rand"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -133,9 +134,19 @@ func TestParsePointRejectsGarbage(t *testing.T) {
 	}
 	// Off-curve point: valid structure, wrong Y.
 	pt := p.G.Clone()
-	pt.Y = new(big.Int).Add(pt.Y, big.NewInt(1))
+	p.fp.add(&pt.y, &pt.y, &p.fp.one)
 	bad := p.PointBytes(pt)
 	cases = append(cases, bad)
+	// On the curve but outside G1: an arbitrary curve point, a point of
+	// the cofactor subgroup, a G1 point shifted by one, and (0, 0).
+	rng := mrand.New(mrand.NewSource(8))
+	tw := cofactorPoint(p, rng)
+	cases = append(cases,
+		p.PointBytes(randomCurvePoint(p, rng)),
+		p.PointBytes(tw),
+		p.PointBytes(p.Add(p.G, tw)),
+		p.PointBytes(&Point{f: p.fp}),
+	)
 	for i, c := range cases {
 		if _, err := p.ParsePoint(c); err == nil {
 			t.Errorf("case %d: expected error for invalid encoding", i)

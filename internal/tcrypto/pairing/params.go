@@ -10,9 +10,17 @@
 // the distortion map φ(x, y) = (−x, i·y), which makes it symmetric:
 // e: G1 × G1 → GT.
 //
-// The implementation uses only math/big and crypto stdlib primitives and is
-// intended for protocol simulation and reproduction, matching the message
-// sizes, flows, and verification semantics of BLS threshold signatures.
+// The base field F_p and F_{p^2} run on fixed-width Montgomery limbs (fp.go,
+// fp2.go): 4×64 bits for Fast254, 8×64 for Std512, pure Go on math/bits.
+// Points, Jacobian points, prepared Miller lines and GT elements hold limbs;
+// math/big appears only at the boundary — scalars modulo r, the parameter
+// integers, hash-to-field's wide reduction and byte encodings. Every
+// scalar multiplication, Prepare and pairing (product) pays at most one
+// field inversion. Output bytes are those of the math/big implementation
+// this replaced (testdata/vectors.golden). The arithmetic is variable-time;
+// the package is intended for protocol simulation and reproduction, matching
+// the message sizes, flows, and verification semantics of BLS threshold
+// signatures.
 package pairing
 
 import (
@@ -34,39 +42,14 @@ type Params struct {
 	// domain-separation tag to the curve.
 	G *Point
 
+	// fp is the base field on Montgomery limbs.
+	fp *field
 	// sqrtExp caches (p+1)/4 for square roots in F_p.
 	sqrtExp *big.Int
-
-	// Barrett reduction constants for the base field: mu = ⌊2^(2k)/p⌋ with
-	// k = p.BitLen(), and twoPSquared = 2p² for lifting the negative
-	// intermediates that gtMul/gtSquare produce into modP's domain.
-	barrettMu   *big.Int
-	barrettLo   uint // k − 1
-	barrettHi   uint // k + 1
-	twoPSquared *big.Int
-}
-
-// modP reduces x into [0, p) in place and returns x. It is a drop-in,
-// bit-identical replacement for x.Mod(x, p.P) on the field hot paths,
-// using Barrett reduction (two multiplications and shifts) instead of a
-// full division. x must lie in (−2p², 4p²), which covers every product of
-// reduced field elements and the small sums/differences the Miller loop
-// and F_{p²} arithmetic produce.
-func (p *Params) modP(x *big.Int) *big.Int {
-	if x.Sign() < 0 {
-		x.Add(x, p.twoPSquared)
-	}
-	q := new(big.Int).Rsh(x, p.barrettLo)
-	q.Mul(q, p.barrettMu)
-	q.Rsh(q, p.barrettHi)
-	q.Mul(q, p.P)
-	x.Sub(x, q)
-	// The quotient estimate never overshoots, so x ≥ x mod p here; for
-	// inputs below 4p² it undershoots by at most a few multiples of p.
-	for x.Cmp(p.P) >= 0 {
-		x.Sub(x, p.P)
-	}
-	return x
+	// rNAF and hNAF are the signed-digit expansions of the group order
+	// (subgroup membership checks) and of the cofactor (cofactor
+	// clearing), least significant digit first.
+	rNAF, hNAF []int8
 }
 
 // mustInt parses a base-10 integer literal, panicking on malformed input.
@@ -94,13 +77,9 @@ func newParams(p, r, h *big.Int) *Params {
 	}
 	params.sqrtExp = new(big.Int).Add(p, big.NewInt(1))
 	params.sqrtExp.Rsh(params.sqrtExp, 2)
-	k := uint(p.BitLen())
-	params.barrettMu = new(big.Int).Lsh(big.NewInt(1), 2*k)
-	params.barrettMu.Quo(params.barrettMu, p)
-	params.barrettLo = k - 1
-	params.barrettHi = k + 1
-	params.twoPSquared = new(big.Int).Mul(p, p)
-	params.twoPSquared.Lsh(params.twoPSquared, 1)
+	params.fp = newField(p)
+	params.rNAF = naf(r)
+	params.hNAF = naf(h)
 	params.G = params.HashToG1([]byte("cicero/pairing/type-a/generator/v1"))
 	return params
 }

@@ -1,154 +1,106 @@
 package pairing
 
-import (
-	"math/big"
+import "cicero/internal/metrics"
 
-	"cicero/internal/metrics"
-)
-
-// line caches one Miller-loop line function through points of E(F_p),
-// ready to be evaluated at a distorted second argument φ(b) = (−x_b, i·y_b).
-// A chord/tangent with slope lambda through (x1, y1) evaluates to
-// [−y1 + lambda·(x_b + x1)] + y_b·i; a vertical line x = x1 (lambda nil)
-// evaluates to (−x_b − x1) + 0·i.
-type line struct {
-	x1, y1, lambda *big.Int // lambda == nil marks a vertical line
-}
-
-// millerStep is one iteration of the Miller loop over the bits of r: an
-// implicit squaring of the accumulator, then the doubling line (nil when
-// the running point was already at infinity), then the addition line for
-// set bits (nil otherwise, or when the step only re-seeds the running
-// point).
-type millerStep struct {
-	dbl *line
-	add *line
+// prepLine is a Miller line of a prepared first argument, normalised so
+// that at φ(b) it evaluates to (a·x_b + c) + y_b·i: one multiplication per
+// line instead of the two a live line costs.
+type prepLine struct {
+	a, c fe
 }
 
 // PreparedPoint caches the Miller-loop line coefficients of f_{r,a} for a
-// fixed first pairing argument a. Preparing pays the chord/tangent slope
-// inversions once; every subsequent PairPrepared or PairProduct against
-// the prepared argument replays the cached lines with a handful of field
-// multiplications per step instead of a modular inversion and a point
-// update. The generator G and long-lived public keys never change within
-// a deployment, which makes their prepared forms the verification hot
-// path. Prepared points are immutable and safe for concurrent use.
+// fixed first pairing argument a. Preparing pays the curve walk and the
+// normalisation of its lines once; every subsequent PairPrepared or
+// PairProduct against the prepared argument replays the cached lines with
+// a handful of field multiplications per step instead of a point update.
+// The generator G and long-lived public keys never change within a
+// deployment, which makes their prepared forms the verification hot path.
+// Prepared points are immutable and safe for concurrent use.
 type PreparedPoint struct {
-	a     *Point
-	inf   bool
-	steps []millerStep
+	a *Point
+	// counts[i] is the number of lines (0 to 2: the doubling line, then
+	// the addition line on set bits) Miller step i consumes from lines.
+	// Both are nil for the point at infinity.
+	counts []uint8
+	lines  []prepLine
 }
 
 // Point returns the prepared argument.
 func (pp *PreparedPoint) Point() *Point { return pp.a.Clone() }
 
 // Prepare computes the Miller-loop line coefficients for a fixed first
-// pairing argument. The walk mirrors miller() exactly, recording each
-// line instead of evaluating it.
+// pairing argument. The walk is the one millerProduct runs for a live
+// factor, recording each line instead of evaluating it; one batched
+// inversion then normalises all of them.
 func (p *Params) Prepare(a *Point) *PreparedPoint {
 	if a.IsInfinity() {
-		return &PreparedPoint{a: Infinity(), inf: true}
+		return &PreparedPoint{a: Infinity()}
 	}
 	metrics.Crypto.PointPrepares.Add(1)
-	prep := &PreparedPoint{a: a.Clone(), steps: make([]millerStep, 0, p.R.BitLen()-1)}
-	v := a.Clone()
-
-	// tangentAt returns the tangent line at w and the doubled point.
-	// Point coordinates are never mutated after creation, so the line may
-	// alias them.
-	tangentAt := func(w *Point) (*line, *Point) {
-		num := new(big.Int).Mul(w.X, w.X)
-		num.Mul(num, big.NewInt(3))
-		num.Add(num, big.NewInt(1))
-		den := new(big.Int).Lsh(w.Y, 1)
-		den.Mod(den, p.P)
-		den.ModInverse(den, p.P)
-		lambda := num.Mul(num, den)
-		lambda.Mod(lambda, p.P)
-		return &line{x1: w.X, y1: w.Y, lambda: lambda}, p.chord(w, w, lambda)
+	fp := p.fp
+	steps := p.R.BitLen() - 1
+	prep := &PreparedPoint{
+		a:      a.Clone(),
+		counts: make([]uint8, steps),
+		lines:  make([]prepLine, 0, 2*steps),
 	}
-
-	for i := p.R.BitLen() - 2; i >= 0; i-- {
-		var step millerStep
-		// Doubling step.
-		if !v.IsInfinity() {
-			if v.Y.Sign() == 0 {
-				step.dbl = &line{x1: v.X}
-				v = Infinity()
-			} else {
-				step.dbl, v = tangentAt(v)
-			}
+	// ds[k] is line k's y_b coefficient; pre[k] = ds[0]·…·ds[k].
+	ds := make([]fe, 0, 2*steps)
+	pre := make([]fe, 0, 2*steps)
+	record := func(step int, ln *line) {
+		prep.counts[step]++
+		prep.lines = append(prep.lines, prepLine{a: ln.a, c: ln.c})
+		ds = append(ds, ln.d)
+		acc := ln.d
+		if len(pre) > 0 {
+			fp.mul(&acc, &acc, &pre[len(pre)-1])
 		}
-		// Addition step.
-		if p.R.Bit(i) == 1 {
-			switch {
-			case v.IsInfinity():
-				v = a.Clone()
-			case v.X.Cmp(a.X) == 0:
-				sum := new(big.Int).Add(v.Y, a.Y)
-				sum.Mod(sum, p.P)
-				if sum.Sign() == 0 {
-					step.add = &line{x1: v.X}
-					v = Infinity()
-				} else {
-					step.add, v = tangentAt(v)
-				}
-			default:
-				num := new(big.Int).Sub(a.Y, v.Y)
-				den := new(big.Int).Sub(a.X, v.X)
-				den.Mod(den, p.P)
-				den.ModInverse(den, p.P)
-				lambda := num.Mul(num, den)
-				lambda.Mod(lambda, p.P)
-				step.add = &line{x1: v.X, y1: v.Y, lambda: lambda}
-				v = p.chord(v, a, lambda)
-			}
+		pre = append(pre, acc)
+	}
+	v := jacPoint{x: a.x, y: a.y, z: fp.one}
+	var ln line
+	for step := 0; step < steps; step++ {
+		if p.jacDouble(&v, &ln) {
+			record(step, &ln)
 		}
-		prep.steps = append(prep.steps, step)
+		if p.R.Bit(steps-1-step) == 1 && p.jacAddAffine(&v, a, &ln) {
+			record(step, &ln)
+		}
+	}
+	if len(pre) == 0 {
+		return prep
+	}
+	// Montgomery's trick: invert the running product once, then peel one
+	// factor per line going backwards.
+	var inv, dInv fe
+	fp.inv(&inv, &pre[len(pre)-1])
+	for k := len(ds) - 1; k >= 0; k-- {
+		dInv = inv
+		if k > 0 {
+			fp.mul(&dInv, &inv, &pre[k-1])
+			fp.mul(&inv, &inv, &ds[k])
+		}
+		fp.mul(&prep.lines[k].a, &prep.lines[k].a, &dInv)
+		fp.mul(&prep.lines[k].c, &prep.lines[k].c, &dInv)
 	}
 	return prep
 }
 
-// evalLine evaluates a cached line at φ(b) for b = (xb, yb).
-func (p *Params) evalLine(l *line, xb, yb *big.Int) *GT {
-	if l.lambda == nil {
-		re := new(big.Int).Neg(xb)
-		re.Sub(re, l.x1)
-		p.modP(re)
-		return &GT{A: re, B: big.NewInt(0)}
-	}
-	re := new(big.Int).Add(xb, l.x1)
-	re.Mul(re, l.lambda)
-	re.Sub(re, l.y1)
-	p.modP(re)
-	return &GT{A: re, B: new(big.Int).Set(yb)}
-}
-
 // PairPrepared computes e(a, b) for a prepared first argument, replaying
 // the cached Miller lines against φ(b). It agrees with Pair(a, b) on all
-// inputs while skipping every per-step modular inversion.
+// inputs while skipping the curve walk.
 func (p *Params) PairPrepared(prep *PreparedPoint, b *Point) *GT {
-	if prep.inf || b.IsInfinity() {
-		return gtOne()
+	if prep.a.IsInfinity() || b.IsInfinity() {
+		return p.gtOne()
 	}
 	metrics.Crypto.PreparedPairings.Add(1)
-	acc := newGTAcc(p)
-	for i := range prep.steps {
-		acc.square()
-		st := &prep.steps[i]
-		if st.dbl != nil {
-			acc.mulLine(st.dbl, b.X, b.Y)
-		}
-		if st.add != nil {
-			acc.mulLine(st.add, b.X, b.Y)
-		}
-	}
-	return acc.finalExp()
+	return p.millerProduct([]factor{{xb: b.x, yb: b.y, prep: prep}})
 }
 
 // ProductTerm is one factor e(first, B) of a pairing product. The first
 // argument is the cached Prep when non-nil, otherwise the live point A
-// (prepared on the fly). B is the evaluation point.
+// (walked inside the product's loop). B is the evaluation point.
 type ProductTerm struct {
 	Prep *PreparedPoint
 	A    *Point
@@ -165,39 +117,24 @@ type ProductTerm struct {
 // single product check e(G, σ)·e(X, −H(m)) == 1 (using symmetry of the
 // Type-A pairing), with G and X prepared.
 func (p *Params) PairProduct(terms ...ProductTerm) *GT {
-	type active struct {
-		steps  []millerStep
-		xb, yb *big.Int
-	}
-	acts := make([]active, 0, len(terms))
+	facs := make([]factor, 0, len(terms))
 	for _, t := range terms {
-		prep := t.Prep
-		if prep == nil {
-			prep = p.Prepare(t.A)
+		first := t.A
+		if t.Prep != nil {
+			first = t.Prep.a
 		}
-		if prep.inf || t.B.IsInfinity() {
+		if first.IsInfinity() || t.B.IsInfinity() {
 			continue // factor is 1
 		}
-		acts = append(acts, active{steps: prep.steps, xb: t.B.X, yb: t.B.Y})
-	}
-	if len(acts) == 0 {
-		return gtOne()
-	}
-	metrics.Crypto.PairingProducts.Add(1)
-	acc := newGTAcc(p)
-	// All prepared points over the same parameters record exactly
-	// R.BitLen()-1 steps, so the walks align bit for bit.
-	for i := range acts[0].steps {
-		acc.square()
-		for _, a := range acts {
-			st := &a.steps[i]
-			if st.dbl != nil {
-				acc.mulLine(st.dbl, a.xb, a.yb)
-			}
-			if st.add != nil {
-				acc.mulLine(st.add, a.xb, a.yb)
-			}
+		if t.Prep != nil {
+			facs = append(facs, factor{xb: t.B.x, yb: t.B.y, prep: t.Prep})
+		} else {
+			facs = append(facs, p.liveFactor(t.A, t.B))
 		}
 	}
-	return acc.finalExp()
+	if len(facs) == 0 {
+		return p.gtOne()
+	}
+	metrics.Crypto.PairingProducts.Add(1)
+	return p.millerProduct(facs)
 }

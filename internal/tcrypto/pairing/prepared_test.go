@@ -51,13 +51,13 @@ func TestPairProductMatchesPairs(t *testing.T) {
 	p := testParams()
 	for n := 1; n <= 4; n++ {
 		terms := make([]ProductTerm, 0, n)
-		want := gtOne()
+		want := p.gtOne()
 		for i := 0; i < n; i++ {
 			ka, _ := p.RandomScalar(rand.Reader)
 			kb, _ := p.RandomScalar(rand.Reader)
 			a := p.ScalarBaseMul(ka)
 			b := p.ScalarBaseMul(kb)
-			want = p.gtMul(want, p.Pair(a, b))
+			want = p.GTMul(want, p.Pair(a, b))
 			if i%2 == 0 {
 				terms = append(terms, ProductTerm{Prep: p.Prepare(a), B: b})
 			} else {
