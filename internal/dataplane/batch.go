@@ -33,13 +33,18 @@ import (
 	"cicero/internal/tcrypto/pki"
 )
 
-// maxPendingBatches bounds the root-quorum pool map. Merkle proof
+// maxPendingBatches bounds the root-quorum pool map: at most this many
+// unverified pools and, separately, this many verified ones. Merkle proof
 // verification is keyless hashing, so any sender can mint valid
 // (root, phase) pairs over self-built trees; without a cap each one would
-// allocate a pendingBatch that lives for the switch's lifetime. When the
-// cap is hit, the oldest UNVERIFIED entry is evicted first (an attacker
-// cannot mint verified entries — those took a quorum of root shares — so
-// junk only ever displaces junk before it displaces real state).
+// allocate a pendingBatch that lives for the switch's lifetime. Each class
+// is a FIFO of its own. An attacker cannot mint verified entries — those
+// took a quorum of root shares — so junk only ever displaces junk, never
+// real state; and verified pools, which nothing else retires, only ever
+// displace older verified pools, never the unverified pool of a batch
+// whose shares are still arriving. (With one shared budget a switch that
+// had verified maxPendingBatches roots evicted every in-flight pool on the
+// next root's arrival, and no batched update completed again.)
 const maxPendingBatches = 512
 
 // batchWaiter buffers one proof-checked update until both gates open:
@@ -57,8 +62,8 @@ type pendingBatch struct {
 	phase    uint64
 	shares   map[uint32][]byte
 	verified bool
-	// seq is the arrival order used for eviction when the pool map is
-	// full (oldest unverified first).
+	// seq orders the pools of one class for eviction: arrival order
+	// while unverified, verification order afterwards.
 	seq uint64
 	// waiting is keyed by updateKey so retransmissions accumulate senders
 	// instead of duplicating entries.
@@ -143,7 +148,7 @@ func (s *Switch) handleBatchUpdate(m protocol.MsgBatchUpdate) {
 	bk := batchKey(m.BatchRoot, m.Phase)
 	pb, ok := s.pendingBatches[bk]
 	if !ok {
-		s.evictPendingBatch()
+		s.evictOldestBatch(false)
 		s.batchSeq++
 		pb = &pendingBatch{
 			phase:   m.Phase,
@@ -187,7 +192,9 @@ func (s *Switch) handleBatchUpdate(m protocol.MsgBatchUpdate) {
 		s.UpdatesRejected++
 		return
 	}
-	pb.verified = true
+	s.evictOldestBatch(true)
+	s.batchSeq++
+	pb.verified, pb.seq = true, s.batchSeq
 	pb.shares = nil // quorum served its purpose; later members ride verified
 	// Release every waiting update that already has its sender quorum, in
 	// deterministic order (map iteration is randomized; acks must not be).
@@ -220,27 +227,24 @@ func (s *Switch) isController(id pki.Identity) bool {
 	return false
 }
 
-// evictPendingBatch makes room for one new pool entry when the map is at
-// capacity: the oldest unverified entry goes first (any sender can mint
-// those with self-built trees), then — only if every entry is verified —
-// the oldest verified one (its later members would merely re-collect a
-// quorum, a liveness cost, never a safety one).
-func (s *Switch) evictPendingBatch() {
-	if len(s.pendingBatches) < maxPendingBatches {
-		return
-	}
-	victim := ""
-	victimVerified := false
-	var victimSeq uint64
+// evictOldestBatch makes room for one more pool of a class (verified or
+// not) when that class is at its budget, by retiring the class's oldest
+// entry. Members still waiting on a retired verified pool would merely
+// re-collect a quorum: a liveness cost, never a safety one.
+func (s *Switch) evictOldestBatch(verified bool) {
+	n, victim, victimSeq := 0, "", uint64(0)
 	for k, pb := range s.pendingBatches {
-		better := victim == "" ||
-			(victimVerified && !pb.verified) ||
-			(victimVerified == pb.verified && pb.seq < victimSeq)
-		if better {
-			victim, victimVerified, victimSeq = k, pb.verified, pb.seq
+		if pb.verified != verified {
+			continue
+		}
+		n++
+		if victim == "" || pb.seq < victimSeq {
+			victim, victimSeq = k, pb.seq
 		}
 	}
-	delete(s.pendingBatches, victim)
+	if n >= maxPendingBatches {
+		delete(s.pendingBatches, victim)
+	}
 }
 
 // dropStaleBatches discards pool entries from membership phases before

@@ -218,6 +218,47 @@ func TestPendingBatchPoolBounded(t *testing.T) {
 	}
 }
 
+// TestVerifiedBatchesDoNotEvictInFlightPool is the regression test for the
+// switch that wedged after maxPendingBatches batch roots: verified pools
+// are never retired by anything but eviction, and with one shared budget a
+// map full of them made every new root evict the oldest UNVERIFIED pool,
+// i.e. the batch in flight. The stream below keeps two roots in flight
+// (root i+1's first share arrives before root i's second), as any loaded
+// control plane does; every one of 3·maxPendingBatches single-member
+// batches must reach its quorum and apply, and the pool must stay within
+// its two budgets.
+func TestVerifiedBatchesDoNotEvictInFlightPool(t *testing.T) {
+	bh := newBatchHarness(t, ModeThreshold, false)
+	const total = 3 * maxPendingBatches
+	msg := func(i, ctl int) protocol.MsgBatchUpdate {
+		id := openflow.MsgID{Origin: "stream", Seq: uint64(i + 1)}
+		m := mod(fmt.Sprintf("s%d", i))
+		root := merkle.LeafHash(openflow.CanonicalUpdateBytes(id, 0, []openflow.FlowMod{m}))
+		return protocol.MsgBatchUpdate{
+			UpdateID:   id,
+			Mods:       []openflow.FlowMod{m},
+			From:       controllerIDs[ctl],
+			BatchRoot:  root[:],
+			LeafCount:  1,
+			ShareIndex: uint32(ctl + 1),
+			Share:      []byte{1},
+		}
+	}
+	bh.sw.HandleMessage("c1", msg(0, 0))
+	for i := 0; i < total; i++ {
+		if i+1 < total {
+			bh.sw.HandleMessage("c1", msg(i+1, 0))
+		}
+		bh.sw.HandleMessage("c2", msg(i, 1))
+		if bh.sw.UpdatesApplied != uint64(i+1) {
+			t.Fatalf("after root %d: applied %d updates, want %d", i+1, bh.sw.UpdatesApplied, i+1)
+		}
+		if got := len(bh.sw.pendingBatches); got > 2*maxPendingBatches {
+			t.Fatalf("pool grew to %d entries, budgets allow %d", got, 2*maxPendingBatches)
+		}
+	}
+}
+
 // TestBatchStalePhaseDropped checks the config-push cleanup: pool entries
 // from earlier membership phases are discarded when a new phase installs.
 func TestBatchStalePhaseDropped(t *testing.T) {

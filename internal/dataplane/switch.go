@@ -119,7 +119,8 @@ type Switch struct {
 	pending       map[string]*pendingUpdate // keyed by updateID|phase
 	// pendingBatches collects root-share quorums for batch-amortized
 	// updates, keyed by batchRoot|phase (see batch.go). Bounded by
-	// maxPendingBatches; batchSeq orders entries for eviction.
+	// maxPendingBatches per class (verified, unverified); batchSeq orders
+	// the entries of a class for eviction.
 	pendingBatches map[string]*pendingBatch
 	batchSeq       uint64
 	// applied records the verdict of every decided update (true: applied,
