@@ -182,43 +182,41 @@ func (f *field) neg(z, x *fe) {
 	}
 }
 
-// mul sets z = x·y (Montgomery product x·y·R⁻¹), interleaving one limb of
-// multiplication with one limb of reduction (CIOS). z may alias x or y.
+// mul sets z = x·y (Montgomery product x·y·R⁻¹). Each outer step adds
+// x·y[i] + m·p to the running sum in a single pass over the limbs and
+// drops the low limb, which m = t₀·(−p⁻¹) makes zero. z may alias x or y.
 // Carries are folded with Add64(hi, 0, carry) so they stay in the flags.
 func (f *field) mul(z, x, y *fe) {
-	var t [maxLimbs + 2]uint64
+	var t [maxLimbs + 1]uint64
 	n := f.limbs()
 	for i := 0; i < n; i++ {
-		// t += x·y[i]
-		var c, cc uint64
 		yi := y[i]
-		for j := 0; j < n; j++ {
+		var cc uint64
+		// c1 carries the x·y[i] column sums, c2 the m·p ones.
+		c1, lo := bits.Mul64(x[0], yi)
+		lo, cc = bits.Add64(lo, t[0], 0)
+		c1, _ = bits.Add64(c1, 0, cc)
+		m := lo * f.pInv
+		c2, l2 := bits.Mul64(m, f.p[0])
+		_, cc = bits.Add64(l2, lo, 0)
+		c2, _ = bits.Add64(c2, 0, cc)
+		for j := 1; j < n; j++ {
 			hi, lo := bits.Mul64(x[j], yi)
 			lo, cc = bits.Add64(lo, t[j], 0)
 			hi, _ = bits.Add64(hi, 0, cc)
-			lo, cc = bits.Add64(lo, c, 0)
+			lo, cc = bits.Add64(lo, c1, 0)
+			c1, _ = bits.Add64(hi, 0, cc)
+			hi, l2 := bits.Mul64(m, f.p[j])
+			lo, cc = bits.Add64(lo, l2, 0)
 			hi, _ = bits.Add64(hi, 0, cc)
-			t[j] = lo
-			c = hi
-		}
-		t[n], cc = bits.Add64(t[n], c, 0)
-		t[n+1] = cc
-		// t = (t + m·p)/2^64 with m chosen to clear the low limb.
-		m := t[0] * f.pInv
-		hi, lo := bits.Mul64(m, f.p[0])
-		_, cc = bits.Add64(lo, t[0], 0)
-		c, _ = bits.Add64(hi, 0, cc)
-		for j := 1; j < n; j++ {
-			hi, lo := bits.Mul64(m, f.p[j])
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi, _ = bits.Add64(hi, 0, cc)
-			lo, cc = bits.Add64(lo, c, 0)
-			hi, _ = bits.Add64(hi, 0, cc)
+			lo, cc = bits.Add64(lo, c2, 0)
+			c2, _ = bits.Add64(hi, 0, cc)
 			t[j-1] = lo
-			c = hi
 		}
-		t[n-1], cc = bits.Add64(t[n], c, 0)
-		t[n] = t[n+1] + cc
+		s, cc := bits.Add64(t[n], c1, 0)
+		s, c3 := bits.Add64(s, c2, 0)
+		t[n-1] = s
+		t[n] = cc + c3
 	}
 	// Final conditional subtraction, as in reduce but straight off t.
 	var d fe
