@@ -1,7 +1,6 @@
 package bls
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"sync"
@@ -14,8 +13,9 @@ import (
 // (public key, message). BLS group signatures are unique — σ = x·H(m) is
 // the only point verifying under X = x·G — so once a signature for a
 // message has been verified, any later candidate for the same key and
-// message is decided by a byte comparison: equal means verified, different
-// means forged. Both directions skip the pairing entirely.
+// message is decided by comparing points: equal means verified, different
+// means forged. Both directions skip the pairing entirely. Uniqueness
+// holds among points of G1, which is all pairing.ParsePoint lets in.
 //
 // Switches and controllers see the same (configuration, signature) pair
 // many times — retransmissions, per-port fan-out of one update, repeated
@@ -33,8 +33,7 @@ const DefaultVerifyCacheSize = 256
 
 type verifyEntry struct {
 	key [sha256.Size]byte
-	sig []byte         // canonical encoding of the verified signature
-	pt  *pairing.Point // the verified signature itself (points are immutable)
+	sig *pairing.Point // the verified signature (points are immutable)
 }
 
 // NewVerifyCache returns an LRU holding at most capacity verified
@@ -62,8 +61,8 @@ func (c *VerifyCache) cacheKey(scheme *Scheme, pk *pairing.Point, msg []byte) [s
 }
 
 // lookup returns the verified signature for key, if present, promoting
-// the entry to most-recently-used. Callers must not mutate the entry.
-func (c *VerifyCache) lookup(key [sha256.Size]byte) (*verifyEntry, bool) {
+// the entry to most-recently-used.
+func (c *VerifyCache) lookup(key [sha256.Size]byte) (*pairing.Point, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
@@ -71,22 +70,23 @@ func (c *VerifyCache) lookup(key [sha256.Size]byte) (*verifyEntry, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*verifyEntry), true
+	return el.Value.(*verifyEntry).sig, true
 }
 
 // store records a verified signature, evicting the least-recently-used
-// entry when full. The point is kept next to its encoding so a hit hands
-// it back as is: ParsePoint is the trust boundary for wire bytes and pays
-// a subgroup check that bytes this process produced do not need.
-func (c *VerifyCache) store(key [sha256.Size]byte, sig []byte, pt *pairing.Point) {
+// entry when full. The cache keeps the point, not its encoding, so a hit
+// hands it back as is: ParsePoint is the trust boundary for wire bytes
+// and pays a subgroup check that a point this process verified does not
+// need again.
+func (c *VerifyCache) store(key [sha256.Size]byte, sig *pairing.Point) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
-		el.Value = &verifyEntry{key: key, sig: sig, pt: pt}
+		el.Value.(*verifyEntry).sig = sig
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[key] = c.ll.PushFront(&verifyEntry{key: key, sig: sig, pt: pt})
+	c.m[key] = c.ll.PushFront(&verifyEntry{key: key, sig: sig})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -108,18 +108,17 @@ func (s *Scheme) VerifyCached(cache *VerifyCache, pk PublicKey, msg []byte, sig 
 		return s.Verify(pk, msg, sig)
 	}
 	key := cache.cacheKey(s, pk.Point, msg)
-	sigBytes := s.Params.PointBytes(sig.Point)
 	if cached, ok := cache.lookup(key); ok {
 		metrics.Crypto.VerifyCacheHits.Add(1)
-		// Uniqueness of BLS signatures: matching bytes is a proof of
-		// validity, mismatching bytes a proof of forgery.
-		return bytes.Equal(cached.sig, sigBytes)
+		// Uniqueness of BLS signatures: the same point is a proof of
+		// validity, a different one a proof of forgery.
+		return cached.Equal(sig.Point)
 	}
 	metrics.Crypto.VerifyCacheMisses.Add(1)
 	if !s.Verify(pk, msg, sig) {
 		return false
 	}
-	cache.store(key, sigBytes, sig.Point)
+	cache.store(key, sig.Point)
 	return true
 }
 
@@ -133,13 +132,13 @@ func (s *Scheme) CombineVerifiedCached(cache *VerifyCache, gk *GroupKey, msg []b
 	key := cache.cacheKey(s, gk.PK.Point, msg)
 	if cached, ok := cache.lookup(key); ok {
 		metrics.Crypto.VerifyCacheHits.Add(1)
-		return Signature{Point: cached.pt}, nil
+		return Signature{Point: cached}, nil
 	}
 	metrics.Crypto.VerifyCacheMisses.Add(1)
 	sig, err := s.CombineVerified(gk, msg, shares)
 	if err != nil {
 		return Signature{}, err
 	}
-	cache.store(key, s.Params.PointBytes(sig.Point), sig.Point)
+	cache.store(key, sig.Point)
 	return sig, nil
 }

@@ -1,6 +1,7 @@
 package pairing
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -56,16 +57,16 @@ func newField(p *big.Int) *field {
 // independent of the platform's big.Word size.
 func (f *field) setLimbs(z *fe, x *big.Int) {
 	var buf [8 * maxLimbs]byte
-	x.FillBytes(buf[:8*f.n])
-	f.limbsFromBytes(z, buf[:8*f.n])
+	f.limbsFromBytes(z, x.FillBytes(buf[:8*f.n]))
 }
 
 // limbsFromBytes reads a big-endian integer of at most 8n bytes into z as
 // plain limbs.
 func (f *field) limbsFromBytes(z *fe, b []byte) {
-	*z = fe{}
-	for i := 0; i < len(b); i++ {
-		z[i/8] |= uint64(b[len(b)-1-i]) << (8 * (i % 8))
+	var buf [8 * maxLimbs]byte
+	copy(buf[len(buf)-len(b):], b)
+	for i := range z {
+		z[i] = binary.BigEndian.Uint64(buf[len(buf)-8*(i+1):])
 	}
 }
 
@@ -78,8 +79,8 @@ func (f *field) fromBig(z *fe, x *big.Int) {
 // toBig returns the integer in [0, p) that x represents.
 func (f *field) toBig(x *fe) *big.Int {
 	var buf [8 * maxLimbs]byte
-	f.putBytes(buf[:8*f.n], x)
-	return new(big.Int).SetBytes(buf[:8*f.n])
+	f.putBytes(buf[:], x)
+	return new(big.Int).SetBytes(buf[:])
 }
 
 // fromBytes sets z to the element encoded big-endian in b (at most 8n
@@ -94,17 +95,16 @@ func (f *field) fromBytes(z *fe, b []byte) bool {
 }
 
 // putBytes writes x as a fixed-width big-endian integer filling b, which
-// must be wide enough for p.
+// must be wide enough for p and at most 8·maxLimbs bytes.
 func (f *field) putBytes(b []byte, x *fe) {
 	var plain, unit fe
 	unit[0] = 1
 	f.mul(&plain, x, &unit) // leave Montgomery form: x·R·1·R⁻¹
-	for i := range b {
-		b[len(b)-1-i] = 0
-		if i < 8*f.n {
-			b[len(b)-1-i] = byte(plain[i/8] >> (8 * (i % 8)))
-		}
+	var buf [8 * maxLimbs]byte
+	for i, limb := range plain {
+		binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], limb)
 	}
+	copy(b, buf[len(buf)-len(b):])
 }
 
 // limbs returns the active limb count, bounded so the compiler can drop
