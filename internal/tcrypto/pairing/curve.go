@@ -147,7 +147,7 @@ func (p *Params) Add(a, b *Point) *Point {
 	if b.IsInfinity() {
 		return a.Clone()
 	}
-	j := jacPoint{x: a.x, y: a.y, z: p.fp.one}
+	j := p.fromAffine(a)
 	p.jacAddAffine(&j, b, nil)
 	return p.toAffine(&j)
 }
@@ -157,7 +157,7 @@ func (p *Params) Double(a *Point) *Point {
 	if a.IsInfinity() {
 		return Infinity()
 	}
-	j := jacPoint{x: a.x, y: a.y, z: p.fp.one}
+	j := p.fromAffine(a)
 	p.jacDouble(&j, nil)
 	return p.toAffine(&j)
 }

@@ -22,6 +22,12 @@ type jacPoint struct {
 	x, y, z fe
 }
 
+// fromAffine lifts an affine point, which must not be infinity, to
+// Jacobian coordinates.
+func (p *Params) fromAffine(pt *Point) jacPoint {
+	return jacPoint{x: pt.x, y: pt.y, z: p.fp.one}
+}
+
 // toAffine projects back, paying the single inversion.
 func (p *Params) toAffine(j *jacPoint) *Point {
 	if j.z.isZero() {
@@ -106,7 +112,7 @@ func (p *Params) jacDouble(j *jacPoint, ln *line) bool {
 func (p *Params) jacAddAffine(j *jacPoint, pt *Point, ln *line) bool {
 	f := p.fp
 	if j.z.isZero() {
-		*j = jacPoint{x: pt.x, y: pt.y, z: f.one}
+		*j = p.fromAffine(pt)
 		return false
 	}
 	var z1z1, u2, s2, h, r, hh, i, jj, v, t fe

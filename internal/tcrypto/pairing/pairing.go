@@ -16,11 +16,12 @@ import (
 // non-degeneracy for a, b ∈ G1, yielding a symmetric pairing with
 // e(s·a, t·b) = e(a, b)^{s·t}.
 func (p *Params) Pair(a, b *Point) *GT {
-	if a.IsInfinity() || b.IsInfinity() {
+	fc, ok := p.newFactor(nil, a, b)
+	if !ok {
 		return p.gtOne()
 	}
 	metrics.Crypto.Pairings.Add(1)
-	return p.millerProduct([]factor{p.liveFactor(a, b)})
+	return p.millerProduct([]factor{fc})
 }
 
 // factor is one e(a, b) of a pairing product inside the shared Miller
@@ -35,9 +36,21 @@ type factor struct {
 	v      jacPoint
 }
 
-// liveFactor starts the walk for an unprepared first argument at v = a.
-func (p *Params) liveFactor(a, b *Point) factor {
-	return factor{xb: b.x, yb: b.y, a: a, v: jacPoint{x: a.x, y: a.y, z: p.fp.one}}
+// newFactor sets up e(a, b), or e(prep's point, b) when prep is non-nil;
+// ok is false when either argument is infinity and the factor is 1. A live
+// walk starts at v = a.
+func (p *Params) newFactor(prep *PreparedPoint, a, b *Point) (fc factor, ok bool) {
+	if prep != nil {
+		a = prep.a
+	}
+	if a.IsInfinity() || b.IsInfinity() {
+		return factor{}, false
+	}
+	fc = factor{xb: b.x, yb: b.y, prep: prep}
+	if prep == nil {
+		fc.a, fc.v = a, p.fromAffine(a)
+	}
+	return fc, true
 }
 
 // millerProduct runs Miller's algorithm for every factor over one shared

@@ -58,7 +58,7 @@ func (p *Params) Prepare(a *Point) *PreparedPoint {
 		}
 		pre = append(pre, acc)
 	}
-	v := jacPoint{x: a.x, y: a.y, z: fp.one}
+	v := p.fromAffine(a)
 	var ln line
 	for step := 0; step < steps; step++ {
 		if p.jacDouble(&v, &ln) {
@@ -91,11 +91,12 @@ func (p *Params) Prepare(a *Point) *PreparedPoint {
 // the cached Miller lines against φ(b). It agrees with Pair(a, b) on all
 // inputs while skipping the curve walk.
 func (p *Params) PairPrepared(prep *PreparedPoint, b *Point) *GT {
-	if prep.a.IsInfinity() || b.IsInfinity() {
+	fc, ok := p.newFactor(prep, nil, b)
+	if !ok {
 		return p.gtOne()
 	}
 	metrics.Crypto.PreparedPairings.Add(1)
-	return p.millerProduct([]factor{{xb: b.x, yb: b.y, prep: prep}})
+	return p.millerProduct([]factor{fc})
 }
 
 // ProductTerm is one factor e(first, B) of a pairing product. The first
@@ -119,17 +120,8 @@ type ProductTerm struct {
 func (p *Params) PairProduct(terms ...ProductTerm) *GT {
 	facs := make([]factor, 0, len(terms))
 	for _, t := range terms {
-		first := t.A
-		if t.Prep != nil {
-			first = t.Prep.a
-		}
-		if first.IsInfinity() || t.B.IsInfinity() {
-			continue // factor is 1
-		}
-		if t.Prep != nil {
-			facs = append(facs, factor{xb: t.B.x, yb: t.B.y, prep: t.Prep})
-		} else {
-			facs = append(facs, p.liveFactor(t.A, t.B))
+		if fc, ok := p.newFactor(t.Prep, t.A, t.B); ok {
+			facs = append(facs, fc)
 		}
 	}
 	if len(facs) == 0 {
