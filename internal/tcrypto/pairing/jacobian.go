@@ -64,15 +64,18 @@ func (p *Params) jacDouble(j *jacPoint, ln *line) bool {
 		return false
 	}
 	f := p.fp
-	var xx, yy, yyyy, zz, s, m, t fe
+	var xx, yy2, c8, zz, s, m, t fe
 	f.sqr(&xx, &j.x)
-	f.sqr(&yy, &j.y)
-	f.sqr(&yyyy, &yy)
 	f.sqr(&zz, &j.z)
+	// The formulas want YY = Y² only as 2·YY, 4·X·YY and 8·YY²; keeping
+	// 2·YY instead saves three of their doublings.
+	f.sqr(&yy2, &j.y)
+	f.dbl(&yy2, &yy2)
 	// S = 4·X·YY
-	f.mul(&s, &j.x, &yy)
+	f.mul(&s, &j.x, &yy2)
 	f.dbl(&s, &s)
-	f.dbl(&s, &s)
+	f.sqr(&c8, &yy2)
+	f.dbl(&c8, &c8)
 	// M = 3·XX + a·ZZ² with a = 1.
 	f.dbl(&m, &xx)
 	f.add(&m, &m, &xx)
@@ -87,21 +90,17 @@ func (p *Params) jacDouble(j *jacPoint, ln *line) bool {
 		// [M·ZZ·x_b + M·X − 2·YY] + Z3·ZZ·y_b·i.
 		f.mul(&ln.a, &m, &zz)
 		f.mul(&ln.c, &m, &j.x)
-		f.sub(&ln.c, &ln.c, &yy)
-		f.sub(&ln.c, &ln.c, &yy)
+		f.sub(&ln.c, &ln.c, &yy2)
 		f.mul(&ln.d, &j.z, &zz)
 	}
 	// X3 = M² − 2·S
 	f.sqr(&j.x, &m)
 	f.sub(&j.x, &j.x, &s)
 	f.sub(&j.x, &j.x, &s)
-	// Y3 = M·(S − X3) − 8·YYYY
+	// Y3 = M·(S − X3) − 8·YY²
 	f.sub(&s, &s, &j.x)
 	f.mul(&j.y, &m, &s)
-	f.dbl(&yyyy, &yyyy)
-	f.dbl(&yyyy, &yyyy)
-	f.dbl(&yyyy, &yyyy)
-	f.sub(&j.y, &j.y, &yyyy)
+	f.sub(&j.y, &j.y, &c8)
 	return true
 }
 
@@ -115,7 +114,7 @@ func (p *Params) jacAddAffine(j *jacPoint, pt *Point, ln *line) bool {
 		*j = p.fromAffine(pt)
 		return false
 	}
-	var z1z1, u2, s2, h, r, hh, i, jj, v, t fe
+	var z1z1, u2, s2, h, r, i, jj, v, t fe
 	f.sqr(&z1z1, &j.z)
 	f.mul(&u2, &pt.x, &z1z1)
 	f.mul(&s2, &pt.y, &j.z)
@@ -130,9 +129,9 @@ func (p *Params) jacAddAffine(j *jacPoint, pt *Point, ln *line) bool {
 		return false
 	}
 	f.dbl(&r, &r)
-	f.sqr(&hh, &h)
-	f.dbl(&i, &hh)
-	f.dbl(&i, &i)
+	// I = (2·H)², J = H·I, V = X1·I
+	f.dbl(&i, &h)
+	f.sqr(&i, &i)
 	f.mul(&jj, &h, &i)
 	f.mul(&v, &j.x, &i)
 	// Z3 = 2·Z1·H
