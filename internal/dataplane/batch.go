@@ -232,6 +232,9 @@ func (s *Switch) isController(id pki.Identity) bool {
 // entry. Members still waiting on a retired verified pool would merely
 // re-collect a quorum: a liveness cost, never a safety one.
 func (s *Switch) evictOldestBatch(verified bool) {
+	if len(s.pendingBatches) < maxPendingBatches {
+		return // no class can be at its budget yet
+	}
 	n, victim, victimSeq := 0, "", uint64(0)
 	for k, pb := range s.pendingBatches {
 		if pb.verified != verified {

@@ -97,9 +97,8 @@ func (f *field) fromBytes(z *fe, b []byte) bool {
 // putBytes writes x as a fixed-width big-endian integer filling b, which
 // must be wide enough for p and at most 8·maxLimbs bytes.
 func (f *field) putBytes(b []byte, x *fe) {
-	var plain, unit fe
-	unit[0] = 1
-	f.mul(&plain, x, &unit) // leave Montgomery form: x·R·1·R⁻¹
+	var plain fe
+	f.mul(&plain, x, &plainOne)
 	var buf [8 * maxLimbs]byte
 	for i, limb := range plain {
 		binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], limb)
@@ -127,30 +126,38 @@ func (f *field) less(x, y *fe) bool {
 
 func (x *fe) isZero() bool { return *x == fe{} }
 
-// reduce sets z = t − p when t (with its overflow bit) is at least p, and
-// z = t otherwise; t < 2p always holds at the call sites, and t may be z.
-func (f *field) reduce(z, t *fe, overflow uint64) {
+// plainOne is the integer 1 as plain limbs. Multiplying by it leaves
+// Montgomery form: (x·R)·1·R⁻¹ = x.
+var plainOne = fe{1}
+
+// wide is an n-limb sum with its overflow in limb n.
+type wide [maxLimbs + 1]uint64
+
+// reduce sets z = t − p when t is at least p, and z = t otherwise; t < 2p
+// always holds at the call sites.
+func (f *field) reduce(z *fe, t *wide) {
 	var d fe
 	var b uint64
 	n := f.limbs()
 	for i := 0; i < n; i++ {
 		d[i], b = bits.Sub64(t[i], f.p[i], b)
 	}
-	if overflow != 0 || b == 0 {
-		t = &d
+	if t[n] != 0 || b == 0 {
+		copy(t[:n], d[:n])
 	}
-	for i := 0; i < n; i++ {
-		z[i] = t[i]
-	}
+	copy(z[:n], t[:n])
 }
 
 // add sets z = x + y.
 func (f *field) add(z, x, y *fe) {
+	var t wide
 	var c uint64
-	for i, n := 0, f.limbs(); i < n; i++ {
-		z[i], c = bits.Add64(x[i], y[i], c)
+	n := f.limbs()
+	for i := 0; i < n; i++ {
+		t[i], c = bits.Add64(x[i], y[i], c)
 	}
-	f.reduce(z, z, c)
+	t[n] = c
+	f.reduce(z, &t)
 }
 
 // dbl sets z = 2x.
@@ -187,7 +194,7 @@ func (f *field) neg(z, x *fe) {
 // drops the low limb, which m = t₀·(−p⁻¹) makes zero. z may alias x or y.
 // Carries are folded with Add64(hi, 0, carry) so they stay in the flags.
 func (f *field) mul(z, x, y *fe) {
-	var t [maxLimbs + 1]uint64
+	var t wide
 	n := f.limbs()
 	for i := 0; i < n; i++ {
 		yi := y[i]
@@ -218,16 +225,7 @@ func (f *field) mul(z, x, y *fe) {
 		t[n-1] = s
 		t[n] = cc + c3
 	}
-	// Final conditional subtraction, as in reduce but straight off t.
-	var d fe
-	var b uint64
-	for i := 0; i < n; i++ {
-		d[i], b = bits.Sub64(t[i], f.p[i], b)
-	}
-	if t[n] != 0 || b == 0 {
-		copy(t[:n], d[:n])
-	}
-	copy(z[:n], t[:n])
+	f.reduce(z, &t)
 }
 
 // sqr sets z = x². A dedicated squaring (cross products computed once)
@@ -278,11 +276,9 @@ func (f *field) inv(z, x *fe) {
 		*z = fe{}
 		return
 	}
-	var unit fe
-	unit[0] = 1
 	u, v := *x, f.p
 	r, s := f.r2, fe{}
-	for u != unit && v != unit {
+	for u != plainOne && v != plainOne {
 		for u[0]&1 == 0 {
 			f.shr1(&u, 0)
 			f.halve(&r)
@@ -299,7 +295,7 @@ func (f *field) inv(z, x *fe) {
 			f.sub(&r, &r, &s)
 		}
 	}
-	if u == unit {
+	if u == plainOne {
 		*z = r
 	} else {
 		*z = s

@@ -37,23 +37,12 @@ func (r ref) point(pt *Point) *refPoint {
 	return &refPoint{X: r.p.fp.toBig(&pt.x), Y: r.p.fp.toBig(&pt.y)}
 }
 
-func (r ref) limbPoint(pt *refPoint) *Point {
-	if pt.inf() {
-		return Infinity()
-	}
-	return &Point{f: r.p.fp, x: r.fe(pt.X), y: r.fe(pt.Y)}
-}
-
 func (r ref) samePoint(a *Point, b *refPoint) bool {
 	if a.IsInfinity() || b.inf() {
 		return a.IsInfinity() && b.inf()
 	}
 	f := r.p.fp
 	return f.toBig(&a.x).Cmp(b.X) == 0 && f.toBig(&a.y).Cmp(b.Y) == 0
-}
-
-func (r ref) gt(g *GT) *refGT {
-	return &refGT{A: r.p.fp.toBig(&g.a), B: r.p.fp.toBig(&g.b)}
 }
 
 func (r ref) limbGT(g *refGT) *GT {
@@ -76,13 +65,6 @@ func (r ref) onCurve(pt *refPoint) bool {
 	rhs.Mul(rhs, pt.X)
 	rhs.Add(rhs, pt.X)
 	return lhs.Cmp(r.mod(rhs)) == 0
-}
-
-func (r ref) neg(pt *refPoint) *refPoint {
-	if pt.inf() {
-		return &refPoint{}
-	}
-	return &refPoint{X: pt.X, Y: r.mod(new(big.Int).Neg(pt.Y))}
 }
 
 func (r ref) add(a, b *refPoint) *refPoint {

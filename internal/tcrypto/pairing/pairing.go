@@ -69,11 +69,15 @@ func (p *Params) millerProduct(facs []factor) *GT {
 	f := p.gtOne()
 	var ln line
 	var re, im fe
+	// mulLine sets f ← f·[(a·x_b + c) + im·i].
+	mulLine := func(a, c, xb, im *fe) {
+		fp.mul(&re, a, xb)
+		fp.add(&re, &re, c)
+		f.mul(&re, im)
+	}
 	mulLive := func(fc *factor) {
-		fp.mul(&re, &ln.a, &fc.xb)
-		fp.add(&re, &re, &ln.c)
 		fp.mul(&im, &ln.d, &fc.yb)
-		f.mul(&re, &im)
+		mulLine(&ln.a, &ln.c, &fc.xb, &im)
 	}
 	top := p.R.BitLen() - 2
 	for i := top; i >= 0; i-- {
@@ -86,9 +90,7 @@ func (p *Params) millerProduct(facs []factor) *GT {
 				for n := fc.prep.counts[top-i]; n > 0; n-- {
 					l := &fc.prep.lines[fc.next]
 					fc.next++
-					fp.mul(&re, &l.a, &fc.xb)
-					fp.add(&re, &re, &l.c)
-					f.mul(&re, &fc.yb)
+					mulLine(&l.a, &l.c, &fc.xb, &fc.yb)
 				}
 				continue
 			}
