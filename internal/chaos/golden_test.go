@@ -56,7 +56,7 @@ func TestGoldenTraceHashes(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if pinned != 14 {
-		t.Fatalf("golden file pins %d hashes, want 14", pinned)
+	if pinned != 16 {
+		t.Fatalf("golden file pins %d hashes, want 16", pinned)
 	}
 }
