@@ -13,6 +13,7 @@
 package controlplane
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"time"
@@ -155,12 +156,15 @@ type Config struct {
 // CiceroQuorum returns the update quorum t = ⌊(n−1)/3⌋+1 (§3.2).
 func CiceroQuorum(n int) int { return (n-1)/3 + 1 }
 
-// aggCollect buffers shares at the aggregator.
+// aggCollect buffers the shares over one update's canonical bytes at the
+// aggregator. shares is keyed by share index; a later share for an index
+// overwrites the earlier one.
 type aggCollect struct {
 	mods   []openflow.FlowMod
-	phase  uint64
 	shares map[uint32][]byte
 	done   bool
+	// sent is the combined aggregate, kept for recovery retransmission.
+	sent protocol.MsgAggUpdate
 }
 
 // Controller is one control-plane member.
@@ -177,19 +181,21 @@ type Controller struct {
 	deliveredEvents map[string]bool // delivery-level dedup
 	pendingSubmit   map[string][]byte
 
-	// Aggregator state.
-	aggPending map[string]*aggCollect
+	// Aggregator state, keyed by the digest of the bytes the shares sign
+	// (openflow.CanonicalUpdateBytes): a share only ever meets shares over
+	// identical content, so forged mods sent first under a real update id
+	// collect in an entry of their own.
+	aggPending map[[sha256.Size]byte]*aggCollect
 
-	// Config-push share collection (leader only).
-	configShares map[uint64]map[uint32][]byte
+	// Config-push share collection for the current phase (leader only),
+	// reset when the phase advances; configDone latches the push.
+	configShares map[uint32][]byte
+	configDone   bool
 
 	// dispatchLog records every update this controller signed, in release
 	// order, so crash recovery can answer switch resyncs and retransmit
 	// in-flight updates (see recovery.go).
 	dispatchLog []dispatchRecord
-	// aggSent stores the combined aggregate per update while this
-	// controller is the aggregator, for recovery retransmission.
-	aggSent map[string]protocol.MsgAggUpdate
 	// batchOf maps an update id to its batch-amortized signing context
 	// (Merkle proof + per-batch root share); retained after dispatch so
 	// recovery retransmissions reuse the same proof and share.
@@ -220,12 +226,6 @@ type Controller struct {
 	// ledger is the §7 auditable decision chain: every delivered event
 	// and signed update is appended, enabling cross-controller audits.
 	ledger audit.Ledger
-
-	// verifyCache memoizes verified aggregates so the leader's repeated
-	// combines of the same update (per-port fan-out, retransmitted
-	// shares) skip the pairing. Real CPU only; simulated time is charged
-	// via the cost model.
-	verifyCache *bls.VerifyCache
 
 	centralSeq uint64
 	stopped    bool
@@ -279,16 +279,12 @@ func New(cfg Config) (*Controller, error) {
 		seenEvents:      make(map[string]bool),
 		deliveredEvents: make(map[string]bool),
 		pendingSubmit:   make(map[string][]byte),
-		aggPending:      make(map[string]*aggCollect),
-		configShares:    make(map[uint64]map[uint32][]byte),
+		aggPending:      make(map[[sha256.Size]byte]*aggCollect),
+		configShares:    make(map[uint32][]byte),
 		updateMod:       make(map[string][]openflow.FlowMod),
-		aggSent:         make(map[string]protocol.MsgAggUpdate),
 		batchOf:         make(map[string]*batchRef),
 		lastSeen:        make(map[pki.Identity]fabric.Time),
 		suspected:       make(map[pki.Identity]bool),
-	}
-	if cfg.Scheme != nil {
-		c.verifyCache = bls.NewVerifyCache(bls.DefaultVerifyCacheSize)
 	}
 	c.engine = scheduler.NewEngine(c.dispatchUpdate)
 	if cfg.Protocol != ProtoCentralized {
@@ -761,21 +757,21 @@ func (c *Controller) handleUpdateShare(m protocol.MsgUpdate) {
 		return
 	}
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.MsgProcess)
-	key := fmt.Sprintf("%s|%d", m.UpdateID, m.Phase)
+	canonical := openflow.CanonicalUpdateBytes(m.UpdateID, m.Phase, m.Mods)
+	key := sha256.Sum256(canonical)
 	col, ok := c.aggPending[key]
 	if !ok {
-		col = &aggCollect{mods: m.Mods, phase: m.Phase, shares: make(map[uint32][]byte)}
+		col = &aggCollect{mods: m.Mods, shares: make(map[uint32][]byte)}
 		c.aggPending[key] = col
 	}
 	if col.done {
 		// A Resend share for a completed update means a recovering peer
 		// needs the ack again: rebroadcast the stored aggregate so the
 		// switch re-acknowledges.
-		if m.Resend {
-			if out, ok := c.aggSent[key]; ok {
-				out.Resend = true
-				c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(out.Mods[0].Switch), out, 256*len(out.Mods))
-			}
+		if m.Resend && len(col.sent.Mods) > 0 {
+			out := col.sent
+			out.Resend = true
+			c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(out.Mods[0].Switch), out, 256*len(out.Mods))
 		}
 		return
 	}
@@ -787,33 +783,22 @@ func (c *Controller) handleUpdateShare(m protocol.MsgUpdate) {
 	if len(col.shares) < quorum {
 		return
 	}
-	col.done = true
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID),
 		time.Duration(quorum)*c.cfg.Cost.BLSAggregatePerShare+c.cfg.Cost.AggregatorQueue)
 	var sig []byte
 	if c.cfg.CryptoReal {
-		canonical := openflow.CanonicalUpdateBytes(m.UpdateID, m.Phase, col.mods)
-		shares := make([]bls.SignatureShare, 0, len(col.shares))
-		for idx, raw := range col.shares {
-			pt, err := c.cfg.Scheme.Params.ParsePoint(raw)
-			if err != nil {
-				continue
-			}
-			shares = append(shares, bls.SignatureShare{Index: idx, Point: pt})
-		}
-		combined, err := c.cfg.Scheme.CombineVerifiedCached(c.verifyCache, c.cfg.GroupKey, canonical, shares)
+		combined, err := c.cfg.Scheme.CombineVerified(c.cfg.GroupKey, canonical, c.cfg.Scheme.ParseShares(col.shares))
 		if err != nil {
-			col.done = false // wait for more (honest) shares
-			return
+			return // wait for more (honest) shares
 		}
 		sig = c.cfg.Scheme.Params.PointBytes(combined.Point)
 	}
+	col.done = true
 	if len(col.mods) == 0 {
 		return
 	}
-	out := protocol.MsgAggUpdate{UpdateID: m.UpdateID, Mods: col.mods, Phase: m.Phase, Signature: sig, Resend: m.Resend}
-	c.aggSent[key] = out
-	c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(col.mods[0].Switch), out, 256*len(col.mods))
+	col.sent = protocol.MsgAggUpdate{UpdateID: m.UpdateID, Mods: col.mods, Phase: m.Phase, Signature: sig, Resend: m.Resend}
+	c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(col.mods[0].Switch), col.sent, 256*len(col.mods))
 }
 
 // handleAckMsg verifies a switch acknowledgement and releases dependents
@@ -922,17 +907,12 @@ func (c *Controller) handleConfigShare(m protocol.MsgConfigShare) {
 	if len(c.members) == 0 || c.members[0] != c.cfg.ID || m.Phase != c.phase {
 		return
 	}
-	shares, ok := c.configShares[m.Phase]
-	if !ok {
-		shares = make(map[uint32][]byte)
-		c.configShares[m.Phase] = shares
+	if c.configDone || m.ShareIndex == 0 {
+		return
 	}
-	if _, done := shares[0]; done {
-		return // sentinel: already pushed
-	}
-	shares[m.ShareIndex] = m.Share
+	c.configShares[m.ShareIndex] = m.Share
 	quorum := c.Quorum()
-	if len(shares) < quorum {
+	if len(c.configShares) < quorum {
 		return
 	}
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID),
@@ -940,24 +920,13 @@ func (c *Controller) handleConfigShare(m protocol.MsgConfigShare) {
 	var sig []byte
 	if c.cfg.CryptoReal {
 		canonical := protocol.ConfigBytes(c.phase, quorum, c.members, c.aggregatorID())
-		blsShares := make([]bls.SignatureShare, 0, len(shares))
-		for idx, raw := range shares {
-			if idx == 0 {
-				continue
-			}
-			pt, err := c.cfg.Scheme.Params.ParsePoint(raw)
-			if err != nil {
-				continue
-			}
-			blsShares = append(blsShares, bls.SignatureShare{Index: idx, Point: pt})
-		}
-		combined, err := c.cfg.Scheme.CombineVerifiedCached(c.verifyCache, c.cfg.GroupKey, canonical, blsShares)
+		combined, err := c.cfg.Scheme.CombineVerified(c.cfg.GroupKey, canonical, c.cfg.Scheme.ParseShares(c.configShares))
 		if err != nil {
 			return
 		}
 		sig = c.cfg.Scheme.Params.PointBytes(combined.Point)
 	}
-	shares[0] = nil // sentinel
+	c.configDone = true
 	out := protocol.MsgConfig{
 		Phase:      c.phase,
 		Quorum:     quorum,

@@ -217,6 +217,74 @@ func TestRequestAddControllerGuards(t *testing.T) {
 	}
 }
 
+// TestAggregatorForgedContentFirst: with the aggregator (AggController)
+// collecting shares, a Byzantine controller races a forged rule to it under
+// a real update id. Collection is keyed by the signed bytes, so the forged
+// share sits alone and the honest shares that follow still combine into an
+// aggregate over the honest rule. (Keyed by update id, the aggregator kept
+// the first arrival's mods and no honest share ever verified against them.)
+func TestAggregatorForgedContentFirst(t *testing.T) {
+	sim := simnet.NewSimulator(1)
+	net := simnet.NewNetwork(sim, 100*time.Microsecond)
+	dir := pki.NewDirectory()
+	scheme := bls.NewScheme(pairing.Fast254())
+	gk, shares, err := dkg.Run(scheme, rand.Reader, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []pki.Identity{"c1", "c2", "c3", "c4"}
+	keys, _ := pki.NewKeyPair(rand.Reader, "c1")
+	dir.MustRegister(keys)
+	agg, err := New(Config{
+		ID: "c1", Members: members, Net: net, Keys: keys, Directory: dir,
+		Protocol: ProtoCicero, Aggregation: AggController, CryptoReal: true,
+		Scheme: scheme, GroupKey: gk, Share: shares[0],
+		App: &routing.ShortestPath{Graph: lineGraph(t)}, Sched: scheduler.ReversePath{},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var relayed []protocol.MsgAggUpdate
+	net.Register("s1", simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
+		if m, ok := msg.(protocol.MsgAggUpdate); ok {
+			relayed = append(relayed, m)
+		}
+	}))
+
+	id := openflow.MsgID{Origin: "e", Seq: 1}
+	rule := func(nextHop string) []openflow.FlowMod {
+		return []openflow.FlowMod{{Op: openflow.FlowAdd, Switch: "s1", Rule: openflow.Rule{
+			Priority: 10,
+			Match:    openflow.Match{Src: openflow.Wildcard, Dst: "h2"},
+			Action:   openflow.Action{Type: openflow.ActionOutput, NextHop: nextHop},
+		}}}
+	}
+	share := func(i int, mods []openflow.FlowMod) protocol.MsgUpdate {
+		sig := scheme.SignShare(shares[i], openflow.CanonicalUpdateBytes(id, 0, mods))
+		return protocol.MsgUpdate{
+			UpdateID: id, Mods: mods, From: members[i],
+			ShareIndex: shares[i].Index, Share: scheme.Params.PointBytes(sig.Point),
+		}
+	}
+	agg.HandleMessage("c2", share(1, rule("byz/blackhole")))
+	agg.HandleMessage("c3", share(2, rule("s2")))
+	agg.HandleMessage("c4", share(3, rule("s2")))
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(relayed) != 1 {
+		t.Fatalf("aggregator relayed %d aggregates, want 1", len(relayed))
+	}
+	out := relayed[0]
+	if got := out.Mods[0].Rule.Action.NextHop; got != "s2" {
+		t.Fatalf("relayed aggregate carries next hop %q, want the honest s2", got)
+	}
+	pt, err := scheme.Params.ParsePoint(out.Signature)
+	if err != nil || !scheme.Verify(gk.PK, openflow.CanonicalUpdateBytes(id, 0, out.Mods), bls.Signature{Point: pt}) {
+		t.Fatalf("relayed aggregate does not verify under the group key (parse err %v)", err)
+	}
+}
+
 func TestProtocolStrings(t *testing.T) {
 	if ProtoCentralized.String() != "centralized" ||
 		ProtoCrash.String() != "crash-tolerant" ||

@@ -322,6 +322,8 @@ func (c *Controller) completeChange(newShare bls.KeyShare, newGK *bls.GroupKey) 
 	// requires a same-phase ref and falls back to legacy per-update shares
 	// across phases), so drop them with the phase.
 	c.batchOf = make(map[string]*batchRef)
+	// Likewise the previous phase's config shares are never read again.
+	c.configShares, c.configDone = make(map[uint32][]byte), false
 	if err := c.rebuildReplica(); err != nil {
 		c.replica = nil
 	}

@@ -213,7 +213,7 @@ func TestPendingBatchPoolBounded(t *testing.T) {
 			Share:      []byte{1},
 		})
 	}
-	if got := len(bh.sw.pendingBatches); got > maxPendingBatches {
+	if got := len(bh.sw.pools); got > maxPendingBatches {
 		t.Fatalf("pending batch pool grew to %d, cap is %d", got, maxPendingBatches)
 	}
 }
@@ -253,7 +253,7 @@ func TestVerifiedBatchesDoNotEvictInFlightPool(t *testing.T) {
 		if bh.sw.UpdatesApplied != uint64(i+1) {
 			t.Fatalf("after root %d: applied %d updates, want %d", i+1, bh.sw.UpdatesApplied, i+1)
 		}
-		if got := len(bh.sw.pendingBatches); got > 2*maxPendingBatches {
+		if got := len(bh.sw.pools); got > 2*maxPendingBatches {
 			t.Fatalf("pool grew to %d entries, budgets allow %d", got, 2*maxPendingBatches)
 		}
 	}
@@ -265,11 +265,43 @@ func TestBatchStalePhaseDropped(t *testing.T) {
 	bh := newBatchHarness(t, ModeThreshold, false)
 	tb := makeTestBatch()
 	bh.sw.HandleMessage("c1", bh.batchMsg(tb, 0, 0))
-	if len(bh.sw.pendingBatches) != 1 {
-		t.Fatalf("pool has %d entries, want 1", len(bh.sw.pendingBatches))
+	if len(bh.sw.pools) != 1 {
+		t.Fatalf("pool has %d entries, want 1", len(bh.sw.pools))
 	}
 	bh.sw.dropStaleBatches(1)
-	if len(bh.sw.pendingBatches) != 0 {
-		t.Fatalf("stale-phase entries survived: %d", len(bh.sw.pendingBatches))
+	if len(bh.sw.pools) != 0 {
+		t.Fatalf("stale-phase entries survived: %d", len(bh.sw.pools))
+	}
+}
+
+// TestBatchMemberDecidedPerUpdateIsSkipped: an update can sit in a batch
+// root's pool and in its own per-update pool at once (retransmissions go
+// share by share). Whichever pool verifies first decides it; the other
+// must skip it on release instead of applying and acking twice.
+func TestBatchMemberDecidedPerUpdateIsSkipped(t *testing.T) {
+	bh := newBatchHarness(t, ModeThreshold, true)
+	tb := makeTestBatch()
+	// Member 1 gathers its sender quorum, but c1's root share is garbage:
+	// the root pool stays unverified.
+	poisoned := bh.batchMsg(tb, 1, 0)
+	poisoned.Share = []byte("garbage-share")
+	bh.sw.HandleMessage("c1", poisoned)
+	bh.sw.HandleMessage("c2", bh.batchMsg(tb, 1, 1))
+	if bh.sw.UpdatesApplied != 0 {
+		t.Fatal("member applied over a poisoned root quorum")
+	}
+	// The same update completes share by share.
+	bh.sw.HandleMessage("c3", bh.shareMsg(t, 2, tb.ids[1], tb.mods[1]))
+	bh.sw.HandleMessage("c4", bh.shareMsg(t, 3, tb.ids[1], tb.mods[1]))
+	if bh.sw.UpdatesApplied != 1 {
+		t.Fatalf("per-update quorum applied %d updates, want 1", bh.sw.UpdatesApplied)
+	}
+	// c3's root share heals the batch pool; member 1 is ready there too.
+	bh.sw.HandleMessage("c3", bh.batchMsg(tb, 0, 2))
+	if bh.sw.UpdatesApplied != 1 {
+		t.Fatalf("decided member re-applied by the batch pool (applied=%d)", bh.sw.UpdatesApplied)
+	}
+	if len(bh.sw.pools) != 1 {
+		t.Fatalf("%d pools left, want only the verified batch root's", len(bh.sw.pools))
 	}
 }

@@ -7,9 +7,9 @@
 package dataplane
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
-	"time"
 
 	"cicero/internal/fabric"
 	"cicero/internal/metarepo"
@@ -94,13 +94,6 @@ type Config struct {
 // matchKey dedups pending events per flow endpoints.
 type matchKey struct{ src, dst string }
 
-// pendingUpdate buffers an update until its share quorum completes.
-type pendingUpdate struct {
-	mods   []openflow.FlowMod
-	phase  uint64
-	shares map[uint32][]byte
-}
-
 // waiter observes rule installation (the simulation driver uses it to
 // start flows whose rules were missing).
 type waiter struct {
@@ -116,13 +109,12 @@ type Switch struct {
 	eventSeq uint64
 	// pendingEvents dedups outstanding table-miss events per match.
 	pendingEvents map[matchKey]openflow.MsgID
-	pending       map[string]*pendingUpdate // keyed by updateID|phase
-	// pendingBatches collects root-share quorums for batch-amortized
-	// updates, keyed by batchRoot|phase (see batch.go). Bounded by
-	// maxPendingBatches per class (verified, unverified); batchSeq orders
+	// pools collects the share quorums of updates and batch roots, keyed
+	// by the digest of the bytes the shares sign (see pool.go). Bounded by
+	// maxPendingBatches per class (verified, unverified); poolSeq orders
 	// the entries of a class for eviction.
-	pendingBatches map[string]*pendingBatch
-	batchSeq       uint64
+	pools   map[[sha256.Size]byte]*pool
+	poolSeq uint64
 	// applied records the verdict of every decided update (true: applied,
 	// false: rejected) so recovery retransmissions can be re-acknowledged
 	// with the original outcome.
@@ -131,11 +123,6 @@ type Switch struct {
 	configPhase uint64
 	waiters     []waiter
 	bundles     map[string]*bundleState
-
-	// verifyCache memoizes verified (message, signature) pairs so
-	// retransmitted or re-gossiped aggregates skip the pairing entirely.
-	// It affects real CPU time only; simulated time is charged via Cost.
-	verifyCache *bls.VerifyCache
 
 	// verifyBypass disables update signature verification. It exists ONLY
 	// as the chaos engine's canary mutation: a deliberately broken switch
@@ -169,16 +156,12 @@ func New(cfg Config) (*Switch, error) {
 		}
 	}
 	s := &Switch{
-		cfg:            cfg,
-		table:          openflow.NewFlowTable(),
-		eventSeq:       uint64(cfg.BootEpoch) << 32,
-		pendingEvents:  make(map[matchKey]openflow.MsgID),
-		pending:        make(map[string]*pendingUpdate),
-		pendingBatches: make(map[string]*pendingBatch),
-		applied:        make(map[string]bool),
-	}
-	if cfg.Scheme != nil {
-		s.verifyCache = bls.NewVerifyCache(bls.DefaultVerifyCacheSize)
+		cfg:           cfg,
+		table:         openflow.NewFlowTable(),
+		eventSeq:      uint64(cfg.BootEpoch) << 32,
+		pendingEvents: make(map[matchKey]openflow.MsgID),
+		pools:         make(map[[sha256.Size]byte]*pool),
+		applied:       make(map[string]bool),
 	}
 	if err := s.initMetadata(); err != nil {
 		return nil, err
@@ -312,97 +295,6 @@ func (s *Switch) HandleMessage(from fabric.NodeID, msg fabric.Message) {
 	}
 }
 
-// updateKey builds the pending-map key binding update id and phase.
-func updateKey(id openflow.MsgID, phase uint64) string {
-	return fmt.Sprintf("%s|%d", id, phase)
-}
-
-// handleUpdate processes a per-controller signed update.
-func (s *Switch) handleUpdate(m protocol.MsgUpdate) {
-	key := updateKey(m.UpdateID, m.Phase)
-	if verdict, decided := s.applied[key]; decided {
-		// Re-acknowledge recovery retransmissions (a controller that lost
-		// the ack in a crash is stuck without it); ordinary late quorum
-		// shares stay silent so they do not amplify into ack storms.
-		if m.Resend {
-			s.sendAck(m.UpdateID, verdict)
-		}
-		return
-	}
-	switch s.cfg.Mode {
-	case ModeUnsigned:
-		// Baselines: first copy wins.
-		s.apply(m.UpdateID, m.Phase, m.Mods, true)
-	case ModeThreshold:
-		pu, ok := s.pending[key]
-		if !ok {
-			pu = &pendingUpdate{mods: m.Mods, phase: m.Phase, shares: make(map[uint32][]byte)}
-			s.pending[key] = pu
-		}
-		if m.ShareIndex == 0 {
-			return // malformed share
-		}
-		pu.shares[m.ShareIndex] = m.Share
-		if len(pu.shares) < s.cfg.Quorum {
-			return
-		}
-		// Quorum reached: aggregate and verify (Fig. 6b). A failed
-		// verification (Byzantine shares in the mix) keeps the update
-		// pending: later honest shares can still complete it.
-		s.cfg.Net.Charge(fabric.NodeID(s.cfg.ID),
-			time.Duration(s.cfg.Quorum)*s.cfg.Cost.BLSAggregatePerShare+s.cfg.Cost.BLSVerifyAggregate)
-		if s.cfg.CryptoReal && !s.verifyBypass && !s.verifyShares(m.UpdateID, pu) {
-			s.UpdatesRejected++
-			return
-		}
-		delete(s.pending, key)
-		s.apply(m.UpdateID, m.Phase, pu.mods, true)
-	case ModeAggregated:
-		// Per-share updates are not accepted in aggregated mode; the
-		// aggregator must combine them first.
-		s.UpdatesRejected++
-	}
-}
-
-// verifyShares combines the collected shares and verifies the aggregate
-// against the control plane's threshold public key.
-func (s *Switch) verifyShares(id openflow.MsgID, pu *pendingUpdate) bool {
-	canonical := openflow.CanonicalUpdateBytes(id, pu.phase, pu.mods)
-	shares := make([]bls.SignatureShare, 0, len(pu.shares))
-	for idx, raw := range pu.shares {
-		pt, err := s.cfg.Scheme.Params.ParsePoint(raw)
-		if err != nil {
-			continue
-		}
-		shares = append(shares, bls.SignatureShare{Index: idx, Point: pt})
-	}
-	_, err := s.cfg.Scheme.CombineVerifiedCached(s.verifyCache, s.cfg.GroupKey, canonical, shares)
-	return err == nil
-}
-
-// handleAggUpdate verifies a pre-aggregated signature and applies.
-func (s *Switch) handleAggUpdate(m protocol.MsgAggUpdate) {
-	key := updateKey(m.UpdateID, m.Phase)
-	if verdict, decided := s.applied[key]; decided {
-		if m.Resend {
-			s.sendAck(m.UpdateID, verdict)
-		}
-		return
-	}
-	if s.cfg.Mode == ModeUnsigned {
-		s.apply(m.UpdateID, m.Phase, m.Mods, true)
-		return
-	}
-	s.cfg.Net.Charge(fabric.NodeID(s.cfg.ID), s.cfg.Cost.BLSVerifyAggregate)
-	valid := true
-	if s.cfg.CryptoReal && !s.verifyBypass {
-		canonical := openflow.CanonicalUpdateBytes(m.UpdateID, m.Phase, m.Mods)
-		pt, err := s.cfg.Scheme.Params.ParsePoint(m.Signature)
-		valid = err == nil && s.cfg.Scheme.VerifyCached(s.verifyCache, s.cfg.GroupKey.PK, canonical, bls.Signature{Point: pt})
-	}
-	s.apply(m.UpdateID, m.Phase, m.Mods, valid)
-}
-
 // handleConfig installs a control-plane configuration (membership,
 // quorum, aggregator) after verifying its threshold signature against the
 // group public key, which membership changes never alter.
@@ -415,7 +307,7 @@ func (s *Switch) handleConfig(m protocol.MsgConfig) {
 		if s.cfg.CryptoReal && s.cfg.Scheme != nil {
 			canonical := protocol.ConfigBytes(m.Phase, m.Quorum, m.Members, m.Aggregator)
 			pt, err := s.cfg.Scheme.Params.ParsePoint(m.Signature)
-			if err != nil || !s.cfg.Scheme.VerifyCached(s.verifyCache, s.cfg.GroupKey.PK, canonical, bls.Signature{Point: pt}) {
+			if err != nil || !s.cfg.Scheme.Verify(s.cfg.GroupKey.PK, canonical, bls.Signature{Point: pt}) {
 				s.UpdatesRejected++
 				return
 			}
@@ -430,7 +322,7 @@ func (s *Switch) handleConfig(m protocol.MsgConfig) {
 	s.cfg.Controllers = append([]pki.Identity(nil), m.Members...)
 	// Batch quorum pools from earlier phases can never complete now —
 	// controllers re-sign fresh roots in the new phase and retransmit
-	// cross-phase updates through the legacy per-update path.
+	// cross-phase updates share by share.
 	s.dropStaleBatches(m.Phase)
 	if m.Quorum > 0 {
 		s.cfg.Quorum = m.Quorum

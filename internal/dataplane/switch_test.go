@@ -168,6 +168,58 @@ func TestThresholdRealCryptoAppliesAndAcks(t *testing.T) {
 	}
 }
 
+// TestForgedContentFirstDoesNotPinUpdate: a Byzantine controller races a
+// forged rule to the switch under a real update id. Pools are keyed by the
+// signed bytes, so its share sits alone and the honest shares that follow
+// still install the honest rule. (A pool keyed by update id kept the first
+// arrival's mods and the honest shares never verified against them.)
+func TestForgedContentFirstDoesNotPinUpdate(t *testing.T) {
+	h := newHarness(t, ModeThreshold, true)
+	id := openflow.MsgID{Origin: "e", Seq: 1}
+	forged := mod("hv")
+	forged.Rule.Action.NextHop = "byz/blackhole"
+	h.sw.HandleMessage("c1", h.shareMsg(t, 0, id, forged))
+	for i := 1; i <= 3; i++ {
+		h.sw.HandleMessage(simnet.NodeID(controllerIDs[i]), h.shareMsg(t, i, id, mod("hv")))
+	}
+	if h.sw.UpdatesApplied != 1 {
+		t.Fatalf("honest update not applied: applied=%d rejected=%d pools=%d",
+			h.sw.UpdatesApplied, h.sw.UpdatesRejected, len(h.sw.pools))
+	}
+	if rule, ok := h.sw.Lookup("x", "hv"); !ok || rule.Action.NextHop != "next" {
+		t.Fatalf("installed rule = %v (%v), want the honest next hop", rule, ok)
+	}
+}
+
+// TestJunkUpdateIDsBounded floods the switch with single shares under
+// fresh update ids (opening a pool takes no key). The pool map must stay
+// within its budget, and an update whose first share the flood displaced
+// still completes from the shares that arrive afterwards.
+func TestJunkUpdateIDsBounded(t *testing.T) {
+	h := newHarness(t, ModeThreshold, false)
+	id := openflow.MsgID{Origin: "e", Seq: 1}
+	m := mod("hj")
+	h.sw.HandleMessage("c1", protocol.MsgUpdate{UpdateID: id, Mods: []openflow.FlowMod{m}, ShareIndex: 1})
+	for i := 0; i < 5000; i++ {
+		h.sw.HandleMessage("c4", protocol.MsgUpdate{
+			UpdateID:   openflow.MsgID{Origin: "junk", Seq: uint64(i + 1)},
+			Mods:       []openflow.FlowMod{mod("hj")},
+			ShareIndex: 4,
+		})
+	}
+	if got := len(h.sw.pools); got > maxPendingBatches {
+		t.Fatalf("pool map grew to %d entries, budget is %d", got, maxPendingBatches)
+	}
+	h.sw.HandleMessage("c2", protocol.MsgUpdate{UpdateID: id, Mods: []openflow.FlowMod{m}, ShareIndex: 2})
+	h.sw.HandleMessage("c3", protocol.MsgUpdate{UpdateID: id, Mods: []openflow.FlowMod{m}, ShareIndex: 3})
+	if h.sw.UpdatesApplied != 1 {
+		t.Fatalf("honest quorum after the flood did not complete (applied=%d)", h.sw.UpdatesApplied)
+	}
+	if got := len(h.sw.pools); got > maxPendingBatches {
+		t.Fatalf("pool map at %d entries after the verdict, budget is %d", got, maxPendingBatches)
+	}
+}
+
 func TestThresholdZeroShareIndexIgnored(t *testing.T) {
 	h := newHarness(t, ModeThreshold, false)
 	id := openflow.MsgID{Origin: "e", Seq: 1}

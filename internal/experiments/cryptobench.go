@@ -35,7 +35,7 @@ type CryptoBenchReport struct {
 }
 
 // RunCryptoBench measures the cryptographic hot paths — pairing with and
-// without precomputation, single and batched verification, and threshold
+// without precomputation, share and aggregate verification, and threshold
 // combining at the quorum sizes used by the paper's deployments — on the
 // Fast254 parameter set (the one every simulation and test uses).
 func RunCryptoBench(opt Options) (*CryptoBenchReport, error) {
@@ -105,7 +105,6 @@ func RunCryptoBench(opt Options) (*CryptoBenchReport, error) {
 			hmt := scheme.HashToPoint(msg)
 			measure("sign/share", func() { scheme.SignShareDigest(keyShares[0], hmt) })
 			measure("verify/share", func() { scheme.VerifyShareDigest(gk, hmt, shares[0]) })
-			measure("batch-verify/t=4", func() { scheme.BatchVerifySharesDigest(gk, hmt, shares) })
 			measure("combine-verified/t=4", func() {
 				if _, err := scheme.CombineVerified(gk, msg, shares); err != nil {
 					panic(err)

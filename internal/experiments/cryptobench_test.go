@@ -18,7 +18,7 @@ func TestRunCryptoBench(t *testing.T) {
 	want := []string{
 		"pair", "pair/prepared", "prepare", "scalar-mul", "hash-to-g1",
 		"combine/t=2", "combine/t=4", "combine/t=7",
-		"sign/share", "verify/share", "batch-verify/t=4",
+		"sign/share", "verify/share",
 		"combine-verified/t=4", "verify/aggregate", "verify/cached-hit",
 	}
 	got := make(map[string]CryptoBenchOp, len(report.Ops))

@@ -4,9 +4,9 @@ import "sync/atomic"
 
 // CryptoCounters tracks process-wide totals of expensive cryptographic
 // operations and the effectiveness of the crypto fast paths (pairing
-// precomputation, product-of-pairings verification, batched share checks,
-// and verification/Lagrange caching). Counters are atomic because the
-// per-share verification worker pool updates them concurrently.
+// precomputation, product-of-pairings verification, and
+// verification/Lagrange caching). Counters are atomic because the nodes of
+// a live deployment update them from their own goroutines.
 //
 // They meter real work only: simulated virtual time is charged separately
 // by the protocol cost model (internal/protocol.CostModel) and is never
@@ -27,11 +27,8 @@ type CryptoCounters struct {
 	// ShareVerifies counts per-share pairing checks (the culprit
 	// identification fallback).
 	ShareVerifies atomic.Uint64
-	// BatchVerifies counts random-linear-combination share batches (one
-	// pairing product regardless of batch size).
-	BatchVerifies atomic.Uint64
-	// VerifyCacheHits/Misses meter the per-node LRU of verified
-	// (message digest, signature) pairs.
+	// VerifyCacheHits/Misses meter the LRUs of verified (message digest,
+	// signature) pairs.
 	VerifyCacheHits   atomic.Uint64
 	VerifyCacheMisses atomic.Uint64
 	// LagrangeCacheHits/Misses meter memoized Lagrange coefficient sets
@@ -55,7 +52,6 @@ func (c *CryptoCounters) Snapshot() map[string]uint64 {
 		"pairing_products":      c.PairingProducts.Load(),
 		"point_prepares":        c.PointPrepares.Load(),
 		"share_verifies":        c.ShareVerifies.Load(),
-		"batch_verifies":        c.BatchVerifies.Load(),
 		"verify_cache_hits":     c.VerifyCacheHits.Load(),
 		"verify_cache_misses":   c.VerifyCacheMisses.Load(),
 		"lagrange_cache_hits":   c.LagrangeCacheHits.Load(),
@@ -71,7 +67,6 @@ func (c *CryptoCounters) Reset() {
 	c.PairingProducts.Store(0)
 	c.PointPrepares.Store(0)
 	c.ShareVerifies.Store(0)
-	c.BatchVerifies.Store(0)
 	c.VerifyCacheHits.Store(0)
 	c.VerifyCacheMisses.Store(0)
 	c.LagrangeCacheHits.Store(0)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sort"
 	"sync"
 
 	"cicero/internal/metrics"
@@ -275,10 +276,9 @@ func (s *Scheme) Combine(gk *GroupKey, shares []SignatureShare) (Signature, erro
 // the optimistic combine even when every share is honest), then combined
 // optimistically and checked against the group key — one product pairing
 // in the common all-honest case. On failure, invalid shares are identified
-// with FilterVerifiedShares (batched random-linear-combination check, then
-// per-share culprit identification) and the survivors are recombined. This
-// mirrors the robust combine used on switches/aggregators facing
-// potentially Byzantine controllers.
+// with FilterVerifiedShares (one check per share) and the survivors are
+// recombined. This is the robust combine switches and aggregators run
+// against potentially Byzantine controllers.
 func (s *Scheme) CombineVerified(gk *GroupKey, msg []byte, shares []SignatureShare) (Signature, error) {
 	hm := s.HashToPoint(msg)
 	deduped := dedupeShares(shares)
@@ -302,6 +302,22 @@ func (s *Scheme) CombineVerified(gk *GroupKey, msg []byte, shares []SignatureSha
 		return Signature{}, ErrInvalidShare
 	}
 	return sig, nil
+}
+
+// ParseShares decodes a quorum pool — wire-encoded signature shares by
+// share index, where a later share for an index has overwritten the
+// earlier one — into shares CombineVerified accepts. Encodings that are
+// not points of G1 are dropped; the result is in index order, so which
+// shares an over-full pool combines does not depend on map iteration.
+func (s *Scheme) ParseShares(pool map[uint32][]byte) []SignatureShare {
+	shares := make([]SignatureShare, 0, len(pool))
+	for idx, raw := range pool {
+		if pt, err := s.Params.ParsePoint(raw); err == nil {
+			shares = append(shares, SignatureShare{Index: idx, Point: pt})
+		}
+	}
+	sort.Slice(shares, func(i, j int) bool { return shares[i].Index < shares[j].Index })
+	return shares
 }
 
 // dedupeShares drops shares whose index was already seen, keeping first

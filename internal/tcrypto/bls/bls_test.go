@@ -154,6 +154,29 @@ func TestCombineVerifiedFiltersBadShares(t *testing.T) {
 	}
 }
 
+// TestParseSharesDropsGarbageInIndexOrder feeds ParseShares a wire pool
+// with an unparsable entry; the rest must come back in index order and
+// combine into the group signature.
+func TestParseSharesDropsGarbageInIndexOrder(t *testing.T) {
+	s := testScheme()
+	gk, shares, err := s.Deal(rand.Reader, 2, 4)
+	if err != nil {
+		t.Fatalf("Deal: %v", err)
+	}
+	msg := []byte("update u10")
+	pool := map[uint32][]byte{2: []byte("not a point")}
+	for _, i := range []int{3, 0, 2} {
+		pool[shares[i].Index] = s.Params.PointBytes(s.SignShare(shares[i], msg).Point)
+	}
+	got := s.ParseShares(pool)
+	if len(got) != 3 || got[0].Index != 1 || got[1].Index != 3 || got[2].Index != 4 {
+		t.Fatalf("parsed %v, want indices 1, 3, 4", got)
+	}
+	if _, err := s.CombineVerified(gk, msg, got); err != nil {
+		t.Fatalf("CombineVerified over the parsed pool: %v", err)
+	}
+}
+
 func TestSharePublicKeyMatchesScalar(t *testing.T) {
 	s := testScheme()
 	gk, shares, err := s.Deal(rand.Reader, 2, 3)

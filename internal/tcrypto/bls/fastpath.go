@@ -4,17 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
-	"runtime"
-	"sync"
 
 	"cicero/internal/metrics"
 	"cicero/internal/tcrypto/pairing"
 	"cicero/internal/tcrypto/shamir"
 )
 
-// Verification fast paths: prepared-pairing caches, memoized Lagrange
-// coefficient sets, random-linear-combination batch verification of
-// signature shares, and a bounded worker pool for per-share culprit
+// Verification fast paths: prepared-pairing caches, memoized share
+// verification keys and Lagrange coefficient sets, and per-share culprit
 // identification. Everything here changes only real (wall-clock) cost;
 // protocol-visible behavior — which shares are accepted, which signature
 // is produced — is bit-for-bit identical to the naive algorithms, so
@@ -116,110 +113,18 @@ func (s *Scheme) lagrangeSet(indices []uint32) ([]*big.Int, error) {
 	return set, nil
 }
 
-// BatchVerifySharesDigest checks a whole pool of signature shares with two
-// multi-scalar multiplications and a single product pairing, independent
-// of the pool size: for Fiat–Shamir coefficients c_i it tests
-//
-//	e(G, Σ c_i·σ_i) · e(Σ c_i·vk_i, −H(m)) == 1,
-//
-// which holds iff e(G, σ_i) == e(vk_i, H(m)) for every i, except with
-// probability ~2^{-|r|} over the coefficient choice. Coefficients are
-// derived deterministically from a transcript hash of the group key, the
-// message point, and every share — sound against adversaries who choose
-// shares first, and reproducible run-to-run so simulations stay
-// deterministic. Returns false if any share is structurally invalid
-// (index zero or infinite point).
-func (s *Scheme) BatchVerifySharesDigest(gk *GroupKey, hm *pairing.Point, shares []SignatureShare) bool {
-	if len(shares) == 0 {
-		return true
-	}
-	metrics.Crypto.BatchVerifies.Add(1)
-	transcript := sha256.New()
-	transcript.Write([]byte("cicero/bls/batch-verify/v1"))
-	d := s.groupKeyDigest(gk)
-	transcript.Write(d[:])
-	transcript.Write(s.Params.PointBytes(hm))
-	for _, sh := range shares {
-		if sh.Index == 0 || sh.Point.IsInfinity() {
-			return false
-		}
-		var idx [4]byte
-		binary.BigEndian.PutUint32(idx[:], sh.Index)
-		transcript.Write(idx[:])
-		transcript.Write(s.Params.PointBytes(sh.Point))
-	}
-	seed := transcript.Sum(nil)
-	sigPoints := make([]*pairing.Point, len(shares))
-	vkPoints := make([]*pairing.Point, len(shares))
-	coeffs := make([]*big.Int, len(shares))
-	for i, sh := range shares {
-		var pos [4]byte
-		binary.BigEndian.PutUint32(pos[:], uint32(i))
-		coeffs[i] = s.Params.HashToScalar(append(append([]byte{}, seed...), pos[:]...))
-		sigPoints[i] = sh.Point
-		vkPoints[i] = s.SharePublicKey(gk, sh.Index)
-	}
-	aggSig := s.Params.MultiScalarMul(sigPoints, coeffs)
-	aggVK := s.Params.MultiScalarMul(vkPoints, coeffs)
-	return s.Params.PairProduct(
-		pairing.ProductTerm{Prep: s.preparedG(), B: aggSig},
-		pairing.ProductTerm{A: aggVK, B: s.Params.Neg(hm)},
-	).IsOne()
-}
-
 // FilterVerifiedShares returns the subset of shares that verify against
-// the group key for the given message point, preserving order. The happy
-// path accepts the whole pool with one batched check (O(1) pairings in the
-// pool size); only when the batch fails does it fall back to per-share
-// checks — parallelized across cores — to identify the culprits.
+// the group key for the given message point, preserving order. It is the
+// culprit identification behind CombineVerified, reached only once an
+// aggregate over the pool has already failed — so some share IS bad and a
+// batched all-or-nothing check could never pass — and quorum pools hold at
+// most n shares, so a plain loop is all it takes.
 func (s *Scheme) FilterVerifiedShares(gk *GroupKey, hm *pairing.Point, shares []SignatureShare) []SignatureShare {
-	if s.BatchVerifySharesDigest(gk, hm, shares) {
-		return shares
-	}
-	ok := s.verifySharesParallel(gk, hm, shares)
 	valid := make([]SignatureShare, 0, len(shares))
-	for i, sh := range shares {
-		if ok[i] {
+	for _, sh := range shares {
+		if s.VerifyShareDigest(gk, hm, sh) {
 			valid = append(valid, sh)
 		}
 	}
 	return valid
-}
-
-// verifySharesParallel runs per-share verification on a bounded worker
-// pool and returns positional verdicts. Parallelism here spends real CPU
-// only — simulated time is charged separately by the protocol cost model,
-// so worker count cannot perturb experiment results.
-func (s *Scheme) verifySharesParallel(gk *GroupKey, hm *pairing.Point, shares []SignatureShare) []bool {
-	ok := make([]bool, len(shares))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(shares) {
-		workers = len(shares)
-	}
-	if workers <= 1 {
-		for i, sh := range shares {
-			ok[i] = s.VerifyShareDigest(gk, hm, sh)
-		}
-		return ok
-	}
-	// Derive every verification key up front: the first access per index
-	// populates the shared cache under the scheme mutex, and warming it
-	// serially keeps the workers free of lock contention.
-	for _, sh := range shares {
-		if sh.Index != 0 {
-			s.SharePublicKey(gk, sh.Index)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < len(shares); i += workers {
-				ok[i] = s.VerifyShareDigest(gk, hm, shares[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	return ok
 }

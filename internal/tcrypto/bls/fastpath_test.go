@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"sync"
 	"testing"
 
 	"cicero/internal/metrics"
@@ -24,23 +25,10 @@ func dealShares(t *testing.T, s *Scheme, threshold, n int, msg []byte) (*GroupKe
 	return gk, sigShares
 }
 
-func TestBatchVerifySharesAcceptsHonest(t *testing.T) {
-	s := testScheme()
-	msg := []byte("batch/honest")
-	gk, shares := dealShares(t, s, 3, 5, msg)
-	hm := s.HashToPoint(msg)
-	if !s.BatchVerifySharesDigest(gk, hm, shares) {
-		t.Fatal("batch verification rejected all-honest share pool")
-	}
-	if s.BatchVerifySharesDigest(gk, s.HashToPoint([]byte("other")), shares) {
-		t.Fatal("batch verification accepted shares for the wrong message")
-	}
-}
-
-// TestBatchVerifyRejectsForgedShare is the adversarial soundness test: a
-// pool containing one forged share must fail the batched check, and the
-// per-share fallback must identify exactly the culprit index.
-func TestBatchVerifyRejectsForgedShare(t *testing.T) {
+// TestFilterVerifiedSharesDropsForgedShare is the adversarial soundness
+// test: from a pool containing one forged share, culprit identification
+// must drop exactly the culprit index.
+func TestFilterVerifiedSharesDropsForgedShare(t *testing.T) {
 	s := testScheme()
 	msg := []byte("batch/adversarial")
 	gk, shares := dealShares(t, s, 3, 5, msg)
@@ -67,9 +55,6 @@ func TestBatchVerifyRejectsForgedShare(t *testing.T) {
 		pool := make([]SignatureShare, len(shares))
 		copy(pool, shares)
 		forge.mutate(pool)
-		if s.BatchVerifySharesDigest(gk, hm, pool) {
-			t.Fatalf("%s: batch verification accepted a forged share", forge.name)
-		}
 		valid := s.FilterVerifiedShares(gk, hm, pool)
 		if len(valid) != len(pool)-1 {
 			t.Fatalf("%s: expected %d surviving shares, got %d", forge.name, len(pool)-1, len(valid))
@@ -82,48 +67,20 @@ func TestBatchVerifyRejectsForgedShare(t *testing.T) {
 	}
 }
 
-func TestBatchVerifyStructurallyInvalidShares(t *testing.T) {
+func TestFilterVerifiedSharesDropsStructurallyInvalid(t *testing.T) {
 	s := testScheme()
-	msg := []byte("batch/structural")
+	msg := []byte("filter/structural")
 	gk, shares := dealShares(t, s, 2, 3, msg)
 	hm := s.HashToPoint(msg)
 	bad := append([]SignatureShare{}, shares...)
 	bad[0].Point = pairing.Infinity()
-	if s.BatchVerifySharesDigest(gk, hm, bad) {
-		t.Fatal("batch verification accepted an infinity share")
-	}
-	bad = append([]SignatureShare{}, shares...)
 	bad[1].Index = 0
-	if s.BatchVerifySharesDigest(gk, hm, bad) {
-		t.Fatal("batch verification accepted a zero-index share")
+	valid := s.FilterVerifiedShares(gk, hm, bad)
+	if len(valid) != 1 || valid[0].Index != shares[2].Index {
+		t.Fatalf("infinity and zero-index shares must be dropped, kept %v", valid)
 	}
-	if !s.BatchVerifySharesDigest(gk, hm, nil) {
-		t.Fatal("empty pool must batch-verify trivially")
-	}
-}
-
-// TestBatchVerifyPairingCountConstant pins the O(1)-pairings property:
-// the happy-path batched check performs the same number of pairing
-// operations regardless of the pool size.
-func TestBatchVerifyPairingCountConstant(t *testing.T) {
-	msg := []byte("batch/constant")
-	pairingsFor := func(threshold, n int) uint64 {
-		s := testScheme()
-		gk, shares := dealShares(t, s, threshold, n, msg)
-		hm := s.HashToPoint(msg)
-		before := metrics.Crypto.Pairings.Load() + metrics.Crypto.PairingProducts.Load()
-		if !s.BatchVerifySharesDigest(gk, hm, shares) {
-			t.Fatalf("(t=%d, n=%d): honest pool rejected", threshold, n)
-		}
-		return metrics.Crypto.Pairings.Load() + metrics.Crypto.PairingProducts.Load() - before
-	}
-	small := pairingsFor(2, 3)
-	large := pairingsFor(7, 10)
-	if small != large {
-		t.Fatalf("pairing count grew with pool size: %d at n=3 vs %d at n=10", small, large)
-	}
-	if small == 0 {
-		t.Fatal("batched verification performed no pairing work")
+	if got := s.FilterVerifiedShares(gk, hm, nil); len(got) != 0 {
+		t.Fatalf("empty pool filtered to %d shares", len(got))
 	}
 }
 
@@ -137,7 +94,6 @@ func TestCombineVerifiedDedupesBeforeCombine(t *testing.T) {
 	// Retransmission-shaped pool: share 1 delivered twice.
 	pool := []SignatureShare{shares[0], shares[0], shares[1], shares[2]}
 	beforeShare := metrics.Crypto.ShareVerifies.Load()
-	beforeBatch := metrics.Crypto.BatchVerifies.Load()
 	sig, err := s.CombineVerified(gk, msg, pool)
 	if err != nil {
 		t.Fatalf("CombineVerified with duplicate share: %v", err)
@@ -148,11 +104,12 @@ func TestCombineVerifiedDedupesBeforeCombine(t *testing.T) {
 	if d := metrics.Crypto.ShareVerifies.Load() - beforeShare; d != 0 {
 		t.Fatalf("duplicate share forced %d per-share verifications; want 0", d)
 	}
-	if d := metrics.Crypto.BatchVerifies.Load() - beforeBatch; d != 0 {
-		t.Fatalf("duplicate share forced %d batched verifications; want 0", d)
-	}
 }
 
+// TestFilterVerifiedSharesParallelMatchesSerial runs culprit
+// identification from several goroutines on one Scheme (every node of an
+// in-process deployment shares it, memoized verification keys included);
+// each must reach the per-share verdicts a serial pass computes.
 func TestFilterVerifiedSharesParallelMatchesSerial(t *testing.T) {
 	s := testScheme()
 	msg := []byte("filter/parallel")
@@ -161,18 +118,33 @@ func TestFilterVerifiedSharesParallelMatchesSerial(t *testing.T) {
 	pool := append([]SignatureShare{}, shares...)
 	pool[1].Point = s.Params.Add(pool[1].Point, s.Params.G)
 	pool[5].Point = s.Params.ScalarBaseMul(big3())
-	want := make(map[uint32]bool)
+	var wg sync.WaitGroup
+	got := make([][]SignatureShare, 4)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = s.FilterVerifiedShares(gk, hm, pool)
+		}(g)
+	}
+	wg.Wait()
+	var want []uint32
 	for _, sh := range pool {
-		want[sh.Index] = s.VerifyShareDigest(gk, hm, sh)
+		if s.VerifyShareDigest(gk, hm, sh) {
+			want = append(want, sh.Index)
+		}
 	}
-	valid := s.FilterVerifiedShares(gk, hm, pool)
-	got := make(map[uint32]bool)
-	for _, sh := range valid {
-		got[sh.Index] = true
+	if len(want) != len(pool)-2 {
+		t.Fatalf("serial pass kept %d of %d shares, want %d", len(want), len(pool), len(pool)-2)
 	}
-	for idx, ok := range want {
-		if got[idx] != ok {
-			t.Fatalf("index %d: parallel filter verdict %v, serial %v", idx, got[idx], ok)
+	for g, valid := range got {
+		if len(valid) != len(want) {
+			t.Fatalf("goroutine %d kept %d shares, serial pass %d", g, len(valid), len(want))
+		}
+		for i, sh := range valid {
+			if sh.Index != want[i] {
+				t.Fatalf("goroutine %d: share %d has index %d, serial pass %d", g, i, sh.Index, want[i])
+			}
 		}
 	}
 }
@@ -253,35 +225,6 @@ func TestVerifyCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCombineVerifiedCached(t *testing.T) {
-	s := testScheme()
-	msg := []byte("combine/cached")
-	gk, shares := dealShares(t, s, 3, 4, msg)
-	cache := NewVerifyCache(8)
-	ref, err := s.CombineVerifiedCached(cache, gk, msg, shares[:3])
-	if err != nil {
-		t.Fatalf("CombineVerifiedCached (miss): %v", err)
-	}
-	// A hit must return the identical signature with zero pairing work,
-	// even from a different (honest) share subset.
-	before := metrics.Crypto.PairingProducts.Load() + metrics.Crypto.Pairings.Load()
-	again, err := s.CombineVerifiedCached(cache, gk, msg, shares[1:4])
-	if err != nil {
-		t.Fatalf("CombineVerifiedCached (hit): %v", err)
-	}
-	if !again.Point.Equal(ref.Point) {
-		t.Fatal("cached combine returned a different signature")
-	}
-	if metrics.Crypto.PairingProducts.Load()+metrics.Crypto.Pairings.Load() != before {
-		t.Fatal("cache hit still performed pairing work")
-	}
-	// nil cache degrades to plain CombineVerified.
-	sig, err := s.CombineVerifiedCached(nil, gk, msg, shares[:3])
-	if err != nil || !sig.Point.Equal(ref.Point) {
-		t.Fatalf("nil-cache combine: sig mismatch or err %v", err)
-	}
-}
-
 func TestSharePublicKeyCached(t *testing.T) {
 	s := testScheme()
 	gk, keyShares, err := s.Deal(rand.Reader, 3, 4)
@@ -339,25 +282,6 @@ func BenchmarkCombineVerifiedT4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.CombineVerified(gk, msg, shares); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBatchVerifySharesT4(b *testing.B) {
-	s := testScheme()
-	msg := []byte("bench/batch")
-	gk, keyShares, _ := s.Deal(rand.Reader, 4, 5)
-	shares := make([]SignatureShare, 4)
-	for i := 0; i < 4; i++ {
-		shares[i] = s.SignShare(keyShares[i], msg)
-	}
-	hm := s.HashToPoint(msg)
-	s.BatchVerifySharesDigest(gk, hm, shares) // warm VK cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !s.BatchVerifySharesDigest(gk, hm, shares) {
-			b.Fatal("batch verify failed")
 		}
 	}
 }

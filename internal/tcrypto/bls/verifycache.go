@@ -17,9 +17,10 @@ import (
 // means forged. Both directions skip the pairing entirely. Uniqueness
 // holds among points of G1, which is all pairing.ParsePoint lets in.
 //
-// Switches and controllers see the same (configuration, signature) pair
-// many times — retransmissions, per-port fan-out of one update, repeated
-// acks — which is what makes the cache pay for itself.
+// The one holder left is metarepo.Store (root envelopes). Switches and
+// controllers used to keep one each; on every benchmark workload and chaos
+// campaign those read zero hits, because their own latches already stop a
+// message from being verified twice (DESIGN.md §6).
 type VerifyCache struct {
 	mu  sync.Mutex
 	cap int
@@ -27,21 +28,14 @@ type VerifyCache struct {
 	m   map[[sha256.Size]byte]*list.Element
 }
 
-// DefaultVerifyCacheSize is the per-node entry cap used when callers pass
-// a non-positive capacity.
-const DefaultVerifyCacheSize = 256
-
 type verifyEntry struct {
 	key [sha256.Size]byte
 	sig *pairing.Point // the verified signature (points are immutable)
 }
 
 // NewVerifyCache returns an LRU holding at most capacity verified
-// signatures; capacity <= 0 selects DefaultVerifyCacheSize.
+// signatures.
 func NewVerifyCache(capacity int) *VerifyCache {
-	if capacity <= 0 {
-		capacity = DefaultVerifyCacheSize
-	}
 	return &VerifyCache{
 		cap: capacity,
 		ll:  list.New(),
@@ -120,25 +114,4 @@ func (s *Scheme) VerifyCached(cache *VerifyCache, pk PublicKey, msg []byte, sig 
 	}
 	cache.store(key, sig.Point)
 	return true
-}
-
-// CombineVerifiedCached is CombineVerified with memoization through cache:
-// a hit returns the previously verified group signature with zero curve
-// or pairing work. A nil cache degrades to plain CombineVerified.
-func (s *Scheme) CombineVerifiedCached(cache *VerifyCache, gk *GroupKey, msg []byte, shares []SignatureShare) (Signature, error) {
-	if cache == nil {
-		return s.CombineVerified(gk, msg, shares)
-	}
-	key := cache.cacheKey(s, gk.PK.Point, msg)
-	if cached, ok := cache.lookup(key); ok {
-		metrics.Crypto.VerifyCacheHits.Add(1)
-		return Signature{Point: cached}, nil
-	}
-	metrics.Crypto.VerifyCacheMisses.Add(1)
-	sig, err := s.CombineVerified(gk, msg, shares)
-	if err != nil {
-		return Signature{}, err
-	}
-	cache.store(key, sig.Point)
-	return sig, nil
 }
