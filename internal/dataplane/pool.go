@@ -72,8 +72,7 @@ type member struct {
 // pool collects the share quorum over one signed byte string and the
 // updates that wait on it.
 type pool struct {
-	signed []byte // what the shares sign
-	phase  uint64
+	phase uint64
 	// batch marks a batch root's pool: it outlives its verdict so later
 	// members ride the verified latch, and releases a member only with a
 	// sender quorum. A per-update pool holds its one update, releases it
@@ -227,7 +226,6 @@ func (s *Switch) collect(signed []byte, batch bool, key string, m protocol.MsgBa
 		s.evictOldestPool(false)
 		s.poolSeq++
 		p = &pool{
-			signed:  signed,
 			phase:   m.Phase,
 			batch:   batch,
 			shares:  make(map[uint32][]byte),
@@ -255,7 +253,7 @@ func (s *Switch) collect(signed []byte, batch bool, key string, m protocol.MsgBa
 		s.cfg.Net.Charge(fabric.NodeID(s.cfg.ID),
 			time.Duration(s.cfg.Quorum)*s.cfg.Cost.BLSAggregatePerShare+s.cfg.Cost.BLSVerifyAggregate)
 		if s.cfg.CryptoReal && !s.verifyBypass {
-			if _, err := s.cfg.Scheme.CombineVerified(s.cfg.GroupKey, p.signed, s.cfg.Scheme.ParseShares(p.shares)); err != nil {
+			if _, err := s.cfg.Scheme.CombineVerified(s.cfg.GroupKey, signed, s.cfg.Scheme.ParseShares(p.shares)); err != nil {
 				s.UpdatesRejected++
 				return
 			}

@@ -116,9 +116,8 @@ func (s *Scheme) lagrangeSet(indices []uint32) ([]*big.Int, error) {
 // FilterVerifiedShares returns the subset of shares that verify against
 // the group key for the given message point, preserving order. It is the
 // culprit identification behind CombineVerified, reached only once an
-// aggregate over the pool has already failed — so some share IS bad and a
-// batched all-or-nothing check could never pass — and quorum pools hold at
-// most n shares, so a plain loop is all it takes.
+// aggregate over the pool has already failed, so some share IS bad; quorum
+// pools hold at most n shares, one check each.
 func (s *Scheme) FilterVerifiedShares(gk *GroupKey, hm *pairing.Point, shares []SignatureShare) []SignatureShare {
 	valid := make([]SignatureShare, 0, len(shares))
 	for _, sh := range shares {

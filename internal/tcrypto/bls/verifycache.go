@@ -17,10 +17,9 @@ import (
 // means forged. Both directions skip the pairing entirely. Uniqueness
 // holds among points of G1, which is all pairing.ParsePoint lets in.
 //
-// The one holder left is metarepo.Store (root envelopes). Switches and
-// controllers used to keep one each; on every benchmark workload and chaos
-// campaign those read zero hits, because their own latches already stop a
-// message from being verified twice (DESIGN.md §6).
+// metarepo.Store holds one for root envelopes. Switches and controllers
+// do not: their own latches (applied, a pool's verified flag, the config
+// phase) already stop a message from being verified twice (DESIGN.md §6).
 type VerifyCache struct {
 	mu  sync.Mutex
 	cap int
