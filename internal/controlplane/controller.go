@@ -446,9 +446,13 @@ func (c *Controller) HandleMessage(from fabric.NodeID, msg fabric.Message) {
 	case protocol.MsgHeartbeat:
 		c.lastSeen[m.From] = c.cfg.Net.Now()
 	case protocol.MsgReshareDeal:
-		c.handleReshareDeal(m)
+		if m.Deal != nil && c.sentByDealer(from, m.Deal.Dealer) {
+			c.handleReshareDeal(m)
+		}
 	case protocol.MsgReshareSub:
-		c.handleReshareSub(m)
+		if c.sentByDealer(from, m.Sub.Dealer) {
+			c.handleReshareSub(m)
+		}
 	case protocol.MsgStateTransfer:
 		c.handleStateTransfer(m)
 	case protocol.MsgRecoverRequest:
@@ -896,12 +900,15 @@ func (c *Controller) PushConfig() {
 }
 
 // handleConfigShare collects config shares at the leader and pushes the
-// combined configuration to switches once a quorum signs it. Shares from
-// a phase this controller has not reached yet are buffered (peers may
-// finish a reshare slightly earlier).
+// combined configuration to switches once a quorum signs it. Shares for
+// the next phase are held (peers may finish a reshare slightly earlier),
+// one per share index of the membership that phase can have; later phases
+// are not.
 func (c *Controller) handleConfigShare(m protocol.MsgConfigShare) {
 	if m.Phase > c.phase {
-		c.earlyConfig = append(c.earlyConfig, m)
+		if m.Phase == c.phase+1 && m.ShareIndex >= 1 && int(m.ShareIndex) <= len(c.members)+1 {
+			c.earlyConfig = holdOne(c.earlyConfig, m, func(s protocol.MsgConfigShare) uint32 { return s.ShareIndex })
+		}
 		return
 	}
 	if len(c.members) == 0 || c.members[0] != c.cfg.ID || m.Phase != c.phase {

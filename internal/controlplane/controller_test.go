@@ -178,31 +178,7 @@ func TestSplitNonEmpty(t *testing.T) {
 }
 
 func TestRequestAddControllerGuards(t *testing.T) {
-	sim := simnet.NewSimulator(1)
-	net := simnet.NewNetwork(sim, time.Millisecond)
-	dir := pki.NewDirectory()
-	g := lineGraph(t)
-	scheme := bls.NewScheme(pairing.Fast254())
-	gk, shares, err := dkg.Run(scheme, rand.Reader, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := []pki.Identity{"c1", "c2", "c3", "c4"}
-	ctls := make([]*Controller, len(members))
-	for i, id := range members {
-		keys, _ := pki.NewKeyPair(rand.Reader, id)
-		dir.MustRegister(keys)
-		c, err := New(Config{
-			ID: id, Members: members, Net: net, Keys: keys, Directory: dir,
-			Protocol: ProtoCicero, Scheme: scheme, GroupKey: gk, Share: shares[i],
-			App: &routing.ShortestPath{Graph: g}, Sched: scheduler.ReversePath{},
-			Bootstrap: i == 0,
-		})
-		if err != nil {
-			t.Fatalf("New(%s): %v", id, err)
-		}
-		ctls[i] = c
-	}
+	ctls := newReshareFixture(t).ctls
 	// Non-bootstrap members may not initiate additions.
 	if err := ctls[1].RequestAddController("c5"); err == nil {
 		t.Error("non-bootstrap addition accepted")

@@ -44,10 +44,10 @@ type changeState struct {
 	subsGot    map[uint32]bool
 	myNewIndex uint32
 
-	// pendingSubs holds sub-shares that overtook their dealer's deal on
-	// the wire (per-message jitter reorders them); they replay once the
-	// deal arrives.
-	pendingSubs map[uint32][]protocol.MsgReshareSub
+	// pendingSubs holds the sub-share that overtook its dealer's deal on
+	// the wire (per-message jitter reorders them), one per dealer; it
+	// replays once the deal arrives.
+	pendingSubs map[uint32]protocol.MsgReshareSub
 
 	queued    []protocol.Event
 	futureBFT []bufferedBFT
@@ -141,7 +141,7 @@ func (c *Controller) onMembershipDelivered(mc protocol.MembershipChange) {
 		dealerSet:   dealerSet,
 		dealsGot:    make(map[uint32]bool),
 		subsGot:     make(map[uint32]bool),
-		pendingSubs: make(map[uint32][]protocol.MsgReshareSub),
+		pendingSubs: make(map[uint32]protocol.MsgReshareSub),
 	}
 	c.change = st
 
@@ -218,42 +218,81 @@ func (c *Controller) dealReshare(st *changeState) {
 	}
 }
 
-// earlyReshare buffers reshare traffic that raced ahead of the local
-// membership-change delivery (or of the joiner's state transfer).
+// earlyReshare holds reshare traffic that raced ahead of the local
+// membership-change delivery (or of the joiner's state transfer): at most
+// one deal and one sub-share per dealer, so no more than the membership
+// size however much arrives.
 type earlyReshare struct {
 	deals []protocol.MsgReshareDeal
 	subs  []protocol.MsgReshareSub
 }
 
-// handleReshareDeal validates and records a dealer's broadcast.
+// holdOne keeps m in an early buffer, in place of the entry with the same
+// key if there is one: the buffers hold one message per dealer (reshare)
+// or share index (config), in arrival order.
+func holdOne[T any](held []T, m T, key func(T) uint32) []T {
+	for i := range held {
+		if key(held[i]) == key(m) {
+			held[i] = m
+			return held
+		}
+	}
+	return append(held, m)
+}
+
+// sentByDealer reports whether from is the old-group member holding share
+// index dealer — the only sender whose deal or sub-share under that index
+// is looked at. Dealer indices are membership slots (1-based), before and
+// after every reshare.
+func (c *Controller) sentByDealer(from fabric.NodeID, dealer uint32) bool {
+	return dealer >= 1 && int(dealer) <= len(c.members) && fabric.NodeID(c.members[dealer-1]) == from
+}
+
+// holdsEarly reports whether reshare traffic for phase may wait in the
+// early buffer: it belongs to the change right after this controller's
+// phase, which its broadcast has yet to deliver. A controller outside the
+// membership — a joiner before its state transfer — does not know the
+// phase and holds whatever its dealers send.
+func (c *Controller) holdsEarly(phase uint64) bool {
+	return phase == c.phase+1 || c.memberSlot(c.cfg.ID) < 0
+}
+
+// handleReshareDeal validates and records a dealer's broadcast (the
+// sender was checked against the dealer index in HandleMessage).
 func (c *Controller) handleReshareDeal(m protocol.MsgReshareDeal) {
-	st := c.change
-	if st == nil || st.receiver == nil || m.Phase != st.newPhase {
-		c.early.deals = append(c.early.deals, m)
+	if m.Deal == nil {
 		return
 	}
-	if m.Deal == nil || st.dealsGot[m.Deal.Dealer] {
+	st := c.change
+	if st == nil || st.receiver == nil || m.Phase != st.newPhase {
+		if c.holdsEarly(m.Phase) {
+			c.early.deals = holdOne(c.early.deals, m, func(d protocol.MsgReshareDeal) uint32 { return d.Deal.Dealer })
+		}
+		return
+	}
+	if st.dealsGot[m.Deal.Dealer] {
 		return
 	}
 	if err := st.receiver.HandleDeal(m.Deal); err != nil {
 		return // Byzantine dealer: its deal is ignored (complaint flow)
 	}
 	st.dealsGot[m.Deal.Dealer] = true
-	// Replay sub-shares that overtook this deal.
-	if pend := st.pendingSubs[m.Deal.Dealer]; len(pend) > 0 {
+	// Replay the sub-share that overtook this deal.
+	if sub, ok := st.pendingSubs[m.Deal.Dealer]; ok {
 		delete(st.pendingSubs, m.Deal.Dealer)
-		for _, sub := range pend {
-			c.handleReshareSub(sub)
-		}
+		c.handleReshareSub(sub)
 	}
 	c.tryFinishChange()
 }
 
-// handleReshareSub validates and records a dealer's private sub-share.
+// handleReshareSub validates and records a dealer's private sub-share
+// (the sender was checked against the dealer index in HandleMessage).
 func (c *Controller) handleReshareSub(m protocol.MsgReshareSub) {
 	st := c.change
 	if st == nil || st.receiver == nil || m.Phase != st.newPhase {
-		c.early.subs = append(c.early.subs, m)
+		if c.holdsEarly(m.Phase) {
+			c.early.subs = holdOne(c.early.subs, m, func(s protocol.MsgReshareSub) uint32 { return s.Sub.Dealer })
+		}
 		return
 	}
 	if st.subsGot[m.Sub.Dealer] {
@@ -263,7 +302,7 @@ func (c *Controller) handleReshareSub(m protocol.MsgReshareSub) {
 	// jitter); the receiver cannot verify it yet, so hold it until the
 	// deal lands rather than dropping it and stalling the reshare.
 	if !st.dealsGot[m.Sub.Dealer] {
-		st.pendingSubs[m.Sub.Dealer] = append(st.pendingSubs[m.Sub.Dealer], m)
+		st.pendingSubs[m.Sub.Dealer] = m
 		return
 	}
 	if err := st.receiver.HandleSubShare(m.Sub); err != nil {
@@ -441,7 +480,7 @@ func (c *Controller) handleStateTransfer(m protocol.MsgStateTransfer) {
 		dealerSet:   dealerSet,
 		dealsGot:    make(map[uint32]bool),
 		subsGot:     make(map[uint32]bool),
-		pendingSubs: make(map[uint32][]protocol.MsgReshareSub),
+		pendingSubs: make(map[uint32]protocol.MsgReshareSub),
 	}
 	for i, mem := range st.newMembers {
 		if mem == c.cfg.ID {

@@ -39,6 +39,9 @@ import (
 // transport layer stays below the protocol vocabulary.
 type Codec interface {
 	Encode(msg fabric.Message) ([]byte, error)
+	// AppendEncode appends msg's encoding to dst: the TCP backend encodes
+	// straight behind its frame header.
+	AppendEncode(dst []byte, msg fabric.Message) ([]byte, error)
 	Decode(data []byte) (fabric.Message, error)
 }
 

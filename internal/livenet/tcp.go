@@ -265,17 +265,8 @@ func (t *TCP) SendErr(from, to fabric.NodeID, msg fabric.Message, size int) erro
 	if err != nil {
 		return err
 	}
-	data, err := t.codec.Encode(msg)
+	frame, err := t.buildFrame(from, msg)
 	if err != nil {
-		t.st.droppedUnknown.Add(1)
-		return ErrEncode
-	}
-	var clock uint64
-	if t.clock != nil {
-		clock = t.clock.Tick()
-	}
-	frame := buildFrame(from, data, clock)
-	if len(frame)-4 > maxFrameBytes {
 		t.st.droppedUnknown.Add(1)
 		return ErrEncode
 	}
@@ -301,16 +292,31 @@ func (t *TCP) SendErr(from, to fabric.NodeID, msg fabric.Message, size int) erro
 // the 2-byte sender-length prefix.
 const minFrameLen = 10
 
-// buildFrame assembles the length-prefixed wire frame.
-func buildFrame(from fabric.NodeID, payload []byte, clock uint64) []byte {
-	frameLen := minFrameLen + len(from) + len(payload)
-	frame := make([]byte, 4+frameLen)
-	binary.BigEndian.PutUint32(frame[:4], uint32(frameLen))
-	binary.BigEndian.PutUint64(frame[4:12], clock)
+// typicalCodecBytes is the room buildFrame reserves behind the header:
+// most protocol messages encode into it, so header and payload share one
+// allocation; the codec grows the buffer for the rest.
+const typicalCodecBytes = 512
+
+// buildFrame assembles the length-prefixed wire frame: the header, then
+// msg encoded in place behind it. The Lamport clock ticks only for a
+// frame that encoded.
+func (t *TCP) buildFrame(from fabric.NodeID, msg fabric.Message) ([]byte, error) {
+	header := 4 + minFrameLen + len(from)
+	frame := make([]byte, header, header+typicalCodecBytes)
 	binary.BigEndian.PutUint16(frame[12:14], uint16(len(from)))
 	copy(frame[14:], from)
-	copy(frame[14+len(from):], payload)
-	return frame
+	frame, err := t.codec.AppendEncode(frame, msg)
+	if err != nil {
+		return nil, err
+	}
+	if len(frame)-4 > maxFrameBytes {
+		return nil, ErrEncode
+	}
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	if t.clock != nil {
+		binary.BigEndian.PutUint64(frame[4:12], t.clock.Tick())
+	}
+	return frame, nil
 }
 
 // hasRemote reports whether the node has a static remote address (and is

@@ -3,17 +3,11 @@ package protocol
 // Wire vocabulary for the multi-process deployment (internal/distrib):
 // the signed provisioning bundle a cicero-node process boots from, the
 // hello/snapshot handshake between node processes and the supervising
-// driver, and the driver's workload-control messages. The bundle carries
-// threshold-key material (group key, BLS share), so it gets a custom
-// encoding like MsgConfig; everything else is plain JSON.
+// driver, and the driver's workload-control messages. WireCodec registers
+// them all (wire.go); the bundle's threshold-key material (group key, BLS
+// share) rides its point and scalar hooks.
 
 import (
-	"encoding/json"
-	"fmt"
-	"math/big"
-	"reflect"
-
-	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/tcrypto/bls"
 	"cicero/internal/tcrypto/pki"
@@ -21,19 +15,19 @@ import (
 
 // WireGraphNode is one topology node in a bundle's explicit graph.
 type WireGraphNode struct {
-	ID   string `json:"id"`
-	Kind int    `json:"kind"`
-	DC   int    `json:"dc"`
-	Pod  int    `json:"pod"`
-	Rack int    `json:"rack"`
+	ID   string
+	Kind int
+	DC   int
+	Pod  int
+	Rack int
 }
 
 // WireGraphLink is one undirected topology link in a bundle's graph.
 type WireGraphLink struct {
-	A         string  `json:"a"`
-	B         string  `json:"b"`
-	LatencyNS int64   `json:"latency_ns"`
-	Gbps      float64 `json:"gbps"`
+	A         string
+	B         string
+	LatencyNS int64
+	Gbps      float64
 }
 
 // Node roles a bundle can provision.
@@ -199,116 +193,4 @@ const (
 // helpers the chaos campaigns use.
 type MsgNudge struct {
 	Op string
-}
-
-// registerDistrib wires the distributed-deployment vocabulary into the
-// codec (called from NewWireCodec).
-func registerDistrib(c *WireCodec) {
-	c.register(reflect.TypeOf(NodeBundle{}), "node-bundle", encodeNodeBundle, decodeNodeBundle)
-	registerJSON[MsgNodeHello](c, "node-hello")
-	registerJSON[MsgNodeQuery](c, "node-query")
-	registerJSON[MsgNodeSnapshot](c, "node-snapshot")
-	registerJSON[MsgInjectFlow](c, "inject-flow")
-	registerJSON[MsgFlowDone](c, "flow-done")
-	registerJSON[MsgNudge](c, "node-nudge")
-}
-
-// wireNodeBundle mirrors NodeBundle with the crypto fields in explicit
-// byte form.
-type wireNodeBundle struct {
-	Role                string                  `json:"role"`
-	ID                  string                  `json:"id"`
-	Domain              int                     `json:"domain"`
-	Slot                int                     `json:"slot"`
-	Driver              string                  `json:"driver,omitempty"`
-	Members             []pki.Identity          `json:"members,omitempty"`
-	Switches            []string                `json:"switches,omitempty"`
-	PeerDomains         map[int][]pki.Identity  `json:"peer_domains,omitempty"`
-	Quorum              int                     `json:"quorum"`
-	Aggregator          pki.Identity            `json:"aggregator,omitempty"`
-	KeySeed             []byte                  `json:"key_seed"`
-	Directory           map[pki.Identity][]byte `json:"directory,omitempty"`
-	GroupKey            *wireGroupKey           `json:"group_key,omitempty"`
-	ShareIndex          uint32                  `json:"share_index,omitempty"`
-	ShareScalar         []byte                  `json:"share_scalar,omitempty"`
-	Bootstrap           bool                    `json:"bootstrap,omitempty"`
-	BatchSize           int                     `json:"batch_size,omitempty"`
-	BatchDelayNS        int64                   `json:"batch_delay_ns,omitempty"`
-	ViewChangeTimeoutNS int64                   `json:"view_change_timeout_ns,omitempty"`
-	GraphNodes          []WireGraphNode         `json:"graph_nodes,omitempty"`
-	GraphLinks          []WireGraphLink         `json:"graph_links,omitempty"`
-	MetaGenesis         *MetaEnvelope           `json:"meta_genesis,omitempty"`
-}
-
-func encodeNodeBundle(c *WireCodec, msg fabric.Message) (json.RawMessage, error) {
-	m := msg.(NodeBundle)
-	w := wireNodeBundle{
-		Role:                m.Role,
-		ID:                  m.ID,
-		Domain:              m.Domain,
-		Slot:                m.Slot,
-		Driver:              m.Driver,
-		Members:             m.Members,
-		Switches:            m.Switches,
-		PeerDomains:         m.PeerDomains,
-		Quorum:              m.Quorum,
-		Aggregator:          m.Aggregator,
-		KeySeed:             m.KeySeed,
-		Directory:           m.Directory,
-		GroupKey:            c.groupKeyWire(m.GroupKey),
-		ShareIndex:          m.Share.Index,
-		Bootstrap:           m.Bootstrap,
-		BatchSize:           m.BatchSize,
-		BatchDelayNS:        m.BatchDelayNS,
-		ViewChangeTimeoutNS: m.ViewChangeTimeoutNS,
-		GraphNodes:          m.GraphNodes,
-		GraphLinks:          m.GraphLinks,
-	}
-	if m.Share.Scalar != nil {
-		w.ShareScalar = m.Share.Scalar.Bytes()
-	}
-	if m.MetaGenesis.Role != "" {
-		g := m.MetaGenesis
-		w.MetaGenesis = &g
-	}
-	return json.Marshal(w)
-}
-
-func decodeNodeBundle(c *WireCodec, raw json.RawMessage, _ int) (fabric.Message, error) {
-	var w wireNodeBundle
-	if err := json.Unmarshal(raw, &w); err != nil {
-		return nil, err
-	}
-	gk, err := c.groupKeyFromWire(w.GroupKey)
-	if err != nil {
-		return nil, fmt.Errorf("node bundle group key: %w", err)
-	}
-	out := NodeBundle{
-		Role:                w.Role,
-		ID:                  w.ID,
-		Domain:              w.Domain,
-		Slot:                w.Slot,
-		Driver:              w.Driver,
-		Members:             w.Members,
-		Switches:            w.Switches,
-		PeerDomains:         w.PeerDomains,
-		Quorum:              w.Quorum,
-		Aggregator:          w.Aggregator,
-		KeySeed:             w.KeySeed,
-		Directory:           w.Directory,
-		GroupKey:            gk,
-		Bootstrap:           w.Bootstrap,
-		BatchSize:           w.BatchSize,
-		BatchDelayNS:        w.BatchDelayNS,
-		ViewChangeTimeoutNS: w.ViewChangeTimeoutNS,
-		GraphNodes:          w.GraphNodes,
-		GraphLinks:          w.GraphLinks,
-	}
-	if w.ShareScalar != nil {
-		out.Share = bls.KeyShare{Index: w.ShareIndex, Scalar: new(big.Int).SetBytes(w.ShareScalar)}
-	}
-	if w.MetaGenesis != nil {
-		out.MetaGenesis = *w.MetaGenesis
-	}
-	return out, nil
 }

@@ -227,7 +227,7 @@ type MsgConfig struct {
 	// switches can keep verifying signature shares. It is public
 	// information whose integrity is protected by Signature, which
 	// verifies against the unchanged group public key.
-	GroupKey  any
+	GroupKey  any `wire:"groupkey"`
 	Signature []byte
 }
 
@@ -261,7 +261,7 @@ type MsgStateTransfer struct {
 	NewPhase    uint64
 	Members     []pki.Identity // membership before the change
 	NewMembers  []pki.Identity
-	GroupKey    any // *bls.GroupKey (any avoids an import cycle)
+	GroupKey    any `wire:"groupkey"` // *bls.GroupKey (any avoids an import cycle)
 	PeerDomains map[int][]pki.Identity
 }
 
@@ -378,5 +378,5 @@ type MsgResyncRequest struct {
 // change, and messages from other epochs are buffered or dropped.
 type MsgBFT struct {
 	Phase uint64
-	Inner any
+	Inner any `wire:"bft"`
 }

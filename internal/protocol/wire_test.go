@@ -1,12 +1,19 @@
 package protocol
 
 import (
+	"bufio"
 	"bytes"
-	"crypto/rand"
-	"encoding/json"
+	"encoding/hex"
+	"errors"
+	"flag"
+	"fmt"
 	"math/big"
+	mrand "math/rand"
+	"os"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"cicero/internal/bft"
@@ -22,11 +29,12 @@ import (
 // wireSamples returns one representative value per registered wire type.
 // TestWireCoverage asserts this list covers the registry exactly, so a new
 // registered type fails tests until a sample (and thus a round-trip check)
-// exists for it.
+// exists for it. The key material comes from a seeded reader: every run
+// encodes the same bytes, which testdata/wire.golden pins.
 func wireSamples(t testing.TB) []fabric.Message {
 	t.Helper()
 	scheme := bls.NewScheme(pairing.Fast254())
-	gk, shares, err := dkg.Run(scheme, rand.Reader, 2, 4)
+	gk, shares, err := dkg.Run(scheme, mrand.New(mrand.NewSource(16)), 2, 4)
 	if err != nil {
 		t.Fatalf("dkg: %v", err)
 	}
@@ -168,7 +176,31 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("re-encode %T: %v", sample, err)
 		}
 		if !bytes.Equal(first, second) {
-			t.Fatalf("round trip not stable for %T:\n first: %s\nsecond: %s", sample, first, second)
+			t.Fatalf("round trip not stable for %T:\n first: %x\nsecond: %x", sample, first, second)
+		}
+	}
+}
+
+// TestWireValuesSurvive checks the round trip field by field where the
+// types allow it (no curve points inside): what Decode returns is the
+// value that was sent, except that empty slices and maps come back nil.
+func TestWireValuesSurvive(t *testing.T) {
+	c := NewWireCodec(nil)
+	for _, sample := range wireSamples(t) {
+		switch sample.(type) {
+		case MsgConfig, MsgStateTransfer, MsgReshareDeal, NodeBundle:
+			continue // hold points: TestWireGroupKeyRoundTrip covers them
+		}
+		frame, err := c.Encode(sample)
+		if err != nil {
+			t.Fatalf("encode %T: %v", sample, err)
+		}
+		decoded, err := c.Decode(frame)
+		if err != nil {
+			t.Fatalf("decode %T: %v", sample, err)
+		}
+		if !reflect.DeepEqual(decoded, sample) {
+			t.Errorf("%T changed in flight:\n sent %+v\n got  %+v", sample, sample, decoded)
 		}
 	}
 }
@@ -178,7 +210,7 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireGroupKeyRoundTrip(t *testing.T) {
 	c := NewWireCodec(nil)
 	scheme := bls.NewScheme(pairing.Fast254())
-	gk, shares, err := dkg.Run(scheme, rand.Reader, 2, 4)
+	gk, shares, err := dkg.Run(scheme, mrand.New(mrand.NewSource(2)), 2, 4)
 	if err != nil {
 		t.Fatalf("dkg: %v", err)
 	}
@@ -199,6 +231,15 @@ func TestWireGroupKeyRoundTrip(t *testing.T) {
 	if !scheme.VerifyShare(got, msg, share) {
 		t.Fatalf("decoded group key rejects a valid share")
 	}
+	// No key stays no key: a nil interface, not a typed nil pointer that
+	// passes a != nil check and is dereferenced later.
+	frame, err = c.Encode(MsgConfig{Phase: 1, Quorum: 2})
+	if err != nil {
+		t.Fatalf("encode without key: %v", err)
+	}
+	if decoded, err = c.Decode(frame); err != nil || decoded.(MsgConfig).GroupKey != nil {
+		t.Fatalf("config without a key decoded to %#v, %v", decoded, err)
+	}
 }
 
 // TestWireCoverage fails when the sample list and the registry drift
@@ -207,17 +248,9 @@ func TestWireCoverage(t *testing.T) {
 	c := NewWireCodec(nil)
 	covered := make(map[string]bool)
 	for _, sample := range wireSamples(t) {
-		frame, err := c.Encode(sample)
-		if err != nil {
-			t.Fatalf("encode %T: %v", sample, err)
-		}
-		var f wireFrame
-		if err := json.Unmarshal(frame, &f); err != nil {
-			t.Fatalf("frame %T: %v", sample, err)
-		}
-		covered[f.T] = true
-		// MsgBFT's sample also exercises its nested inner frame type, but
-		// the inner types have their own top-level samples, so no extra
+		covered[sampleName(t, c, sample)] = true
+		// MsgBFT's sample also exercises its inner frame type, but the
+		// inner types have their own top-level samples, so no extra
 		// bookkeeping is needed.
 	}
 	registered := make(map[string]bool)
@@ -248,55 +281,352 @@ func TestWireCoverage(t *testing.T) {
 	}
 }
 
-// TestWireDecodeErrors checks the codec rejects (not panics on) the
-// malformed-input classes a live transport can deliver.
-func TestWireDecodeErrors(t *testing.T) {
-	c := NewWireCodec(nil)
-	cases := map[string][]byte{
-		"empty":         nil,
-		"not json":      []byte("\x00\x01garbage"),
-		"unknown type":  []byte(`{"t":"no-such-type","b":{}}`),
-		"bad body":      []byte(`{"t":"heartbeat","b":[1,2,3]}`),
-		"bad point":     []byte(`{"t":"config","b":{"phase":1,"group_key":{"t":2,"n":4,"pk":"AAEC","commitments":["AAEC"]}}}`),
-		"nested bomb":   []byte(`{"t":"bft","b":{"phase":1,"inner":{"t":"bft","b":{"phase":1,"inner":{"t":"bft","b":{"phase":1,"inner":{"t":"bft","b":{}}}}}}}}`),
-		"inner unknown": []byte(`{"t":"bft","b":{"phase":1,"inner":{"t":"nope","b":{}}}}`),
+// sampleName encodes msg and reads its registered name back from the
+// frame's type id.
+func sampleName(t testing.TB, c *WireCodec, msg fabric.Message) string {
+	t.Helper()
+	frame, err := c.Encode(msg)
+	if err != nil {
+		t.Fatalf("encode %T: %v", msg, err)
 	}
-	for name, data := range cases {
-		if _, err := c.Decode(data); err == nil {
-			t.Errorf("%s: decode accepted malformed input", name)
+	e := c.byID[frame[0]]
+	if e == nil {
+		t.Fatalf("frame of %T carries unregistered id %d", msg, frame[0])
+	}
+	return e.name
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/wire.golden from the current codec")
+
+const goldenPath = "testdata/wire.golden"
+
+// readGolden returns the pinned frames in file order, name then bytes.
+func readGolden(t testing.TB) (names []string, frames [][]byte) {
+	t.Helper()
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatalf("golden frames: %v (create them with go test -run TestWireGolden -update)", err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, hexFrame, ok := strings.Cut(line, " ")
+		frame, err := hex.DecodeString(hexFrame)
+		if !ok || err != nil {
+			t.Fatalf("golden frames: bad line %q", line)
+		}
+		names = append(names, name)
+		frames = append(frames, frame)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("golden frames: %v", err)
+	}
+	return names, frames
+}
+
+// TestWireGolden pins the wire format: every sample must encode to the
+// bytes in testdata/wire.golden. A renumbered type id, a reordered,
+// added or retyped field, or a changed scalar encoding fails here — the
+// file is regenerated (-update) only by a change that means to break
+// compatibility with deployed peers and says so.
+func TestWireGolden(t *testing.T) {
+	c := NewWireCodec(nil)
+	samples := wireSamples(t)
+	if *updateGolden {
+		var out strings.Builder
+		out.WriteString("# One line per wire sample: registered name, then the frame in hex.\n")
+		out.WriteString("# Pins type ids, field order and scalar encodings; see TestWireGolden.\n")
+		for _, sample := range samples {
+			frame, err := c.Encode(sample)
+			if err != nil {
+				t.Fatalf("encode %T: %v", sample, err)
+			}
+			fmt.Fprintf(&out, "%s %x\n", c.byID[frame[0]].name, frame)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := c.Encode(struct{ X int }{1}); err == nil {
-		t.Errorf("encode accepted an unregistered type")
+	names, frames := readGolden(t)
+	if len(frames) != len(samples) {
+		t.Fatalf("golden file holds %d frames, wireSamples %d", len(frames), len(samples))
+	}
+	for i, sample := range samples {
+		frame, err := c.Encode(sample)
+		if err != nil {
+			t.Fatalf("encode %T: %v", sample, err)
+		}
+		if name := sampleName(t, c, sample); name != names[i] {
+			t.Errorf("sample %d is %s, golden line is %s", i, name, names[i])
+		}
+		if !bytes.Equal(frame, frames[i]) {
+			t.Errorf("%s does not encode to its golden bytes:\n got  %x\n want %x", names[i], frame, frames[i])
+		}
+		if _, err := c.Decode(frames[i]); err != nil {
+			t.Errorf("golden %s no longer decodes: %v", names[i], err)
+		}
+	}
+}
+
+// frameOf builds a frame from a type id and raw body bytes.
+func frameOf(id byte, body ...byte) []byte { return append([]byte{id}, body...) }
+
+// TestWireDecodeErrors checks the codec rejects (not panics on) the
+// malformed-input classes a live transport can deliver, each for its own
+// reason.
+func TestWireDecodeErrors(t *testing.T) {
+	c := NewWireCodec(nil)
+	heartbeat, err := c.Encode(MsgHeartbeat{From: "c1", Seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A scalar equal to the group order r, minimally encoded.
+	r := pairing.Fast254().R.Bytes()
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error // nil: any error
+	}{
+		{"empty", nil, errWireEmpty},
+		{"unknown type id", []byte{0xff, 0, 0}, nil},
+		{"type id zero", []byte{0}, nil},
+		{"id only", []byte{8}, errWireShort},
+		{"trailing byte", append(bytes.Clone(heartbeat), 0), errWireTrailing},
+		{"string past the end", frameOf(8, 5, 'c', '1'), errWireShort},
+		{"non-minimal varint", frameOf(8, 2, 'c', '1', 0x81, 0x00), errWireVarint},
+		{"varint over 64 bits", frameOf(8, 2, 'c', '1', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), errWireVarint},
+		// node-hello: ID, Addr, BootEpoch = 2^33-1 in a uint32.
+		{"uint32 out of range", frameOf(65, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x1f, 0), errWireRange},
+		// update: every field zero, Resend = 2.
+		{"bool of 2", frameOf(3, 0, 0, 0, 0, 0, 0, 0, 2), errWireBool},
+		// reshare-deal: phase, Deal presence = 2.
+		{"presence of 2", frameOf(13, 1, 2), errWireBool},
+		{"bft in bft", frameOf(15, 1, 15, 1, 34), errWireInner},
+		{"bft holding a non-bft", append(frameOf(15, 1), heartbeat...), errWireInner},
+		{"bft with unknown inner", frameOf(15, 1, 0xfe), errWireInner},
+		{"bft with no inner", frameOf(15, 1), errWireShort},
+		// reshare-sub: phase, dealer, recipient, then Value.
+		{"sub-share absent", frameOf(14, 5, 1, 4, 0), errWireRequired},
+		{"sub-share leading zero", frameOf(14, 5, 1, 4, 1, 2, 0, 7), errWireScalar},
+		{"sub-share of r", append(frameOf(14, 5, 1, 4, 1, byte(len(r))), r...), errWireScalar},
+		// state-transfer: PeerDomains with keys 1, 0 and 1, 1 (zig-zag 2, 0).
+		{"unsorted map keys", frameOf(12, 4, 5, 0, 0, 0, 2, 2, 0, 0, 0), errWireMapOrder},
+		{"duplicate map keys", frameOf(12, 4, 5, 0, 0, 0, 2, 2, 0, 2, 0), errWireMapOrder},
+	} {
+		msg, err := c.Decode(tc.data)
+		if err == nil {
+			t.Errorf("%s: decode accepted malformed input as %#v", tc.name, msg)
+		} else if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: rejected with %q, want %q", tc.name, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		msg  fabric.Message
+		want error
+	}{
+		{"unregistered type", struct{ X int }{1}, nil},
+		{"nil message", nil, errWireNilEncode},
+		{"bft in bft", MsgBFT{Phase: 1, Inner: MsgBFT{Phase: 1, Inner: bft.Prepare{}}}, errWireInner},
+		{"bft holding a non-bft", MsgBFT{Phase: 1, Inner: MsgHeartbeat{}}, errWireInner},
+		{"bft with no inner", MsgBFT{Phase: 1}, errWireInner},
+		{"sub-share absent", MsgReshareSub{Phase: 5}, errWireRequired},
+		{"negative scalar", MsgReshareSub{Phase: 5, Sub: dkg.SubShare{Value: big.NewInt(-1)}}, errWireScalar},
+		{"group key of a string", MsgConfig{GroupKey: "not a key"}, errWireGroupKey},
+	} {
+		frame, err := c.Encode(tc.msg)
+		if err == nil {
+			t.Errorf("%s: encode accepted it as %x", tc.name, frame)
+		} else if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: refused with %q, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestWireTruncation cuts every sample at every length: a proper prefix of
+// a frame is never a frame, and never a panic.
+func TestWireTruncation(t *testing.T) {
+	c := NewWireCodec(nil)
+	for _, sample := range wireSamples(t) {
+		frame, err := c.Encode(sample)
+		if err != nil {
+			t.Fatalf("encode %T: %v", sample, err)
+		}
+		for n := 0; n < len(frame); n++ {
+			if _, err := c.Decode(frame[:n]); err == nil {
+				t.Fatalf("%T: the first %d of %d bytes decoded", sample, n, len(frame))
+			}
+		}
+	}
+}
+
+// TestWireLengthBombs sends frames of ten or eleven bytes that declare a
+// 2³⁰-element slice, a 2³⁰-byte string and a 2³⁰-entry map. Each must be
+// refused from the declared length alone, before anything of that size
+// is allocated.
+func TestWireLengthBombs(t *testing.T) {
+	c := NewWireCodec(nil)
+	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x04} // uvarint 2^30
+	pad := func(b []byte) []byte {
+		for len(b) < 10 {
+			b = append(b, 0)
+		}
+		return b
+	}
+	bombs := map[string][]byte{
+		"slice":  pad(append(frameOf(3, 0, 0), huge...)),           // update: empty origin, seq 0, then Mods
+		"string": pad(append(frameOf(3), huge...)),                 // update: UpdateID.Origin
+		"bytes":  pad(append(frameOf(1, 0), huge...)),              // event: empty From, then Payload
+		"map":    pad(append(frameOf(12, 0, 0, 0, 0, 0), huge...)), // state-transfer: PeerDomains
+	}
+	for name, bomb := range bombs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			if _, err := c.Decode(bomb); err == nil {
+				t.Fatalf("%s: a 10-byte frame declaring 2^30 elements decoded", name)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+			t.Errorf("%s: 100 refusals allocated %d bytes", name, grown)
+		}
+	}
+}
+
+// curvePointOutsideG1 returns the encoding of a point that satisfies the
+// curve equation y² = x³ + x but does not have order r (the cofactor is
+// astronomically large, so the first curve point found is such a point).
+func curvePointOutsideG1(t *testing.T, params *pairing.Params) []byte {
+	t.Helper()
+	p := params.P
+	root := new(big.Int).Rsh(new(big.Int).Add(p, big.NewInt(1)), 2) // p ≡ 3 (mod 4)
+	for x := big.NewInt(2); ; x.Add(x, big.NewInt(1)) {
+		y2 := new(big.Int).Exp(x, big.NewInt(3), p)
+		y2.Add(y2, x).Mod(y2, p)
+		y := new(big.Int).Exp(y2, root, p)
+		if new(big.Int).Exp(y, big.NewInt(2), p).Cmp(y2) != 0 {
+			continue
+		}
+		w := (params.PointSize() - 1) / 2
+		enc := make([]byte, params.PointSize())
+		enc[0] = 4
+		x.FillBytes(enc[1 : 1+w])
+		y.FillBytes(enc[1+w:])
+		return enc
+	}
+}
+
+// TestWireRejectsBadPoints swaps the first Feldman commitment inside the
+// three frames that carry points for one that is off the curve and for
+// one on the curve but outside the order-r subgroup.
+func TestWireRejectsBadPoints(t *testing.T) {
+	params := pairing.Fast254()
+	c := NewWireCodec(params)
+	outside := curvePointOutsideG1(t, params)
+	tested := 0
+	for _, sample := range wireSamples(t) {
+		var gk *bls.GroupKey
+		switch m := sample.(type) {
+		case MsgConfig:
+			gk = m.GroupKey.(*bls.GroupKey)
+		case NodeBundle:
+			gk = m.GroupKey
+		case MsgReshareDeal:
+			gk = &bls.GroupKey{Commitments: m.Deal.Commitments}
+		default:
+			continue
+		}
+		tested++
+		frame, err := c.Encode(sample)
+		if err != nil {
+			t.Fatalf("encode %T: %v", sample, err)
+		}
+		good := params.PointBytes(gk.Commitments[0])
+		at := bytes.LastIndex(frame, good)
+		if at < 0 {
+			t.Fatalf("%T: frame does not contain its first commitment", sample)
+		}
+		offCurve := bytes.Clone(good)
+		offCurve[len(offCurve)-1] ^= 1
+		for name, bad := range map[string][]byte{"off-curve": offCurve, "out-of-subgroup": outside} {
+			mauled := bytes.Clone(frame)
+			copy(mauled[at:], bad)
+			if _, err := c.Decode(mauled); err == nil {
+				t.Errorf("%T: decode accepted an %s commitment", sample, name)
+			}
+		}
+	}
+	if tested != 3 {
+		t.Fatalf("mauled %d point-bearing samples, want config, reshare-deal and node-bundle", tested)
 	}
 }
 
 // FuzzWireDecode asserts Decode never panics: any input must yield either
-// a registered message or an error. Valid frames additionally must
-// re-encode (the codec never produces a value it cannot serialize).
+// a registered message or an error. An accepted input must also be the one
+// encoding of the message it decodes to: Encode(Decode(x)) == x.
 func FuzzWireDecode(f *testing.F) {
 	c := NewWireCodec(nil)
-	for _, sample := range wireSamples(f) {
-		frame, err := c.Encode(sample)
-		if err != nil {
-			f.Fatalf("seed encode %T: %v", sample, err)
-		}
+	_, frames := readGolden(f)
+	for _, frame := range frames {
 		f.Add(frame)
 		// A corrupted variant of every seed: flip a byte in the middle.
-		if len(frame) > 4 {
-			bad := append([]byte(nil), frame...)
-			bad[len(bad)/2] ^= 0xff
-			f.Add(bad)
-		}
+		bad := bytes.Clone(frame)
+		bad[len(bad)/2] ^= 0xff
+		f.Add(bad)
 	}
-	f.Add([]byte(`{"t":"bft","b":{"phase":1,"inner":{"t":"heartbeat","b":{}}}}`))
+	f.Add(frameOf(15, 1, 8, 0, 0)) // a heartbeat inside a bft frame
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := c.Decode(data)
 		if err != nil {
 			return
 		}
-		if _, err := c.Encode(msg); err != nil {
+		again, err := c.Encode(msg)
+		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted a second encoding of %T:\n input  %x\n encode %x", msg, data, again)
+		}
 	})
+}
+
+// BenchmarkWireCodec times Encode and Decode on every sample kind and
+// reports the frame size beside them.
+func BenchmarkWireCodec(b *testing.B) {
+	c := NewWireCodec(nil)
+	for _, sample := range wireSamples(b) {
+		sample := sample
+		frame, err := c.Encode(sample)
+		if err != nil {
+			b.Fatalf("encode %T: %v", sample, err)
+		}
+		name := sampleName(b, c, sample)
+		b.Run(name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Encode(sample); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(frame)), "B/frame")
+		})
+		b.Run(name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Decode(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(frame)), "B/frame")
+		})
+	}
 }

@@ -54,11 +54,13 @@ type Deal struct {
 	Commitments []*pairing.Point
 }
 
-// SubShare is a dealer's private message to one participant.
+// SubShare is a dealer's private message to one participant. A sub-share
+// without a value is malformed: the wire codec refuses to carry one and
+// the receivers refuse to verify one.
 type SubShare struct {
 	Dealer    uint32
 	Recipient uint32
-	Value     *big.Int
+	Value     *big.Int `wire:"required"`
 }
 
 // Complaint accuses a dealer of distributing an inconsistent sub-share.
@@ -200,8 +202,13 @@ func (p *Participant) Finalize(qualified []uint32) (bls.KeyShare, *bls.GroupKey,
 	return bls.KeyShare{Index: p.self, Scalar: shareVal}, gk, nil
 }
 
-// verifySubShare checks value·G == Σ_j commitments[j]·index^j.
+// verifySubShare checks value·G == Σ_j commitments[j]·index^j. A sub-share
+// without a value verifies against nothing: callers reach here with
+// whatever a peer sent.
 func verifySubShare(scheme *bls.Scheme, commitments []*pairing.Point, index uint32, value *big.Int) bool {
+	if value == nil {
+		return false
+	}
 	left := scheme.Params.ScalarBaseMul(value)
 	right := evalCommitments(scheme, commitments, index)
 	return left.Equal(right)

@@ -278,3 +278,46 @@ func BenchmarkReshare4to5(b *testing.B) {
 		}
 	}
 }
+
+// TestSubShareWithoutValueIsRejected is the handler half of the
+// reshare-sub crash: a sub-share whose Value never arrived (the simulator
+// passes Go values, so no decoder stands in front of this call) used to
+// reach ScalarBaseMul(nil) and take the process down.
+func TestSubShareWithoutValueIsRejected(t *testing.T) {
+	s := testScheme()
+	gk, shares, err := Run(s, rand.Reader, 2, 4)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	dealerSet := []uint32{shares[0].Index, shares[1].Index}
+	deal, subs, err := ReshareDealer(s, rand.Reader, shares[0], dealerSet, 2, []uint32{1, 2, 3, 4})
+	if err != nil {
+		t.Fatalf("ReshareDealer: %v", err)
+	}
+	recv, err := NewReshareReceiver(s, gk, 1, 2, 4)
+	if err != nil {
+		t.Fatalf("NewReshareReceiver: %v", err)
+	}
+	if err := recv.HandleDeal(deal); err != nil {
+		t.Fatalf("HandleDeal: %v", err)
+	}
+	empty := SubShare{Dealer: subs[0].Dealer, Recipient: 1}
+	if err := recv.HandleSubShare(empty); !errors.Is(err, ErrInvalidSubShare) {
+		t.Fatalf("reshare receiver: expected ErrInvalidSubShare, got %v", err)
+	}
+	if err := recv.HandleSubShare(subs[0]); err != nil {
+		t.Fatalf("the honest sub-share after the empty one: %v", err)
+	}
+
+	p, err := NewParticipant(s, 1, 2, 3)
+	if err != nil {
+		t.Fatalf("NewParticipant: %v", err)
+	}
+	own, _, err := p.Start(rand.Reader)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := p.HandleSubShare(SubShare{Dealer: own.Dealer, Recipient: 1}); !errors.Is(err, ErrInvalidSubShare) {
+		t.Fatalf("dkg participant: expected ErrInvalidSubShare, got %v", err)
+	}
+}
