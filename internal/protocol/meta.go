@@ -4,10 +4,10 @@ package protocol
 // (internal/metarepo): role-tagged signed documents, the threshold-share
 // and role-signature collection messages controllers exchange while
 // assembling an envelope, and the set push/fetch pair switches and node
-// processes use to stay current. Every message is plain JSON — the
-// crypto rides inside as explicit bytes (canonical document bytes,
-// Ed25519 signatures, combined BLS signatures), so registerJSON suffices
-// and the documents stay byte-stable for signing.
+// processes use to stay current. The messages are plain structs to the wire
+// codec — the crypto rides inside as explicit bytes (canonical document
+// bytes, Ed25519 signatures, combined BLS signatures), so the documents
+// stay byte-stable for signing whatever carries them.
 
 // Metadata role names. The role set is fixed: root delegates to the
 // other three and is threshold-signed under the DKG group key; targets

@@ -16,7 +16,7 @@ package protocol
 //	float64         8 bytes, IEEE-754 bits, big endian
 //	string, []byte  uvarint length, then the bytes
 //	[N]byte         the N bytes
-//	[]T, [N]T       uvarint count (slices only), then the elements
+//	[]T             uvarint count, then the elements
 //	map[K]V         uvarint count, then key/value pairs in ascending key order
 //	struct          its fields
 //	*T              one presence byte (0 or 1), then T if present; a field
@@ -331,10 +331,10 @@ var (
 // compile builds the plan for t. tag is the `wire` struct tag of the field
 // being compiled ("" elsewhere).
 func (c *WireCodec) compile(t reflect.Type, tag string) *plan {
-	switch {
-	case t == pointType:
+	switch t {
+	case pointType:
 		return c.pointPlan()
-	case t == scalarType:
+	case scalarType:
 		return c.scalarPlan()
 	}
 	switch t.Kind() {
@@ -357,7 +357,6 @@ func (c *WireCodec) compile(t reflect.Type, tag string) *plan {
 		if t.Elem().Kind() == reflect.Uint8 {
 			return &plan{min: t.Len(), enc: encByteArray, dec: decByteArray}
 		}
-		return arrayPlan(c.compile(t.Elem(), ""), t.Len())
 	case reflect.Map:
 		return mapPlan(t, c.compile(t.Key(), ""), c.compile(t.Elem(), ""))
 	case reflect.Struct:
@@ -512,28 +511,8 @@ func slicePlan(elem *plan) *plan {
 	}
 }
 
-func arrayPlan(elem *plan, n int) *plan {
-	return &plan{
-		min: n * elem.min,
-		enc: func(b []byte, v reflect.Value) ([]byte, error) {
-			var err error
-			for i := 0; i < n && err == nil; i++ {
-				b, err = elem.enc(b, v.Index(i))
-			}
-			return b, err
-		},
-		dec: func(r *wireReader, v reflect.Value) error {
-			var err error
-			for i := 0; i < n && err == nil; i++ {
-				err = elem.dec(r, v.Index(i))
-			}
-			return err
-		},
-	}
-}
-
 // mapPlan writes entries in ascending key order and accepts no other, so
-// a map has one encoding. Keys are integers or strings.
+// a map has one encoding. Keys are signed integers or strings.
 func mapPlan(t reflect.Type, key, elem *plan) *plan {
 	var less func(a, b reflect.Value) bool
 	switch t.Key().Kind() {
@@ -541,8 +520,6 @@ func mapPlan(t reflect.Type, key, elem *plan) *plan {
 		less = func(a, b reflect.Value) bool { return a.String() < b.String() }
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		less = func(a, b reflect.Value) bool { return a.Int() < b.Int() }
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		less = func(a, b reflect.Value) bool { return a.Uint() < b.Uint() }
 	default:
 		panic(fmt.Sprintf("protocol: wire: no key order for %v", t))
 	}
