@@ -92,8 +92,12 @@ type Config struct {
 
 	// Net is the transport seam; the same controller runs on the
 	// simulator or the live backends.
-	Net       fabric.Fabric
-	Cost      protocol.CostModel
+	Net  fabric.Fabric
+	Cost protocol.CostModel
+	// Keys and Directory are the controller's identity and its peers':
+	// Keys signs what third parties check (release attestations, metadata
+	// roles); the pki.Link built from both opens the envelopes switches and
+	// peer domains address to this controller and seals its own.
 	Keys      *pki.KeyPair
 	Directory *pki.Directory
 
@@ -170,12 +174,12 @@ type aggCollect struct {
 // Controller is one control-plane member.
 type Controller struct {
 	cfg     Config
+	link    *pki.Link
 	members []pki.Identity
 	phase   uint64
 
-	replica   *bft.Replica
-	engine    *scheduler.Engine
-	updateMod map[string][]openflow.FlowMod // updateID|phase -> mods (for aggregation)
+	replica *bft.Replica
+	engine  *scheduler.Engine
 
 	seenEvents      map[string]bool // receipt-level dedup
 	deliveredEvents map[string]bool // delivery-level dedup
@@ -275,13 +279,13 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:             cfg,
+		link:            pki.NewLink(cfg.Keys, cfg.Directory),
 		members:         append([]pki.Identity(nil), cfg.Members...),
 		seenEvents:      make(map[string]bool),
 		deliveredEvents: make(map[string]bool),
 		pendingSubmit:   make(map[string][]byte),
 		aggPending:      make(map[[sha256.Size]byte]*aggCollect),
 		configShares:    make(map[uint32][]byte),
-		updateMod:       make(map[string][]openflow.FlowMod),
 		batchOf:         make(map[string]*batchRef),
 		lastSeen:        make(map[pki.Identity]fabric.Time),
 		suspected:       make(map[pki.Identity]bool),
@@ -507,13 +511,9 @@ func (c *Controller) handleBFT(from fabric.NodeID, m protocol.MsgBFT) {
 // (Fig. 7a): verify the source, dedup, forward cross-domain, broadcast.
 func (c *Controller) handleEventMsg(m protocol.MsgEvent) {
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.Ed25519Verify+c.cfg.Cost.MsgProcess)
-	payload := m.Env.Payload
-	if c.cfg.CryptoReal {
-		opened, err := c.cfg.Directory.Open(m.Env)
-		if err != nil {
-			return // unverifiable source: ignore (Fig. 7a)
-		}
-		payload = opened
+	payload, ok := c.open(m.Env)
+	if !ok {
+		return // unverifiable source: ignore (Fig. 7a)
 	}
 	ev, err := protocol.DecodeEvent(payload)
 	if err != nil {
@@ -562,24 +562,47 @@ func (c *Controller) forwardIfCrossDomain(ev protocol.Event) {
 	fwd := ev
 	fwd.Forwarded = true
 	payload := fwd.Encode()
-	var env pki.Envelope
 	if c.cfg.CryptoReal {
 		c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.Ed25519Sign)
-		env = c.cfg.Keys.Seal(payload)
-	} else {
-		env = pki.Envelope{From: c.cfg.ID, Payload: payload}
 	}
 	for dom := range domains {
-		if dom == c.cfg.Domain {
-			continue
+		if dom != c.cfg.Domain {
+			c.sendEventToDomain(dom, payload)
 		}
-		peers := c.cfg.PeerDomains[dom]
-		if len(peers) == 0 {
-			continue
-		}
+	}
+}
+
+// sendEventToDomain seals an encoded event to the first known controller of
+// another domain.
+func (c *Controller) sendEventToDomain(dom int, payload []byte) {
+	peers := c.cfg.PeerDomains[dom]
+	if len(peers) == 0 {
+		return
+	}
+	if env, ok := c.seal(peers[0], payload); ok {
 		c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(peers[0]),
 			protocol.MsgEvent{Env: env}, len(payload)+96)
 	}
+}
+
+// seal wraps payload in an envelope for one peer. It fails only for a peer
+// the directory cannot vouch for, which would reject anything sent to it.
+func (c *Controller) seal(to pki.Identity, payload []byte) (pki.Envelope, bool) {
+	if !c.cfg.CryptoReal {
+		return pki.Envelope{From: c.cfg.ID, Payload: payload}, true
+	}
+	env, err := c.link.Seal(to, payload)
+	return env, err == nil
+}
+
+// open returns the payload of an envelope addressed to this controller, and
+// whether its claimed sender really sealed it.
+func (c *Controller) open(env pki.Envelope) ([]byte, bool) {
+	if !c.cfg.CryptoReal {
+		return env.Payload, true
+	}
+	payload, err := c.link.Open(env)
+	return payload, err == nil
 }
 
 // submitItem hands an item to the atomic broadcast (or delivers it
@@ -806,27 +829,28 @@ func (c *Controller) handleUpdateShare(m protocol.MsgUpdate) {
 }
 
 // handleAckMsg verifies a switch acknowledgement and releases dependents
-// (Fig. 7b's loop).
+// (Fig. 7b's loop). An ack speaks for one switch only: its authenticated
+// sender must be the switch it names, and the engine counts it only for an
+// update addressed to that switch — any other registered identity, a
+// Byzantine controller included, releases nothing with it.
 func (c *Controller) handleAckMsg(m protocol.MsgAck) {
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.Ed25519Verify+c.cfg.Cost.MsgProcess)
-	payload := m.Env.Payload
-	if c.cfg.CryptoReal {
-		opened, err := c.cfg.Directory.Open(m.Env)
-		if err != nil {
-			return
-		}
-		payload = opened
+	payload, ok := c.open(m.Env)
+	if !ok {
+		return
 	}
 	ack, err := protocol.DecodeAck(payload)
-	if err != nil || !ack.Applied {
+	if err != nil || !ack.Applied || ack.Switch != string(m.Env.From) {
 		return
 	}
 	c.AcksReceived++
-	// The batch signing context exists only for the initial dispatch;
-	// every retransmission path resends through legacy per-update shares,
-	// so an acked update's ref is dead weight on a long-running controller.
-	delete(c.batchOf, ack.UpdateID.String())
-	c.engine.Ack(ack.UpdateID)
+	if c.engine.Ack(ack.UpdateID, ack.Switch) {
+		// The batch signing context exists only for the initial dispatch;
+		// every retransmission path resends through legacy per-update
+		// shares, so an acked update's ref is dead weight on a long-running
+		// controller.
+		delete(c.batchOf, ack.UpdateID.String())
+	}
 }
 
 // applyMembershipInfo updates the peer-domain controller view (§4.3 final

@@ -34,25 +34,38 @@ func lineGraph(t *testing.T) *topology.Graph {
 	return g
 }
 
-// stubSwitch records updates and acks them immediately.
+// stubSwitch records updates and, unless mute, acks them immediately.
 type stubSwitch struct {
 	id       string
 	net      *simnet.Network
-	keys     *pki.KeyPair
+	link     *pki.Link
 	updates  []protocol.MsgUpdate
 	acksSent int
 	members  []pki.Identity
+	mute     bool
 }
 
 func (s *stubSwitch) HandleMessage(from simnet.NodeID, msg simnet.Message) {
 	if m, ok := msg.(protocol.MsgUpdate); ok {
 		s.updates = append(s.updates, m)
-		ack := protocol.Ack{UpdateID: m.UpdateID, Switch: s.id, Applied: true}
-		env := s.keys.Seal(ack.Encode())
-		s.acksSent++
-		for _, ctl := range s.members {
-			s.net.Send(simnet.NodeID(s.id), simnet.NodeID(ctl), protocol.MsgAck{Env: env}, 128)
+		if s.mute {
+			return
 		}
+		s.acksSent++
+		sendAcks(s.net, s.link, s.id, s.members, m.UpdateID)
+	}
+}
+
+// sendAcks acknowledges an update as switch id does: one envelope sealed to
+// each controller.
+func sendAcks(net *simnet.Network, link *pki.Link, id string, members []pki.Identity, update openflow.MsgID) {
+	payload := protocol.Ack{UpdateID: update, Switch: id, Applied: true}.Encode()
+	for _, ctl := range members {
+		env, err := link.Seal(ctl, payload)
+		if err != nil {
+			panic(err)
+		}
+		net.Send(simnet.NodeID(id), simnet.NodeID(ctl), protocol.MsgAck{Env: env}, 128)
 	}
 }
 
@@ -119,7 +132,7 @@ func TestCentralizedDependencyOrderedDispatch(t *testing.T) {
 	for _, id := range []string{"s1", "s2", "s3"} {
 		keys, _ := pki.NewKeyPair(rand.Reader, pki.Identity(id))
 		dir.MustRegister(keys)
-		st := &stubSwitch{id: id, net: net, keys: keys, members: []pki.Identity{"ctl"}}
+		st := &stubSwitch{id: id, net: net, link: pki.NewLink(keys, dir), members: []pki.Identity{"ctl"}}
 		stubs[id] = st
 		net.Register(simnet.NodeID(id), st)
 	}
@@ -151,6 +164,74 @@ func TestCentralizedDependencyOrderedDispatch(t *testing.T) {
 	}
 	if ctl.EventsDelivered != 1 {
 		t.Fatal("duplicate event processed twice")
+	}
+}
+
+// TestAckFromAnotherIdentityReleasesNothing: s3 holds the first update of a
+// reverse-path plan and stays silent. A registered identity that is not s3
+// acknowledges that update — naming s3, then naming itself — and the
+// controller must keep s2's dependent update back until s3 itself answers.
+func TestAckFromAnotherIdentityReleasesNothing(t *testing.T) {
+	sim := simnet.NewSimulator(1)
+	net := simnet.NewNetwork(sim, 100*time.Microsecond)
+	dir := pki.NewDirectory()
+	ctlKeys, _ := pki.NewKeyPair(rand.Reader, "ctl")
+	dir.MustRegister(ctlKeys)
+	ctl, err := New(Config{
+		ID: "ctl", Members: []pki.Identity{"ctl"}, Net: net, Keys: ctlKeys, Directory: dir,
+		Protocol: ProtoCentralized, CryptoReal: true,
+		App: &routing.ShortestPath{Graph: lineGraph(t)}, Sched: scheduler.ReversePath{},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	stubs := make(map[string]*stubSwitch)
+	for _, id := range []string{"s1", "s2", "s3"} {
+		keys, _ := pki.NewKeyPair(rand.Reader, pki.Identity(id))
+		dir.MustRegister(keys)
+		stubs[id] = &stubSwitch{id: id, net: net, link: pki.NewLink(keys, dir), members: []pki.Identity{"ctl"}, mute: id == "s3"}
+		net.Register(simnet.NodeID(id), stubs[id])
+	}
+	evilKeys, _ := pki.NewKeyPair(rand.Reader, "evil-member")
+	dir.MustRegister(evilKeys)
+	evil := pki.NewLink(evilKeys, dir)
+	net.Register("evil-member", simnet.HandlerFunc(func(simnet.NodeID, simnet.Message) {}))
+
+	run := func() {
+		t.Helper()
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl.InjectEvent(protocol.Event{
+		ID:   openflow.MsgID{Origin: "origin", Seq: 1},
+		Kind: protocol.EventFlowRequest,
+		Src:  "h1", Dst: "h2",
+	})
+	run()
+	if len(stubs["s3"].updates) != 1 || len(stubs["s2"].updates) != 0 {
+		t.Fatalf("before any ack: s3 has %d updates, s2 has %d; want 1 and 0",
+			len(stubs["s3"].updates), len(stubs["s2"].updates))
+	}
+	pending := stubs["s3"].updates[0].UpdateID
+	for _, claimed := range []string{"s3", "evil-member"} {
+		ack := protocol.Ack{UpdateID: pending, Switch: claimed, Applied: true}
+		env, err := evil.Seal("ctl", ack.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Send("evil-member", "ctl", protocol.MsgAck{Env: env}, 128)
+	}
+	run()
+	if got := len(stubs["s2"].updates); got != 0 {
+		t.Fatalf("an ack for s3's update from evil-member released %d updates to s2", got)
+	}
+	// s3's own ack still counts.
+	sendAcks(net, stubs["s3"].link, "s3", []pki.Identity{"ctl"}, pending)
+	run()
+	if len(stubs["s2"].updates) != 1 || len(stubs["s1"].updates) != 1 {
+		t.Fatalf("after s3's ack: s2 has %d updates, s1 has %d; want 1 and 1",
+			len(stubs["s2"].updates), len(stubs["s1"].updates))
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 type fdSwitch struct {
 	id      string
 	net     *simnet.Network
-	keys    *pki.KeyPair
+	link    *pki.Link
 	members []pki.Identity
 	configs []protocol.MsgConfig
 }
@@ -30,11 +30,7 @@ func (s *fdSwitch) HandleMessage(from simnet.NodeID, msg simnet.Message) {
 	case protocol.MsgConfig:
 		s.configs = append(s.configs, m)
 	case protocol.MsgUpdate:
-		ack := protocol.Ack{UpdateID: m.UpdateID, Switch: s.id, Applied: true}
-		env := s.keys.Seal(ack.Encode())
-		for _, ctl := range s.members {
-			s.net.Send(simnet.NodeID(s.id), simnet.NodeID(ctl), protocol.MsgAck{Env: env}, 128)
-		}
+		sendAcks(s.net, s.link, s.id, s.members, m.UpdateID)
 	}
 }
 
@@ -66,7 +62,7 @@ func buildFDCluster(t *testing.T, n int, fd *FailureDetectorConfig) *fdCluster {
 	}
 	swKeys, _ := pki.NewKeyPair(rand.Reader, "s1")
 	dir.MustRegister(swKeys)
-	sw := &fdSwitch{id: "s1", net: net, keys: swKeys, members: members}
+	sw := &fdSwitch{id: "s1", net: net, link: pki.NewLink(swKeys, dir), members: members}
 	net.Register("s1", sw)
 
 	cl := &fdCluster{sim: sim, net: net, members: members, sw: sw}

@@ -429,18 +429,10 @@ func (c *Controller) announceMembershipToPeers() {
 		Info:      info,
 	}
 	payload := ev.Encode()
-	var env pki.Envelope
-	if c.cfg.CryptoReal {
-		env = c.cfg.Keys.Seal(payload)
-	} else {
-		env = pki.Envelope{From: c.cfg.ID, Payload: payload}
-	}
-	for dom, peers := range c.cfg.PeerDomains {
-		if dom == c.cfg.Domain || len(peers) == 0 {
-			continue
+	for dom := range c.cfg.PeerDomains {
+		if dom != c.cfg.Domain {
+			c.sendEventToDomain(dom, payload)
 		}
-		c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(peers[0]),
-			protocol.MsgEvent{Env: env}, len(payload)+96)
 	}
 }
 

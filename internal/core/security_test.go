@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"math/big"
 	"testing"
+	"time"
 
 	"cicero/internal/controlplane"
 	"cicero/internal/openflow"
@@ -156,6 +157,23 @@ func TestPacketOutInjectionDropped(t *testing.T) {
 	}
 }
 
+// sealEventToMembers sends ev from the node `from` to every controller of
+// domain 0, each copy sealed by link for its addressee; claim, when set,
+// overwrites the sender the envelopes name.
+func sealEventToMembers(t *testing.T, n *Network, from simnet.NodeID, link *pki.Link, claim pki.Identity, ev protocol.Event) {
+	t.Helper()
+	for _, m := range n.Domains[0].Members {
+		env, err := link.Seal(m, ev.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if claim != "" {
+			env.From = claim
+		}
+		n.Net.Send(from, simnet.NodeID(m), protocol.MsgEvent{Env: env}, 256)
+	}
+}
+
 func TestForgedEventFromUnknownSourceIgnored(t *testing.T) {
 	n := buildSecure(t, controlplane.AggSwitch)
 	evilKeys, err := pki.NewKeyPair(rand.Reader, "ghost-switch")
@@ -171,10 +189,7 @@ func TestForgedEventFromUnknownSourceIgnored(t *testing.T) {
 		Src:  topology.HostName(0, 0, 0, 0),
 		Dst:  topology.HostName(0, 0, 2, 0),
 	}
-	env := evilKeys.Seal(ev.Encode())
-	for _, m := range n.Domains[0].Members {
-		n.Net.Send(evil, simnet.NodeID(m), protocol.MsgEvent{Env: env}, 256)
-	}
+	sealEventToMembers(t, n, evil, pki.NewLink(evilKeys, n.Directory), "", ev)
 	if _, err := n.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +202,7 @@ func TestForgedEventFromUnknownSourceIgnored(t *testing.T) {
 
 func TestMasqueradingEventRejected(t *testing.T) {
 	n := buildSecure(t, controlplane.AggSwitch)
-	// A registered but different identity signs an event claiming to be a
+	// A registered but different identity seals an event claiming to be a
 	// switch (the §2.2 masquerading threat).
 	evilKeys, err := pki.NewKeyPair(rand.Reader, "evil-member")
 	if err != nil {
@@ -202,11 +217,8 @@ func TestMasqueradingEventRejected(t *testing.T) {
 		Src:  topology.HostName(0, 0, 0, 0),
 		Dst:  topology.HostName(0, 0, 2, 0),
 	}
-	env := evilKeys.Seal(ev.Encode())
-	env.From = pki.Identity(topology.ToRName(0, 0, 0)) // claim switch identity
-	for _, m := range n.Domains[0].Members {
-		n.Net.Send(evil, simnet.NodeID(m), protocol.MsgEvent{Env: env}, 256)
-	}
+	sealEventToMembers(t, n, evil, pki.NewLink(evilKeys, n.Directory),
+		pki.Identity(topology.ToRName(0, 0, 0)), ev) // claim switch identity
 	if _, err := n.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +226,117 @@ func TestMasqueradingEventRejected(t *testing.T) {
 		if ctl.EventsDelivered != 0 {
 			t.Fatal("masqueraded event was processed")
 		}
+	}
+}
+
+// TestEnvelopeForOneControllerRejectedByAnother: an envelope authenticates
+// its sender to one addressee. Whoever sees it in transit — the addressee
+// itself, if Byzantine — cannot replay it to the other controllers.
+func TestEnvelopeForOneControllerRejectedByAnother(t *testing.T) {
+	n := buildSecure(t, controlplane.AggSwitch)
+	dom := n.Domains[0]
+	ingress := topology.ToRName(0, 0, 0)
+	ev := protocol.Event{
+		ID:   openflow.MsgID{Origin: ingress, Seq: 999},
+		Kind: protocol.EventFlowRequest,
+		Src:  topology.HostName(0, 0, 0, 0),
+		Dst:  topology.HostName(0, 0, 2, 0),
+	}
+	// The switch's own link, so the envelope is as genuine as they come.
+	env, err := pki.NewLink(n.swConfigs[ingress].Keys, n.Directory).Seal(dom.Members[0], ev.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range dom.Members {
+		n.Net.Send(simnet.NodeID(dom.Members[0]), simnet.NodeID(m), protocol.MsgEvent{Env: env}, 256)
+	}
+	if _, err := n.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ctl := range dom.Controllers {
+		want := uint64(0)
+		if i == 0 {
+			want = 1
+		}
+		if ctl.EventsReceived != want {
+			t.Fatalf("%s accepted %d events from an envelope sealed to %s, want %d",
+				ctl.ID(), ctl.EventsReceived, dom.Members[0], want)
+		}
+	}
+}
+
+// TestByzantineControllerForgedAckCannotReorder: with n = 4 and t = 2, one
+// Byzantine controller plus one honest controller it can trick is a release
+// quorum. The trick it tries: acknowledge, under its own (registered,
+// authenticated) identity, an update that was sent to a switch — so the
+// honest peer releases the dependent update while the dependency has not
+// been applied. Only the addressed switch can acknowledge an update, whether
+// the forged ack lands before the plan or after it.
+func TestByzantineControllerForgedAckCannotReorder(t *testing.T) {
+	n := buildSecure(t, controlplane.AggSwitch)
+	dom := n.Domains[0]
+	byz, honest := dom.Members[3], dom.Members[0]
+	ingress := topology.ToRName(0, 0, 0)
+	ev := protocol.Event{
+		ID:   openflow.MsgID{Origin: ingress, Seq: 1},
+		Kind: protocol.EventFlowRequest,
+		Src:  topology.HostName(0, 0, 0, 0),
+		Dst:  topology.HostName(0, 0, 2, 0),
+	}
+	mods, err := n.newApp().PlanFlow(ev)
+	if err != nil || len(mods) < 2 {
+		t.Fatalf("PlanFlow: %d mods, err %v", len(mods), err)
+	}
+	// Reverse-path order: the egress switch's update goes first and the one
+	// upstream of it depends on it.
+	origin := ev.ID.String() + "/d0"
+	last := len(mods) - 1
+	dependency := openflow.MsgID{Origin: origin, Seq: uint64(last)}
+	dependent := openflow.MsgID{Origin: origin, Seq: uint64(last - 1)}
+	depSwitch, nextSwitch := mods[last].Switch, mods[last-1].Switch
+
+	// The dependency never reaches its switch, so nothing may follow it.
+	for _, m := range dom.Members {
+		n.Net.PartitionOneWay(simnet.NodeID(m), simnet.NodeID(depSwitch))
+	}
+	// The Byzantine controller contributes its genuine share of the
+	// dependent right away: one more share is a quorum.
+	canonical := openflow.CanonicalUpdateBytes(dependent, 0, mods[last-1:last])
+	share := n.Scheme.SignShare(dom.Shares[3], canonical)
+	n.Net.Send(simnet.NodeID(byz), simnet.NodeID(nextSwitch), protocol.MsgUpdate{
+		UpdateID: dependent, Mods: mods[last-1 : last], From: byz,
+		ShareIndex: dom.Shares[3].Index, Share: n.Scheme.Params.PointBytes(share.Point),
+	}, 256)
+	// And it acknowledges the dependency itself, naming the switch or naming
+	// itself, before the honest peer has planned the event and again after.
+	link := pki.NewLink(n.ctlConfigs[byz].Keys, n.Directory)
+	forgeAcks := func() {
+		for _, claimed := range []string{depSwitch, string(byz)} {
+			ack := protocol.Ack{UpdateID: dependency, Switch: claimed, Applied: true}
+			env, err := link.Seal(honest, ack.Encode())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			n.Net.Send(simnet.NodeID(byz), simnet.NodeID(honest), protocol.MsgAck{Env: env}, 128)
+		}
+	}
+	n.Sim.At(0, forgeAcks)
+	n.Sim.At(0, func() { n.Switches[ingress].EmitEvent(ev) })
+	n.Sim.At(200*time.Millisecond, forgeAcks)
+	if _, err := n.Sim.RunUntil(400 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	if n.Switches[depSwitch].UpdatesApplied != 0 {
+		t.Fatalf("%s applied the dependency through a one-way partition", depSwitch)
+	}
+	if dom.Controllers[0].UpdatesSigned == 0 {
+		t.Fatal("the honest controller never planned the event")
+	}
+	if _, ok := n.Switches[nextSwitch].Lookup(ev.Src, ev.Dst); ok || n.Switches[nextSwitch].UpdatesApplied != 0 {
+		t.Fatalf("%s applied %s before %s applied its dependency %s: a forged ack released it",
+			nextSwitch, dependent, depSwitch, dependency)
 	}
 }
 

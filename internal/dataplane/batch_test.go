@@ -1,37 +1,23 @@
 package dataplane
 
 import (
-	"crypto/rand"
 	"fmt"
 	"testing"
 
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/tcrypto/merkle"
-	"cicero/internal/tcrypto/pki"
 )
 
-// batchHarness extends the switch harness with controller Ed25519 keys so
-// batch release attestations can be signed (and forged) in tests.
+// batchHarness is the switch harness; its controller Ed25519 keys sign (and
+// forge) batch release attestations in these tests.
 type batchHarness struct {
 	*harness
-	ctlKeys map[pki.Identity]*pki.KeyPair
 }
 
 func newBatchHarness(t *testing.T, mode Mode, cryptoReal bool) *batchHarness {
 	t.Helper()
-	h := newHarness(t, mode, cryptoReal)
-	bh := &batchHarness{harness: h, ctlKeys: make(map[pki.Identity]*pki.KeyPair)}
-	dir := h.sw.cfg.Directory
-	for _, id := range controllerIDs {
-		kp, err := pki.NewKeyPair(rand.Reader, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir.MustRegister(kp)
-		bh.ctlKeys[id] = kp
-	}
-	return bh
+	return &batchHarness{harness: newHarness(t, mode, cryptoReal)}
 }
 
 // twoUpdateBatch builds a two-leaf batch over updates for dst "bA"/"bB".

@@ -44,7 +44,9 @@ type Config struct {
 	Cost protocol.CostModel
 	Mode Mode
 
-	// Keys signs events and acks; Directory validates peers.
+	// Keys and Directory are the switch's identity and its peers': events
+	// and acks are sealed to each controller over the pki.Link built from
+	// them.
 	Keys      *pki.KeyPair
 	Directory *pki.Directory
 
@@ -104,6 +106,7 @@ type waiter struct {
 // Switch is one data-plane switch.
 type Switch struct {
 	cfg   Config
+	link  *pki.Link
 	table *openflow.FlowTable
 
 	eventSeq uint64
@@ -157,6 +160,7 @@ func New(cfg Config) (*Switch, error) {
 	}
 	s := &Switch{
 		cfg:           cfg,
+		link:          pki.NewLink(cfg.Keys, cfg.Directory),
 		table:         openflow.NewFlowTable(),
 		eventSeq:      uint64(cfg.BootEpoch) << 32,
 		pendingEvents: make(map[matchKey]openflow.MsgID),
@@ -237,27 +241,33 @@ func (s *Switch) PacketArrival(src, dst string) (openflow.Rule, bool) {
 	return openflow.Rule{}, false
 }
 
-// EmitEvent signs and sends an event to the control plane: to the
+// EmitEvent seals and sends an event to the control plane: to the
 // aggregator when one is assigned, otherwise to every controller.
 func (s *Switch) EmitEvent(ev protocol.Event) {
 	s.EventsGenerated++
 	s.cfg.Net.Charge(fabric.NodeID(s.cfg.ID), s.cfg.Cost.Ed25519Sign)
 	payload := ev.Encode()
-	var env pki.Envelope
-	if s.cfg.CryptoReal {
-		env = s.cfg.Keys.Seal(payload)
-	} else {
-		env = pki.Envelope{From: s.cfg.Keys.ID, Payload: payload}
-	}
-	msg := protocol.MsgEvent{Env: env}
 	size := len(payload) + 96
+	recipients := s.cfg.Controllers
 	if s.aggregator != "" {
-		s.cfg.Net.Send(fabric.NodeID(s.cfg.ID), fabric.NodeID(s.aggregator), msg, size)
-		return
+		recipients = []pki.Identity{s.aggregator}
 	}
-	for _, ctl := range s.cfg.Controllers {
-		s.cfg.Net.Send(fabric.NodeID(s.cfg.ID), fabric.NodeID(ctl), msg, size)
+	for _, ctl := range recipients {
+		if env, ok := s.seal(ctl, payload); ok {
+			s.cfg.Net.Send(fabric.NodeID(s.cfg.ID), fabric.NodeID(ctl), protocol.MsgEvent{Env: env}, size)
+		}
 	}
+}
+
+// seal wraps payload in an envelope for one controller. It fails only for a
+// controller the directory cannot vouch for, which would reject anything
+// this switch sent it.
+func (s *Switch) seal(to pki.Identity, payload []byte) (pki.Envelope, bool) {
+	if !s.cfg.CryptoReal {
+		return pki.Envelope{From: s.cfg.Keys.ID, Payload: payload}, true
+	}
+	env, err := s.link.Seal(to, payload)
+	return env, err == nil
 }
 
 // HandleMessage implements fabric.Handler (Fig. 6b).
@@ -453,19 +463,14 @@ func (s *Switch) wakeWaiters(rule openflow.Rule) {
 	}
 }
 
-// sendAck signs and sends an acknowledgement to every controller.
+// sendAck seals and sends an acknowledgement to every controller.
 func (s *Switch) sendAck(id openflow.MsgID, applied bool) {
 	ack := protocol.Ack{UpdateID: id, Switch: s.cfg.ID, Applied: applied}
 	s.cfg.Net.Charge(fabric.NodeID(s.cfg.ID), s.cfg.Cost.Ed25519Sign)
 	payload := ack.Encode()
-	var env pki.Envelope
-	if s.cfg.CryptoReal {
-		env = s.cfg.Keys.Seal(payload)
-	} else {
-		env = pki.Envelope{From: s.cfg.Keys.ID, Payload: payload}
-	}
-	msg := protocol.MsgAck{Env: env}
 	for _, ctl := range s.cfg.Controllers {
-		s.cfg.Net.Send(fabric.NodeID(s.cfg.ID), fabric.NodeID(ctl), msg, len(payload)+96)
+		if env, ok := s.seal(ctl, payload); ok {
+			s.cfg.Net.Send(fabric.NodeID(s.cfg.ID), fabric.NodeID(ctl), protocol.MsgAck{Env: env}, len(payload)+96)
+		}
 	}
 }

@@ -21,6 +21,8 @@ type harness struct {
 	scheme   *bls.Scheme
 	gk       *bls.GroupKey
 	shares   []bls.KeyShare
+	dir      *pki.Directory
+	ctlKeys  map[pki.Identity]*pki.KeyPair
 	received map[pki.Identity][]simnet.Message
 }
 
@@ -32,15 +34,25 @@ func newHarness(t *testing.T, mode Mode, cryptoReal bool) *harness {
 	t.Helper()
 	h := &harness{
 		sim:      simnet.NewSimulator(1),
+		dir:      pki.NewDirectory(),
+		ctlKeys:  make(map[pki.Identity]*pki.KeyPair),
 		received: make(map[pki.Identity][]simnet.Message),
 	}
 	h.net = simnet.NewNetwork(h.sim, 100*time.Microsecond)
-	dir := pki.NewDirectory()
+	dir := h.dir
 	keys, err := pki.NewKeyPair(rand.Reader, "sw1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir.MustRegister(keys)
+	for _, id := range controllerIDs {
+		kp, err := pki.NewKeyPair(rand.Reader, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir.MustRegister(kp)
+		h.ctlKeys[id] = kp
+	}
 	h.scheme = bls.NewScheme(pairing.Fast254())
 	gk, shares, err := h.scheme.Deal(rand.Reader, 2, 4)
 	if err != nil {
@@ -154,17 +166,28 @@ func TestThresholdRealCryptoAppliesAndAcks(t *testing.T) {
 	if h.sw.UpdatesApplied != 1 {
 		t.Fatalf("applied %d, want 1", h.sw.UpdatesApplied)
 	}
-	// Every controller received a signed ack.
-	for _, id := range controllerIDs {
-		found := false
-		for _, msg := range h.received[id] {
-			if _, ok := msg.(protocol.MsgAck); ok {
-				found = true
+	// Every controller received an ack sealed to it and to nobody else.
+	acks := make(map[pki.Identity]protocol.MsgAck)
+	for _, ctl := range controllerIDs {
+		for _, msg := range h.received[ctl] {
+			if m, ok := msg.(protocol.MsgAck); ok {
+				acks[ctl] = m
 			}
 		}
-		if !found {
-			t.Fatalf("controller %s got no ack", id)
+		m, ok := acks[ctl]
+		if !ok {
+			t.Fatalf("controller %s got no ack", ctl)
 		}
+		payload, err := pki.NewLink(h.ctlKeys[ctl], h.dir).Open(m.Env)
+		if err != nil {
+			t.Fatalf("controller %s cannot open its ack: %v", ctl, err)
+		}
+		if ack, err := protocol.DecodeAck(payload); err != nil || ack.UpdateID != id || ack.Switch != "sw1" || !ack.Applied {
+			t.Fatalf("controller %s got ack %+v (err %v)", ctl, ack, err)
+		}
+	}
+	if _, err := pki.NewLink(h.ctlKeys["c2"], h.dir).Open(acks["c1"].Env); err == nil {
+		t.Fatal("c2 opened the ack sealed to c1")
 	}
 }
 

@@ -87,7 +87,8 @@ func DecodeEvent(data []byte) (Event, error) {
 	return e, nil
 }
 
-// MsgEvent carries a pki-signed event from its source to a controller.
+// MsgEvent carries an event from its source to one controller, in an
+// envelope tagged for that controller (pki.Link).
 type MsgEvent struct {
 	Env pki.Envelope
 }
@@ -205,7 +206,8 @@ func DecodeAck(data []byte) (Ack, error) {
 	return a, nil
 }
 
-// MsgAck carries a pki-signed ack from a switch to the control plane.
+// MsgAck carries an ack from a switch to one controller, in an envelope
+// tagged for that controller (pki.Link).
 type MsgAck struct {
 	Env pki.Envelope
 }

@@ -59,8 +59,8 @@ func wireSamples(t testing.TB) []fabric.Message {
 	})
 	batchRoot := batchTree.Root()
 	return []fabric.Message{
-		MsgEvent{Env: pki.Envelope{From: "s1", Payload: []byte(`{"id":1}`), Signature: []byte{1, 2, 3}}},
-		MsgAck{Env: pki.Envelope{From: "s1", Payload: []byte(`{"applied":true}`), Signature: []byte{4, 5}}},
+		MsgEvent{Env: pki.Envelope{From: "s1", Payload: []byte(`{"id":1}`), Tag: []byte{1, 2, 3}}},
+		MsgAck{Env: pki.Envelope{From: "s1", Payload: []byte(`{"applied":true}`), Tag: []byte{4, 5}}},
 		MsgUpdate{UpdateID: id, Mods: mods, Phase: 3, From: members[1], ShareIndex: 2, Share: []byte{6, 7, 8}},
 		MsgAggUpdate{UpdateID: id, Mods: mods, Phase: 3, Signature: []byte{9, 10}},
 		MsgBatchUpdate{

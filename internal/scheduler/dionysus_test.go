@@ -69,15 +69,15 @@ func replayCapacityCheck(t *testing.T, plan Plan, migrations []Migration, capaci
 	// release the old path when the flow's LAST delete applies.
 	addsSeen := make(map[string]int)
 	delsSeen := make(map[string]int)
-	var order []openflow.MsgID
-	e := NewEngine(func(su ScheduledUpdate) { order = append(order, su.ID) })
+	var order []ScheduledUpdate
+	e := NewEngine(func(su ScheduledUpdate) { order = append(order, su) })
 	if err := e.Add(plan); err != nil {
 		t.Fatalf("engine.Add: %v", err)
 	}
 	for len(order) > 0 {
-		id := order[0]
+		su := order[0]
 		order = order[1:]
-		if eff, ok := effects[id]; ok {
+		if eff, ok := effects[su.ID]; ok {
 			if eff.isAdd {
 				addsSeen[eff.m.FlowID]++
 				if addsSeen[eff.m.FlowID] == 1 {
@@ -103,7 +103,7 @@ func replayCapacityCheck(t *testing.T, plan Plan, migrations []Migration, capaci
 				}
 			}
 		}
-		e.Ack(id)
+		e.Ack(su.ID, su.Mod.Switch)
 	}
 	if e.InFlight() != 0 || e.Waiting() != 0 {
 		t.Fatalf("plan did not drain: inflight=%d waiting=%d", e.InFlight(), e.Waiting())

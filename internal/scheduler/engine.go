@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cicero/internal/openflow"
@@ -24,6 +25,11 @@ import (
 // keeps every controller's release order a topological order of the plan
 // on every backend.
 //
+// Only the switch an update is addressed to can acknowledge it. Anyone else's
+// ack — a Byzantine controller's, say — would release the dependents of an
+// update its switch has not applied, which is the per-update consistency the
+// ordering exists for.
+//
 // Engine is not concurrency-safe; each controller owns one engine driven
 // from its serial execution context.
 type Engine struct {
@@ -32,9 +38,15 @@ type Engine struct {
 
 	waiting    map[openflow.MsgID]*engineEntry
 	dependents map[openflow.MsgID][]openflow.MsgID
-	// released tracks updates dispatched but not yet acknowledged.
-	released map[openflow.MsgID]bool
-	acked    map[openflow.MsgID]bool
+	// released maps each update dispatched but not yet acknowledged to the
+	// switch it was sent to.
+	released map[openflow.MsgID]string
+	// acked holds the updates acknowledged by their own switch.
+	acked map[openflow.MsgID]bool
+	// early holds, per update no plan has named yet, the switches that
+	// acknowledged it; Add keeps the ack only if the plan addresses the
+	// update to one of them.
+	early    map[openflow.MsgID][]string
 	inFlight int
 }
 
@@ -50,8 +62,9 @@ func NewEngine(release func(ScheduledUpdate)) *Engine {
 		release:    release,
 		waiting:    make(map[openflow.MsgID]*engineEntry),
 		dependents: make(map[openflow.MsgID][]openflow.MsgID),
-		released:   make(map[openflow.MsgID]bool),
+		released:   make(map[openflow.MsgID]string),
 		acked:      make(map[openflow.MsgID]bool),
+		early:      make(map[openflow.MsgID][]string),
 	}
 }
 
@@ -60,15 +73,24 @@ func NewEngine(release func(ScheduledUpdate)) *Engine {
 // even when acks have already arrived for some of the plan (on live
 // backends a switch can apply an update via the other controllers' quorum
 // before this controller delivers the triggering event). Such pre-acked
-// updates are still released (the decision must reach the audit ledger on
-// every replica) and count as immediately satisfied. The rest wait for
-// Ack calls. Dependencies may reference updates inside the plan or
-// updates already acknowledged (e.g. from an earlier partial plan);
-// anything else is ErrUnknownDependency.
+// updates — acknowledged by the switch the plan addresses them to, not by
+// anyone else — are still released (the decision must reach the audit
+// ledger on every replica) and count as immediately satisfied. The rest
+// wait for Ack calls. Dependencies may reference updates inside the plan or
+// updates of an earlier plan already acknowledged; anything else is
+// ErrUnknownDependency.
 func (e *Engine) Add(plan Plan) error {
 	order, err := e.validate(plan)
 	if err != nil {
 		return err
+	}
+	// The plan says which switch each update is addressed to: of the acks
+	// that arrived ahead of it, only that switch's counts.
+	for _, su := range plan {
+		if slices.Contains(e.early[su.ID], su.Mod.Switch) {
+			e.acked[su.ID] = true
+		}
+		delete(e.early, su.ID)
 	}
 	for _, idx := range order {
 		su := plan[idx]
@@ -107,7 +129,7 @@ func (e *Engine) dispatch(su ScheduledUpdate) {
 		e.satisfy(su.ID)
 		return
 	}
-	e.released[su.ID] = true
+	e.released[su.ID] = su.Mod.Switch
 	e.inFlight++
 }
 
@@ -124,7 +146,8 @@ func (e *Engine) validate(plan Plan) ([]int, error) {
 		if _, dup := index[su.ID]; dup {
 			return nil, fmt.Errorf("%w: %s", ErrDuplicateUpdate, su.ID)
 		}
-		if _, blocked := e.waiting[su.ID]; blocked || e.released[su.ID] {
+		_, blocked := e.waiting[su.ID]
+		if _, inFlight := e.released[su.ID]; blocked || inFlight {
 			return nil, fmt.Errorf("%w: %s", ErrDuplicateUpdate, su.ID)
 		}
 		index[su.ID] = i
@@ -168,24 +191,42 @@ func (e *Engine) validate(plan Plan) ([]int, error) {
 	return order, nil
 }
 
-// Ack records that an update has been applied by its switch, releasing
-// any updates whose dependencies are now all satisfied. Duplicate acks
-// are ignored. An ack for an update this controller has not released yet
-// (quorum formed from the other controllers' shares) is remembered; its
-// dependents release once the update itself is released.
-func (e *Engine) Ack(id openflow.MsgID) {
+// Ack records that sw — the authenticated sender of the ack — reports the
+// update applied, releasing any updates whose dependencies are now all
+// satisfied. It reports whether the update is thereby acknowledged: false
+// for a duplicate, for an ack from any switch but the update's own (which
+// changes nothing), and for an ack ahead of its plan (undecided until Add).
+// An ack for an update this controller has not released yet (quorum formed
+// from the other controllers' shares) is remembered; its dependents release
+// once the update itself is released.
+func (e *Engine) Ack(id openflow.MsgID, sw string) bool {
 	if e.acked[id] {
-		return
+		return false
 	}
-	e.acked[id] = true
-	if e.released[id] {
+	if to, inFlight := e.released[id]; inFlight {
+		if to != sw {
+			return false
+		}
+		e.acked[id] = true
 		delete(e.released, id)
 		e.inFlight--
 		e.satisfy(id)
+		return true
 	}
-	// Otherwise the update is either still blocked locally (satisfied by
-	// dispatch when its own release fires) or not planned yet (satisfied
-	// by dispatch when the plan arrives).
+	if entry, blocked := e.waiting[id]; blocked {
+		// Satisfied by dispatch when the update's own release fires.
+		if entry.update.Mod.Switch != sw {
+			return false
+		}
+		e.acked[id] = true
+		return true
+	}
+	// Not planned yet: whether sw is the update's switch is decided when the
+	// plan arrives.
+	if !slices.Contains(e.early[id], sw) {
+		e.early[id] = append(e.early[id], sw)
+	}
+	return false
 }
 
 // satisfy propagates a dependency that is now both acked and locally

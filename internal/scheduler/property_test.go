@@ -44,7 +44,7 @@ func TestEngineRandomDAGProperty(t *testing.T) {
 
 		released := make(map[openflow.MsgID]int)
 		acked := make(map[openflow.MsgID]bool)
-		var order []openflow.MsgID
+		var order []ScheduledUpdate
 		e := NewEngine(func(su ScheduledUpdate) {
 			released[su.ID]++
 			// Invariant: all dependencies acked before release.
@@ -53,7 +53,7 @@ func TestEngineRandomDAGProperty(t *testing.T) {
 					t.Errorf("seed %d: %s released before dependency %s acked", seed, su.ID, dep)
 				}
 			}
-			order = append(order, su.ID)
+			order = append(order, su)
 		})
 		if err := e.Add(plan); err != nil {
 			return false
@@ -61,10 +61,10 @@ func TestEngineRandomDAGProperty(t *testing.T) {
 		// Ack released updates in random order until drained.
 		for len(order) > 0 {
 			i := localRng.Intn(len(order))
-			id := order[i]
+			su := order[i]
 			order = append(order[:i], order[i+1:]...)
-			acked[id] = true
-			e.Ack(id)
+			acked[su.ID] = true
+			e.Ack(su.ID, su.Mod.Switch)
 		}
 		// Every update released exactly once.
 		for _, u := range updates {

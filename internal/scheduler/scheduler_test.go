@@ -3,6 +3,7 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"cicero/internal/openflow"
@@ -24,6 +25,9 @@ func pathUpdates(n int, op openflow.FlowModOp) []Update {
 	}
 	return updates
 }
+
+// ack acknowledges u as its own switch does.
+func ack(e *Engine, u Update) bool { return e.Ack(u.ID, u.Mod.Switch) }
 
 func TestReversePathAddsDependDownstream(t *testing.T) {
 	updates := pathUpdates(3, openflow.FlowAdd)
@@ -161,15 +165,15 @@ func TestEngineReleasesInDependencyOrder(t *testing.T) {
 	if len(released) != 1 || released[0] != "s2" {
 		t.Fatalf("initial releases = %v, want [s2]", released)
 	}
-	e.Ack(updates[2].ID)
+	ack(e, updates[2])
 	if len(released) != 2 || released[1] != "s1" {
 		t.Fatalf("after ack s2: %v, want [s2 s1]", released)
 	}
-	e.Ack(updates[1].ID)
+	ack(e, updates[1])
 	if len(released) != 3 || released[2] != "s0" {
 		t.Fatalf("after ack s1: %v, want [s2 s1 s0]", released)
 	}
-	e.Ack(updates[0].ID)
+	ack(e, updates[0])
 	if e.InFlight() != 0 || e.Waiting() != 0 {
 		t.Fatalf("engine not drained: inflight=%d waiting=%d", e.InFlight(), e.Waiting())
 	}
@@ -207,8 +211,8 @@ func TestEngineDuplicateAckIgnored(t *testing.T) {
 	if err := e.Add(plan); err != nil {
 		t.Fatal(err)
 	}
-	e.Ack(updates[1].ID)
-	e.Ack(updates[1].ID)
+	ack(e, updates[1])
+	ack(e, updates[1])
 	if count != 2 {
 		t.Fatalf("released %d, want 2", count)
 	}
@@ -231,19 +235,66 @@ func TestEngineRejectsDuplicatePlanIDs(t *testing.T) {
 
 func TestEngineAckBeforeAddSatisfiesDependency(t *testing.T) {
 	// An ack that arrives before the plan registers (possible when a
-	// controller joins mid-stream) still satisfies dependencies.
+	// controller joins mid-stream) still satisfies dependencies, once the
+	// plan shows it came from the update's own switch.
 	updates := pathUpdates(2, openflow.FlowAdd)
 	plan := ReversePath{}.Schedule(updates)
 	var released []string
 	e := NewEngine(func(su ScheduledUpdate) { released = append(released, su.Mod.Switch) })
-	e.Ack(updates[1].ID)
+	ack(e, updates[1])
+	if err := e.Add(plan[:1]); !errors.Is(err, ErrUnknownDependency) {
+		t.Fatalf("dependency on an update no plan has named: got %v, want ErrUnknownDependency", err)
+	}
+	if err := e.Add(plan[1:]); err != nil {
+		t.Fatal(err)
+	}
 	// A plan referencing the acked update as an external dependency is
 	// satisfied immediately.
 	if err := e.Add(plan[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if len(released) != 1 || released[0] != "s0" {
-		t.Fatalf("releases = %v, want [s0]", released)
+	if len(released) != 2 || released[0] != "s1" || released[1] != "s0" {
+		t.Fatalf("releases = %v, want [s1 s0]", released)
+	}
+}
+
+// TestEngineAckFromAnotherSwitchReleasesNothing: an update is acknowledged
+// only by the switch it is addressed to. An ack under its id from any other
+// sender — in flight, still blocked, or ahead of the plan — leaves its
+// dependents where they are, and does not stand in the way of the real ack.
+func TestEngineAckFromAnotherSwitchReleasesNothing(t *testing.T) {
+	updates := pathUpdates(3, openflow.FlowAdd) // s0 <- s1 <- s2
+	plan := ReversePath{}.Schedule(updates)
+	var released []string
+	e := NewEngine(func(su ScheduledUpdate) { released = append(released, su.Mod.Switch) })
+
+	// Ahead of the plan: a forged ack for s2's update, then the real one for
+	// s1's. Only the second pre-satisfies.
+	if e.Ack(updates[2].ID, "evil") || e.Ack(updates[1].ID, "s1") {
+		t.Fatal("an ack ahead of the plan was accepted before the plan could vouch for it")
+	}
+	if err := e.Add(plan); err != nil {
+		t.Fatal(err)
+	}
+	if len(released) != 1 || released[0] != "s2" {
+		t.Fatalf("after forged early ack: releases = %v, want [s2]", released)
+	}
+	// In flight (s2) and blocked (s0): forged acks change nothing.
+	if e.Ack(updates[2].ID, "evil") || e.Ack(updates[2].ID, "s1") || e.Ack(updates[0].ID, "evil") {
+		t.Fatal("an ack from a switch other than the update's was accepted")
+	}
+	if len(released) != 1 || e.InFlight() != 1 || e.Acked(updates[2].ID) || e.Acked(updates[0].ID) {
+		t.Fatalf("forged acks moved the engine: releases = %v, inflight = %d", released, e.InFlight())
+	}
+	// The real ack still counts, and s1's early ack cascades.
+	if !ack(e, updates[2]) {
+		t.Fatal("the real ack was refused after a forged one")
+	}
+	if want := []string{"s2", "s1", "s0"}; !slices.Equal(released, want) {
+		t.Fatalf("releases = %v, want %v", released, want)
+	}
+	if !ack(e, updates[0]) || e.InFlight() != 0 || e.Waiting() != 0 {
+		t.Fatalf("engine not drained: inflight=%d waiting=%d", e.InFlight(), e.Waiting())
 	}
 }
 
@@ -259,8 +310,8 @@ func TestEngineAckBeforePlanStillReleasesPlan(t *testing.T) {
 	var released []string
 	e := NewEngine(func(su ScheduledUpdate) { released = append(released, su.Mod.Switch) })
 	// Acks for the whole chain land before the plan exists locally.
-	e.Ack(updates[2].ID)
-	e.Ack(updates[1].ID)
+	ack(e, updates[2])
+	ack(e, updates[1])
 	if err := e.Add(plan); err != nil {
 		t.Fatalf("Add after early acks: %v", err)
 	}
@@ -278,7 +329,7 @@ func TestEngineAckBeforePlanStillReleasesPlan(t *testing.T) {
 	if e.InFlight() != 1 || e.Waiting() != 0 {
 		t.Fatalf("inflight=%d waiting=%d, want 1/0 (only s0 unacked)", e.InFlight(), e.Waiting())
 	}
-	e.Ack(updates[0].ID)
+	ack(e, updates[0])
 	if e.InFlight() != 0 || e.Waiting() != 0 {
 		t.Fatalf("engine not drained: inflight=%d waiting=%d", e.InFlight(), e.Waiting())
 	}
@@ -293,7 +344,7 @@ func BenchmarkEngineChain100(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j := len(updates) - 1; j >= 0; j-- {
-			e.Ack(updates[j].ID)
+			ack(e, updates[j])
 		}
 	}
 }
@@ -313,13 +364,13 @@ func TestEngineEarlyAckDefersToLocalRelease(t *testing.T) {
 	}
 	// Acks arrive out of order: the middle update (s1) is acknowledged
 	// before this controller has released it. s0 must NOT release yet.
-	e.Ack(updates[1].ID)
+	ack(e, updates[1])
 	if len(released) != 1 {
 		t.Fatalf("dependent released on early ack: %v", released)
 	}
 	// s2's ack releases s1; s1 is already acked, so s0 cascades
 	// immediately. Canonical order restored.
-	e.Ack(updates[2].ID)
+	ack(e, updates[2])
 	want := []string{"s2", "s1", "s0"}
 	if len(released) != 3 {
 		t.Fatalf("releases = %v, want %v", released, want)
@@ -329,7 +380,7 @@ func TestEngineEarlyAckDefersToLocalRelease(t *testing.T) {
 			t.Fatalf("releases = %v, want %v", released, want)
 		}
 	}
-	e.Ack(updates[0].ID)
+	ack(e, updates[0])
 	if e.InFlight() != 0 || e.Waiting() != 0 {
 		t.Fatalf("engine not drained: inflight=%d waiting=%d", e.InFlight(), e.Waiting())
 	}

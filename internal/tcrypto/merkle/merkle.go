@@ -60,65 +60,79 @@ func splitPoint(n int) int {
 // Tree is a Merkle tree built once over a batch, answering the root and
 // any leaf's inclusion proof without rehashing.
 type Tree struct {
-	leaves [][HashSize]byte
-	root   [HashSize]byte
+	n int
+	// nodes holds every hash of the tree in post-order: a subtree over m
+	// leaves starting at slot b occupies [b, b+2m−1) — its left subtree (k
+	// leaves, k the split point) first, then its right subtree, then its own
+	// root at b+2m−2.
+	nodes [][HashSize]byte
 }
 
 // NewTree hashes the leaves and computes the root. An empty batch has no
 // meaningful root; callers must not build trees over zero leaves (the
 // batching layer never signs an empty batch).
 func NewTree(leaves [][]byte) *Tree {
-	t := &Tree{leaves: make([][HashSize]byte, len(leaves))}
-	for i, leaf := range leaves {
-		t.leaves[i] = LeafHash(leaf)
-	}
-	if len(t.leaves) > 0 {
-		t.root = subtreeRoot(t.leaves)
+	t := &Tree{n: len(leaves)}
+	if t.n > 0 {
+		t.nodes = make([][HashSize]byte, 2*t.n-1)
+		t.build(0, leaves)
 	}
 	return t
 }
 
-// subtreeRoot computes the RFC 6962 root of a hashed-leaf range.
-func subtreeRoot(hashes [][HashSize]byte) [HashSize]byte {
-	if len(hashes) == 1 {
-		return hashes[0]
+// build fills the slots of the subtree over leaves starting at slot b.
+func (t *Tree) build(b int, leaves [][]byte) {
+	m := len(leaves)
+	if m == 1 {
+		t.nodes[b] = LeafHash(leaves[0])
+		return
 	}
-	k := splitPoint(len(hashes))
-	return nodeHash(subtreeRoot(hashes[:k]), subtreeRoot(hashes[k:]))
+	k := splitPoint(m)
+	t.build(b, leaves[:k])
+	t.build(b+2*k-1, leaves[k:])
+	t.nodes[b+2*m-2] = nodeHash(t.nodes[b+2*k-2], t.nodes[b+2*m-3])
 }
 
 // Len returns the leaf count.
-func (t *Tree) Len() int { return len(t.leaves) }
+func (t *Tree) Len() int { return t.n }
 
 // Root returns the tree root.
-func (t *Tree) Root() [HashSize]byte { return t.root }
+func (t *Tree) Root() [HashSize]byte {
+	if t.n == 0 {
+		return [HashSize]byte{}
+	}
+	return t.nodes[len(t.nodes)-1]
+}
 
 // Proof returns the inclusion proof for leaf index i: the sibling subtree
 // hashes from the leaf up to the root. It returns nil when i is out of
 // range.
 func (t *Tree) Proof(i int) [][]byte {
-	if i < 0 || i >= len(t.leaves) {
+	if i < 0 || i >= t.n {
 		return nil
 	}
-	return proofRange(t.leaves, i)
-}
-
-// proofRange builds the audit path of index i within the hashed-leaf range.
-func proofRange(hashes [][HashSize]byte, i int) [][]byte {
-	if len(hashes) == 1 {
-		return [][]byte{}
+	// Walk down from the root noting the sibling at each level, then lay
+	// them out leaf-first in one buffer.
+	var siblings [64]int
+	depth := 0
+	for b, m := 0, t.n; m > 1; depth++ {
+		k := splitPoint(m)
+		if i < k {
+			siblings[depth] = b + 2*m - 3
+			m = k
+		} else {
+			siblings[depth] = b + 2*k - 2
+			b, i, m = b+2*k-1, i-k, m-k
+		}
 	}
-	k := splitPoint(len(hashes))
-	var path [][]byte
-	var sibling [HashSize]byte
-	if i < k {
-		path = proofRange(hashes[:k], i)
-		sibling = subtreeRoot(hashes[k:])
-	} else {
-		path = proofRange(hashes[k:], i-k)
-		sibling = subtreeRoot(hashes[:k])
+	path := make([][]byte, depth)
+	buf := make([]byte, depth*HashSize)
+	for j := range path {
+		h := buf[j*HashSize : (j+1)*HashSize : (j+1)*HashSize]
+		copy(h, t.nodes[siblings[depth-1-j]][:])
+		path[j] = h
 	}
-	return append(path, append([]byte(nil), sibling[:]...))
+	return path
 }
 
 // Verify checks an inclusion proof: leaf content, its claimed index, the
@@ -136,7 +150,7 @@ func Verify(root []byte, leaf []byte, index, size int, path [][]byte) bool {
 }
 
 // proofRoot recomputes the subtree root from a leaf hash and its audit
-// path, mirroring proofRange's shape: the path is ordered leaf to root, so
+// path, mirroring the tree's shape: the path is ordered leaf to root, so
 // the top-level sibling is consumed last.
 func proofRoot(h [HashSize]byte, index, size int, path [][]byte) ([HashSize]byte, bool) {
 	if size == 1 {

@@ -2,6 +2,7 @@ package merkle
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -160,5 +161,62 @@ func TestDomainSeparation(t *testing.T) {
 	fake := LeafHash(append(append([]byte(nil), l[:]...), r[:]...))
 	if tree.Root() == fake {
 		t.Fatal("interior node collides with a leaf hash")
+	}
+}
+
+// refRoot and refProof are RFC 6962's recursive definitions, rehashing every
+// subtree they touch: the construction Tree must match byte for byte.
+func refRoot(hashes [][HashSize]byte) [HashSize]byte {
+	if len(hashes) == 1 {
+		return hashes[0]
+	}
+	k := splitPoint(len(hashes))
+	return nodeHash(refRoot(hashes[:k]), refRoot(hashes[k:]))
+}
+
+func refProof(hashes [][HashSize]byte, i int) [][]byte {
+	if len(hashes) == 1 {
+		return [][]byte{}
+	}
+	k := splitPoint(len(hashes))
+	var path [][]byte
+	var sibling [HashSize]byte
+	if i < k {
+		path, sibling = refProof(hashes[:k], i), refRoot(hashes[k:])
+	} else {
+		path, sibling = refProof(hashes[k:], i-k), refRoot(hashes[:k])
+	}
+	return append(path, sibling[:])
+}
+
+// TestTreeMatchesRecursiveConstruction: the stored interior nodes give the
+// same root and the same proof, byte for byte, as recomputing them, for
+// every tree size through 70 and every leaf.
+func TestTreeMatchesRecursiveConstruction(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		leaves := batch(n)
+		hashes := make([][HashSize]byte, n)
+		for i, leaf := range leaves {
+			hashes[i] = LeafHash(leaf)
+		}
+		tree := NewTree(leaves)
+		if tree.Root() != refRoot(hashes) {
+			t.Fatalf("n=%d: root differs from the recursive construction", n)
+		}
+		for i := 0; i < n; i++ {
+			got, want := tree.Proof(i), refProof(hashes, i)
+			if got == nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d leaf=%d: proof %x, recursive construction gives %x", n, i, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkProof32(b *testing.B) {
+	tree := NewTree(batch(32))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.Proof(i % 32)
 	}
 }

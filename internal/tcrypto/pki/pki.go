@@ -1,8 +1,11 @@
 // Package pki provides the public key infrastructure the Cicero paper
 // assumes for event authentication: every event source (switch, controller,
-// administrator) holds an Ed25519 key pair registered in a directory, and
-// all protocol messages that are not threshold-signed travel in signed
-// envelopes bound to the sender's identity.
+// administrator) holds an Ed25519 key pair registered in a directory.
+// Statements that are stored, forwarded or checked by more than one party
+// (metadata role signatures, provisioning bundles), and the batch release
+// attestation, are signed with it; events and acks, which only their
+// addressee ever checks, travel in envelopes tagged under a pairwise key
+// derived from the same key pairs (see Link).
 package pki
 
 import (
@@ -65,17 +68,14 @@ func (k *KeyPair) Sign(msg []byte) []byte {
 	return ed25519.Sign(k.private, msg)
 }
 
-// Envelope is a signed message: the payload, the claimed sender, and the
-// sender's signature over the payload.
+// Envelope is a payload authenticated to one addressee: the payload, the
+// claimed sender, and the sender's Link tag over sender, addressee and
+// payload. The addressee is not carried; whoever opens it supplies its own
+// identity.
 type Envelope struct {
-	From      Identity
-	Payload   []byte
-	Signature []byte
-}
-
-// Seal wraps a payload in a signed envelope.
-func (k *KeyPair) Seal(payload []byte) Envelope {
-	return Envelope{From: k.ID, Payload: payload, Signature: k.Sign(payload)}
+	From    Identity
+	Payload []byte
+	Tag     []byte
 }
 
 // Directory maps identities to public keys. It is safe for concurrent use.
@@ -136,14 +136,6 @@ func (d *Directory) Verify(id Identity, msg, sig []byte) error {
 		return fmt.Errorf("%w: from %q", ErrBadSignature, id)
 	}
 	return nil
-}
-
-// Open verifies a signed envelope and returns its payload.
-func (d *Directory) Open(env Envelope) ([]byte, error) {
-	if err := d.Verify(env.From, env.Payload, env.Signature); err != nil {
-		return nil, err
-	}
-	return env.Payload, nil
 }
 
 // Len returns the number of registered identities.
