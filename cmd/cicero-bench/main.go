@@ -5,13 +5,12 @@
 //	cicero-bench -experiment fig11a [-flows 5000] [-seed 2020] [-quick] [-real-crypto]
 //	cicero-bench -experiment all
 //	cicero-bench -crypto-bench [-crypto-bench-out BENCH_crypto.json] [-quick]
-//	cicero-bench -scale [-scale-out BENCH_scale.json] [-quick] [-backends simnet,inproc,tcp] [-batch-sizes 1,8,32,64]
 //	cicero-bench -list
 //
-// -scale sweeps the batched hot path: for each backend and batch size it
-// drives the concurrent update workload and reports updates/sec, latency
-// percentiles, pairings per update and bytes per update, gating every leg
-// on digest identity with the batch=1 simnet reference.
+// The gating experiments (chaos, crosscheck, distrib, synthesis, tuf) print
+// their tables and then exit 1 if a gate failed; crosscheck is the
+// cross-backend equivalence gate (simnet, inproc and tcp at every batch
+// size must converge to the same flow tables and audit ledgers).
 //
 // -crypto-bench measures the real wall-clock cost of the crypto fast path
 // (pairings, verification, threshold combining) and writes a
@@ -27,25 +26,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cicero/internal/experiments"
 )
-
-// splitList parses a comma-separated flag value ("" yields nil, letting
-// the experiment defaults apply).
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, tok := range strings.Split(s, ",") {
-		if tok = strings.TrimSpace(tok); tok != "" {
-			out = append(out, tok)
-		}
-	}
-	return out
-}
 
 func main() {
 	os.Exit(run())
@@ -53,7 +36,7 @@ func main() {
 
 func run() int {
 	var (
-		experiment = flag.String("experiment", "", "experiment id (fig11a..fig12d, table1, table2, or 'all')")
+		experiment = flag.String("experiment", "", "experiment id (see -list), or 'all'")
 		flows      = flag.Int("flows", 0, "flows per run (default 5000, or 400 with -quick)")
 		seed       = flag.Int64("seed", 2020, "deterministic simulation seed")
 		quick      = flag.Bool("quick", false, "shrink topologies and flow counts for a fast pass")
@@ -62,12 +45,6 @@ func run() int {
 
 		cryptoBench    = flag.Bool("crypto-bench", false, "run crypto microbenchmarks and write a JSON report")
 		cryptoBenchOut = flag.String("crypto-bench-out", "BENCH_crypto.json", "output path for -crypto-bench")
-
-		scale      = flag.Bool("scale", false, "run the batch-size throughput sweep and write a JSON report")
-		scaleOut   = flag.String("scale-out", "BENCH_scale.json", "output path for -scale")
-		backends   = flag.String("backends", "", "comma-separated sweep backends (default simnet,inproc,tcp; quick drops tcp)")
-		batchSizes = flag.String("batch-sizes", "", "comma-separated batch sizes (default 1,8,16,32,64; quick 1,8,32)")
-		scaleFlows = flag.Int("scale-flows", 0, "concurrent flows per sweep leg (default 96, or 24 with -quick)")
 	)
 	flag.Parse()
 
@@ -95,42 +72,6 @@ func run() int {
 			return 1
 		}
 		fmt.Printf("wrote %s\n", *cryptoBenchOut)
-		return 0
-	}
-	if *scale {
-		opt := experiments.ScaleOptions{
-			Quick:    *quick,
-			Seed:     *seed,
-			Flows:    *scaleFlows,
-			Backends: splitList(*backends),
-		}
-		for _, tok := range splitList(*batchSizes) {
-			var n int
-			if _, err := fmt.Sscanf(tok, "%d", &n); err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "cicero-bench: bad -batch-sizes entry %q\n", tok)
-				return 2
-			}
-			opt.BatchSizes = append(opt.BatchSizes, n)
-		}
-		report, err := experiments.RunScale(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cicero-bench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*scaleOut, report.JSON(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cicero-bench: %v\n", err)
-			return 1
-		}
-		for _, leg := range report.Legs {
-			fmt.Printf("%-7s batch=%-3d %8.1f upd/s  p95 %7.2fms  %5.3f pairings/upd  %6.1f sig B/upd  tables=%v content=%v\n",
-				leg.Backend, leg.BatchSize, leg.UpdatesPerSec, leg.P95Ms,
-				leg.PairingsPerUpdate, leg.SigBytesPerUpdate, leg.TableMatch, leg.ContentMatch)
-		}
-		fmt.Printf("wrote %s\n", *scaleOut)
-		if !report.Passed() {
-			fmt.Fprintln(os.Stderr, "cicero-bench: scale sweep diverged from the batch=1 simnet reference")
-			return 1
-		}
 		return 0
 	}
 	if *experiment == "" {

@@ -45,22 +45,6 @@ import (
 	"cicero/internal/tcrypto/pki"
 )
 
-// liveFabric is what the runner needs beyond fabric.Fabric: the fault
-// plane, the resilience counters, and teardown. Both livenet backends
-// satisfy it.
-type liveFabric interface {
-	fabric.Fabric
-	fabric.FaultInjector
-	Crash(fabric.NodeID)
-	Restart(fabric.NodeID)
-	Partition(a, b fabric.NodeID)
-	Heal(a, b fabric.NodeID)
-	PartitionOneWay(from, to fabric.NodeID)
-	HealOneWay(from, to fabric.NodeID)
-	Resilience() livenet.ResilienceStats
-	Close()
-}
-
 // LiveOptions tunes a wall-clock campaign run.
 type LiveOptions struct {
 	// Backend selects "inproc" or "tcp".
@@ -170,7 +154,7 @@ type liveEvent struct {
 // runs, and node state is only touched through the fabric's serial
 // contexts.
 type liveCluster struct {
-	liveFabric
+	livenet.Live
 	net    *core.Network
 	rec    *recorder
 	events []liveEvent
@@ -184,17 +168,7 @@ func (l *liveCluster) at(d time.Duration, fn func()) {
 }
 
 func (l *liveCluster) on(id fabric.NodeID, fn func()) error {
-	done := make(chan struct{})
-	l.Invoke(id, func() {
-		fn()
-		close(done)
-	})
-	select {
-	case <-done:
-		return nil
-	case <-time.After(liveOpTimeout):
-		return fmt.Errorf("chaos live: node %s did not run invoke within %v", id, liveOpTimeout)
-	}
+	return fabric.InvokeWait(l, id, fn, liveOpTimeout)
 }
 
 // restart revives the machine on the fabric (a crash purged its mailbox
@@ -226,19 +200,6 @@ func (l *liveCluster) runTimeline() {
 			time.Sleep(wait)
 		}
 		ev.fn()
-	}
-}
-
-// newLiveFabric constructs the selected backend.
-func newLiveFabric(backend string) (liveFabric, error) {
-	codec := protocol.NewWireCodec(nil)
-	switch backend {
-	case "inproc":
-		return livenet.NewInProc(codec), nil
-	case "tcp":
-		return livenet.NewTCP(codec)
-	default:
-		return nil, fmt.Errorf("chaos live: unknown backend %q (have inproc, tcp)", backend)
 	}
 }
 
@@ -293,7 +254,7 @@ func runLive(p Profile, opt LiveOptions, verbose bool) (res LiveResult) {
 		return res
 	}
 
-	fab, err := newLiveFabric(opt.Backend)
+	fab, err := livenet.Open(opt.Backend, protocol.NewWireCodec(nil))
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -327,7 +288,7 @@ func runLive(p Profile, opt LiveOptions, verbose bool) (res LiveResult) {
 		res.Err = err.Error()
 		return res
 	}
-	lc := &liveCluster{liveFabric: fab, net: net, rec: rec,
+	lc := &liveCluster{Live: fab, net: net, rec: rec,
 		ctlRestarted: make(map[fabric.NodeID]bool), swRestarted: make(map[fabric.NodeID]bool)}
 	c.attach(lc, rec, net)
 	lr := &liveRun{campaign: c, lc: lc, verbose: verbose}

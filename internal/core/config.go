@@ -74,7 +74,7 @@ type Config struct {
 	// parts of Cost (real work takes real time there), and the
 	// simulator-bound drivers (RunFlows, MeasureUpdateTime) are
 	// unavailable — drive flows through the fabric instead (see
-	// internal/experiments/live.go).
+	// internal/experiments/crosscheck.go).
 	Fabric fabric.Fabric
 
 	// LANLatency is the one-way latency between co-located nodes

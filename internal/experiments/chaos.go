@@ -42,14 +42,14 @@ func ChaosCampaign(o Options) (*Result, error) {
 		injected.Merge(res.Injected)
 		totalViolations += res.Violations
 	}
-	notes := []string{
+	out := &Result{Name: "chaos", Tables: []*metrics.Table{tbl}, Notes: []string{
 		"per-fault injection counts: " + injected.String(),
 		fmt.Sprintf("replay any seed with: cicero-chaos -profile <name> -replay <seed> (seeds start at %d)", o.Seed),
-	}
+	}}
 	if totalViolations == 0 {
-		notes = append(notes, "zero invariant violations across all profiles (expected)")
+		out.Notes = append(out.Notes, "zero invariant violations across all profiles (expected)")
 	} else {
-		notes = append(notes, fmt.Sprintf("%d INVARIANT VIOLATIONS detected — see failing seeds above", totalViolations))
+		out.fail("%d INVARIANT VIOLATIONS detected — see failing seeds above", totalViolations)
 	}
-	return &Result{Name: "chaos", Tables: []*metrics.Table{tbl}, Notes: notes}, nil
+	return out, nil
 }

@@ -51,13 +51,12 @@ func Distrib(o Options) (*Result, error) {
 
 	tbl := metrics.NewTable("multi-process chaos campaigns (one OS process per controller and switch)",
 		"campaign", "flows", "recovered", "ref tables", "ledger agreement", "trace events", "violations")
-	notes := []string{
+	out := &Result{Name: "distrib", Tables: []*metrics.Table{tbl}, Notes: []string{
 		"faults are real: SIGKILL on live processes, partitions severed at the socket proxies",
 		"traces from every process merge into one Lamport-ordered timeline (cmd/cicero-trace)",
-	}
-	failures := 0
-	for _, r := range runs {
-		r.opt.Dir = filepath.Join(dir, "campaign-"+fmt.Sprintf("%d", len(notes)))
+	}}
+	for i, r := range runs {
+		r.opt.Dir = filepath.Join(dir, fmt.Sprintf("campaign-%d", i))
 		if err := os.MkdirAll(r.opt.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("experiments: distrib campaign dir: %w", err)
 		}
@@ -70,16 +69,14 @@ func Distrib(o Options) (*Result, error) {
 			res.Recovered, res.TableMatch, res.DigestAgreement,
 			res.TraceEvents, len(res.Violations))
 		if len(res.Violations) > 0 {
-			failures++
-			notes = append(notes, fmt.Sprintf("%s FAILED — first violation: %s", r.name, res.Violations[0]))
+			out.fail("%s FAILED — first violation: %s", r.name, res.Violations[0])
 		}
 		if res.ProcsLeaked > 0 {
-			failures++
-			notes = append(notes, fmt.Sprintf("%s leaked %d node processes", r.name, res.ProcsLeaked))
+			out.fail("%s leaked %d node processes", r.name, res.ProcsLeaked)
 		}
 	}
-	if failures == 0 {
-		notes = append(notes, "both campaigns clean: convergence, digest agreement, causal traces (expected)")
+	if len(out.Failures) == 0 {
+		out.Notes = append(out.Notes, "both campaigns clean: convergence, digest agreement, causal traces (expected)")
 	}
-	return &Result{Name: "distrib", Tables: []*metrics.Table{tbl}, Notes: notes}, nil
+	return out, nil
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"cicero/internal/controlplane"
@@ -57,6 +58,17 @@ type Result struct {
 	Name   string
 	Tables []*metrics.Table
 	Notes  []string
+	// Failures lists what a gating experiment found wrong: invariant
+	// violations, digest mismatches, a canary that never fired. Run renders
+	// the result first and then returns them as an error.
+	Failures []string
+}
+
+// fail records a gate failure, also as a note so the rendering shows it.
+func (r *Result) fail(format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	r.Notes = append(r.Notes, msg)
+	r.Failures = append(r.Failures, msg)
 }
 
 // Render writes the result to w.
@@ -76,21 +88,22 @@ type Runner func(Options) (*Result, error)
 // Registry maps experiment ids to runners.
 func Registry() map[string]Runner {
 	return map[string]Runner{
-		"fig11a":    Fig11a,
-		"fig11b":    Fig11b,
-		"fig11c":    Fig11c,
-		"fig11d":    Fig11d,
-		"fig12a":    Fig12a,
-		"fig12b":    Fig12b,
-		"fig12c":    Fig12c,
-		"fig12d":    Fig12d,
-		"table1":    Table1,
-		"table2":    Table2,
-		"ablations": Ablations,
-		"chaos":     ChaosCampaign,
-		"synthesis": Synthesis,
-		"distrib":   Distrib,
-		"tuf":       Tuf,
+		"fig11a":     Fig11a,
+		"fig11b":     Fig11b,
+		"fig11c":     Fig11c,
+		"fig11d":     Fig11d,
+		"fig12a":     Fig12a,
+		"fig12b":     Fig12b,
+		"fig12c":     Fig12c,
+		"fig12d":     Fig12d,
+		"table1":     Table1,
+		"table2":     Table2,
+		"ablations":  Ablations,
+		"chaos":      ChaosCampaign,
+		"synthesis":  Synthesis,
+		"distrib":    Distrib,
+		"tuf":        Tuf,
+		"crosscheck": Crosscheck,
 	}
 }
 
@@ -105,17 +118,25 @@ func Names() []string {
 	return names
 }
 
-// Run executes one experiment by id and renders it to w.
+// Run executes one experiment by id and renders it to w. An experiment
+// whose gate failed is rendered in full and then reported as an error.
 func Run(name string, opt Options, w io.Writer) error {
 	runner, ok := Registry()[name]
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
+	return run(name, runner, opt, w)
+}
+
+func run(name string, runner Runner, opt Options, w io.Writer) error {
 	res, err := runner(opt)
 	if err != nil {
 		return fmt.Errorf("experiments: %s: %w", name, err)
 	}
 	res.Render(w)
+	if len(res.Failures) > 0 {
+		return fmt.Errorf("experiments: %s: %d gate failures: %s", name, len(res.Failures), strings.Join(res.Failures, "; "))
+	}
 	return nil
 }
 

@@ -347,8 +347,8 @@ func TestRunDispatch(t *testing.T) {
 	if err := Run("nope", Options{}, &sb); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if len(Names()) != 15 {
-		t.Errorf("Names() = %v, want 15 experiments", Names())
+	if len(Names()) != 16 {
+		t.Errorf("Names() = %v, want 16 experiments", Names())
 	}
 }
 

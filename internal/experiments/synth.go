@@ -37,20 +37,21 @@ func Synthesis(o Options) (*Result, error) {
 		tbl.AddRow(b, st.Executed, st.Applied, st.Checks, st.Violations)
 	}
 
-	notes := []string{
+	out := &Result{Name: "synthesis", Tables: []*metrics.Table{tbl}, Notes: []string{
 		fmt.Sprintf("%d seeds (starting at %d): %d plans, %d updates, %d two-phase classes",
 			res.Seeds, o.Seed, res.Plans, res.Updates, res.TwoPhase),
 		fmt.Sprintf("bad-ordering canaries caught by local verification: %d/%d",
 			res.CanaryCaught, res.CanaryTotal),
 		fmt.Sprintf("rerun with: cicero-synth -seeds %d -seed %d", seeds, o.Seed),
+	}}
+	if len(res.Failures) > 0 {
+		out.fail("%d FAILURES — first: %s", len(res.Failures), res.Failures[0])
 	}
-	switch {
-	case len(res.Failures) > 0:
-		notes = append(notes, fmt.Sprintf("%d FAILURES — first: %s", len(res.Failures), res.Failures[0]))
-	case res.CanaryCaught != res.CanaryTotal:
-		notes = append(notes, "CANARY MISSED: a dropped dependency edge passed local verification")
-	default:
-		notes = append(notes, "every plan verified, executed, and confirmed on both backends; every canary caught (expected)")
+	if res.CanaryCaught != res.CanaryTotal {
+		out.fail("CANARY MISSED: a dropped dependency edge passed local verification")
 	}
-	return &Result{Name: "synthesis", Tables: []*metrics.Table{tbl}, Notes: notes}, nil
+	if len(out.Failures) == 0 {
+		out.Notes = append(out.Notes, "every plan verified, executed, and confirmed on both backends; every canary caught (expected)")
+	}
+	return out, nil
 }

@@ -82,7 +82,8 @@ func Tuf(o Options) (*Result, error) {
 	}
 	canTbl := metrics.NewTable("verification-bypass canary (seeds caught / seeds run)",
 		"invariant", "caught")
-	for _, inv := range []string{chaos.InvMetaRollback, chaos.InvMetaForged, chaos.InvStalePolicy} {
+	canaryInvs := []string{chaos.InvMetaRollback, chaos.InvMetaForged, chaos.InvStalePolicy}
+	for _, inv := range canaryInvs {
 		canTbl.AddRow(inv, fmt.Sprintf("%d/%d", caught[inv], canarySeeds))
 	}
 
@@ -91,21 +92,26 @@ func Tuf(o Options) (*Result, error) {
 		return nil, err
 	}
 
-	notes := []string{
-		note("campaign: %s", campaign.Summary()),
-		note("canary: %s", canary.Summary()),
-		"verification costs are host wall-clock (like -crypto-bench), not virtual time",
-	}
-	if campaign.Violations == 0 {
-		notes = append(notes, "zero invariant violations with verification on (expected)")
-	} else {
-		notes = append(notes, fmt.Sprintf("%d INVARIANT VIOLATIONS with verification on — failing seeds %v", campaign.Violations, campaign.FailingSeeds))
-	}
-	return &Result{
+	out := &Result{
 		Name:   "tuf",
 		Tables: []*metrics.Table{campTbl, rejTbl, canTbl, costTbl},
-		Notes:  notes,
-	}, nil
+		Notes: []string{
+			note("campaign: %s", campaign.Summary()),
+			note("canary: %s", canary.Summary()),
+			"verification costs are host wall-clock (like -crypto-bench), not virtual time",
+		},
+	}
+	if campaign.Violations == 0 {
+		out.Notes = append(out.Notes, "zero invariant violations with verification on (expected)")
+	} else {
+		out.fail("%d INVARIANT VIOLATIONS with verification on — failing seeds %v", campaign.Violations, campaign.FailingSeeds)
+	}
+	for _, inv := range canaryInvs {
+		if caught[inv] == 0 {
+			out.fail("CANARY MISSED: %s fired on 0/%d seeds with verification bypassed", inv, canarySeeds)
+		}
+	}
+	return out, nil
 }
 
 // tufVerifyCost measures the real store-side verification cost: adopting

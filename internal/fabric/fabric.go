@@ -16,7 +16,10 @@
 // richer (fault filters, jitter, bandwidth models) stays backend-specific.
 package fabric
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // NodeID names a node on the fabric (switch, controller, host).
 type NodeID string
@@ -140,4 +143,23 @@ type Fabric interface {
 
 	// Stats returns a snapshot of traffic counters.
 	Stats() Stats
+}
+
+// InvokeWait runs fn in the node's serial context and waits for it to
+// return — how a driver on a live backend reads or pokes node state from
+// outside the fabric. It gives up after timeout: a closed fabric or a
+// wedged mailbox never runs the thunk. On simnet Invoke thunks only run
+// under Simulator.Run, so a driver there calls fn between runs instead.
+func InvokeWait(fab Fabric, id NodeID, fn func(), timeout time.Duration) error {
+	done := make(chan struct{})
+	fab.Invoke(id, func() {
+		fn()
+		close(done)
+	})
+	select {
+	case <-done:
+		return nil
+	case <-time.After(timeout):
+		return fmt.Errorf("fabric: node %s did not run invoke within %v", id, timeout)
+	}
 }

@@ -22,11 +22,12 @@
 // deliveries, timer callbacks, and Invoke thunks for one node run on that
 // node's single mailbox goroutine, so protocol handlers need no locking.
 // Unlike the simulator there is no global event order — runs are
-// concurrent and nondeterministic — which is exactly what the live
-// cross-check experiments exercise (see internal/experiments/live.go).
+// concurrent and nondeterministic — which is exactly what the
+// cross-backend gate exercises (see internal/experiments/crosscheck.go).
 package livenet
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,6 +44,35 @@ type Codec interface {
 	// straight behind its frame header.
 	AppendEncode(dst []byte, msg fabric.Message) ([]byte, error)
 	Decode(data []byte) (fabric.Message, error)
+}
+
+// Live is what a driver needs from a live backend beyond fabric.Fabric:
+// the fault plane, the resilience counters, and teardown. Both backends
+// satisfy it.
+type Live interface {
+	fabric.Fabric
+	fabric.FaultInjector
+	Crash(fabric.NodeID)
+	Restart(fabric.NodeID)
+	Partition(a, b fabric.NodeID)
+	Heal(a, b fabric.NodeID)
+	PartitionOneWay(from, to fabric.NodeID)
+	HealOneWay(from, to fabric.NodeID)
+	Resilience() ResilienceStats
+	Close()
+}
+
+// Open builds the backend named "inproc" or "tcp": the one place a
+// driver's backend name becomes a fabric.
+func Open(backend string, codec Codec) (Live, error) {
+	switch backend {
+	case "inproc":
+		return NewInProc(codec), nil
+	case "tcp":
+		return NewTCP(codec)
+	default:
+		return nil, fmt.Errorf("livenet: unknown backend %q (have inproc, tcp)", backend)
+	}
 }
 
 // node is one registered endpoint: a handler plus its serial mailbox.

@@ -162,7 +162,7 @@ func TestTCPBreakerTripsOnDeadPeer(t *testing.T) {
 }
 
 // TestResilienceCountersExactOnDeadPeer pins the exact counter values the
-// BENCH_live.json resilience section is built from (chaos copies
+// campaign results and bench/'s livenet.* metrics are built from (both copy
 // fab.Resilience() verbatim). With MaxAttempts=1 nothing ever retries, a
 // threshold of 2 against a dead listener trips the breaker exactly once,
 // and a cooldown far longer than the test keeps it from re-tripping via a

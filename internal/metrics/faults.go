@@ -16,9 +16,9 @@ type CounterSet struct {
 }
 
 // Canonical counter names for transport-resilience accounting. Livenet
-// backends count these internally (livenet.ResilienceStats); reports and
-// chaos campaigns fold them into a CounterSet under these names so
-// BENCH_live.json and campaign tables stay comparable across layers.
+// backends count these internally (livenet.ResilienceStats); chaos
+// campaigns fold them into a CounterSet under these names so campaign
+// tables stay comparable across layers.
 const (
 	// CounterRetry: frame (re)transmission attempts beyond the first.
 	CounterRetry = "retry"

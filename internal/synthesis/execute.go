@@ -146,13 +146,12 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 		SwitchApplyHook: rec.hook,
 	}
 	live := opt.Backend != "sim"
-	var closeFab func()
 	if live {
-		fab, cls, err := newLiveFabric(opt.Backend)
+		fab, err := livenet.Open(opt.Backend, protocol.NewWireCodec(nil))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("synthesis: %w", err)
 		}
-		closeFab = cls
+		defer fab.Close()
 		cfg.Fabric = fab
 		cfg.CryptoReal = true
 		// Live runs share wall-clock cores with the whole harness; a
@@ -162,13 +161,7 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 	}
 	n, err := core.Build(cfg)
 	if err != nil {
-		if closeFab != nil {
-			closeFab()
-		}
 		return nil, fmt.Errorf("synthesis: build %s network: %w", opt.Backend, err)
-	}
-	if closeFab != nil {
-		defer closeFab()
 	}
 
 	// Pre-seed the old configuration.
@@ -181,7 +174,7 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 			}
 		}
 		if live {
-			if err := invokeWait(n.Fab, fabric.NodeID(sw), seed, opt.Timeout); err != nil {
+			if err := fabric.InvokeWait(n.Fab, fabric.NodeID(sw), seed, opt.Timeout); err != nil {
 				return nil, err
 			}
 		} else {
@@ -195,7 +188,7 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 	viol := &collector{seen: make(map[string]bool)}
 
 	if live {
-		if err := invokeWait(n.Fab, fabric.NodeID(emitter.ID()), func() { emitter.EmitEvent(ev) }, opt.Timeout); err != nil {
+		if err := fabric.InvokeWait(n.Fab, fabric.NodeID(emitter.ID()), func() { emitter.EmitEvent(ev) }, opt.Timeout); err != nil {
 			return nil, err
 		}
 		deadline := time.Now().Add(opt.Timeout)
@@ -258,7 +251,7 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 		sw := sw
 		read := func() { finals[sw] = n.Switches[sw].Table().Rules() }
 		if live {
-			if err := invokeWait(n.Fab, fabric.NodeID(sw), read, opt.Timeout); err != nil {
+			if err := fabric.InvokeWait(n.Fab, fabric.NodeID(sw), read, opt.Timeout); err != nil {
 				return nil, err
 			}
 		} else {
@@ -299,39 +292,6 @@ func (c *collector) report(property, dedupKey, detail, token string) {
 	}
 	c.seen[key] = true
 	c.violations = append(c.violations, netprop.Violation{Property: property, DedupKey: dedupKey, Detail: detail, Token: token})
-}
-
-// newLiveFabric constructs the selected live backend.
-func newLiveFabric(backend string) (fabric.Fabric, func(), error) {
-	codec := protocol.NewWireCodec(nil)
-	switch backend {
-	case "inproc":
-		f := livenet.NewInProc(codec)
-		return f, f.Close, nil
-	case "tcp":
-		f, err := livenet.NewTCP(codec)
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, f.Close, nil
-	default:
-		return nil, nil, fmt.Errorf("synthesis: unknown backend %q (have sim, inproc, tcp)", backend)
-	}
-}
-
-// invokeWait runs fn in the node's serial context and waits for it.
-func invokeWait(fab fabric.Fabric, id fabric.NodeID, fn func(), timeout time.Duration) error {
-	done := make(chan struct{})
-	fab.Invoke(id, func() {
-		fn()
-		close(done)
-	})
-	select {
-	case <-done:
-		return nil
-	case <-time.After(timeout):
-		return fmt.Errorf("synthesis: node %s did not run invoke within %v", id, timeout)
-	}
 }
 
 // SweepOptions tunes a randomized synthesis sweep.
