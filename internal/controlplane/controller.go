@@ -299,7 +299,7 @@ func New(cfg Config) (*Controller, error) {
 	// Arm the recovery session before the handler is registered so not a
 	// single message reaches the amnesiac replica.
 	if cfg.CrashRecovery && cfg.Protocol != ProtoCentralized && len(c.members) >= 2 {
-		c.recovery = &recoverySession{responses: make(map[string]protocol.MsgRecoverState)}
+		c.recovery = &recoverySession{responses: make(map[fabric.NodeID]protocol.MsgRecoverState)}
 	}
 	cfg.Net.Register(fabric.NodeID(cfg.ID), c)
 	if cfg.FailureDetector != nil && cfg.Protocol == ProtoCicero {
@@ -350,6 +350,13 @@ func (c *Controller) memberSlot(id pki.Identity) int {
 		}
 	}
 	return -1
+}
+
+// isPeer reports whether a message's sender is another current member: the
+// only senders whose recovery requests are answered and whose recovery
+// answers are counted.
+func (c *Controller) isPeer(from fabric.NodeID) bool {
+	return pki.Identity(from) != c.cfg.ID && c.memberSlot(pki.Identity(from)) >= 0
 }
 
 // isAggregator reports whether this controller currently aggregates.
@@ -448,7 +455,9 @@ func (c *Controller) HandleMessage(from fabric.NodeID, msg fabric.Message) {
 	case protocol.MsgConfigShare:
 		c.handleConfigShare(m)
 	case protocol.MsgHeartbeat:
-		c.lastSeen[m.From] = c.cfg.Net.Now()
+		if c.memberSlot(pki.Identity(from)) >= 0 {
+			c.lastSeen[pki.Identity(from)] = c.cfg.Net.Now()
+		}
 	case protocol.MsgReshareDeal:
 		if m.Deal != nil && c.sentByDealer(from, m.Deal.Dealer) {
 			c.handleReshareDeal(m)
@@ -458,19 +467,19 @@ func (c *Controller) HandleMessage(from fabric.NodeID, msg fabric.Message) {
 			c.handleReshareSub(m)
 		}
 	case protocol.MsgStateTransfer:
-		c.handleStateTransfer(m)
+		c.handleStateTransfer(from, m)
 	case protocol.MsgRecoverRequest:
-		c.handleRecoverRequest(m)
+		c.handleRecoverRequest(from, m)
 	case protocol.MsgRecoverState:
-		c.handleRecoverState(m)
+		c.handleRecoverState(from, m)
 	case protocol.MsgResyncRequest:
-		c.handleResyncRequest(m)
+		c.handleResyncRequest(from)
 	case protocol.MsgMeta:
 		c.handleMeta(m)
 	case protocol.MsgMetaSet:
 		c.handleMetaSet(m)
 	case protocol.MsgMetaRequest:
-		c.handleMetaRequest(m)
+		c.handleMetaRequest(from)
 	case protocol.MsgMetaShare:
 		c.handleMetaShare(m)
 	case protocol.MsgMetaSig:

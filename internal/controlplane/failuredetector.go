@@ -27,7 +27,7 @@ func (c *Controller) scheduleHeartbeat() {
 			return
 		}
 		c.hbSeq++
-		hb := protocol.MsgHeartbeat{From: c.cfg.ID, Seq: c.hbSeq}
+		hb := protocol.MsgHeartbeat{Seq: c.hbSeq}
 		for _, m := range c.members {
 			if m == c.cfg.ID {
 				continue

@@ -274,7 +274,7 @@ func (c *Controller) handleReshareDeal(m protocol.MsgReshareDeal) {
 		return
 	}
 	if err := st.receiver.HandleDeal(m.Deal); err != nil {
-		return // Byzantine dealer: its deal is ignored (complaint flow)
+		return // Byzantine dealer: its deal is ignored
 	}
 	st.dealsGot[m.Deal.Dealer] = true
 	// Replay the sub-share that overtook this deal.
@@ -437,13 +437,16 @@ func (c *Controller) announceMembershipToPeers() {
 }
 
 // handleStateTransfer bootstraps this (joining) controller with the old
-// membership view and key material, then sets up its reshare receiver.
-func (c *Controller) handleStateTransfer(m protocol.MsgStateTransfer) {
-	if c.change != nil || c.memberSlot(c.cfg.ID) >= 0 {
-		return // already initialized
+// membership view and key material, then sets up its reshare receiver. It
+// listens only to a member of the control plane it was provisioned with,
+// and only to key material under the provisioned public key (the check a
+// switch makes in handleConfig).
+func (c *Controller) handleStateTransfer(from fabric.NodeID, m protocol.MsgStateTransfer) {
+	if c.cfg.Protocol != ProtoCicero || c.change != nil || c.memberSlot(c.cfg.ID) >= 0 {
+		return // no membership protocol, or already initialized
 	}
 	gk, ok := m.GroupKey.(*bls.GroupKey)
-	if !ok || gk == nil {
+	if !ok || gk == nil || c.memberSlot(pki.Identity(from)) < 0 || !gk.PK.Point.Equal(c.cfg.GroupKey.PK.Point) {
 		return
 	}
 	c.members = append([]pki.Identity(nil), m.Members...)

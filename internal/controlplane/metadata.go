@@ -531,10 +531,10 @@ func (c *Controller) handleMetaSet(m protocol.MsgMetaSet) {
 	}
 }
 
-// handleMetaRequest serves the full verified metadata set to a
-// restarted peer or switch.
-func (c *Controller) handleMetaRequest(m protocol.MsgMetaRequest) {
-	if c.meta == nil || m.From == "" {
+// handleMetaRequest serves the full verified metadata set to the
+// restarted peer or switch that asked.
+func (c *Controller) handleMetaRequest(from fabric.NodeID) {
+	if c.meta == nil {
 		return
 	}
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.MsgProcess)
@@ -546,7 +546,7 @@ func (c *Controller) handleMetaRequest(m protocol.MsgMetaRequest) {
 	for _, env := range envs {
 		size += len(env.Signed) + 128*len(env.Sigs)
 	}
-	c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(m.From), protocol.MsgMetaSet{Envs: envs}, size)
+	c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), from, protocol.MsgMetaSet{Envs: envs}, size)
 }
 
 // requestMetaCatchup asks every peer for its current verified set
@@ -555,7 +555,7 @@ func (c *Controller) requestMetaCatchup() {
 	if c.meta == nil {
 		return
 	}
-	req := protocol.MsgMetaRequest{From: string(c.cfg.ID)}
+	req := protocol.MsgMetaRequest{}
 	for _, m := range c.members {
 		if m == c.cfg.ID {
 			continue

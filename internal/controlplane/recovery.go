@@ -56,6 +56,7 @@ package controlplane
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"cicero/internal/audit"
@@ -65,7 +66,7 @@ import (
 
 // recoverySession tracks an in-flight controller recovery.
 type recoverySession struct {
-	responses map[string]protocol.MsgRecoverState // keyed by responder identity
+	responses map[fabric.NodeID]protocol.MsgRecoverState // keyed by sender
 	attempts  int
 	// adopted flips when the first f+1-identical state is applied; the
 	// replica is mute until then. The session itself lives on through
@@ -103,7 +104,7 @@ func (c *Controller) StartRecovery() {
 	// Config.CrashRecovery is born recovering so its mute window covers
 	// every message since registration.
 	if c.recovery == nil {
-		c.recovery = &recoverySession{responses: make(map[string]protocol.MsgRecoverState)}
+		c.recovery = &recoverySession{responses: make(map[fabric.NodeID]protocol.MsgRecoverState)}
 	}
 	c.sendRecoverRequests()
 	// Metadata moves outside the broadcast, so the event replay below
@@ -138,7 +139,7 @@ func (c *Controller) sendRecoverRequests() {
 		return
 	}
 	c.recovery.attempts++
-	msg := protocol.MsgRecoverRequest{From: c.cfg.ID, Phase: c.phase}
+	msg := protocol.MsgRecoverRequest{Phase: c.phase}
 	for _, m := range c.members {
 		if m == c.cfg.ID {
 			continue
@@ -148,18 +149,16 @@ func (c *Controller) sendRecoverRequests() {
 	c.cfg.Net.After(fabric.NodeID(c.cfg.ID), recoverRetryInterval, c.sendRecoverRequests)
 }
 
-// handleRecoverRequest answers a restarted peer with this controller's
-// event history and broadcast coordinates. A controller that is itself
-// recovering stays silent: it has no authoritative history to vouch for.
-func (c *Controller) handleRecoverRequest(m protocol.MsgRecoverRequest) {
-	if c.Recovering() || m.Phase != c.phase || m.From == c.cfg.ID {
-		return
-	}
-	if c.memberSlot(m.From) < 0 {
+// handleRecoverRequest answers the member that sent the request, a
+// restarted peer, with this controller's event history and broadcast
+// coordinates. A controller that is itself recovering stays silent: it has
+// no authoritative history to vouch for.
+func (c *Controller) handleRecoverRequest(from fabric.NodeID, m protocol.MsgRecoverRequest) {
+	if c.Recovering() || m.Phase != c.phase || !c.isPeer(from) {
 		return
 	}
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.MsgProcess)
-	resp := protocol.MsgRecoverState{From: c.cfg.ID, Phase: c.phase}
+	resp := protocol.MsgRecoverState{Phase: c.phase}
 	if c.replica != nil {
 		resp.View = c.replica.View()
 		resp.LastDelivered = c.replica.LastDelivered()
@@ -173,20 +172,18 @@ func (c *Controller) handleRecoverRequest(m protocol.MsgRecoverRequest) {
 	for _, e := range resp.Events {
 		size += len(e)
 	}
-	c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(m.From), resp, size)
+	c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), from, resp, size)
 }
 
-// handleRecoverState collects one peer's recovery response and adopts as
-// soon as f+1 identical responses exist.
-func (c *Controller) handleRecoverState(m protocol.MsgRecoverState) {
-	if c.recovery == nil || m.Phase != c.phase {
-		return
-	}
-	if c.memberSlot(m.From) < 0 || m.From == c.cfg.ID {
+// handleRecoverState collects one peer's recovery response — one per sending
+// member, a later one replacing the earlier — and adopts as soon as f+1
+// identical responses exist.
+func (c *Controller) handleRecoverState(from fabric.NodeID, m protocol.MsgRecoverState) {
+	if c.recovery == nil || m.Phase != c.phase || !c.isPeer(from) {
 		return
 	}
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.MsgProcess)
-	c.recovery.responses[string(m.From)] = m
+	c.recovery.responses[from] = m
 	c.tryAdoptRecovery()
 }
 
@@ -265,20 +262,20 @@ func (c *Controller) adoptRecovery(state protocol.MsgRecoverState) {
 	}
 	// Demand fresh agreement for the next confirmation round; the retry
 	// timer chain keeps the requests flowing until convergence.
-	c.recovery.responses = make(map[string]protocol.MsgRecoverState)
+	c.recovery.responses = make(map[fabric.NodeID]protocol.MsgRecoverState)
 }
 
-// handleResyncRequest retransmits every logged update targeting the
-// requesting switch, with fresh signature shares and the Resend flag. A
-// spoofed request costs at most one retransmission burst and cannot
+// handleResyncRequest retransmits every logged update targeting the switch
+// that sent the request — one of this domain's, and no other switch on its
+// behalf — with fresh signature shares and the Resend flag. It cannot
 // install anything a real update could not.
-func (c *Controller) handleResyncRequest(m protocol.MsgResyncRequest) {
-	if m.Switch == "" {
+func (c *Controller) handleResyncRequest(from fabric.NodeID) {
+	if !slices.Contains(c.cfg.Switches, string(from)) {
 		return
 	}
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.MsgProcess)
 	for _, rec := range c.dispatchLog {
-		if len(rec.mods) == 0 || rec.mods[0].Switch != m.Switch {
+		if len(rec.mods) == 0 || fabric.NodeID(rec.mods[0].Switch) != from {
 			continue
 		}
 		// Always the legacy per-update path: resync shares must combine

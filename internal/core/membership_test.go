@@ -94,6 +94,54 @@ func TestAddControllerResharesAndKeepsPublicKey(t *testing.T) {
 	}
 }
 
+// TestJoinerIgnoresForeignStateTransfer: before the bootstrap controller
+// admits it, a joiner is sent a state transfer by a node outside the control
+// plane it was provisioned with, and one by a member carrying a group key
+// under another public key. Either would hand it a membership and a key of
+// the sender's choosing; both must be ignored, and the real admission must
+// still go through.
+func TestJoinerIgnoresForeignStateTransfer(t *testing.T) {
+	n := buildSecure(t, controlplane.AggSwitch)
+	dom := n.Domains[0]
+	originalPK := dom.GroupKey.PK.Point
+	joiner := addJoiner(t, n, dom, ControllerName(0, 5))
+
+	const stranger = simnet.NodeID("stranger")
+	n.Net.Register(stranger, evilNode{})
+	otherKey, _, err := n.Scheme.Deal(rand.Reader, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hijack := func(gk any) protocol.MsgStateTransfer {
+		return protocol.MsgStateTransfer{
+			Phase: 6, NewPhase: 7,
+			Members:    []pki.Identity{"stranger", "x2", "x3", "x4"},
+			NewMembers: []pki.Identity{"stranger", "x2", "x3", "x4", joiner.ID()},
+			GroupKey:   gk,
+		}
+	}
+	n.Net.Send(stranger, simnet.NodeID(joiner.ID()), hijack(dom.GroupKey), 4096)
+	n.Net.Send(simnet.NodeID(dom.Members[3]), simnet.NodeID(joiner.ID()), hijack(otherKey), 4096)
+	if _, err := n.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if joiner.Phase() != 0 || joiner.Members()[0] != dom.Members[0] || !joiner.GroupKey().PK.Point.Equal(originalPK) {
+		t.Fatalf("joiner took state from a foreign transfer: phase=%d members=%v samePK=%v",
+			joiner.Phase(), joiner.Members(), joiner.GroupKey().PK.Point.Equal(originalPK))
+	}
+
+	if err := dom.Controllers[0].RequestAddController(joiner.ID()); err != nil {
+		t.Fatalf("RequestAddController: %v", err)
+	}
+	if _, err := n.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if joiner.Phase() != 1 || len(joiner.Members()) != 5 || !joiner.GroupKey().PK.Point.Equal(originalPK) {
+		t.Fatalf("bootstrap admission did not complete: phase=%d members=%v samePK=%v",
+			joiner.Phase(), joiner.Members(), joiner.GroupKey().PK.Point.Equal(originalPK))
+	}
+}
+
 func TestRemoveControllerReshares(t *testing.T) {
 	// Five members so removal keeps n >= 4.
 	cfg := topology.DefaultFabricConfig()

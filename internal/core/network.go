@@ -339,9 +339,6 @@ func (n *Network) fabricDist(a, b string) time.Duration {
 	return d
 }
 
-// DomainOfSwitch returns a switch's domain index.
-func (n *Network) DomainOfSwitch(sw string) int { return n.domainOfSwitch[sw] }
-
 // SwitchCPUTotal sums simulated CPU time charged to all switches.
 func (n *Network) SwitchCPUTotal() time.Duration {
 	var total time.Duration

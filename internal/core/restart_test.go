@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"cicero/internal/audit"
 	"cicero/internal/controlplane"
+	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/simnet"
+	"cicero/internal/tcrypto/pki"
 	"cicero/internal/topology"
+	"cicero/internal/workload"
 )
 
 // Crash/restart recovery on the simulator: a restarted controller must
@@ -143,5 +147,90 @@ func TestSwitchCrashRestartResyncs(t *testing.T) {
 	// The table object in the network map must be the replacement's.
 	if n.Switches[swID] != sw {
 		t.Fatal("network map still references the crashed switch instance")
+	}
+}
+
+// claimSender writes id into msg's self-declared sender field, if its type
+// has one. No message a handler trusts has such a field, so here this does
+// nothing and a sender speaks under its fabric id alone; on a tree whose
+// MsgRecoverState still carries From, the same test drives the forgery that
+// field allowed.
+func claimSender(msg *protocol.MsgRecoverState, id pki.Identity) {
+	if f := reflect.ValueOf(msg).Elem().FieldByName("From"); f.IsValid() {
+		f.SetString(string(id))
+	}
+}
+
+// TestOneByzantinePeerCannotVouchRecoveryAlone: a restarted controller is
+// cut off from both honest peers, and the one Byzantine member it can hear
+// answers its recovery request f+1 times with a fabricated history, once in
+// the name of each honest peer. f+1 matching answers are what adoption
+// takes, so they must be f+1 senders: the controller stays mute and empty
+// until the partitions heal, then recovers the honest history.
+func TestOneByzantinePeerCannotVouchRecoveryAlone(t *testing.T) {
+	n := buildSecure(t, controlplane.AggSwitch)
+	dom := n.Domains[0]
+	src, dst := topology.HostName(0, 0, 0, 0), topology.HostName(0, 0, 2, 0)
+	if _, err := n.RunFlows([]workload.Flow{{ID: 1, Src: src, Dst: dst, SizeKB: 32}}, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	honest := dom.Members[:2]
+	const victimSlot, forgerSlot = 2, 3
+	victim, forger := simnet.NodeID(dom.Members[victimSlot]), simnet.NodeID(dom.Members[forgerSlot])
+
+	n.Net.Crash(victim)
+	n.Net.Recover(victim)
+	for _, h := range honest {
+		n.Net.Partition(victim, simnet.NodeID(h))
+	}
+	n.Net.Register(forger, evilNode{}) // the forger answers nothing honestly
+	restarted, err := n.RestartController(0, victimSlot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgedEvent := protocol.Event{
+		ID:   openflow.MsgID{Origin: "forged", Seq: 1},
+		Kind: protocol.EventFlowRequest,
+		Src:  dst, Dst: src,
+	}
+	for _, h := range honest {
+		state := protocol.MsgRecoverState{View: 7, LastDelivered: 99, Events: [][]byte{forgedEvent.Encode()}}
+		claimSender(&state, h)
+		n.Net.Send(forger, victim, state, 256)
+	}
+	holdsForgedEvent := func() bool {
+		for _, r := range restarted.AuditRecords() {
+			if r.Subject == forgedEvent.ID.String() {
+				return true
+			}
+		}
+		return false
+	}
+	if _, err := n.Sim.RunUntil(n.Sim.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	view, delivered := restarted.BroadcastCoords()
+	if !restarted.Recovering() || holdsForgedEvent() || view != 0 || delivered != 0 || restarted.UpdatesSigned != 0 {
+		t.Fatalf("one peer's f+1 answers were adopted: recovering=%v forgedEventInLedger=%v view=%d lastDelivered=%d updatesSigned=%d",
+			restarted.Recovering(), holdsForgedEvent(), view, delivered, restarted.UpdatesSigned)
+	}
+
+	for _, h := range honest {
+		n.Net.Heal(victim, simnet.NodeID(h))
+	}
+	if _, err := n.Sim.RunUntil(n.Sim.Now() + 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !restarted.Recovered() || holdsForgedEvent() {
+		t.Fatalf("after healing: recovered=%v forgedEventInLedger=%v", restarted.Recovered(), holdsForgedEvent())
+	}
+	ref, got := eventRecords(dom.Controllers[0].AuditRecords()), eventRecords(restarted.AuditRecords())
+	if len(ref) == 0 || len(got) != len(ref) {
+		t.Fatalf("recovered ledger has %d events, an honest peer has %d", len(got), len(ref))
+	}
+	for i := range ref {
+		if !bytes.Equal(got[i].Canonical, ref[i].Canonical) {
+			t.Fatalf("recovered ledger diverges from the honest one at %d: %s vs %s", i, got[i].Subject, ref[i].Subject)
+		}
 	}
 }

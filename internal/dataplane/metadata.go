@@ -83,7 +83,7 @@ func (s *Switch) RequestMeta() {
 	if s.meta == nil {
 		return
 	}
-	req := protocol.MsgMetaRequest{From: s.cfg.ID}
+	req := protocol.MsgMetaRequest{}
 	for _, ctl := range s.cfg.Controllers {
 		s.cfg.Net.Send(fabric.NodeID(s.cfg.ID), fabric.NodeID(ctl), req, 64)
 	}

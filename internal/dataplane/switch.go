@@ -125,7 +125,6 @@ type Switch struct {
 	aggregator  pki.Identity
 	configPhase uint64
 	waiters     []waiter
-	bundles     map[string]*bundleState
 
 	// verifyBypass disables update signature verification. It exists ONLY
 	// as the chaos engine's canary mutation: a deliberately broken switch
@@ -179,19 +178,6 @@ func (s *Switch) ID() string { return s.cfg.ID }
 
 // Table exposes the flow table (read-mostly; the driver inspects it).
 func (s *Switch) Table() *openflow.FlowTable { return s.table }
-
-// SetControllers replaces the control-plane membership view (called on
-// membership changes).
-func (s *Switch) SetControllers(members []pki.Identity) {
-	s.cfg.Controllers = append([]pki.Identity(nil), members...)
-}
-
-// SetGroupKey updates the threshold verification parameters (quorum
-// changes on membership change; the public key itself never does).
-func (s *Switch) SetGroupKey(gk *bls.GroupKey, quorum int) {
-	s.cfg.GroupKey = gk
-	s.cfg.Quorum = quorum
-}
 
 // SetVerifyBypass toggles the canary mutation: with bypass on, the switch
 // applies threshold and aggregated updates without checking signatures —
@@ -270,8 +256,10 @@ func (s *Switch) seal(to pki.Identity, payload []byte) (pki.Envelope, bool) {
 	return env, err == nil
 }
 
-// HandleMessage implements fabric.Handler (Fig. 6b).
-func (s *Switch) HandleMessage(from fabric.NodeID, msg fabric.Message) {
+// HandleMessage implements fabric.Handler (Fig. 6b). Who sent a message
+// decides nothing here: outside the unsigned baselines, what changes switch
+// state carries its own shares, signature or attestation.
+func (s *Switch) HandleMessage(_ fabric.NodeID, msg fabric.Message) {
 	switch m := msg.(type) {
 	case protocol.MsgUpdate:
 		s.cfg.Net.Charge(fabric.NodeID(s.cfg.ID), s.cfg.Cost.MsgProcess)
@@ -289,14 +277,6 @@ func (s *Switch) HandleMessage(from fabric.NodeID, msg fabric.Message) {
 		s.handleMeta(m)
 	case protocol.MsgMetaSet:
 		s.handleMetaSet(m)
-	case openflow.BundleOpen:
-		s.handleBundleOpen(m)
-	case openflow.BundleAdd:
-		s.handleBundleAdd(m)
-	case openflow.BundleCommit:
-		s.handleBundleCommit(from, m)
-	case openflow.BarrierRequest:
-		s.handleBarrier(from, m)
 	case openflow.PacketOut:
 		// A bare PACKET_OUT reaching the data plane is exactly the attack
 		// of §2.2; Cicero switches only honor threshold-authenticated
@@ -395,7 +375,7 @@ func (s *Switch) ResendPendingEvents() {
 // authenticated update path, so resynchronization is exactly as hard to
 // forge as a regular update.
 func (s *Switch) RequestResync() {
-	msg := protocol.MsgResyncRequest{Switch: s.cfg.ID}
+	msg := protocol.MsgResyncRequest{}
 	for _, ctl := range s.cfg.Controllers {
 		s.cfg.Net.Send(fabric.NodeID(s.cfg.ID), fabric.NodeID(ctl), msg, 64)
 	}

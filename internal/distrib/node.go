@@ -305,10 +305,6 @@ func (rt *nodeRuntime) handleControl(from fabric.NodeID, msg fabric.Message) boo
 			if rt.ctl != nil {
 				rt.ctl.RedispatchUnacked()
 			}
-		case protocol.NudgeResync:
-			if rt.sw != nil {
-				rt.sw.RequestResync()
-			}
 		case protocol.NudgeRecover:
 			if rt.ctl != nil {
 				rt.ctl.StartRecovery()

@@ -386,7 +386,7 @@ func (s *Supervisor) FlowDone(flowID uint64) bool {
 	return len(s.flows[flowID]) > 0
 }
 
-// Nudge sends a liveness nudge (resend-events, redispatch, resync).
+// Nudge sends a liveness nudge (resend-events, redispatch, recover).
 func (s *Supervisor) Nudge(id, op string) error {
 	return s.fab.SendErr(DriverID, fabric.NodeID(id), protocol.MsgNudge{Op: op}, 0)
 }

@@ -72,7 +72,7 @@ func TestInProcStrictCodec(t *testing.T) {
 		got = append(got, msg)
 		mu.Unlock()
 	}))
-	p.Send("n0", "n1", protocol.MsgHeartbeat{From: "c1", Seq: 9}, 64)
+	p.Send("n0", "n1", protocol.MsgHeartbeat{Seq: 9}, 64)
 	p.Send("n0", "n1", struct{ X int }{1}, 64) // not wire-encodable: dropped
 	waitFor(t, 2*time.Second, func() bool {
 		mu.Lock()
@@ -82,7 +82,7 @@ func TestInProcStrictCodec(t *testing.T) {
 	mu.Lock()
 	hb, ok := got[0].(protocol.MsgHeartbeat)
 	mu.Unlock()
-	if !ok || hb.Seq != 9 || hb.From != "c1" {
+	if !ok || hb.Seq != 9 {
 		t.Fatalf("got %#v", got[0])
 	}
 	if st := p.Stats(); st.DroppedUnknown != 1 || st.Bytes == 0 {
@@ -156,8 +156,8 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	const per = 50
 	for i := 0; i < per; i++ {
-		f.Send("c1", "s1", protocol.MsgHeartbeat{From: "c1", Seq: uint64(i)}, 0)
-		f.Send("c2", "s1", protocol.MsgHeartbeat{From: "c2", Seq: uint64(i)}, 0)
+		f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: uint64(i)}, 0)
+		f.Send("c2", "s1", protocol.MsgHeartbeat{Seq: uint64(i)}, 0)
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		mu.Lock()
@@ -243,7 +243,7 @@ func TestTCPReconnectRacesPartitionHeal(t *testing.T) {
 			default:
 			}
 			seq++
-			f.Send("c1", "s1", protocol.MsgHeartbeat{From: "c1", Seq: seq}, 0)
+			f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: seq}, 0)
 			time.Sleep(time.Millisecond)
 		}
 	}()

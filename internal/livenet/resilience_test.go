@@ -279,7 +279,7 @@ func TestTCPKillPeerMidWorkload(t *testing.T) {
 			default:
 			}
 			seq++
-			f.Send("c1", "s1", protocol.MsgHeartbeat{From: "c1", Seq: seq}, 0)
+			f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: seq}, 0)
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()

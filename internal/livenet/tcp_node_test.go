@@ -52,7 +52,7 @@ func TestTCPNodeRemoteSend(t *testing.T) {
 		t.Fatalf("send to unmapped remote: err=%v, want ErrUnknownNode", err)
 	}
 
-	fc.Send("c", "b", protocol.MsgHeartbeat{From: "c", Seq: 1}, 0)
+	fc.Send("c", "b", protocol.MsgHeartbeat{Seq: 1}, 0)
 	atSend := clockC.Now()
 	waitFor(t, 5*time.Second, func() bool { return gotA.Load() == 1 },
 		"relayed delivery across three fabrics")

@@ -41,10 +41,6 @@ func Reason(err error) string {
 	return ""
 }
 
-// AdoptFunc observes every successful adoption (chaos wires an
-// independent re-verifier here).
-type AdoptFunc func(role string, version uint64, env protocol.MetaEnvelope)
-
 // Store is a trusted-metadata store: it holds the latest verified
 // document per role and refuses everything that fails the TUF checks —
 // wrong or retired keys, sub-threshold signatures, version rollback,
@@ -85,10 +81,7 @@ type Store struct {
 	// invariant plane notices a broken store.
 	bypass bool
 
-	hook AdoptFunc
-
 	rejected map[string]int
-	adopted  int
 }
 
 // NewStore builds a store trusting the given group public key. now
@@ -103,13 +96,6 @@ func NewStore(scheme *bls.Scheme, groupPK bls.PublicKey, now func() int64) *Stor
 		rejected: make(map[string]int),
 		envs:     make(map[string]protocol.MetaEnvelope),
 	}
-}
-
-// SetAdoptHook installs the adoption observer.
-func (s *Store) SetAdoptHook(fn AdoptFunc) {
-	s.mu.Lock()
-	s.hook = fn
-	s.mu.Unlock()
 }
 
 // SetVerifyBypass turns verification off (chaos canary only).
@@ -128,13 +114,6 @@ func (s *Store) Rejections() map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-// Adopted returns how many envelopes were adopted.
-func (s *Store) Adopted() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.adopted
 }
 
 // Versions returns the current (root, targets, snapshot, timestamp)
@@ -271,17 +250,6 @@ func (s *Store) applyLocked(env protocol.MetaEnvelope) error {
 	return nil
 }
 
-// adopt records an adoption and fires the hook (lock held; the hook is
-// invoked without the lock so it may inspect the store).
-func (s *Store) adopt(role string, version uint64, env protocol.MetaEnvelope) {
-	s.adopted++
-	if h := s.hook; h != nil {
-		s.mu.Unlock()
-		h(role, version, env)
-		s.mu.Lock()
-	}
-}
-
 func (s *Store) applyRoot(env protocol.MetaEnvelope) error {
 	var doc Root
 	if err := decodeStrictJSON(env.Signed, &doc); err != nil {
@@ -342,7 +310,6 @@ func (s *Store) applyRoot(env protocol.MetaEnvelope) error {
 	s.root = &doc
 	s.rootSigned = append([]byte(nil), env.Signed...)
 	s.envs[protocol.MetaRoleRoot] = env
-	s.adopt(protocol.MetaRoleRoot, doc.Version, env)
 	return nil
 }
 
@@ -443,7 +410,6 @@ func (s *Store) applyDelegated(env protocol.MetaEnvelope) error {
 		s.targetsSigned = append([]byte(nil), env.Signed...)
 	}
 	s.envs[role] = env
-	s.adopt(role, hdr.Version, env)
 	return nil
 }
 

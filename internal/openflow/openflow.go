@@ -1,14 +1,11 @@
 // Package openflow models the southbound API between the control plane
-// and data-plane switches: flow-table matches and actions, the standard
-// message vocabulary (FlowMod, PacketIn, PacketOut, Barrier, Bundle, Role),
-// and the Cicero extension of signed messages with unique identifiers
-// (§5.1 of the paper: "We extend the OpenFlow message protocol to add new
-// message types for signed messages, and add a unique identifier to each
-// message to prevent duplicate processing of events and updates").
-//
-// As in the paper's motivation (§2.2), bundles provide transactional
-// application of multiple mods on a *single* switch only — cross-switch
-// consistency is exactly what the Cicero protocol adds on top.
+// and data-plane switches: flow-table matches and actions, FlowMod, and the
+// Cicero extension of signed messages with unique identifiers (§5.1 of the
+// paper: "We extend the OpenFlow message protocol to add new message types
+// for signed messages, and add a unique identifier to each message to
+// prevent duplicate processing of events and updates"). Of the standard
+// unauthenticated vocabulary only PacketOut is modelled, as the attack of
+// §2.2 that a Cicero switch refuses.
 package openflow
 
 import (
@@ -120,17 +117,6 @@ type MsgID struct {
 // String renders the id for logs and signatures.
 func (id MsgID) String() string { return fmt.Sprintf("%s#%d", id.Origin, id.Seq) }
 
-// PacketIn reports a packet that matched no flow-table rule (a table
-// miss), the event that triggers route computation.
-type PacketIn struct {
-	ID     MsgID
-	Switch string
-	Src    string
-	Dst    string
-	// SizeBytes is the triggering packet's size.
-	SizeBytes int
-}
-
 // PacketOut injects a packet into the data plane — the primitive a
 // malicious controller can abuse (§2.2), which Cicero's quorum
 // authentication neutralizes.
@@ -140,41 +126,6 @@ type PacketOut struct {
 	Src     string
 	Dst     string
 	Payload string
-}
-
-// BarrierRequest asks a switch to finish all preceding messages before
-// answering.
-type BarrierRequest struct{ ID MsgID }
-
-// BarrierReply acknowledges a barrier.
-type BarrierReply struct{ ID MsgID }
-
-// BundleOpen starts collecting mods for atomic single-switch application.
-type BundleOpen struct{ Bundle MsgID }
-
-// BundleAdd appends a mod to an open bundle.
-type BundleAdd struct {
-	Bundle MsgID
-	Mod    FlowMod
-}
-
-// BundleCommit atomically applies an open bundle.
-type BundleCommit struct{ Bundle MsgID }
-
-// Role is a controller's role toward a switch, used for aggregator
-// assignment via the OpenFlow master/slave mechanism.
-type Role int
-
-// Roles. Start at 1 so the zero value is invalid.
-const (
-	RoleMaster Role = iota + 1
-	RoleSlave
-)
-
-// RoleRequest assigns the sending controller's role on the switch.
-type RoleRequest struct {
-	ID   MsgID
-	Role Role
 }
 
 // CanonicalUpdateBytes serializes an update (its id, phase and mods) into

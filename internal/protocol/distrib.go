@@ -178,8 +178,6 @@ const (
 	NudgeResendEvents = "resend-events"
 	// NudgeRedispatch makes a controller redispatch unacked updates.
 	NudgeRedispatch = "redispatch"
-	// NudgeResync makes a switch request a full table resync.
-	NudgeResync = "resync"
 	// NudgeRecover makes a controller start peer state transfer (the
 	// crash-recovery path) without having crashed: the rescue for a
 	// replica whose broadcast wedged below a delivery gap — a partition

@@ -70,10 +70,9 @@ type MsgMetaSet struct {
 }
 
 // MsgMetaRequest asks a controller for its current verified metadata
-// set (bootstrap and catch-up for switches and node processes).
-type MsgMetaRequest struct {
-	From string
-}
+// set (bootstrap and catch-up for switches and node processes); the answer
+// goes to the sender.
+type MsgMetaRequest struct{}
 
 // MsgMetaShare is one controller's BLS signature share over a root
 // document's signing bytes, sent to the metadata leader for

@@ -337,17 +337,17 @@ type MsgReshareSub struct {
 	Sub   dkg.SubShare
 }
 
-// MsgHeartbeat is the failure detector's liveness probe.
+// MsgHeartbeat is the failure detector's liveness probe. Like every message
+// below that answers or vouches for its sender, it carries no sender field:
+// the receiver takes the sender from the fabric.
 type MsgHeartbeat struct {
-	From pki.Identity
-	Seq  uint64
+	Seq uint64
 }
 
 // MsgRecoverRequest is a restarted controller's plea for state: it lost
 // all volatile state in a crash and asks its peers for the delivered
 // event history and the atomic broadcast's coordinates.
 type MsgRecoverRequest struct {
-	From  pki.Identity
 	Phase uint64
 }
 
@@ -358,7 +358,6 @@ type MsgRecoverRequest struct {
 // pairwise-consistent responses, so a single Byzantine peer cannot feed
 // it fabricated history.
 type MsgRecoverState struct {
-	From          pki.Identity
 	Phase         uint64
 	View          uint64
 	LastDelivered uint64
@@ -367,12 +366,10 @@ type MsgRecoverState struct {
 
 // MsgResyncRequest is a restarted switch's plea for its flow table: it
 // asks every controller to retransmit (with Resend set and fresh
-// signature shares) the updates previously dispatched to it. The flow
-// table rebuilds through the normal quorum-authenticated path, so a
-// forged resync answer is no more powerful than a forged update.
-type MsgResyncRequest struct {
-	Switch string
-}
+// signature shares) the updates previously dispatched to it, the sender.
+// The flow table rebuilds through the normal quorum-authenticated path, so
+// a forged resync answer is no more powerful than a forged update.
+type MsgResyncRequest struct{}
 
 // MsgBFT wraps an atomic-broadcast protocol message between two
 // controllers of the same domain. Phase scopes the message to a

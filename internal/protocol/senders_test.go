@@ -1,0 +1,86 @@
+package protocol
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestEveryWireTypeHasASender keeps the vocabulary from drifting ahead of
+// the protocol: every type registered in NewWireCodec must be built, as a
+// composite literal, somewhere in the module's non-test code outside this
+// package. A registered type nothing builds is a frame every receiver
+// decodes and no sender needs; delete it, or land its sender with it.
+func TestEveryWireTypeHasASender(t *testing.T) {
+	const pkgDir = "internal/protocol"
+	module := strings.TrimSuffix(reflect.TypeOf(MsgEvent{}).PkgPath(), "/"+pkgDir)
+	built := make(map[string]bool) // "import/path.Type"
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, file)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel == pkgDir || d.Name() == "testdata" || (strings.HasPrefix(d.Name(), ".") && rel != ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			return err
+		}
+		own := path.Join(module, path.Dir(rel))
+		imports := make(map[string]string) // local name -> import path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := path.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			switch typ := lit.Type.(type) {
+			case *ast.Ident:
+				built[own+"."+typ.Name] = true
+			case *ast.SelectorExpr:
+				if pkg, ok := typ.X.(*ast.Ident); ok {
+					built[imports[pkg.Name]+"."+typ.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unsent []string
+	for _, e := range NewWireCodec(nil).byType {
+		if !built[e.typ.PkgPath()+"."+e.typ.Name()] {
+			unsent = append(unsent, e.name+" ("+e.typ.String()+")")
+		}
+	}
+	sort.Strings(unsent)
+	if len(unsent) > 0 {
+		t.Errorf("registered wire types that no non-test code outside %s builds: %v", pkgDir, unsent)
+	}
+}

@@ -151,15 +151,10 @@ func NewWireCodec(params *pairing.Params) *WireCodec {
 	register[bft.Commit](c, 35, "bft-commit")
 	register[bft.ViewChange](c, 36, "bft-viewchange")
 	register[bft.NewView](c, 37, "bft-newview")
-	// Southbound OpenFlow vocabulary (bundles, barriers, packets, roles).
-	register[openflow.BundleOpen](c, 48, "bundle-open")
-	register[openflow.BundleAdd](c, 49, "bundle-add")
-	register[openflow.BundleCommit](c, 50, "bundle-commit")
-	register[openflow.BarrierRequest](c, 51, "barrier-request")
-	register[openflow.BarrierReply](c, 52, "barrier-reply")
-	register[openflow.PacketIn](c, 53, "packet-in")
+	// The one unauthenticated southbound message a switch is sent (and
+	// refuses). Ids 48–53 and 55 belonged to the bundle, barrier, packet-in
+	// and role messages nothing sent; they are retired, never reused.
 	register[openflow.PacketOut](c, 54, "packet-out")
-	register[openflow.RoleRequest](c, 55, "role-request")
 	// Multi-process deployment vocabulary (see distrib.go).
 	register[NodeBundle](c, 64, "node-bundle")
 	register[MsgNodeHello](c, 65, "node-hello")

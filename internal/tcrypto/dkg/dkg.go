@@ -63,12 +63,6 @@ type SubShare struct {
 	Value     *big.Int `wire:"required"`
 }
 
-// Complaint accuses a dealer of distributing an inconsistent sub-share.
-type Complaint struct {
-	Accuser uint32
-	Dealer  uint32
-}
-
 // Participant is one controller's DKG state machine. Create it with
 // NewParticipant, transport the outputs of Start to all peers, feed peer
 // messages to HandleDeal/HandleSubShare, then call Finalize with the
@@ -146,7 +140,7 @@ func (p *Participant) HandleDeal(deal *Deal) error {
 
 // HandleSubShare verifies a private sub-share against the dealer's
 // commitments. On inconsistency it returns ErrInvalidSubShare; the caller
-// should then broadcast a Complaint against the dealer.
+// leaves the dealer out of the qualified set.
 func (p *Participant) HandleSubShare(ss SubShare) error {
 	if ss.Recipient != p.self {
 		return ErrWrongRecipient
