@@ -112,11 +112,11 @@ func TestBatchDelayFlush(t *testing.T) {
 func TestBatchDedup(t *testing.T) {
 	c, _ := newBatchCluster(t, 4, 64, 0)
 	c.replicas[1].Submit([]byte("once"))
-	c.replicas[1].Handle(2, Request{Origin: 2, Payload: []byte("once")}) // duplicate while buffered
+	c.replicas[1].Handle(2, Request{Payload: []byte("once")}) // duplicate while buffered
 	c.pump()
 	c.fireTimers()
 	c.checkAgreement(1)
-	c.replicas[1].Handle(3, Request{Origin: 3, Payload: []byte("once")}) // duplicate after delivery
+	c.replicas[1].Handle(3, Request{Payload: []byte("once")}) // duplicate after delivery
 	c.pump()
 	c.fireTimers()
 	c.checkAgreement(1)

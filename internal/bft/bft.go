@@ -84,7 +84,6 @@ func PayloadDigest(payload []byte) Digest { return digestOf(payload) }
 // Request asks the primary to order a payload. Replicas forward local
 // submissions to the current primary.
 type Request struct {
-	Origin  ReplicaID
 	Payload []byte
 }
 
@@ -96,20 +95,20 @@ type PrePrepare struct {
 	Payload []byte
 }
 
-// Prepare echoes agreement on (view, seq, digest).
+// Prepare echoes agreement on (view, seq, digest). Neither it nor Commit nor
+// ViewChange names its voter: a vote counts under the sender Handle was
+// given, so no replica can cast one in another's name.
 type Prepare struct {
-	View    uint64
-	Seq     uint64
-	Digest  Digest
-	Replica ReplicaID
+	View   uint64
+	Seq    uint64
+	Digest Digest
 }
 
 // Commit finalizes agreement in Byzantine mode.
 type Commit struct {
-	View    uint64
-	Seq     uint64
-	Digest  Digest
-	Replica ReplicaID
+	View   uint64
+	Seq    uint64
+	Digest Digest
 }
 
 // PreparedEntry is a slot a replica had prepared when view-changing.
@@ -127,7 +126,6 @@ type PreparedEntry struct {
 // counter.
 type ViewChange struct {
 	NewView       uint64
-	Replica       ReplicaID
 	Prepared      []PreparedEntry
 	LastDelivered uint64
 }
@@ -284,7 +282,7 @@ func (r *Replica) Submit(payload []byte) {
 		r.propose(payload)
 		return
 	}
-	r.cfg.Transport.Send(r.Primary(r.view), Request{Origin: r.cfg.ID, Payload: payload})
+	r.cfg.Transport.Send(r.Primary(r.view), Request{Payload: payload})
 }
 
 // propose sequences a payload (primary only). Payloads already sequenced
@@ -346,11 +344,11 @@ func (r *Replica) Handle(from ReplicaID, msg Message) {
 		}
 		r.handlePrePrepare(m)
 	case Prepare:
-		r.handlePrepare(m)
+		r.handlePrepare(from, m)
 	case Commit:
-		r.handleCommit(m)
+		r.handleCommit(from, m)
 	case ViewChange:
-		r.handleViewChange(m)
+		r.handleViewChange(from, m)
 	case NewView:
 		r.handleNewView(from, m)
 	}
@@ -388,12 +386,12 @@ func (r *Replica) handlePrePrepare(pp PrePrepare) {
 	if pp.Seq > r.nextSeq {
 		r.nextSeq = pp.Seq // keep in sync for future primariness
 	}
-	prep := Prepare{View: r.view, Seq: pp.Seq, Digest: pp.Digest, Replica: r.cfg.ID}
+	prep := Prepare{View: r.view, Seq: pp.Seq, Digest: pp.Digest}
 	r.broadcast(prep)
-	r.handlePrepare(prep) // count own vote
+	r.handlePrepare(r.cfg.ID, prep) // count own vote
 }
 
-func (r *Replica) handlePrepare(p Prepare) {
+func (r *Replica) handlePrepare(from ReplicaID, p Prepare) {
 	if p.View != r.view {
 		return
 	}
@@ -401,11 +399,11 @@ func (r *Replica) handlePrepare(p Prepare) {
 	if s.prePrepared && s.digest != p.Digest {
 		return
 	}
-	s.prepares[p.Replica] = true
+	s.prepares[from] = true
 	r.maybeAdvance(p.Seq, s)
 }
 
-func (r *Replica) handleCommit(c Commit) {
+func (r *Replica) handleCommit(from ReplicaID, c Commit) {
 	if c.View != r.view {
 		return
 	}
@@ -413,7 +411,7 @@ func (r *Replica) handleCommit(c Commit) {
 	if s.prePrepared && s.digest != c.Digest {
 		return
 	}
-	s.commits[c.Replica] = true
+	s.commits[from] = true
 	r.maybeAdvance(c.Seq, s)
 }
 
@@ -425,7 +423,7 @@ func (r *Replica) maybeAdvance(seq uint64, s *slot) {
 	if !s.prepared && len(s.prepares) >= r.quorum() {
 		s.prepared = true
 		if r.cfg.Mode == ModeByzantine {
-			c := Commit{View: r.view, Seq: seq, Digest: s.digest, Replica: r.cfg.ID}
+			c := Commit{View: r.view, Seq: seq, Digest: s.digest}
 			r.broadcast(c)
 			s.commits[r.cfg.ID] = true
 		}
@@ -534,7 +532,7 @@ func (r *Replica) armTimer() {
 		// replica does not storm the group.
 		r.timeoutScale++
 		for _, p := range r.pendingOwn {
-			r.broadcast(Request{Origin: r.cfg.ID, Payload: p})
+			r.broadcast(Request{Payload: p})
 		}
 		r.startViewChange(r.view + 1)
 	})
@@ -545,9 +543,9 @@ func (r *Replica) startViewChange(newView uint64) {
 	if newView <= r.view {
 		return
 	}
-	vc := ViewChange{NewView: newView, Replica: r.cfg.ID, Prepared: r.preparedEntries(), LastDelivered: r.lastDelivered}
+	vc := ViewChange{NewView: newView, Prepared: r.preparedEntries(), LastDelivered: r.lastDelivered}
 	r.broadcast(vc)
-	r.handleViewChange(vc)
+	r.handleViewChange(r.cfg.ID, vc)
 	r.armTimer()
 }
 
@@ -563,7 +561,7 @@ func (r *Replica) preparedEntries() []PreparedEntry {
 	return out
 }
 
-func (r *Replica) handleViewChange(vc ViewChange) {
+func (r *Replica) handleViewChange(from ReplicaID, vc ViewChange) {
 	if vc.NewView <= r.view {
 		return
 	}
@@ -572,7 +570,7 @@ func (r *Replica) handleViewChange(vc ViewChange) {
 		votes = make(map[ReplicaID]*ViewChange)
 		r.viewChanges[vc.NewView] = votes
 	}
-	votes[vc.Replica] = &vc
+	votes[from] = &vc
 	// Join a view change once f+1 peers vote (we are behind).
 	if len(votes) > r.f && votes[r.cfg.ID] == nil {
 		r.startViewChange(vc.NewView)
@@ -654,7 +652,7 @@ func (r *Replica) handleNewView(from ReplicaID, nv NewView) {
 	// Resubmit our own pending requests to the new primary.
 	for _, payload := range append([][]byte(nil), r.pendingOwn...) {
 		if !coveredByProposals(nv.PrePrepares, payload) {
-			r.cfg.Transport.Send(r.Primary(r.view), Request{Origin: r.cfg.ID, Payload: payload})
+			r.cfg.Transport.Send(r.Primary(r.view), Request{Payload: payload})
 		}
 	}
 	r.armTimer()
@@ -716,11 +714,10 @@ func (r *Replica) GapStalled() int {
 // SyncTo fast-forwards a freshly restarted replica to externally learned
 // coordinates: the group's view and the last sequence the caller has
 // already applied through state transfer. It is monotonic — stale calls
-// are no-ops — and marks the transferred payload digests as sequenced so
-// a later primariness does not re-propose them. Slots at or below the new
-// delivery horizon are dropped; the group's normal retransmission paths
-// (view changes, pending-own rebroadcast) fill anything above it.
-func (r *Replica) SyncTo(view, lastDelivered uint64, digests []Digest) {
+// are no-ops. Slots at or below the new delivery horizon are dropped; the
+// group's normal retransmission paths (view changes, pending-own
+// rebroadcast) fill anything above it.
+func (r *Replica) SyncTo(view, lastDelivered uint64) {
 	if view > r.view {
 		r.view = view
 		// Stale per-view agreement state from before the jump can never
@@ -738,9 +735,6 @@ func (r *Replica) SyncTo(view, lastDelivered uint64, digests []Digest) {
 	}
 	if lastDelivered > r.nextSeq {
 		r.nextSeq = lastDelivered
-	}
-	for _, d := range digests {
-		r.sequenced[d] = true
 	}
 	r.gc()
 }

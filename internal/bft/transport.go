@@ -18,10 +18,11 @@ type FabricTransport struct {
 	// (the control plane tags messages with its membership epoch). When
 	// nil the bare bft message is sent.
 	Wrap func(msg Message) fabric.Message
-	// WireSize is the per-message size estimate charged to the fabric;
-	// zero defaults to 256 bytes (the simnet cost model's BFT estimate).
-	WireSize int
 }
+
+// wireSize is the per-message size estimate charged to the fabric (the
+// simnet cost model's BFT estimate).
+const wireSize = 256
 
 var _ Transport = (*FabricTransport)(nil)
 
@@ -35,9 +36,5 @@ func (t *FabricTransport) Send(to ReplicaID, msg Message) {
 	if t.Wrap != nil {
 		out = t.Wrap(msg)
 	}
-	size := t.WireSize
-	if size == 0 {
-		size = 256
-	}
-	t.Fab.Send(t.Self, peer, out, size)
+	t.Fab.Send(t.Self, peer, out, wireSize)
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -78,19 +77,20 @@ func (in *injector) filter(from, to fabric.NodeID, msg fabric.Message, size int)
 	return act
 }
 
-// bftString renders a broadcast message compactly for the trace tap.
+// bftString renders a broadcast message compactly for the trace tap. The
+// messages name no sender; the tap prints the fabric's from->to before it.
 func bftString(m protocol.MsgBFT) string {
 	switch in := m.Inner.(type) {
 	case bft.Request:
-		return fmt.Sprintf("Request origin=%d len=%d", in.Origin, len(in.Payload))
+		return fmt.Sprintf("Request len=%d", len(in.Payload))
 	case bft.PrePrepare:
 		return fmt.Sprintf("PrePrepare v=%d seq=%d d=%x", in.View, in.Seq, in.Digest[:4])
 	case bft.Prepare:
-		return fmt.Sprintf("Prepare v=%d seq=%d r=%d d=%x", in.View, in.Seq, in.Replica, in.Digest[:4])
+		return fmt.Sprintf("Prepare v=%d seq=%d d=%x", in.View, in.Seq, in.Digest[:4])
 	case bft.Commit:
-		return fmt.Sprintf("Commit v=%d seq=%d r=%d d=%x", in.View, in.Seq, in.Replica, in.Digest[:4])
+		return fmt.Sprintf("Commit v=%d seq=%d d=%x", in.View, in.Seq, in.Digest[:4])
 	case bft.ViewChange:
-		return fmt.Sprintf("ViewChange nv=%d r=%d prep=%d ld=%d", in.NewView, in.Replica, len(in.Prepared), in.LastDelivered)
+		return fmt.Sprintf("ViewChange nv=%d prep=%d ld=%d", in.NewView, len(in.Prepared), in.LastDelivered)
 	case bft.NewView:
 		return fmt.Sprintf("NewView v=%d pps=%d", in.View, len(in.PrePrepares))
 	default:
@@ -246,10 +246,7 @@ func byzMutateBFT(rng *rand.Rand, hosts []string, forgeSeq *uint64, m protocol.M
 		Src:  hosts[rng.Intn(len(hosts))],
 		Dst:  hosts[rng.Intn(len(hosts))],
 	}
-	payload, err := json.Marshal(protocol.BroadcastItem{Event: &ev, Phase: m.Phase})
-	if err != nil {
-		return m, ""
-	}
+	payload := protocol.BroadcastItem{Event: &ev}.Encode()
 	pp.Payload = payload
 	pp.Digest = bft.PayloadDigest(payload)
 	m.Inner = pp

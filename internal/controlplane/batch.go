@@ -19,11 +19,14 @@
 //
 // Dispatch remains dependency-driven with no batch-completion barrier:
 // plans enter the scheduler engine individually and each update leaves the
-// moment its dependencies clear, carrying the already-computed proof.
+// moment its dependencies clear, carrying the already-computed proof
+// (dispatchUpdate sends an update through sendBatchUpdate when a same-phase
+// batch context exists for it, and through the per-update share path
+// otherwise — recovery replays and cross-phase retransmissions always have
+// that path to land on, and switches accept both concurrently).
 package controlplane
 
 import (
-	"cicero/internal/audit"
 	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
@@ -50,75 +53,6 @@ type batchRef struct {
 // aggregation (the aggregator baseline keeps its own combining path).
 func (c *Controller) batchingEnabled() bool {
 	return c.cfg.BatchSize > 1 && c.cfg.Protocol == ProtoCicero && c.cfg.Aggregation == AggSwitch
-}
-
-// onDeliverBatch consumes one totally-ordered batch of broadcast items.
-// Event bookkeeping (dedup, ledger append) is identical to onDeliver;
-// planning and signing are deferred to deliverEventBatch so consecutive
-// events share one Merkle tree. Membership changes flush the events
-// accumulated so far first, preserving the delivered order's semantics.
-func (c *Controller) onDeliverBatch(payloads [][]byte) {
-	if c.stopped {
-		return
-	}
-	var evs []protocol.Event
-	flush := func() {
-		if len(evs) > 0 {
-			c.deliverEventBatch(evs)
-			evs = nil
-		}
-	}
-	for _, payload := range payloads {
-		delete(c.pendingSubmit, string(payload))
-		item, err := protocol.DecodeBroadcastItem(payload)
-		if err != nil {
-			continue
-		}
-		if item.Membership != nil {
-			flush()
-			c.onMembershipDelivered(*item.Membership)
-			continue
-		}
-		if item.Event == nil {
-			continue
-		}
-		ev := *item.Event
-		key := ev.ID.String()
-		if c.deliveredEvents[key] {
-			continue
-		}
-		if c.change != nil {
-			c.change.queued = append(c.change.queued, ev)
-			continue
-		}
-		c.deliveredEvents[key] = true
-		c.EventsDelivered++
-		c.ledger.Append(audit.KindEvent, key, ev.Encode())
-		evs = append(evs, ev)
-	}
-	flush()
-}
-
-// deliverEventBatch plans every event of a delivered batch, signs one
-// Merkle root over all resulting updates, then releases the plans into the
-// scheduler engine (updates dispatch individually as dependencies clear).
-func (c *Controller) deliverEventBatch(evs []protocol.Event) {
-	plans := make([]scheduler.Plan, 0, len(evs))
-	for _, ev := range evs {
-		if plan, ok := c.planEvent(ev); ok {
-			plans = append(plans, plan)
-		}
-	}
-	if c.batchingEnabled() {
-		c.signUpdateBatch(plans)
-	}
-	for _, plan := range plans {
-		// See processEvent: a rejected plan is malformed scheduler output
-		// and dropping it is the only safe move.
-		if err := c.engine.Add(plan); err != nil {
-			continue
-		}
-	}
 }
 
 // signUpdateBatch builds the Merkle tree over the batch's updates (leaf
@@ -160,19 +94,6 @@ func (c *Controller) signUpdateBatch(plans []scheduler.Plan) {
 		}
 	}
 	c.BatchesSigned++
-}
-
-// sendUpdateAuto routes one update through the batch-amortized path when a
-// batch context exists for it (same phase), falling back to the legacy
-// per-update share path otherwise — recovery replays and cross-phase
-// retransmissions always have the legacy path to land on, and switches
-// accept both concurrently.
-func (c *Controller) sendUpdateAuto(id openflow.MsgID, phase uint64, mods []openflow.FlowMod, resend bool) {
-	if ref, ok := c.batchOf[id.String()]; ok && ref.phase == phase {
-		c.sendBatchUpdate(id, mods, ref, resend)
-		return
-	}
-	c.sendUpdate(id, phase, mods, resend)
 }
 
 // sendBatchUpdate sends one update with its batch root, inclusion proof,

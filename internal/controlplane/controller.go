@@ -231,8 +231,7 @@ type Controller struct {
 	// and signed update is appended, enabling cross-controller audits.
 	ledger audit.Ledger
 
-	centralSeq uint64
-	stopped    bool
+	stopped bool
 
 	// Counters for experiments.
 	EventsReceived  uint64
@@ -422,13 +421,13 @@ func (c *Controller) rebuildReplica() error {
 		Timer: func(d time.Duration, fn func()) {
 			c.cfg.Net.After(fabric.NodeID(c.cfg.ID), d, fn)
 		},
-		Deliver:           func(seq uint64, payload []byte) { c.onDeliver(payload) },
+		// One consumer at every batch size: a payload ordered on its own
+		// is a batch of one.
+		Deliver:           func(seq uint64, payload []byte) { c.onDeliver([][]byte{payload}) },
+		DeliverBatch:      func(seq uint64, payloads [][]byte) { c.onDeliver(payloads) },
 		ViewChangeTimeout: c.cfg.ViewChangeTimeout,
 		BatchSize:         c.cfg.BatchSize,
 		BatchDelay:        c.cfg.BatchDelay,
-	}
-	if c.cfg.BatchSize > 1 {
-		bftCfg.DeliverBatch = func(seq uint64, payloads [][]byte) { c.onDeliverBatch(payloads) }
 	}
 	replica, err := bft.NewReplica(bftCfg)
 	if err != nil {
@@ -528,6 +527,13 @@ func (c *Controller) handleEventMsg(m protocol.MsgEvent) {
 	if err != nil {
 		return
 	}
+	c.receiveEvent(ev)
+}
+
+// receiveEvent is the receipt step of every event, whatever presented it (a
+// sealed envelope, the driver's InjectEvent, this controller's own policy
+// publication): dedup by id, count, forward cross-domain, broadcast.
+func (c *Controller) receiveEvent(ev protocol.Event) {
 	key := ev.ID.String()
 	if c.seenEvents[key] {
 		return // previously processed (Fig. 7a)
@@ -541,7 +547,7 @@ func (c *Controller) handleEventMsg(m protocol.MsgEvent) {
 	if !ev.Forwarded && c.cfg.DomainOf != nil && c.leaderForForwarding() {
 		c.forwardIfCrossDomain(ev)
 	}
-	c.submitItem(protocol.BroadcastItem{Event: &ev, Phase: c.phase})
+	c.submitItem(protocol.BroadcastItem{Event: &ev})
 }
 
 // leaderForForwarding reports whether this controller performs the
@@ -619,8 +625,7 @@ func (c *Controller) open(env pki.Envelope) ([]byte, bool) {
 func (c *Controller) submitItem(item protocol.BroadcastItem) {
 	payload := item.Encode()
 	if c.cfg.Protocol == ProtoCentralized {
-		c.centralSeq++
-		c.onDeliver(payload)
+		c.onDeliver([][]byte{payload})
 		return
 	}
 	if c.replica == nil {
@@ -636,60 +641,93 @@ func (c *Controller) submitItem(item protocol.BroadcastItem) {
 	c.replica.Submit(payload)
 }
 
-// onDeliver consumes a totally-ordered broadcast item (Fig. 7b).
-func (c *Controller) onDeliver(payload []byte) {
+// onDeliver consumes one totally-ordered batch of broadcast items (Fig. 7b);
+// a payload ordered on its own is a batch of one. The events of a batch are
+// marked delivered first and planned together, so that with batch signing
+// they share one Merkle tree. A membership change flushes the events
+// accumulated so far first, preserving the delivered order's semantics.
+func (c *Controller) onDeliver(payloads [][]byte) {
 	if c.stopped {
 		return
 	}
-	delete(c.pendingSubmit, string(payload))
-	item, err := protocol.DecodeBroadcastItem(payload)
-	if err != nil {
-		return
+	var evs []protocol.Event
+	flush := func() {
+		if len(evs) > 0 {
+			c.processEvents(evs, c.batchingEnabled())
+			evs = nil
+		}
 	}
-	if item.Membership != nil {
-		c.onMembershipDelivered(*item.Membership)
-		return
+	for _, payload := range payloads {
+		delete(c.pendingSubmit, string(payload))
+		item, err := protocol.DecodeBroadcastItem(payload)
+		if err != nil {
+			continue
+		}
+		if item.Membership != nil {
+			flush()
+			c.onMembershipDelivered(*item.Membership)
+			continue
+		}
+		if item.Event == nil {
+			continue
+		}
+		ev := *item.Event
+		// Events arriving during a membership change are queued and re-
+		// broadcast in the new phase (§4.3); they are NOT marked delivered.
+		if c.change != nil {
+			if !c.deliveredEvents[ev.ID.String()] {
+				c.change.queued = append(c.change.queued, ev)
+			}
+			continue
+		}
+		if c.markDelivered(ev) {
+			evs = append(evs, ev)
+		}
 	}
-	if item.Event == nil {
-		return
-	}
-	ev := *item.Event
+	flush()
+}
+
+// markDelivered records an event as delivered — delivery-level dedup, count,
+// ledger append — and reports whether it was new. Live delivery and recovery
+// replay both pass through it, so a ledger is built one way.
+func (c *Controller) markDelivered(ev protocol.Event) bool {
 	key := ev.ID.String()
 	if c.deliveredEvents[key] {
-		return
-	}
-	// Events arriving during a membership change are queued and re-
-	// broadcast in the new phase (§4.3); they are NOT marked delivered.
-	if c.change != nil {
-		c.change.queued = append(c.change.queued, ev)
-		return
+		return false
 	}
 	c.deliveredEvents[key] = true
 	c.EventsDelivered++
 	c.ledger.Append(audit.KindEvent, key, ev.Encode())
-	c.processEvent(ev)
+	return true
 }
 
-// processEvent computes, schedules, signs and dispatches this domain's
-// updates for an event.
-func (c *Controller) processEvent(ev protocol.Event) {
-	plan, ok := c.planEvent(ev)
-	if !ok {
-		return
+// processEvents plans the events of one delivery and releases the plans into
+// the scheduler engine, where each update dispatches as its dependencies
+// clear. With signBatch the updates of all the plans are first signed under
+// one Merkle root (batch.go); recovery replay never asks for that.
+func (c *Controller) processEvents(evs []protocol.Event, signBatch bool) {
+	plans := make([]scheduler.Plan, 0, len(evs))
+	for _, ev := range evs {
+		if plan, ok := c.planEvent(ev); ok {
+			plans = append(plans, plan)
+		}
 	}
-	// Event replay is impossible here (deliveredEvents dedups upstream),
-	// and the engine tolerates acks that raced ahead of this plan — a
-	// switch can apply an update via the other controllers' quorum before
-	// this controller delivers the event. A failure therefore indicates a
-	// malformed plan from the scheduler; dropping it is the only safe move.
-	if err := c.engine.Add(plan); err != nil {
-		return
+	if signBatch {
+		c.signUpdateBatch(plans)
+	}
+	for _, plan := range plans {
+		// Event replay is impossible here (deliveredEvents dedups upstream),
+		// and the engine tolerates acks that raced ahead of this plan — a
+		// switch can apply an update via the other controllers' quorum before
+		// this controller delivers the event. A failure therefore indicates a
+		// malformed plan from the scheduler; dropping it is the only safe move.
+		_ = c.engine.Add(plan)
 	}
 }
 
 // planEvent computes and schedules this domain's updates for an event,
-// returning the plan without releasing it into the engine (the batched
-// delivery path signs a whole batch of plans before any of them runs).
+// returning the plan without releasing it into the engine (a delivery's
+// plans may be signed together before any of them runs).
 func (c *Controller) planEvent(ev protocol.Event) (scheduler.Plan, bool) {
 	// Metadata publications ride policy-change events but never reach
 	// the routing app: they fan out into the signed-metadata plane.
@@ -743,12 +781,17 @@ func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 	// After a recovery, every dispatch is a potential retransmission of an
 	// update the switch decided before the crash; Resend makes the switch
 	// re-acknowledge so the rebuilt engine can release dependents.
-	c.sendUpdateAuto(su.ID, c.phase, mods, c.recovered)
+	if ref, ok := c.batchOf[su.ID.String()]; ok && ref.phase == c.phase {
+		c.sendBatchUpdate(su.ID, mods, ref, c.recovered)
+		return
+	}
+	c.sendUpdate(su.ID, c.phase, mods, c.recovered)
 }
 
 // sendUpdate share-signs one update and routes it to its switch (or to
-// the aggregator). It is the transmission half of dispatchUpdate, reused
-// by the recovery layer to retransmit logged updates with fresh shares.
+// the aggregator). It is the transmission half of dispatchUpdate for an
+// update without a batch signing context, and what the recovery layer
+// retransmits logged updates through, with fresh shares.
 func (c *Controller) sendUpdate(id openflow.MsgID, phase uint64, mods []openflow.FlowMod, resend bool) {
 	msg := protocol.MsgUpdate{
 		UpdateID: id,
@@ -1005,15 +1048,4 @@ func (c *Controller) BroadcastCoords() (view, lastDelivered uint64) {
 // InjectEvent lets the simulation driver present an administrator event
 // (policy change, link failure) directly to this controller, as if
 // received from a verified source.
-func (c *Controller) InjectEvent(ev protocol.Event) {
-	key := ev.ID.String()
-	if c.seenEvents[key] {
-		return
-	}
-	c.seenEvents[key] = true
-	c.EventsReceived++
-	if !ev.Forwarded && c.cfg.DomainOf != nil && c.leaderForForwarding() {
-		c.forwardIfCrossDomain(ev)
-	}
-	c.submitItem(protocol.BroadcastItem{Event: &ev, Phase: c.phase})
-}
+func (c *Controller) InjectEvent(ev protocol.Event) { c.receiveEvent(ev) }

@@ -65,7 +65,6 @@ func (c *Controller) RequestAddController(id pki.Identity) error {
 	}
 	c.submitItem(protocol.BroadcastItem{
 		Membership: &protocol.MembershipChange{Op: protocol.MemberAdd, Controller: id},
-		Phase:      c.phase,
 	})
 	return nil
 }
@@ -78,7 +77,6 @@ func (c *Controller) RequestRemoveController(id pki.Identity) error {
 	}
 	c.submitItem(protocol.BroadcastItem{
 		Membership: &protocol.MembershipChange{Op: protocol.MemberRemove, Controller: id},
-		Phase:      c.phase,
 	})
 	return nil
 }
@@ -357,7 +355,7 @@ func (c *Controller) completeChange(newShare bls.KeyShare, newGK *bls.GroupKey) 
 	c.cfg.Share = newShare
 	c.cfg.GroupKey = newGK
 	c.Reshares++
-	// Old-phase batch refs can never be dispatched again (sendUpdateAuto
+	// Old-phase batch refs can never be dispatched again (dispatchUpdate
 	// requires a same-phase ref and falls back to legacy per-update shares
 	// across phases), so drop them with the phase.
 	c.batchOf = make(map[string]*batchRef)
@@ -386,7 +384,7 @@ func (c *Controller) completeChange(newShare bls.KeyShare, newGK *bls.GroupKey) 
 		}
 		for _, ev := range st.queued {
 			ev := ev
-			c.submitItem(protocol.BroadcastItem{Event: &ev, Phase: c.phase})
+			c.submitItem(protocol.BroadcastItem{Event: &ev})
 		}
 	}
 	// Push the new configuration (quorum, members, aggregator) to

@@ -35,7 +35,7 @@ func (f *reshareFixture) subMsg(dealer, recipient int) protocol.MsgReshareSub {
 	return protocol.MsgReshareSub{Phase: 1, Sub: f.subs[dealer-1][recipient-1]}
 }
 
-var admitC5 = protocol.MembershipChange{Op: protocol.MemberAdd, Controller: "c5", Phase: 1}
+var admitC5 = protocol.MembershipChange{Op: protocol.MemberAdd, Controller: "c5"}
 
 func newReshareFixture(t *testing.T) *reshareFixture {
 	t.Helper()

@@ -50,10 +50,6 @@ type MetadataConfig struct {
 	// Genesis is the threshold-signed version-1 root (the root of trust;
 	// required).
 	Genesis protocol.MetaEnvelope
-	// InitialSet optionally seeds the store with a pre-signed
-	// targets/snapshot/timestamp triple (the deployment planner's
-	// bootstrap set).
-	InitialSet []protocol.MetaEnvelope
 	// TTL bounds root/targets/snapshot validity (default 1h).
 	TTL time.Duration
 	// TimestampTTL bounds the freshness proof (default 2s) — the window
@@ -117,18 +113,10 @@ func (c *Controller) initMetadata() error {
 	if err := store.Apply(mc.Genesis); err != nil {
 		return fmt.Errorf("controlplane: %q: metadata genesis: %w", c.cfg.ID, err)
 	}
-	if len(mc.InitialSet) > 0 {
-		if err := store.ApplySet(mc.InitialSet); err != nil {
-			return fmt.Errorf("controlplane: %q: metadata initial set: %w", c.cfg.ID, err)
-		}
-	}
 	c.meta = &metaState{
 		store:   store,
 		sigCols: make(map[string]*metarepo.SigCollector),
 		sets:    make(map[uint64]map[string]protocol.MetaEnvelope),
-	}
-	if tg := store.PolicyTargets(); tg != nil {
-		c.meta.version = tg.Version
 	}
 	if mc.RefreshHorizon != 0 {
 		c.scheduleMetaRefresh()
@@ -169,9 +157,7 @@ func (c *Controller) PublishPolicy(p metarepo.Policy) {
 		Kind: protocol.EventPolicyChange,
 		Info: info,
 	}
-	c.seenEvents[ev.ID.String()] = true
-	c.EventsReceived++
-	c.submitItem(protocol.BroadcastItem{Event: &ev, Phase: c.phase})
+	c.receiveEvent(ev)
 }
 
 // onMetaPolicy consumes a delivered policy publication: derive the

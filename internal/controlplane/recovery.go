@@ -234,18 +234,18 @@ func (c *Controller) adoptRecovery(state protocol.MsgRecoverState) {
 		if err != nil {
 			continue // a vouched history never contains undecodable events
 		}
-		key := ev.ID.String()
-		if c.deliveredEvents[key] {
+		if !c.markDelivered(ev) {
 			continue
 		}
-		c.seenEvents[key] = true
-		c.deliveredEvents[key] = true
-		c.EventsDelivered++
-		c.ledger.Append(audit.KindEvent, key, raw)
-		c.processEvent(ev)
+		c.seenEvents[ev.ID.String()] = true
+		// One event at a time and never batch-signed: the replayed ledger
+		// interleaves events and updates as unbatched delivery did, and the
+		// replayed updates leave as per-update shares, which pool with the
+		// peers' retransmissions.
+		c.processEvents([]protocol.Event{ev}, false)
 	}
 	if c.replica != nil {
-		c.replica.SyncTo(state.View, state.LastDelivered, nil)
+		c.replica.SyncTo(state.View, state.LastDelivered)
 	}
 	if first {
 		c.recovery.adopted = true
@@ -278,13 +278,17 @@ func (c *Controller) handleResyncRequest(from fabric.NodeID) {
 		if len(rec.mods) == 0 || fabric.NodeID(rec.mods[0].Switch) != from {
 			continue
 		}
-		// Always the legacy per-update path: resync shares must combine
-		// with whatever the other controllers send after their own crashes
-		// or ref expiry, and only per-update shares are universally
-		// poolable. Batching is a fast-path optimization, not a recovery
-		// dependency.
-		c.sendUpdate(rec.id, rec.phase, rec.mods, true)
+		c.retransmit(rec)
 	}
+}
+
+// retransmit resends one logged update with a fresh share and the Resend
+// flag. Always the legacy per-update path: retransmitted shares must combine
+// with whatever the other controllers send after their own crashes or ref
+// expiry, and only per-update shares are universally poolable. Batching is a
+// fast-path optimization, not a recovery dependency.
+func (c *Controller) retransmit(rec dispatchRecord) {
+	c.sendUpdate(rec.id, rec.phase, rec.mods, true)
 }
 
 // Frozen-horizon watchdog (gap-stall self-recovery).
@@ -375,10 +379,7 @@ func (c *Controller) RedispatchUnacked() int {
 		if !ok {
 			continue
 		}
-		// Legacy path on purpose (see handleResyncRequest): a retransmission
-		// quorum must assemble across controllers that may no longer share a
-		// batch ref for this update.
-		c.sendUpdate(rec.id, rec.phase, rec.mods, true)
+		c.retransmit(rec)
 		sent++
 	}
 	return sent

@@ -3,9 +3,11 @@ package core
 import (
 	"crypto/rand"
 	"math/big"
+	"reflect"
 	"testing"
 	"time"
 
+	"cicero/internal/bft"
 	"cicero/internal/controlplane"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
@@ -337,6 +339,109 @@ func TestByzantineControllerForgedAckCannotReorder(t *testing.T) {
 	if _, ok := n.Switches[nextSwitch].Lookup(ev.Src, ev.Dst); ok || n.Switches[nextSwitch].UpdatesApplied != 0 {
 		t.Fatalf("%s applied %s before %s applied its dependency %s: a forged ack released it",
 			nextSwitch, dependent, depSwitch, dependency)
+	}
+}
+
+// voteInNameOf writes slot into a broadcast vote's self-declared voter field,
+// if its type has one. No vote names its voter, so here this does nothing
+// and a vote counts for the controller the fabric says sent it; on a tree
+// whose bft.Prepare and bft.Commit still carry Replica, the same test drives
+// the forgery that field allowed.
+func voteInNameOf[T any](vote T, slot int) T {
+	if f := reflect.ValueOf(&vote).Elem().FieldByName("Replica"); f.IsValid() {
+		f.SetUint(uint64(slot))
+	}
+	return vote
+}
+
+// TestByzantinePrimaryCannotSplitDelivery is the agreement guarantee under
+// the update quorum (§3.2, n = 3f+1): the Byzantine primary of view 0
+// proposes event A to one honest controller and event B to another for the
+// same sequence number, sends each of them the prepares and commits of the
+// members it did not ask, and adds its own genuine share to the first update
+// of both plans — one more share each is the update quorum of two. One
+// sender is one vote: neither controller may deliver, no switch may apply an
+// update of A or of B, and once a real event times the silent primary out of
+// its view the honest ledgers hold that event and nothing else.
+func TestByzantinePrimaryCannotSplitDelivery(t *testing.T) {
+	n := buildSecure(t, controlplane.AggSwitch)
+	dom := n.Domains[0]
+	byz := simnet.NodeID(dom.Members[0])
+	dom.Controllers[0].Stop()
+	n.Net.Register(byz, evilNode{})
+
+	egressHost := topology.HostName(0, 0, 2, 0)
+	flowEvent := func(origin, src string) protocol.Event {
+		return protocol.Event{ID: openflow.MsgID{Origin: origin, Seq: 1}, Kind: protocol.EventFlowRequest, Src: src, Dst: egressHost}
+	}
+	evA := flowEvent("byz/a", topology.HostName(0, 0, 0, 0))
+	evB := flowEvent("byz/b", topology.HostName(0, 0, 1, 0))
+	egress := topology.ToRName(0, 0, 2)
+	// split[i] goes to the honest controller in slot i+1 (replica id i+2),
+	// with votes in the names of the two replicas the primary did not ask.
+	split := []struct {
+		ev    protocol.Event
+		names []int
+	}{{evA, []int{3, 4}}, {evB, []int{2, 4}}}
+	for i, sp := range split {
+		victim := simnet.NodeID(dom.Members[i+1])
+		payload := protocol.BroadcastItem{Event: &sp.ev}.Encode()
+		d := bft.PayloadDigest(payload)
+		send := func(inner bft.Message) {
+			n.Net.Send(byz, victim, protocol.MsgBFT{Inner: inner}, 256)
+		}
+		send(bft.PrePrepare{Seq: 1, Digest: d, Payload: payload})
+		for _, name := range sp.names {
+			send(voteInNameOf(bft.Prepare{Seq: 1, Digest: d}, name))
+		}
+		for _, name := range sp.names {
+			send(voteInNameOf(bft.Commit{Seq: 1, Digest: d}, name))
+		}
+		// The plan's first update is the egress switch's (reverse-path order).
+		mods, err := n.newApp().PlanFlow(sp.ev)
+		if err != nil || len(mods) == 0 || mods[len(mods)-1].Switch != egress {
+			t.Fatalf("PlanFlow(%s): %d mods, err %v", sp.ev.ID, len(mods), err)
+		}
+		last := len(mods) - 1
+		id := openflow.MsgID{Origin: sp.ev.ID.String() + "/d0", Seq: uint64(last)}
+		share := n.Scheme.SignShare(dom.Shares[0], openflow.CanonicalUpdateBytes(id, 0, mods[last:]))
+		n.Net.Send(byz, simnet.NodeID(egress), protocol.MsgUpdate{
+			UpdateID: id, Mods: mods[last:], From: dom.Members[0],
+			ShareIndex: dom.Shares[0].Index, Share: n.Scheme.Params.PointBytes(share.Point),
+		}, 256)
+	}
+	if _, err := n.Sim.RunUntil(30 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	honest := dom.Controllers[1:]
+	firstEvent := func(c *controlplane.Controller) string {
+		if evs := eventRecords(c.AuditRecords()); len(evs) > 0 {
+			return evs[0].Subject
+		}
+		return ""
+	}
+	if a, b := firstEvent(honest[0]), firstEvent(honest[1]); a != "" || b != "" || n.Switches[egress].UpdatesApplied != 0 {
+		t.Fatalf("the primary's forged votes split delivery: %s ledger[0]=%q, %s ledger[0]=%q, %s applied %d updates",
+			honest[0].ID(), a, honest[1].ID(), b, egress, n.Switches[egress].UpdatesApplied)
+	}
+
+	// A real event: the honest members forward it to a primary that never
+	// answers, time out, and order it in view 1.
+	ingress := topology.ToRName(0, 0, 0)
+	evC := flowEvent(ingress, topology.HostName(0, 0, 0, 0))
+	n.Sim.At(n.Sim.Now(), func() { n.Switches[ingress].EmitEvent(evC) })
+	if _, err := n.Sim.RunUntil(n.Sim.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range honest {
+		evs := eventRecords(c.AuditRecords())
+		if view, _ := c.BroadcastCoords(); view == 0 || len(evs) != 1 || evs[0].Subject != evC.ID.String() {
+			t.Fatalf("%s at view %d holds %d events (first %q), want only %s after a view change",
+				c.ID(), view, len(evs), firstEvent(c), evC.ID)
+		}
+	}
+	if _, ok := n.Switches[ingress].Lookup(evC.Src, evC.Dst); !ok {
+		t.Fatalf("%s never installed the rule of %s", ingress, evC.ID)
 	}
 }
 

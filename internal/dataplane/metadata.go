@@ -22,9 +22,6 @@ import (
 type MetadataConfig struct {
 	// Genesis is the threshold-signed version-1 root (root of trust).
 	Genesis protocol.MetaEnvelope
-	// InitialSet optionally seeds the store with the provisioning-time
-	// signed set.
-	InitialSet []protocol.MetaEnvelope
 }
 
 // initMetadata builds and seeds the switch's trusted store (called from
@@ -38,11 +35,6 @@ func (s *Switch) initMetadata() error {
 		func() int64 { return int64(s.cfg.Net.Now()) })
 	if err := store.Apply(mc.Genesis); err != nil {
 		return fmt.Errorf("dataplane: switch %q: metadata genesis: %w", s.cfg.ID, err)
-	}
-	if len(mc.InitialSet) > 0 {
-		if err := store.ApplySet(mc.InitialSet); err != nil {
-			return fmt.Errorf("dataplane: switch %q: metadata initial set: %w", s.cfg.ID, err)
-		}
 	}
 	s.meta = store
 	return nil

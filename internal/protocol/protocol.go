@@ -290,20 +290,16 @@ type MembershipChange struct {
 	Op MembershipOp `json:"op"`
 	// Controller is the identity being added or removed.
 	Controller pki.Identity `json:"controller"`
-	// Phase is the membership phase this change installs (old phase + 1).
-	Phase uint64 `json:"phase"`
 }
 
 // BroadcastItem is the payload the control plane atomically broadcasts:
-// either an event or a membership change.
+// either an event or a membership change. It names neither its membership
+// phase (MsgBFT.Phase and the per-phase replica keep epochs apart) nor the
+// controller that submitted it: every member that hears an event submits the
+// same bytes, and the broadcast orders them once.
 type BroadcastItem struct {
 	Event      *Event            `json:"event,omitempty"`
 	Membership *MembershipChange `json:"membership,omitempty"`
-	// Phase tags events with the broadcaster's membership phase; events
-	// from an older phase are re-queued (§4.3).
-	Phase uint64 `json:"phase"`
-	// Origin is the controller that broadcast the item.
-	Origin pki.Identity `json:"origin"`
 }
 
 // Encode serializes the item for the atomic broadcast.

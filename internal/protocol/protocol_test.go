@@ -50,16 +50,16 @@ func TestAckEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestBroadcastItemRoundTrip(t *testing.T) {
 	ev := Event{ID: openflow.MsgID{Origin: "x", Seq: 1}, Kind: EventFlowRequest, Src: "a", Dst: "b"}
-	item := BroadcastItem{Event: &ev, Phase: 3, Origin: "ctl-1"}
+	item := BroadcastItem{Event: &ev}
 	got, err := DecodeBroadcastItem(item.Encode())
 	if err != nil {
 		t.Fatalf("DecodeBroadcastItem: %v", err)
 	}
-	if got.Phase != 3 || got.Event == nil || got.Event.Src != "a" || got.Membership != nil {
+	if got.Event == nil || got.Event.Src != "a" || got.Membership != nil {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 
-	mc := BroadcastItem{Membership: &MembershipChange{Op: MemberAdd, Controller: "ctl-5", Phase: 4}}
+	mc := BroadcastItem{Membership: &MembershipChange{Op: MemberAdd, Controller: "ctl-5"}}
 	got, err = DecodeBroadcastItem(mc.Encode())
 	if err != nil {
 		t.Fatalf("DecodeBroadcastItem: %v", err)

@@ -12,6 +12,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cicero/internal/bft"
+	"cicero/internal/fabric"
+	"cicero/internal/tcrypto/pki"
 )
 
 // TestEveryWireTypeHasASender keeps the vocabulary from drifting ahead of
@@ -82,5 +86,65 @@ func TestEveryWireTypeHasASender(t *testing.T) {
 	sort.Strings(unsent)
 	if len(unsent) > 0 {
 		t.Errorf("registered wire types that no non-test code outside %s builds: %v", pkgDir, unsent)
+	}
+}
+
+// TestNoWireTypeNamesItsSender keeps the sender out of the message body: a
+// receiver knows who sent a frame from the fabric (or from an envelope's
+// tag), and a field that repeats it is a field some handler will one day
+// believe. It walks every registered type, the inner bft messages included,
+// and fails on an identity-typed field with a sender's name. The three
+// exceptions are written out, and each must still exist.
+func TestNoWireTypeNamesItsSender(t *testing.T) {
+	allowed := map[string]bool{
+		"pki.Envelope.From":            false, // the link tag opens under it
+		"protocol.MsgBatchUpdate.From": false, // authenticated by ReleaseSig
+		"protocol.MsgUpdate.From":      false, // read by no decision; bench/ builds the literal
+	}
+	senderNames := map[string]bool{"From": true, "Origin": true, "Sender": true, "Replica": true}
+	identityTypes := map[reflect.Type]bool{
+		reflect.TypeOf(pki.Identity("")):  true,
+		reflect.TypeOf(fabric.NodeID("")): true,
+		reflect.TypeOf(bft.ReplicaID(0)):  true,
+	}
+	var found []string
+	seen := make(map[reflect.Type]bool)
+	var walk func(typ reflect.Type)
+	walk = func(typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem())
+		case reflect.Map:
+			walk(typ.Key())
+			walk(typ.Elem())
+		case reflect.Struct:
+			if seen[typ] {
+				return
+			}
+			seen[typ] = true
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if name := typ.String() + "." + f.Name; senderNames[f.Name] && identityTypes[f.Type] {
+					if _, ok := allowed[name]; ok {
+						allowed[name] = true
+					} else {
+						found = append(found, name)
+					}
+				}
+				walk(f.Type)
+			}
+		}
+	}
+	for typ := range NewWireCodec(nil).byType {
+		walk(typ)
+	}
+	sort.Strings(found)
+	if len(found) > 0 {
+		t.Errorf("wire types that name their own sender: %v", found)
+	}
+	for name, hit := range allowed {
+		if !hit {
+			t.Errorf("%s is allowed to name a sender but no registered type has it: drop it from the list", name)
+		}
 	}
 }

@@ -98,12 +98,12 @@ func wireSamples(t testing.TB) []fabric.Message {
 		MsgMetaShare{Version: 2, Signed: []byte(`{"version":2}`), ShareIndex: 3, Share: []byte{25, 26}},
 		MsgMetaSig{Role: MetaRoleSnapshot, Version: 2, Digest: bytes.Repeat([]byte{7}, 32),
 			Signed: []byte(`{"version":2}`), KeyID: string(members[2]), Sig: []byte{27, 28}},
-		MsgBFT{Phase: 4, Inner: bft.Prepare{View: 1, Seq: 2, Digest: digest, Replica: 3}},
-		bft.Request{Origin: 2, Payload: []byte("payload")},
+		MsgBFT{Phase: 4, Inner: bft.Prepare{View: 1, Seq: 2, Digest: digest}},
+		bft.Request{Payload: []byte("payload")},
 		bft.PrePrepare{View: 1, Seq: 2, Digest: digest, Payload: []byte("payload")},
-		bft.Prepare{View: 1, Seq: 2, Digest: digest, Replica: 3},
-		bft.Commit{View: 1, Seq: 2, Digest: digest, Replica: 3},
-		bft.ViewChange{NewView: 2, Replica: 1, Prepared: []bft.PreparedEntry{{Seq: 2, Digest: digest, Payload: []byte("payload")}}},
+		bft.Prepare{View: 1, Seq: 2, Digest: digest},
+		bft.Commit{View: 1, Seq: 2, Digest: digest},
+		bft.ViewChange{NewView: 2, Prepared: []bft.PreparedEntry{{Seq: 2, Digest: digest, Payload: []byte("payload")}}},
 		bft.NewView{View: 2, PrePrepares: []bft.PrePrepare{{View: 2, Seq: 2, Digest: digest, Payload: []byte("payload")}}},
 		openflow.PacketOut{ID: id, Switch: "s1", Src: "h1", Dst: "h2", Payload: "attack"},
 		NodeBundle{

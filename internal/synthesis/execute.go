@@ -25,12 +25,14 @@ type ExecOptions struct {
 	Seed int64
 	// Timeout bounds live-backend completion waits (default 30s).
 	Timeout time.Duration
-	// SimBudget bounds the simulated clock (default 1s); the invariant
-	// tick keeps firing until then.
-	SimBudget time.Duration
-	// CheckInterval spaces the simulator's invariant ticks (default 2ms).
-	CheckInterval time.Duration
 }
+
+// The simulator backend samples the tables every simCheckInterval of
+// simulated time until simBudget.
+const (
+	simBudget        = time.Second
+	simCheckInterval = 2 * time.Millisecond
+)
 
 func (o ExecOptions) defaulted() ExecOptions {
 	if o.Backend == "" {
@@ -38,12 +40,6 @@ func (o ExecOptions) defaulted() ExecOptions {
 	}
 	if o.Timeout == 0 {
 		o.Timeout = 30 * time.Second
-	}
-	if o.SimBudget == 0 {
-		o.SimBudget = time.Second
-	}
-	if o.CheckInterval == 0 {
-		o.CheckInterval = 2 * time.Millisecond
 	}
 	return o
 }
@@ -210,11 +206,11 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 				viol.report(v.Property, v.DedupKey, "t="+n.Sim.Now().String()+" "+v.Detail, v.Token)
 			}
 			res.Checks++
-			if n.Sim.Now()+opt.CheckInterval <= opt.SimBudget {
-				n.Sim.Schedule(opt.CheckInterval, tick)
+			if n.Sim.Now()+simCheckInterval <= simBudget {
+				n.Sim.Schedule(simCheckInterval, tick)
 			}
 		}
-		n.Sim.Schedule(opt.CheckInterval, tick)
+		n.Sim.Schedule(simCheckInterval, tick)
 		if _, err := n.Sim.Run(); err != nil {
 			return nil, fmt.Errorf("synthesis: simulation: %w", err)
 		}
