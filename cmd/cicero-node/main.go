@@ -8,15 +8,16 @@
 //
 //	cicero-node -bundle bundle-dom0_ctl_1.json -addrs addrs.json \
 //	    -deploy-pub <hex ed25519 key> [-trace trace.jsonl] \
-//	    [-boot-epoch N] [-crash-recovery] [-resync]
+//	    [-boot-epoch N]
 //
 // The bundle's signature must verify against -deploy-pub before any key
-// material in it is used. -boot-epoch, -crash-recovery and -resync are
-// volatile restart parameters (they change on every reboot, so they ride
-// the command line, not the signed bundle): a restarted controller passes
-// -crash-recovery to boot mute and run peer state transfer; a restarted
-// switch passes a bumped -boot-epoch (fresh event-id namespace) and
-// -resync to request a full table transfer.
+// material in it is used. -boot-epoch counts the node's boots; it changes
+// on every restart, so it rides the command line, not the signed bundle.
+// At epoch 0 the node boots for the first time. At any later epoch it is a
+// replacement for an instance that died with its volatile state, and what
+// that means follows from the bundle's role: a controller boots mute and
+// runs peer state transfer; a switch numbers its events under the new
+// epoch and asks the controllers for its table back.
 //
 // The process serves until SIGTERM/SIGINT, then shuts down cleanly. A
 // SIGKILL is the supervisor's crash injection: no shutdown path runs, and
@@ -41,9 +42,7 @@ func main() {
 		addrs     = flag.String("addrs", "", "static address map JSON (required)")
 		deployPub = flag.String("deploy-pub", "", "hex ed25519 deployment public key (required)")
 		trace     = flag.String("trace", "", "structured trace output (JSONL); empty disables")
-		bootEpoch = flag.Uint("boot-epoch", 0, "switch event-id namespace; bump on every restart")
-		crashRec  = flag.Bool("crash-recovery", false, "controller: boot mute and recover state from peers")
-		resync    = flag.Bool("resync", false, "switch: request a full table resync after boot")
+		bootEpoch = flag.Uint("boot-epoch", 0, "boot counter; bump on every restart (> 0 boots through recovery)")
 	)
 	flag.Parse()
 	if *bundle == "" || *addrs == "" || *deployPub == "" {
@@ -60,13 +59,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	if err := distrib.RunNode(ctx, distrib.NodeOptions{
-		BundlePath:    *bundle,
-		AddrsPath:     *addrs,
-		DeployPub:     pub,
-		TracePath:     *trace,
-		BootEpoch:     uint32(*bootEpoch),
-		CrashRecovery: *crashRec,
-		Resync:        *resync,
+		BundlePath: *bundle,
+		AddrsPath:  *addrs,
+		DeployPub:  pub,
+		TracePath:  *trace,
+		BootEpoch:  uint32(*bootEpoch),
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "cicero-node: %v\n", err)
 		os.Exit(1)

@@ -8,18 +8,13 @@
 package main
 
 import (
-	"crypto/rand"
 	"fmt"
 	"log"
 	"time"
 
 	"cicero"
-	"cicero/internal/controlplane"
 	"cicero/internal/core"
-	"cicero/internal/routing"
-	"cicero/internal/scheduler"
 	"cicero/internal/simnet"
-	"cicero/internal/tcrypto/pki"
 )
 
 func main() {
@@ -42,30 +37,11 @@ func main() {
 	fmt.Printf("initial control plane: %v (t=%d)\n", dom.Members, dom.Controllers[0].Quorum())
 	fmt.Printf("group public key: %x...\n\n", originalPK[:12])
 
-	// Prepare a joining controller (its identity keys registered in the
-	// PKI directory out of band, as §4.3 step (i) requires).
+	// Prepare a joining controller: its identity key is registered in the
+	// PKI directory out of band, as §4.3 step (i) requires, and it boots
+	// with public material only; its share arrives via resharing.
 	joinerID := core.ControllerName(0, 5)
-	keys, err := pki.NewKeyPair(rand.Reader, joinerID)
-	if err != nil {
-		log.Fatal(err)
-	}
-	inner.Directory.MustRegister(keys)
-	if _, err := controlplane.New(controlplane.Config{
-		ID:         joinerID,
-		Domain:     0,
-		Members:    dom.Members, // current membership; the joiner is not yet in it
-		Net:        inner.Net,
-		Cost:       inner.Cfg.Cost,
-		Keys:       keys,
-		Directory:  inner.Directory,
-		Protocol:   controlplane.ProtoCicero,
-		Scheme:     inner.Scheme,
-		GroupKey:   dom.GroupKey, // public material only; its share arrives via resharing
-		App:        &routing.ShortestPath{Graph: topo},
-		Sched:      scheduler.ReversePath{},
-		Switches:   dom.Switches,
-		CryptoReal: true,
-	}); err != nil {
+	if _, err := inner.Join(0, joinerID); err != nil {
 		log.Fatal(err)
 	}
 

@@ -154,6 +154,15 @@ func (c Config) Defaulted() Config {
 	return c
 }
 
+// newApp builds the routing application for one controller instance. Each
+// gets its own so stateful apps stay replica-local.
+func (c Config) newApp() routing.App {
+	if c.AppFactory != nil {
+		return c.AppFactory()
+	}
+	return &routing.ShortestPath{Graph: c.Graph, PairRules: c.PairRules}
+}
+
 // ByPod maps switches to one domain per (dc, pod) pair, the paper's §6.3
 // deployment. Fabric-level nodes (spines, interconnects, cores) go to the
 // dedicated interconnect domain, which is the last domain index.

@@ -17,28 +17,7 @@ import (
 // through the membership protocol.
 func addJoiner(t *testing.T, n *Network, dom *Domain, id pki.Identity) *controlplane.Controller {
 	t.Helper()
-	keys, err := pki.NewKeyPair(rand.Reader, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Directory.MustRegister(keys)
-	n.site[string(id)] = dom.Site
-	joiner, err := controlplane.New(controlplane.Config{
-		ID:         id,
-		Domain:     dom.Index,
-		Members:    dom.Members, // current membership; joiner is not in it
-		Net:        n.Net,
-		Cost:       n.Cfg.Cost,
-		Keys:       keys,
-		Directory:  n.Directory,
-		Protocol:   controlplane.ProtoCicero,
-		Scheme:     n.Scheme,
-		GroupKey:   dom.GroupKey,
-		App:        n.newApp(),
-		Sched:      n.Cfg.Scheduler,
-		Switches:   dom.Switches,
-		CryptoReal: n.Cfg.CryptoReal,
-	})
+	joiner, err := n.Join(dom.Index, id)
 	if err != nil {
 		t.Fatalf("joiner: %v", err)
 	}

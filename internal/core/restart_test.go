@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cicero/internal/audit"
 	"cicero/internal/controlplane"
+	"cicero/internal/fabric"
+	"cicero/internal/livenet"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/simnet"
@@ -233,4 +237,74 @@ func TestOneByzantinePeerCannotVouchRecoveryAlone(t *testing.T) {
 			t.Fatalf("recovered ledger diverges from the honest one at %d: %s vs %s", i, got[i].Subject, ref[i].Subject)
 		}
 	}
+}
+
+// buildLive assembles a deployment on an in-process live fabric, closed
+// with the test.
+func buildLive(t *testing.T, cfg Config) (*Network, *livenet.InProc) {
+	t.Helper()
+	fab := livenet.NewInProc(nil)
+	t.Cleanup(fab.Close)
+	cfg.Fabric = fab
+	return buildNet(t, cfg), fab
+}
+
+// TestSwitchRestartUnderTrafficIsRaceFree restarts a switch over and over
+// on a live fabric while every controller keeps sending it updates. The
+// replacement's handler is live the moment it registers, so everything the
+// restart does to it afterwards — installing the control-plane view, asking
+// for the resync — has to happen in the node's serial context. Run under
+// -race: a restart that writes the view from the driver goroutine races
+// the handler, which reads it for every share it pools.
+func TestSwitchRestartUnderTrafficIsRaceFree(t *testing.T) {
+	n, fab := buildLive(t, Config{Graph: smallPod(t), ViewChangeTimeout: time.Second})
+	victim := topology.ToRName(0, 0, 0)
+	src, dst := topology.HostName(0, 0, 0, 0), topology.HostName(0, 0, 2, 0)
+	// installed waits until the victim's current instance serves src->dst.
+	installed := func() {
+		t.Helper()
+		sw := n.Switches[victim]
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			var ok bool
+			if err := fabric.InvokeWait(fab, fabric.NodeID(victim), func() { _, ok = sw.Lookup(src, dst) }, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("switch %s never installed %s->%s", victim, src, dst)
+			}
+		}
+	}
+	first := n.Switches[victim]
+	fab.Invoke(fabric.NodeID(victim), func() { first.PacketArrival(src, dst) })
+	installed()
+
+	var stop atomic.Bool
+	var senders sync.WaitGroup
+	for i, id := range n.Domains[0].Members {
+		senders.Add(1)
+		go func(from pki.Identity, index uint32) {
+			defer senders.Done()
+			for seq := uint64(1); !stop.Load(); seq++ {
+				// One share per update id never makes a quorum: the switch
+				// pools it, which reads the view the restart installs.
+				fab.Send(fabric.NodeID(from), fabric.NodeID(victim), protocol.MsgUpdate{
+					UpdateID:   openflow.MsgID{Origin: "flood/" + string(from), Seq: seq},
+					ShareIndex: index,
+				}, 64)
+			}
+		}(id, uint32(i+1))
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := n.RestartSwitch(victim); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	stop.Store(true)
+	senders.Wait()
+	// The last replacement came up with an empty table and got it back.
+	installed()
 }

@@ -245,7 +245,7 @@ func TestEnvelopeForOneControllerRejectedByAnother(t *testing.T) {
 		Dst:  topology.HostName(0, 0, 2, 0),
 	}
 	// The switch's own link, so the envelope is as genuine as they come.
-	env, err := pki.NewLink(n.swConfigs[ingress].Keys, n.Directory).Seal(dom.Members[0], ev.Encode())
+	env, err := pki.NewLink(n.Keys[pki.Identity(ingress)], n.Directory).Seal(dom.Members[0], ev.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestByzantineControllerForgedAckCannotReorder(t *testing.T) {
 		Src:  topology.HostName(0, 0, 0, 0),
 		Dst:  topology.HostName(0, 0, 2, 0),
 	}
-	mods, err := n.newApp().PlanFlow(ev)
+	mods, err := n.Cfg.newApp().PlanFlow(ev)
 	if err != nil || len(mods) < 2 {
 		t.Fatalf("PlanFlow: %d mods, err %v", len(mods), err)
 	}
@@ -311,7 +311,7 @@ func TestByzantineControllerForgedAckCannotReorder(t *testing.T) {
 	}, 256)
 	// And it acknowledges the dependency itself, naming the switch or naming
 	// itself, before the honest peer has planned the event and again after.
-	link := pki.NewLink(n.ctlConfigs[byz].Keys, n.Directory)
+	link := pki.NewLink(n.Keys[byz], n.Directory)
 	forgeAcks := func() {
 		for _, claimed := range []string{depSwitch, string(byz)} {
 			ack := protocol.Ack{UpdateID: dependency, Switch: claimed, Applied: true}
@@ -398,7 +398,7 @@ func TestByzantinePrimaryCannotSplitDelivery(t *testing.T) {
 			send(voteInNameOf(bft.Commit{Seq: 1, Digest: d}, name))
 		}
 		// The plan's first update is the egress switch's (reverse-path order).
-		mods, err := n.newApp().PlanFlow(sp.ev)
+		mods, err := n.Cfg.newApp().PlanFlow(sp.ev)
 		if err != nil || len(mods) == 0 || mods[len(mods)-1].Switch != egress {
 			t.Fatalf("PlanFlow(%s): %d mods, err %v", sp.ev.ID, len(mods), err)
 		}

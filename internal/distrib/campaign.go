@@ -121,7 +121,7 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 	g := SmokeGraph()
 	flows := chaos.DrawFlows(g, opt.Flows, time.Second, rand.New(rand.NewSource(opt.Seed)))
 	res.FlowsTotal = len(flows)
-	refDigest, err := chaos.ReferenceDigest(core.Config{
+	cfg := core.Config{
 		Graph:                g,
 		Protocol:             controlplane.ProtoCicero,
 		Aggregation:          controlplane.AggSwitch,
@@ -129,13 +129,14 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 		Cost:                 protocol.Calibrated(),
 		Seed:                 opt.Seed,
 		Jitter:               0.1,
-	}, flows)
+	}
+	refDigest, err := chaos.ReferenceDigest(cfg, flows)
 	if err != nil {
 		return nil, fmt.Errorf("distrib: simnet reference: %w", err)
 	}
 	res.RefDigest = refDigest
 
-	dep, err := Plan(Spec{Controllers: opt.Controllers, Graph: g, Seed: opt.Seed})
+	dep, err := Plan(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +367,7 @@ func converge(sup *Supervisor, dep *Deployment, res *CampaignResult, refDigest s
 		FlowsDone:  res.FlowsDone,
 		FlowsTotal: res.FlowsTotal,
 	}
-	for _, n := range dep.Spec.Graph.NodesOfKind(topology.KindHost) {
+	for _, n := range dep.Cfg.Graph.NodesOfKind(topology.KindHost) {
 		snap.Hosts[n.ID] = true
 	}
 

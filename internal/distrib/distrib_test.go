@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/json"
@@ -9,10 +10,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"cicero/internal/controlplane"
+	"cicero/internal/core"
 	"cicero/internal/protocol"
 	"cicero/internal/tcrypto/pairing"
 )
@@ -56,18 +59,25 @@ func requireNodeBin(t *testing.T) {
 	}
 }
 
-// TestPlanShape checks the planner mirrors the in-process assembly:
-// member naming, quorum, per-node bundles with distinct key material.
+// smokeConfig is the deployment the shape tests plan.
+func smokeConfig() core.Config {
+	return core.Config{Graph: SmokeGraph(), ControllersPerDomain: 4}
+}
+
+// TestPlanShape checks the planner packs core's provisioning and nothing
+// of its own: member naming, quorum, per-node bundles with distinct key
+// material, every bundle's public part equal to what core.Provision
+// returned, and bundle -> provisioning -> bundle the identity.
 func TestPlanShape(t *testing.T) {
-	dep, err := Plan(Spec{Controllers: 4, Graph: SmokeGraph()})
+	dep, err := Plan(smokeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(dep.Members); got != 4 {
 		t.Fatalf("members = %d, want 4", got)
 	}
-	if got := string(dep.Members[0]); got != "dom0/ctl/1" {
-		t.Fatalf("first member = %q, want dom0/ctl/1", got)
+	if got := dep.Members[0]; got != core.ControllerName(0, 1) {
+		t.Fatalf("first member = %q, want %q", got, core.ControllerName(0, 1))
 	}
 	if got := len(dep.Switches); got != 4 {
 		t.Fatalf("switches = %d, want 4 (hosts excluded)", got)
@@ -78,6 +88,13 @@ func TestPlanShape(t *testing.T) {
 	if got := len(dep.Bundles); got != 8 {
 		t.Fatalf("bundles = %d, want 8", got)
 	}
+	// What provisioning fixes without drawing randomness is the same on a
+	// second run for the same config; the key material is the planned run's.
+	again, err := core.Provision(dep.Cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, directory := again.Domains[0], dep.Prov.Directory.Entries()
 	boot := 0
 	seeds := make(map[string]bool)
 	for id, b := range dep.Bundles {
@@ -94,12 +111,62 @@ func TestPlanShape(t *testing.T) {
 			t.Fatalf("bundle %s reuses another node's key seed", id)
 		}
 		seeds[string(b.KeySeed)] = true
-		if len(b.Directory) != 8 {
-			t.Fatalf("bundle %s directory has %d entries, want 8", id, len(b.Directory))
+		if !slices.Equal(b.Members, want.Members) || !slices.Equal(b.Switches, want.Switches) || b.Quorum != want.Quorum {
+			t.Fatalf("bundle %s: members %v switches %v quorum %d, core provisions %v %v %d",
+				id, b.Members, b.Switches, b.Quorum, want.Members, want.Switches, want.Quorum)
+		}
+		if len(b.Directory) != 8 || len(directory) != 8 {
+			t.Fatalf("bundle %s directory has %d entries, core's %d, want 8", id, len(b.Directory), len(directory))
+		}
+		for who, pub := range directory {
+			if !bytes.Equal(b.Directory[who], pub) {
+				t.Fatalf("bundle %s: directory entry %s is not the key core enrolled", id, who)
+			}
+		}
+		if !b.GroupKey.PK.Point.Equal(dep.GroupKey.PK.Point) {
+			t.Fatalf("bundle %s: group key is not the domain's", id)
 		}
 	}
 	if boot != 1 {
 		t.Fatalf("%d bootstrap bundles, want exactly 1", boot)
+	}
+}
+
+// TestBundleRoundTrip: unpacking a bundle into a node's provisioning and
+// packing that again gives the same signed bytes, for every node and with
+// every field a bundle can carry in use.
+func TestBundleRoundTrip(t *testing.T) {
+	full := smokeConfig()
+	full.Aggregation = controlplane.AggController
+	full.BatchSize, full.BatchDelay = 8, time.Millisecond
+	full.Metadata = true
+	codec := protocol.NewWireCodec(pairing.Fast254())
+	for name, cfg := range map[string]core.Config{"plain": smokeConfig(), "full": full} {
+		dep, err := Plan(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, b := range dep.Bundles {
+			want, err := codec.Encode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodeCfg, prov, err := unpack(&b)
+			if err != nil {
+				t.Fatalf("%s/%s: unpack: %v", name, id, err)
+			}
+			got, err := codec.Encode(pack(nodeCfg, prov, []string{id})[id])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: bundle -> provisioning -> bundle changed the bundle", name, id)
+			}
+			if name == "full" && (b.Aggregator != dep.Members[0] || b.MetaGenesis.Role == "" || nodeCfg.BatchSize != 8 ||
+				nodeCfg.Aggregation != controlplane.AggController || !nodeCfg.Metadata) {
+				t.Errorf("full/%s: aggregator %q, genesis role %q, node config %+v", id, b.Aggregator, b.MetaGenesis.Role, nodeCfg)
+			}
+		}
 	}
 }
 
@@ -128,7 +195,7 @@ func TestGraphWireRoundTrip(t *testing.T) {
 // verified against the wrong key, is rejected before any key material in
 // it is trusted.
 func TestBundleSignatureRequired(t *testing.T) {
-	dep, err := Plan(Spec{Controllers: 4, Graph: SmokeGraph()})
+	dep, err := Plan(smokeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

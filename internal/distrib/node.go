@@ -13,14 +13,12 @@ import (
 
 	"cicero/internal/audit"
 	"cicero/internal/controlplane"
+	"cicero/internal/core"
 	"cicero/internal/dataplane"
 	"cicero/internal/fabric"
 	"cicero/internal/livenet"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
-	"cicero/internal/routing"
-	"cicero/internal/scheduler"
-	"cicero/internal/tcrypto/bls"
 	"cicero/internal/tcrypto/pairing"
 	"cicero/internal/tcrypto/pki"
 )
@@ -37,14 +35,10 @@ type NodeOptions struct {
 	AddrsPath string
 	// TracePath, when non-empty, enables structured tracing.
 	TracePath string
-	// BootEpoch is the switch's event-id namespace; the supervisor bumps
-	// it on every restart.
+	// BootEpoch counts the node's boots; the supervisor bumps it on every
+	// restart. Above 0 the node is a replacement and boots through the
+	// recovery paths (core's restart rule).
 	BootEpoch uint32
-	// CrashRecovery marks a controller replacing a SIGKILLed instance:
-	// it boots mute and runs peer state transfer before participating.
-	CrashRecovery bool
-	// Resync makes a rebooted switch request a full table resync.
-	Resync bool
 }
 
 // RunNode boots the node a bundle provisions, announces itself to the
@@ -105,7 +99,7 @@ func RunNode(ctx context.Context, opts NodeOptions) error {
 	if err := rt.build(); err != nil {
 		return err
 	}
-	tracer.Emit(TraceBoot, fmt.Sprintf("%s epoch=%d recovery=%v", bundle.Role, opts.BootEpoch, opts.CrashRecovery), "")
+	tracer.Emit(TraceBoot, fmt.Sprintf("%s epoch=%d", bundle.Role, opts.BootEpoch), "")
 	if err := rt.hello(); err != nil {
 		return err
 	}
@@ -134,103 +128,22 @@ type nodeRuntime struct {
 	applies []protocol.SnapshotApply
 }
 
-// build constructs the controller or switch from the bundle, registering
-// it on the fabric behind the runtime's tracing/control wrapper.
+// build turns the bundle back into the node's provisioning and boots it
+// the way core boots every node, on the fabric behind the runtime's
+// tracing/control wrapper.
 func (rt *nodeRuntime) build() error {
-	b := rt.bundle
-	graph, err := GraphFromWire(b.GraphNodes, b.GraphLinks)
+	cfg, prov, err := unpack(rt.bundle)
 	if err != nil {
 		return err
 	}
-	keys, err := pki.KeyPairFromSeed(pki.Identity(b.ID), b.KeySeed)
-	if err != nil {
-		return err
-	}
-	dir := pki.NewDirectory()
-	for id, pub := range b.Directory {
-		if err := dir.Register(id, pub); err != nil {
-			return err
-		}
-	}
-	scheme := bls.NewScheme(pairing.Fast254())
+	cfg.SwitchApplyHook = rt.onApply
 	tfab := &tracedFabric{Fabric: rt.fab, rt: rt}
-
-	switch b.Role {
-	case protocol.RoleController:
-		cfg := controlplane.Config{
-			ID:                pki.Identity(b.ID),
-			Domain:            b.Domain,
-			Members:           b.Members,
-			Net:               tfab,
-			Cost:              protocol.Calibrated(),
-			Keys:              keys,
-			Directory:         dir,
-			Protocol:          controlplane.ProtoCicero,
-			Aggregation:       controlplane.AggSwitch,
-			Scheme:            scheme,
-			GroupKey:          b.GroupKey,
-			Share:             b.Share,
-			App:               &routing.ShortestPath{Graph: graph},
-			Sched:             scheduler.ReversePath{},
-			PeerDomains:       b.PeerDomains,
-			Switches:          b.Switches,
-			CryptoReal:        true,
-			Bootstrap:         b.Bootstrap && !rt.opts.CrashRecovery,
-			ViewChangeTimeout: time.Duration(b.ViewChangeTimeoutNS),
-			BatchSize:         b.BatchSize,
-			BatchDelay:        time.Duration(b.BatchDelayNS),
-			CrashRecovery:     rt.opts.CrashRecovery,
-		}
-		if b.MetaGenesis.Role != "" {
-			// The bundle carries only the root of trust; everything below it
-			// arrives through the verified distribution path.
-			cfg.Metadata = &controlplane.MetadataConfig{Genesis: b.MetaGenesis}
-		}
-		ctl, err := controlplane.New(cfg)
-		if err != nil {
-			return err
-		}
-		rt.ctl = ctl
-		if rt.opts.CrashRecovery {
-			rt.fab.Invoke(fabric.NodeID(b.ID), ctl.StartRecovery)
-		}
-	case protocol.RoleSwitch:
-		cfg := dataplane.Config{
-			ID:          b.ID,
-			Net:         tfab,
-			Cost:        protocol.Calibrated(),
-			Mode:        dataplane.ModeThreshold,
-			Keys:        keys,
-			Directory:   dir,
-			Scheme:      scheme,
-			GroupKey:    b.GroupKey,
-			Quorum:      b.Quorum,
-			Controllers: b.Members,
-			CryptoReal:  true,
-			ApplyHook:   rt.onApply,
-			BootEpoch:   rt.opts.BootEpoch,
-		}
-		if b.MetaGenesis.Role != "" {
-			cfg.Metadata = &dataplane.MetadataConfig{Genesis: b.MetaGenesis}
-		}
-		sw, err := dataplane.New(cfg)
-		if err != nil {
-			return err
-		}
-		rt.sw = sw
-		// Bootstrap and (on reboot) resync inside the node's serial
-		// context: frames may already be arriving on the fresh listener.
-		rt.fab.InvokeWait(fabric.NodeID(b.ID), func() {
-			sw.Bootstrap(b.Members, b.Aggregator, b.Quorum)
-			if rt.opts.Resync {
-				sw.RequestResync()
-				sw.RequestMeta()
-			}
-		})
-	default:
-		return fmt.Errorf("distrib: bundle role %q unknown", b.Role)
+	if rt.bundle.Role == protocol.RoleController {
+		rt.ctl, err = core.BootController(cfg, tfab, prov, 0, pki.Identity(rt.bundle.ID), rt.opts.BootEpoch)
+	} else {
+		rt.sw, err = core.BootSwitch(cfg, tfab, prov, rt.bundle.ID, rt.opts.BootEpoch)
 	}
-	return nil
+	return err
 }
 
 // hello announces the fresh listener to the driver, retrying briefly (the

@@ -173,10 +173,10 @@ func (s *Supervisor) handle(from fabric.NodeID, msg fabric.Message) {
 
 // Start launches the node's process at boot epoch 0.
 func (s *Supervisor) Start(id string) error {
-	return s.launch(id, 0, false, false)
+	return s.launch(id, 0)
 }
 
-func (s *Supervisor) launch(id string, epoch uint32, crashRecovery, resync bool) error {
+func (s *Supervisor) launch(id string, epoch uint32) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -197,12 +197,6 @@ func (s *Supervisor) launch(id string, epoch uint32, crashRecovery, resync bool)
 		"-deploy-pub", hex.EncodeToString(s.dep.DeployPub),
 		"-trace", tracePath,
 		"-boot-epoch", fmt.Sprintf("%d", epoch),
-	}
-	if crashRecovery {
-		args = append(args, "-crash-recovery")
-	}
-	if resync {
-		args = append(args, "-resync")
 	}
 	cmd := exec.Command(s.bin, args...)
 	logf, err := os.OpenFile(filepath.Join(s.dir, "log-"+sanitize(id)+".txt"),
@@ -280,10 +274,8 @@ func (s *Supervisor) Kill(id string) error {
 	return nil
 }
 
-// Restart relaunches a killed node through the protocol recovery path: a
-// controller boots in crash recovery (mute until peer state transfer
-// completes), a switch boots into a fresh event-id epoch and requests a
-// table resync.
+// Restart relaunches a killed node at its next boot epoch, which is what
+// sends it through the protocol recovery path (core's restart rule).
 func (s *Supervisor) Restart(id string) error {
 	s.mu.Lock()
 	if s.procs[id] != nil {
@@ -292,10 +284,7 @@ func (s *Supervisor) Restart(id string) error {
 	}
 	epoch := s.nextEpoch(id)
 	s.mu.Unlock()
-	if b, ok := s.dep.Bundles[id]; ok && b.Role == protocol.RoleController {
-		return s.launch(id, epoch, true, false)
-	}
-	return s.launch(id, epoch, false, true)
+	return s.launch(id, epoch)
 }
 
 // nextEpoch returns the next unused boot epoch for id; s.mu must be held.

@@ -216,12 +216,12 @@ func TestTCPReconnect(t *testing.T) {
 // heals — no stale cached connection, no breaker stuck open past the
 // heal.
 func TestTCPReconnectRacesPartitionHeal(t *testing.T) {
-	res := DefaultResilience()
-	res.DialTimeout = 200 * time.Millisecond
-	res.Backoff = Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5}
-	res.BreakerThreshold = 3
-	res.BreakerCooldown = 30 * time.Millisecond
-	f, err := NewTCPWithResilience(protocol.NewWireCodec(nil), res)
+	res := defaultResilience
+	res.dialTimeout = 200 * time.Millisecond
+	res.backoff = backoff{base: 2 * time.Millisecond, max: 20 * time.Millisecond, factor: 2, jitter: 0.5}
+	res.breakerThreshold = 3
+	res.breakerCooldown = 30 * time.Millisecond
+	f, err := newTCPWith(res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,107 +34,78 @@ var (
 	ErrSendQueueFull = errors.New("livenet: peer send queue full")
 )
 
-// Backoff is a bounded exponential backoff schedule with multiplicative
-// jitter. Attempt 1 waits ~Base, attempt k waits ~Base·Factor^(k-1),
-// capped at Max; each wait is then scaled by a uniform factor in
-// [1-Jitter, 1] so concurrent retriers decorrelate.
-type Backoff struct {
-	Base   time.Duration
-	Max    time.Duration
-	Factor float64
-	Jitter float64 // fraction in [0, 1)
+// backoff is a bounded exponential backoff schedule with multiplicative
+// jitter. Attempt 1 waits ~base, attempt k waits ~base·factor^(k-1),
+// capped at max; each wait is then scaled by a uniform factor in
+// [1-jitter, 1] so concurrent retriers decorrelate.
+type backoff struct {
+	base   time.Duration
+	max    time.Duration
+	factor float64
+	jitter float64 // fraction in [0, 1)
 }
 
-// Delay returns the wait before retry attempt k (k >= 1). rng supplies
+// delay returns the wait before retry attempt k (k >= 1). rng supplies
 // uniform [0,1) randomness; nil means no jitter.
-func (b Backoff) Delay(attempt int, rng func() float64) time.Duration {
+func (b backoff) delay(attempt int, rng func() float64) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := float64(b.Base)
+	d := float64(b.base)
 	for i := 1; i < attempt; i++ {
-		d *= b.Factor
-		if time.Duration(d) >= b.Max {
-			d = float64(b.Max)
+		d *= b.factor
+		if time.Duration(d) >= b.max {
+			d = float64(b.max)
 			break
 		}
 	}
-	if time.Duration(d) > b.Max {
-		d = float64(b.Max)
+	if time.Duration(d) > b.max {
+		d = float64(b.max)
 	}
-	if b.Jitter > 0 && rng != nil {
-		d *= 1 - b.Jitter*rng()
+	if b.jitter > 0 && rng != nil {
+		d *= 1 - b.jitter*rng()
 	}
 	return time.Duration(d)
 }
 
-// Resilience configures the TCP backend's retry/timeout/backoff layer.
-type Resilience struct {
-	// DialTimeout bounds one dial attempt.
-	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline.
-	WriteTimeout time.Duration
-	// MaxAttempts bounds transmission attempts per frame (first try plus
+// resilience is the TCP backend's retry/timeout/backoff layer. Every
+// fabric runs defaultResilience; the package's tests shorten it.
+type resilience struct {
+	// dialTimeout bounds one dial attempt.
+	dialTimeout time.Duration
+	// writeTimeout is the per-frame write deadline.
+	writeTimeout time.Duration
+	// maxAttempts bounds transmission attempts per frame (first try plus
 	// retries); the frame is dropped when the budget is exhausted.
-	MaxAttempts int
-	// Backoff is the wait schedule between attempts.
-	Backoff Backoff
-	// QueueLen bounds the per-peer outbound queue; SendErr fails fast with
+	maxAttempts int
+	// backoff is the wait schedule between attempts.
+	backoff backoff
+	// queueLen bounds the per-peer outbound queue; SendErr fails fast with
 	// ErrSendQueueFull when it is full.
-	QueueLen int
-	// BreakerThreshold is the number of consecutive dial failures that
+	queueLen int
+	// breakerThreshold is the number of consecutive dial failures that
 	// trips the per-peer circuit breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before it
+	breakerThreshold int
+	// breakerCooldown is how long a tripped breaker stays open before it
 	// lets one half-open probe through.
-	BreakerCooldown time.Duration
+	breakerCooldown time.Duration
 }
 
-// DefaultResilience returns the settings the live experiments use: fast
-// enough for localhost benchmarks, patient enough to ride out a crashed
-// peer's restart.
-func DefaultResilience() Resilience {
-	return Resilience{
-		DialTimeout:  1 * time.Second,
-		WriteTimeout: 2 * time.Second,
-		MaxAttempts:  4,
-		Backoff: Backoff{
-			Base:   5 * time.Millisecond,
-			Max:    250 * time.Millisecond,
-			Factor: 2,
-			Jitter: 0.5,
-		},
-		QueueLen:         4096,
-		BreakerThreshold: 3,
-		BreakerCooldown:  200 * time.Millisecond,
-	}
-}
-
-// withDefaults fills zero fields from DefaultResilience.
-func (r Resilience) withDefaults() Resilience {
-	d := DefaultResilience()
-	if r.DialTimeout <= 0 {
-		r.DialTimeout = d.DialTimeout
-	}
-	if r.WriteTimeout <= 0 {
-		r.WriteTimeout = d.WriteTimeout
-	}
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = d.MaxAttempts
-	}
-	if r.Backoff.Base <= 0 {
-		r.Backoff = d.Backoff
-	}
-	if r.QueueLen <= 0 {
-		r.QueueLen = d.QueueLen
-	}
-	if r.BreakerThreshold <= 0 {
-		r.BreakerThreshold = d.BreakerThreshold
-	}
-	if r.BreakerCooldown <= 0 {
-		r.BreakerCooldown = d.BreakerCooldown
-	}
-	return r
+// defaultResilience is fast enough for localhost benchmarks, patient
+// enough to ride out a crashed peer's restart.
+var defaultResilience = resilience{
+	dialTimeout:  1 * time.Second,
+	writeTimeout: 2 * time.Second,
+	maxAttempts:  4,
+	backoff: backoff{
+		base:   5 * time.Millisecond,
+		max:    250 * time.Millisecond,
+		factor: 2,
+		jitter: 0.5,
+	},
+	queueLen:         4096,
+	breakerThreshold: 3,
+	breakerCooldown:  200 * time.Millisecond,
 }
 
 // Circuit-breaker states.

@@ -13,7 +13,7 @@ import (
 // TestBackoffSchedule pins the deterministic (jitter-free) schedule: Base,
 // Base·Factor, Base·Factor², ..., capped at Max.
 func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{Base: 5 * time.Millisecond, Max: 40 * time.Millisecond, Factor: 2}
+	b := backoff{base: 5 * time.Millisecond, max: 40 * time.Millisecond, factor: 2}
 	want := []time.Duration{
 		5 * time.Millisecond,  // attempt 1
 		10 * time.Millisecond, // attempt 2
@@ -22,12 +22,12 @@ func TestBackoffSchedule(t *testing.T) {
 		40 * time.Millisecond, // and stays there
 	}
 	for i, w := range want {
-		if got := b.Delay(i+1, nil); got != w {
+		if got := b.delay(i+1, nil); got != w {
 			t.Errorf("attempt %d: delay %v, want %v", i+1, got, w)
 		}
 	}
 	// Out-of-range attempts clamp to the first step.
-	if got := b.Delay(0, nil); got != want[0] {
+	if got := b.delay(0, nil); got != want[0] {
 		t.Errorf("attempt 0: delay %v, want %v", got, want[0])
 	}
 }
@@ -35,14 +35,14 @@ func TestBackoffSchedule(t *testing.T) {
 // TestBackoffJitterBounds checks jittered delays stay in
 // [(1-Jitter)·step, step] and that the rng actually moves them.
 func TestBackoffJitterBounds(t *testing.T) {
-	b := Backoff{Base: 8 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5}
+	b := backoff{base: 8 * time.Millisecond, max: time.Second, factor: 2, jitter: 0.5}
 	rng := newLockedRand(42)
 	varied := false
 	for attempt := 1; attempt <= 4; attempt++ {
-		step := b.Delay(attempt, nil)
-		lo := time.Duration(float64(step) * (1 - b.Jitter))
+		step := b.delay(attempt, nil)
+		lo := time.Duration(float64(step) * (1 - b.jitter))
 		for i := 0; i < 50; i++ {
-			d := b.Delay(attempt, rng.Float64)
+			d := b.delay(attempt, rng.Float64)
 			if d < lo || d > step {
 				t.Fatalf("attempt %d: jittered delay %v outside [%v, %v]", attempt, d, lo, step)
 			}
@@ -118,6 +118,16 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
+// newTCPWith builds a TCP fabric whose links, all created after this
+// returns, run under res in place of defaultResilience.
+func newTCPWith(res resilience) (*TCP, error) {
+	f, err := NewTCP(protocol.NewWireCodec(nil))
+	if err == nil {
+		f.res = res
+	}
+	return f, err
+}
+
 // TestTCPBreakerTripsOnDeadPeer makes every dial to a peer fail (its
 // listener is dead but its address is still advertised — a crashed remote
 // process, from the sender's point of view) and checks the per-peer
@@ -126,13 +136,13 @@ func TestBreakerStateMachine(t *testing.T) {
 // dial path: admit() fails fast with ErrNodeCrashed — that rule is covered
 // by TestInProcFaults.)
 func TestTCPBreakerTripsOnDeadPeer(t *testing.T) {
-	res := DefaultResilience()
-	res.DialTimeout = 50 * time.Millisecond
-	res.MaxAttempts = 1
-	res.Backoff = Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Factor: 2}
-	res.BreakerThreshold = 2
-	res.BreakerCooldown = 10 * time.Second // long: stays open for the test
-	f, err := NewTCPWithResilience(protocol.NewWireCodec(nil), res)
+	res := defaultResilience
+	res.dialTimeout = 50 * time.Millisecond
+	res.maxAttempts = 1
+	res.backoff = backoff{base: time.Millisecond, max: 2 * time.Millisecond, factor: 2}
+	res.breakerThreshold = 2
+	res.breakerCooldown = 10 * time.Second // long: stays open for the test
+	f, err := newTCPWith(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +178,13 @@ func TestTCPBreakerTripsOnDeadPeer(t *testing.T) {
 // and a cooldown far longer than the test keeps it from re-tripping via a
 // half-open probe — so every counter has one correct value, not a range.
 func TestResilienceCountersExactOnDeadPeer(t *testing.T) {
-	res := DefaultResilience()
-	res.DialTimeout = 50 * time.Millisecond
-	res.MaxAttempts = 1 // no retries: Retries must stay exactly 0
-	res.Backoff = Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Factor: 2}
-	res.BreakerThreshold = 2
-	res.BreakerCooldown = 10 * time.Second // never half-opens during the test
-	f, err := NewTCPWithResilience(protocol.NewWireCodec(nil), res)
+	res := defaultResilience
+	res.dialTimeout = 50 * time.Millisecond
+	res.maxAttempts = 1 // no retries: Retries must stay exactly 0
+	res.backoff = backoff{base: time.Millisecond, max: 2 * time.Millisecond, factor: 2}
+	res.breakerThreshold = 2
+	res.breakerCooldown = 10 * time.Second // never half-opens during the test
+	f, err := newTCPWith(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +215,11 @@ func TestResilienceCountersExactOnDeadPeer(t *testing.T) {
 // costs exactly one failed write (one retry) and one redial (one
 // reconnect) for the next frame.
 func TestResilienceCountersExactOnReconnect(t *testing.T) {
-	res := DefaultResilience()
-	res.DialTimeout = time.Second
-	res.MaxAttempts = 3
-	res.Backoff = Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Factor: 2}
-	f, err := NewTCPWithResilience(protocol.NewWireCodec(nil), res)
+	res := defaultResilience
+	res.dialTimeout = time.Second
+	res.maxAttempts = 3
+	res.backoff = backoff{base: time.Millisecond, max: 2 * time.Millisecond, factor: 2}
+	f, err := newTCPWith(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +260,13 @@ func TestResilienceCountersExactOnReconnect(t *testing.T) {
 // retry/reconnect layer must ride out the dead listener and redial the
 // reborn one.
 func TestTCPKillPeerMidWorkload(t *testing.T) {
-	res := DefaultResilience()
-	res.DialTimeout = 200 * time.Millisecond
-	res.MaxAttempts = 3
-	res.Backoff = Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Factor: 2, Jitter: 0.5}
-	res.BreakerThreshold = 5
-	res.BreakerCooldown = 50 * time.Millisecond
-	f, err := NewTCPWithResilience(protocol.NewWireCodec(nil), res)
+	res := defaultResilience
+	res.dialTimeout = 200 * time.Millisecond
+	res.maxAttempts = 3
+	res.backoff = backoff{base: 5 * time.Millisecond, max: 50 * time.Millisecond, factor: 2, jitter: 0.5}
+	res.breakerThreshold = 5
+	res.breakerCooldown = 50 * time.Millisecond
+	f, err := newTCPWith(res)
 	if err != nil {
 		t.Fatal(err)
 	}

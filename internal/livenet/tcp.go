@@ -42,7 +42,7 @@ const maxFrameBytes = 1 << 22
 type TCP struct {
 	base
 	codec Codec
-	res   Resilience
+	res   resilience
 	rng   *lockedRand
 	// remotes maps nodes hosted by other processes to their dial
 	// addresses (the distributed deployment's static address map). Local
@@ -66,25 +66,16 @@ var (
 	_ fabric.FaultInjector = (*TCP)(nil)
 )
 
-// NewTCP builds a TCP fabric with DefaultResilience; the codec is
-// required (messages must cross a real wire).
+// NewTCP builds a single-process TCP fabric; the codec is required
+// (messages must cross a real wire).
 func NewTCP(codec Codec) (*TCP, error) {
-	return NewTCPWithResilience(codec, DefaultResilience())
-}
-
-// NewTCPWithResilience builds a TCP fabric with an explicit resilience
-// configuration (zero fields take defaults).
-func NewTCPWithResilience(codec Codec, res Resilience) (*TCP, error) {
-	return NewTCPNode(TCPOptions{Codec: codec, Resilience: res})
+	return NewTCPNode(TCPOptions{Codec: codec})
 }
 
 // TCPOptions configures a TCP fabric.
 type TCPOptions struct {
 	// Codec serializes messages for the wire (required).
 	Codec Codec
-	// Resilience tunes dial/retry/breaker behavior (zero fields take
-	// defaults).
-	Resilience Resilience
 	// Remotes is the static address map of the distributed deployment:
 	// node id -> dial address for every node hosted by another process.
 	// Nil or empty keeps the single-process behavior (sends to
@@ -111,7 +102,7 @@ func NewTCPNode(opts TCPOptions) (*TCP, error) {
 	return &TCP{
 		base:      newBase(),
 		codec:     opts.Codec,
-		res:       opts.Resilience.withDefaults(),
+		res:       defaultResilience,
 		rng:       newLockedRand(time.Now().UnixNano()),
 		remotes:   remotes,
 		clock:     opts.Clock,
@@ -343,9 +334,9 @@ func (t *TCP) link(from, to fabric.NodeID) (*peerLink, error) {
 			t:    t,
 			from: from,
 			to:   to,
-			outq: make(chan []byte, t.res.QueueLen),
+			outq: make(chan []byte, t.res.queueLen),
 			done: make(chan struct{}),
-			brk: newBreaker(t.res.BreakerThreshold, t.res.BreakerCooldown,
+			brk: newBreaker(t.res.breakerThreshold, t.res.breakerCooldown,
 				func() { t.st.breakerTrips.Add(1) }),
 		}
 		t.links[key] = l
@@ -368,7 +359,7 @@ func (t *TCP) dial(to fabric.NodeID) (net.Conn, error) {
 	if !ok {
 		return nil, ErrUnknownNode
 	}
-	return net.DialTimeout("tcp", addr, t.res.DialTimeout)
+	return net.DialTimeout("tcp", addr, t.res.dialTimeout)
 }
 
 // Crash marks the node failed and severs its sockets: its listener
@@ -525,10 +516,10 @@ func (l *peerLink) run() {
 func (l *peerLink) transmit(frame []byte) error {
 	res := l.t.res
 	var lastErr error
-	for attempt := 1; attempt <= res.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= res.maxAttempts; attempt++ {
 		if attempt > 1 {
 			l.t.st.retries.Add(1)
-			if !l.wait(res.Backoff.Delay(attempt-1, l.t.rng.Float64)) {
+			if !l.wait(res.backoff.delay(attempt-1, l.t.rng.Float64)) {
 				return ErrPeerUnreachable // link shut down mid-backoff
 			}
 		}
@@ -551,7 +542,7 @@ func (l *peerLink) transmit(frame []byte) error {
 				return ErrPeerUnreachable // link closed while dialing
 			}
 		}
-		conn.SetWriteDeadline(time.Now().Add(res.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(res.writeTimeout))
 		if _, err := conn.Write(frame); err != nil {
 			l.dropConn(conn)
 			lastErr = err

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -116,6 +117,18 @@ func (d *Directory) Lookup(id Identity) (ed25519.PublicKey, bool) {
 	defer d.mu.RUnlock()
 	pub, ok := d.keys[id]
 	return pub, ok
+}
+
+// Entries returns a copy of the directory: what a deployment planner packs
+// into each node's provisioning bundle.
+func (d *Directory) Entries() map[Identity]ed25519.PublicKey {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	out := make(map[Identity]ed25519.PublicKey, len(d.keys))
+	for id, pub := range d.keys {
+		out[id] = slices.Clone(pub)
+	}
+	return out
 }
 
 // Remove deletes an identity (e.g., a controller removed from the control
