@@ -34,6 +34,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"cicero/internal/fabric"
@@ -95,7 +96,10 @@ type pool struct {
 // updateKey names one update in the applied and waiting maps, binding
 // update id and phase.
 func updateKey(id openflow.MsgID, phase uint64) string {
-	return fmt.Sprintf("%s|%d", id, phase)
+	var buf [64]byte
+	b := id.AppendTo(buf[:0])
+	b = append(b, '|')
+	return string(strconv.AppendUint(b, phase, 10))
 }
 
 // admit is the prologue of every update-carrying message. It reports the

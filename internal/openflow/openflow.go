@@ -10,7 +10,7 @@ package openflow
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Wildcard matches any value in a match field.
@@ -31,6 +31,12 @@ func (m Match) Covers(src, dst string) bool {
 
 // String renders the match for logs.
 func (m Match) String() string { return m.Src + "->" + m.Dst }
+
+func (m Match) appendTo(b []byte) []byte {
+	b = append(b, m.Src...)
+	b = append(b, "->"...)
+	return append(b, m.Dst...)
+}
 
 // ActionType distinguishes forwarding from dropping.
 type ActionType int
@@ -58,6 +64,14 @@ func (a Action) String() string {
 	return "output:" + a.NextHop
 }
 
+func (a Action) appendTo(b []byte) []byte {
+	if a.Type == ActionDrop {
+		return append(b, "drop"...)
+	}
+	b = append(b, "output:"...)
+	return append(b, a.NextHop...)
+}
+
 // Rule is one flow-table entry.
 type Rule struct {
 	Priority int
@@ -69,8 +83,18 @@ type Rule struct {
 }
 
 // String renders the rule for logs.
-func (r Rule) String() string {
-	return fmt.Sprintf("[prio=%d %s %s cookie=%d]", r.Priority, r.Match, r.Action, r.Cookie)
+func (r Rule) String() string { return string(r.appendTo(nil)) }
+
+func (r Rule) appendTo(b []byte) []byte {
+	b = append(b, "[prio="...)
+	b = strconv.AppendInt(b, int64(r.Priority), 10)
+	b = append(b, ' ')
+	b = r.Match.appendTo(b)
+	b = append(b, ' ')
+	b = r.Action.appendTo(b)
+	b = append(b, " cookie="...)
+	b = strconv.AppendUint(b, r.Cookie, 10)
+	return append(b, ']')
 }
 
 // FlowModOp is the operation of a FlowMod.
@@ -103,8 +127,13 @@ type FlowMod struct {
 
 // String renders the mod canonically; it doubles as the byte payload that
 // gets threshold-signed, so it must be deterministic across controllers.
-func (fm FlowMod) String() string {
-	return fmt.Sprintf("%s@%s%s", fm.Op, fm.Switch, fm.Rule)
+func (fm FlowMod) String() string { return string(fm.appendTo(nil)) }
+
+func (fm FlowMod) appendTo(b []byte) []byte {
+	b = append(b, fm.Op.String()...)
+	b = append(b, '@')
+	b = append(b, fm.Switch...)
+	return fm.Rule.appendTo(b)
 }
 
 // MsgID uniquely identifies an event or update to prevent duplicate
@@ -115,7 +144,16 @@ type MsgID struct {
 }
 
 // String renders the id for logs and signatures.
-func (id MsgID) String() string { return fmt.Sprintf("%s#%d", id.Origin, id.Seq) }
+func (id MsgID) String() string { return string(id.AppendTo(nil)) }
+
+// AppendTo appends the id as String renders it. The signed strings and map
+// keys built around an id are put together in one buffer, on every update
+// at every node, so they do not go through fmt.
+func (id MsgID) AppendTo(b []byte) []byte {
+	b = append(b, id.Origin...)
+	b = append(b, '#')
+	return strconv.AppendUint(b, id.Seq, 10)
+}
 
 // PacketOut injects a packet into the data plane — the primitive a
 // malicious controller can abuse (§2.2), which Cicero's quorum
@@ -133,11 +171,14 @@ type PacketOut struct {
 // switches verify. All correct controllers must produce identical bytes
 // for the same logical update.
 func CanonicalUpdateBytes(id MsgID, phase uint64, mods []FlowMod) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "update|%s|phase=%d", id, phase)
+	b := make([]byte, 0, 64+64*len(mods))
+	b = append(b, "update|"...)
+	b = id.AppendTo(b)
+	b = append(b, "|phase="...)
+	b = strconv.AppendUint(b, phase, 10)
 	for _, m := range mods {
-		b.WriteByte('|')
-		b.WriteString(m.String())
+		b = append(b, '|')
+		b = m.appendTo(b)
 	}
-	return []byte(b.String())
+	return b
 }

@@ -6,8 +6,10 @@
 package protocol
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"cicero/internal/openflow"
 	"cicero/internal/tcrypto/dkg"
@@ -167,7 +169,11 @@ type MsgBatchUpdate struct {
 // leaf's exact content and position, and switches only act on updates with
 // a valid inclusion proof against a quorum-verified root.
 func BatchBytes(phase uint64, root []byte) []byte {
-	return []byte(fmt.Sprintf("batch|phase=%d|root=%x", phase, root))
+	b := make([]byte, 0, 48+2*len(root))
+	b = append(b, "batch|phase="...)
+	b = strconv.AppendUint(b, phase, 10)
+	b = append(b, "|root="...)
+	return hex.AppendEncode(b, root)
 }
 
 // BatchReleaseBytes is the canonical byte string a controller Ed25519-signs
@@ -177,7 +183,13 @@ func BatchBytes(phase uint64, root []byte) []byte {
 // proof, so the triple suffices to make the release attestation
 // unforgeable and non-transplantable across batches.
 func BatchReleaseBytes(id openflow.MsgID, phase uint64, root []byte) []byte {
-	return []byte(fmt.Sprintf("batch-release|update=%s|phase=%d|root=%x", id, phase, root))
+	b := make([]byte, 0, 80+len(id.Origin)+2*len(root))
+	b = append(b, "batch-release|update="...)
+	b = id.AppendTo(b)
+	b = append(b, "|phase="...)
+	b = strconv.AppendUint(b, phase, 10)
+	b = append(b, "|root="...)
+	return hex.AppendEncode(b, root)
 }
 
 // Ack is a switch's acknowledgement that an update was applied.
