@@ -16,7 +16,9 @@
 // (pairings, verification, threshold combining) and writes a
 // machine-readable JSON report; it is separate from -experiment because
 // experiment output is deterministic virtual time while these numbers
-// depend on the host machine.
+// depend on the host machine. With -quick the windows are too short to
+// record: the table is printed and BENCH_crypto.json, the committed
+// full-window reading, is left alone unless -crypto-bench-out names a file.
 //
 // Each experiment prints the same rows/series its paper counterpart
 // reports; EXPERIMENTS.md records measured-versus-paper for all of them.
@@ -44,7 +46,7 @@ func run() int {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 
 		cryptoBench    = flag.Bool("crypto-bench", false, "run crypto microbenchmarks and write a JSON report")
-		cryptoBenchOut = flag.String("crypto-bench-out", "BENCH_crypto.json", "output path for -crypto-bench")
+		cryptoBenchOut = flag.String("crypto-bench-out", "", "output path for -crypto-bench (default BENCH_crypto.json; with -quick, none: print only)")
 	)
 	flag.Parse()
 
@@ -61,6 +63,12 @@ func run() int {
 			return 1
 		}
 		report.Render(os.Stdout)
+		if *cryptoBenchOut == "" {
+			if *quick {
+				return 0
+			}
+			*cryptoBenchOut = "BENCH_crypto.json"
+		}
 		out, err := os.Create(*cryptoBenchOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cicero-bench: %v\n", err)

@@ -87,18 +87,17 @@ func fieldOp(p *Params, op uint8, a, b *big.Int) (name string, got, want *big.In
 }
 
 func TestFieldOpsMatchBig(t *testing.T) {
-	for _, p := range bothParams() {
+	for _, p := range threeFields() {
 		t.Run(paramsName(p), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(1))
-			vals := edgeValues(p)
-			for i := 0; i < 40; i++ {
-				vals = append(vals, new(big.Int).Rand(rng, p.P))
-			}
+			vals := sampleValues(p, 1, 40)
 			for _, a := range vals {
 				for _, b := range vals {
 					for op := uint8(0); op < 8; op++ {
 						if name, got, want := fieldOp(p, op, a, b); got.Cmp(want) != 0 {
 							t.Fatalf("%s(%x, %x) = %x, want %x", name, a, b, got, want)
+						}
+						if name, ok := kernelMatchesLoop(p.fp, op, a, b); !ok {
+							t.Fatalf("%s(%x, %x): kernel and loop differ", name, a, b)
 						}
 					}
 				}
@@ -362,12 +361,15 @@ func TestScalarMulMatchesReference(t *testing.T) {
 }
 
 // FuzzFieldOps checks one base-field operation on two fuzzed elements
-// against big.Int, on both limb counts.
+// against big.Int on both limb counts, and at four limbs — the 254-bit
+// field and the full-width 2²⁵⁶ − 189 — the kernel against the looped code
+// as well, limb for limb.
 func FuzzFieldOps(f *testing.F) {
 	f.Add([]byte{0}, []byte{1}, uint8(3))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xff}, 64), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xff}, 32), bytes.Repeat([]byte{0x80}, 32), uint8(1))
-	for _, p := range bothParams() {
+	fields := threeFields()
+	for _, p := range fields {
 		pm1 := new(big.Int).Sub(p.P, big.NewInt(1)).Bytes()
 		for op := uint8(0); op < 8; op++ {
 			f.Add(pm1, pm1, op)
@@ -377,13 +379,16 @@ func FuzzFieldOps(f *testing.F) {
 		if len(ab) > 80 || len(bb) > 80 {
 			return
 		}
-		for _, p := range bothParams() {
+		for _, p := range fields {
 			a := new(big.Int).SetBytes(ab)
 			b := new(big.Int).SetBytes(bb)
 			a.Mod(a, p.P)
 			b.Mod(b, p.P)
 			if name, got, want := fieldOp(p, op, a, b); got.Cmp(want) != 0 {
 				t.Fatalf("%s %s(%x, %x) = %x, want %x", paramsName(p), name, a, b, got, want)
+			}
+			if name, ok := kernelMatchesLoop(p.fp, op, a, b); !ok {
+				t.Fatalf("%s %s(%x, %x): kernel and loop differ", paramsName(p), name, a, b)
 			}
 		}
 	})

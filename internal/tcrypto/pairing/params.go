@@ -11,7 +11,10 @@
 // e: G1 × G1 → GT.
 //
 // The base field F_p and F_{p^2} run on fixed-width Montgomery limbs (fp.go,
-// fp2.go): 4×64 bits for Fast254, 8×64 for Std512, pure Go on math/bits.
+// fp2.go), pure Go on math/bits: 4×64 bits for Fast254, where multiply, add,
+// subtract and negate are unrolled four-limb kernels, and 8×64 for Std512,
+// where they are loops over the limb count. fp.go picks by the modulus'
+// limb count; nothing above it knows which one runs.
 // Points, Jacobian points, prepared Miller lines and GT elements hold limbs;
 // math/big appears only at the boundary — scalars modulo r, the parameter
 // integers, hash-to-field's wide reduction and byte encodings. Every
