@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"maps"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -10,11 +14,53 @@ import (
 	"cicero/internal/topology"
 )
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/quick.golden from what the experiments render now")
+
+const goldenPath = "testdata/quick.golden"
+
+// frozen lists the experiments whose rendering is a function of the options
+// alone: virtual time, or digests of protocol decisions. The others print
+// wall-clock readings.
+var frozen = []string{"ablations", "crosscheck", "fig11a", "fig11b", "fig11c", "fig11d",
+	"fig12a", "fig12b", "fig12c", "fig12d", "table1", "table2"}
+
+// readGolden returns the pinned SHA-256 of each frozen experiment's
+// rendering, in hex.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	text, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("golden renderings: %v (create them with go test -run TestAllExperimentsRunQuick -update)", err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(string(text), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("golden renderings: bad line %q", line)
+		}
+		golden[name] = sum
+	}
+	return golden
+}
+
 // TestAllExperimentsRunQuick smoke-tests every registered experiment at
 // CI scale: each must run to completion, render at least one table and
-// pass its own gate.
+// pass its own gate. What a frozen experiment renders is pinned byte for
+// byte by its SHA-256 in testdata/quick.golden: a refactor that moves a
+// figure fails here, and the file is regenerated (-update) only by a
+// change that means to move one and says so.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	opt := Options{Quick: true, Flows: 60, Seed: 13}
+	rendered := map[string]string{}
+	var golden map[string]string
+	if !*updateGolden {
+		if golden = readGolden(t); len(golden) != len(frozen) {
+			t.Errorf("%s pins %d experiments, want the %d frozen ones", goldenPath, len(golden), len(frozen))
+		}
+	}
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -46,7 +92,26 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if name == "crosscheck" {
 				checkCrosscheckRows(t, sb.String())
 			}
+			if slices.Contains(frozen, name) {
+				rendered[name] = fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
+				if !*updateGolden && rendered[name] != golden[name] {
+					t.Errorf("rendering has sha256 %s, %s pins %q: the figure moved\n%s", rendered[name], goldenPath, golden[name], sb.String())
+				}
+			}
 		})
+	}
+	if *updateGolden {
+		var out strings.Builder
+		out.WriteString("# SHA-256 of what each frozen experiment renders under TestAllExperimentsRunQuick's options.\n")
+		for _, name := range frozen {
+			fmt.Fprintf(&out, "%s %s\n", name, rendered[name])
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
