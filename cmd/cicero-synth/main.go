@@ -38,7 +38,6 @@ func run() int {
 		seed     = flag.Int64("seed", 1, "first seed")
 		backends = flag.String("backends", "sim,inproc", "comma-separated execution backends: sim | inproc | tcp")
 		canary   = flag.Bool("canary", true, "plant a bad-ordering mutant per seed (local verification must catch it)")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-execution timeout on live backends")
 		show     = flag.Int64("show", -1, "generate and print a single seed's scenario and plan, then exit")
 		verbose  = flag.Bool("v", false, "per-seed progress lines")
 	)
@@ -64,7 +63,6 @@ func run() int {
 		StartSeed: *seed,
 		Backends:  list,
 		Canary:    *canary,
-		Timeout:   *timeout,
 	}
 	if *verbose {
 		opt.Progress = func(done, total int, s int64, plan *synthesis.Plan, failures int) {

@@ -587,11 +587,17 @@ func (r *Replica) becomePrimary(view uint64, votes map[ReplicaID]*ViewChange) {
 		return
 	}
 	r.view = view
-	// Merge prepared entries from the quorum, highest seq wins per slot.
+	// Merge prepared entries from the quorum, one per slot. Two votes can
+	// name different digests at one slot, and until an entry carries the
+	// view it prepared in nothing ranks them: the vote of the highest
+	// replica id wins (cfg.Replicas is ascending), so that the choice is a
+	// function of the vote set and not of map order.
 	merged := make(map[uint64]PreparedEntry)
-	for _, vc := range votes {
-		for _, e := range vc.Prepared {
-			merged[e.Seq] = e
+	for _, id := range r.cfg.Replicas {
+		if vc := votes[id]; vc != nil {
+			for _, e := range vc.Prepared {
+				merged[e.Seq] = e
+			}
 		}
 	}
 	// Never sequence below the view-change quorum's delivery watermark: a

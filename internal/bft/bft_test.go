@@ -296,6 +296,28 @@ func TestViewChangeFillsSequenceGaps(t *testing.T) {
 	}
 }
 
+// TestViewChangeMergeIsDeterministic: two view-change votes name different
+// payloads at one slot. Which one the new primary re-proposes must be a
+// function of the vote set: over 100 fresh groups it is the same one, the
+// entry of the highest voter. (Merged in map order, either won.)
+func TestViewChangeMergeIsDeterministic(t *testing.T) {
+	won := map[string]int{}
+	for run := 0; run < 100; run++ {
+		c := newCluster(t, ModeByzantine, 4, 0)
+		next := c.replicas[2] // primary of view 1
+		for i, payload := range [][]byte{[]byte("a"), []byte("b")} {
+			next.Handle(ReplicaID(3+i), ViewChange{NewView: 1, Prepared: []PreparedEntry{{Seq: 1, Digest: digestOf(payload), Payload: payload}}})
+		}
+		if next.View() != 1 || next.slots[1] == nil {
+			t.Fatalf("run %d: replica 2 did not take over view 1 with slot 1 re-proposed (view %d)", run, next.View())
+		}
+		won[string(next.slots[1].payload)]++
+	}
+	if won["b"] != 100 {
+		t.Fatalf("re-proposed payload over 100 runs: %v, want replica 4's b every time", won)
+	}
+}
+
 func TestDeliverInSequenceDespiteReordering(t *testing.T) {
 	// Feed commits/prepares for seq 2 before seq 1 completes: delivery
 	// must remain in order. We simulate by submitting two payloads and

@@ -21,8 +21,9 @@ import (
 
 // cluster is the seam between the campaign and the backend it runs on.
 // The schedule, the injector and the checkers are written once against
-// it; a backend supplies fault actuation, a clock to schedule on, and
-// serialized access to node state — nothing else.
+// it; a backend supplies fault actuation and a clock to schedule on —
+// nothing else. Node state is reached through core.Network (campaign.on),
+// the same way on every backend.
 type cluster interface {
 	// The transport and fault plane, under the names simnet.Network and
 	// the livenet backends already share.
@@ -39,10 +40,6 @@ type cluster interface {
 	// event on simnet, an entry of the wall-clock timeline on live
 	// backends. Scheduled functions never run concurrently.
 	at(d time.Duration, fn func())
-	// on runs fn in the node's serial execution context and waits for it:
-	// a direct call on the simulator loop, an Invoke round trip with a
-	// bounded wait on live backends.
-	on(node fabric.NodeID, fn func()) error
 	// restart ends a crash window. The simulator clears the crash flag
 	// (state survives, as in a network outage); live backends revive the
 	// machine and rebuild the process with empty volatile state, kicking
@@ -54,9 +51,8 @@ type cluster interface {
 // simCluster is the simulator backend: everything runs on the event loop.
 type simCluster struct{ *simnet.Network }
 
-func (s simCluster) at(d time.Duration, fn func())       { s.Sim().At(d, fn) }
-func (s simCluster) on(_ fabric.NodeID, fn func()) error { fn(); return nil }
-func (s simCluster) restart(id fabric.NodeID) error      { s.Recover(id); return nil }
+func (s simCluster) at(d time.Duration, fn func())  { s.Sim().At(d, fn) }
+func (s simCluster) restart(id fabric.NodeID) error { s.Recover(id); return nil }
 
 // window is one scheduled delay: base plus a uniform draw in [0, jitter).
 type window struct{ base, jitter time.Duration }
@@ -301,6 +297,9 @@ func (c *campaign) attach(cl cluster, rec *recorder, net *core.Network) {
 		c.byz = c.ctls[len(c.ctls)-1]
 	}
 }
+
+// on runs fn in the node's serial execution context and waits for it.
+func (c *campaign) on(node fabric.NodeID, fn func()) error { return c.net.On(node, fn) }
 
 // fail records a harness error; the first one wins.
 func (c *campaign) fail(err error) {

@@ -311,9 +311,9 @@ func ReferenceDigest(cfg core.Config, flows []Flow) (string, error) {
 	if _, err := n.Sim.RunUntil(5 * time.Second); err != nil {
 		return "", err
 	}
-	tables := make(map[string]*openflow.FlowTable, len(n.Switches))
-	for id, sw := range n.Switches {
-		tables[id] = sw.Table()
+	tables, err := n.Tables()
+	if err != nil {
+		return "", err
 	}
 	return openflow.TablesDigest(tables), nil
 }

@@ -42,7 +42,6 @@ func (f *fakeCluster) Heal(a, b fabric.NodeID)                              { f.
 func (f *fakeCluster) PartitionOneWay(from, to fabric.NodeID)               { f.step("partition-1w", from, to) }
 func (f *fakeCluster) HealOneWay(from, to fabric.NodeID)                    { f.step("heal-1w", from, to) }
 func (f *fakeCluster) at(d time.Duration, fn func())                        { f.queue = append(f.queue, liveEvent{d, fn}) }
-func (f *fakeCluster) on(_ fabric.NodeID, fn func()) error                  { fn(); return nil }
 
 func (f *fakeCluster) restart(id fabric.NodeID) error {
 	f.step("restart", id)

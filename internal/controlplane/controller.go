@@ -171,6 +171,15 @@ type aggCollect struct {
 	sent protocol.MsgAggUpdate
 }
 
+// maxAggPending bounds the aggregator's collection map: at most this many
+// open entries and, separately, this many done ones, each class a FIFO of
+// its own (as the switch's pools: dataplane.maxPendingBatches). A member's
+// word opens an entry, so a Byzantine member can mint open ones, which
+// then displace only open entries — the retransmission paths collect
+// their shares again; done entries took a quorum and displace only older
+// done ones, whose aggregate a quorum of Resend shares rebuilds.
+const maxAggPending = 512
+
 // Controller is one control-plane member.
 type Controller struct {
 	cfg     Config
@@ -190,6 +199,8 @@ type Controller struct {
 	// identical content, so forged mods sent first under a real update id
 	// collect in an entry of their own.
 	aggPending map[[sha256.Size]byte]*aggCollect
+	// aggOrder lists the keys of each class, open and done, oldest first.
+	aggOrder [2][][sha256.Size]byte
 
 	// Config-push share collection for the current phase (leader only),
 	// reset when the phase advances; configDone latches the push.
@@ -450,7 +461,7 @@ func (c *Controller) HandleMessage(from fabric.NodeID, msg fabric.Message) {
 	case protocol.MsgBFT:
 		c.handleBFT(from, m)
 	case protocol.MsgUpdate:
-		c.handleUpdateShare(m)
+		c.handleUpdateShare(from, m)
 	case protocol.MsgConfigShare:
 		c.handleConfigShare(m)
 	case protocol.MsgHeartbeat:
@@ -817,7 +828,7 @@ func (c *Controller) sendUpdate(id openflow.MsgID, phase uint64, mods []openflow
 	size := 256 * len(mods)
 	if agg := c.aggregatorID(); agg != "" && c.cfg.Protocol == ProtoCicero {
 		if agg == c.cfg.ID {
-			c.handleUpdateShare(msg) // self-delivery without network hop
+			c.handleUpdateShare(fabric.NodeID(c.cfg.ID), msg) // self-delivery without network hop
 			return
 		}
 		c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(agg), msg, size)
@@ -831,8 +842,9 @@ func (c *Controller) sendUpdate(id openflow.MsgID, phase uint64, mods []openflow
 
 // handleUpdateShare collects controllers' shares when this controller is
 // the aggregator (Fig. 7c), combining and relaying once a quorum arrives.
-func (c *Controller) handleUpdateShare(m protocol.MsgUpdate) {
-	if !c.isAggregator() || c.cfg.Protocol != ProtoCicero {
+// Only a current member's share opens or joins an entry.
+func (c *Controller) handleUpdateShare(from fabric.NodeID, m protocol.MsgUpdate) {
+	if !c.isAggregator() || c.cfg.Protocol != ProtoCicero || c.memberSlot(pki.Identity(from)) < 0 {
 		return
 	}
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.MsgProcess)
@@ -842,6 +854,7 @@ func (c *Controller) handleUpdateShare(m protocol.MsgUpdate) {
 	if !ok {
 		col = &aggCollect{mods: m.Mods, shares: make(map[uint32][]byte)}
 		c.aggPending[key] = col
+		c.aggEnqueue(key, false)
 	}
 	if col.done {
 		// A Resend share for a completed update means a recovering peer
@@ -873,11 +886,29 @@ func (c *Controller) handleUpdateShare(m protocol.MsgUpdate) {
 		sig = c.cfg.Scheme.Params.PointBytes(combined.Point)
 	}
 	col.done = true
+	c.aggEnqueue(key, true)
 	if len(col.mods) == 0 {
 		return
 	}
 	col.sent = protocol.MsgAggUpdate{UpdateID: m.UpdateID, Mods: col.mods, Phase: m.Phase, Signature: sig, Resend: m.Resend}
 	c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(col.mods[0].Switch), col.sent, 256*len(col.mods))
+}
+
+// aggEnqueue records that key's entry joined a class (done or open) and,
+// if that puts the class over its budget, retires the class's oldest
+// entry. A key queued as open whose entry has since been done is skipped.
+func (c *Controller) aggEnqueue(key [sha256.Size]byte, done bool) {
+	q := &c.aggOrder[0]
+	if done {
+		q = &c.aggOrder[1]
+	}
+	if *q = append(*q, key); len(*q) > maxAggPending {
+		oldest := (*q)[0]
+		*q = (*q)[1:]
+		if col := c.aggPending[oldest]; col != nil && col.done == done {
+			delete(c.aggPending, oldest)
+		}
+	}
 }
 
 // handleAckMsg verifies a switch acknowledgement and releases dependents

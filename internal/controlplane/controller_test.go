@@ -274,6 +274,47 @@ func TestRequestAddControllerGuards(t *testing.T) {
 	}
 }
 
+// aggFixture is a lone AggController aggregator, c1 of c1..c4 with a 2-of-4
+// key, on a simulator whose switch s1 records the aggregates relayed to it.
+type aggFixture struct {
+	sim     *simnet.Simulator
+	agg     *Controller
+	scheme  *bls.Scheme
+	gk      *bls.GroupKey
+	shares  []bls.KeyShare
+	members []pki.Identity
+	relayed []protocol.MsgAggUpdate
+}
+
+func newAggFixture(t *testing.T, cryptoReal bool) *aggFixture {
+	t.Helper()
+	f := &aggFixture{sim: simnet.NewSimulator(1), scheme: bls.NewScheme(pairing.Fast254()),
+		members: []pki.Identity{"c1", "c2", "c3", "c4"}}
+	net := simnet.NewNetwork(f.sim, 100*time.Microsecond)
+	dir := pki.NewDirectory()
+	var err error
+	if f.gk, f.shares, err = dkg.Run(f.scheme, rand.Reader, 2, 4); err != nil {
+		t.Fatal(err)
+	}
+	keys, _ := pki.NewKeyPair(rand.Reader, "c1")
+	dir.MustRegister(keys)
+	f.agg, err = New(Config{
+		ID: "c1", Members: f.members, Net: net, Keys: keys, Directory: dir,
+		Protocol: ProtoCicero, Aggregation: AggController, CryptoReal: cryptoReal,
+		Scheme: f.scheme, GroupKey: f.gk, Share: f.shares[0],
+		App: &routing.ShortestPath{Graph: lineGraph(t)}, Sched: scheduler.ReversePath{},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	net.Register("s1", simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
+		if m, ok := msg.(protocol.MsgAggUpdate); ok {
+			f.relayed = append(f.relayed, m)
+		}
+	}))
+	return f
+}
+
 // TestAggregatorForgedContentFirst: with the aggregator (AggController)
 // collecting shares, a Byzantine controller races a forged rule to it under
 // a real update id. Collection is keyed by the signed bytes, so the forged
@@ -281,32 +322,8 @@ func TestRequestAddControllerGuards(t *testing.T) {
 // aggregate over the honest rule. (Keyed by update id, the aggregator kept
 // the first arrival's mods and no honest share ever verified against them.)
 func TestAggregatorForgedContentFirst(t *testing.T) {
-	sim := simnet.NewSimulator(1)
-	net := simnet.NewNetwork(sim, 100*time.Microsecond)
-	dir := pki.NewDirectory()
-	scheme := bls.NewScheme(pairing.Fast254())
-	gk, shares, err := dkg.Run(scheme, rand.Reader, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := []pki.Identity{"c1", "c2", "c3", "c4"}
-	keys, _ := pki.NewKeyPair(rand.Reader, "c1")
-	dir.MustRegister(keys)
-	agg, err := New(Config{
-		ID: "c1", Members: members, Net: net, Keys: keys, Directory: dir,
-		Protocol: ProtoCicero, Aggregation: AggController, CryptoReal: true,
-		Scheme: scheme, GroupKey: gk, Share: shares[0],
-		App: &routing.ShortestPath{Graph: lineGraph(t)}, Sched: scheduler.ReversePath{},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	var relayed []protocol.MsgAggUpdate
-	net.Register("s1", simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
-		if m, ok := msg.(protocol.MsgAggUpdate); ok {
-			relayed = append(relayed, m)
-		}
-	}))
+	f := newAggFixture(t, true)
+	sim, agg, scheme, gk, shares, members := f.sim, f.agg, f.scheme, f.gk, f.shares, f.members
 
 	id := openflow.MsgID{Origin: "e", Seq: 1}
 	rule := func(nextHop string) []openflow.FlowMod {
@@ -329,16 +346,75 @@ func TestAggregatorForgedContentFirst(t *testing.T) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(relayed) != 1 {
-		t.Fatalf("aggregator relayed %d aggregates, want 1", len(relayed))
+	if len(f.relayed) != 1 {
+		t.Fatalf("aggregator relayed %d aggregates, want 1", len(f.relayed))
 	}
-	out := relayed[0]
+	out := f.relayed[0]
 	if got := out.Mods[0].Rule.Action.NextHop; got != "s2" {
 		t.Fatalf("relayed aggregate carries next hop %q, want the honest s2", got)
 	}
 	pt, err := scheme.Params.ParsePoint(out.Signature)
 	if err != nil || !scheme.Verify(gk.PK, openflow.CanonicalUpdateBytes(id, 0, out.Mods), bls.Signature{Point: pt}) {
 		t.Fatalf("relayed aggregate does not verify under the group key (parse err %v)", err)
+	}
+}
+
+// TestAggregatorPoolsBounded floods the aggregator with single shares
+// under fresh update ids. From a node that is not a member they open
+// nothing; from a member the map stays within its budget, an update whose
+// first share the flood displaced still completes from the shares that
+// arrive afterwards, and completed updates retire each other.
+func TestAggregatorPoolsBounded(t *testing.T) {
+	// maxAggPending, spelled out so that the test compiles, and fails, on
+	// a checkout from before the bound existed.
+	const maxAggPending = 512
+	f := newAggFixture(t, false)
+	share := func(origin string, seq uint64, index uint32) protocol.MsgUpdate {
+		return protocol.MsgUpdate{
+			UpdateID:   openflow.MsgID{Origin: origin, Seq: seq},
+			Mods:       []openflow.FlowMod{{Op: openflow.FlowAdd, Switch: "s1", Rule: openflow.Rule{Priority: 10, Match: openflow.Match{Src: openflow.Wildcard, Dst: "h2"}}}},
+			ShareIndex: index,
+		}
+	}
+	for i := uint64(1); i <= 5000; i++ {
+		f.agg.HandleMessage("stranger", share("junk", i, 4))
+	}
+	if got := len(f.agg.aggPending); got != 0 {
+		t.Fatalf("5000 shares from a node that is not a member opened %d entries", got)
+	}
+
+	f.agg.HandleMessage("c2", share("e", 1, 2))
+	for i := uint64(1); i <= 5000; i++ {
+		f.agg.HandleMessage("c4", share("junk", i, 4))
+	}
+	if got := len(f.agg.aggPending); got > maxAggPending {
+		t.Fatalf("5000 junk shares from a member grew the map to %d entries, budget is %d", got, maxAggPending)
+	}
+	f.agg.HandleMessage("c2", share("e", 1, 2))
+	f.agg.HandleMessage("c3", share("e", 1, 3))
+	if _, err := f.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.relayed) != 1 {
+		t.Fatalf("honest quorum after the flood relayed %d aggregates, want 1", len(f.relayed))
+	}
+
+	for i := uint64(2); i <= 2000; i++ {
+		f.agg.HandleMessage("c2", share("e", i, 2))
+		f.agg.HandleMessage("c3", share("e", i, 3))
+	}
+	if _, err := f.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, col := range f.agg.aggPending {
+		if col.done {
+			done++
+		}
+	}
+	if len(f.relayed) != 2000 || done > maxAggPending || len(f.agg.aggPending) > 2*maxAggPending {
+		t.Fatalf("2000 honest updates: relayed %d, kept %d done entries of %d (budget %d per class)",
+			len(f.relayed), done, len(f.agg.aggPending), maxAggPending)
 	}
 }
 

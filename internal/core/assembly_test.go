@@ -37,8 +37,46 @@ func TestNodesAreAssembledOnlyInCore(t *testing.T) {
 		module + "tcrypto/dkg.Run()":      true,
 		module + "metarepo.GenesisRoot()": true,
 	}
-	root := filepath.Join("..", "..")
 	var strays []string
+	inspectSources(t, func(rel string, imports map[string]string, n ast.Node) {
+		var expr ast.Expr
+		var shape string
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			expr, shape = n.Type, "{}"
+		case *ast.CallExpr:
+			expr, shape = n.Fun, "()"
+		}
+		sel, ok := expr.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		if pkg, ok := sel.X.(*ast.Ident); ok && watched[imports[pkg.Name]+"."+sel.Sel.Name+shape] {
+			site := rel + " " + path.Base(imports[pkg.Name]) + "." + sel.Sel.Name + shape
+			if _, ok := allowed[site]; ok {
+				allowed[site]++
+			} else {
+				strays = append(strays, site)
+			}
+		}
+	})
+	sort.Strings(strays)
+	if len(strays) > 0 {
+		t.Errorf("nodes are provisioned and built in internal/core (Provision, BootController, BootSwitch); found outside it: %v", strays)
+	}
+	for site, seen := range allowed {
+		if seen != 1 {
+			t.Errorf("%s: seen %d times, want exactly 1 (an exception that is gone leaves this list; a second copy in core is a second assembly)", site, seen)
+		}
+	}
+}
+
+// inspectSources hands visit every syntax node of every non-test Go file
+// under internal/ and cmd/, with the file's slash-separated path from the
+// module root and its imports (local name -> import path).
+func inspectSources(t *testing.T, visit func(rel string, imports map[string]string, n ast.Node)) {
+	t.Helper()
+	root := filepath.Join("..", "..")
 	for _, top := range []string{"internal", "cmd"} {
 		err := filepath.WalkDir(filepath.Join(root, top), func(file string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
@@ -48,7 +86,7 @@ func TestNodesAreAssembledOnlyInCore(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			imports := make(map[string]string) // local name -> import path
+			imports := make(map[string]string)
 			for _, imp := range f.Imports {
 				p, _ := strconv.Unquote(imp.Path.Value)
 				name := path.Base(p)
@@ -59,26 +97,7 @@ func TestNodesAreAssembledOnlyInCore(t *testing.T) {
 			}
 			rel, _ := filepath.Rel(root, file)
 			ast.Inspect(f, func(n ast.Node) bool {
-				var expr ast.Expr
-				var shape string
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					expr, shape = n.Type, "{}"
-				case *ast.CallExpr:
-					expr, shape = n.Fun, "()"
-				}
-				sel, ok := expr.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if pkg, ok := sel.X.(*ast.Ident); ok && watched[imports[pkg.Name]+"."+sel.Sel.Name+shape] {
-					site := filepath.ToSlash(rel) + " " + path.Base(imports[pkg.Name]) + "." + sel.Sel.Name + shape
-					if _, ok := allowed[site]; ok {
-						allowed[site]++
-					} else {
-						strays = append(strays, site)
-					}
-				}
+				visit(filepath.ToSlash(rel), imports, n)
 				return true
 			})
 			return nil
@@ -87,13 +106,39 @@ func TestNodesAreAssembledOnlyInCore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sort.Strings(strays)
-	if len(strays) > 0 {
-		t.Errorf("nodes are provisioned and built in internal/core (Provision, BootController, BootSwitch); found outside it: %v", strays)
-	}
-	for site, seen := range allowed {
-		if seen != 1 {
-			t.Errorf("%s: seen %d times, want exactly 1 (an exception that is gone leaves this list; a second copy in core is a second assembly)", site, seen)
+}
+
+// TestNodesAreReachedOnlyThroughCore keeps a private "run this on the node
+// and wait" from growing back in a harness: outside this package nothing
+// calls fabric.InvokeWait or a method of that name (Network.On is that
+// call, under the one bound). The written exception is the shutdown of a
+// cicero-node process, whose deployment is other processes: there is no
+// core.Network to go through.
+func TestNodesAreReachedOnlyThroughCore(t *testing.T) {
+	const exception = "internal/distrib/node.go"
+	var strays []string
+	inCore, excepted := 0, 0
+	inspectSources(t, func(rel string, _ map[string]string, n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "InvokeWait" {
+			switch {
+			case strings.HasPrefix(rel, "internal/core/"):
+				inCore++
+			case rel == exception:
+				excepted++
+			default:
+				strays = append(strays, rel)
+			}
+		}
+	})
+	if len(strays) > 0 {
+		t.Errorf("node state is reached through core.Network (On, Settle, Tables, Ledgers); InvokeWait is called in: %v", strays)
+	}
+	if inCore != 1 || excepted != 1 {
+		t.Errorf("InvokeWait is called %d times in internal/core and %d times in %s, want 1 (Network.On) and 1 (an exception that is gone leaves this test)",
+			inCore, excepted, exception)
 	}
 }

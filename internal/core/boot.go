@@ -16,10 +16,11 @@ import (
 // amnesiac broadcast replica mute until f+1 peers vouch a history — and
 // starts the transfer; a replacement switch numbers its events under the
 // new epoch (controllers dedup on event ids), is bootstrapped, and asks
-// for its table and the metadata back. What a replacement does first it
-// does in the node's serial context, because its handler is live on a
-// fabric that already carries traffic for it. The fabric models the
-// machine: revive a crashed node there (Restart) before booting on it.
+// for its table and the metadata back. What a node does first it does in
+// its serial context, at every epoch: a replacement's handler is live on a
+// fabric that already carries traffic for it, and a first boot takes the
+// same path. The fabric models the machine: revive a crashed node there
+// (Restart) before booting on it.
 //
 // A node's role does not depend on the epoch: the member in slot 0 is the
 // bootstrap controller (§4.3) at every boot. The role belongs to the
@@ -119,17 +120,12 @@ func BootSwitch(cfg Config, fab fabric.Fabric, p *Provisioning, id string, epoch
 	if err != nil {
 		return nil, fmt.Errorf("core: switch %s: %w", id, err)
 	}
-	if epoch == 0 {
-		// Out-of-band initial provisioning: nothing is addressed to a
-		// switch before its first boot returns, and the simulator's
-		// drivers use the switch before an Invoke thunk could run.
-		sw.Bootstrap(d.Members, d.Aggregator, d.Quorum)
-		return sw, nil
-	}
 	fab.Invoke(fabric.NodeID(id), func() {
 		sw.Bootstrap(d.Members, d.Aggregator, d.Quorum)
-		sw.RequestResync()
-		sw.RequestMeta() // no-op without the metadata plane
+		if epoch > 0 {
+			sw.RequestResync()
+			sw.RequestMeta() // no-op without the metadata plane
+		}
 	})
 	return sw, nil
 }

@@ -28,7 +28,6 @@ func (f *recFabric) Charge(fabric.NodeID, time.Duration)              {}
 func (f *recFabric) BusyTotal(fabric.NodeID) time.Duration            { return 0 }
 func (f *recFabric) Now() fabric.Time                                 { return 0 }
 func (f *recFabric) Crashed(fabric.NodeID) bool                       { return false }
-func (f *recFabric) Partitioned(_, _ fabric.NodeID) bool              { return false }
 func (f *recFabric) Stats() fabric.Stats                              { return fabric.Stats{} }
 
 // count returns how many recorded messages have msg's type.
@@ -133,7 +132,7 @@ func TestRebornBootstrapControllerKeepsItsRole(t *testing.T) {
 				t.Fatal(err)
 			}
 			var refused error
-			if err := fabric.InvokeWait(fab, fabric.NodeID(id), func() { refused = ctl.RequestAddController(joiner) }, 5*time.Second); err != nil {
+			if err := n.On(fabric.NodeID(id), func() { refused = ctl.RequestAddController(joiner) }); err != nil {
 				t.Fatal(err)
 			}
 			if (refused == nil) != (slot == 0) {

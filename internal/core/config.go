@@ -73,8 +73,8 @@ type Config struct {
 	// model. Live fabrics ignore Jitter, LANLatency and the simulated
 	// parts of Cost (real work takes real time there), and the
 	// simulator-bound drivers (RunFlows, MeasureUpdateTime) are
-	// unavailable — drive flows through the fabric instead (see
-	// internal/experiments/crosscheck.go).
+	// unavailable. Network.On, Settle, Tables and Ledgers drive and read
+	// a deployment on either.
 	Fabric fabric.Fabric
 
 	// LANLatency is the one-way latency between co-located nodes

@@ -266,7 +266,7 @@ func TestSwitchRestartUnderTrafficIsRaceFree(t *testing.T) {
 		sw := n.Switches[victim]
 		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 			var ok bool
-			if err := fabric.InvokeWait(fab, fabric.NodeID(victim), func() { _, ok = sw.Lookup(src, dst) }, 10*time.Second); err != nil {
+			if err := n.On(fabric.NodeID(victim), func() { _, ok = sw.Lookup(src, dst) }); err != nil {
 				t.Fatal(err)
 			}
 			if ok {

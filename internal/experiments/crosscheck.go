@@ -49,9 +49,6 @@ const (
 	sequential, concurrent   = "sequential", "concurrent"
 	aggSwitch, aggController = "switch", "controller"
 
-	// crossTimeout bounds every wait on a live leg: one serialized node
-	// access, one update's installation, one quiescence.
-	crossTimeout = 60 * time.Second
 	// crossViewChange is every leg's view-change timeout. Live runs share
 	// wall-clock cores with the whole harness (and the race detector in
 	// CI); a sub-second timeout would misread scheduling hiccups as a
@@ -170,6 +167,8 @@ func runCrossLeg(g *topology.Graph, pairs [][2]string, leg crossLeg, seed int64)
 	if leg.agg == aggController { // the default is switch aggregation
 		cfg.Aggregation = controlplane.AggController
 	}
+	// All that differs per backend: a live fabric has to be opened (core
+	// builds the simulator itself) and pays for real crypto.
 	if leg.backend != simnetBackend {
 		fab, err := livenet.Open(leg.backend, protocol.NewWireCodec(nil))
 		if err != nil {
@@ -192,47 +191,32 @@ func runCrossLeg(g *topology.Graph, pairs [][2]string, leg crossLeg, seed int64)
 		if leg.mode == concurrent && i < len(pairs)-1 {
 			continue
 		}
-		if err := crossSettle(n, pending); err != nil {
+		// A minute is for the 96 concurrent pairs under the race detector.
+		if err := n.Settle(time.Minute, pending...); err != nil {
 			return out, fmt.Errorf("after pair %v: %w", p, err)
 		}
 		pending = nil
 	}
 
-	tables := make(map[string]*openflow.FlowTable, len(n.Switches))
-	for id, sw := range n.Switches {
-		table := openflow.NewFlowTable()
-		if err := crossOn(n, id, func() {
-			for _, rule := range sw.Table().Rules() {
-				table.Add(rule)
-			}
-			out.updates += sw.UpdatesApplied
-		}); err != nil {
-			return out, err
-		}
-		tables[id] = table
+	tables, err := n.Tables()
+	if err != nil {
+		return out, err
 	}
 	out.tables = openflow.TablesDigest(tables)
-	for _, ctl := range n.Domains[0].Controllers {
-		if err := crossOn(n, string(ctl.ID()), func() {
-			records := ctl.AuditRecords()
-			out.content = append(out.content, audit.ContentDigest(records))
-			out.chain = append(out.chain, audit.ChainDigest(records))
-		}); err != nil {
+	for id, sw := range n.Switches {
+		if err := n.On(fabric.NodeID(id), func() { out.updates += sw.UpdatesApplied }); err != nil {
 			return out, err
 		}
 	}
-	return out, nil
-}
-
-// crossOn runs fn in the node's serial context. The simulator only runs
-// inside crossSettle, so on a simulator leg the driver already is that
-// context.
-func crossOn(n *core.Network, id string, fn func()) error {
-	if n.Sim != nil {
-		fn()
-		return nil
+	ledgers, err := n.Ledgers(0)
+	if err != nil {
+		return out, err
 	}
-	return fabric.InvokeWait(n.Fab, fabric.NodeID(id), fn, crossTimeout)
+	for _, records := range ledgers {
+		out.content = append(out.content, audit.ContentDigest(records))
+		out.chain = append(out.chain, audit.ChainDigest(records))
+	}
+	return out, nil
 }
 
 // crossInject raises the pair's table miss at its ingress switch and
@@ -247,57 +231,6 @@ func crossInject(n *core.Network, pair [2]string) <-chan struct{} {
 		ingress.PacketArrival(pair[0], pair[1])
 	})
 	return done
-}
-
-// crossSettle waits until every pending pair is installed and the
-// deployment is quiescent: the simulator has no event left, or on a live
-// backend every controller's ledger has the same length on consecutive
-// polls — trailing BFT deliveries and share traffic on the slower replicas
-// have drained.
-func crossSettle(n *core.Network, pending []<-chan struct{}) error {
-	if n.Sim != nil {
-		if _, err := n.Sim.Run(); err != nil {
-			return err
-		}
-		for _, done := range pending {
-			select {
-			case <-done:
-			default:
-				return fmt.Errorf("the simulator went idle before the update was installed")
-			}
-		}
-		return nil
-	}
-	deadline := time.NewTimer(crossTimeout)
-	defer deadline.Stop()
-	for _, done := range pending {
-		select {
-		case <-done:
-		case <-deadline.C:
-			return fmt.Errorf("update not installed within %v", crossTimeout)
-		}
-	}
-	var prev []int
-	for stable := 0; stable < 2; {
-		select {
-		case <-deadline.C:
-			return fmt.Errorf("controllers did not quiesce within %v", crossTimeout)
-		case <-time.After(25 * time.Millisecond):
-		}
-		var cur []int
-		for _, ctl := range n.Domains[0].Controllers {
-			if err := crossOn(n, string(ctl.ID()), func() { cur = append(cur, len(ctl.AuditRecords())) }); err != nil {
-				return err
-			}
-		}
-		if slices.Equal(cur, prev) && slices.Max(cur) == slices.Min(cur) {
-			stable++
-		} else {
-			stable = 0
-		}
-		prev = cur
-	}
-	return nil
 }
 
 // crossJudge compares every outcome with its reference legs among outs and

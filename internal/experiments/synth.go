@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"cicero/internal/metrics"
 	"cicero/internal/synthesis"
@@ -27,7 +26,6 @@ func Synthesis(o Options) (*Result, error) {
 		StartSeed: o.Seed,
 		Backends:  []string{"sim", "inproc"},
 		Canary:    true,
-		Timeout:   30 * time.Second,
 	})
 
 	tbl := metrics.NewTable("update synthesis sweep (generate -> synthesize -> locally verify -> execute under BFT)",

@@ -12,8 +12,8 @@
 //
 // The seam is deliberately minimal: registration, asynchronous datagram
 // sends (delivery is best-effort; protocols must tolerate loss), per-node
-// timers, CPU accounting, a clock, and crash/partition queries. Anything
-// richer (fault filters, jitter, bandwidth models) stays backend-specific.
+// timers, CPU accounting, a clock, and a crash query. Anything richer
+// (fault filters, jitter, bandwidth models) stays backend-specific.
 package fabric
 
 import (
@@ -116,10 +116,10 @@ type Fabric interface {
 	After(id NodeID, delay time.Duration, fn func())
 
 	// Invoke runs fn in the node's serial execution context as soon as
-	// possible (drivers use it to touch node state — flow tables, counters
-	// — without racing the node's handlers). It runs even on crashed
-	// nodes. On simnet the thunk is scheduled at the current virtual time
-	// and runs during Run.
+	// possible: after whatever the node is handling now, never beside it.
+	// It is how code outside a node touches the node's state (flow tables,
+	// counters, ledgers), and it runs even on a crashed node. A node's own
+	// handler defers work with After, not Invoke.
 	Invoke(id NodeID, fn func())
 
 	// Charge accounts cost seconds of CPU work to a node. On simnet this
@@ -137,29 +137,30 @@ type Fabric interface {
 	// Crashed reports whether the node is currently failed.
 	Crashed(id NodeID) bool
 
-	// Partitioned reports whether messages from -> to are currently
-	// blocked.
-	Partitioned(from, to NodeID) bool
-
 	// Stats returns a snapshot of traffic counters.
 	Stats() Stats
 }
 
 // InvokeWait runs fn in the node's serial context and waits for it to
-// return — how a driver on a live backend reads or pokes node state from
-// outside the fabric. It gives up after timeout: a closed fabric or a
-// wedged mailbox never runs the thunk. On simnet Invoke thunks only run
-// under Simulator.Run, so a driver there calls fn between runs instead.
+// return — how a driver reads or pokes node state from outside the fabric,
+// on every backend. It gives up after timeout: a closed fabric or a wedged
+// mailbox never runs the thunk. Calling it from the node's own context
+// would wait for itself. Deployments are driven through core.Network.On,
+// which is this call under one bound.
 func InvokeWait(fab Fabric, id NodeID, fn func(), timeout time.Duration) error {
 	done := make(chan struct{})
 	fab.Invoke(id, func() {
 		fn()
 		close(done)
 	})
+	// Stopped on return: drivers call this in loops, and a timer left to
+	// run would outlive each call by the whole timeout.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case <-done:
 		return nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		return fmt.Errorf("fabric: node %s did not run invoke within %v", id, timeout)
 	}
 }

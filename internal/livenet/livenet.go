@@ -399,13 +399,6 @@ func (b *base) Crashed(id fabric.NodeID) bool {
 	return b.crashed[id]
 }
 
-// Partitioned reports whether from -> to is blocked.
-func (b *base) Partitioned(from, to fabric.NodeID) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.parts[[2]fabric.NodeID{from, to}]
-}
-
 // Stats snapshots the traffic counters.
 func (b *base) Stats() fabric.Stats { return b.st.snapshot() }
 

@@ -56,7 +56,6 @@ type Store struct {
 	// groupPK verifies root envelopes. It is the DKG group public key,
 	// which proactive resharing never changes.
 	groupPK bls.PublicKey
-	cache   *bls.VerifyCache
 
 	root          *Root
 	rootSigned    []byte
@@ -90,7 +89,6 @@ func NewStore(scheme *bls.Scheme, groupPK bls.PublicKey, now func() int64) *Stor
 	return &Store{
 		scheme:   scheme,
 		groupPK:  groupPK,
-		cache:    bls.NewVerifyCache(64),
 		retired:  make(map[string]bool),
 		now:      now,
 		rejected: make(map[string]int),
@@ -282,7 +280,7 @@ func (s *Store) applyRoot(env protocol.MetaEnvelope) error {
 			return err
 		}
 		msg := protocol.MetaSigningBytes(protocol.MetaRoleRoot, env.Signed)
-		if !s.scheme.VerifyCached(s.cache, s.groupPK, msg, sig) {
+		if !s.scheme.Verify(s.groupPK, msg, sig) {
 			return &RejectError{Reason: RejectBadSig, Detail: fmt.Sprintf("root v%d: threshold signature invalid", doc.Version)}
 		}
 	}

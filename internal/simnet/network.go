@@ -89,12 +89,11 @@ func (n *Network) Sim() *Simulator { return n.sim }
 // Now returns the current virtual time (fabric clock).
 func (n *Network) Now() Time { return n.sim.Now() }
 
-// Invoke schedules fn at the current virtual time on the simulator loop,
-// where every node handler also runs. It executes during Run, serially
-// with the node's message handling (the fabric contract).
-func (n *Network) Invoke(id NodeID, fn func()) {
-	n.sim.At(n.sim.Now(), fn)
-}
+// Invoke runs fn before it returns. The simulator is single-threaded:
+// whoever calls, a driver between runs or an event inside one, is the only
+// code executing, so the node's serial context "as soon as possible" is
+// this instant.
+func (n *Network) Invoke(id NodeID, fn func()) { fn() }
 
 // Register adds a node with its message handler. Registering an existing
 // id replaces its handler (used when a controller restarts).

@@ -23,23 +23,20 @@ type ExecOptions struct {
 	Backend string
 	// Seed seeds the protocol stack (jitter, elections).
 	Seed int64
-	// Timeout bounds live-backend completion waits (default 30s).
-	Timeout time.Duration
 }
 
-// The simulator backend samples the tables every simCheckInterval of
-// simulated time until simBudget.
 const (
+	// The simulator backend samples the tables every simCheckInterval of
+	// simulated time until simBudget.
 	simBudget        = time.Second
 	simCheckInterval = 2 * time.Millisecond
+	// execTimeout bounds a live execution's wait for the plan's last apply.
+	execTimeout = 30 * time.Second
 )
 
 func (o ExecOptions) defaulted() ExecOptions {
 	if o.Backend == "" {
 		o.Backend = "sim"
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 30 * time.Second
 	}
 	return o
 }
@@ -86,6 +83,9 @@ type recorder struct {
 	valid  int
 	bogus  int
 	origin string
+	// done closes at the want-th valid apply of the plan.
+	want int
+	done chan struct{}
 }
 
 func (rec *recorder) hook(sw string, id openflow.MsgID, phase uint64, mods []openflow.FlowMod, valid bool) {
@@ -101,7 +101,9 @@ func (rec *recorder) hook(sw string, id openflow.MsgID, phase uint64, mods []ope
 		return
 	}
 	if id.Origin == rec.origin {
-		rec.valid++
+		if rec.valid++; rec.valid == rec.want {
+			close(rec.done)
+		}
 	}
 	rec.order = append(rec.order, mods...)
 }
@@ -131,7 +133,10 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 	opt = opt.defaulted()
 	evID := openflow.MsgID{Origin: "synth/" + scn.Name, Seq: 1}
 	origin := fmt.Sprintf("%s/d%d", evID, 0)
-	rec := &recorder{seen: map[string]bool{}, origin: origin}
+	rec := &recorder{seen: map[string]bool{}, origin: origin, want: len(plan.Updates), done: make(chan struct{})}
+	if rec.want == 0 {
+		close(rec.done)
+	}
 	app := &planApp{plans: map[openflow.MsgID][]openflow.FlowMod{evID: plan.Mods()}}
 
 	cfg := core.Config{
@@ -141,8 +146,9 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 		AppFactory:      func() routing.App { return app },
 		SwitchApplyHook: rec.hook,
 	}
-	live := opt.Backend != "sim"
-	if live {
+	// Per backend: a live fabric has to be opened, and runs real crypto.
+	sim := opt.Backend == "sim"
+	if !sim {
 		fab, err := livenet.Open(opt.Backend, protocol.NewWireCodec(nil))
 		if err != nil {
 			return nil, fmt.Errorf("synthesis: %w", err)
@@ -162,19 +168,13 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 
 	// Pre-seed the old configuration.
 	for _, sw := range scn.Switches() {
-		sw := sw
-		seed := func() {
+		if err := n.On(fabric.NodeID(sw), func() {
 			t := n.Switches[sw].Table()
 			for _, r := range scn.Old[sw] {
 				t.Add(r)
 			}
-		}
-		if live {
-			if err := fabric.InvokeWait(n.Fab, fabric.NodeID(sw), seed, opt.Timeout); err != nil {
-				return nil, err
-			}
-		} else {
-			seed()
+		}); err != nil {
+			return nil, err
 		}
 	}
 
@@ -183,22 +183,13 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 	res := &ExecResult{Backend: opt.Backend}
 	viol := &collector{seen: make(map[string]bool)}
 
-	if live {
-		if err := fabric.InvokeWait(n.Fab, fabric.NodeID(emitter.ID()), func() { emitter.EmitEvent(ev) }, opt.Timeout); err != nil {
-			return nil, err
-		}
-		deadline := time.Now().Add(opt.Timeout)
-		for rec.validCount() < len(plan.Updates) {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("synthesis: %s backend applied %d/%d updates within %v",
-					opt.Backend, rec.validCount(), len(plan.Updates), opt.Timeout)
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
-	} else {
-		n.Sim.At(0, func() { emitter.EmitEvent(ev) })
-		// Invariant tick: sample the live tables on the simulated clock
-		// for the whole budget.
+	if err := n.On(fabric.NodeID(emitter.ID()), func() { emitter.EmitEvent(ev) }); err != nil {
+		return nil, err
+	}
+	// Per backend: only a simulated clock can be sampled between events,
+	// so the invariant tick reads the tables for the whole budget there;
+	// the replay below judges every backend.
+	if sim {
 		var tick func()
 		tick = func() {
 			tables := simTables(n, scn)
@@ -211,12 +202,9 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 			}
 		}
 		n.Sim.Schedule(simCheckInterval, tick)
-		if _, err := n.Sim.Run(); err != nil {
-			return nil, fmt.Errorf("synthesis: simulation: %w", err)
-		}
-		if got := rec.validCount(); got < len(plan.Updates) {
-			return nil, fmt.Errorf("synthesis: sim backend applied %d/%d updates", got, len(plan.Updates))
-		}
+	}
+	if err := n.Settle(execTimeout, rec.done); err != nil {
+		return nil, fmt.Errorf("synthesis: %s backend applied %d/%d updates: %w", opt.Backend, rec.validCount(), len(plan.Updates), err)
 	}
 	res.Applied = rec.validCount()
 
@@ -242,23 +230,15 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 				fmt.Sprintf("replayed final table of %s differs from the new configuration", sw), sw)
 		}
 	}
-	finals := make(map[string][]openflow.Rule, len(n.Switches))
-	for _, sw := range scn.Switches() {
-		sw := sw
-		read := func() { finals[sw] = n.Switches[sw].Table().Rules() }
-		if live {
-			if err := fabric.InvokeWait(n.Fab, fabric.NodeID(sw), read, opt.Timeout); err != nil {
-				return nil, err
-			}
-		} else {
-			read()
-		}
+	finals, err := n.Tables()
+	if err != nil {
+		return nil, err
 	}
 	for _, sw := range scn.Switches() {
-		if !sameRules(finals[sw], want[sw].Rules()) {
+		if !sameRules(finals[sw].Rules(), want[sw].Rules()) {
 			viol.report("final-state", "switch|"+sw,
 				fmt.Sprintf("switch %s final table differs from the new configuration: got %v want %v",
-					sw, finals[sw], want[sw].Rules()), sw)
+					sw, finals[sw].Rules(), want[sw].Rules()), sw)
 		}
 	}
 	res.Violations = viol.violations
@@ -302,8 +282,6 @@ type SweepOptions struct {
 	// Canary plants a bad-ordering mutant per seed and requires local
 	// verification to catch it (default on via Sweep's callers).
 	Canary bool
-	// Timeout bounds each live execution.
-	Timeout time.Duration
 	// Progress, when set, is called after each seed finishes (plan is
 	// nil when generation failed; failures is the running total).
 	Progress func(done, total int, seed int64, plan *Plan, failures int)
@@ -396,7 +374,7 @@ func Sweep(opt SweepOptions) *SweepResult {
 			}
 		}
 		for _, backend := range opt.Backends {
-			er, err := Execute(scn, plan, ExecOptions{Backend: backend, Seed: seed, Timeout: opt.Timeout})
+			er, err := Execute(scn, plan, ExecOptions{Backend: backend, Seed: seed})
 			if err != nil {
 				res.Failures = append(res.Failures, fmt.Sprintf("seed %d [%s]: %v", seed, backend, err))
 				continue

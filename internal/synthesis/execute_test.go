@@ -2,7 +2,6 @@ package synthesis
 
 import (
 	"testing"
-	"time"
 )
 
 // runBoth executes one plan on the simulator and the live in-process
@@ -10,7 +9,7 @@ import (
 func runBoth(t *testing.T, scn *Scenario, plan *Plan, seed int64) {
 	t.Helper()
 	for _, backend := range []string{"sim", "inproc"} {
-		res, err := Execute(scn, plan, ExecOptions{Backend: backend, Seed: seed, Timeout: 60 * time.Second})
+		res, err := Execute(scn, plan, ExecOptions{Backend: backend, Seed: seed})
 		if err != nil {
 			t.Fatalf("[%s] %v", backend, err)
 		}
@@ -59,7 +58,7 @@ func TestExecuteGeneratedSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 1
 	}
-	res := Sweep(SweepOptions{Seeds: seeds, StartSeed: 11, Canary: true, Timeout: 60 * time.Second})
+	res := Sweep(SweepOptions{Seeds: seeds, StartSeed: 11, Canary: true})
 	if len(res.Failures) > 0 {
 		t.Fatalf("sweep failures: %v", res.Failures)
 	}
