@@ -15,6 +15,7 @@ package controlplane
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -535,10 +536,24 @@ func (c *Controller) handleEventMsg(m protocol.MsgEvent) {
 		return // unverifiable source: ignore (Fig. 7a)
 	}
 	ev, err := protocol.DecodeEvent(payload)
-	if err != nil {
+	if err != nil || !c.sealerMaySay(m.Env.From, ev) {
 		return
 	}
 	c.receiveEvent(ev)
+}
+
+// sealerMaySay reports whether the identity that sealed an event envelope
+// may present ev. An event speaks for its sealer: its id is the sealer's own
+// or one under it ("<switch>/td"), so no switch orders, ledgers or pre-empts
+// an event in another's name. A forwarded event is another domain's
+// controller relaying one of its switches' events, and is believed from any
+// sealer that is not a switch of this domain.
+func (c *Controller) sealerMaySay(sealer pki.Identity, ev protocol.Event) bool {
+	if ev.Forwarded {
+		return !slices.Contains(c.cfg.Switches, string(sealer))
+	}
+	under, ok := strings.CutPrefix(ev.ID.Origin, string(sealer))
+	return ok && (under == "" || under[0] == '/')
 }
 
 // receiveEvent is the receipt step of every event, whatever presented it (a
@@ -912,10 +927,10 @@ func (c *Controller) aggEnqueue(key [sha256.Size]byte, done bool) {
 }
 
 // handleAckMsg verifies a switch acknowledgement and releases dependents
-// (Fig. 7b's loop). An ack speaks for one switch only: its authenticated
-// sender must be the switch it names, and the engine counts it only for an
-// update addressed to that switch — any other registered identity, a
-// Byzantine controller included, releases nothing with it.
+// (Fig. 7b's loop). An ack speaks for the identity that sealed it and for
+// nobody else, and the engine counts it only for an update addressed to that
+// identity — any other registered one, a Byzantine controller included,
+// releases nothing with it.
 func (c *Controller) handleAckMsg(m protocol.MsgAck) {
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.Ed25519Verify+c.cfg.Cost.MsgProcess)
 	payload, ok := c.open(m.Env)
@@ -923,11 +938,11 @@ func (c *Controller) handleAckMsg(m protocol.MsgAck) {
 		return
 	}
 	ack, err := protocol.DecodeAck(payload)
-	if err != nil || !ack.Applied || ack.Switch != string(m.Env.From) {
+	if err != nil || !ack.Applied {
 		return
 	}
 	c.AcksReceived++
-	if c.engine.Ack(ack.UpdateID, ack.Switch) {
+	if c.engine.Ack(ack.UpdateID, string(m.Env.From)) {
 		// The batch signing context exists only for the initial dispatch;
 		// every retransmission path resends through legacy per-update
 		// shares, so an acked update's ref is dead weight on a long-running

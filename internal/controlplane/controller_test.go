@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"crypto/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -56,10 +57,22 @@ func (s *stubSwitch) HandleMessage(from simnet.NodeID, msg simnet.Message) {
 	}
 }
 
+// ackNaming builds an applied ack for update. No ack names its switch, so
+// here claimed goes unused and an ack counts for whoever sealed it; on a tree
+// whose protocol.Ack still carries Switch, the same tests fill it in, as a
+// switch there did and a forger could.
+func ackNaming(update openflow.MsgID, claimed string) protocol.Ack {
+	ack := protocol.Ack{UpdateID: update, Applied: true}
+	if f := reflect.ValueOf(&ack).Elem().FieldByName("Switch"); f.IsValid() {
+		f.SetString(claimed)
+	}
+	return ack
+}
+
 // sendAcks acknowledges an update as switch id does: one envelope sealed to
 // each controller.
 func sendAcks(net *simnet.Network, link *pki.Link, id string, members []pki.Identity, update openflow.MsgID) {
-	payload := protocol.Ack{UpdateID: update, Switch: id, Applied: true}.Encode()
+	payload := ackNaming(update, id).Encode()
 	for _, ctl := range members {
 		env, err := link.Seal(ctl, payload)
 		if err != nil {
@@ -169,8 +182,9 @@ func TestCentralizedDependencyOrderedDispatch(t *testing.T) {
 
 // TestAckFromAnotherIdentityReleasesNothing: s3 holds the first update of a
 // reverse-path plan and stays silent. A registered identity that is not s3
-// acknowledges that update — naming s3, then naming itself — and the
-// controller must keep s2's dependent update back until s3 itself answers.
+// acknowledges that update — twice; where an ack names its switch, naming s3,
+// then itself — and the controller must keep s2's dependent update back until
+// s3 itself answers.
 func TestAckFromAnotherIdentityReleasesNothing(t *testing.T) {
 	sim := simnet.NewSimulator(1)
 	net := simnet.NewNetwork(sim, 100*time.Microsecond)
@@ -215,8 +229,7 @@ func TestAckFromAnotherIdentityReleasesNothing(t *testing.T) {
 	}
 	pending := stubs["s3"].updates[0].UpdateID
 	for _, claimed := range []string{"s3", "evil-member"} {
-		ack := protocol.Ack{UpdateID: pending, Switch: claimed, Applied: true}
-		env, err := evil.Seal("ctl", ack.Encode())
+		env, err := evil.Seal("ctl", ackNaming(pending, claimed).Encode())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,17 +70,13 @@ type Config struct {
 	// Fabric, when non-nil, is the transport the deployment is assembled
 	// on (a live backend from internal/livenet). Nil builds the default
 	// deterministic simulator, wired with the topology-derived latency
-	// model. Live fabrics ignore Jitter, LANLatency and the simulated
+	// model. Live fabrics ignore Jitter and the simulated
 	// parts of Cost (real work takes real time there), and the
 	// simulator-bound drivers (RunFlows, MeasureUpdateTime) are
 	// unavailable. Network.On, Settle, Tables and Ledgers drive and read
 	// a deployment on either.
 	Fabric fabric.Fabric
 
-	// LANLatency is the one-way latency between co-located nodes
-	// (controller to controller of one domain, controller to its pod's
-	// switches, in addition to fabric path latency).
-	LANLatency time.Duration
 	// ViewChangeTimeout bounds atomic-broadcast stalls (liveness under
 	// controller failure).
 	ViewChangeTimeout time.Duration
@@ -144,9 +140,6 @@ func (c Config) Defaulted() Config {
 	}
 	if c.Params == nil {
 		c.Params = pairing.Fast254()
-	}
-	if c.LANLatency == 0 {
-		c.LANLatency = 100 * time.Microsecond
 	}
 	if c.ViewChangeTimeout == 0 {
 		c.ViewChangeTimeout = 50 * time.Millisecond

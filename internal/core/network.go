@@ -81,7 +81,7 @@ func Build(cfg Config) (*Network, error) {
 		n.Fab = cfg.Fabric
 	} else {
 		sim := simnet.NewSimulator(cfg.Seed)
-		net := simnet.NewNetwork(sim, cfg.LANLatency)
+		net := simnet.NewNetwork(sim, lanLatency)
 		net.Latency = n.latency
 		net.JitterFrac = cfg.Jitter
 		n.Sim, n.Net, n.Fab = sim, net, net
@@ -120,6 +120,11 @@ func Build(cfg Config) (*Network, error) {
 	return n, nil
 }
 
+// lanLatency is the simulator's one-way latency between co-located nodes
+// (controller to controller of one domain, controller to its pod's switches),
+// paid in addition to fabric path latency.
+const lanLatency = 100 * time.Microsecond
+
 // latency derives one-way message latency from the fabric: co-located
 // nodes pay the LAN latency; remote pairs pay the fabric shortest-path
 // latency plus the LAN hop.
@@ -130,9 +135,9 @@ func (n *Network) latency(from, to simnet.NodeID) time.Duration {
 		return -1 // default
 	}
 	if sa == sb {
-		return n.Cfg.LANLatency
+		return lanLatency
 	}
-	return n.fabricDist(sa, sb) + n.Cfg.LANLatency
+	return n.fabricDist(sa, sb) + lanLatency
 }
 
 // fabricDist memoizes shortest-path latency between graph sites.

@@ -267,6 +267,139 @@ func TestEnvelopeForOneControllerRejectedByAnother(t *testing.T) {
 	}
 }
 
+// ctlReading is what a presented envelope could move at a controller.
+type ctlReading struct {
+	EventsReceived, AcksReceived, LastDelivered uint64
+	Ledger                                      int
+	Last                                        string
+}
+
+func readController(c *controlplane.Controller) ctlReading {
+	recs := c.AuditRecords()
+	_, delivered := c.BroadcastCoords()
+	r := ctlReading{EventsReceived: c.EventsReceived, AcksReceived: c.AcksReceived, LastDelivered: delivered, Ledger: len(recs)}
+	if len(recs) > 0 {
+		r.Last = recs[len(recs)-1].Subject
+	}
+	return r
+}
+
+// TestEnvelopeKindsDoNotCross: a link tag covers sender, addressee and
+// payload, not what the payload is. So a switch's genuine ack envelope can be
+// replayed to its own addressee as an event, and a genuine event envelope as
+// an ack, and both open. The kind byte inside the payload is what refuses
+// them: nothing is received, nothing is ordered, no ledger grows. (When the
+// payloads were JSON, any object decoded to a zero Event, and "#0" was
+// ordered and ledgered by every controller.)
+func TestEnvelopeKindsDoNotCross(t *testing.T) {
+	n := buildSecure(t, controlplane.AggSwitch)
+	dom := n.Domains[0]
+	src, dst := topology.HostName(0, 0, 0, 0), topology.HostName(0, 0, 2, 0)
+	if _, err := n.RunFlows([]workload.Flow{{ID: 1, Src: src, Dst: dst, SizeKB: 32}}, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]ctlReading, len(dom.Controllers))
+	for i, c := range dom.Controllers {
+		before[i] = readController(c)
+	}
+
+	sw := topology.ToRName(0, 0, 0)
+	link := pki.NewLink(n.Keys[pki.Identity(sw)], n.Directory)
+	ack := protocol.Ack{UpdateID: openflow.MsgID{Origin: sw + "#1/d0", Seq: 0}, Applied: true}
+	ev := protocol.Event{ID: openflow.MsgID{Origin: sw, Seq: 2}, Kind: protocol.EventFlowRequest, Src: dst, Dst: src}
+	for _, m := range dom.Members {
+		ackEnv, err := link.Seal(m, ack.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		evEnv, err := link.Seal(m, ev.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Net.Send(simnet.NodeID(sw), simnet.NodeID(m), protocol.MsgEvent{Env: ackEnv}, 256)
+		n.Net.Send(simnet.NodeID(sw), simnet.NodeID(m), protocol.MsgAck{Env: evEnv}, 256)
+	}
+	if _, err := n.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range dom.Controllers {
+		if after := readController(c); after != before[i] {
+			t.Errorf("%s took an ack for an event or an event for an ack:\n before %+v\n after  %+v", c.ID(), before[i], after)
+		}
+	}
+}
+
+// TestEventWithForgedOriginRejected: an event speaks for the switch that
+// sealed it. A genuine switch of the domain seals, with its own link, a
+// teardown under another switch's next event id; accepted, it would be
+// ordered, ledgered, planned and threshold-signed in the victim's name, and
+// the victim's own event of that id dropped as a duplicate. Only the sealer's
+// own id, or one under it (<switch>/td), is an origin it may use, and it may
+// not mark its own event as forwarded from another domain.
+func TestEventWithForgedOriginRejected(t *testing.T) {
+	n := buildSecure(t, controlplane.AggSwitch)
+	dom := n.Domains[0]
+	src, dst := topology.HostName(0, 0, 0, 0), topology.HostName(0, 0, 2, 0)
+	if _, err := n.RunFlows([]workload.Flow{{ID: 1, Src: src, Dst: dst, SizeKB: 32}}, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	victim, forger := topology.ToRName(0, 0, 0), topology.ToRName(0, 0, 1)
+	link := pki.NewLink(n.Keys[pki.Identity(forger)], n.Directory)
+	teardown := func(origin string, seq uint64) protocol.Event {
+		return protocol.Event{ID: openflow.MsgID{Origin: origin, Seq: seq}, Kind: protocol.EventFlowTeardown, Src: src, Dst: dst}
+	}
+	run := func() {
+		t.Helper()
+		if _, err := n.Sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	subjects := func(c *controlplane.Controller, from int) []string {
+		var out []string
+		for _, r := range c.AuditRecords()[from:] {
+			out = append(out, r.Kind.String()+" "+r.Subject)
+		}
+		return out
+	}
+	honest := dom.Controllers[0]
+	ledger := len(honest.AuditRecords())
+
+	forged := teardown(victim, 2)
+	asForwarded := teardown(victim+"/fwd", 1)
+	asForwarded.Forwarded = true
+	for _, ev := range []protocol.Event{
+		forged,                    // the victim's next id
+		teardown(victim+"/td", 1), // an id under the victim's
+		teardown(forger+"x", 1),   // the forger's id as a bare prefix, not a path
+		asForwarded,               // "another domain's controller relayed this"
+	} {
+		sealEventToMembers(t, n, simnet.NodeID(forger), link, "", ev)
+	}
+	run()
+	for _, c := range dom.Controllers {
+		if c.EventsReceived != 1 || c.EventsDelivered != 1 || len(c.AuditRecords()) != ledger {
+			t.Fatalf("%s took events %s sealed under origins it does not own: received %d delivered %d, ledger gained %v",
+				c.ID(), forger, c.EventsReceived, c.EventsDelivered, subjects(c, ledger))
+		}
+	}
+	if _, ok := n.Switches[victim].Lookup(src, dst); !ok {
+		t.Fatalf("%s lost the flow's rule to a teardown %s sealed", victim, forger)
+	}
+
+	// The victim's own event of that id is the first the controllers hear
+	// under it, and a switch may still use ids under its own.
+	n.Switches[victim].EmitEvent(forged)
+	run()
+	if honest.EventsDelivered != 2 {
+		t.Fatalf("%s's own %s: EventsDelivered = %d, want 2", victim, forged.ID, honest.EventsDelivered)
+	}
+	n.Switches[forger].EmitEvent(teardown(forger+"/td", 1))
+	run()
+	if honest.EventsDelivered != 3 {
+		t.Fatalf("%s's own %s/td#1: EventsDelivered = %d, want 3", forger, forger, honest.EventsDelivered)
+	}
+}
+
 // TestByzantineControllerForgedAckCannotReorder: with n = 4 and t = 2, one
 // Byzantine controller plus one honest controller it can trick is a release
 // quorum. The trick it tries: acknowledge, under its own (registered,
@@ -309,12 +442,14 @@ func TestByzantineControllerForgedAckCannotReorder(t *testing.T) {
 		UpdateID: dependent, Mods: mods[last-1 : last], From: byz,
 		ShareIndex: dom.Shares[3].Index, Share: n.Scheme.Params.PointBytes(share.Point),
 	}, 256)
-	// And it acknowledges the dependency itself, naming the switch or naming
-	// itself, before the honest peer has planned the event and again after.
+	// And it acknowledges the dependency itself (where an ack names its
+	// switch: naming the switch, then naming itself), before the honest peer
+	// has planned the event and again after.
 	link := pki.NewLink(n.Keys[byz], n.Directory)
 	forgeAcks := func() {
 		for _, claimed := range []string{depSwitch, string(byz)} {
-			ack := protocol.Ack{UpdateID: dependency, Switch: claimed, Applied: true}
+			ack := protocol.Ack{UpdateID: dependency, Applied: true}
+			claimSwitch(&ack, claimed)
 			env, err := link.Seal(honest, ack.Encode())
 			if err != nil {
 				t.Error(err)
@@ -339,6 +474,16 @@ func TestByzantineControllerForgedAckCannotReorder(t *testing.T) {
 	if _, ok := n.Switches[nextSwitch].Lookup(ev.Src, ev.Dst); ok || n.Switches[nextSwitch].UpdatesApplied != 0 {
 		t.Fatalf("%s applied %s before %s applied its dependency %s: a forged ack released it",
 			nextSwitch, dependent, depSwitch, dependency)
+	}
+}
+
+// claimSwitch writes id into an ack's self-declared switch field, if the type
+// has one. No ack names its switch, so here this does nothing and an ack
+// counts for whoever sealed it; on a tree whose protocol.Ack still carries
+// Switch, the same test drives the forgery that field invited.
+func claimSwitch(ack *protocol.Ack, id string) {
+	if f := reflect.ValueOf(ack).Elem().FieldByName("Switch"); f.IsValid() {
+		f.SetString(id)
 	}
 }
 

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -10,12 +11,14 @@ import (
 )
 
 // TestSignedStringsPinned pins, byte for byte, the strings that get
-// threshold-signed, Ed25519-signed or used as map keys on the update path:
-// openflow.CanonicalUpdateBytes, protocol.BatchBytes,
-// protocol.BatchReleaseBytes and updateKey. Every controller must produce
-// the same bytes for the same update and every switch must rebuild them to
-// verify, so a change here splits a deployment; trace and ledger digests
-// only notice downstream, and not which string moved.
+// threshold-signed, Ed25519-signed, link-tagged, ordered, ledgered or used as
+// map keys on the update path: openflow.CanonicalUpdateBytes,
+// protocol.BatchBytes, protocol.BatchReleaseBytes, updateKey, and the binary
+// payloads Event.Encode, Ack.Encode and BroadcastItem.Encode (a kind byte,
+// then the fields; in hex here). Every controller must produce the same
+// bytes for the same update and every switch must rebuild them to verify, so
+// a change here splits a deployment; trace and ledger digests only notice
+// downstream, and not which string moved.
 func TestSignedStringsPinned(t *testing.T) {
 	root := make([]byte, 32)
 	for i := range root {
@@ -74,6 +77,26 @@ func TestSignedStringsPinned(t *testing.T) {
 	} {
 		if !bytes.Equal(tc.got, []byte(tc.want)) {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, tc.got, tc.want)
+		}
+	}
+
+	request := protocol.Event{ID: plain, Kind: protocol.EventFlowRequest, Src: "h1", Dst: "h2"}
+	forwarded := protocol.Event{ID: odd, Kind: protocol.EventMembershipInfo, Cookie: math.MaxUint64, Forwarded: true, Info: "1|a|b"}
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"event/flow-request", request.Encode(), "500a64302d70302d746f72312a02026831026832000000"},
+		{"event/forwarded", forwarded.Encode(), "500763746c2f312378000a0000ffffffffffffffffff010105317c617c62"},
+		{"ack/applied", protocol.Ack{UpdateID: plain, Applied: true}.Encode(), "510a64302d70302d746f72312a01"},
+		{"ack/rejected", protocol.Ack{UpdateID: big}.Encode(), "5100ffffffffffffffffff0100"},
+		{"item/event", protocol.BroadcastItem{Event: &request}.Encode(), "52010a64302d70302d746f72312a0202683102683200000000"},
+		{"item/membership", protocol.BroadcastItem{Membership: &protocol.MembershipChange{
+			Op: protocol.MemberAdd, Controller: "d0/ctl/5"}}.Encode(), "520001020864302f63746c2f35"},
+	} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
 	}
 }

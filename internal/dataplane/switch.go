@@ -445,7 +445,7 @@ func (s *Switch) wakeWaiters(rule openflow.Rule) {
 
 // sendAck seals and sends an acknowledgement to every controller.
 func (s *Switch) sendAck(id openflow.MsgID, applied bool) {
-	ack := protocol.Ack{UpdateID: id, Switch: s.cfg.ID, Applied: applied}
+	ack := protocol.Ack{UpdateID: id, Applied: applied}
 	s.cfg.Net.Charge(fabric.NodeID(s.cfg.ID), s.cfg.Cost.Ed25519Sign)
 	payload := ack.Encode()
 	for _, ctl := range s.cfg.Controllers {

@@ -106,8 +106,9 @@ type Fabric interface {
 	// another. It is asynchronous and best-effort: the message is silently
 	// dropped if the destination is unknown, crashed, or partitioned
 	// (datagram semantics — protocols must tolerate loss). Backends that
-	// serialize report actual encoded bytes in Stats; size is the model
-	// estimate used where no real wire exists.
+	// serialize report actual encoded bytes in Stats.Bytes; where no real
+	// wire exists size is added to it instead. It decides nothing else on
+	// any backend: no delay, no drop, no figure.
 	Send(from, to NodeID, msg Message, size int)
 
 	// After schedules fn on a node after delay; it is suppressed if the

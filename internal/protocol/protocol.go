@@ -7,7 +7,6 @@ package protocol
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -55,39 +54,26 @@ func (k EventKind) String() string {
 
 // Event is a network event entering the control plane.
 type Event struct {
-	ID   openflow.MsgID `json:"id"`
-	Kind EventKind      `json:"kind"`
+	ID   openflow.MsgID
+	Kind EventKind
 	// Src and Dst are flow endpoints for flow events; Src/Dst name the
 	// link ends for EventLinkDown.
-	Src string `json:"src,omitempty"`
-	Dst string `json:"dst,omitempty"`
+	Src string
+	Dst string
 	// Cookie tags flow-scoped rules for teardown.
-	Cookie uint64 `json:"cookie,omitempty"`
+	Cookie uint64
 	// Forwarded marks an event relayed from another domain; it must be
 	// processed locally and never forwarded again (§4.1).
-	Forwarded bool `json:"forwarded,omitempty"`
+	Forwarded bool
 	// Info carries opaque payload for policy/membership events.
-	Info string `json:"info,omitempty"`
+	Info string
 }
 
 // Encode serializes the event for signing and broadcast.
-func (e Event) Encode() []byte {
-	b, err := json.Marshal(e)
-	if err != nil {
-		// Event contains only marshalable fields; this is unreachable.
-		panic(fmt.Sprintf("protocol: encode event: %v", err))
-	}
-	return b
-}
+func (e Event) Encode() []byte { return encodePayload(e) }
 
 // DecodeEvent parses an encoded event.
-func DecodeEvent(data []byte) (Event, error) {
-	var e Event
-	if err := json.Unmarshal(data, &e); err != nil {
-		return Event{}, fmt.Errorf("protocol: decode event: %w", err)
-	}
-	return e, nil
-}
+func DecodeEvent(data []byte) (Event, error) { return decodePayload[Event](data) }
 
 // MsgEvent carries an event from its source to one controller, in an
 // envelope tagged for that controller (pki.Link).
@@ -192,31 +178,19 @@ func BatchReleaseBytes(id openflow.MsgID, phase uint64, root []byte) []byte {
 	return hex.AppendEncode(b, root)
 }
 
-// Ack is a switch's acknowledgement that an update was applied.
+// Ack is a switch's acknowledgement that an update was applied. It does not
+// name the switch: an ack speaks for whoever sealed its envelope.
 type Ack struct {
-	UpdateID openflow.MsgID `json:"update_id"`
-	Switch   string         `json:"switch"`
+	UpdateID openflow.MsgID
 	// Applied is false if the update was rejected (invalid signature).
-	Applied bool `json:"applied"`
+	Applied bool
 }
 
 // Encode serializes the ack for signing.
-func (a Ack) Encode() []byte {
-	b, err := json.Marshal(a)
-	if err != nil {
-		panic(fmt.Sprintf("protocol: encode ack: %v", err))
-	}
-	return b
-}
+func (a Ack) Encode() []byte { return encodePayload(a) }
 
 // DecodeAck parses an encoded ack.
-func DecodeAck(data []byte) (Ack, error) {
-	var a Ack
-	if err := json.Unmarshal(data, &a); err != nil {
-		return Ack{}, fmt.Errorf("protocol: decode ack: %w", err)
-	}
-	return a, nil
-}
+func DecodeAck(data []byte) (Ack, error) { return decodePayload[Ack](data) }
 
 // MsgAck carries an ack from a switch to one controller, in an envelope
 // tagged for that controller (pki.Link).
@@ -299,9 +273,9 @@ func (op MembershipOp) String() string {
 // MembershipChange is agreed through the atomic broadcast before any
 // resharing begins (Fig. 8c).
 type MembershipChange struct {
-	Op MembershipOp `json:"op"`
+	Op MembershipOp
 	// Controller is the identity being added or removed.
-	Controller pki.Identity `json:"controller"`
+	Controller pki.Identity
 }
 
 // BroadcastItem is the payload the control plane atomically broadcasts:
@@ -310,26 +284,16 @@ type MembershipChange struct {
 // controller that submitted it: every member that hears an event submits the
 // same bytes, and the broadcast orders them once.
 type BroadcastItem struct {
-	Event      *Event            `json:"event,omitempty"`
-	Membership *MembershipChange `json:"membership,omitempty"`
+	Event      *Event
+	Membership *MembershipChange
 }
 
 // Encode serializes the item for the atomic broadcast.
-func (it BroadcastItem) Encode() []byte {
-	b, err := json.Marshal(it)
-	if err != nil {
-		panic(fmt.Sprintf("protocol: encode broadcast item: %v", err))
-	}
-	return b
-}
+func (it BroadcastItem) Encode() []byte { return encodePayload(it) }
 
 // DecodeBroadcastItem parses a broadcast payload.
 func DecodeBroadcastItem(data []byte) (BroadcastItem, error) {
-	var it BroadcastItem
-	if err := json.Unmarshal(data, &it); err != nil {
-		return BroadcastItem{}, fmt.Errorf("protocol: decode broadcast item: %w", err)
-	}
-	return it, nil
+	return decodePayload[BroadcastItem](data)
 }
 
 // MsgReshareDeal is a resharing dealer's broadcast to the (new) control

@@ -35,7 +35,7 @@ func TestDecodeEventRejectsGarbage(t *testing.T) {
 }
 
 func TestAckEncodeDecodeRoundTrip(t *testing.T) {
-	ack := Ack{UpdateID: openflow.MsgID{Origin: "e1", Seq: 3}, Switch: "s9", Applied: true}
+	ack := Ack{UpdateID: openflow.MsgID{Origin: "e1", Seq: 3}, Applied: true}
 	got, err := DecodeAck(ack.Encode())
 	if err != nil {
 		t.Fatalf("DecodeAck: %v", err)

@@ -22,7 +22,10 @@ import (
 // the protocol: every type registered in NewWireCodec must be built, as a
 // composite literal, somewhere in the module's non-test code outside this
 // package. A registered type nothing builds is a frame every receiver
-// decodes and no sender needs; delete it, or land its sender with it.
+// decodes and no sender needs; delete it, or land its sender with it. The
+// three payload kinds are sent when their Encode has a non-test caller; each
+// is built where it is encoded (a switch's Event and Ack, a controller's
+// BroadcastItem), so they are held to the same rule.
 func TestEveryWireTypeHasASender(t *testing.T) {
 	const pkgDir = "internal/protocol"
 	module := strings.TrimSuffix(reflect.TypeOf(MsgEvent{}).PkgPath(), "/"+pkgDir)
@@ -77,10 +80,17 @@ func TestEveryWireTypeHasASender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unsent []string
+	registered := make(map[reflect.Type]string)
 	for _, e := range NewWireCodec(nil).byType {
-		if !built[e.typ.PkgPath()+"."+e.typ.Name()] {
-			unsent = append(unsent, e.name+" ("+e.typ.String()+")")
+		registered[e.typ] = e.name
+	}
+	for _, payload := range payloadKinds {
+		registered[reflect.TypeOf(payload)] = "payload"
+	}
+	var unsent []string
+	for typ, name := range registered {
+		if !built[typ.PkgPath()+"."+typ.Name()] {
+			unsent = append(unsent, name+" ("+typ.String()+")")
 		}
 	}
 	sort.Strings(unsent)
@@ -89,17 +99,25 @@ func TestEveryWireTypeHasASender(t *testing.T) {
 	}
 }
 
+// payloadKinds are the three signed payloads, named by type and not read
+// from their registry so that this file compiles on a tree where they were
+// not registered yet.
+var payloadKinds = []any{Event{}, Ack{}, BroadcastItem{}}
+
 // TestNoWireTypeNamesItsSender keeps the sender out of the message body: a
 // receiver knows who sent a frame from the fabric (or from an envelope's
 // tag), and a field that repeats it is a field some handler will one day
 // believe. It walks every registered type, the inner bft messages included,
-// and fails on an identity-typed field with a sender's name. The three
+// and fails on an identity-typed field with a sender's name; in the three
+// signed payload kinds, whose senders are switches and whose ids are plain
+// strings, a string field counts too, and so does the name Switch. The
 // exceptions are written out, and each must still exist.
 func TestNoWireTypeNamesItsSender(t *testing.T) {
 	allowed := map[string]bool{
 		"pki.Envelope.From":            false, // the link tag opens under it
 		"protocol.MsgBatchUpdate.From": false, // authenticated by ReleaseSig
 		"protocol.MsgUpdate.From":      false, // read by no decision; bench/ builds the literal
+		"openflow.MsgID.Origin":        false, // an event's id, not its sender: handleEventMsg binds it to the sealer by prefix
 	}
 	senderNames := map[string]bool{"From": true, "Origin": true, "Sender": true, "Replica": true}
 	identityTypes := map[reflect.Type]bool{
@@ -108,7 +126,7 @@ func TestNoWireTypeNamesItsSender(t *testing.T) {
 		reflect.TypeOf(bft.ReplicaID(0)):  true,
 	}
 	var found []string
-	seen := make(map[reflect.Type]bool)
+	var seen map[reflect.Type]bool
 	var walk func(typ reflect.Type)
 	walk = func(typ reflect.Type) {
 		switch typ.Kind() {
@@ -135,8 +153,15 @@ func TestNoWireTypeNamesItsSender(t *testing.T) {
 			}
 		}
 	}
+	seen = make(map[reflect.Type]bool)
 	for typ := range NewWireCodec(nil).byType {
 		walk(typ)
+	}
+	seen = make(map[reflect.Type]bool)
+	senderNames["Switch"] = true
+	identityTypes[reflect.TypeOf("")] = true
+	for _, payload := range payloadKinds {
+		walk(reflect.TypeOf(payload))
 	}
 	sort.Strings(found)
 	if len(found) > 0 {
@@ -145,6 +170,30 @@ func TestNoWireTypeNamesItsSender(t *testing.T) {
 	for name, hit := range allowed {
 		if !hit {
 			t.Errorf("%s is allowed to name a sender but no registered type has it: drop it from the list", name)
+		}
+	}
+}
+
+// TestPathPackagesDoNotImportJSON keeps the second serializer from coming
+// back: what a node seals, orders, ledgers or frames is encoded by the wire
+// codec's plans or is one of the pinned text strings, and none of the
+// packages on that path imports encoding/json, tests included.
+func TestPathPackagesDoNotImportJSON(t *testing.T) {
+	for _, pkg := range []string{"protocol", "bft", "openflow", "dataplane", "scheduler", "audit", "fabric", "livenet"} {
+		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("internal/%s: %d files, err %v", pkg, len(files), err)
+		}
+		for _, file := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"encoding/json"` {
+					t.Errorf("%s imports encoding/json", file)
+				}
+			}
 		}
 	}
 }

@@ -41,10 +41,15 @@ package protocol
 // The codec is the single serialization authority: the TCP backend appends
 // Encode's output to its frame header, and the in-process backend can
 // round-trip every message through it so codec bugs surface in fast tests.
-// What is signed or ledgered (Event.Encode, Ack.Encode, BroadcastItem,
-// canonical update and batch bytes, metadata documents) is not the codec's
-// business: those byte strings keep their own canonical forms and ride
-// here as opaque []byte.
+//
+// The three byte strings a node seals, orders and ledgers — Event.Encode,
+// Ack.Encode, BroadcastItem.Encode — are built by the same compiler (see
+// payloads): a kind byte from a block no message uses, then the fields. The
+// kind byte is their domain separation: a link tag covers sender, addressee
+// and payload but not what the payload is, so each payload decoder accepts
+// its own kind only, and Decode accepts none of them. What is signed as text
+// (canonical update, batch, release and config bytes, metadata documents)
+// keeps its own pinned form and rides here as opaque []byte.
 
 import (
 	"bytes"
@@ -78,6 +83,7 @@ var (
 	errWireInner     = errors.New("bft frame does not hold a bft message")
 	errWireGroupKey  = errors.New("group key field holds something other than a *bls.GroupKey")
 	errWireTrailing  = errors.New("trailing bytes after the frame")
+	errWireKind      = errors.New("kind byte names another kind of frame")
 	errWireEmpty     = errors.New("protocol: wire: empty frame")
 	errWireNilEncode = errors.New("protocol: wire: cannot encode a nil message")
 )
@@ -166,6 +172,48 @@ func NewWireCodec(params *pairing.Params) *WireCodec {
 	return c
 }
 
+// payloads holds the plans of the three signed payload kinds, one instance
+// for the process: Event.Encode and its five siblings are called with no
+// codec at hand, from every node's goroutine. It has no pairing parameters;
+// a payload struct that grew a curve point or scalar would panic here, at
+// init. Ids 80–82 are a block of their own: no message may take one.
+var payloads = func() *WireCodec {
+	c := &WireCodec{byType: make(map[reflect.Type]*wireEntry)}
+	register[Event](c, 80, "payload-event")
+	register[Ack](c, 81, "payload-ack")
+	register[BroadcastItem](c, 82, "payload-item")
+	return c
+}()
+
+// encodePayload encodes one of the three payload kinds. Their plans hold no
+// hook and no required pointer, so there is nothing that can fail.
+func encodePayload(v any) []byte {
+	b, err := payloads.Encode(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// decodePayload parses data as the payload kind T, and as nothing else: the
+// bytes of an ack, of a message frame or of another payload are refused by
+// their first byte.
+func decodePayload[T any](data []byte) (T, error) {
+	var v T
+	e := payloads.byType[reflect.TypeOf(v)]
+	if len(data) == 0 {
+		return v, errWireEmpty
+	}
+	if data[0] != e.id {
+		return v, fmt.Errorf("protocol: wire: decode %s: %w (%d)", e.name, errWireKind, data[0])
+	}
+	if err := e.decode(data, reflect.ValueOf(&v).Elem()); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
 var bftPkgPath = reflect.TypeOf(bft.Request{}).PkgPath()
 
 // register compiles T's plan and enters it under id. A clash, or a type
@@ -229,16 +277,26 @@ func (c *WireCodec) Decode(data []byte) (fabric.Message, error) {
 	if e == nil {
 		return nil, fmt.Errorf("protocol: wire: unknown frame type %d", data[0])
 	}
-	r := &wireReader{buf: data, off: 1}
 	v := reflect.New(e.typ).Elem()
+	if err := e.decode(data, v); err != nil {
+		return nil, err
+	}
+	return v.Interface(), nil
+}
+
+// decode fills v, a settable value of e's type, from the body of the frame
+// data, whose first byte the caller has matched to e. The frame must end
+// where the value does.
+func (e *wireEntry) decode(data []byte, v reflect.Value) error {
+	r := &wireReader{buf: data, off: 1}
 	err := e.plan.dec(r, v)
 	if err == nil && r.off != len(data) {
 		err = errWireTrailing
 	}
 	if err != nil {
-		return nil, fmt.Errorf("protocol: wire: decode %s: %w", e.name, err)
+		return fmt.Errorf("protocol: wire: decode %s: %w", e.name, err)
 	}
-	return v.Interface(), nil
+	return nil
 }
 
 // ---- reader ----
@@ -327,9 +385,13 @@ var (
 // being compiled ("" elsewhere).
 func (c *WireCodec) compile(t reflect.Type, tag string) *plan {
 	switch t {
-	case pointType:
-		return c.pointPlan()
-	case scalarType:
+	case pointType, scalarType:
+		if c.params == nil {
+			panic(fmt.Sprintf("protocol: wire: %v in a codec without pairing parameters", t))
+		}
+		if t == pointType {
+			return c.pointPlan()
+		}
 		return c.scalarPlan()
 	}
 	switch t.Kind() {

@@ -26,11 +26,86 @@ import (
 	"cicero/internal/tcrypto/pki"
 )
 
-// wireSamples returns one representative value per registered wire type.
-// TestWireCoverage asserts this list covers the registry exactly, so a new
-// registered type fails tests until a sample (and thus a round-trip check)
-// exists for it. The key material comes from a seeded reader: every run
-// encodes the same bytes, which testdata/wire.golden pins.
+// entryPoint is one way onto the wire and back: the codec's Encode and Decode
+// for messages, or the Encode method and decoder of one signed payload kind.
+// Every test below drives the payload kinds through the six functions the
+// protocol calls, not through the plans behind them.
+type entryPoint struct {
+	name string
+	owns func(fabric.Message) bool
+	enc  func(fabric.Message) ([]byte, error)
+	dec  func([]byte) (fabric.Message, error)
+}
+
+// entryPoints lists the three payload kinds, then the frame codec, which
+// owns whatever they do not.
+func entryPoints(c *WireCodec) []entryPoint {
+	return []entryPoint{
+		{"DecodeEvent",
+			func(m fabric.Message) bool { _, ok := m.(Event); return ok },
+			func(m fabric.Message) ([]byte, error) { return m.(Event).Encode(), nil },
+			func(b []byte) (fabric.Message, error) { return DecodeEvent(b) }},
+		{"DecodeAck",
+			func(m fabric.Message) bool { _, ok := m.(Ack); return ok },
+			func(m fabric.Message) ([]byte, error) { return m.(Ack).Encode(), nil },
+			func(b []byte) (fabric.Message, error) { return DecodeAck(b) }},
+		{"DecodeBroadcastItem",
+			func(m fabric.Message) bool { _, ok := m.(BroadcastItem); return ok },
+			func(m fabric.Message) ([]byte, error) { return m.(BroadcastItem).Encode(), nil },
+			func(b []byte) (fabric.Message, error) { return DecodeBroadcastItem(b) }},
+		{"WireCodec.Decode", func(fabric.Message) bool { return true }, c.Encode, c.Decode},
+	}
+}
+
+// ownerOf returns the entry point production code uses for msg.
+func ownerOf(c *WireCodec, msg fabric.Message) entryPoint {
+	for _, ep := range entryPoints(c) {
+		if ep.owns(msg) {
+			return ep
+		}
+	}
+	panic("unreachable: the frame codec owns every message")
+}
+
+// decodeAny presents data at all four entry points and returns what the one
+// that accepted it decoded. Two accepting the same bytes is the failure the
+// kind byte exists to exclude.
+func decodeAny(t testing.TB, c *WireCodec, data []byte) (fabric.Message, error) {
+	t.Helper()
+	var msg fabric.Message
+	var by []string
+	var errs []error
+	for _, ep := range entryPoints(c) {
+		if m, err := ep.dec(data); err != nil {
+			errs = append(errs, err)
+		} else {
+			msg, by = m, append(by, ep.name)
+		}
+	}
+	if len(by) > 1 {
+		t.Fatalf("%x is accepted by %v: kinds cross", data, by)
+	}
+	if len(by) == 0 {
+		return nil, errors.Join(errs...)
+	}
+	return msg, nil
+}
+
+// entryByID finds the registered type behind a frame's first byte, message
+// or payload kind.
+func entryByID(c *WireCodec, id byte) *wireEntry {
+	if e := payloads.byID[id]; e != nil {
+		return e
+	}
+	return c.byID[id]
+}
+
+// wireSamples returns one representative value per registered wire type,
+// messages first, then the signed payload kinds (a BroadcastItem of each
+// arm). TestWireCoverage asserts this list covers both registries exactly,
+// so a new registered type fails tests until a sample (and thus a round-trip
+// check) exists for it. The key material comes from a seeded reader: every
+// run encodes the same bytes, which testdata/wire.golden pins.
 func wireSamples(t testing.TB) []fabric.Message {
 	t.Helper()
 	scheme := bls.NewScheme(pairing.Fast254())
@@ -143,7 +218,16 @@ func wireSamples(t testing.TB) []fabric.Message {
 		MsgInjectFlow{FlowID: 12, Src: "h1", Dst: "h2"},
 		MsgFlowDone{FlowID: 12, Switch: "s1"},
 		MsgNudge{Op: NudgeRedispatch},
+		sampleEvent,
+		Ack{UpdateID: id, Applied: true},
+		BroadcastItem{Event: &sampleEvent},
+		BroadcastItem{Membership: &MembershipChange{Op: MemberRemove, Controller: members[3]}},
 	}
+}
+
+var sampleEvent = Event{
+	ID: openflow.MsgID{Origin: "s1/td", Seq: 300}, Kind: EventFlowTeardown,
+	Src: "h1", Dst: "h2", Cookie: 9, Forwarded: true, Info: "info",
 }
 
 // TestWireRoundTrip encodes every sample, decodes it, re-encodes the
@@ -153,21 +237,15 @@ func wireSamples(t testing.TB) []fabric.Message {
 func TestWireRoundTrip(t *testing.T) {
 	c := NewWireCodec(nil)
 	for _, sample := range wireSamples(t) {
-		first, err := c.Encode(sample)
-		if err != nil {
-			t.Fatalf("encode %T: %v", sample, err)
-		}
-		decoded, err := c.Decode(first)
+		first := mustEncode(t, c, sample)
+		decoded, err := decodeAny(t, c, first)
 		if err != nil {
 			t.Fatalf("decode %T: %v", sample, err)
 		}
 		if reflect.TypeOf(decoded) != reflect.TypeOf(sample) {
 			t.Fatalf("decode %T: got %T", sample, decoded)
 		}
-		second, err := c.Encode(decoded)
-		if err != nil {
-			t.Fatalf("re-encode %T: %v", sample, err)
-		}
+		second := mustEncode(t, c, decoded)
 		if !bytes.Equal(first, second) {
 			t.Fatalf("round trip not stable for %T:\n first: %x\nsecond: %x", sample, first, second)
 		}
@@ -184,11 +262,7 @@ func TestWireValuesSurvive(t *testing.T) {
 		case MsgConfig, MsgStateTransfer, MsgReshareDeal, NodeBundle:
 			continue // hold points: TestWireGroupKeyRoundTrip covers them
 		}
-		frame, err := c.Encode(sample)
-		if err != nil {
-			t.Fatalf("encode %T: %v", sample, err)
-		}
-		decoded, err := c.Decode(frame)
+		decoded, err := decodeAny(t, c, mustEncode(t, c, sample))
 		if err != nil {
 			t.Fatalf("decode %T: %v", sample, err)
 		}
@@ -247,7 +321,7 @@ func TestWireCoverage(t *testing.T) {
 		// bookkeeping is needed.
 	}
 	registered := make(map[string]bool)
-	for _, name := range c.RegisteredTypes() {
+	for _, name := range append(c.RegisteredTypes(), payloads.RegisteredTypes()...) {
 		registered[name] = true
 	}
 	// Name the drift explicitly in both directions: a registered type with
@@ -274,15 +348,22 @@ func TestWireCoverage(t *testing.T) {
 	}
 }
 
+// mustEncode encodes msg the way production code does (see entryPoint).
+func mustEncode(t testing.TB, c *WireCodec, msg fabric.Message) []byte {
+	t.Helper()
+	frame, err := ownerOf(c, msg).enc(msg)
+	if err != nil {
+		t.Fatalf("encode %T: %v", msg, err)
+	}
+	return frame
+}
+
 // sampleName encodes msg and reads its registered name back from the
 // frame's type id.
 func sampleName(t testing.TB, c *WireCodec, msg fabric.Message) string {
 	t.Helper()
-	frame, err := c.Encode(msg)
-	if err != nil {
-		t.Fatalf("encode %T: %v", msg, err)
-	}
-	e := c.byID[frame[0]]
+	frame := mustEncode(t, c, msg)
+	e := entryByID(c, frame[0])
 	if e == nil {
 		t.Fatalf("frame of %T carries unregistered id %d", msg, frame[0])
 	}
@@ -335,11 +416,8 @@ func TestWireGolden(t *testing.T) {
 		out.WriteString("# One line per wire sample: registered name, then the frame in hex.\n")
 		out.WriteString("# Pins type ids, field order and scalar encodings; see TestWireGolden.\n")
 		for _, sample := range samples {
-			frame, err := c.Encode(sample)
-			if err != nil {
-				t.Fatalf("encode %T: %v", sample, err)
-			}
-			fmt.Fprintf(&out, "%s %x\n", c.byID[frame[0]].name, frame)
+			frame := mustEncode(t, c, sample)
+			fmt.Fprintf(&out, "%s %x\n", entryByID(c, frame[0]).name, frame)
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -353,17 +431,14 @@ func TestWireGolden(t *testing.T) {
 		t.Fatalf("golden file holds %d frames, wireSamples %d", len(frames), len(samples))
 	}
 	for i, sample := range samples {
-		frame, err := c.Encode(sample)
-		if err != nil {
-			t.Fatalf("encode %T: %v", sample, err)
-		}
+		frame := mustEncode(t, c, sample)
 		if name := sampleName(t, c, sample); name != names[i] {
 			t.Errorf("sample %d is %s, golden line is %s", i, name, names[i])
 		}
 		if !bytes.Equal(frame, frames[i]) {
 			t.Errorf("%s does not encode to its golden bytes:\n got  %x\n want %x", names[i], frame, frames[i])
 		}
-		if _, err := c.Decode(frames[i]); err != nil {
+		if _, err := decodeAny(t, c, frames[i]); err != nil {
 			t.Errorf("golden %s no longer decodes: %v", names[i], err)
 		}
 	}
@@ -427,6 +502,41 @@ func TestWireDecodeErrors(t *testing.T) {
 			t.Errorf("%s: rejected with %q, want %q", tc.name, err, tc.want)
 		}
 	}
+	// The same classes at the three payload decoders, each refused for its own
+	// reason; ids 80, 81, 82 are event, ack, item.
+	event, ack := sampleEvent.Encode(), Ack{Applied: true}.Encode()
+	for _, tc := range []struct {
+		name string
+		dec  string
+		data []byte
+		want error
+	}{
+		{"empty event", "DecodeEvent", nil, errWireEmpty},
+		{"empty ack", "DecodeAck", nil, errWireEmpty},
+		{"empty item", "DecodeBroadcastItem", nil, errWireEmpty},
+		{"event kind only", "DecodeEvent", []byte{80}, errWireShort},
+		{"event trailing byte", "DecodeEvent", append(bytes.Clone(event), 0), errWireTrailing},
+		{"ack trailing byte", "DecodeAck", append(bytes.Clone(ack), 0), errWireTrailing},
+		{"event origin past the end", "DecodeEvent", frameOf(80, 5, 's', '1'), errWireShort},
+		{"event non-minimal seq", "DecodeEvent", frameOf(80, 0, 0x81, 0x00, 2, 0, 0, 0, 0, 0), errWireVarint},
+		{"event forwarded of 2", "DecodeEvent", frameOf(80, 0, 0, 2, 0, 0, 0, 2, 0), errWireBool},
+		{"ack applied of 2", "DecodeAck", frameOf(81, 0, 0, 2), errWireBool},
+		{"item presence of 2", "DecodeBroadcastItem", frameOf(82, 2, 0), errWireBool},
+		{"item ends inside its event", "DecodeBroadcastItem", frameOf(82, 1, 0, 0), errWireShort},
+		{"what the event was before it had a kind byte", "DecodeEvent", []byte(`{"id":{"Origin":"s1","Seq":1},"kind":1}`), errWireKind},
+		{"the zero event any JSON object used to decode to", "DecodeEvent", []byte(`{}`), errWireKind},
+	} {
+		for _, ep := range entryPoints(c) {
+			if ep.name != tc.dec {
+				continue
+			}
+			if msg, err := ep.dec(tc.data); err == nil {
+				t.Errorf("%s: %s accepted malformed input as %#v", tc.name, ep.name, msg)
+			} else if !errors.Is(err, tc.want) {
+				t.Errorf("%s: rejected with %q, want %q", tc.name, err, tc.want)
+			}
+		}
+	}
 	for _, id := range retiredWireIDs {
 		if e := c.byID[id]; e != nil {
 			t.Errorf("retired type id %d is registered again, as %s", id, e.name)
@@ -464,12 +574,9 @@ func TestWireDecodeErrors(t *testing.T) {
 func TestWireTruncation(t *testing.T) {
 	c := NewWireCodec(nil)
 	for _, sample := range wireSamples(t) {
-		frame, err := c.Encode(sample)
-		if err != nil {
-			t.Fatalf("encode %T: %v", sample, err)
-		}
+		frame := mustEncode(t, c, sample)
 		for n := 0; n < len(frame); n++ {
-			if _, err := c.Decode(frame[:n]); err == nil {
+			if _, err := decodeAny(t, c, frame[:n]); err == nil {
 				t.Fatalf("%T: the first %d of %d bytes decoded", sample, n, len(frame))
 			}
 		}
@@ -494,12 +601,15 @@ func TestWireLengthBombs(t *testing.T) {
 		"string": pad(append(frameOf(3), huge...)),                 // update: UpdateID.Origin
 		"bytes":  pad(append(frameOf(1, 0), huge...)),              // event: empty From, then Payload
 		"map":    pad(append(frameOf(12, 0, 0, 0, 0, 0), huge...)), // state-transfer: PeerDomains
+		"event":  pad(append(frameOf(80), huge...)),                // payload-event: ID.Origin
+		"ack":    pad(append(frameOf(81), huge...)),                // payload-ack: UpdateID.Origin
+		"item":   pad(append(frameOf(82, 1), huge...)),             // payload-item: Event.ID.Origin
 	}
 	for name, bomb := range bombs {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 100; i++ {
-			if _, err := c.Decode(bomb); err == nil {
+			if _, err := decodeAny(t, c, bomb); err == nil {
 				t.Fatalf("%s: a 10-byte frame declaring 2^30 elements decoded", name)
 			}
 		}
@@ -578,9 +688,39 @@ func TestWireRejectsBadPoints(t *testing.T) {
 	}
 }
 
-// FuzzWireDecode asserts Decode never panics: any input must yield either
-// a registered message or an error. An accepted input must also be the one
-// encoding of the message it decodes to: Encode(Decode(x)) == x.
+// TestWireKindsDoNotCross presents every sample at every entry point: the
+// one that owns its type accepts it, and the other three refuse it — each
+// payload decoder the other two payload kinds and every message, the frame
+// codec every payload kind.
+func TestWireKindsDoNotCross(t *testing.T) {
+	c := NewWireCodec(nil)
+	for id, e := range payloads.byID {
+		if e != nil && c.byID[id] != nil {
+			t.Errorf("id %d is payload kind %s and message %s", id, e.name, c.byID[id].name)
+		}
+	}
+	for _, sample := range wireSamples(t) {
+		owner := ownerOf(c, sample)
+		frame := mustEncode(t, c, sample)
+		for _, ep := range entryPoints(c) {
+			msg, err := ep.dec(frame)
+			switch {
+			case ep.name == owner.name && err != nil:
+				t.Errorf("%s refuses a %T: %v", ep.name, sample, err)
+			case ep.name != owner.name && err == nil:
+				t.Errorf("%s accepts the bytes of a %T as %#v", ep.name, sample, msg)
+			case ep.name != owner.name && ep.name != "WireCodec.Decode" && !errors.Is(err, errWireKind):
+				t.Errorf("%s refuses a %T with %q, want %q", ep.name, sample, err, errWireKind)
+			}
+		}
+	}
+}
+
+// FuzzWireDecode asserts no entry point — the frame-level Decode and the
+// three payload decoders — ever panics: any input must yield either a
+// registered message, a payload, or an error, from at most one of them. An
+// accepted input must also be the one encoding of what it decodes to:
+// Encode(Decode(x)) == x.
 func FuzzWireDecode(f *testing.F) {
 	c := NewWireCodec(nil)
 	_, frames := readGolden(f)
@@ -596,11 +736,11 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(frameOf(15, 1, 8, 0)) // a heartbeat inside a bft frame
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := c.Decode(data)
+		msg, err := decodeAny(t, c, data)
 		if err != nil {
 			return
 		}
-		again, err := c.Encode(msg)
+		again, err := ownerOf(c, msg).enc(msg)
 		if err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
@@ -616,15 +756,13 @@ func BenchmarkWireCodec(b *testing.B) {
 	c := NewWireCodec(nil)
 	for _, sample := range wireSamples(b) {
 		sample := sample
-		frame, err := c.Encode(sample)
-		if err != nil {
-			b.Fatalf("encode %T: %v", sample, err)
-		}
+		ep := ownerOf(c, sample)
+		frame := mustEncode(b, c, sample)
 		name := sampleName(b, c, sample)
 		b.Run(name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Encode(sample); err != nil {
+				if _, err := ep.enc(sample); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -633,7 +771,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.Run(name+"/decode", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Decode(frame); err != nil {
+				if _, err := ep.dec(frame); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -27,8 +27,8 @@ type (
 var _ fabric.FaultInjector = (*Network)(nil)
 
 // Network delivers messages between registered nodes over the simulator,
-// imposing latency, serialization delay, jitter, crash faults, and
-// partitions, and accounting per-node CPU usage.
+// imposing latency, jitter, crash faults, and partitions, and accounting
+// per-node CPU usage.
 type Network struct {
 	sim   *Simulator
 	nodes map[NodeID]*node
@@ -39,9 +39,6 @@ type Network struct {
 	// DefaultLatency applies when Latency is nil or returns a negative
 	// value for a pair.
 	DefaultLatency time.Duration
-	// Bandwidth, if non-zero, adds size/Bandwidth serialization delay
-	// (bytes per second).
-	Bandwidth float64
 	// JitterFrac adds uniform random jitter in [0, JitterFrac·latency).
 	JitterFrac float64
 
@@ -185,10 +182,11 @@ func (n *Network) Partitioned(from, to NodeID) bool {
 // SetFilter installs (or, with nil, removes) the message fault filter.
 func (n *Network) SetFilter(f Filter) { n.filter = f }
 
-// Send transmits msg of the given wire size from one node to another.
-// Delivery happens after propagation latency, serialization delay, and
-// jitter; it is silently dropped if the destination is crashed or the pair
-// is partitioned (datagram semantics — protocols must tolerate loss).
+// Send transmits msg from one node to another. Delivery happens after
+// propagation latency and jitter; it is silently dropped if the destination
+// is crashed or the pair is partitioned (datagram semantics — protocols must
+// tolerate loss). size is the caller's estimate of the wire size: it is
+// added to Stats.Bytes and decides nothing.
 func (n *Network) Send(from, to NodeID, msg Message, size int) {
 	n.sent++
 	n.bytes += uint64(size)
@@ -229,7 +227,7 @@ func (n *Network) Send(from, to NodeID, msg Message, size int) {
 		depart = src.busyUntil
 	}
 	for i := 0; i < copies; i++ {
-		arrive := depart + extraDelay + n.linkDelay(from, to, size)
+		arrive := depart + extraDelay + n.linkDelay(from, to)
 		n.deliver(dst, from, msg, arrive)
 	}
 }
@@ -258,16 +256,13 @@ func (n *Network) deliver(dst *node, from NodeID, msg Message, arrive Time) {
 	})
 }
 
-// linkDelay computes propagation + serialization + jitter for a message.
-func (n *Network) linkDelay(from, to NodeID, size int) time.Duration {
+// linkDelay computes propagation + jitter for a message.
+func (n *Network) linkDelay(from, to NodeID) time.Duration {
 	lat := n.DefaultLatency
 	if n.Latency != nil {
 		if l := n.Latency(from, to); l >= 0 {
 			lat = l
 		}
-	}
-	if n.Bandwidth > 0 && size > 0 {
-		lat += time.Duration(float64(size) / n.Bandwidth * float64(time.Second))
 	}
 	if n.JitterFrac > 0 && lat > 0 {
 		lat += time.Duration(n.sim.rng.Float64() * n.JitterFrac * float64(lat))

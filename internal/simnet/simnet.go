@@ -1,9 +1,9 @@
 // Package simnet is a deterministic discrete-event network simulator. It
 // stands in for the paper's DeterLab testbed: protocol components run as
 // message handlers on a single virtual-time event loop, links impose
-// latency and serialization delay, and nodes account CPU time through a
-// charge model, so experiments measure protocol-induced cost (messaging
-// rounds, crypto, quorum waits) reproducibly from a seed.
+// latency, and nodes account CPU time through a charge model, so
+// experiments measure protocol-induced cost (messaging rounds, crypto,
+// quorum waits) reproducibly from a seed.
 //
 // Design notes:
 //   - No goroutines in the protocol path: handlers run sequentially in

@@ -138,22 +138,6 @@ func TestPerPairLatency(t *testing.T) {
 	}
 }
 
-func TestBandwidthSerializationDelay(t *testing.T) {
-	sim := NewSimulator(1)
-	net := NewNetwork(sim, time.Millisecond)
-	net.Bandwidth = 1_000_000 // 1 MB/s
-	var at Time
-	net.Register("a", HandlerFunc(func(NodeID, Message) {}))
-	net.Register("b", HandlerFunc(func(NodeID, Message) { at = sim.Now() }))
-	net.Send("a", "b", nil, 1_000) // 1 KB -> 1ms serialization
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 2*time.Millisecond {
-		t.Errorf("delivered at %v, want 2ms (1ms latency + 1ms serialization)", at)
-	}
-}
-
 func TestCrashDropsMessagesAndTimers(t *testing.T) {
 	sim := NewSimulator(1)
 	net := NewNetwork(sim, time.Millisecond)

@@ -131,7 +131,10 @@ func (rec *recorder) applyOrder() []openflow.FlowMod {
 // exactly the new configuration.
 func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 	opt = opt.defaulted()
-	evID := openflow.MsgID{Origin: "synth/" + scn.Name, Seq: 1}
+	// The policy event enters through a switch, and an event speaks for the
+	// switch that sealed it: its id sits under the emitter's.
+	emitterID := scn.Switches()[0]
+	evID := openflow.MsgID{Origin: emitterID + "/synth/" + scn.Name, Seq: 1}
 	origin := fmt.Sprintf("%s/d%d", evID, 0)
 	rec := &recorder{seen: map[string]bool{}, origin: origin, want: len(plan.Updates), done: make(chan struct{})}
 	if rec.want == 0 {
@@ -178,7 +181,7 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 		}
 	}
 
-	emitter := n.Switches[scn.Switches()[0]]
+	emitter := n.Switches[emitterID]
 	ev := protocol.Event{ID: evID, Kind: protocol.EventPolicyChange}
 	res := &ExecResult{Backend: opt.Backend}
 	viol := &collector{seen: make(map[string]bool)}
