@@ -32,39 +32,37 @@ import (
 // protocol calls, not through the plans behind them.
 type entryPoint struct {
 	name string
-	owns func(fabric.Message) bool
+	typ  reflect.Type // the payload kind it owns; nil for the frame codec, which owns every message
 	enc  func(fabric.Message) ([]byte, error)
 	dec  func([]byte) (fabric.Message, error)
 }
 
-// entryPoints lists the three payload kinds, then the frame codec, which
-// owns whatever they do not.
+// entryPoints lists the three payload kinds — event, ack, item, in id order —
+// then the frame codec.
 func entryPoints(c *WireCodec) []entryPoint {
 	return []entryPoint{
-		{"DecodeEvent",
-			func(m fabric.Message) bool { _, ok := m.(Event); return ok },
+		{"DecodeEvent", reflect.TypeOf(Event{}),
 			func(m fabric.Message) ([]byte, error) { return m.(Event).Encode(), nil },
 			func(b []byte) (fabric.Message, error) { return DecodeEvent(b) }},
-		{"DecodeAck",
-			func(m fabric.Message) bool { _, ok := m.(Ack); return ok },
+		{"DecodeAck", reflect.TypeOf(Ack{}),
 			func(m fabric.Message) ([]byte, error) { return m.(Ack).Encode(), nil },
 			func(b []byte) (fabric.Message, error) { return DecodeAck(b) }},
-		{"DecodeBroadcastItem",
-			func(m fabric.Message) bool { _, ok := m.(BroadcastItem); return ok },
+		{"DecodeBroadcastItem", reflect.TypeOf(BroadcastItem{}),
 			func(m fabric.Message) ([]byte, error) { return m.(BroadcastItem).Encode(), nil },
 			func(b []byte) (fabric.Message, error) { return DecodeBroadcastItem(b) }},
-		{"WireCodec.Decode", func(fabric.Message) bool { return true }, c.Encode, c.Decode},
+		{"WireCodec.Decode", nil, c.Encode, c.Decode},
 	}
 }
 
 // ownerOf returns the entry point production code uses for msg.
 func ownerOf(c *WireCodec, msg fabric.Message) entryPoint {
-	for _, ep := range entryPoints(c) {
-		if ep.owns(msg) {
+	eps := entryPoints(c)
+	for _, ep := range eps[:3] {
+		if ep.typ == reflect.TypeOf(msg) {
 			return ep
 		}
 	}
-	panic("unreachable: the frame codec owns every message")
+	return eps[3]
 }
 
 // decodeAny presents data at all four entry points and returns what the one
@@ -504,37 +502,34 @@ func TestWireDecodeErrors(t *testing.T) {
 	}
 	// The same classes at the three payload decoders, each refused for its own
 	// reason; ids 80, 81, 82 are event, ack, item.
+	eps := entryPoints(c)
+	decEvent, decAck, decItem := eps[0].dec, eps[1].dec, eps[2].dec
 	event, ack := sampleEvent.Encode(), Ack{Applied: true}.Encode()
 	for _, tc := range []struct {
 		name string
-		dec  string
+		dec  func([]byte) (fabric.Message, error)
 		data []byte
 		want error
 	}{
-		{"empty event", "DecodeEvent", nil, errWireEmpty},
-		{"empty ack", "DecodeAck", nil, errWireEmpty},
-		{"empty item", "DecodeBroadcastItem", nil, errWireEmpty},
-		{"event kind only", "DecodeEvent", []byte{80}, errWireShort},
-		{"event trailing byte", "DecodeEvent", append(bytes.Clone(event), 0), errWireTrailing},
-		{"ack trailing byte", "DecodeAck", append(bytes.Clone(ack), 0), errWireTrailing},
-		{"event origin past the end", "DecodeEvent", frameOf(80, 5, 's', '1'), errWireShort},
-		{"event non-minimal seq", "DecodeEvent", frameOf(80, 0, 0x81, 0x00, 2, 0, 0, 0, 0, 0), errWireVarint},
-		{"event forwarded of 2", "DecodeEvent", frameOf(80, 0, 0, 2, 0, 0, 0, 2, 0), errWireBool},
-		{"ack applied of 2", "DecodeAck", frameOf(81, 0, 0, 2), errWireBool},
-		{"item presence of 2", "DecodeBroadcastItem", frameOf(82, 2, 0), errWireBool},
-		{"item ends inside its event", "DecodeBroadcastItem", frameOf(82, 1, 0, 0), errWireShort},
-		{"what the event was before it had a kind byte", "DecodeEvent", []byte(`{"id":{"Origin":"s1","Seq":1},"kind":1}`), errWireKind},
-		{"the zero event any JSON object used to decode to", "DecodeEvent", []byte(`{}`), errWireKind},
+		{"empty event", decEvent, nil, errWireEmpty},
+		{"empty ack", decAck, nil, errWireEmpty},
+		{"empty item", decItem, nil, errWireEmpty},
+		{"event kind only", decEvent, []byte{80}, errWireShort},
+		{"event trailing byte", decEvent, append(bytes.Clone(event), 0), errWireTrailing},
+		{"ack trailing byte", decAck, append(bytes.Clone(ack), 0), errWireTrailing},
+		{"event origin past the end", decEvent, frameOf(80, 5, 's', '1'), errWireShort},
+		{"event non-minimal seq", decEvent, frameOf(80, 0, 0x81, 0x00, 2, 0, 0, 0, 0, 0), errWireVarint},
+		{"event forwarded of 2", decEvent, frameOf(80, 0, 0, 2, 0, 0, 0, 2, 0), errWireBool},
+		{"ack applied of 2", decAck, frameOf(81, 0, 0, 2), errWireBool},
+		{"item presence of 2", decItem, frameOf(82, 2, 0), errWireBool},
+		{"item ends inside its event", decItem, frameOf(82, 1, 0, 0), errWireShort},
+		{"what the event was before it had a kind byte", decEvent, []byte(`{"id":{"Origin":"s1","Seq":1},"kind":1}`), errWireKind},
+		{"the zero event any JSON object used to decode to", decEvent, []byte(`{}`), errWireKind},
 	} {
-		for _, ep := range entryPoints(c) {
-			if ep.name != tc.dec {
-				continue
-			}
-			if msg, err := ep.dec(tc.data); err == nil {
-				t.Errorf("%s: %s accepted malformed input as %#v", tc.name, ep.name, msg)
-			} else if !errors.Is(err, tc.want) {
-				t.Errorf("%s: rejected with %q, want %q", tc.name, err, tc.want)
-			}
+		if msg, err := tc.dec(tc.data); err == nil {
+			t.Errorf("%s: decode accepted malformed input as %#v", tc.name, msg)
+		} else if !errors.Is(err, tc.want) {
+			t.Errorf("%s: rejected with %q, want %q", tc.name, err, tc.want)
 		}
 	}
 	for _, id := range retiredWireIDs {
@@ -709,7 +704,7 @@ func TestWireKindsDoNotCross(t *testing.T) {
 				t.Errorf("%s refuses a %T: %v", ep.name, sample, err)
 			case ep.name != owner.name && err == nil:
 				t.Errorf("%s accepts the bytes of a %T as %#v", ep.name, sample, msg)
-			case ep.name != owner.name && ep.name != "WireCodec.Decode" && !errors.Is(err, errWireKind):
+			case ep.name != owner.name && ep.typ != nil && !errors.Is(err, errWireKind):
 				t.Errorf("%s refuses a %T with %q, want %q", ep.name, sample, err, errWireKind)
 			}
 		}
