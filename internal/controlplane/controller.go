@@ -499,8 +499,8 @@ func (c *Controller) HandleMessage(from fabric.NodeID, msg fabric.Message) {
 }
 
 // handleBFT feeds an atomic-broadcast message into the current epoch's
-// replica; messages from future epochs are buffered until the local
-// membership change completes.
+// replica; during a membership change, the next epoch's messages from its
+// members are buffered until the change completes (holdBFT).
 func (c *Controller) handleBFT(from fabric.NodeID, m protocol.MsgBFT) {
 	if c.replica == nil {
 		return
@@ -523,7 +523,7 @@ func (c *Controller) handleBFT(from fabric.NodeID, m protocol.MsgBFT) {
 		c.replica.Handle(bft.ReplicaID(slot+1), m.Inner.(bft.Message))
 		c.checkGapStall()
 	case m.Phase > c.phase && c.change != nil:
-		c.change.futureBFT = append(c.change.futureBFT, bufferedBFT{from: from, msg: m})
+		c.change.holdBFT(from, m)
 	}
 }
 

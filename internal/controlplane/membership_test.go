@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cicero/internal/bft"
 	"cicero/internal/fabric"
 	"cicero/internal/protocol"
 	"cicero/internal/routing"
@@ -176,5 +177,47 @@ func TestPendingSubSharesBounded(t *testing.T) {
 	}
 	if got := len(c3.change.pendingSubs); got != 1 {
 		t.Fatalf("%d pending sub-shares, want the one from dealer 1", got)
+	}
+}
+
+// TestFutureBFTBufferBounded floods a controller in the middle of a
+// membership change with 10,000 atomic-broadcast frames for later phases.
+// The buffer that holds them until the change completes used to take every
+// one, from any sender and for any later phase, although completeChange
+// replays it into the replica of the next phase, which drops every frame
+// that is not its own members' at exactly that phase. A non-member's flood
+// and a member's flood for a phase past the change now leave the buffer
+// empty, a member's flood for the next phase stops at a fixed number of
+// frames, and the change still completes over what was held.
+func TestFutureBFTBufferBounded(t *testing.T) {
+	f := newReshareFixture(t)
+	c3 := f.ctls[2]
+	c3.onMembershipDelivered(admitC5)
+	if c3.change == nil {
+		t.Fatal("c3 did not enter the membership change")
+	}
+	frame := func(phase uint64) protocol.MsgBFT {
+		return protocol.MsgBFT{Phase: phase, Inner: bft.Prepare{Seq: 1}}
+	}
+	for i := 0; i < 10000; i++ {
+		c3.HandleMessage("mallory", frame(uint64(1+i%5)))
+		c3.HandleMessage("c1", frame(uint64(2+i%4)))
+	}
+	if got := len(c3.change.futureBFT); got != 0 {
+		t.Fatalf("%d frames held from a non-member and from phases past the change, want 0", got)
+	}
+	for i := 0; i < 10000; i++ {
+		c3.HandleMessage("c5", frame(1))
+	}
+	held := len(c3.change.futureBFT)
+	if held == 0 || held >= 10000 {
+		t.Fatalf("a member's 10,000 frames for the next phase left %d held, want some and at most a fixed number", held)
+	}
+	c3.HandleMessage("c1", f.dealMsg(1))
+	c3.HandleMessage("c1", f.subMsg(1, 3))
+	c3.HandleMessage("c2", f.dealMsg(2))
+	c3.HandleMessage("c2", f.subMsg(2, 3))
+	if c3.Phase() != 1 || c3.Reshares != 1 {
+		t.Fatalf("c3 at phase %d after %d reshares, want 1 and 1", c3.Phase(), c3.Reshares)
 	}
 }

@@ -102,11 +102,25 @@ func RunCryptoBench(opt Options) (*CryptoBenchReport, error) {
 			}
 		})
 		if t == 4 {
+			// sign/share, verify/share and verify/aggregate take a cleared
+			// point and so leave out hashing; hash-and-sign/share and
+			// verify/message are what a controller and a switch pay per
+			// message, hashing included.
 			hmt := scheme.HashToPoint(msg)
 			measure("sign/share", func() { scheme.SignShareDigest(keyShares[0], hmt) })
+			measure("hash-and-sign/share", func() { scheme.SignShare(keyShares[0], msg) })
 			measure("verify/share", func() { scheme.VerifyShareDigest(gk, hmt, shares[0]) })
 			measure("combine-verified/t=4", func() {
 				if _, err := scheme.CombineVerified(gk, msg, shares); err != nil {
+					panic(err)
+				}
+			})
+			// t+1 shares, the first forged: the failed aggregate check,
+			// culprit identification and the survivors' aggregate.
+			forged := append(append([]bls.SignatureShare(nil), shares...), scheme.SignShare(keyShares[t], msg))
+			forged[0].Point = params.Add(forged[0].Point, params.G)
+			measure("combine-verified/t=4/one-forged", func() {
+				if _, err := scheme.CombineVerified(gk, msg, forged); err != nil {
 					panic(err)
 				}
 			})
@@ -115,6 +129,7 @@ func RunCryptoBench(opt Options) (*CryptoBenchReport, error) {
 				return nil, fmt.Errorf("cryptobench: combine: %w", err)
 			}
 			measure("verify/aggregate", func() { scheme.VerifyDigest(gk.PK, hmt, sig) })
+			measure("verify/message", func() { scheme.Verify(gk.PK, msg, sig) })
 			cache := bls.NewVerifyCache(8)
 			scheme.VerifyCached(cache, gk.PK, msg, sig)
 			measure("verify/cached-hit", func() { scheme.VerifyCached(cache, gk.PK, msg, sig) })
@@ -134,7 +149,7 @@ func (r *CryptoBenchReport) WriteJSON(w io.Writer) error {
 func (r *CryptoBenchReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "crypto microbenchmarks (%s)\n", r.Params)
 	for _, op := range r.Ops {
-		fmt.Fprintf(w, "%-22s %12d ns/op %8d allocs/op %8d iters\n",
+		fmt.Fprintf(w, "%-32s %12d ns/op %8d allocs/op %8d iters\n",
 			op.Name, op.NsPerOp, op.AllocsPerOp, op.Iterations)
 	}
 }

@@ -18,8 +18,9 @@ func TestRunCryptoBench(t *testing.T) {
 	want := []string{
 		"pair", "pair/prepared", "prepare", "scalar-mul", "hash-to-g1",
 		"combine/t=2", "combine/t=4", "combine/t=7",
-		"sign/share", "verify/share",
-		"combine-verified/t=4", "verify/aggregate", "verify/cached-hit",
+		"sign/share", "hash-and-sign/share", "verify/share",
+		"combine-verified/t=4", "combine-verified/t=4/one-forged",
+		"verify/aggregate", "verify/message", "verify/cached-hit",
 	}
 	got := make(map[string]CryptoBenchOp, len(report.Ops))
 	for _, op := range report.Ops {

@@ -32,8 +32,11 @@ import (
 type Scheme struct {
 	Params *pairing.Params
 
-	prepGOnce sync.Once
-	prepG     *pairing.PreparedPoint
+	// G and G′ = (h⁻¹ mod r)·G with their Miller lines, prepared together
+	// on first use.
+	prepOnce   sync.Once
+	prepG      *pairing.PreparedPoint
+	prepGPrime *pairing.PreparedPoint
 
 	mu       sync.Mutex
 	prepKeys map[string]*pairing.PreparedPoint // group/verification keys, by encoding
@@ -111,25 +114,30 @@ func (s *Scheme) GenerateKey(rand io.Reader) (PrivateKey, PublicKey, error) {
 	return PrivateKey{Scalar: x}, PublicKey{Point: s.Params.ScalarBaseMul(x)}, nil
 }
 
-// HashToPoint maps a message to the curve; callers signing or verifying
-// the same message repeatedly should cache the result.
+// HashToPoint maps a message to G1 (pairing.HashToG1), paying a ladder
+// walk to clear the cofactor. Signing and verifying by message do not call
+// it: Sign and SignShare fold the clearing into the signing walk, and
+// Verify, VerifyShare and CombineVerified pair against the uncleared point
+// until a check fails. It is for the Digest forms, which take a cleared
+// point, and for callers that reuse one point across many operations.
 func (s *Scheme) HashToPoint(msg []byte) *pairing.Point {
 	return s.Params.HashToG1(msg)
 }
 
-// Sign produces σ = x·H(m).
+// Sign produces σ = x·H(m) in one ladder walk from the hash candidate
+// (pairing.HashToG1Mul).
 func (s *Scheme) Sign(sk PrivateKey, msg []byte) Signature {
-	return s.SignDigest(sk, s.HashToPoint(msg))
+	return Signature{Point: s.Params.HashToG1Mul(msg, sk.Scalar)}
 }
 
-// SignDigest signs a pre-hashed message point.
-func (s *Scheme) SignDigest(sk PrivateKey, hm *pairing.Point) Signature {
-	return Signature{Point: s.Params.ScalarMul(hm, sk.Scalar)}
-}
-
-// Verify checks e(σ, G) == e(H(m), X).
+// Verify checks e(σ, G) == e(H(m), X) as the product
+// e(G, σ)·e(X, −H(m)) == 1, tested on the uncleared hash point (checkOn).
 func (s *Scheme) Verify(pk PublicKey, msg []byte, sig Signature) bool {
-	return s.VerifyDigest(pk, s.HashToPoint(msg), sig)
+	if sig.Point.IsInfinity() || pk.Point.IsInfinity() {
+		return false
+	}
+	key := pairing.ProductTerm{Prep: s.preparedKey(pk.Point)}
+	return s.checkOn(key, msg, s.Params.HashToCurve(msg), sig.Point)
 }
 
 // VerifyDigest checks a signature against a pre-hashed message point.
@@ -143,10 +151,8 @@ func (s *Scheme) VerifyDigest(pk PublicKey, hm *pairing.Point, sig Signature) bo
 	if sig.Point.IsInfinity() || pk.Point.IsInfinity() {
 		return false
 	}
-	return s.Params.PairProduct(
-		pairing.ProductTerm{Prep: s.preparedG(), B: sig.Point},
-		pairing.ProductTerm{Prep: s.preparedKey(pk.Point), B: s.Params.Neg(hm)},
-	).IsOne()
+	g, _ := s.prepared()
+	return s.pairsToOne(g, pairing.ProductTerm{Prep: s.preparedKey(pk.Point)}, hm, sig.Point)
 }
 
 // Deal splits a fresh group key into n shares with threshold t using a
@@ -211,9 +217,11 @@ func (s *Scheme) SharePublicKey(gk *GroupKey, index uint32) *pairing.Point {
 	return vk
 }
 
-// SignShare produces this controller's signature share on msg.
+// SignShare produces this controller's signature share on msg in one
+// ladder walk from the hash candidate (pairing.HashToG1Mul).
 func (s *Scheme) SignShare(share KeyShare, msg []byte) SignatureShare {
-	return s.SignShareDigest(share, s.HashToPoint(msg))
+	metrics.Crypto.SignatureBytes.Add(uint64(s.Params.PointSize()))
+	return SignatureShare{Index: share.Index, Point: s.Params.HashToG1Mul(msg, share.Scalar)}
 }
 
 // SignShareDigest signs a pre-hashed message point with a key share.
@@ -223,9 +231,14 @@ func (s *Scheme) SignShareDigest(share KeyShare, hm *pairing.Point) SignatureSha
 }
 
 // VerifyShare checks a signature share against its derived verification
-// key: e(σ_i, G) == e(H(m), d_i·G).
+// key, e(σ_i, G) == e(H(m), d_i·G), on the uncleared hash point (checkOn).
 func (s *Scheme) VerifyShare(gk *GroupKey, msg []byte, share SignatureShare) bool {
-	return s.VerifyShareDigest(gk, s.HashToPoint(msg), share)
+	if share.Index == 0 || share.Point.IsInfinity() {
+		return false
+	}
+	metrics.Crypto.ShareVerifies.Add(1)
+	key := pairing.ProductTerm{A: s.SharePublicKey(gk, share.Index)}
+	return s.checkOn(key, msg, s.Params.HashToCurve(msg), share.Point)
 }
 
 // VerifyShareDigest checks a share against a pre-hashed message point,
@@ -235,11 +248,8 @@ func (s *Scheme) VerifyShareDigest(gk *GroupKey, hm *pairing.Point, share Signat
 		return false
 	}
 	metrics.Crypto.ShareVerifies.Add(1)
-	vk := s.SharePublicKey(gk, share.Index)
-	return s.Params.PairProduct(
-		pairing.ProductTerm{Prep: s.preparedG(), B: share.Point},
-		pairing.ProductTerm{A: vk, B: s.Params.Neg(hm)},
-	).IsOne()
+	g, _ := s.prepared()
+	return s.pairsToOne(g, pairing.ProductTerm{A: s.SharePublicKey(gk, share.Index)}, hm, share.Point)
 }
 
 // Combine aggregates at least t signature shares into the group signature
@@ -274,22 +284,33 @@ func (s *Scheme) Combine(gk *GroupKey, shares []SignatureShare) (Signature, erro
 // CombineVerified aggregates shares into a verified group signature. The
 // pool is first deduplicated by index (duplicates would otherwise poison
 // the optimistic combine even when every share is honest), then combined
-// optimistically and checked against the group key — one product pairing
-// in the common all-honest case. On failure, invalid shares are identified
-// with FilterVerifiedShares (one check per share) and the survivors are
-// recombined. This is the robust combine switches and aggregators run
-// against potentially Byzantine controllers.
+// optimistically and checked against the group key on the uncleared hash
+// point (checkOn) — one product pairing in the common all-honest case. On
+// failure the cofactor is cleared once, invalid shares are identified with
+// FilterVerifiedShares (one check per share) on the cleared point, and the
+// survivors are recombined. This is the robust combine switches and
+// aggregators run against potentially Byzantine controllers.
 func (s *Scheme) CombineVerified(gk *GroupKey, msg []byte, shares []SignatureShare) (Signature, error) {
-	hm := s.HashToPoint(msg)
+	return s.combineVerifiedOn(gk, msg, s.Params.HashToCurve(msg), shares)
+}
+
+// combineVerifiedOn is CombineVerified on the hash candidate c.
+func (s *Scheme) combineVerifiedOn(gk *GroupKey, msg []byte, c *pairing.Point, shares []SignatureShare) (Signature, error) {
 	deduped := dedupeShares(shares)
 	sig, err := s.Combine(gk, deduped)
-	if err == nil && s.VerifyDigest(gk.PK, hm, sig) {
-		return sig, nil
-	}
 	if err != nil {
 		return Signature{}, err
 	}
-	// Slow path: some share in the pool is forged. Identify and drop it.
+	if !sig.Point.IsInfinity() && !gk.PK.Point.IsInfinity() {
+		_, gPrime := s.prepared()
+		if s.pairsToOne(gPrime, pairing.ProductTerm{Prep: s.preparedKey(gk.PK.Point)}, c, sig.Point) {
+			return sig, nil
+		}
+	}
+	// Slow path: some share in the pool is forged, or h·c = ∞ (see
+	// checkOn). Either way the pool is judged on the cleared point, as a
+	// check that never saw c would judge it.
+	hm := s.HashToPoint(msg)
 	valid := s.FilterVerifiedShares(gk, hm, deduped)
 	if len(valid) < gk.T {
 		return Signature{}, ErrInvalidShare

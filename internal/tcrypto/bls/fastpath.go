@@ -24,12 +24,44 @@ import (
 // bound; when a map fills, it is discarded and rebuilt.
 const cacheLimit = 512
 
-// preparedG returns the generator with precomputed Miller-loop lines.
-func (s *Scheme) preparedG() *pairing.PreparedPoint {
-	s.prepGOnce.Do(func() {
+// prepared returns the generator G and G′ = (h⁻¹ mod r)·G with
+// precomputed Miller-loop lines: G′ for checks on the uncleared hash point
+// (checkOn), G for checks on a cleared one.
+func (s *Scheme) prepared() (g, gPrime *pairing.PreparedPoint) {
+	s.prepOnce.Do(func() {
+		hInv := new(big.Int).ModInverse(s.Params.H, s.Params.R)
 		s.prepG = s.Params.Prepare(s.Params.G)
+		s.prepGPrime = s.Params.Prepare(s.Params.ScalarBaseMul(hInv))
 	})
-	return s.prepG
+	return s.prepG, s.prepGPrime
+}
+
+// pairsToOne reports e(g, σ)·e(X, −m) == 1 for X the first argument of
+// key: one product pairing.
+func (s *Scheme) pairsToOne(g *pairing.PreparedPoint, key pairing.ProductTerm, m, sig *pairing.Point) bool {
+	key.B = s.Params.Neg(m)
+	return s.Params.PairProduct(pairing.ProductTerm{Prep: g, B: sig}, key).IsOne()
+}
+
+// checkOn decides the verification equation e(G, σ)·e(X, −H(m)) == 1,
+// for X the first argument of key and H(m) = HashToG1(msg), starting from
+// the uncleared candidate c = HashToCurve(msg). The reduced pairing is
+// bilinear in its second argument over all of E(F_p) and its values have
+// order r, so for G′ = (h⁻¹ mod r)·G
+//
+//	e(G′, σ)·e(X, −c) = (e(G, σ)·e(X, −h·c))^(h⁻¹ mod r),
+//
+// and one side is 1 exactly when the other is. When h·c ≠ ∞, HashToG1
+// clears c itself, so the first check is the equation and costs no
+// cofactor walk. A check that fails is redone on HashToG1(msg): there it
+// repeats the verdict, and in the case h·c = ∞ (probability about 1/r per
+// message; HashToG1 then moved on to a later candidate) it is the check
+// that counts. A pass with h·c = ∞ would need e(G′, σ) = 1, which no σ in
+// G1 but ∞ meets — callers refuse ∞, and ParsePoint admits nothing outside
+// G1.
+func (s *Scheme) checkOn(key pairing.ProductTerm, msg []byte, c, sig *pairing.Point) bool {
+	g, gPrime := s.prepared()
+	return s.pairsToOne(gPrime, key, c, sig) || s.pairsToOne(g, key, s.HashToPoint(msg), sig)
 }
 
 // preparedKey returns pk with precomputed Miller-loop lines, memoized by

@@ -149,6 +149,121 @@ func TestFilterVerifiedSharesParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestUnclearedCheckMatchesClearedEquation pins the identity checkOn
+// rests on. For candidates c with h·c ≠ ∞ — hashed messages, and c + T
+// for a point T of the cofactor part (h·T = ∞) — the check on c,
+// e(G′, σ)·e(X, −c) = 1, agrees with the equation on the cleared point,
+// e(G, σ)·e(X, −h·c) = 1, for the honest σ, another message's σ, σ plus a
+// cofactor point, and ∞. h·c is computed with big.Int arithmetic. On a
+// degenerate candidate c = T the check on c rejects the honest σ, and
+// Verify's and CombineVerified's decisions on it are still those of the
+// equation on HashToG1(msg).
+func TestUnclearedCheckMatchesClearedEquation(t *testing.T) {
+	s := testScheme()
+	p := s.Params
+	sk, pk, err := s.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := pairing.ProductTerm{Prep: s.preparedKey(pk.Point)}
+	g, gPrime := s.prepared()
+	hInv := new(big.Int).ModInverse(p.H, p.R)
+	// cofactorPart is c minus its G1 component (h⁻¹ mod r)·h·c.
+	cofactorPart := func(msg []byte) *pairing.Point {
+		return p.Add(p.HashToCurve(msg), p.Neg(p.ScalarMul(p.HashToG1(msg), hInv)))
+	}
+	cleared := func(c *pairing.Point) *pairing.Point {
+		hc := affineMul(p.P, affineOf(p.PointBytes(c)), p.H)
+		if hc.x == nil {
+			return pairing.Infinity()
+		}
+		pt, err := p.ParsePoint(affineBytes(s, hc))
+		if err != nil {
+			t.Fatalf("h·c is not in G1: %v", err)
+		}
+		return pt
+	}
+	for i := 0; i < 4; i++ {
+		msg := []byte(fmt.Sprintf("identity/%d", i))
+		honest := s.Sign(sk, msg).Point
+		other := s.Sign(sk, []byte(fmt.Sprintf("identity/other/%d", i))).Point
+		mauled := p.Add(honest, cofactorPart([]byte(fmt.Sprintf("identity/t/%d", i))))
+		c := p.HashToCurve(msg)
+		for ci, cand := range []*pairing.Point{c, p.Add(c, cofactorPart([]byte(fmt.Sprintf("identity/t2/%d", i))))} {
+			hc := cleared(cand)
+			if hc.IsInfinity() {
+				t.Fatalf("message %d candidate %d: h·c = ∞", i, ci)
+			}
+			for si, sig := range []*pairing.Point{honest, other, mauled, pairing.Infinity()} {
+				fast := s.pairsToOne(gPrime, key, cand, sig)
+				if want := s.pairsToOne(g, key, hc, sig); fast != want {
+					t.Fatalf("message %d candidate %d σ %d: check on c = %v, on h·c = %v", i, ci, si, fast, want)
+				}
+				if wantPass := si == 0 || si == 2; fast != wantPass {
+					t.Fatalf("message %d candidate %d σ %d: check on c = %v", i, ci, si, fast)
+				}
+			}
+		}
+
+		tp := cofactorPart(msg)
+		if !cleared(tp).IsInfinity() {
+			t.Fatal("the cofactor part of c is not killed by h")
+		}
+		if s.pairsToOne(gPrime, key, tp, honest) {
+			t.Fatalf("message %d: the check on a degenerate candidate passed", i)
+		}
+		if !s.checkOn(key, msg, tp, honest) || s.checkOn(key, msg, tp, other) {
+			t.Fatalf("message %d: on a degenerate candidate Verify does not decide as on HashToG1(msg)", i)
+		}
+		gk, shares := dealShares(t, s, 3, 4, msg)
+		forged := append([]SignatureShare(nil), shares...)
+		forged[1].Point = p.Add(forged[1].Point, p.G)
+		for _, pool := range [][]SignatureShare{shares, forged} {
+			want, wantErr := s.CombineVerified(gk, msg, pool)
+			got, err := s.combineVerifiedOn(gk, msg, tp, pool)
+			if err != wantErr || !got.Point.Equal(want.Point) {
+				t.Fatalf("message %d: CombineVerified on a degenerate candidate gave %v, %v; on HashToCurve %v, %v",
+					i, got.Point, err, want.Point, wantErr)
+			}
+		}
+	}
+}
+
+// TestCombineVerifiedCost pins what CombineVerified costs once G, G′ and
+// the group key are prepared and the Lagrange set and share keys memoized.
+// An honest pool: one product pairing, no share check, no preparation.
+// One forged share: the counts a check on the cleared point always had —
+// the failed aggregate, one check per share, the survivors' aggregate —
+// plus one cofactor walk, which clears the hash point for them and which
+// no counter sees.
+func TestCombineVerifiedCost(t *testing.T) {
+	s := testScheme()
+	msg := []byte("cost/combine-verified")
+	gk, shares := dealShares(t, s, 3, 4, msg)
+	forged := append([]SignatureShare(nil), shares...)
+	forged[0].Point = s.Params.Add(forged[0].Point, s.Params.G)
+	counts := func() [3]uint64 {
+		c := &metrics.Crypto
+		return [3]uint64{c.PairingProducts.Load(), c.ShareVerifies.Load(), c.PointPrepares.Load()}
+	}
+	run := func(pool []SignatureShare) [3]uint64 {
+		before := counts()
+		if _, err := s.CombineVerified(gk, msg, pool); err != nil {
+			t.Fatal(err)
+		}
+		after := counts()
+		return [3]uint64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+	}
+	run(shares)
+	run(forged)
+	if got := run(shares); got != [3]uint64{1, 0, 0} {
+		t.Fatalf("honest pool: %d product pairings, %d share checks, %d preparations; want 1, 0, 0", got[0], got[1], got[2])
+	}
+	if got := run(forged); got != [3]uint64{6, 4, 0} {
+		t.Fatalf("one forged share: %d product pairings, %d share checks, %d preparations; want 6, 4, 0", got[0], got[1], got[2])
+	}
+}
+
 func TestVerifyCachedHitAndForgedMismatch(t *testing.T) {
 	s := testScheme()
 	sk, pk, _ := s.GenerateKey(rand.Reader)

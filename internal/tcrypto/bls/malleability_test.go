@@ -14,8 +14,8 @@ import (
 // checked curve membership), and VerifyCached(σ+T) followed by
 // VerifyCached(σ) then returned true, false: the cache's "a BLS signature
 // is unique" rule rejected the honest signature. The mauled points are
-// built here with plain big.Int affine arithmetic, since no pairing API
-// yields a point outside G1.
+// built here with plain big.Int affine arithmetic, independent of the
+// pairing package's own.
 
 type affinePoint struct{ x, y *big.Int } // nil x: infinity
 
@@ -61,29 +61,43 @@ func cofactorPoint(s *Scheme, start int64) affinePoint {
 		if new(big.Int).Exp(y, big.NewInt(2), p).Cmp(y2) != 0 {
 			continue
 		}
-		q, t := affinePoint{new(big.Int).Set(x), y}, affinePoint{}
-		for i := s.Params.R.BitLen() - 1; i >= 0; i-- {
-			t = affineAdd(p, t, t)
-			if s.Params.R.Bit(i) == 1 {
-				t = affineAdd(p, t, q)
-			}
-		}
-		if t.x != nil {
+		if t := affineMul(p, affinePoint{new(big.Int).Set(x), y}, s.Params.R); t.x != nil {
 			return t
 		}
 	}
 }
 
+// affineMul returns k·pt by double-and-add; k is not reduced.
+func affineMul(p *big.Int, pt affinePoint, k *big.Int) affinePoint {
+	acc := affinePoint{}
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc = affineAdd(p, acc, acc)
+		if k.Bit(i) == 1 {
+			acc = affineAdd(p, acc, pt)
+		}
+	}
+	return acc
+}
+
+// affineOf reads a finite point back out of its encoding.
+func affineOf(enc []byte) affinePoint {
+	w := (len(enc) - 1) / 2
+	return affinePoint{new(big.Int).SetBytes(enc[1 : 1+w]), new(big.Int).SetBytes(enc[1+w:])}
+}
+
+// affineBytes encodes a finite point as PointBytes does.
+func affineBytes(s *Scheme, pt affinePoint) []byte {
+	out := make([]byte, s.Params.PointSize())
+	w := (len(out) - 1) / 2
+	out[0] = 4
+	pt.x.FillBytes(out[1 : 1+w])
+	pt.y.FillBytes(out[1+w:])
+	return out
+}
+
 // maul returns the encoding of the point encoded in enc plus t.
 func maul(s *Scheme, enc []byte, t affinePoint) []byte {
-	w := (len(enc) - 1) / 2
-	pt := affinePoint{new(big.Int).SetBytes(enc[1 : 1+w]), new(big.Int).SetBytes(enc[1+w:])}
-	sum := affineAdd(s.Params.P, pt, t)
-	out := make([]byte, len(enc))
-	out[0] = 4
-	sum.x.FillBytes(out[1 : 1+w])
-	sum.y.FillBytes(out[1+w:])
-	return out
+	return affineBytes(s, affineAdd(s.Params.P, affineOf(enc), t))
 }
 
 func TestMauledSignatureDoesNotParse(t *testing.T) {

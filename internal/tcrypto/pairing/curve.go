@@ -9,9 +9,9 @@ import (
 )
 
 // Point is a point in G1, the order-r subgroup of E(F_p): y² = x³ + x,
-// in affine coordinates on Montgomery limbs. The zero value (nil field) is
-// the point at infinity. Points are immutable: all operations allocate
-// fresh results.
+// in affine coordinates on Montgomery limbs — or, from HashToCurve only, a
+// point of E(F_p) outside G1. The zero value (nil field) is the point at
+// infinity. Points are immutable: all operations allocate fresh results.
 type Point struct {
 	f    *field // nil marks the point at infinity
 	x, y fe
@@ -78,7 +78,9 @@ var errBadPoint = errors.New("pairing: invalid point encoding")
 // curve but outside G1. The last check matters because the reduced pairing
 // is trivial on the cofactor subgroup: for any T = r·Q ≠ ∞ there, σ + T
 // verifies exactly like σ while encoding differently, which breaks the
-// uniqueness of BLS signatures that bls.VerifyCache relies on.
+// uniqueness of BLS signatures that bls.VerifyCache relies on. The check
+// walks r on the Montgomery ladder and reads the Z of r·P, so it pays no
+// inversion.
 func (p *Params) ParsePoint(data []byte) (*Point, error) {
 	if len(data) == 1 && data[0] == 0 {
 		return Infinity(), nil
@@ -117,16 +119,17 @@ func (p *Params) curveRHS(z, x *fe) {
 	p.fp.add(z, &t, x)
 }
 
-// inG1 reports whether a curve point has order dividing r, by walking r's
-// signed digits in Jacobian coordinates and testing Z = 0: no conversion
-// back to affine, so no inversion.
+// inG1 reports whether a curve point has order dividing r, by walking r
+// on the ladder and testing the Z of r·P: no y-recovery, so no inversion.
 func (p *Params) inG1(pt *Point) bool {
 	if pt.IsInfinity() {
 		return true
 	}
-	var acc jacPoint
-	p.jacScalarMul(&acc, pt, p.rNAF)
-	return acc.z.isZero()
+	if pt.x.isZero() {
+		return false // (0, 0) has order two, and r is odd
+	}
+	q, _ := p.ladder(pt, p.R)
+	return q.z.isZero()
 }
 
 // Neg returns −pt.
@@ -162,38 +165,27 @@ func (p *Params) Double(a *Point) *Point {
 	return p.toAffine(&j)
 }
 
-// ScalarMul returns k·pt using inversion-free Jacobian double-and-add
-// (see jacobian.go). The scalar is reduced modulo the group order r and
-// recoded to its balanced signed representative, so scalars that are
-// small negative residues cost as little as small positive ones.
+// ScalarMul returns k·pt by one Montgomery-ladder walk and one inversion
+// (see ladder.go). The scalar is reduced modulo the group order r and
+// replaced by its balanced representative, kr or −(r − kr), whichever is
+// shorter, so scalars that are small negative residues cost as little as
+// small positive ones. On G1 — every point ParsePoint admits — the result
+// is k·pt; on a point outside G1 it is that representative times pt.
 func (p *Params) ScalarMul(pt *Point, k *big.Int) *Point {
 	kr := new(big.Int).Mod(k, p.R)
 	if kr.Sign() == 0 || pt.IsInfinity() {
 		return Infinity()
 	}
-	digits, flip := p.balancedNAF(kr)
+	kr, flip := p.balanced(kr)
 	if flip {
 		pt = p.Neg(pt)
 	}
-	var acc jacPoint
-	p.jacScalarMul(&acc, pt, digits)
-	return p.toAffine(&acc)
+	return p.mul(pt, kr)
 }
 
 // ScalarBaseMul returns k·G for the canonical generator.
 func (p *Params) ScalarBaseMul(k *big.Int) *Point {
 	return p.ScalarMul(p.G, k)
-}
-
-// cofactorMul multiplies by the cofactor h to force a point of E(F_p) into
-// the order-r subgroup. Unlike ScalarMul it does not reduce modulo r.
-func (p *Params) cofactorMul(pt *Point) *Point {
-	if pt.IsInfinity() {
-		return Infinity()
-	}
-	var acc jacPoint
-	p.jacScalarMul(&acc, pt, p.hNAF)
-	return p.toAffine(&acc)
 }
 
 // RandomScalar returns a uniformly random scalar in [1, r−1].

@@ -147,16 +147,26 @@ func TestMontgomeryRoundTrip(t *testing.T) {
 	}
 }
 
+// liftX returns the curve point with x-coordinate x ∈ [0, p), taking the
+// other square root when neg is set; ok is false when x³ + x is not a
+// square.
+func liftX(p *Params, x *big.Int, neg bool) (pt *Point, ok bool) {
+	pt = &Point{f: p.fp}
+	p.fp.fromBig(&pt.x, x)
+	var y2 fe
+	p.curveRHS(&y2, &pt.x)
+	p.fp.exp(&pt.y, &y2, p.sqrtExp)
+	if neg {
+		p.fp.neg(&pt.y, &pt.y)
+	}
+	return pt, p.IsOnCurve(pt)
+}
+
 // randomCurvePoint returns a point of E(F_p) that is (almost surely) not
 // in G1: try-and-increment without cofactor clearing.
 func randomCurvePoint(p *Params, rng *rand.Rand) *Point {
 	for {
-		pt := &Point{f: p.fp}
-		p.fp.fromBig(&pt.x, new(big.Int).Rand(rng, p.P))
-		var y2 fe
-		p.curveRHS(&y2, &pt.x)
-		p.fp.exp(&pt.y, &y2, p.sqrtExp)
-		if p.IsOnCurve(pt) {
+		if pt, ok := liftX(p, new(big.Int).Rand(rng, p.P), false); ok {
 			return pt
 		}
 	}
@@ -165,13 +175,35 @@ func randomCurvePoint(p *Params, rng *rand.Rand) *Point {
 // cofactorPoint returns T = r·Q ≠ ∞ for a random curve point Q: a point
 // of the cofactor subgroup, on which the reduced pairing is trivial.
 func cofactorPoint(p *Params, rng *rand.Rand) *Point {
+	r := ref{p}
 	for {
-		var acc jacPoint
-		p.jacScalarMul(&acc, randomCurvePoint(p, rng), p.rNAF)
-		if t := p.toAffine(&acc); !t.IsInfinity() {
-			return t
+		if t := r.scalarMul(r.point(randomCurvePoint(p, rng)), p.R); !t.inf() {
+			return r.limbPoint(t)
 		}
 	}
+}
+
+// orderFourPoint returns a point with x = ±1. There
+// x(2P) = (x² − 1)²/(4x(x² + 1)) = 0, so 2P = (0, 0) and P has order four.
+// One of x = 1 (y² = 2) and x = −1 (y² = −2) is on the curve, because −1
+// is not a square when p ≡ 3 (mod 4).
+func orderFourPoint(p *Params) *Point {
+	if pt, ok := liftX(p, big.NewInt(1), false); ok {
+		return pt
+	}
+	pt, _ := liftX(p, new(big.Int).Sub(p.P, big.NewInt(1)), false)
+	return pt
+}
+
+// balancedMul is ScalarMul's contract on the reference: k is reduced
+// modulo r and replaced by the shorter of kr and −(r − kr), which makes a
+// difference only for a point outside G1.
+func (r ref) balancedMul(pt *refPoint, k *big.Int) *refPoint {
+	kr := new(big.Int).Mod(k, r.p.R)
+	if neg := new(big.Int).Sub(r.p.R, kr); kr.Sign() != 0 && neg.BitLen() < kr.BitLen() {
+		return r.scalarMul(r.neg(pt), neg)
+	}
+	return r.scalarMul(pt, kr)
 }
 
 func TestJacobianStepsMatchReference(t *testing.T) {
@@ -346,6 +378,11 @@ func TestPairingMatchesReference(t *testing.T) {
 	}
 }
 
+// TestScalarMulMatchesReference checks ScalarMul on G1 points and random
+// scalars below r, then ScalarMul and the unreduced ladder walk under it
+// on points outside G1 — a random curve point, a cofactor-subgroup point,
+// (0, 0) and an order-four point — with scalars beyond r, among them h
+// and multiples of each point's order, where the walk passes through ∞.
 func TestScalarMulMatchesReference(t *testing.T) {
 	for _, p := range bothParams() {
 		r := ref{p}
@@ -355,6 +392,24 @@ func TestScalarMulMatchesReference(t *testing.T) {
 			pt := p.HashToG1([]byte{byte(i)})
 			if !r.samePoint(p.ScalarMul(pt, k), r.scalarMul(r.point(pt), k)) {
 				t.Fatalf("%s: ScalarMul differs from reference", paramsName(p))
+			}
+		}
+		one := big.NewInt(1)
+		pp1 := new(big.Int).Add(p.P, one)
+		scalars := []*big.Int{
+			new(big.Int).Add(p.R, big.NewInt(5)), p.H, new(big.Int).Sub(p.H, one),
+			p.P, pp1, new(big.Int).Rand(rng, new(big.Int).Lsh(pp1, 1)),
+			big.NewInt(4), big.NewInt(7),
+		}
+		points := []*Point{randomCurvePoint(p, rng), cofactorPoint(p, rng), {f: p.fp}, orderFourPoint(p), p.G}
+		for pi, pt := range points {
+			for _, k := range scalars {
+				if !r.samePoint(p.ScalarMul(pt, k), r.balancedMul(r.point(pt), k)) {
+					t.Fatalf("%s: ScalarMul(point %d, %x) differs from reference", paramsName(p), pi, k)
+				}
+				if !r.samePoint(p.mul(pt, k), r.scalarMul(r.point(pt), k)) {
+					t.Fatalf("%s: ladder walk of %x on point %d differs from reference", paramsName(p), k, pi)
+				}
 			}
 		}
 	}
@@ -425,6 +480,64 @@ func FuzzParsePoint(f *testing.F) {
 		}
 		if err == nil && !bytes.Equal(p.PointBytes(pt), data) {
 			t.Fatalf("ParsePoint(%x) re-encodes to %x", data, p.PointBytes(pt))
+		}
+	})
+}
+
+// FuzzScalarMul checks every single-scalar walk against the math/big
+// reference on both parameter sets: ScalarMul, the unreduced walk that
+// clears the cofactor, the subgroup check and HashToG1Mul. The point is
+// the fuzzed x lifted to the curve, either root, when x³ + x is a square:
+// almost always outside G1, and (0, 0) or an order-four point at x = 0
+// and x = ±1. The scalar is any integer up to 2·(p+1).
+func FuzzScalarMul(f *testing.F) {
+	for _, p := range bothParams() {
+		one := big.NewInt(1)
+		xs := [][]byte{{0}, {1}, new(big.Int).Sub(p.P, one).Bytes(), p.fp.toBig(&p.G.x).Bytes(), []byte("x")}
+		hr := new(big.Int).Mul(p.H, p.R)
+		ks := []*big.Int{new(big.Int), one, big.NewInt(2), new(big.Int).Sub(p.R, one), p.R,
+			new(big.Int).Add(p.R, one), p.H, hr.Sub(hr, one)}
+		for i, k := range ks {
+			f.Add(xs[i%len(xs)], i%2 == 1, k.Bytes())
+		}
+	}
+	params := bothParams()
+	f.Fuzz(func(t *testing.T, xb []byte, neg bool, kb []byte) {
+		if len(xb) > 80 || len(kb) > 80 {
+			return
+		}
+		for _, p := range params {
+			r := ref{p}
+			limit := new(big.Int).Add(p.P, big.NewInt(1))
+			limit.Lsh(limit, 1).Add(limit, big.NewInt(1))
+			k := new(big.Int).SetBytes(kb)
+			k.Mod(k, limit)
+			x := new(big.Int).SetBytes(xb)
+			if pt, ok := liftX(p, x.Mod(x, p.P), neg); ok {
+				rp := r.point(pt)
+				if !r.samePoint(p.ScalarMul(pt, k), r.balancedMul(rp, k)) {
+					t.Fatalf("%s: ScalarMul(%v, %x) differs from reference", paramsName(p), pt, k)
+				}
+				if !r.samePoint(p.mul(pt, p.H), r.scalarMul(rp, p.H)) {
+					t.Fatalf("%s: cofactor walk of %v differs from reference", paramsName(p), pt)
+				}
+				if !r.samePoint(p.mul(pt, k), r.scalarMul(rp, k)) {
+					t.Fatalf("%s: ladder walk of %x on %v differs from reference", paramsName(p), k, pt)
+				}
+				if got, want := p.inG1(pt), r.scalarMul(rp, p.R).inf(); got != want {
+					t.Fatalf("%s: inG1(%v) = %v, reference says %v", paramsName(p), pt, got, want)
+				}
+			}
+			// HashToG1Mul against clearing the candidate on the reference,
+			// then multiplying by k mod r. h·c = ∞ (probability ≈ 1/r)
+			// would send HashToG1Mul to the next counter; skip it.
+			hc := r.scalarMul(r.point(p.HashToCurve(xb)), p.H)
+			if hc.inf() {
+				return
+			}
+			if !r.samePoint(p.HashToG1Mul(xb, k), r.scalarMul(hc, new(big.Int).Mod(k, p.R))) {
+				t.Fatalf("%s: HashToG1Mul(%x, %x) differs from reference", paramsName(p), xb, k)
+			}
 		}
 	})
 }

@@ -2,12 +2,14 @@ package pairing
 
 import "math/big"
 
-// Jacobian-coordinate scalar multiplication. Affine double-and-add pays
-// one modular inversion per scalar bit (the chord/tangent slope); in
-// Jacobian projective coordinates (X, Y, Z) ~ (X/Z², Y/Z³) the whole walk
-// is inversion-free and a single inversion converts the result back to
-// affine. This is the hot path under Combine's Lagrange exponentiation,
-// share signing, batched share verification, and hashing to the curve.
+// Jacobian-coordinate curve steps. Affine double-and-add pays one modular
+// inversion per step (the chord/tangent slope); in Jacobian projective
+// coordinates (X, Y, Z) ~ (X/Z², Y/Z³) a walk is inversion-free and a
+// single inversion converts the result back to affine. Two walks run on
+// these steps: the Miller loop, which needs each step's line, and
+// MultiScalarMul, which shares one doubling chain among several scalars
+// (Combine's Lagrange exponentiation). Single-scalar walks run on the
+// x-only ladder of ladder.go.
 //
 // Formulas are the standard dbl-2007-bl / madd-2007-bl for
 // y² = x³ + a·x with a = 1 (this package's supersingular curve), with
@@ -185,36 +187,16 @@ func naf(k *big.Int) []int8 {
 	return digits
 }
 
-// balancedNAF recodes a scalar already reduced to [0, r) into NAF digits
-// of its balanced representative: whichever of kr and kr−r is shorter,
-// the latter signalled by flip=true (the caller multiplies the negated
-// point instead). Scalars near r — notably Lagrange coefficients of
+// balanced returns the shorter of a scalar kr already reduced to [1, r)
+// and r − kr, the latter with flip = true: the caller multiplies the
+// negated point instead. Scalars near r — notably Lagrange coefficients of
 // consecutive-index quorums, which are small negative integers mod r —
 // collapse from full field width to a handful of bits.
-func (p *Params) balancedNAF(kr *big.Int) (digits []int8, flip bool) {
-	neg := new(big.Int).Sub(p.R, kr)
-	if neg.BitLen() < kr.BitLen() {
-		return naf(neg), true
+func (p *Params) balanced(kr *big.Int) (*big.Int, bool) {
+	if neg := new(big.Int).Sub(p.R, kr); neg.BitLen() < kr.BitLen() {
+		return neg, true
 	}
-	return naf(kr), false
-}
-
-// jacScalarMul sets acc ← Σ digits[i]·2^i · pt by inversion-free signed
-// double-and-add. The expansion need not be below the group order —
-// cofactor clearing walks h's digits — and the result stays Jacobian so
-// callers that only test for infinity skip the conversion.
-func (p *Params) jacScalarMul(acc *jacPoint, pt *Point, digits []int8) {
-	neg := p.Neg(pt)
-	*acc = jacPoint{}
-	for i := len(digits) - 1; i >= 0; i-- {
-		p.jacDouble(acc, nil)
-		switch digits[i] {
-		case 1:
-			p.jacAddAffine(acc, pt, nil)
-		case -1:
-			p.jacAddAffine(acc, neg, nil)
-		}
-	}
+	return kr, false
 }
 
 // MultiScalarMul computes Σᵢ kᵢ·ptᵢ with a single shared doubling chain
@@ -237,8 +219,8 @@ func (p *Params) MultiScalarMul(points []*Point, scalars []*big.Int) *Point {
 		if kr.Sign() == 0 || pt.IsInfinity() {
 			continue
 		}
-		digits, flip := p.balancedNAF(kr)
-		t := term{pt: pt, neg: p.Neg(pt), digits: digits}
+		kb, flip := p.balanced(kr)
+		t := term{pt: pt, neg: p.Neg(pt), digits: naf(kb)}
 		if flip {
 			t.pt, t.neg = t.neg, t.pt
 		}

@@ -37,6 +37,13 @@ func (r ref) point(pt *Point) *refPoint {
 	return &refPoint{X: r.p.fp.toBig(&pt.x), Y: r.p.fp.toBig(&pt.y)}
 }
 
+func (r ref) limbPoint(pt *refPoint) *Point {
+	if pt.inf() {
+		return Infinity()
+	}
+	return &Point{f: r.p.fp, x: r.fe(pt.X), y: r.fe(pt.Y)}
+}
+
 func (r ref) samePoint(a *Point, b *refPoint) bool {
 	if a.IsInfinity() || b.inf() {
 		return a.IsInfinity() && b.inf()
@@ -65,6 +72,13 @@ func (r ref) onCurve(pt *refPoint) bool {
 	rhs.Mul(rhs, pt.X)
 	rhs.Add(rhs, pt.X)
 	return lhs.Cmp(r.mod(rhs)) == 0
+}
+
+func (r ref) neg(a *refPoint) *refPoint {
+	if a.inf() {
+		return a
+	}
+	return &refPoint{X: a.X, Y: r.mod(new(big.Int).Neg(a.Y))}
 }
 
 func (r ref) add(a, b *refPoint) *refPoint {

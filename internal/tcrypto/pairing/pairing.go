@@ -118,30 +118,70 @@ func (p *Params) finalExp(z *GT) {
 	z.exp(p.H)
 }
 
-// HashToG1 hashes arbitrary bytes to a point of order r using
-// try-and-increment followed by cofactor clearing.
+// HashToG1 hashes arbitrary bytes to a point of order r: the
+// try-and-increment candidate c of HashToCurve, cleared to h·c. In the
+// rare case h·c = ∞ (probability about 1/r) it moves on to the next
+// counter's candidate.
 func (p *Params) HashToG1(msg []byte) *Point {
-	fp := p.fp
-	for ctr := uint32(0); ; ctr++ {
-		cand := &Point{f: fp}
-		fp.fromBig(&cand.x, p.hashToField(msg, ctr))
-		var y2, check fe
-		p.curveRHS(&y2, &cand.x)
-		if y2.isZero() {
-			continue
-		}
-		// Since p ≡ 3 (mod 4), a square root, if any, is y2^((p+1)/4).
-		fp.exp(&cand.y, &y2, p.sqrtExp)
-		fp.sqr(&check, &cand.y)
-		if check != y2 {
-			continue // not a quadratic residue; try next counter
-		}
-		pt := p.cofactorMul(cand)
-		if pt.IsInfinity() {
-			continue
-		}
-		return pt
+	return p.HashToG1Mul(msg, big.NewInt(1))
+}
+
+// HashToG1Mul returns k·HashToG1(msg) in one ladder walk of (k mod r)·h
+// from the candidate c, where scalar-multiplying the cleared point would
+// walk twice and invert twice. A walk that ends at ∞ means h·c = ∞, and
+// the next counter is tried exactly as HashToG1 tries it. k ≡ 0 (mod r)
+// returns ∞, as ScalarMul does.
+func (p *Params) HashToG1Mul(msg []byte, k *big.Int) *Point {
+	s := new(big.Int).Mod(k, p.R)
+	if s.Sign() == 0 {
+		return Infinity()
 	}
+	s.Mul(s, p.H)
+	for ctr := uint32(0); ; ctr++ {
+		c, ok := p.candidate(msg, ctr)
+		if !ok {
+			continue
+		}
+		// With k ≢ 0 (mod r), s·c = (k mod r)·(h·c) is ∞ exactly when
+		// h·c is.
+		if pt := p.mul(c, s); !pt.IsInfinity() {
+			return pt
+		}
+	}
+}
+
+// HashToCurve returns the point HashToG1 clears: the first
+// try-and-increment candidate c, so that HashToG1(msg) = h·c unless h·c
+// is ∞. It is a point of E(F_p) that is in general outside G1. Use it
+// only as the second argument of a pairing, where the reduced pairing is
+// bilinear over all of E(F_p) — e(a, h·c) = e(a, c)^h — and never where a
+// G1 point is expected.
+func (p *Params) HashToCurve(msg []byte) *Point {
+	for ctr := uint32(0); ; ctr++ {
+		if c, ok := p.candidate(msg, ctr); ok {
+			return c
+		}
+	}
+}
+
+// candidate lifts hash-to-field's element for (msg, ctr) to the curve;
+// ok is false when x³ + x is zero or not a square.
+func (p *Params) candidate(msg []byte, ctr uint32) (c *Point, ok bool) {
+	fp := p.fp
+	c = &Point{f: fp}
+	fp.fromBig(&c.x, p.hashToField(msg, ctr))
+	var y2, check fe
+	p.curveRHS(&y2, &c.x)
+	if y2.isZero() {
+		return nil, false
+	}
+	// Since p ≡ 3 (mod 4), a square root, if any, is y2^((p+1)/4).
+	fp.exp(&c.y, &y2, p.sqrtExp)
+	fp.sqr(&check, &c.y)
+	if check != y2 {
+		return nil, false
+	}
+	return c, true
 }
 
 // hashToField expands (msg, ctr) into a field element via SHA-256 in

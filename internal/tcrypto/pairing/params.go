@@ -15,8 +15,8 @@
 // subtract and negate are unrolled four-limb kernels, and 8×64 for Std512,
 // where they are loops over the limb count. fp.go picks by the modulus'
 // limb count; nothing above it knows which one runs.
-// Points, Jacobian points, prepared Miller lines and GT elements hold limbs;
-// math/big appears only at the boundary — scalars modulo r, the parameter
+// Points, Jacobian and x-only points, prepared Miller lines and GT elements
+// hold limbs; math/big appears only at the boundary — scalars, the parameter
 // integers, hash-to-field's wide reduction and byte encodings. Every
 // scalar multiplication, Prepare and pairing (product) pays at most one
 // field inversion. Output bytes are those of the math/big implementation
@@ -49,10 +49,6 @@ type Params struct {
 	fp *field
 	// sqrtExp caches (p+1)/4 for square roots in F_p.
 	sqrtExp *big.Int
-	// rNAF and hNAF are the signed-digit expansions of the group order
-	// (subgroup membership checks) and of the cofactor (cofactor
-	// clearing), least significant digit first.
-	rNAF, hNAF []int8
 }
 
 // mustInt parses a base-10 integer literal, panicking on malformed input.
@@ -78,11 +74,14 @@ func newParams(p, r, h *big.Int) *Params {
 	if check.Cmp(p) != 0 {
 		panic("pairing: p+1 != h*r")
 	}
+	// gcd(h, r) = 1 splits E(F_p) into G1 and the cofactor part, and h is
+	// invertible modulo r: bls verifies against (h⁻¹ mod r)·G.
+	if new(big.Int).GCD(nil, nil, h, r).Cmp(big.NewInt(1)) != 0 {
+		panic("pairing: gcd(h, r) != 1")
+	}
 	params.sqrtExp = new(big.Int).Add(p, big.NewInt(1))
 	params.sqrtExp.Rsh(params.sqrtExp, 2)
 	params.fp = newField(p)
-	params.rNAF = naf(r)
-	params.hNAF = naf(h)
 	params.G = params.HashToG1([]byte("cicero/pairing/type-a/generator/v1"))
 	return params
 }
