@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -786,7 +787,7 @@ func (c *Controller) planEvent(ev protocol.Event) (scheduler.Plan, bool) {
 		return nil, false
 	}
 	updates := make([]scheduler.Update, len(local))
-	origin := fmt.Sprintf("%s/d%d", ev.ID, c.cfg.Domain)
+	origin := updateOrigin(ev.ID, c.cfg.Domain)
 	for i, mod := range local {
 		updates[i] = scheduler.Update{
 			ID:  openflow.MsgID{Origin: origin, Seq: uint64(i)},
@@ -794,6 +795,15 @@ func (c *Controller) planEvent(ev protocol.Event) (scheduler.Plan, bool) {
 		}
 	}
 	return c.cfg.Sched.Schedule(updates), true
+}
+
+// updateOrigin names the updates a domain plans for an event: "<event
+// id>/d<domain>", numbered by Seq in plan order. The name is inside every
+// signed update.
+func updateOrigin(ev openflow.MsgID, domain int) string {
+	var buf [64]byte
+	b := append(ev.AppendTo(buf[:0]), "/d"...)
+	return string(strconv.AppendInt(b, int64(domain), 10))
 }
 
 // dispatchUpdate signs and sends one ready update (the engine's release
@@ -811,14 +821,16 @@ func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 		c.sendBatchUpdate(su.ID, mods, ref, c.recovered)
 		return
 	}
-	c.sendUpdate(su.ID, c.phase, mods, c.recovered)
+	c.sendUpdate(su.ID, c.phase, mods, canonical, c.recovered)
 }
 
 // sendUpdate share-signs one update and routes it to its switch (or to
 // the aggregator). It is the transmission half of dispatchUpdate for an
 // update without a batch signing context, and what the recovery layer
-// retransmits logged updates through, with fresh shares.
-func (c *Controller) sendUpdate(id openflow.MsgID, phase uint64, mods []openflow.FlowMod, resend bool) {
+// retransmits logged updates through, with fresh shares. canonical is
+// openflow.CanonicalUpdateBytes(id, phase, mods), which the caller has
+// already built.
+func (c *Controller) sendUpdate(id openflow.MsgID, phase uint64, mods []openflow.FlowMod, canonical []byte, resend bool) {
 	msg := protocol.MsgUpdate{
 		UpdateID: id,
 		Mods:     mods,
@@ -835,7 +847,6 @@ func (c *Controller) sendUpdate(id openflow.MsgID, phase uint64, mods []openflow
 		c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.BLSSignShare)
 		msg.ShareIndex = c.cfg.Share.Index
 		if c.cfg.CryptoReal {
-			canonical := openflow.CanonicalUpdateBytes(id, phase, mods)
 			share := c.cfg.Scheme.SignShare(c.cfg.Share, canonical)
 			msg.Share = c.cfg.Scheme.Params.PointBytes(share.Point)
 		}

@@ -2,7 +2,9 @@ package controlplane
 
 import (
 	"crypto/rand"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -177,6 +179,45 @@ func TestCentralizedDependencyOrderedDispatch(t *testing.T) {
 	}
 	if ctl.EventsDelivered != 1 {
 		t.Fatal("duplicate event processed twice")
+	}
+}
+
+// TestPlanEventOriginPinned pins, byte for byte, the origin planEvent gives
+// an event's updates: it is inside every signed update and every ledger
+// entry, so all controllers must spell it alike.
+func TestPlanEventOriginPinned(t *testing.T) {
+	long := strings.Repeat("o", 70)
+	for _, tc := range []struct {
+		id     openflow.MsgID
+		domain int
+		want   string
+	}{
+		{openflow.MsgID{Origin: "d0-p0-tor1", Seq: 42}, 0, "d0-p0-tor1#42/d0"},
+		{openflow.MsgID{Origin: "ctl/1#x", Seq: 0}, 13, "ctl/1#x#0/d13"},
+		{openflow.MsgID{Origin: long, Seq: math.MaxUint64}, -1, long + "#18446744073709551615/d-1"},
+	} {
+		sim := simnet.NewSimulator(1)
+		net := simnet.NewNetwork(sim, 100*time.Microsecond)
+		dir := pki.NewDirectory()
+		keys, _ := pki.NewKeyPair(rand.Reader, "ctl")
+		dir.MustRegister(keys)
+		ctl, err := New(Config{
+			ID: "ctl", Members: []pki.Identity{"ctl"}, Net: net, Keys: keys, Directory: dir,
+			Protocol: ProtoCentralized, Domain: tc.domain,
+			App: &routing.ShortestPath{Graph: lineGraph(t)}, Sched: scheduler.ReversePath{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, ok := ctl.planEvent(protocol.Event{ID: tc.id, Kind: protocol.EventFlowRequest, Src: "h1", Dst: "h2"})
+		if !ok || len(plan) != 3 {
+			t.Fatalf("%s: planned %d updates (%v), want 3", tc.want, len(plan), ok)
+		}
+		for _, su := range plan {
+			if su.ID.Origin != tc.want {
+				t.Errorf("update origin %q, want %q", su.ID.Origin, tc.want)
+			}
+		}
 	}
 }
 

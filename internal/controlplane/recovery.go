@@ -61,6 +61,7 @@ import (
 
 	"cicero/internal/audit"
 	"cicero/internal/fabric"
+	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 )
 
@@ -288,7 +289,7 @@ func (c *Controller) handleResyncRequest(from fabric.NodeID) {
 // expiry, and only per-update shares are universally poolable. Batching is a
 // fast-path optimization, not a recovery dependency.
 func (c *Controller) retransmit(rec dispatchRecord) {
-	c.sendUpdate(rec.id, rec.phase, rec.mods, true)
+	c.sendUpdate(rec.id, rec.phase, rec.mods, openflow.CanonicalUpdateBytes(rec.id, rec.phase, rec.mods), true)
 }
 
 // Frozen-horizon watchdog (gap-stall self-recovery).

@@ -66,7 +66,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// distrib's kill -9 campaign is wall-clock, and recovery after a
 			// SIGKILL has open flakes with no deterministic reproducer
-			// (ROADMAP item 2; resync-divergence in about one `go test ./...`
+			// (ROADMAP item 1; resync-divergence in about one `go test ./...`
 			// run in six on a two-core box, hidden until Run could fail). The
 			// experiment and CI stay strict; this smoke test gives it three
 			// tries and logs every failed one.

@@ -204,14 +204,7 @@ func (t *TCP) readLoop(to fabric.NodeID, conn net.Conn) {
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return
 		}
-		clock := binary.BigEndian.Uint64(frame[:8])
-		fromLen := binary.BigEndian.Uint16(frame[8:10])
-		if int(fromLen) > len(frame)-minFrameLen {
-			t.st.droppedUnknown.Add(1)
-			return
-		}
-		from := fabric.NodeID(frame[10 : 10+fromLen])
-		msg, err := t.codec.Decode(frame[10+fromLen:])
+		clock, from, msg, err := t.parseFrame(frame)
 		if err != nil {
 			t.st.droppedUnknown.Add(1)
 			return
@@ -282,6 +275,30 @@ func (t *TCP) SendErr(from, to fabric.NodeID, msg fabric.Message, size int) erro
 // minFrameLen is the smallest legal frame body: the 8-byte clock plus
 // the 2-byte sender-length prefix.
 const minFrameLen = 10
+
+// errFrameHeader reports a frame body too short for its header or for the
+// sender id its header announces.
+var errFrameHeader = errors.New("livenet: malformed frame header")
+
+// parseFrame splits one frame body (the bytes after the length prefix)
+// into the sender's Lamport clock, the sender id it claims and the decoded
+// message.
+func (t *TCP) parseFrame(body []byte) (clock uint64, from fabric.NodeID, msg fabric.Message, err error) {
+	if len(body) < minFrameLen {
+		return 0, "", nil, errFrameHeader
+	}
+	clock = binary.BigEndian.Uint64(body[:8])
+	fromLen := int(binary.BigEndian.Uint16(body[8:10]))
+	if fromLen > len(body)-minFrameLen {
+		return 0, "", nil, errFrameHeader
+	}
+	from = fabric.NodeID(body[10 : 10+fromLen])
+	msg, err = t.codec.Decode(body[10+fromLen:])
+	if err != nil {
+		return 0, "", nil, err
+	}
+	return clock, from, msg, nil
+}
 
 // typicalCodecBytes is the room buildFrame reserves behind the header:
 // most protocol messages encode into it, so header and payload share one

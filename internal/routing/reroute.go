@@ -20,6 +20,11 @@ import (
 // Like every controller application, Rerouter is deterministic: replicas
 // processing the same totally-ordered event stream track identical route
 // tables and produce identical replacement mods.
+//
+// Its PlanFlow removes the failed link from the Graph it shares with the
+// other replicas, which is sound only where one goroutine runs every
+// controller: the simulator, where its tests run it. On a live backend a
+// graph must stay read-only (topology.Graph).
 type Rerouter struct {
 	Inner *ShortestPath
 	Graph *topology.Graph
@@ -88,24 +93,12 @@ func (a *Rerouter) handleLinkDown(ev protocol.Event) ([]openflow.FlowMod, error)
 		}
 		// New path first (adds, installed downstream-first by the
 		// scheduler), then removals on switches the new path abandons.
-		newSwitches := a.Graph.SwitchesOnPath(replacement)
-		next := make(map[string]string, len(replacement))
-		for i := 0; i+1 < len(replacement); i++ {
-			next[replacement[i]] = replacement[i+1]
+		adds := hopMods(a.Graph, replacement, openflow.FlowAdd, openflow.Rule{Priority: a.priority(), Match: a.match(dst)})
+		onNew := make(map[string]bool, len(adds))
+		for _, m := range adds {
+			onNew[m.Switch] = true
 		}
-		onNew := make(map[string]bool, len(newSwitches))
-		for _, sw := range newSwitches {
-			onNew[sw] = true
-			mods = append(mods, openflow.FlowMod{
-				Op:     openflow.FlowAdd,
-				Switch: sw,
-				Rule: openflow.Rule{
-					Priority: a.priority(),
-					Match:    a.match(dst),
-					Action:   openflow.Action{Type: openflow.ActionOutput, NextHop: next[sw]},
-				},
-			})
-		}
+		mods = append(mods, adds...)
 		for _, sw := range a.Graph.SwitchesOnPath(old) {
 			if !onNew[sw] {
 				mods = append(mods, a.deleteMod(sw, dst))

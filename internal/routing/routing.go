@@ -66,10 +66,6 @@ func (a *ShortestPath) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 	if path == nil {
 		return nil, fmt.Errorf("%w: %s -> %s", ErrNoRoute, ev.Src, ev.Dst)
 	}
-	switches := a.Graph.SwitchesOnPath(path)
-	if len(switches) == 0 {
-		return nil, nil // same-rack flow: no switch updates needed
-	}
 	op := openflow.FlowAdd
 	if ev.Kind == protocol.EventFlowTeardown {
 		op = openflow.FlowDelete
@@ -82,25 +78,29 @@ func (a *ShortestPath) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 	if prio == 0 {
 		prio = 10
 	}
-	mods := make([]openflow.FlowMod, 0, len(switches))
-	// nextHopAfter maps each switch to its successor node on the path.
-	next := make(map[string]string, len(switches))
-	for i := 0; i+1 < len(path); i++ {
-		next[path[i]] = path[i+1]
-	}
-	for _, sw := range switches {
-		mods = append(mods, openflow.FlowMod{
-			Op:     op,
-			Switch: sw,
-			Rule: openflow.Rule{
-				Priority: prio,
-				Match:    match,
-				Action:   openflow.Action{Type: openflow.ActionOutput, NextHop: next[sw]},
-				Cookie:   ev.Cookie,
-			},
-		})
+	mods := hopMods(a.Graph, path, op, openflow.Rule{Priority: prio, Match: match, Cookie: ev.Cookie})
+	if len(mods) == 0 {
+		return nil, nil // same-rack flow: no switch updates needed
 	}
 	return mods, nil
+}
+
+// hopMods returns one mod per switch of path, in path order, each with
+// rule forwarding to the node that follows the switch on the path.
+func hopMods(g *topology.Graph, path []string, op openflow.FlowModOp, rule openflow.Rule) []openflow.FlowMod {
+	mods := make([]openflow.FlowMod, 0, len(path))
+	for i, id := range path {
+		if n, ok := g.Node(id); !ok || n.Kind == topology.KindHost {
+			continue
+		}
+		r := rule
+		r.Action = openflow.Action{Type: openflow.ActionOutput}
+		if i+1 < len(path) {
+			r.Action.NextHop = path[i+1]
+		}
+		mods = append(mods, openflow.FlowMod{Op: op, Switch: id, Rule: r})
+	}
+	return mods
 }
 
 // FirewallRule blocks traffic from Src to Dst (either may be a wildcard).
@@ -240,29 +240,12 @@ func (a *LoadBalancer) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 			a.reserved[key] = 0
 		}
 	}
-	switches := a.Graph.SwitchesOnPath(path)
 	prio := a.Priority
 	if prio == 0 {
 		prio = 10
 	}
-	next := make(map[string]string, len(switches))
-	for i := 0; i+1 < len(path); i++ {
-		next[path[i]] = path[i+1]
-	}
-	mods := make([]openflow.FlowMod, 0, len(switches))
-	for _, sw := range switches {
-		mods = append(mods, openflow.FlowMod{
-			Op:     op,
-			Switch: sw,
-			Rule: openflow.Rule{
-				Priority: prio,
-				Match:    openflow.Match{Src: ev.Src, Dst: ev.Dst},
-				Action:   openflow.Action{Type: openflow.ActionOutput, NextHop: next[sw]},
-				Cookie:   ev.Cookie,
-			},
-		})
-	}
-	return mods, nil
+	rule := openflow.Rule{Priority: prio, Match: openflow.Match{Src: ev.Src, Dst: ev.Dst}, Cookie: ev.Cookie}
+	return hopMods(a.Graph, path, op, rule), nil
 }
 
 // Reserved returns the current reservation on the a-b link.

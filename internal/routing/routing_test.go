@@ -244,3 +244,36 @@ func TestLoadBalancerTeardownReleases(t *testing.T) {
 		t.Fatalf("reservation not released: %v", r)
 	}
 }
+
+// BenchmarkPlanFlow plans every ordered host pair of the benchmark's pod
+// (8 racks of 4 hosts) in turn, with per-pair rules as the benchmark's
+// controllers install them.
+func BenchmarkPlanFlow(b *testing.B) {
+	cfg := topology.DefaultFabricConfig()
+	cfg.RacksPerPod = 8
+	cfg.HostsPerRack = 4
+	g, err := topology.BuildSinglePod(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	app := &ShortestPath{Graph: g, PairRules: true}
+	hosts := g.NodesOfKind(topology.KindHost)
+	var evs []protocol.Event
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src != dst {
+				evs = append(evs, protocol.Event{
+					ID:   openflow.MsgID{Origin: "tor", Seq: uint64(len(evs))},
+					Kind: protocol.EventFlowRequest, Src: src.ID, Dst: dst.ID,
+				})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := app.PlanFlow(evs[i%len(evs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

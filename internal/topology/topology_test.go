@@ -299,18 +299,3 @@ func equalPath(a, b []string) bool {
 	}
 	return true
 }
-
-func BenchmarkShortestPathPod(b *testing.B) {
-	g, err := BuildSinglePod(DefaultFabricConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := HostName(0, 0, 0, 0)
-	dst := HostName(0, 0, 39, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if g.ShortestPath(src, dst) == nil {
-			b.Fatal("no path")
-		}
-	}
-}
