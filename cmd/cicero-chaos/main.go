@@ -167,7 +167,7 @@ func replaySeed(p chaos.Profile, seed int64, canary bool) int {
 // prints it in full, then the verdict like the simulator replay does.
 func replayLive(p chaos.Profile, opt chaos.LiveOptions, canary bool) int {
 	res := chaos.ReplayLiveSeed(p, opt)
-	for _, e := range res.Trace.Events() {
+	for _, e := range res.Trace.Records() {
 		fmt.Println(e)
 	}
 	fmt.Printf("\nlive=%s seed=%d profile=%s flows=%d/%d applied=%d rejected=%d ctl-restarts=%d(recovered %d) sw-restarts=%d tableMatch=%v resyncProven=%v wall=%v\n",

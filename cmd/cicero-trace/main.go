@@ -1,10 +1,11 @@
-// Command cicero-trace merges the per-process structured trace files a
-// distributed deployment writes (one JSONL file per node boot, plus the
-// supervisor's) into one causally ordered timeline. Every process stamps
-// its events with a Lamport clock that the TCP fabric threads through
-// each frame, so sorting the union by clock is causally consistent: an
-// apply always lands after the dispatch it references, even across
-// processes that never shared a wall clock.
+// Command cicero-trace merges the per-process trace files a distributed
+// deployment writes (one JSONL file per node boot, plus the supervisor's)
+// into one causally ordered timeline. Each line is a fabric.Record, the
+// record chaos replays print, stamped by its process with a sequence
+// number and a Lamport clock that the TCP fabric threads through each
+// frame, so sorting the union by clock is causally consistent: an apply
+// always lands after the dispatch it references, even across processes
+// that never shared a wall clock.
 //
 // Usage:
 //
@@ -43,16 +44,10 @@ func main() {
 	var paths []string
 	for _, arg := range flag.Args() {
 		info, err := os.Stat(arg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cicero-trace: %v\n", err)
-			os.Exit(2)
-		}
+		exitOn(err, 2)
 		if info.IsDir() {
 			matches, err := filepath.Glob(filepath.Join(arg, "trace-*.jsonl"))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cicero-trace: %v\n", err)
-				os.Exit(2)
-			}
+			exitOn(err, 2)
 			sort.Strings(matches)
 			paths = append(paths, matches...)
 		} else {
@@ -65,29 +60,20 @@ func main() {
 	}
 
 	merged, err := distrib.MergeTraces(paths)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cicero-trace: %v\n", err)
-		os.Exit(1)
-	}
+	exitOn(err, 1)
 
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cicero-trace: %v\n", err)
-			os.Exit(1)
-		}
+		exitOn(err, 1)
 		defer f.Close()
 		w = f
 	}
 	enc := json.NewEncoder(w)
-	for _, ev := range merged {
-		if err := enc.Encode(ev); err != nil {
-			fmt.Fprintf(os.Stderr, "cicero-trace: %v\n", err)
-			os.Exit(1)
-		}
+	for _, line := range merged {
+		exitOn(enc.Encode(line), 1)
 	}
-	fmt.Fprintf(os.Stderr, "cicero-trace: merged %d events from %d files\n", len(merged), len(paths))
+	fmt.Fprintf(os.Stderr, "cicero-trace: merged %d records from %d files\n", len(merged), len(paths))
 
 	if *check {
 		violations := distrib.CheckCausal(merged)
@@ -97,6 +83,14 @@ func main() {
 		if len(violations) > 0 {
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "cicero-trace: causal order verified (%d events)\n", len(merged))
+		fmt.Fprintf(os.Stderr, "cicero-trace: causal order verified (%d records)\n", len(merged))
+	}
+}
+
+// exitOn reports err and exits with code, if err is not nil.
+func exitOn(err error, code int) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cicero-trace: %v\n", err)
+		os.Exit(code)
 	}
 }

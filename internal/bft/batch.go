@@ -20,8 +20,9 @@ import (
 // change is re-proposed individually, never lost.
 
 // batchMagic prefixes every encoded batch container. Application payloads
-// are JSON objects (first byte '{') and null requests are empty, so the
-// NUL-prefixed magic cannot collide with either.
+// begin with their wire-codec kind byte, which is never 0, and null
+// requests are empty, so the NUL-prefixed magic cannot collide with
+// either.
 const batchMagic = "\x00cbatch1"
 
 // DefaultBatchDelay bounds how long a non-full batch may wait for more
@@ -45,20 +46,22 @@ func EncodeBatch(payloads [][]byte) []byte {
 }
 
 // DecodeBatch unpacks a batch container, reporting ok=false for anything
-// that is not one (application payloads, null requests, truncated data).
+// that is not one (application payloads, null requests, truncated data)
+// and for anything EncodeBatch would not have written: one batch has one
+// byte string, and so one digest.
 func DecodeBatch(payload []byte) ([][]byte, bool) {
 	if len(payload) < len(batchMagic) || string(payload[:len(batchMagic)]) != batchMagic {
 		return nil, false
 	}
 	rest := payload[len(batchMagic):]
-	count, n := binary.Uvarint(rest)
+	count, n := uvarint(rest)
 	if n <= 0 || count == 0 || count > uint64(len(rest)) {
 		return nil, false
 	}
 	rest = rest[n:]
 	out := make([][]byte, 0, count)
 	for i := uint64(0); i < count; i++ {
-		ln, n := binary.Uvarint(rest)
+		ln, n := uvarint(rest)
 		if n <= 0 || ln > uint64(len(rest)-n) {
 			return nil, false
 		}
@@ -69,6 +72,17 @@ func DecodeBatch(payload []byte) ([][]byte, bool) {
 		return nil, false
 	}
 	return out, true
+}
+
+// uvarint reads a minimally encoded varint. binary.Uvarint also takes a
+// multi-byte form that ends in a zero byte, a second spelling of a value
+// that fits in fewer bytes; that reads as n = 0 here.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
 }
 
 // batching reports whether batched ordering is enabled.

@@ -48,7 +48,7 @@ func TestBatchEncodeDecode(t *testing.T) {
 	}
 	for _, bad := range [][]byte{
 		nil,
-		[]byte("{}"),                           // application payload
+		[]byte("{}"),                           // no magic
 		[]byte("\x00cbatch1"),                  // magic with no count
 		EncodeBatch(nil),                       // zero-payload container
 		EncodeBatch([][]byte{[]byte("a")})[:9], // truncated
@@ -58,6 +58,49 @@ func TestBatchEncodeDecode(t *testing.T) {
 			t.Fatalf("malformed container %q accepted", bad)
 		}
 	}
+}
+
+// TestBatchDecodeRefusesSecondSpellings: a count or a length written as a
+// varint longer than it needs to be (0x81 0x00 for 1) would give one batch
+// a second byte string, and so a second digest.
+func TestBatchDecodeRefusesSecondSpellings(t *testing.T) {
+	canonical := EncodeBatch([][]byte{[]byte("ab")}) // magic ‖ 0x01 ‖ 0x02 ‖ "ab"
+	if _, ok := DecodeBatch(canonical); !ok {
+		t.Fatal("canonical batch refused")
+	}
+	magic := canonical[:len(batchMagic)]
+	for name, spelling := range map[string][]byte{
+		"count":  append(append([]byte(nil), magic...), 0x81, 0x00, 0x02, 'a', 'b'),
+		"length": append(append([]byte(nil), magic...), 0x01, 0x82, 0x00, 'a', 'b'),
+		"both":   append(append([]byte(nil), magic...), 0x81, 0x80, 0x00, 0x82, 0x80, 0x80, 0x00, 'a', 'b'),
+	} {
+		if subs, ok := DecodeBatch(spelling); ok {
+			t.Errorf("non-minimal %s %x decodes to %q, as the batch %x does", name, spelling, subs, canonical)
+		}
+	}
+}
+
+// FuzzDecodeBatch: DecodeBatch never panics, and what it accepts
+// EncodeBatch writes back to the same bytes.
+func FuzzDecodeBatch(f *testing.F) {
+	for n := 0; n <= 33; n++ {
+		payloads := make([][]byte, n)
+		for i := range payloads {
+			payloads[i] = bytes.Repeat([]byte{byte(i)}, i%3) // every third one empty
+		}
+		f.Add(EncodeBatch(payloads))
+	}
+	f.Add(append([]byte(batchMagic), 0x81, 0x00, 0x00))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		subs, ok := DecodeBatch(data)
+		if !ok {
+			return
+		}
+		if again := EncodeBatch(subs); !bytes.Equal(again, data) {
+			t.Fatalf("%x decodes to %d payloads that encode as %x", data, len(subs), again)
+		}
+	})
 }
 
 // TestBatchedTotalOrder pushes enough traffic through a batched group to

@@ -16,9 +16,6 @@ type Campaign struct {
 	Seeds   []int64
 	// Workers caps concurrent seeds; <= 0 selects GOMAXPROCS.
 	Workers int
-	// KeepTraces retains each seed's full trace (memory-heavy; replay and
-	// debugging only). Violation sub-traces are always kept.
-	KeepTraces bool
 	// Progress, when set, is called after each seed completes (for CLI
 	// progress output). It may be called from worker goroutines.
 	Progress func(done, total int, res SeedResult)
@@ -69,9 +66,7 @@ func (c Campaign) Run() CampaignResult {
 			defer wg.Done()
 			for i := range work {
 				res := RunSeed(c.Profile, c.Seeds[i])
-				if !c.KeepTraces {
-					res.Trace = nil
-				}
+				res.Trace = nil // memory-heavy: replays keep it, violations their sub-traces
 				results[i] = res
 				if c.Progress != nil {
 					mu.Lock()

@@ -250,9 +250,8 @@ type SeedResult struct {
 	SimEvents uint64
 	SimEnd    simnet.Time
 	Err       string
-	// Trace is the full retained event trace (campaigns drop it unless
-	// asked to keep; replay keeps it).
-	Trace *Trace
+	// Trace is the run's trace (campaigns drop it; a replay keeps it).
+	Trace *fabric.Log
 }
 
 // campaignConfig is the deployment every backend's campaign and its
@@ -360,7 +359,7 @@ func RunSeed(p Profile, seed int64) SeedResult {
 	// Final sweep over the quiesced (or budget-bounded) state.
 	ck.sweep()
 
-	res.TraceHash = c.tr.Hash()
+	res.TraceHash = c.trace.Hash()
 	res.Violations = c.found.list
 	res.FlowsDone = c.flowsDone()
 	res.FlowsTotal = len(c.flows)
@@ -375,6 +374,6 @@ func RunSeed(p Profile, seed int64) SeedResult {
 	res.SimEvents = n.Sim.Processed()
 	res.SimEnd = n.Sim.Now()
 	res.Err = c.err
-	res.Trace = c.tr
+	res.Trace = c.trace
 	return res
 }

@@ -20,7 +20,7 @@ func TestDeterministicTraceHash(t *testing.T) {
 	if a.TraceHash != b.TraceHash {
 		t.Fatalf("same seed, different trace hash:\n  %s\n  %s", a.TraceHash, b.TraceHash)
 	}
-	if a.Trace.Len() == 0 {
+	if len(a.Trace.Records()) == 0 {
 		t.Fatal("empty trace")
 	}
 	// Different seeds must explore different schedules.
@@ -108,7 +108,7 @@ func TestBatchedMixedCampaignNoViolations(t *testing.T) {
 		for _, v := range res.Violations {
 			t.Errorf("seed %d: violation: %s", seed, v)
 		}
-		for _, e := range res.Trace.Events() {
+		for _, e := range res.Trace.Records() {
 			if e.Kind == "batch-apply" {
 				batchApplies++
 			}

@@ -166,24 +166,26 @@ type BatchApply struct {
 
 // recorder is the observation plane: the trace, the fault counters and
 // the apply log. On live backends it takes writes from mailbox and sender
-// goroutines, so every access is locked (uncontended on the simulator).
+// goroutines, so every access is locked (uncontended on the simulator):
+// the trace by its own lock, the rest by mu.
 type recorder struct {
 	mu           sync.Mutex
 	now          func() fabric.Time
-	tr           *Trace
+	trace        *fabric.Log
 	counter      *metrics.CounterSet
 	applies      []Apply
 	batchApplies []BatchApply
 }
 
 func newRecorder(now func() fabric.Time) *recorder {
-	return &recorder{now: now, tr: NewTrace(0), counter: metrics.NewCounterSet()}
+	return &recorder{now: now, trace: fabric.NewLog(traceKeep, nil), counter: metrics.NewCounterSet()}
 }
 
+// traceKeep bounds the records a run keeps; the hash still covers all.
+const traceKeep = 200_000
+
 func (rec *recorder) note(kind, detail string) {
-	rec.mu.Lock()
-	rec.tr.Add(rec.now(), kind, detail)
-	rec.mu.Unlock()
+	rec.trace.Add(fabric.Record{T: rec.now(), Kind: kind, Detail: detail})
 }
 
 func (rec *recorder) count(name string, n uint64) {
@@ -192,22 +194,12 @@ func (rec *recorder) count(name string, n uint64) {
 	rec.mu.Unlock()
 }
 
-// violation records a violation trace event and returns the related
-// sub-trace under one critical section (injector goroutines may still be
-// appending when a convergence sweep runs).
-func (rec *recorder) violation(invariant, detail, token string) []TraceEvent {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.tr.Add(rec.now(), "violation", invariant+": "+detail)
-	return rec.tr.Related(token, 12)
-}
-
 // onApply observes a switch apply decision (dataplane ApplyHook).
 func (rec *recorder) onApply(sw string, id openflow.MsgID, phase uint64, mods []openflow.FlowMod, valid bool) Apply {
 	ap := Apply{Switch: sw, ID: id, Phase: phase, Valid: valid,
 		Digest: sha256.Sum256(openflow.CanonicalUpdateBytes(id, phase, mods))}
+	rec.note("apply", fmt.Sprintf("sw=%s update=%s phase=%d mods=%d valid=%v", sw, id, phase, len(mods), valid))
 	rec.mu.Lock()
-	rec.tr.Add(rec.now(), "apply", fmt.Sprintf("sw=%s update=%s phase=%d mods=%d valid=%v", sw, id, phase, len(mods), valid))
 	rec.applies = append(rec.applies, ap)
 	rec.mu.Unlock()
 	return ap
@@ -223,9 +215,9 @@ func (rec *recorder) onBatchApply(sw string, m protocol.MsgBatchUpdate, valid bo
 	ap := BatchApply{Switch: sw, ID: m.UpdateID, Phase: m.Phase, Valid: valid,
 		Root:    append([]byte(nil), m.BatchRoot...),
 		ProofOK: merkle.Verify(m.BatchRoot, leaf, m.LeafIndex, m.LeafCount, m.Proof)}
-	rec.mu.Lock()
-	rec.tr.Add(rec.now(), "batch-apply", fmt.Sprintf("sw=%s update=%s phase=%d leaf=%d/%d valid=%v",
+	rec.note("batch-apply", fmt.Sprintf("sw=%s update=%s phase=%d leaf=%d/%d valid=%v",
 		sw, m.UpdateID, m.Phase, m.LeafIndex, m.LeafCount, valid))
+	rec.mu.Lock()
 	rec.batchApplies = append(rec.batchApplies, ap)
 	rec.mu.Unlock()
 	return ap
@@ -312,7 +304,8 @@ func (c *campaign) fail(err error) {
 func (c *campaign) report(invariant, dedupKey, detail, traceToken string) {
 	if v := c.found.add(invariant, dedupKey, detail, traceToken); v != nil {
 		v.Seed, v.T = c.seed, c.Now()
-		v.Trace = c.violation(invariant, detail, traceToken)
+		c.note("violation", invariant+": "+detail)
+		v.Trace = c.trace.Related(traceToken, 12)
 	}
 }
 

@@ -26,8 +26,6 @@ type injector struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	forgeSeq uint64
-	// tapBFT traces every broadcast message (live replays).
-	tapBFT bool
 }
 
 // byzMutateProb is the chance the Byzantine controller tampers with one of
@@ -40,9 +38,6 @@ func (in *injector) filter(from, to fabric.NodeID, msg fabric.Message, size int)
 	c := in.c
 	var act fabric.FaultAction
 
-	if m, ok := msg.(protocol.MsgBFT); ok && in.tapBFT {
-		c.note("bft", fmt.Sprintf("%s->%s %s", from, to, bftString(m)))
-	}
 	// Byzantine mutation of the designated controller's own traffic.
 	if c.byz != "" && from == c.byz {
 		if replaced := in.byzMutate(to, msg); replaced != nil {
@@ -77,8 +72,9 @@ func (in *injector) filter(from, to fabric.NodeID, msg fabric.Message, size int)
 	return act
 }
 
-// bftString renders a broadcast message compactly for the trace tap. The
-// messages name no sender; the tap prints the fabric's from->to before it.
+// bftString renders a broadcast message compactly for a live replay's
+// tap. The messages name no sender; the tap prints the fabric's from->to
+// before it.
 func bftString(m protocol.MsgBFT) string {
 	switch in := m.Inner.(type) {
 	case bft.Request:

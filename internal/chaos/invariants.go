@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"time"
@@ -29,7 +28,7 @@ type Violation struct {
 	T         simnet.Time
 	Invariant string
 	Detail    string
-	Trace     []TraceEvent
+	Trace     []fabric.Record
 	// token links the violation to related trace events.
 	token string
 }
@@ -429,10 +428,8 @@ func (c *campaign) sweepMetaStores() {
 			rt, tg, sn, ts := st.Versions()
 			v := metaStoreView{id: id, versions: metaVersions{rt, tg, sn, ts}, fresh: st.Fresh(now)}
 			for _, env := range st.CurrentSet() {
-				var doc struct {
-					Version uint64 `json:"version"`
-				}
-				if json.Unmarshal(env.Signed, &doc) == nil {
+				var doc metarepo.Header
+				if metarepo.Decode(env.Signed, &doc) == nil {
 					v.docs = append(v.docs, metaDoc{env.Role, doc.Version, sha256.Sum256(env.Signed)})
 				}
 			}

@@ -137,7 +137,7 @@ type LiveResult struct {
 	// restart that failed, a cluster that never quiesced. The verdict of
 	// a run with an Err cannot be trusted.
 	Err   string
-	Trace *Trace
+	Trace *fabric.Log
 }
 
 // liveEvent is one entry of the wall-clock fault/workload timeline.
@@ -258,6 +258,15 @@ func runLive(p Profile, opt LiveOptions, verbose bool) (res LiveResult) {
 	cfg := campaignConfig(p, g, fab, opt.Seed)
 	cfg.CryptoReal = true // live runs always pay for real crypto
 	cfg.ViewChangeTimeout = liveViewChangeTimeout
+	if verbose {
+		// The replay's tap: every broadcast message a node sends, before
+		// the injector adjudicates it.
+		cfg.Fabric = fabric.Tap(fab, func(kind string, from, to fabric.NodeID, msg fabric.Message) {
+			if m, ok := msg.(protocol.MsgBFT); ok && kind == fabric.TapSend {
+				rec.note("bft", fmt.Sprintf("%s->%s %s", from, to, bftString(m)))
+			}
+		})
+	}
 	if p.Metadata {
 		// Refresh forever normally; the bypass canary disables the refresh
 		// loop entirely — the withholding freeze — so bypassed stores end
@@ -294,7 +303,7 @@ func runLive(p Profile, opt LiveOptions, verbose bool) (res LiveResult) {
 	// Install the injector before any traffic, then lay out the wall-clock
 	// timeline in the same draw order as the simulated campaigns. The
 	// filter runs on sender goroutines, so it draws from its own RNG.
-	inj := &injector{c: c, rng: rand.New(rand.NewSource(opt.Seed ^ chaosSeedSalt ^ 0x11fe)), tapBFT: verbose}
+	inj := &injector{c: c, rng: rand.New(rand.NewSource(opt.Seed ^ chaosSeedSalt ^ 0x11fe))}
 	fab.SetFilter(inj.filter)
 	defer fab.SetFilter(nil)
 
@@ -357,8 +366,8 @@ func runLive(p Profile, opt LiveOptions, verbose bool) (res LiveResult) {
 	c.count(metrics.CounterRetry, res.Resilience.Retries)
 	c.count(metrics.CounterReconnect, res.Resilience.Reconnects)
 	c.count(metrics.CounterBreakerTrip, res.Resilience.BreakerTrips)
+	res.Trace = rec.trace
 	rec.mu.Lock()
-	res.Trace = rec.tr
 	res.Injected = rec.counter.Map()
 	rec.mu.Unlock()
 	res.Err = c.err

@@ -110,7 +110,7 @@ func TestLiveChaosBatchedMixedInProc(t *testing.T) {
 	res := RunLiveSeed(p, liveTestOptions("inproc", 7))
 	requireClean(t, res)
 	batched := false
-	for _, e := range res.Trace.Events() {
+	for _, e := range res.Trace.Records() {
 		if e.Kind == "batch-apply" {
 			batched = true
 			break

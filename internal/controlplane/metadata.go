@@ -28,7 +28,7 @@
 package controlplane
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -177,7 +177,7 @@ func (c *Controller) onMetaPolicy(ev protocol.Event) {
 		return
 	}
 	var policy metarepo.Policy
-	if json.Unmarshal([]byte(rest[bar+1:]), &policy) != nil {
+	if metarepo.Decode([]byte(rest[bar+1:]), &policy) != nil {
 		return
 	}
 	c.meta.version++
@@ -262,7 +262,7 @@ func (c *Controller) finishMetaSet(version uint64, tgEnv, snEnv protocol.MetaEnv
 	delete(c.meta.sigCols, fmt.Sprintf("%s|%d", protocol.MetaRoleTargets, version))
 	delete(c.meta.sigCols, fmt.Sprintf("%s|%d", protocol.MetaRoleSnapshot, version))
 	var snDoc metarepo.Snapshot
-	if json.Unmarshal(snEnv.Signed, &snDoc) != nil {
+	if metarepo.Decode(snEnv.Signed, &snDoc) != nil {
 		return
 	}
 	tsEnv, ok := c.mintTimestamp(snDoc.Version, metarepo.Digest(snEnv.Signed))
@@ -433,7 +433,7 @@ func (c *Controller) handleMetaRootProposal(env protocol.MetaEnvelope) {
 		return
 	}
 	var doc metarepo.Root
-	if json.Unmarshal(env.Signed, &doc) != nil {
+	if metarepo.Decode(env.Signed, &doc) != nil {
 		return
 	}
 	cur := c.meta.store.Root()
@@ -446,7 +446,7 @@ func (c *Controller) handleMetaRootProposal(env protocol.MetaEnvelope) {
 		}
 		for _, k := range d.Keys {
 			pub, ok := c.cfg.Directory.Lookup(pki.Identity(k.KeyID))
-			if !ok || !bytesEqual(pub, k.Pub) {
+			if !ok || !bytes.Equal(pub, k.Pub) {
 				return
 			}
 		}
@@ -573,17 +573,4 @@ func (c *Controller) rotateRootAfterChange() {
 		Quorum:     c.Quorum(),
 		Aggregator: string(c.aggregatorID()),
 	})
-}
-
-// bytesEqual avoids importing bytes for one comparison.
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

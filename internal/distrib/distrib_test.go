@@ -140,7 +140,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	full.Aggregation = controlplane.AggController
 	full.BatchSize, full.BatchDelay = 8, time.Millisecond
 	full.Metadata = true
-	codec := protocol.NewWireCodec(pairing.Fast254())
+	codec := protocol.NewWireCodec(nil)
 	for name, cfg := range map[string]core.Config{"plain": smokeConfig(), "full": full} {
 		dep, err := Plan(cfg)
 		if err != nil {
@@ -151,7 +151,7 @@ func TestBundleRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodeCfg, prov, err := unpack(&b)
+			nodeCfg, prov, err := unpack(&b, dep.Cfg.Params)
 			if err != nil {
 				t.Fatalf("%s/%s: unpack: %v", name, id, err)
 			}
@@ -191,51 +191,93 @@ func TestGraphWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBundleSignatureRequired checks a bundle tampered after signing, or
-// verified against the wrong key, is rejected before any key material in
-// it is trusted.
+// TestBundleSignatureRequired checks a bundle tampered after signing —
+// its frame or the parameter set it names — or verified against the wrong
+// key, is rejected before any key material in it is trusted.
 func TestBundleSignatureRequired(t *testing.T) {
 	dep, err := Plan(smokeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := protocol.NewWireCodec(pairing.Fast254())
 	path := filepath.Join(t.TempDir(), "bundle.json")
 	id := string(dep.Members[0])
-	if err := WriteBundle(path, codec, dep.Bundles[id], dep.deployPriv); err != nil {
+	if err := WriteBundle(path, dep.Cfg.Params, dep.Bundles[id], dep.deployPriv); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBundle(path, codec, dep.DeployPub); err != nil {
+	if _, _, err := LoadBundle(path, dep.DeployPub); err != nil {
 		t.Fatalf("genuine bundle rejected: %v", err)
 	}
 	wrongPub, _, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBundle(path, codec, wrongPub); err == nil {
+	if _, _, err := LoadBundle(path, wrongPub); err == nil {
 		t.Fatal("bundle accepted under the wrong deployment key")
 	}
-	data, err := os.ReadFile(path)
+	genuine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f struct {
-		Frame []byte `json:"frame"`
-		Sig   []byte `json:"sig"`
+	for what, tamper := range map[string]func(f *bundleFile){
+		"frame":  func(f *bundleFile) { f.Frame[len(f.Frame)/2] ^= 0x01 },
+		"params": func(f *bundleFile) { f.Params = "std512" },
+	} {
+		var f bundleFile
+		if err := json.Unmarshal(genuine, &f); err != nil {
+			t.Fatal(err)
+		}
+		tamper(&f)
+		tampered, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, tampered, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadBundle(path, dep.DeployPub); err == nil {
+			t.Fatalf("bundle with tampered %s accepted", what)
+		}
 	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
-	f.Frame[len(f.Frame)/2] ^= 0x01
-	tampered, err := json.Marshal(f)
+}
+
+// TestStd512PlanBundlesRoundTrip: a deployment planned under Std512 is
+// encoded under Std512. The supervisor writes every bundle, and each loads
+// back under the set it names, byte for byte what the plan packed.
+func TestStd512PlanBundlesRoundTrip(t *testing.T) {
+	cfg := smokeConfig()
+	cfg.Params = pairing.Std512()
+	dep, err := Plan(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, tampered, 0o600); err != nil {
-		t.Fatal(err)
+	sup, err := NewSupervisor(dep, "", t.TempDir())
+	if err != nil {
+		t.Fatalf("supervisor: %v", err)
 	}
-	if _, err := LoadBundle(path, codec, dep.DeployPub); err == nil {
-		t.Fatal("tampered bundle accepted")
+	defer sup.Close()
+	codec := protocol.NewWireCodec(pairing.Std512())
+	for id, want := range dep.Bundles {
+		got, params, err := LoadBundle(sup.bundlePath(id), dep.DeployPub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if params != pairing.Std512() {
+			t.Fatalf("%s loaded under another parameter set", id)
+		}
+		wantBytes, err := codec.Encode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBytes, err := codec.Encode(*got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Fatalf("%s: the loaded bundle differs from the planned one", id)
+		}
+		if nodeCfg, _, err := unpack(got, params); err != nil || nodeCfg.Params != pairing.Std512() {
+			t.Fatalf("%s: unpack under %v: %v", id, nodeCfg.Params, err)
+		}
 	}
 }
 

@@ -33,7 +33,8 @@ type NodeOptions struct {
 	// AddrsPath is the static address map: JSON object of node id ->
 	// dial address (proxy fronts for node peers, the driver directly).
 	AddrsPath string
-	// TracePath, when non-empty, enables structured tracing.
+	// TracePath, when non-empty, is the file the node's trace goes to,
+	// one Line per record.
 	TracePath string
 	// BootEpoch counts the node's boots; the supervisor bumps it on every
 	// restart. Above 0 the node is a replacement and boots through the
@@ -45,8 +46,7 @@ type NodeOptions struct {
 // driver, and serves until ctx is cancelled. The returned error is nil
 // on a clean shutdown.
 func RunNode(ctx context.Context, opts NodeOptions) error {
-	codec := protocol.NewWireCodec(pairing.Fast254())
-	bundle, err := LoadBundle(opts.BundlePath, codec, opts.DeployPub)
+	bundle, params, err := LoadBundle(opts.BundlePath, opts.DeployPub)
 	if err != nil {
 		return err
 	}
@@ -68,7 +68,7 @@ func RunNode(ctx context.Context, opts NodeOptions) error {
 
 	clock := livenet.NewLamportClock()
 	fab, err := livenet.NewTCPNode(livenet.TCPOptions{
-		Codec:   codec,
+		Codec:   protocol.NewWireCodec(params),
 		Remotes: remotes,
 		Clock:   clock,
 	})
@@ -77,35 +77,26 @@ func RunNode(ctx context.Context, opts NodeOptions) error {
 	}
 	defer fab.Close()
 
-	var tracer *Tracer
-	if opts.TracePath != "" {
-		// Each boot is its own trace process: a restarted node starts a
-		// fresh Lamport clock and sequence, and CheckCausal's per-process
-		// monotonicity is a per-boot property.
-		proc := fmt.Sprintf("%s#%d", bundle.ID, opts.BootEpoch)
-		tracer, err = NewTracer(opts.TracePath, proc, clock)
-		if err != nil {
-			return err
-		}
-		defer tracer.Close()
+	// Each boot is its own trace process: a restarted node starts a fresh
+	// Lamport clock and sequence, and CheckCausal's per-process
+	// monotonicity is a per-boot property.
+	log, file, err := openTrace(opts.TracePath, fmt.Sprintf("%s#%d", bundle.ID, opts.BootEpoch), clock)
+	if err != nil {
+		return err
 	}
+	defer file.Close()
 
-	rt := &nodeRuntime{
-		bundle: bundle,
-		opts:   opts,
-		fab:    fab,
-		tracer: tracer,
-	}
+	rt := &nodeRuntime{bundle: bundle, params: params, opts: opts, fab: fab, log: log}
 	if err := rt.build(); err != nil {
 		return err
 	}
-	tracer.Emit(TraceBoot, fmt.Sprintf("%s epoch=%d", bundle.Role, opts.BootEpoch), "")
+	rt.note("boot", fmt.Sprintf("%s epoch=%d", bundle.Role, opts.BootEpoch), "")
 	if err := rt.hello(); err != nil {
 		return err
 	}
 
 	<-ctx.Done()
-	tracer.Emit(TraceShutdown, "", "")
+	rt.note("shutdown", "", "")
 	rt.stop()
 	return nil
 }
@@ -114,9 +105,12 @@ func RunNode(ctx context.Context, opts NodeOptions) error {
 // the runtime state the driver can query.
 type nodeRuntime struct {
 	bundle *protocol.NodeBundle
+	params *pairing.Params
 	opts   NodeOptions
 	fab    *livenet.TCP
-	tracer *Tracer
+	// log is the node's trace: boot, hello, shutdown, every message the
+	// tap hears and every apply decision.
+	log *fabric.Log
 
 	ctl *controlplane.Controller
 	sw  *dataplane.Switch
@@ -129,21 +123,40 @@ type nodeRuntime struct {
 }
 
 // build turns the bundle back into the node's provisioning and boots it
-// the way core boots every node, on the fabric behind the runtime's
-// tracing/control wrapper.
+// the way core boots every node, on the fabric behind the runtime's tap
+// and control wrapper. A runtime built without a log keeps its records
+// in memory only.
 func (rt *nodeRuntime) build() error {
-	cfg, prov, err := unpack(rt.bundle)
+	cfg, prov, err := unpack(rt.bundle, rt.params)
 	if err != nil {
 		return err
 	}
+	if rt.log == nil {
+		rt.log = fabric.NewLog(traceKeep, nil)
+	}
 	cfg.SwitchApplyHook = rt.onApply
-	tfab := &tracedFabric{Fabric: rt.fab, rt: rt}
+	fab := controlFabric{fabric.Tap(rt.fab, rt.tap), rt}
 	if rt.bundle.Role == protocol.RoleController {
-		rt.ctl, err = core.BootController(cfg, tfab, prov, 0, pki.Identity(rt.bundle.ID), rt.opts.BootEpoch)
+		rt.ctl, err = core.BootController(cfg, fab, prov, 0, pki.Identity(rt.bundle.ID), rt.opts.BootEpoch)
 	} else {
-		rt.sw, err = core.BootSwitch(cfg, tfab, prov, rt.bundle.ID, rt.opts.BootEpoch)
+		rt.sw, err = core.BootSwitch(cfg, fab, prov, rt.bundle.ID, rt.opts.BootEpoch)
 	}
 	return err
+}
+
+// note adds one record to the node's trace at the fabric's time.
+func (rt *nodeRuntime) note(kind, detail, digest string) {
+	rt.log.Add(fabric.Record{T: rt.fab.Now(), Kind: kind, Detail: detail, Digest: digest})
+}
+
+// tap traces a message the node sent or was delivered, with the update
+// digest of an update-bearing message as its causal reference.
+func (rt *nodeRuntime) tap(kind string, from, to fabric.NodeID, msg fabric.Message) {
+	detail := fmt.Sprintf("%T to %s", msg, to)
+	if kind == fabric.TapRecv {
+		detail = fmt.Sprintf("%T from %s", msg, from)
+	}
+	rt.note(kind, detail, updateRef(msg))
 }
 
 // hello announces the fresh listener to the driver, retrying briefly (the
@@ -159,7 +172,7 @@ func (rt *nodeRuntime) hello() error {
 	var err error
 	for attempt := 0; attempt < 20; attempt++ {
 		if err = rt.fab.SendErr(self, fabric.NodeID(rt.bundle.Driver), msg, 0); err == nil {
-			rt.tracer.Emit(TraceHello, msg.Addr, "")
+			rt.note("hello", msg.Addr, "")
 			return nil
 		}
 		time.Sleep(100 * time.Millisecond)
@@ -183,13 +196,13 @@ func (rt *nodeRuntime) onApply(sw string, id openflow.MsgID, phase uint64, mods 
 		Origin: id.Origin, Seq: id.Seq, Phase: phase, Digest: digest[:], Valid: valid,
 	})
 	rt.amu.Unlock()
-	rt.tracer.Emit(TraceApply, fmt.Sprintf("%s valid=%v", id, valid), hex.EncodeToString(digest[:]))
+	rt.note(recApply, fmt.Sprintf("%s valid=%v", id, valid), hex.EncodeToString(digest[:]))
 }
 
 // handleControl intercepts driver control messages; it runs on the
 // node's mailbox, so protocol state is safe to read. It reports whether
 // the message was consumed.
-func (rt *nodeRuntime) handleControl(from fabric.NodeID, msg fabric.Message) bool {
+func (rt *nodeRuntime) handleControl(msg fabric.Message) bool {
 	self := fabric.NodeID(rt.bundle.ID)
 	driver := fabric.NodeID(rt.bundle.Driver)
 	switch m := msg.(type) {
@@ -225,7 +238,6 @@ func (rt *nodeRuntime) handleControl(from fabric.NodeID, msg fabric.Message) boo
 		}
 		return true
 	}
-	_ = from
 	return false
 }
 
@@ -260,28 +272,19 @@ func (rt *nodeRuntime) snapshot() protocol.MsgNodeSnapshot {
 	return snap
 }
 
-// tracedFabric wraps the node's fabric: sends are traced (with hash
-// references for updates), deliveries are traced and driver control
-// messages peeled off before the protocol handler sees them.
-type tracedFabric struct {
+// controlFabric peels driver control messages off before the protocol
+// handler sees them.
+type controlFabric struct {
 	fabric.Fabric
 	rt *nodeRuntime
 }
 
-func (t *tracedFabric) Register(id fabric.NodeID, h fabric.Handler) {
-	rt := t.rt
-	t.Fabric.Register(id, fabric.HandlerFunc(func(from fabric.NodeID, msg fabric.Message) {
-		rt.tracer.Emit(TraceRecv, fmt.Sprintf("%T from %s", msg, from), updateRef(msg))
-		if rt.handleControl(from, msg) {
-			return
+func (c controlFabric) Register(id fabric.NodeID, h fabric.Handler) {
+	c.Fabric.Register(id, fabric.HandlerFunc(func(from fabric.NodeID, msg fabric.Message) {
+		if !c.rt.handleControl(msg) {
+			h.HandleMessage(from, msg)
 		}
-		h.HandleMessage(from, msg)
 	}))
-}
-
-func (t *tracedFabric) Send(from, to fabric.NodeID, msg fabric.Message, size int) {
-	t.rt.tracer.Emit(TraceSend, fmt.Sprintf("%T to %s", msg, to), updateRef(msg))
-	t.Fabric.Send(from, to, msg, size)
 }
 
 // updateRef extracts the canonical update digest from update-bearing

@@ -21,6 +21,7 @@ import (
 	"cicero/internal/core"
 	"cicero/internal/protocol"
 	"cicero/internal/tcrypto/bls"
+	"cicero/internal/tcrypto/pairing"
 	"cicero/internal/tcrypto/pki"
 	"cicero/internal/topology"
 )
@@ -138,10 +139,11 @@ func pack(cfg core.Config, p *core.Provisioning, nodes []string) map[string]prot
 	return bundles
 }
 
-// unpack is pack's inverse, run on a verified bundle: the provisioning a
-// node process holds — its own key and share, everything public about its
-// domain — and the config it boots under.
-func unpack(b *protocol.NodeBundle) (core.Config, *core.Provisioning, error) {
+// unpack is pack's inverse, run on a verified bundle and the parameter set
+// it was encoded under: the provisioning a node process holds — its own
+// key and share, everything public about its domain — and the config it
+// boots under.
+func unpack(b *protocol.NodeBundle, params *pairing.Params) (core.Config, *core.Provisioning, error) {
 	graph, err := GraphFromWire(b.GraphNodes, b.GraphLinks)
 	if err != nil {
 		return core.Config{}, nil, err
@@ -152,6 +154,7 @@ func unpack(b *protocol.NodeBundle) (core.Config, *core.Provisioning, error) {
 		Aggregation:       controlplane.AggSwitch,
 		Cost:              protocol.Calibrated(),
 		CryptoReal:        true,
+		Params:            params,
 		ViewChangeTimeout: time.Duration(b.ViewChangeTimeoutNS),
 		BatchSize:         b.BatchSize,
 		BatchDelay:        time.Duration(b.BatchDelayNS),

@@ -1,8 +1,11 @@
 package distrib
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"cicero/internal/fabric"
 	"cicero/internal/livenet"
@@ -57,5 +60,67 @@ func TestRebootedBootstrapNodeKeepsItsRole(t *testing.T) {
 	})
 	if refused != nil || !recovering {
 		t.Fatalf("slot-0 controller rebooted at epoch 1: recovering=%v, RequestAddController: %v", recovering, refused)
+	}
+}
+
+// TestRestartCountsBootEpochs restarts one switch twice through the
+// supervisor: the replacements boot, hello and trace at epochs 1 and 2,
+// an epoch the supervisor keeps itself rather than reading off the trace
+// files it has named.
+func TestRestartCountsBootEpochs(t *testing.T) {
+	requireNodeBin(t)
+	if testing.Short() {
+		t.Skip("boots node processes")
+	}
+	dep, err := Plan(smokeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, err := NewSupervisor(dep, nodeBin, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	id := dep.Switches[0]
+	if err := sup.Start(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.WaitReady([]string{id}, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint32{1, 2} {
+		if err := sup.Kill(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := sup.Restart(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := sup.WaitReady([]string{id}, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		sup.mu.Lock()
+		helloed := sup.ready[id] - 1
+		sup.mu.Unlock()
+		if helloed != want {
+			t.Fatalf("restart %d: node helloed boot epoch %d", want, helloed)
+		}
+	}
+	sup.Close()
+	paths := sup.TracePaths()
+	if len(paths) != 4 {
+		t.Fatalf("trace files %v, want the driver's and three boots'", paths)
+	}
+	for epoch, path := range paths[1:] {
+		lines, err := ReadTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proc, detail := fmt.Sprintf("%s#%d", id, epoch), fmt.Sprintf("switch epoch=%d", epoch)
+		booted := slices.ContainsFunc(lines, func(l Line) bool {
+			return l.Proc == proc && l.Kind == "boot" && l.Detail == detail
+		})
+		if !booted {
+			t.Fatalf("%s: no boot record of %s at epoch %d in %+v", path, proc, epoch, lines)
+		}
 	}
 }

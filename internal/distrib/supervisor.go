@@ -15,15 +15,12 @@ import (
 	"cicero/internal/fabric"
 	"cicero/internal/livenet"
 	"cicero/internal/protocol"
-	"cicero/internal/tcrypto/pairing"
 )
 
-// procState tracks one node's OS process across its boot epochs.
+// procState tracks one boot of a node's OS process.
 type procState struct {
 	cmd    *exec.Cmd
-	epoch  uint32
 	waitCh chan error // closed by the reaper after cmd.Wait returns
-	log    *os.File
 }
 
 // Supervisor launches one OS process per planned node, monitors their
@@ -32,17 +29,17 @@ type procState struct {
 // itself a node (DriverID) on the same TCP fabric, which is how it
 // queries snapshots and injects workload.
 type Supervisor struct {
-	dep   *Deployment
-	dir   string
-	bin   string
-	codec *protocol.WireCodec
-	fab   *livenet.TCP
-	clock *livenet.LamportClock
-	trace *Tracer
+	dep  *Deployment
+	dir  string
+	bin  string
+	fab  *livenet.TCP
+	log  *fabric.Log
+	file *os.File // the driver's trace file
 
 	mu      sync.Mutex
 	proxies map[string]*proxy
 	procs   map[string]*procState
+	epochs  map[string]uint32 // node id -> boot epoch last launched
 	ready   map[string]uint32 // node id -> boot epoch last helloed
 	pending map[uint64]chan protocol.MsgNodeSnapshot
 	flows   map[uint64]map[string]bool // flow id -> switches reporting done
@@ -54,45 +51,46 @@ type Supervisor struct {
 // NewSupervisor plans proxies and writes the per-node bundle and address
 // files into dir, but launches nothing; call Start per node. bin is the
 // cicero-node binary.
-func NewSupervisor(dep *Deployment, bin, dir string) (*Supervisor, error) {
+func NewSupervisor(dep *Deployment, bin, dir string) (_ *Supervisor, err error) {
 	s := &Supervisor{
 		dep:     dep,
 		dir:     dir,
 		bin:     bin,
-		codec:   protocol.NewWireCodec(pairing.Fast254()),
-		clock:   livenet.NewLamportClock(),
 		proxies: make(map[string]*proxy),
 		procs:   make(map[string]*procState),
+		epochs:  make(map[string]uint32),
 		ready:   make(map[string]uint32),
 		pending: make(map[uint64]chan protocol.MsgNodeSnapshot),
 		flows:   make(map[uint64]map[string]bool),
 	}
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
 	remotes := make(map[fabric.NodeID]string)
 	for _, id := range dep.NodeIDs() {
 		p, err := newProxy(id)
 		if err != nil {
-			s.Close()
 			return nil, err
 		}
 		s.proxies[id] = p
 		remotes[fabric.NodeID(id)] = p.Addr()
 	}
-	fab, err := livenet.NewTCPNode(livenet.TCPOptions{
-		Codec:   s.codec,
+	clock := livenet.NewLamportClock()
+	s.fab, err = livenet.NewTCPNode(livenet.TCPOptions{
+		Codec:   protocol.NewWireCodec(dep.Cfg.Params),
 		Remotes: remotes,
-		Clock:   s.clock,
+		Clock:   clock,
 	})
 	if err != nil {
-		s.Close()
 		return nil, err
 	}
-	s.fab = fab
-	fab.Register(DriverID, fabric.HandlerFunc(s.handle))
+	s.fab.Register(DriverID, fabric.HandlerFunc(s.handle))
 
 	tracePath := filepath.Join(dir, "trace-driver.jsonl")
-	s.trace, err = NewTracer(tracePath, DriverID, s.clock)
+	s.log, s.file, err = openTrace(tracePath, DriverID, clock)
 	if err != nil {
-		s.Close()
 		return nil, err
 	}
 	s.traces = append(s.traces, tracePath)
@@ -103,19 +101,16 @@ func NewSupervisor(dep *Deployment, bin, dir string) (*Supervisor, error) {
 	for id, p := range s.proxies {
 		addrs[id] = p.Addr()
 	}
-	addrs[DriverID] = fab.Addr(DriverID)
+	addrs[DriverID] = s.fab.Addr(DriverID)
 	addrData, err := json.MarshalIndent(addrs, "", "  ")
 	if err != nil {
-		s.Close()
 		return nil, err
 	}
 	if err := os.WriteFile(s.addrsPath(), addrData, 0o644); err != nil {
-		s.Close()
 		return nil, err
 	}
 	for id, b := range dep.Bundles {
-		if err := WriteBundle(s.bundlePath(id), s.codec, b, dep.deployPriv); err != nil {
-			s.Close()
+		if err := WriteBundle(s.bundlePath(id), dep.Cfg.Params, b, dep.deployPriv); err != nil {
 			return nil, err
 		}
 	}
@@ -129,6 +124,11 @@ func (s *Supervisor) bundlePath(id string) string {
 	return filepath.Join(s.dir, "bundle-"+sanitize(id)+".json")
 }
 
+// note adds one record to the driver's trace at the fabric's time.
+func (s *Supervisor) note(kind, detail string) {
+	s.log.Add(fabric.Record{T: s.fab.Now(), Kind: kind, Detail: detail})
+}
+
 // TracePaths returns every trace file written so far (driver plus one
 // per node boot).
 func (s *Supervisor) TracePaths() []string {
@@ -139,10 +139,10 @@ func (s *Supervisor) TracePaths() []string {
 
 // handle runs on the driver's mailbox: node hellos retarget proxies,
 // snapshots satisfy pending queries, flow completions accumulate.
-func (s *Supervisor) handle(from fabric.NodeID, msg fabric.Message) {
+func (s *Supervisor) handle(_ fabric.NodeID, msg fabric.Message) {
 	switch m := msg.(type) {
 	case protocol.MsgNodeHello:
-		s.trace.Emit(TraceHello, fmt.Sprintf("%s pid=%d epoch=%d", m.ID, m.PID, m.BootEpoch), "")
+		s.note("hello", fmt.Sprintf("%s pid=%d epoch=%d", m.ID, m.PID, m.BootEpoch))
 		s.mu.Lock()
 		p := s.proxies[m.ID]
 		s.ready[m.ID] = m.BootEpoch + 1 // +1 so epoch 0 reads as present
@@ -168,7 +168,6 @@ func (s *Supervisor) handle(from fabric.NodeID, msg fabric.Message) {
 		set[m.Switch] = true
 		s.mu.Unlock()
 	}
-	_ = from
 }
 
 // Start launches the node's process at boot epoch 0.
@@ -188,6 +187,7 @@ func (s *Supervisor) launch(id string, epoch uint32) error {
 	}
 	tracePath := filepath.Join(s.dir, fmt.Sprintf("trace-%s-%d.jsonl", sanitize(id), epoch))
 	s.traces = append(s.traces, tracePath)
+	s.epochs[id] = epoch
 	delete(s.ready, id)
 	s.mu.Unlock()
 
@@ -210,7 +210,7 @@ func (s *Supervisor) launch(id string, epoch uint32) error {
 		logf.Close()
 		return fmt.Errorf("distrib: start %s: %w", id, err)
 	}
-	ps := &procState{cmd: cmd, epoch: epoch, waitCh: make(chan error, 1), log: logf}
+	ps := &procState{cmd: cmd, waitCh: make(chan error, 1)}
 	s.mu.Lock()
 	s.procs[id] = ps
 	s.mu.Unlock()
@@ -258,7 +258,7 @@ func (s *Supervisor) Kill(id string) error {
 	if ps == nil || ps.cmd == nil {
 		return fmt.Errorf("distrib: %s not running", id)
 	}
-	s.trace.Emit("kill", id, "")
+	s.note("kill", id)
 	ps.cmd.Process.Signal(syscall.SIGKILL)
 	if p != nil {
 		p.SetBackend("")
@@ -282,22 +282,9 @@ func (s *Supervisor) Restart(id string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("distrib: %s still running; kill it first", id)
 	}
-	epoch := s.nextEpoch(id)
+	epoch := s.epochs[id] + 1
 	s.mu.Unlock()
 	return s.launch(id, epoch)
-}
-
-// nextEpoch returns the next unused boot epoch for id; s.mu must be held.
-func (s *Supervisor) nextEpoch(id string) uint32 {
-	var next uint32
-	prefix := fmt.Sprintf("trace-%s-", sanitize(id))
-	for _, tr := range s.traces {
-		base := filepath.Base(tr)
-		if strings.HasPrefix(base, prefix) {
-			next++
-		}
-	}
-	return next
 }
 
 // Partition severs both directions between a and b at their proxies.
@@ -312,7 +299,7 @@ func (s *Supervisor) PartitionOneWay(from, to string) {
 	p := s.proxies[to]
 	s.mu.Unlock()
 	if p != nil {
-		s.trace.Emit("partition", from+" -/-> "+to, "")
+		s.note("partition", from+" -/-> "+to)
 		p.Block(from)
 	}
 }
@@ -329,7 +316,7 @@ func (s *Supervisor) HealOneWay(from, to string) {
 	p := s.proxies[to]
 	s.mu.Unlock()
 	if p != nil {
-		s.trace.Emit("heal", from+" --> "+to, "")
+		s.note("heal", from+" --> "+to)
 		p.Unblock(from)
 	}
 }
@@ -363,7 +350,7 @@ func (s *Supervisor) Snapshot(id string, timeout time.Duration) (protocol.MsgNod
 // InjectFlow asks the switch to raise a packet-arrival event for the
 // src->dst flow; the switch reports back when its table serves the flow.
 func (s *Supervisor) InjectFlow(sw string, flowID uint64, src, dst string) error {
-	s.trace.Emit("inject", fmt.Sprintf("flow=%d %s->%s at %s", flowID, src, dst, sw), "")
+	s.note("inject", fmt.Sprintf("flow=%d %s->%s at %s", flowID, src, dst, sw))
 	return s.fab.SendErr(DriverID, fabric.NodeID(sw),
 		protocol.MsgInjectFlow{FlowID: flowID, Src: src, Dst: dst}, 0)
 }
@@ -394,7 +381,7 @@ func (s *Supervisor) LiveProcs() []string {
 }
 
 // Close SIGKILLs every remaining process, reaps them, and tears down
-// proxies, fabric and tracer. Safe to call more than once.
+// proxies, fabric and trace file. Safe to call more than once.
 func (s *Supervisor) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -430,5 +417,5 @@ func (s *Supervisor) Close() {
 	if s.fab != nil {
 		s.fab.Close()
 	}
-	s.trace.Close()
+	s.file.Close()
 }

@@ -2,144 +2,97 @@ package distrib
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
-	"sync"
-	"time"
+	"slices"
+	"strings"
 
+	"cicero/internal/fabric"
 	"cicero/internal/livenet"
 )
 
-// TraceEvent is one structured trace record from one process. Clock is
-// the process's Lamport value at emit time; because the TCP fabric
-// threads the same clock through every frame, any event that causally
-// follows another (across any number of processes) has a strictly larger
-// Clock, and sorting the union of all per-process files by Clock yields
-// a causally consistent total order. Ref carries a hash reference (hex
-// digest of the canonical update bytes) linking dispatches to applies.
-type TraceEvent struct {
-	Proc   string `json:"proc"`
-	Seq    uint64 `json:"seq"`
-	Clock  uint64 `json:"clock"`
-	WallNS int64  `json:"wall_ns"`
-	Kind   string `json:"kind"`
-	Detail string `json:"detail,omitempty"`
-	Ref    string `json:"ref,omitempty"`
+// Line is one line of a process's trace file: the fabric record, the
+// process that wrote it, its sequence number in that process's log, and
+// the process's Lamport clock when it was written. The TCP fabric threads
+// the same clock through every frame, so any record that causally follows
+// another (across any number of processes) has a strictly larger Clock,
+// and sorting the union of all per-process files by Clock yields a
+// causally consistent total order. The record's digest links dispatches
+// to applies.
+type Line struct {
+	Proc  string `json:"proc"`
+	Seq   uint64 `json:"seq"`
+	Clock uint64 `json:"clock"`
+	fabric.Record
 }
 
-// Trace event kinds.
-const (
-	TraceBoot     = "boot"
-	TraceHello    = "hello"
-	TraceSend     = "send"
-	TraceRecv     = "recv"
-	TraceApply    = "apply"
-	TraceShutdown = "shutdown"
-)
+// recApply is the kind of a switch's apply record; CheckCausal pairs it
+// with the sends of the same digest.
+const recApply = "apply"
 
-// Tracer appends JSONL trace events to a file, stamping each with the
-// process's Lamport clock. A nil Tracer is a valid no-op, so tracing is
-// strictly optional.
-type Tracer struct {
-	mu    sync.Mutex
-	f     *os.File
-	proc  string
-	seq   uint64
-	clock *livenet.LamportClock
-}
+// traceKeep bounds the records a process keeps in memory; its file holds
+// every one.
+const traceKeep = 1024
 
-// NewTracer opens (truncating) the trace file for one process.
-func NewTracer(path, proc string, clock *livenet.LamportClock) (*Tracer, error) {
+// openTrace returns a process's log and, with a path, the file every
+// record also goes to as a Line, stamped with proc, its sequence number
+// and clock's next tick. Each line is written straight through, so a
+// SIGKILL loses at most the one being written. Without a path the file is
+// nil, and closing it does nothing.
+func openTrace(path, proc string, clock *livenet.LamportClock) (*fabric.Log, *os.File, error) {
+	if path == "" {
+		return fabric.NewLog(traceKeep, nil), nil, nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Tracer{f: f, proc: proc, clock: clock}, nil
-}
-
-// Emit records one event. Each line is written straight through so a
-// SIGKILL loses at most the event being written.
-func (t *Tracer) Emit(kind, detail, ref string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq++
-	ev := TraceEvent{
-		Proc:   t.proc,
-		Seq:    t.seq,
-		Clock:  t.clock.Tick(),
-		WallNS: time.Now().UnixNano(),
-		Kind:   kind,
-		Detail: detail,
-		Ref:    ref,
-	}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	t.f.Write(append(line, '\n'))
-}
-
-// Close closes the trace file.
-func (t *Tracer) Close() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.f.Close()
+	return fabric.NewLog(traceKeep, func(seq uint64, r fabric.Record) {
+		line, err := json.Marshal(Line{Proc: proc, Seq: seq, Clock: clock.Tick(), Record: r})
+		if err == nil {
+			f.Write(append(line, '\n'))
+		}
+	}), f, nil
 }
 
 // ReadTrace parses one per-process trace file. A truncated final line
 // (the process was SIGKILLed mid-write) is tolerated and dropped.
-func ReadTrace(path string) ([]TraceEvent, error) {
+func ReadTrace(path string) ([]Line, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var out []TraceEvent
+	var out []Line
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	for sc.Scan() {
-		var ev TraceEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+		var l Line
+		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			continue // torn tail write from a killed process
 		}
-		out = append(out, ev)
+		out = append(out, l)
 	}
 	return out, sc.Err()
 }
 
 // MergeTraces reads every per-process trace file and merges them into
-// one timeline ordered by (Lamport clock, wall clock, process, seq) —
-// the Lamport component guarantees causal consistency, the remaining
-// keys make the order total and deterministic.
-func MergeTraces(paths []string) ([]TraceEvent, error) {
-	var all []TraceEvent
+// one timeline ordered by (Lamport clock, process, seq): the clock makes
+// the order causally consistent, the rest makes it total and
+// deterministic.
+func MergeTraces(paths []string) ([]Line, error) {
+	var all []Line
 	for _, path := range paths {
-		evs, err := ReadTrace(path)
+		lines, err := ReadTrace(path)
 		if err != nil {
 			return nil, fmt.Errorf("distrib: trace %s: %w", path, err)
 		}
-		all = append(all, evs...)
+		all = append(all, lines...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Clock != b.Clock {
-			return a.Clock < b.Clock
-		}
-		if a.WallNS != b.WallNS {
-			return a.WallNS < b.WallNS
-		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		return a.Seq < b.Seq
+	slices.SortFunc(all, func(a, b Line) int {
+		return cmp.Or(cmp.Compare(a.Clock, b.Clock), strings.Compare(a.Proc, b.Proc), cmp.Compare(a.Seq, b.Seq))
 	})
 	return all, nil
 }
@@ -148,39 +101,36 @@ func MergeTraces(paths []string) ([]TraceEvent, error) {
 //
 //   - per process, sequence numbers strictly increase and Lamport clocks
 //     never decrease (a violated pair means the merge interleaved one
-//     process's events out of order);
-//   - every apply event whose Ref names an update digest appears after a
+//     process's records out of order);
+//   - every apply record whose digest names an update appears after a
 //     send of that digest (a switch can only apply an update some
 //     controller dispatched causally earlier).
 //
 // It returns human-readable violations; empty means the timeline is
 // causally ordered.
-func CheckCausal(events []TraceEvent) []string {
+func CheckCausal(lines []Line) []string {
 	var violations []string
 	lastSeq := make(map[string]uint64)
 	lastClock := make(map[string]uint64)
 	sent := make(map[string]bool)
-	for i, ev := range events {
-		if prev, ok := lastSeq[ev.Proc]; ok && ev.Seq <= prev {
+	for i, l := range lines {
+		if prev, ok := lastSeq[l.Proc]; ok && l.Seq <= prev {
 			violations = append(violations,
-				fmt.Sprintf("event %d: process %s seq went %d -> %d (out of order in merge)", i, ev.Proc, prev, ev.Seq))
+				fmt.Sprintf("record %d: process %s seq went %d -> %d (out of order in merge)", i, l.Proc, prev, l.Seq))
 		}
-		lastSeq[ev.Proc] = ev.Seq
-		if prev, ok := lastClock[ev.Proc]; ok && ev.Clock < prev {
+		lastSeq[l.Proc] = l.Seq
+		if prev, ok := lastClock[l.Proc]; ok && l.Clock < prev {
 			violations = append(violations,
-				fmt.Sprintf("event %d: process %s clock went %d -> %d (merge broke process order)", i, ev.Proc, prev, ev.Clock))
+				fmt.Sprintf("record %d: process %s clock went %d -> %d (merge broke process order)", i, l.Proc, prev, l.Clock))
 		}
-		lastClock[ev.Proc] = ev.Clock
-		switch ev.Kind {
-		case TraceSend:
-			if ev.Ref != "" {
-				sent[ev.Ref] = true
-			}
-		case TraceApply:
-			if ev.Ref != "" && !sent[ev.Ref] {
-				violations = append(violations,
-					fmt.Sprintf("event %d: %s applied update %s with no causally earlier dispatch in the merged timeline", i, ev.Proc, ev.Ref[:12]))
-			}
+		lastClock[l.Proc] = l.Clock
+		switch {
+		case l.Digest == "":
+		case l.Kind == fabric.TapSend:
+			sent[l.Digest] = true
+		case l.Kind == recApply && !sent[l.Digest]:
+			violations = append(violations,
+				fmt.Sprintf("record %d: %s applied update %.12s with no causally earlier dispatch in the merged timeline", i, l.Proc, l.Digest))
 		}
 	}
 	return violations

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cicero/internal/fabric"
 	"cicero/internal/livenet"
 )
 
@@ -19,36 +20,36 @@ func TestTraceMergeCausalOrder(t *testing.T) {
 	// the two processes: a sends, b observes and applies.
 	clockA := livenet.NewLamportClock()
 	clockB := livenet.NewLamportClock()
-	ta, err := NewTracer(pa, "a", clockA)
+	la, fa, err := openTrace(pa, "a", clockA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := NewTracer(pb, "b", clockB)
+	lb, fb, err := openTrace(pb, "b", clockB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta.Emit(TraceBoot, "", "")
-	ta.Emit(TraceSend, "update to b", "digest-1")
+	la.Add(fabric.Record{Kind: "boot"})
+	la.Add(fabric.Record{Kind: fabric.TapSend, Detail: "update to b", Digest: "digest-1"})
 	clockB.Observe(clockA.Now()) // the frame carries a's clock
-	tb.Emit(TraceRecv, "update from a", "digest-1")
-	tb.Emit(TraceApply, "update", "digest-1")
-	ta.Close()
-	tb.Close()
+	lb.Add(fabric.Record{Kind: fabric.TapRecv, Detail: "update from a", Digest: "digest-1"})
+	lb.Add(fabric.Record{Kind: recApply, Detail: "update", Digest: "digest-1"})
+	fa.Close()
+	fb.Close()
 
 	merged, err := MergeTraces([]string{pa, pb})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(merged) != 4 {
-		t.Fatalf("merged %d events, want 4", len(merged))
+		t.Fatalf("merged %d records, want 4", len(merged))
 	}
 	// The apply must land after the send it references.
 	sendAt, applyAt := -1, -1
-	for i, ev := range merged {
-		switch ev.Kind {
-		case TraceSend:
+	for i, l := range merged {
+		switch l.Kind {
+		case fabric.TapSend:
 			sendAt = i
-		case TraceApply:
+		case recApply:
 			applyAt = i
 		}
 	}
@@ -63,23 +64,23 @@ func TestTraceMergeCausalOrder(t *testing.T) {
 // TestCheckCausalDetectsOrphanApply verifies the checker flags an apply
 // whose dispatch never appears in the merged timeline.
 func TestCheckCausalDetectsOrphanApply(t *testing.T) {
-	events := []TraceEvent{
-		{Proc: "a", Seq: 1, Clock: 1, Kind: TraceBoot},
-		{Proc: "b", Seq: 1, Clock: 2, Kind: TraceApply, Ref: "deadbeefdeadbeef"},
+	lines := []Line{
+		{Proc: "a", Seq: 1, Clock: 1, Record: fabric.Record{Kind: "boot"}},
+		{Proc: "b", Seq: 1, Clock: 2, Record: fabric.Record{Kind: recApply, Digest: "deadbeefdeadbeef"}},
 	}
-	if violations := CheckCausal(events); len(violations) != 1 {
+	if violations := CheckCausal(lines); len(violations) != 1 {
 		t.Fatalf("want 1 violation for orphan apply, got %v", violations)
 	}
 }
 
 // TestCheckCausalDetectsBrokenProcessOrder verifies the checker flags a
-// merge that interleaves one process's events out of order.
+// merge that interleaves one process's records out of order.
 func TestCheckCausalDetectsBrokenProcessOrder(t *testing.T) {
-	events := []TraceEvent{
-		{Proc: "a", Seq: 2, Clock: 5, Kind: TraceSend},
-		{Proc: "a", Seq: 1, Clock: 3, Kind: TraceBoot},
+	lines := []Line{
+		{Proc: "a", Seq: 2, Clock: 5, Record: fabric.Record{Kind: fabric.TapSend}},
+		{Proc: "a", Seq: 1, Clock: 3, Record: fabric.Record{Kind: "boot"}},
 	}
-	violations := CheckCausal(events)
+	violations := CheckCausal(lines)
 	if len(violations) != 2 { // seq regressed and clock regressed
 		t.Fatalf("want 2 violations for broken process order, got %v", violations)
 	}
@@ -89,18 +90,21 @@ func TestCheckCausalDetectsBrokenProcessOrder(t *testing.T) {
 // final line is truncated and must be dropped, not fail the parse.
 func TestReadTraceToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace-torn.jsonl")
-	content := `{"proc":"a","seq":1,"clock":1,"kind":"boot"}
-{"proc":"a","seq":2,"clock":2,"kind":"send","ref":"abc"}
+	content := `{"proc":"a","seq":1,"clock":1,"t":0,"kind":"boot"}
+{"proc":"a","seq":2,"clock":2,"t":1500,"kind":"send","digest":"abc"}
 {"proc":"a","seq":3,"clo`
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadTrace(path)
+	lines, err := ReadTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 {
-		t.Fatalf("want 2 events with torn tail dropped, got %d", len(events))
+	if len(lines) != 2 {
+		t.Fatalf("want 2 records with torn tail dropped, got %d", len(lines))
+	}
+	if got := lines[1]; got.Seq != 2 || got.Record != (fabric.Record{T: 1500, Kind: fabric.TapSend, Digest: "abc"}) {
+		t.Fatalf("second line read as %+v", got)
 	}
 }
 

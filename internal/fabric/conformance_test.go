@@ -1,7 +1,9 @@
 package fabric_test
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,6 +216,32 @@ var conformance = []struct {
 		b.Charge("nobody", time.Millisecond)
 		if got, stranger := b.BusyTotal("a"), b.BusyTotal("nobody"); got != 5*time.Millisecond || stranger != 0 {
 			t.Errorf("BusyTotal = %v for a, %v for an unregistered node; want 5ms and 0", got, stranger)
+		}
+	}},
+
+	// A tap hears every send, whether or not it arrives, and every delivery
+	// before the handler runs; the wrapped fabric still carries them.
+	{"tap-hears-sends-and-deliveries", func(t *testing.T, b backend) {
+		var mu sync.Mutex
+		var heard []string
+		tapped := fabric.Tap(b, func(kind string, from, to fabric.NodeID, msg fabric.Message) {
+			mu.Lock()
+			defer mu.Unlock()
+			heard = append(heard, fmt.Sprintf("%s %s->%s %d", kind, from, to, msg.(protocol.MsgHeartbeat).Seq))
+		})
+		var got counter
+		tapped.Register("a", &got)
+		tapped.Register("b", &counter{})
+		tapped.Register("crashed", &counter{})
+		b.Crash("crashed")
+		tapped.Send("a", "crashed", ping(1), 8)
+		tapped.Send("b", "a", ping(2), 8)
+		b.eventually(t, "delivery through the tap", func() bool { return got.n.Load() == 1 })
+		mu.Lock()
+		defer mu.Unlock()
+		want := []string{"send a->crashed 1", "send b->a 2", "recv b->a 2"}
+		if !slices.Equal(heard, want) {
+			t.Errorf("tap heard %q, want %q", heard, want)
 		}
 	}},
 

@@ -154,6 +154,17 @@ func Encode(doc any) []byte {
 	return b
 }
 
+// Decode parses a document Encode wrote, into its type or into a Header.
+// It is the one reader of the format: nothing outside this package
+// unmarshals a document itself.
+func Decode(signed []byte, doc any) error { return json.Unmarshal(signed, doc) }
+
+// Header is the version and expiry every document starts with.
+type Header struct {
+	Version   uint64 `json:"version"`
+	ExpiresNS int64  `json:"expires_ns"`
+}
+
 // Digest is the document digest used by snapshot/timestamp bindings and
 // by the leader's signature grouping: SHA-256 over the canonical bytes.
 func Digest(signed []byte) []byte {

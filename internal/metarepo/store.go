@@ -2,7 +2,6 @@ package metarepo
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -250,7 +249,7 @@ func (s *Store) applyLocked(env protocol.MetaEnvelope) error {
 
 func (s *Store) applyRoot(env protocol.MetaEnvelope) error {
 	var doc Root
-	if err := decodeStrictJSON(env.Signed, &doc); err != nil {
+	if err := Decode(env.Signed, &doc); err != nil {
 		return &RejectError{Reason: RejectBadEncoding, Detail: fmt.Sprintf("root: %v", err)}
 	}
 	if !s.bypass {
@@ -326,17 +325,10 @@ func (s *Store) rootSignature(env protocol.MetaEnvelope) (bls.Signature, error) 
 	return bls.Signature{}, &RejectError{Reason: RejectThreshold, Detail: "root: no group signature"}
 }
 
-// delegatedDoc is the version/expiry header shared by all delegated
-// documents.
-type delegatedDoc struct {
-	Version   uint64 `json:"version"`
-	ExpiresNS int64  `json:"expires_ns"`
-}
-
 func (s *Store) applyDelegated(env protocol.MetaEnvelope) error {
 	role := env.Role
-	var hdr delegatedDoc
-	if err := decodeStrictJSON(env.Signed, &hdr); err != nil {
+	var hdr Header
+	if err := Decode(env.Signed, &hdr); err != nil {
 		return &RejectError{Reason: RejectBadEncoding, Detail: fmt.Sprintf("%s: %v", role, err)}
 	}
 	if !s.bypass {
@@ -367,13 +359,13 @@ func (s *Store) applyDelegated(env protocol.MetaEnvelope) error {
 	switch role {
 	case protocol.MetaRoleTimestamp:
 		var doc Timestamp
-		if err := decodeStrictJSON(env.Signed, &doc); err != nil {
+		if err := Decode(env.Signed, &doc); err != nil {
 			return &RejectError{Reason: RejectBadEncoding, Detail: fmt.Sprintf("timestamp: %v", err)}
 		}
 		s.timestamp = &doc
 	case protocol.MetaRoleSnapshot:
 		var doc Snapshot
-		if err := decodeStrictJSON(env.Signed, &doc); err != nil {
+		if err := Decode(env.Signed, &doc); err != nil {
 			return &RejectError{Reason: RejectBadEncoding, Detail: fmt.Sprintf("snapshot: %v", err)}
 		}
 		// Mix-and-match gate: the freshness proof names exactly one
@@ -391,7 +383,7 @@ func (s *Store) applyDelegated(env protocol.MetaEnvelope) error {
 		s.snapshot = &doc
 	case protocol.MetaRoleTargets:
 		var doc Targets
-		if err := decodeStrictJSON(env.Signed, &doc); err != nil {
+		if err := Decode(env.Signed, &doc); err != nil {
 			return &RejectError{Reason: RejectBadEncoding, Detail: fmt.Sprintf("targets: %v", err)}
 		}
 		if !s.bypass {
@@ -474,9 +466,4 @@ func (s *Store) verifyDelegatedSigs(role string, version uint64, env protocol.Me
 	default:
 		return &RejectError{Reason: RejectThreshold, Detail: detail}
 	}
-}
-
-// decodeStrictJSON unmarshals a document body.
-func decodeStrictJSON(data []byte, v any) error {
-	return json.Unmarshal(data, v)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cicero/internal/bft"
 	"cicero/internal/openflow"
 	"cicero/internal/tcrypto/pki"
 )
@@ -66,6 +67,30 @@ func TestBroadcastItemRoundTrip(t *testing.T) {
 	}
 	if got.Membership == nil || got.Membership.Op != MemberAdd || got.Membership.Controller != "ctl-5" {
 		t.Fatalf("membership round trip mismatch: %+v", got)
+	}
+}
+
+// TestBroadcastItemIsNeverABatch: what the control plane submits to the
+// broadcast, and the null request a new primary fills a gap with, never
+// reads as a batch container, whatever the item holds.
+func TestBroadcastItemIsNeverABatch(t *testing.T) {
+	magic := string(bft.EncodeBatch([][]byte{{1}})[:8])
+	full := Event{ID: openflow.MsgID{Origin: magic, Seq: 1 << 60}, Kind: EventPolicyChange,
+		Src: magic, Dst: "b", Cookie: 9, Forwarded: true, Info: magic}
+	payloads := [][]byte{nil, {}} // null requests
+	for _, item := range []BroadcastItem{
+		{},
+		{Event: &Event{}},
+		{Event: &full},
+		{Membership: &MembershipChange{}},
+		{Membership: &MembershipChange{Op: MemberRemove, Controller: pki.Identity(magic)}},
+	} {
+		payloads = append(payloads, item.Encode())
+	}
+	for _, p := range payloads {
+		if _, ok := bft.DecodeBatch(p); ok {
+			t.Errorf("payload %x decodes as a batch", p)
+		}
 	}
 }
 

@@ -182,7 +182,7 @@ func TestNoWireTypeNamesItsSender(t *testing.T) {
 // over these packages finds nothing, this file included.)
 func TestPathPackagesDoNotImportJSON(t *testing.T) {
 	banned := strconv.Quote(path.Join("encoding", "json"))
-	for _, pkg := range []string{"protocol", "bft", "openflow", "dataplane", "scheduler", "audit", "fabric", "livenet"} {
+	for _, pkg := range []string{"protocol", "bft", "openflow", "dataplane", "scheduler", "audit", "fabric", "livenet", "controlplane", "chaos"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("internal/%s: %d files, err %v", pkg, len(files), err)
