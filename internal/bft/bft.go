@@ -19,10 +19,11 @@
 // simulator or on channels/goroutines in unit tests.
 //
 // Fidelity note: view-change messages carry their prepared certificates
-// without per-message signatures; within the simulation, point-to-point
-// authentication is provided by the enclosing pki envelopes, and the
-// Byzantine experiments attack the update layer (forged updates, equivocating
-// controllers) rather than consensus-internal certificates.
+// without per-message signatures. Messages travel unenveloped (MsgBFT), so
+// a vote counts under the sender the fabric reports, and is worth what that
+// sender id is on the backend (DESIGN §4 "What `from` is worth"). The
+// Byzantine experiments attack the update layer (forged updates,
+// equivocating controllers) rather than consensus-internal certificates.
 package bft
 
 import (

@@ -148,49 +148,9 @@ func (c *Controller) onMembershipDelivered(mc protocol.MembershipChange) {
 	if len(newMembers) < 4 {
 		return // the paper requires n >= 4 at all times (§3.2)
 	}
-	tOld := CiceroQuorum(len(c.members))
-	tNew := CiceroQuorum(len(newMembers))
-
-	// Dealers: the first tOld old members that survive the change (for a
-	// removal, the removed member cannot deal).
-	var dealerIDs []pki.Identity
-	var dealerSet []uint32
-	for slot, m := range c.members {
-		if mc.Op == protocol.MemberRemove && m == mc.Controller {
-			continue
-		}
-		dealerIDs = append(dealerIDs, m)
-		dealerSet = append(dealerSet, uint32(slot+1))
-		if len(dealerIDs) == tOld {
-			break
-		}
-	}
-	st := &changeState{
-		op:          mc.Op,
-		subject:     mc.Controller,
-		newMembers:  newMembers,
-		newPhase:    c.phase + 1,
-		tNew:        tNew,
-		dealerIDs:   dealerIDs,
-		dealerSet:   dealerSet,
-		dealsGot:    make(map[uint32]bool),
-		subsGot:     make(map[uint32]bool),
-		pendingSubs: make(map[uint32]protocol.MsgReshareSub),
-	}
+	// A removed member gets no receiver; it retires below.
+	st, _ := c.newChange(mc.Op, mc.Controller, newMembers, c.phase+1)
 	c.change = st
-
-	// Members of the new group receive shares.
-	for i, m := range newMembers {
-		if m == c.cfg.ID {
-			st.myNewIndex = uint32(i + 1)
-		}
-	}
-	if st.myNewIndex > 0 {
-		recv, err := dkg.NewReshareReceiver(c.cfg.Scheme, c.cfg.GroupKey, st.myNewIndex, tNew, len(newMembers))
-		if err == nil {
-			st.receiver = recv
-		}
-	}
 
 	// The bootstrap controller transfers state to a joining controller
 	// (§4.3 step i/iv) before resharing reaches it.
@@ -216,6 +176,44 @@ func (c *Controller) onMembershipDelivered(mc protocol.MembershipChange) {
 		c.dealReshare(st)
 	}
 	c.drainEarlyReshare()
+}
+
+// newChange builds the state of a change from the current members to
+// newMembers at newPhase. The dealers are the first t old members that
+// survive it (a removed member cannot deal). A controller in the new group
+// gets a reshare receiver under the current group key. The error is the
+// receiver's, which a controller outside the new group always gets; each
+// caller decides what it means.
+func (c *Controller) newChange(op protocol.MembershipOp, subject pki.Identity, newMembers []pki.Identity, newPhase uint64) (*changeState, error) {
+	st := &changeState{
+		op:          op,
+		subject:     subject,
+		newMembers:  newMembers,
+		newPhase:    newPhase,
+		tNew:        CiceroQuorum(len(newMembers)),
+		dealsGot:    make(map[uint32]bool),
+		subsGot:     make(map[uint32]bool),
+		pendingSubs: make(map[uint32]protocol.MsgReshareSub),
+	}
+	tOld := CiceroQuorum(len(c.members))
+	for slot, m := range c.members {
+		if op == protocol.MemberRemove && m == subject {
+			continue
+		}
+		st.dealerIDs = append(st.dealerIDs, m)
+		st.dealerSet = append(st.dealerSet, uint32(slot+1))
+		if len(st.dealerIDs) == tOld {
+			break
+		}
+	}
+	for i, m := range newMembers {
+		if m == c.cfg.ID {
+			st.myNewIndex = uint32(i + 1)
+		}
+	}
+	var err error
+	st.receiver, err = dkg.NewReshareReceiver(c.cfg.Scheme, c.cfg.GroupKey, st.myNewIndex, st.tNew, len(newMembers))
+	return st, err
 }
 
 // isDealer reports whether this controller deals in the current change.
@@ -489,38 +487,10 @@ func (c *Controller) handleStateTransfer(from fabric.NodeID, m protocol.MsgState
 	if m.PeerDomains != nil {
 		c.cfg.PeerDomains = m.PeerDomains
 	}
-	tOld := CiceroQuorum(len(m.Members))
-	var dealerIDs []pki.Identity
-	var dealerSet []uint32
-	for slot, mem := range m.Members {
-		dealerIDs = append(dealerIDs, mem)
-		dealerSet = append(dealerSet, uint32(slot+1))
-		if len(dealerIDs) == tOld {
-			break
-		}
-	}
-	st := &changeState{
-		op:          protocol.MemberAdd,
-		subject:     c.cfg.ID,
-		newMembers:  append([]pki.Identity(nil), m.NewMembers...),
-		newPhase:    m.NewPhase,
-		tNew:        CiceroQuorum(len(m.NewMembers)),
-		dealerIDs:   dealerIDs,
-		dealerSet:   dealerSet,
-		dealsGot:    make(map[uint32]bool),
-		subsGot:     make(map[uint32]bool),
-		pendingSubs: make(map[uint32]protocol.MsgReshareSub),
-	}
-	for i, mem := range st.newMembers {
-		if mem == c.cfg.ID {
-			st.myNewIndex = uint32(i + 1)
-		}
-	}
-	recv, err := dkg.NewReshareReceiver(c.cfg.Scheme, gk, st.myNewIndex, st.tNew, len(st.newMembers))
+	st, err := c.newChange(protocol.MemberAdd, c.cfg.ID, append([]pki.Identity(nil), m.NewMembers...), m.NewPhase)
 	if err != nil {
 		return
 	}
-	st.receiver = recv
 	c.change = st
 	c.drainEarlyReshare()
 }

@@ -206,10 +206,7 @@ func (s *Switch) Subscribe(src, dst string, fn func(at fabric.Time)) {
 // returns ok=false.
 func (s *Switch) PacketArrival(src, dst string) (openflow.Rule, bool) {
 	if rule, ok := s.table.Lookup(src, dst); ok {
-		if rule.Action.Type == openflow.ActionOutput {
-			return rule, true
-		}
-		return rule, true // drop rules are also "handled"
+		return rule, true // output and drop rules alike handle the packet
 	}
 	key := matchKey{src, dst}
 	if _, outstanding := s.pendingEvents[key]; outstanding {

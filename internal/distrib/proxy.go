@@ -1,35 +1,28 @@
 package distrib
 
 import (
-	"encoding/binary"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"cicero/internal/livenet"
 )
 
-// proxyMaxFrame mirrors livenet's frame cap; a proxy drops a connection
-// carrying anything larger (corrupted or hostile length prefix).
-const proxyMaxFrame = 1 << 22
-
-// proxyMinFrame is the smallest legal frame body (8-byte clock + 2-byte
-// sender length), matching livenet's framing.
-const proxyMinFrame = 10
-
 // proxy is one node's stable inbound face. Peers dial the proxy's fixed
-// front address; the proxy parses each frame far enough to learn the
-// sender and relays it to the node process's current real listener. This
-// indirection is what makes the fault plane socket-level: a partition
-// blocks a sender by closing (and refusing) its connections at the
-// victim's proxy, and a SIGKILL clears the backend so every peer's
-// frames hit a dead socket until the process reboots and re-registers.
+// front address; the proxy reads the hello that names a connection's
+// sender and splices the rest, unread, to the node process's current real
+// listener. This indirection is what makes the fault plane socket-level: a
+// partition blocks a sender by closing (and refusing) its connections at
+// the victim's proxy, and a SIGKILL clears the backend so every peer's
+// connection dies until the process reboots and re-registers.
 type proxy struct {
 	node string
 	ln   net.Listener
 
 	mu      sync.Mutex
 	backend string          // current real listener address, "" while down
-	blocked map[string]bool // sender ids whose frames are severed
+	blocked map[string]bool // sender ids whose connections are severed
 	fronts  map[net.Conn]string
 	backs   map[net.Conn]net.Conn
 	closed  bool
@@ -70,8 +63,8 @@ func (p *proxy) SetBackend(addr string) {
 	closeAll(conns)
 }
 
-// Block severs the sender: existing connections close, new frames from
-// it tear their connection down.
+// Block severs the sender: its open connections close, and its new ones
+// close once their hello names it.
 func (p *proxy) Block(sender string) {
 	p.mu.Lock()
 	p.blocked[sender] = true
@@ -148,8 +141,9 @@ func (p *proxy) accept() {
 	}
 }
 
-// relay forwards frames from one front connection to the node's current
-// backend, severing on block, node-down, or any framing error.
+// relay reads the hello a front connection opens with, then splices the
+// connection unread onto a fresh one to the node's current backend,
+// severing it when its sender is blocked or the node is down.
 func (p *proxy) relay(front net.Conn) {
 	defer p.wg.Done()
 	var back net.Conn
@@ -163,57 +157,30 @@ func (p *proxy) relay(front net.Conn) {
 		delete(p.backs, front)
 		p.mu.Unlock()
 	}()
-	var header [4]byte
-	for {
-		if _, err := io.ReadFull(front, header[:]); err != nil {
-			return
-		}
-		frameLen := binary.BigEndian.Uint32(header[:])
-		if frameLen < proxyMinFrame || frameLen > proxyMaxFrame {
-			return
-		}
-		frame := make([]byte, frameLen)
-		if _, err := io.ReadFull(front, frame); err != nil {
-			return
-		}
-		fromLen := binary.BigEndian.Uint16(frame[8:10])
-		if int(fromLen) > len(frame)-proxyMinFrame {
-			return
-		}
-		sender := string(frame[10 : 10+fromLen])
-
-		p.mu.Lock()
-		if p.closed || p.blocked[sender] {
-			p.mu.Unlock()
-			return
-		}
-		p.fronts[front] = sender
-		backend := p.backend
-		p.mu.Unlock()
-		if backend == "" {
-			return // node is down: the sender's socket dies too
-		}
-		if back == nil {
-			c, err := net.DialTimeout("tcp", backend, time.Second)
-			if err != nil {
-				return
-			}
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				c.Close()
-				return
-			}
-			p.backs[front] = c
-			p.mu.Unlock()
-			back = c
-		}
-		back.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		if _, err := back.Write(header[:]); err != nil {
-			return
-		}
-		if _, err := back.Write(frame); err != nil {
-			return
-		}
+	sender, err := livenet.ReadHello(front)
+	if err != nil {
+		return
 	}
+	p.mu.Lock()
+	_, open := p.fronts[front] // a sever takes the connection out of fronts
+	backend := p.backend
+	if !open || p.blocked[string(sender)] || backend == "" {
+		p.mu.Unlock()
+		return // blocked, or the node is down: the sender's socket dies too
+	}
+	p.fronts[front] = string(sender)
+	p.mu.Unlock()
+	if back, err = net.DialTimeout("tcp", backend, time.Second); err != nil {
+		return
+	}
+	p.mu.Lock()
+	p.backs[front] = back
+	p.mu.Unlock()
+	if _, err := livenet.WriteHello(back, sender); err != nil {
+		return
+	}
+	// Ends when either side closes or is severed (a front severed while the
+	// dial was under way is already closed); the deferred closes then take
+	// down the other.
+	_, _ = io.Copy(back, front)
 }

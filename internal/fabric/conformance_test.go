@@ -18,9 +18,11 @@ import (
 // protocol code and the drivers in internal/core may assume of any
 // fabric.Fabric, whichever carries the messages.
 
-// faulty is a fabric plus the two fault actuators the contract mentions.
+// faulty is a fabric plus the fault plane the contract mentions: two
+// actuators and the message filter.
 type faulty interface {
 	fabric.Fabric
+	fabric.FaultInjector
 	Crash(id fabric.NodeID)
 	Partition(a, b fabric.NodeID)
 }
@@ -133,6 +135,26 @@ var conformance = []struct {
 		got.Bytes = 0 // model estimate on the simulator, encoded bytes on a wire
 		if got != want {
 			t.Errorf("stats = %+v, want %+v", got, want)
+		}
+	}},
+
+	// A copy the fault plane delays is judged when it lands: a node that
+	// crashed meanwhile drops it as a crash.
+	{"delayed-copy-to-crashed", func(t *testing.T, b backend) {
+		var got counter
+		b.Register("a", &counter{})
+		b.Register("b", &got)
+		b.SetFilter(func(fabric.NodeID, fabric.NodeID, fabric.Message, int) fabric.FaultAction {
+			return fabric.FaultAction{Delay: 50 * time.Millisecond}
+		})
+		b.Send("a", "b", ping(1), 8)
+		b.Crash("b")
+		b.eventually(t, "the delayed copy to land", func() bool { return b.Stats().Dropped == 1 })
+		want := fabric.Stats{Sent: 1, Dropped: 1, DroppedCrash: 1}
+		st := b.Stats()
+		st.Bytes = 0
+		if st != want || got.n.Load() != 0 {
+			t.Errorf("stats = %+v and %d handled, want %+v and none", st, got.n.Load(), want)
 		}
 	}},
 

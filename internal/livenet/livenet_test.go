@@ -131,6 +131,37 @@ func TestInProcFaults(t *testing.T) {
 	}
 }
 
+// TestDelayedCopySurvivesRestart: a copy the fault plane delays past a
+// crash and restart of its destination is delivered, as to a node that
+// never crashed. The destination is judged when the copy lands, and on tcp
+// the copy takes the restarted node's new link, not the one the crash
+// closed.
+func TestDelayedCopySurvivesRestart(t *testing.T) {
+	for _, backend := range []string{"inproc", "tcp"} {
+		t.Run(backend, func(t *testing.T) {
+			fab, err := Open(backend, protocol.NewWireCodec(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fab.Close()
+			var got atomic.Uint64
+			fab.Register("a", fabric.HandlerFunc(func(fabric.NodeID, fabric.Message) {}))
+			fab.Register("b", fabric.HandlerFunc(func(fabric.NodeID, fabric.Message) { got.Add(1) }))
+			fab.SetFilter(func(fabric.NodeID, fabric.NodeID, fabric.Message, int) fabric.FaultAction {
+				return fabric.FaultAction{Delay: 100 * time.Millisecond}
+			})
+			fab.Send("a", "b", protocol.MsgHeartbeat{Seq: 1}, 8)
+			fab.Crash("b")
+			fab.Restart("b")
+			waitFor(t, 5*time.Second, func() bool { return got.Load() == 1 }, "the delayed copy")
+			st := fab.Stats()
+			if st.Sent != 1 || st.Delivered != 1 || st.Dropped != 0 {
+				t.Fatalf("stats %+v, want one sent and delivered, none dropped", st)
+			}
+		})
+	}
+}
+
 // TestTCPRoundTrip sends protocol messages across real sockets and checks
 // delivery, sender identity, and wire accounting.
 func TestTCPRoundTrip(t *testing.T) {

@@ -24,10 +24,12 @@ const maxFrameBytes = 1 << 22
 // goroutine that dials lazily, retries with bounded exponential backoff
 // and jitter under per-attempt deadlines, and sits behind a per-peer
 // circuit breaker that trips after repeated dial failures and probes
-// half-open after a cooldown. Messages travel as length-prefixed
-// wire-codec frames:
+// half-open after a cooldown. A link's connection names its sender once,
+// in the hello it opens with, and then carries length-prefixed wire-codec
+// frames:
 //
-//	[4B frame length][8B lamport clock][2B sender-id length][sender id][codec bytes]
+//	hello: [2B id length][sender id]
+//	frame: [4B frame length][8B lamport clock][codec bytes]
 //
 // The fabric runs in two shapes. The single-process shape (NewTCP) hosts
 // every node in one process: crash and partition state is enforced at the
@@ -146,7 +148,7 @@ func (t *TCP) listen(id fabric.NodeID) {
 }
 
 // Addr returns the node's listen address (for logging and the
-// multi-process deployment planned in ROADMAP.md). A crashed node has no
+// multi-process deployment, internal/distrib). A crashed node has no
 // address until it restarts.
 func (t *TCP) Addr(id fabric.NodeID) string {
 	t.lmu.Lock()
@@ -183,20 +185,29 @@ func (t *TCP) dropInbound(conn net.Conn) {
 	t.lmu.Unlock()
 }
 
-// readLoop parses frames off one inbound connection and delivers them to
-// the owning node's mailbox. Any framing, length, or codec error tears
-// the connection down (the sender will reconnect).
+// readLoop reads the hello an inbound connection opens with, then parses
+// frames off it and delivers each to the owning node's mailbox as sent by
+// the id the hello named. A malformed hello, an oversized frame or a frame
+// that does not parse tears the connection down (the sender will
+// reconnect).
 func (t *TCP) readLoop(to fabric.NodeID, conn net.Conn) {
 	defer t.lwg.Done()
 	defer t.dropInbound(conn)
 	defer conn.Close()
+	from, err := ReadHello(conn)
+	if err != nil {
+		if errors.Is(err, errHello) {
+			t.st.droppedUnknown.Add(1)
+		}
+		return
+	}
 	var header [4]byte
 	for {
 		if _, err := io.ReadFull(conn, header[:]); err != nil {
 			return
 		}
 		frameLen := binary.BigEndian.Uint32(header[:])
-		if frameLen < minFrameLen || frameLen > maxFrameBytes {
+		if frameLen > maxFrameBytes {
 			t.st.droppedUnknown.Add(1)
 			return
 		}
@@ -204,7 +215,7 @@ func (t *TCP) readLoop(to fabric.NodeID, conn net.Conn) {
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return
 		}
-		clock, from, msg, err := t.parseFrame(frame)
+		clock, msg, err := t.parseFrame(frame)
 		if err != nil {
 			t.st.droppedUnknown.Add(1)
 			return
@@ -249,55 +260,91 @@ func (t *TCP) SendErr(from, to fabric.NodeID, msg fabric.Message, size int) erro
 	if err != nil {
 		return err
 	}
-	frame, err := t.buildFrame(from, msg)
+	frame, err := t.buildFrame(msg)
 	if err != nil {
 		t.st.droppedUnknown.Add(1)
 		return ErrEncode
 	}
-	l, err := t.link(from, to)
-	if err != nil {
-		t.st.droppedUnknown.Add(1)
-		return err
-	}
 	var firstErr error
 	for i := 0; i < copies; i++ {
 		if delay > 0 {
-			time.AfterFunc(delay, func() { _ = l.send(frame) })
+			// Judged when it fires, like inproc: the destination may have
+			// crashed, or restarted on a fresh listener, meanwhile.
+			time.AfterFunc(delay, func() {
+				if t.Crashed(to) {
+					t.st.droppedCrash.Add(1)
+					return
+				}
+				_ = t.enqueue(from, to, frame)
+			})
 			continue
 		}
-		if err := l.send(frame); err != nil && firstErr == nil {
+		if err := t.enqueue(from, to, frame); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// minFrameLen is the smallest legal frame body: the 8-byte clock plus
-// the 2-byte sender-length prefix.
-const minFrameLen = 10
+// enqueue hands one frame to the (from, to) peer link's writer.
+func (t *TCP) enqueue(from, to fabric.NodeID, frame []byte) error {
+	l, err := t.link(from, to)
+	if err != nil {
+		t.st.droppedUnknown.Add(1)
+		return err
+	}
+	return l.send(frame)
+}
 
-// errFrameHeader reports a frame body too short for its header or for the
-// sender id its header announces.
-var errFrameHeader = errors.New("livenet: malformed frame header")
+// maxHelloID bounds the sender id a hello may name. Node ids are a few
+// dozen bytes (`dom0/ctl/1`, `d0-p0-edge0`); the bound keeps a hostile
+// length from forcing an allocation.
+const maxHelloID = 256
+
+// errHello reports a hello naming no id or one past maxHelloID. A frame
+// where the hello belongs names no id: a length below 64 KiB opens 0x0000.
+var errHello = errors.New("livenet: malformed connection hello")
+
+// WriteHello writes the hello that opens every connection a peer link
+// dials, [2B id length][id], and returns the bytes written. The id names
+// the sender of every frame that follows on the connection.
+func WriteHello(w io.Writer, id fabric.NodeID) (int, error) {
+	if len(id) == 0 || len(id) > maxHelloID {
+		return 0, errHello
+	}
+	return w.Write(append(binary.BigEndian.AppendUint16(nil, uint16(len(id))), id...))
+}
+
+// ReadHello reads the hello a connection opens with and returns the id it
+// names. The length is checked against maxHelloID before the id is
+// allocated.
+func ReadHello(r io.Reader) (fabric.NodeID, error) {
+	var size [2]byte
+	if _, err := io.ReadFull(r, size[:]); err != nil {
+		return "", err
+	}
+	n := int(binary.BigEndian.Uint16(size[:]))
+	if n == 0 || n > maxHelloID {
+		return "", errHello
+	}
+	id := make([]byte, n)
+	if _, err := io.ReadFull(r, id); err != nil {
+		return "", err
+	}
+	return fabric.NodeID(id), nil
+}
+
+// clockBytes is the Lamport clock that opens every frame body.
+const clockBytes = 8
 
 // parseFrame splits one frame body (the bytes after the length prefix)
-// into the sender's Lamport clock, the sender id it claims and the decoded
-// message.
-func (t *TCP) parseFrame(body []byte) (clock uint64, from fabric.NodeID, msg fabric.Message, err error) {
-	if len(body) < minFrameLen {
-		return 0, "", nil, errFrameHeader
+// into the sender's Lamport clock and the decoded message.
+func (t *TCP) parseFrame(body []byte) (clock uint64, msg fabric.Message, err error) {
+	if len(body) < clockBytes {
+		return 0, nil, io.ErrUnexpectedEOF // the body ends inside its clock
 	}
-	clock = binary.BigEndian.Uint64(body[:8])
-	fromLen := int(binary.BigEndian.Uint16(body[8:10]))
-	if fromLen > len(body)-minFrameLen {
-		return 0, "", nil, errFrameHeader
-	}
-	from = fabric.NodeID(body[10 : 10+fromLen])
-	msg, err = t.codec.Decode(body[10+fromLen:])
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return clock, from, msg, nil
+	msg, err = t.codec.Decode(body[clockBytes:])
+	return binary.BigEndian.Uint64(body[:clockBytes]), msg, err
 }
 
 // typicalCodecBytes is the room buildFrame reserves behind the header:
@@ -305,14 +352,12 @@ func (t *TCP) parseFrame(body []byte) (clock uint64, from fabric.NodeID, msg fab
 // allocation; the codec grows the buffer for the rest.
 const typicalCodecBytes = 512
 
-// buildFrame assembles the length-prefixed wire frame: the header, then
-// msg encoded in place behind it. The Lamport clock ticks only for a
-// frame that encoded.
-func (t *TCP) buildFrame(from fabric.NodeID, msg fabric.Message) ([]byte, error) {
-	header := 4 + minFrameLen + len(from)
+// buildFrame assembles the length-prefixed wire frame: the length and
+// clock, then msg encoded in place behind them. The Lamport clock ticks
+// only for a frame that encoded.
+func (t *TCP) buildFrame(msg fabric.Message) ([]byte, error) {
+	const header = 4 + clockBytes
 	frame := make([]byte, header, header+typicalCodecBytes)
-	binary.BigEndian.PutUint16(frame[12:14], uint16(len(from)))
-	copy(frame[14:], from)
 	frame, err := t.codec.AppendEncode(frame, msg)
 	if err != nil {
 		return nil, err
@@ -322,7 +367,7 @@ func (t *TCP) buildFrame(from fabric.NodeID, msg fabric.Message) ([]byte, error)
 	}
 	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
 	if t.clock != nil {
-		binary.BigEndian.PutUint64(frame[4:12], t.clock.Tick())
+		binary.BigEndian.PutUint64(frame[4:header], t.clock.Tick())
 	}
 	return frame, nil
 }
@@ -529,7 +574,9 @@ func (l *peerLink) run() {
 	}
 }
 
-// transmit writes one frame, dialing as needed, with bounded retries.
+// transmit writes one frame, dialing as needed, with bounded retries. A
+// fresh connection gets the link's hello first; a failed hello write is a
+// failed attempt like a failed frame write.
 func (l *peerLink) transmit(frame []byte) error {
 	res := l.t.res
 	var lastErr error
@@ -541,7 +588,8 @@ func (l *peerLink) transmit(frame []byte) error {
 			}
 		}
 		conn := l.currentConn()
-		if conn == nil {
+		fresh := conn == nil
+		if fresh {
 			now := time.Now()
 			if !l.brk.Allow(now) {
 				lastErr = ErrPeerUnreachable
@@ -560,6 +608,15 @@ func (l *peerLink) transmit(frame []byte) error {
 			}
 		}
 		conn.SetWriteDeadline(time.Now().Add(res.writeTimeout))
+		if fresh {
+			n, err := WriteHello(conn, l.from)
+			if err != nil {
+				l.dropConn(conn)
+				lastErr = err
+				continue
+			}
+			l.t.st.bytes.Add(uint64(n))
+		}
 		if _, err := conn.Write(frame); err != nil {
 			l.dropConn(conn)
 			lastErr = err

@@ -198,3 +198,23 @@ func TestDropCauseCounters(t *testing.T) {
 		t.Errorf("cause counters do not sum to Dropped: %+v", st)
 	}
 }
+
+// TestCrashBehindBusyReceiverIsACrashDrop: a message that lands on a busy
+// receiver waits for it, and if the receiver crashes before the message
+// runs, no handler sees it and the books count a crash drop.
+func TestCrashBehindBusyReceiverIsACrashDrop(t *testing.T) {
+	sim := NewSimulator(1)
+	net := NewNetwork(sim, time.Millisecond)
+	collector(net, "a")
+	got := collector(net, "b")
+	net.Charge("b", 10*time.Millisecond)                  // b is busy until 10 ms
+	net.Send("a", "b", "queued", 1)                       // lands at 1 ms and waits for b
+	sim.At(5*time.Millisecond, func() { net.Crash("b") }) // b crashes before it is free
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Sent: 1, Dropped: 1, Bytes: 1, DroppedCrash: 1}
+	if st := net.Stats(); st != want || len(*got) != 0 {
+		t.Errorf("stats = %+v and b handled %v, want %+v and nothing", st, *got, want)
+	}
+}

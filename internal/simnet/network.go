@@ -232,28 +232,28 @@ func (n *Network) Send(from, to NodeID, msg Message, size int) {
 	}
 }
 
-// deliver schedules one copy of msg to arrive at dst at the given time,
-// honoring crash state and receiver busy-queueing at delivery time.
+// deliver schedules one copy of msg to arrive at dst at the given time. A
+// busy receiver queues it until it is free; a receiver crashed when the
+// message would run drops it.
 func (n *Network) deliver(dst *node, from NodeID, msg Message, arrive Time) {
 	n.sim.At(arrive, func() {
-		if dst.crashed {
-			n.dropped++
-			n.droppedCrash++
+		if dst.busyUntil > n.sim.Now() && !dst.crashed {
+			n.sim.At(dst.busyUntil, func() { n.handle(dst, from, msg) })
 			return
 		}
-		n.delivered++
-		// A busy receiver queues the message until it is free.
-		start := n.sim.Now()
-		if dst.busyUntil > start {
-			n.sim.At(dst.busyUntil, func() {
-				if !dst.crashed {
-					dst.handler.HandleMessage(from, msg)
-				}
-			})
-			return
-		}
-		dst.handler.HandleMessage(from, msg)
+		n.handle(dst, from, msg)
 	})
+}
+
+// handle runs msg on dst, or counts it as a crash drop.
+func (n *Network) handle(dst *node, from NodeID, msg Message) {
+	if dst.crashed {
+		n.dropped++
+		n.droppedCrash++
+		return
+	}
+	n.delivered++
+	dst.handler.HandleMessage(from, msg)
 }
 
 // linkDelay computes propagation + jitter for a message.
