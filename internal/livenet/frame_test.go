@@ -3,13 +3,17 @@ package livenet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cicero/internal/bft"
 	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
@@ -227,3 +231,301 @@ func TestBadHelloDropsConnection(t *testing.T) {
 type counter struct{ n int }
 
 func (c *counter) HandleMessage(fabric.NodeID, fabric.Message) { c.n++ }
+
+// inbox records what a node is handed, in order.
+type inbox struct {
+	mu    sync.Mutex
+	froms []fabric.NodeID
+	msgs  []fabric.Message
+}
+
+func (in *inbox) HandleMessage(from fabric.NodeID, msg fabric.Message) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.froms = append(in.froms, from)
+	in.msgs = append(in.msgs, msg)
+}
+
+// await waits until n messages have arrived, then returns them with their
+// senders.
+func (in *inbox) await(t *testing.T, n int) ([]fabric.NodeID, []fabric.Message) {
+	t.Helper()
+	waitFor(t, 10*time.Second, func() bool {
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		return len(in.msgs) >= n
+	}, fmt.Sprintf("%d messages", n))
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.froms, in.msgs
+}
+
+// stream returns the bytes a link from `from` writes for msgs: the hello,
+// then one frame per message.
+func stream(t *testing.T, f *TCP, from fabric.NodeID, msgs ...fabric.Message) []byte {
+	t.Helper()
+	out, err := buildHello(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range msgs {
+		frame, err := f.buildFrame(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frame...)
+	}
+	return out
+}
+
+// heartbeats returns heartbeats numbered 1…n.
+func heartbeats(n int) []fabric.Message {
+	msgs := make([]fabric.Message, n)
+	for i := range msgs {
+		msgs[i] = protocol.MsgHeartbeat{Seq: uint64(i + 1)}
+	}
+	return msgs
+}
+
+// TestReaderFindsFramesWhereverWritesEnd: the reader takes a connection's
+// hello and frames out of one buffer, whether they come in one write or a
+// few bytes at a time. Each frame is handed over once, in order, from the
+// hello's id.
+func TestReaderFindsFramesWhereverWritesEnd(t *testing.T) {
+	f, err := NewTCP(protocol.NewWireCodec(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const n = 100
+	wire := stream(t, f, "x", heartbeats(n)...)
+	for _, c := range []struct {
+		name  string
+		chunk func(i int) int // the size of write i
+	}{
+		{"one-write", func(int) int { return len(wire) }},
+		{"1-to-7-bytes-per-write", func(i int) int { return 1 + i%7 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var in inbox
+			f.Register("s1", &in)
+			conn := rawConn(t, f, "s1")
+			for i, at := 0, 0; at < len(wire); i++ {
+				end := min(at+c.chunk(i), len(wire))
+				if _, err := conn.Write(wire[at:end]); err != nil {
+					t.Fatal(err)
+				}
+				at = end
+			}
+			froms, msgs := in.await(t, n)
+			f.InvokeWait("s1", func() {}) // anything past n would be queued by now
+			if len(msgs) != n {
+				t.Fatalf("%d messages handled, want %d", len(msgs), n)
+			}
+			for i, msg := range msgs {
+				if hb, ok := msg.(protocol.MsgHeartbeat); !ok || hb.Seq != uint64(i+1) || froms[i] != "x" {
+					t.Fatalf("message %d is %#v from %q, want heartbeat %d from x", i, msg, froms[i], i+1)
+				}
+			}
+		})
+	}
+}
+
+// TestLongFrameBetweenShortOnes: a frame past the buffer a connection
+// keeps is read into one of its own; it and the frames around it arrive
+// intact.
+func TestLongFrameBetweenShortOnes(t *testing.T) {
+	f, err := NewTCP(protocol.NewWireCodec(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	long := make([]byte, keptFrameBytes+1000)
+	for i := range long {
+		long[i] = byte(i % 251)
+	}
+	sent := []fabric.Message{
+		protocol.MsgHeartbeat{Seq: 1},
+		bft.Request{Payload: long},
+		protocol.MsgHeartbeat{Seq: 2},
+		bft.Request{Payload: []byte("short")},
+		protocol.MsgHeartbeat{Seq: 3},
+	}
+	var in inbox
+	f.Register("s1", &in)
+	if _, err := rawConn(t, f, "s1").Write(stream(t, f, "x", sent...)); err != nil {
+		t.Fatal(err)
+	}
+	_, got := in.await(t, len(sent))
+	if !reflect.DeepEqual(got, sent) {
+		t.Fatalf("handled %d messages, not the %d sent, or not intact", len(got), len(sent))
+	}
+}
+
+// TestBurstThroughTheFabric: one sender queues 2,000 messages to one
+// receiver without yielding, so its link writes them in bursts. All arrive
+// once and in order, and Stats.Bytes counts the hello once and every frame
+// once.
+func TestBurstThroughTheFabric(t *testing.T) {
+	f, err := NewTCP(protocol.NewWireCodec(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var in inbox
+	f.Register("s1", &in)
+	const n = 2000
+	msgs := heartbeats(n)
+	want := uint64(len(stream(t, f, "c1", msgs...)))
+	for _, msg := range msgs {
+		f.Send("c1", "s1", msg, 0)
+	}
+	froms, got := in.await(t, n)
+	for i, msg := range got {
+		if msg != msgs[i] || froms[i] != "c1" {
+			t.Fatalf("message %d is %#v from %q, want %#v from c1", i, msg, froms[i], msgs[i])
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return f.Stats().Bytes >= want }, "the writer's byte count")
+	f.InvokeWait("s1", func() {})
+	if st := f.Stats(); st.Bytes != want || st.Delivered != n || st.Dropped != 0 {
+		t.Fatalf("stats %+v, want %d bytes (a hello and %d frames), %d delivered, none dropped", st, want, n, n)
+	}
+}
+
+// TestWrittenResumesAtFirstUnfinishedFrame pins what a failed write of n
+// bytes leaves to resend and what it counts as written: the retry starts
+// at the first frame not written in full, and only whole pieces count — a
+// hello cut short counts nothing.
+func TestWrittenResumesAtFirstUnfinishedFrame(t *testing.T) {
+	frames := [][]byte{make([]byte, 14), make([]byte, 20), make([]byte, 30)}
+	const hello = 4
+	for _, c := range []struct {
+		name        string
+		hello, n    int
+		done, whole int
+	}{
+		{"nothing", hello, 0, 0, 0},
+		{"inside-the-hello", hello, 3, 0, 0},
+		{"the-hello-alone", hello, hello, 0, hello},
+		{"on-a-frame-boundary", hello, hello + 14, 1, hello + 14},
+		{"inside-a-frame", hello, hello + 14 + 19, 1, hello + 14},
+		{"inside-the-last-frame", hello, hello + 14 + 20 + 1, 2, hello + 14 + 20},
+		{"everything", hello, hello + 14 + 20 + 30, 3, hello + 14 + 20 + 30},
+		{"no-hello-on-an-open-connection", 0, 14 + 20, 2, 14 + 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			done, whole := written(c.hello, frames, c.n)
+			if done != c.done || whole != c.whole {
+				t.Fatalf("written(%d, %d B) = (%d frames, %d B), want (%d, %d)", c.hello, c.n, done, whole, c.done, c.whole)
+			}
+		})
+	}
+}
+
+// cutConn takes the first room bytes written to it and fails the write
+// that goes past them, like a connection reset in the middle of a write.
+// It stands in for an established connection: the writer calls only
+// SetWriteDeadline, Write and Close on it.
+type cutConn struct {
+	net.Conn
+	room int
+	got  []byte
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	n := min(len(p), c.room)
+	c.room -= n
+	c.got = append(c.got, p[:n]...)
+	if n < len(p) {
+		return n, io.ErrClosedPipe
+	}
+	return n, nil
+}
+
+func (c *cutConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *cutConn) Close() error                     { return nil }
+
+// TestFailedWriteResendsOnlyWhatItDidNotFinish: a burst whose write is cut
+// off three bytes into its third frame counts two frames sent. The retry
+// dials a fresh connection, writes its hello and resends from the third
+// frame, so the receiver gets frames 3–5 once each and no frame goes out
+// twice.
+func TestFailedWriteResendsOnlyWhatItDidNotFinish(t *testing.T) {
+	res := defaultResilience
+	res.backoff = backoff{base: time.Millisecond, max: 2 * time.Millisecond, factor: 2}
+	f, err := newTCPWith(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var in inbox
+	f.Register("s1", &in)
+	msgs := heartbeats(5)
+	frames := make([][]byte, len(msgs))
+	for i, msg := range msgs {
+		if frames[i], err = f.buildFrame(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := f.link("c1", "s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := &cutConn{room: len(frames[0]) + len(frames[1]) + 3}
+	l.setConn(cut) // the link's writer is idle: nothing is queued
+	if sent, err := l.transmit(frames); sent != len(frames) || err != nil {
+		t.Fatalf("transmit = %d, %v; want all %d frames sent", sent, err, len(frames))
+	}
+	_, got := in.await(t, 3)
+	f.InvokeWait("s1", func() {})
+	if !reflect.DeepEqual(got, msgs[2:]) {
+		t.Fatalf("receiver got %v, want frames 3-5 once each: %v", got, msgs[2:])
+	}
+	hello, _ := buildHello("c1")
+	want := uint64(len(cut.got) - 3 + len(hello) + len(frames[2]) + len(frames[3]) + len(frames[4]))
+	if st, rs := f.Stats(), f.Resilience(); st.Bytes != want || rs != (ResilienceStats{Retries: 1, Reconnects: 1}) {
+		t.Fatalf("bytes %d, want %d (two frames on the cut connection, then a hello and three frames); resilience %+v, want one retry and one reconnect", st.Bytes, want, rs)
+	}
+}
+
+// BenchmarkTCPLink sends bursts of 1 and of 32 frames of about 300 bytes
+// over one peer link and waits for each burst to be handled. It reports
+// time and allocations per frame, writer, reader and mailbox together.
+func BenchmarkTCPLink(b *testing.B) {
+	msg := bft.Request{Payload: bytes.Repeat([]byte{7}, 290)}
+	for _, burst := range []int{1, 32} {
+		b.Run(fmt.Sprintf("burst=%d", burst), func(b *testing.B) {
+			f, err := NewTCP(protocol.NewWireCodec(nil))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			handled := make(chan struct{}, 1)
+			got := 0 // only s1's mailbox touches it
+			f.Register("s1", fabric.HandlerFunc(func(fabric.NodeID, fabric.Message) {
+				if got++; got%burst == 0 {
+					handled <- struct{}{}
+				}
+			}))
+			send := func() {
+				for j := 0; j < burst; j++ {
+					f.Send("c1", "s1", msg, 0)
+				}
+				<-handled
+			}
+			send() // dial and hello outside the timing
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			frames := float64(b.N * burst)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/frames, "allocs/frame")
+		})
+	}
+}

@@ -8,9 +8,11 @@
 //     in fast in-process tests.
 //   - TCP: the same node runtime, with messages crossing localhost TCP
 //     sockets as length-prefixed codec frames through per-peer links: a
-//     bounded outbound queue, a writer goroutine with per-send deadlines
-//     and bounded exponential backoff with jitter, and a circuit breaker
-//     that trips after repeated dial failures and probes half-open.
+//     bounded outbound queue, a writer goroutine that writes whatever is
+//     queued in one system call under one deadline per write and retries
+//     with bounded exponential backoff and jitter, and a circuit breaker
+//     that trips after repeated dial failures and probes half-open. The
+//     receiving side reads each connection through one buffered reader.
 //
 // Both backends implement fabric.FaultInjector, so the chaos engine's
 // drop/delay/duplicate/corrupt filters inject on live transports exactly
@@ -177,8 +179,9 @@ func (s *stats) snapshot() fabric.Stats {
 // ResilienceStats counts the transport-resilience events a live run saw.
 // InProc only reports crash/restart events; TCP reports all of them.
 type ResilienceStats struct {
-	// Retries is the number of frame (re)transmission attempts beyond the
-	// first — dial retries plus write retries.
+	// Retries is the number of write attempts beyond the first, each for
+	// the frames a failed attempt left unwritten — after a failed dial or
+	// a failed write alike.
 	Retries uint64
 	// Reconnects is the number of successful redials after a connection
 	// went bad.

@@ -73,10 +73,12 @@ func (b backoff) delay(attempt int, rng func() float64) time.Duration {
 type resilience struct {
 	// dialTimeout bounds one dial attempt.
 	dialTimeout time.Duration
-	// writeTimeout is the per-frame write deadline.
+	// writeTimeout is the deadline of one write, which carries the
+	// connection's hello when it is fresh and up to maxBurst frames.
 	writeTimeout time.Duration
-	// maxAttempts bounds transmission attempts per frame (first try plus
-	// retries); the frame is dropped when the budget is exhausted.
+	// maxAttempts bounds the attempts (first try plus retries) to get one
+	// burst of frames out; each frame still unwritten when the budget is
+	// exhausted is dropped.
 	maxAttempts int
 	// backoff is the wait schedule between attempts.
 	backoff backoff

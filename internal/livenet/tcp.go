@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,12 +22,13 @@ const maxFrameBytes = 1 << 22
 // TCP is the live backend over TCP sockets. Every registered node gets
 // its own listener on 127.0.0.1 (kernel-assigned port); each (from, to)
 // pair gets a peer link: a bounded outbound queue drained by a writer
-// goroutine that dials lazily, retries with bounded exponential backoff
-// and jitter under per-attempt deadlines, and sits behind a per-peer
+// goroutine that dials lazily, writes whatever is queued (up to maxBurst
+// frames) in one system call under one write deadline, retries with
+// bounded exponential backoff and jitter, and sits behind a per-peer
 // circuit breaker that trips after repeated dial failures and probes
 // half-open after a cooldown. A link's connection names its sender once,
 // in the hello it opens with, and then carries length-prefixed wire-codec
-// frames:
+// frames, which the receiving side reads through one buffered reader:
 //
 //	hello: [2B id length][sender id]
 //	frame: [4B frame length][8B lamport clock][codec bytes]
@@ -185,16 +187,24 @@ func (t *TCP) dropInbound(conn net.Conn) {
 	t.lmu.Unlock()
 }
 
+// keptFrameBytes bounds the body buffer a connection reuses from frame to
+// frame. A longer frame is read into an allocation of its own and let go,
+// so a hostile length prefix cannot pin maxFrameBytes per connection.
+const keptFrameBytes = 64 << 10
+
 // readLoop reads the hello an inbound connection opens with, then parses
 // frames off it and delivers each to the owning node's mailbox as sent by
-// the id the hello named. A malformed hello, an oversized frame or a frame
-// that does not parse tears the connection down (the sender will
-// reconnect).
+// the id the hello named. Hello and frames come through one default-size
+// buffered reader, and each body up to keptFrameBytes lands in one buffer
+// the connection reuses: parseFrame's codec copies out everything it
+// keeps. A malformed hello, an oversized frame or a frame that does not
+// parse tears the connection down (the sender will reconnect).
 func (t *TCP) readLoop(to fabric.NodeID, conn net.Conn) {
 	defer t.lwg.Done()
 	defer t.dropInbound(conn)
 	defer conn.Close()
-	from, err := ReadHello(conn)
+	r := bufio.NewReader(conn)
+	from, err := ReadHello(r)
 	if err != nil {
 		if errors.Is(err, errHello) {
 			t.st.droppedUnknown.Add(1)
@@ -202,8 +212,9 @@ func (t *TCP) readLoop(to fabric.NodeID, conn net.Conn) {
 		return
 	}
 	var header [4]byte
+	var kept []byte
 	for {
-		if _, err := io.ReadFull(conn, header[:]); err != nil {
+		if _, err := io.ReadFull(r, header[:]); err != nil {
 			return
 		}
 		frameLen := binary.BigEndian.Uint32(header[:])
@@ -211,8 +222,17 @@ func (t *TCP) readLoop(to fabric.NodeID, conn net.Conn) {
 			t.st.droppedUnknown.Add(1)
 			return
 		}
-		frame := make([]byte, frameLen)
-		if _, err := io.ReadFull(conn, frame); err != nil {
+		var frame []byte
+		switch {
+		case frameLen > keptFrameBytes:
+			frame = make([]byte, frameLen)
+		case int(frameLen) > cap(kept):
+			kept = make([]byte, frameLen)
+			frame = kept
+		default:
+			frame = kept[:frameLen]
+		}
+		if _, err := io.ReadFull(r, frame); err != nil {
 			return
 		}
 		clock, msg, err := t.parseFrame(frame)
@@ -309,10 +329,19 @@ var errHello = errors.New("livenet: malformed connection hello")
 // dials, [2B id length][id], and returns the bytes written. The id names
 // the sender of every frame that follows on the connection.
 func WriteHello(w io.Writer, id fabric.NodeID) (int, error) {
-	if len(id) == 0 || len(id) > maxHelloID {
-		return 0, errHello
+	hello, err := buildHello(id)
+	if err != nil {
+		return 0, err
 	}
-	return w.Write(append(binary.BigEndian.AppendUint16(nil, uint16(len(id))), id...))
+	return w.Write(hello)
+}
+
+// buildHello returns the hello's bytes, [2B id length][id].
+func buildHello(id fabric.NodeID) ([]byte, error) {
+	if len(id) == 0 || len(id) > maxHelloID {
+		return nil, errHello
+	}
+	return append(binary.BigEndian.AppendUint16(nil, uint16(len(id))), id...), nil
 }
 
 // ReadHello reads the hello a connection opens with and returns the id it
@@ -512,6 +541,10 @@ func (t *TCP) Close() {
 	t.closeNodes()
 }
 
+// maxBurst bounds the frames one write carries: the frame the writer woke
+// for, then whatever else its queue already holds.
+const maxBurst = 64
+
 // peerLink is one (from, to) outbound path: a bounded queue drained by a
 // writer goroutine behind a circuit breaker.
 type peerLink struct {
@@ -521,6 +554,9 @@ type peerLink struct {
 	done     chan struct{}
 	once     sync.Once
 	brk      *breaker
+	// iov and unsent are the writer's: one write's hello and frames, and
+	// the copy of the slice that WriteTo consumes as it writes.
+	iov, unsent net.Buffers
 
 	// cmu guards conn; the writer goroutine owns the connection lifecycle
 	// but crash severing (and tests) close it from outside.
@@ -557,39 +593,53 @@ func (l *peerLink) close() {
 	l.once.Do(func() { close(l.done) })
 }
 
-// run is the writer goroutine: it drains the queue, transmitting each
-// frame with the retry/backoff/deadline budget.
+// run is the writer goroutine: it takes the frame it woke for and whatever
+// else is already queued, up to maxBurst, and transmits them together. A
+// frame the burst could not get out counts as one unknown drop.
 func (l *peerLink) run() {
 	defer l.t.lwg.Done()
 	defer l.closeConn()
+	burst := make([][]byte, 0, maxBurst)
 	for {
 		select {
 		case <-l.done:
 			return
 		case frame := <-l.outq:
-			if err := l.transmit(frame); err != nil {
-				l.t.st.droppedUnknown.Add(1)
+			burst = append(burst, frame)
+			for len(burst) < maxBurst && len(l.outq) > 0 {
+				burst = append(burst, <-l.outq)
 			}
+			if sent, err := l.transmit(burst); err != nil {
+				l.t.st.droppedUnknown.Add(uint64(len(burst) - sent))
+			}
+			// Let the frames go. Their bytes are never reused: SendErr
+			// queues one slice once per duplicate copy.
+			clear(burst)
+			burst = burst[:0]
 		}
 	}
 }
 
-// transmit writes one frame, dialing as needed, with bounded retries. A
-// fresh connection gets the link's hello first; a failed hello write is a
-// failed attempt like a failed frame write.
-func (l *peerLink) transmit(frame []byte) error {
+// transmit writes the frames in order with one write per attempt, dialing
+// as needed, under bounded retries, and returns how many went out whole. A
+// fresh connection gets the link's hello first, in the same write; a
+// failed write counts what it finished (written) and the next attempt, on
+// a fresh connection behind a fresh hello, resumes at the first frame it
+// did not, so the link never writes a frame twice.
+func (l *peerLink) transmit(frames [][]byte) (int, error) {
 	res := l.t.res
 	var lastErr error
+	sent := 0
 	for attempt := 1; attempt <= res.maxAttempts; attempt++ {
 		if attempt > 1 {
 			l.t.st.retries.Add(1)
 			if !l.wait(res.backoff.delay(attempt-1, l.t.rng.Float64)) {
-				return ErrPeerUnreachable // link shut down mid-backoff
+				return sent, ErrPeerUnreachable // link shut down mid-backoff
 			}
 		}
 		conn := l.currentConn()
-		fresh := conn == nil
-		if fresh {
+		var hello []byte
+		if conn == nil {
 			now := time.Now()
 			if !l.brk.Allow(now) {
 				lastErr = ErrPeerUnreachable
@@ -604,28 +654,51 @@ func (l *peerLink) transmit(frame []byte) error {
 			l.brk.Success()
 			conn = c
 			if !l.setConn(c) {
-				return ErrPeerUnreachable // link closed while dialing
+				return sent, ErrPeerUnreachable // link closed while dialing
 			}
-		}
-		conn.SetWriteDeadline(time.Now().Add(res.writeTimeout))
-		if fresh {
-			n, err := WriteHello(conn, l.from)
-			if err != nil {
+			if hello, err = buildHello(l.from); err != nil {
 				l.dropConn(conn)
 				lastErr = err
 				continue
 			}
-			l.t.st.bytes.Add(uint64(n))
 		}
-		if _, err := conn.Write(frame); err != nil {
+		conn.SetWriteDeadline(time.Now().Add(res.writeTimeout))
+		l.iov = l.iov[:0]
+		if hello != nil {
+			l.iov = append(l.iov, hello)
+		}
+		l.iov = append(l.iov, frames[sent:]...)
+		l.unsent = l.iov
+		n, err := l.unsent.WriteTo(conn)
+		done, whole := written(len(hello), frames[sent:], int(n))
+		l.t.st.bytes.Add(uint64(whole))
+		sent += done
+		if err != nil {
 			l.dropConn(conn)
 			lastErr = err
-			continue
 		}
-		l.t.st.bytes.Add(uint64(len(frame)))
-		return nil
+		if sent == len(frames) {
+			return sent, nil
+		}
 	}
-	return lastErr
+	return sent, lastErr
+}
+
+// written splits the n bytes a write of hello ‖ frames got out into what
+// it finished: how many frames went out whole, and the bytes of what went
+// out whole, the hello included. A frame cut short goes again in full,
+// behind the next connection's hello; so does one behind a hello cut
+// short.
+func written(hello int, frames [][]byte, n int) (done, whole int) {
+	if n < hello {
+		return 0, 0
+	}
+	whole = hello
+	for done < len(frames) && n-whole >= len(frames[done]) {
+		whole += len(frames[done])
+		done++
+	}
+	return done, whole
 }
 
 // wait sleeps for the backoff delay, returning false if the link shuts

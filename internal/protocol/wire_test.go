@@ -731,7 +731,8 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(frameOf(15, 1, 8, 0)) // a heartbeat inside a bft frame
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := decodeAny(t, c, data)
+		in := bytes.Clone(data) // the fuzzer's bytes are not ours to overwrite
+		msg, err := decodeAny(t, c, in)
 		if err != nil {
 			return
 		}
@@ -742,7 +743,46 @@ func FuzzWireDecode(f *testing.F) {
 		if !bytes.Equal(again, data) {
 			t.Fatalf("accepted a second encoding of %T:\n input  %x\n encode %x", msg, data, again)
 		}
+		if again := clobbered(t, c, msg, in); !bytes.Equal(again, data) {
+			t.Fatalf("%T keeps bytes of its input: once they read 0xff it encodes to\n %x\nnot\n %x", msg, again, data)
+		}
 	})
+}
+
+// TestDecodeKeepsNothingOfItsInput: every entry point copies out what it
+// keeps, so a sample decoded from a buffer that is then overwritten with
+// 0xff still encodes to the bytes it was decoded from. The tcp backend's
+// reader rests on this: it decodes every frame of a connection out of one
+// buffer it reuses. FuzzWireDecode checks the same of every input it
+// accepts.
+func TestDecodeKeepsNothingOfItsInput(t *testing.T) {
+	c := NewWireCodec(nil)
+	for _, sample := range wireSamples(t) {
+		frame := mustEncode(t, c, sample)
+		in := bytes.Clone(frame)
+		msg, err := decodeAny(t, c, in)
+		if err != nil {
+			t.Fatalf("decode %T: %v", sample, err)
+		}
+		if again := clobbered(t, c, msg, in); !bytes.Equal(again, frame) {
+			t.Errorf("%T keeps bytes of its input: once they read 0xff it encodes to\n %x\nnot\n %x", sample, again, frame)
+		}
+	}
+}
+
+// clobbered overwrites in, the buffer msg was decoded from, with 0xff and
+// encodes msg again. A decoder that kept a slice of its input shows in the
+// result.
+func clobbered(t testing.TB, c *WireCodec, msg fabric.Message, in []byte) []byte {
+	t.Helper()
+	for i := range in {
+		in[i] = 0xff
+	}
+	again, err := ownerOf(c, msg).enc(msg)
+	if err != nil {
+		t.Fatalf("%T does not encode once its input is overwritten: %v", msg, err)
+	}
+	return again
 }
 
 // BenchmarkWireCodec times Encode and Decode on every sample kind and
