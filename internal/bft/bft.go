@@ -246,9 +246,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 	}, nil
 }
 
-// F returns the number of tolerated faults.
-func (r *Replica) F() int { return r.f }
-
 // View returns the current view number.
 func (r *Replica) View() uint64 { return r.view }
 

@@ -386,8 +386,8 @@ func TestFaultToleranceThresholds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewReplica: %v", err)
 		}
-		if r.F() != tc.f {
-			t.Errorf("mode=%v n=%d: F=%d, want %d", tc.mode, tc.n, r.F(), tc.f)
+		if r.f != tc.f {
+			t.Errorf("mode=%v n=%d: f=%d, want %d", tc.mode, tc.n, r.f, tc.f)
 		}
 	}
 }

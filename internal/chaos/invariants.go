@@ -38,21 +38,14 @@ func (v Violation) String() string {
 	return fmt.Sprintf("seed=%d t=%v %s: %s", v.Seed, v.T, v.Invariant, v.Detail)
 }
 
-// Invariant names.
+// Invariant names. The forwarding invariants (black-hole freedom, loop
+// freedom, path consistency) are checked by the shared property engine and
+// carry its names: netprop.BlackholeFreedom, LoopFreedom, PathConsistency.
 const (
 	// InvNoForgedRule: every update a switch applies as valid was
 	// committed (ledgered) by at least one honest controller before any
 	// share for it could have been sent — threshold-signature safety.
 	InvNoForgedRule = "no-forged-rule"
-	// InvBlackholeFreedom: following any installed output rule hop by hop
-	// never reaches a switch with no matching rule or an unknown node.
-	// Checked by the shared property engine (internal/netprop).
-	InvBlackholeFreedom = netprop.BlackholeFreedom
-	// InvLoopFreedom: no forwarding walk revisits a switch.
-	InvLoopFreedom = netprop.LoopFreedom
-	// InvPathConsistency: a forwarding walk for destination d that reaches
-	// a host reaches exactly d.
-	InvPathConsistency = netprop.PathConsistency
 	// InvBFTAgreement: honest controllers of a domain deliver the same
 	// events in the same order (total-order safety of the atomic
 	// broadcast), observed through their hash-chained audit ledgers.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cicero/internal/fabric"
+	"cicero/internal/netprop"
 	"cicero/internal/openflow"
 )
 
@@ -176,10 +177,10 @@ func TestConvergeFiresEachInvariantOnce(t *testing.T) {
 		{"clean", "", func(*Snapshot) {}, ref},
 		{"incomplete run skips the reference", "", func(s *Snapshot) { s.FlowsDone = 1 }, "not-the-digest"},
 		{"lagging restarted ledger is lawful", "", func(s *Snapshot) { s.Ledgers[1].Transferred = true }, ref},
-		{"walk loop", InvLoopFreedom, func(s *Snapshot) {
+		{"walk loop", netprop.LoopFreedom, func(s *Snapshot) {
 			s.Tables = map[string]*openflow.FlowTable{"s1": forwardTo("h1", "s1")}
 		}, ""},
-		{"blackhole", InvBlackholeFreedom, func(s *Snapshot) { s.Tables["s2"] = openflow.NewFlowTable() }, ""},
+		{"blackhole", netprop.BlackholeFreedom, func(s *Snapshot) { s.Tables["s2"] = openflow.NewFlowTable() }, ""},
 		{"diverging ledgers", InvBFTAgreement, func(s *Snapshot) { s.Ledgers[1].Events[0] = entry("x") }, ref},
 		{"apply with no committed digest", InvNoForgedRule, func(s *Snapshot) { s.Applies = append(s.Applies, forged) }, ref},
 		{"repeated defect", InvNoForgedRule, func(s *Snapshot) { s.Applies = append(s.Applies, forged, forged, forged) }, ref},

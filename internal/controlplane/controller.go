@@ -1101,8 +1101,3 @@ func (c *Controller) BroadcastCoords() (view, lastDelivered uint64) {
 	}
 	return c.replica.View(), c.replica.LastDelivered()
 }
-
-// InjectEvent lets the simulation driver present an administrator event
-// (policy change, link failure) directly to this controller, as if
-// received from a verified source.
-func (c *Controller) InjectEvent(ev protocol.Event) { c.receiveEvent(ev) }

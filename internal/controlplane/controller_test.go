@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/routing"
@@ -159,7 +160,7 @@ func TestCentralizedDependencyOrderedDispatch(t *testing.T) {
 		Kind: protocol.EventFlowRequest,
 		Src:  "h1", Dst: "h2",
 	}
-	ctl.InjectEvent(ev)
+	ctl.receiveEvent(ev)
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestCentralizedDependencyOrderedDispatch(t *testing.T) {
 		t.Fatalf("delivered=%d acks=%d, want 1/3", ctl.EventsDelivered, ctl.AcksReceived)
 	}
 	// Duplicate injection is deduplicated.
-	ctl.InjectEvent(ev)
+	ctl.receiveEvent(ev)
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestAckFromAnotherIdentityReleasesNothing(t *testing.T) {
 	evilKeys, _ := pki.NewKeyPair(rand.Reader, "evil-member")
 	dir.MustRegister(evilKeys)
 	evil := pki.NewLink(evilKeys, dir)
-	net.Register("evil-member", simnet.HandlerFunc(func(simnet.NodeID, simnet.Message) {}))
+	net.Register("evil-member", fabric.HandlerFunc(func(simnet.NodeID, simnet.Message) {}))
 
 	run := func() {
 		t.Helper()
@@ -258,7 +259,7 @@ func TestAckFromAnotherIdentityReleasesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctl.InjectEvent(protocol.Event{
+	ctl.receiveEvent(protocol.Event{
 		ID:   openflow.MsgID{Origin: "origin", Seq: 1},
 		Kind: protocol.EventFlowRequest,
 		Src:  "h1", Dst: "h2",
@@ -361,7 +362,7 @@ func newAggFixture(t *testing.T, cryptoReal bool) *aggFixture {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	net.Register("s1", simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
+	net.Register("s1", fabric.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
 		if m, ok := msg.(protocol.MsgAggUpdate); ok {
 			f.relayed = append(f.relayed, m)
 		}

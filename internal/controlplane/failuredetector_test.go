@@ -104,7 +104,9 @@ func TestFailureDetectorRemovesPartitionedMember(t *testing.T) {
 	for _, m := range cl.members[:4] {
 		rest = append(rest, simnet.NodeID(m))
 	}
-	cl.net.PartitionSet([]simnet.NodeID{simnet.NodeID(victim)}, append(rest, "s1"))
+	for _, m := range append(rest, "s1") {
+		cl.net.Partition(simnet.NodeID(victim), m)
+	}
 
 	// Partitioned-but-alive members retry forever; drive with a deadline.
 	if _, err := cl.sim.RunUntil(400 * time.Millisecond); err != nil {
@@ -157,10 +159,14 @@ func TestFailureDetectorToleratesRecovery(t *testing.T) {
 	// Sever for less than the 20ms timeout, starting after the first
 	// heartbeat round has seeded lastSeen.
 	cl.sim.Schedule(10*time.Millisecond, func() {
-		cl.net.PartitionSet([]simnet.NodeID{victim}, rest)
+		for _, m := range rest {
+			cl.net.Partition(victim, m)
+		}
 	})
 	cl.sim.Schedule(24*time.Millisecond, func() {
-		cl.net.HealSet([]simnet.NodeID{victim}, rest)
+		for _, m := range rest {
+			cl.net.Heal(victim, m)
+		}
 	})
 	if _, err := cl.sim.RunUntil(400 * time.Millisecond); err != nil {
 		t.Fatal(err)

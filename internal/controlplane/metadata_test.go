@@ -203,7 +203,7 @@ func TestMetadataReshareUnderLoad(t *testing.T) {
 
 	// In-flight load: several flow events, then the removal, then more.
 	inject := func(seq uint64) {
-		cl.ctls[0].InjectEvent(protocol.Event{
+		cl.ctls[0].receiveEvent(protocol.Event{
 			ID:   openflow.MsgID{Origin: "load", Seq: seq},
 			Kind: protocol.EventFlowRequest, Src: "h1", Dst: "h2",
 		})
@@ -224,14 +224,17 @@ func TestMetadataReshareUnderLoad(t *testing.T) {
 	if leader.Reshares != 1 {
 		t.Fatalf("leader reshares = %d, want 1", leader.Reshares)
 	}
-	// The rotated root retired the removed member's key on every store.
+	// The rotated root, adopted on every store, no longer delegates to the
+	// removed member's key.
 	for _, c := range cl.ctls[:n-1] {
 		root := c.MetaStore().Root()
 		if root == nil || root.Version != 2 {
 			t.Fatalf("%s: root %+v, want v2", c.ID(), root)
 		}
-		if !c.MetaStore().Retired(string(removed)) {
-			t.Fatalf("%s: removed member's role key not retired", c.ID())
+		for role, d := range root.Roles {
+			if d.Key(string(removed)) != nil {
+				t.Fatalf("%s: removed member's key still delegated for %s", c.ID(), role)
+			}
 		}
 	}
 	sw := cl.sws["s1"]
@@ -300,12 +303,14 @@ func TestGapStallSelfRecovery(t *testing.T) {
 	victimID := simnet.NodeID(cl.members[3])
 	rest := []simnet.NodeID{simnet.NodeID(cl.members[0]), simnet.NodeID(cl.members[1]),
 		simnet.NodeID(cl.members[2]), "s1"}
-	cl.net.PartitionSet([]simnet.NodeID{victimID}, rest)
+	for _, m := range rest {
+		cl.net.Partition(victimID, m)
+	}
 
 	// Drive the live trio far enough that the victim's gap slots are
 	// garbage-collected (gcKeep slots past delivery).
 	inject := func(seq uint64) {
-		cl.ctls[0].InjectEvent(protocol.Event{
+		cl.ctls[0].receiveEvent(protocol.Event{
 			ID:   openflow.MsgID{Origin: "wedge", Seq: seq},
 			Kind: protocol.EventFlowRequest, Src: "h1", Dst: "h2",
 		})
@@ -326,7 +331,9 @@ func TestGapStallSelfRecovery(t *testing.T) {
 
 	// Heal and send fresh traffic: the victim now sees slots commit far
 	// above its frozen horizon, and the missing prefix is gone for good.
-	cl.net.HealSet([]simnet.NodeID{victimID}, rest)
+	for _, m := range rest {
+		cl.net.Heal(victimID, m)
+	}
 	for i := total + 1; i <= total+4; i++ {
 		inject(i)
 	}

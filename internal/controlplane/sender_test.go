@@ -68,7 +68,7 @@ func newSenderFixture(t *testing.T) *senderFixture {
 		}
 		f.ctls = append(f.ctls, c)
 	}
-	f.ctls[0].InjectEvent(protocol.Event{
+	f.ctls[0].receiveEvent(protocol.Event{
 		ID:   openflow.MsgID{Origin: "s1", Seq: 1},
 		Kind: protocol.EventFlowRequest,
 		Src:  "h1", Dst: "h2",

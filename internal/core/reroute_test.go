@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"cicero/internal/audit"
 	"cicero/internal/controlplane"
+	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/routing"
@@ -46,12 +49,8 @@ func TestLinkFailureReroutesWithoutBlackHole(t *testing.T) {
 		t.Fatalf("expected s2 -> s5 direct route, got %v (ok=%v)", rule, ok)
 	}
 
-	// The s2-s5 link fails; the failure event reaches the control plane.
-	ev := routing.LinkDownEvent("admin", 1, "s2", "s5")
-	n.Domains[0].Controllers[0].InjectEvent(ev)
-	if _, err := n.Sim.Run(); err != nil {
-		t.Fatal(err)
-	}
+	// The s2-s5 link fails; s2 reports it to the control plane.
+	failLink(t, n, "s2", "s5")
 
 	// s2 must now forward toward s3 (the detour), and every switch on the
 	// new path must carry the rule — no black hole.
@@ -122,10 +121,7 @@ func TestLinkFailureUnreachableDestinationRetiresRoute(t *testing.T) {
 	if _, ok := n.Switches["s1"].Lookup("h1", "h2"); !ok {
 		t.Fatal("route not installed")
 	}
-	n.Domains[0].Controllers[0].InjectEvent(routing.LinkDownEvent("admin", 1, "s1", "s2"))
-	if _, err := n.Sim.Run(); err != nil {
-		t.Fatal(err)
-	}
+	failLink(t, n, "s1", "s2")
 	// The stale rule must be gone: forwarding into a dead link is the
 	// Fig. 2 failure mode.
 	if r, ok := n.Switches["s1"].Lookup("h1", "h2"); ok {
@@ -182,14 +178,40 @@ func TestRerouteOrderingNeverBlackHolesDuringTransition(t *testing.T) {
 				}
 			})
 		}
-		n.Domains[0].Controllers[0].InjectEvent(routing.LinkDownEvent("admin", 1, "s2", "s5"))
-		if _, err := n.Sim.Run(); err != nil {
-			t.Fatal(err)
-		}
+		failLink(t, n, "s2", "s5")
 		if !checked {
 			t.Fatalf("seed %d: ingress never adopted the replacement route", seed)
 		}
 	}
 }
 
-var _ = openflow.FlowAdd // reference for doc clarity
+// failLink has switch sw report its link to peer down, sealed under its
+// own identity like any switch event (origin "<sw>/linkdown"), runs the
+// simulator, and checks that every controller of the domain has the event
+// in its ledger: it was ordered, not handed to one controller.
+func failLink(t *testing.T, n *Network, sw, peer string) {
+	t.Helper()
+	ev := protocol.Event{
+		ID:   openflow.MsgID{Origin: sw + "/linkdown", Seq: 1},
+		Kind: protocol.EventLinkDown,
+		Src:  sw,
+		Dst:  peer,
+	}
+	if err := n.On(fabric.NodeID(sw), func() { n.Switches[sw].EmitEvent(ev) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ledgers, err := n.Ledgers(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ledger := range ledgers {
+		if !slices.ContainsFunc(ledger, func(r audit.Record) bool {
+			return r.Kind == audit.KindEvent && r.Subject == ev.ID.String()
+		}) {
+			t.Fatalf("%s: link-down event %s is not in its ledger", n.Domains[0].Controllers[i].ID(), ev.ID)
+		}
+	}
+}

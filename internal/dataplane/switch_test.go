@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/simnet"
@@ -61,7 +62,7 @@ func newHarness(t *testing.T, mode Mode, cryptoReal bool) *harness {
 	h.gk, h.shares = gk, shares
 	for _, id := range controllerIDs {
 		id := id
-		h.net.Register(simnet.NodeID(id), simnet.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
+		h.net.Register(simnet.NodeID(id), fabric.HandlerFunc(func(from simnet.NodeID, msg simnet.Message) {
 			h.received[id] = append(h.received[id], msg)
 		}))
 	}

@@ -196,7 +196,7 @@ func TestRootRotationRetiresKeys(t *testing.T) {
 	if err := s.Apply(root2Env); err != nil {
 		t.Fatalf("root2: %v", err)
 	}
-	if !s.Retired("c4") {
+	if !s.retired["c4"] {
 		t.Fatalf("c4 not marked retired after rotation")
 	}
 	// A post-rotation document signed by the retired key is rejected as

@@ -197,14 +197,6 @@ func (s *Store) CurrentSet() []protocol.MetaEnvelope {
 	return out
 }
 
-// Retired reports whether a role-key id was delegated by an earlier
-// root and dropped since.
-func (s *Store) Retired(keyID string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retired[keyID]
-}
-
 // Apply verifies one envelope and adopts it on success. The error, when
 // non-nil, is a *RejectError classifying the failure.
 func (s *Store) Apply(env protocol.MetaEnvelope) error {

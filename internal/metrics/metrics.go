@@ -70,32 +70,8 @@ func (s *Samples) Percentile(p float64) float64 {
 	return s.values[rank]
 }
 
-// Min returns the smallest sample.
-func (s *Samples) Min() float64 { return s.Percentile(0) }
-
 // Max returns the largest sample.
 func (s *Samples) Max() float64 { return s.Percentile(1) }
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // cumulative probability
-}
-
-// CDF returns the empirical CDF evaluated at n evenly spaced probability
-// levels (like the paper's CDF plots).
-func (s *Samples) CDF(n int) []CDFPoint {
-	if len(s.values) == 0 || n <= 0 {
-		return nil
-	}
-	s.ensureSorted()
-	out := make([]CDFPoint, 0, n)
-	for i := 1; i <= n; i++ {
-		p := float64(i) / float64(n)
-		out = append(out, CDFPoint{X: s.Percentile(p), P: p})
-	}
-	return out
-}
 
 // Summary renders mean/percentiles compactly.
 func (s *Samples) Summary() string {
@@ -171,21 +147,4 @@ func pad(s string, width int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", width-len(s))
-}
-
-// TimeSeries accumulates (t, value) points, e.g. CPU utilization over a
-// workload's duration (Fig. 11d).
-type TimeSeries struct {
-	Points []TimePoint
-}
-
-// TimePoint is one sample of a time series.
-type TimePoint struct {
-	T time.Duration
-	V float64
-}
-
-// Add appends a point.
-func (ts *TimeSeries) Add(t time.Duration, v float64) {
-	ts.Points = append(ts.Points, TimePoint{T: t, V: v})
 }

@@ -14,8 +14,8 @@ import "time"
 // Real cryptographic operations can additionally be executed (they always
 // are in the security tests); the cost model still supplies the *time*
 // so runs remain hardware-independent. In particular, the crypto fast
-// path (prepared pairings, product-of-pairings verification, batched
-// share verification, verification caching — see DESIGN.md) accelerates
+// path (prepared pairings, product-of-pairings verification, the Lagrange
+// and verification-key memos — see DESIGN.md) accelerates
 // only the real CPU work; simulated latencies stay pinned to the paper's
 // PBC measurements via these constants, so making the implementation
 // faster never changes an experiment's virtual-time results.
@@ -80,7 +80,3 @@ func Calibrated() CostModel {
 		ReshareCompute:       3 * time.Millisecond,
 	}
 }
-
-// Zero returns a cost model with no time charges, isolating pure
-// message-count effects in tests.
-func Zero() CostModel { return CostModel{} }

@@ -229,17 +229,6 @@ func register[T any](c *WireCodec, id byte, name string) {
 	c.byType[t] = e
 }
 
-// RegisteredTypes returns the sorted frame-type names the codec accepts
-// (tests assert full coverage against this list).
-func (c *WireCodec) RegisteredTypes() []string {
-	names := make([]string, 0, len(c.byType))
-	for _, e := range c.byType {
-		names = append(names, e.name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Encode serializes msg into a frame: its type id, then its body.
 func (c *WireCodec) Encode(msg fabric.Message) ([]byte, error) {
 	return c.AppendEncode(nil, msg)

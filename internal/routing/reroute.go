@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"fmt"
 	"sort"
 
 	"cicero/internal/openflow"
@@ -34,9 +33,6 @@ type Rerouter struct {
 }
 
 var _ App = (*Rerouter)(nil)
-
-// Name implements App.
-func (a *Rerouter) Name() string { return "rerouter(" + a.Inner.Name() + ")" }
 
 // PlanFlow implements App.
 func (a *Rerouter) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
@@ -112,11 +108,6 @@ func (a *Rerouter) handleLinkDown(ev protocol.Event) ([]openflow.FlowMod, error)
 	return mods, nil
 }
 
-// Routes returns the tracked path for dst (for tests).
-func (a *Rerouter) Routes(dst string) []string {
-	return append([]string(nil), a.routes[dst]...)
-}
-
 // priority mirrors the inner app's rule priority.
 func (a *Rerouter) priority() int {
 	if a.Inner.Priority != 0 {
@@ -147,14 +138,4 @@ func pathUsesLink(path []string, a, b string) bool {
 		}
 	}
 	return false
-}
-
-// LinkDownEvent builds the administrator event reporting a failed link.
-func LinkDownEvent(origin string, seq uint64, a, b string) protocol.Event {
-	return protocol.Event{
-		ID:   openflow.MsgID{Origin: fmt.Sprintf("%s/linkdown", origin), Seq: seq},
-		Kind: protocol.EventLinkDown,
-		Src:  a,
-		Dst:  b,
-	}
 }

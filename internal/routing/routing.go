@@ -29,8 +29,6 @@ var (
 
 // App plans the data-plane changes for an event.
 type App interface {
-	// Name identifies the application in logs and experiments.
-	Name() string
 	// PlanFlow returns flow mods in path order (source-side switch first).
 	// The update scheduler derives consistency dependencies from this
 	// ordering.
@@ -51,9 +49,6 @@ type ShortestPath struct {
 }
 
 var _ App = (*ShortestPath)(nil)
-
-// Name implements App.
-func (a *ShortestPath) Name() string { return "shortest-path" }
 
 // PlanFlow implements App.
 func (a *ShortestPath) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
@@ -125,9 +120,6 @@ type Firewall struct {
 
 var _ App = (*Firewall)(nil)
 
-// Name implements App.
-func (a *Firewall) Name() string { return "firewall(" + a.Inner.Name() + ")" }
-
 // blockedBy returns the firewall rule covering the pair, if any.
 func (a *Firewall) blockedBy(src, dst string) (FirewallRule, bool) {
 	for _, r := range a.Blocked {
@@ -192,9 +184,6 @@ type LoadBalancer struct {
 
 var _ App = (*LoadBalancer)(nil)
 
-// Name implements App.
-func (a *LoadBalancer) Name() string { return "load-balancer" }
-
 // PlanFlow implements App.
 func (a *LoadBalancer) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 	switch ev.Kind {
@@ -246,14 +235,6 @@ func (a *LoadBalancer) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 	}
 	rule := openflow.Rule{Priority: prio, Match: openflow.Match{Src: ev.Src, Dst: ev.Dst}, Cookie: ev.Cookie}
 	return hopMods(a.Graph, path, op, rule), nil
-}
-
-// Reserved returns the current reservation on the a-b link.
-func (a *LoadBalancer) Reserved(x, y string) float64 {
-	if a.reserved == nil {
-		return 0
-	}
-	return a.reserved[linkKey(x, y)]
 }
 
 // linkKey canonicalizes an undirected link.

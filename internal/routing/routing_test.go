@@ -206,8 +206,8 @@ func TestLoadBalancerSpreadsFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if app.Reserved("s2", "s5") != 5 {
-		t.Fatalf("first flow did not reserve s2-s5 (reserved=%v)", app.Reserved("s2", "s5"))
+	if app.reserved[linkKey("s2", "s5")] != 5 {
+		t.Fatalf("first flow did not reserve s2-s5 (reserved=%v)", app.reserved[linkKey("s2", "s5")])
 	}
 	// Second flow between the same endpoints must avoid the now-loaded
 	// direct link (Fig. 3's balancing).
@@ -220,7 +220,7 @@ func TestLoadBalancerSpreadsFlows(t *testing.T) {
 				usedDirect = true
 			}
 		}
-		if usedDirect && app.Reserved("s2", "s5") >= 10 {
+		if usedDirect && app.reserved[linkKey("s2", "s5")] >= 10 {
 			t.Error("load balancer over-provisioned the direct link")
 		}
 	}
@@ -240,7 +240,7 @@ func TestLoadBalancerTeardownReleases(t *testing.T) {
 	if _, err := app.PlanFlow(down); err != nil {
 		t.Fatal(err)
 	}
-	if r := app.Reserved("s2", "s5"); r != 0 {
+	if r := app.reserved[linkKey("s2", "s5")]; r != 0 {
 		t.Fatalf("reservation not released: %v", r)
 	}
 }

@@ -46,8 +46,7 @@ type Engine struct {
 	// early holds, per update no plan has named yet, the switches that
 	// acknowledged it; Add keeps the ack only if the plan addresses the
 	// update to one of them.
-	early    map[openflow.MsgID][]string
-	inFlight int
+	early map[openflow.MsgID][]string
 }
 
 // engineEntry is an update still blocked on dependencies.
@@ -130,16 +129,16 @@ func (e *Engine) dispatch(su ScheduledUpdate) {
 		return
 	}
 	e.released[su.ID] = su.Mod.Switch
-	e.inFlight++
 }
 
-// validate is Validate with engine context, returning a topological order
-// of the plan (indices into it, plan order as the tie-break). An id that
-// is blocked or in flight locally is a duplicate; an id that is merely
-// acked is NOT — on live backends the switch can apply an update through
-// the other controllers' quorum before this controller plans it, and the
-// plan must still be accepted so the decision reaches the local ledger.
-// Already-acked out-of-plan dependencies are considered satisfied.
+// validate checks that a plan is a DAG over its own updates and the acked
+// ones (ErrDuplicateUpdate, ErrUnknownDependency, ErrCycle), returning a
+// topological order of the plan (indices into it, plan order as the
+// tie-break). An id that is blocked or in flight locally is a duplicate; an
+// id that is merely acked is NOT — on live backends the switch can apply an
+// update through the other controllers' quorum before this controller plans
+// it, and the plan must still be accepted so the decision reaches the local
+// ledger. Already-acked out-of-plan dependencies are considered satisfied.
 func (e *Engine) validate(plan Plan) ([]int, error) {
 	index := make(map[openflow.MsgID]int, len(plan))
 	for i, su := range plan {
@@ -209,7 +208,6 @@ func (e *Engine) Ack(id openflow.MsgID, sw string) bool {
 		}
 		e.acked[id] = true
 		delete(e.released, id)
-		e.inFlight--
 		e.satisfy(id)
 		return true
 	}
@@ -245,16 +243,6 @@ func (e *Engine) satisfy(id openflow.MsgID) {
 	}
 	delete(e.dependents, id)
 }
-
-// Acked reports whether an update has been acknowledged.
-func (e *Engine) Acked(id openflow.MsgID) bool { return e.acked[id] }
-
-// Waiting returns the number of blocked updates.
-func (e *Engine) Waiting() int { return len(e.waiting) }
-
-// InFlight returns the number of updates released but not yet
-// acknowledged.
-func (e *Engine) InFlight() int { return e.inFlight }
 
 // Unacked returns the ids of updates that were released to their switches
 // but have not been acknowledged, in deterministic (sorted) order. A

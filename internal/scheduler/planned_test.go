@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"slices"
 	"testing"
 
 	"cicero/internal/openflow"
@@ -23,7 +24,7 @@ func TestPlannedRegisteredOrigin(t *testing.T) {
 		"ev#1/d0": {nil, {0}, {1}},
 	}}
 	plan := sched.Schedule(plannedUpdates("ev#1/d0", 3))
-	if err := Validate(plan); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatal(err)
 	}
 	if len(plan[0].DependsOn) != 0 {
@@ -34,6 +35,39 @@ func TestPlannedRegisteredOrigin(t *testing.T) {
 			t.Fatalf("update %d deps %v, want chain on %s", i, plan[i].DependsOn, plan[i-1].ID)
 		}
 	}
+}
+
+// TestStaticScheduler checks a caller-supplied positional graph: a
+// diamond, with positions that name no other update (out of range,
+// negative, and the update's own), becomes ids, and the engine releases
+// it level by level.
+func TestStaticScheduler(t *testing.T) {
+	sched := Planned{ByOrigin: map[string][][]int{
+		"ev#2/d0": {{3, -1}, {0, 1}, {0}},
+	}}
+	updates := plannedUpdates("ev#2/d0", 3)
+	diamond := sched.Schedule(updates)
+	root := diamond[0].ID
+	if len(diamond[0].DependsOn) != 0 || !slices.Equal(diamond[1].DependsOn, []openflow.MsgID{root}) ||
+		!slices.Equal(diamond[2].DependsOn, []openflow.MsgID{root}) {
+		t.Fatalf("diamond deps %v %v %v, want none, [%s], [%s]",
+			diamond[0].DependsOn, diamond[1].DependsOn, diamond[2].DependsOn, root, root)
+	}
+	var released []openflow.MsgID
+	e := NewEngine(func(su ScheduledUpdate) { released = append(released, su.ID) })
+	if err := e.Add(diamond); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(released, []openflow.MsgID{root}) {
+		t.Fatalf("first level = %v, want [%s]", released, root)
+	}
+	ack(e, updates[0])
+	if len(released) != 3 {
+		t.Fatalf("second level: released %v, want both dependents after the root's ack", released)
+	}
+	ack(e, updates[1])
+	ack(e, updates[2])
+	drained(t, e)
 }
 
 func TestPlannedUnknownOriginFallsBack(t *testing.T) {
@@ -54,8 +88,5 @@ func TestPlannedUnknownOriginFallsBack(t *testing.T) {
 				t.Fatalf("update %d dep %d: %s vs %s", i, j, got[i].DependsOn[j], want[i].DependsOn[j])
 			}
 		}
-	}
-	if (Planned{}).Name() != "planned" || (Planned{Label: "x"}).Name() != "x" {
-		t.Fatal("Planned.Name mismatch")
 	}
 }

@@ -37,10 +37,7 @@ func TestEngineRandomDAGProperty(t *testing.T) {
 				deps[i] = append(deps[i], localRng.Intn(i))
 			}
 		}
-		plan := Static{Deps: func([]Update) [][]int { return deps }}.Schedule(updates)
-		if err := Validate(plan); err != nil {
-			return false
-		}
+		plan := Planned{ByOrigin: map[string][][]int{"prop": deps}}.Schedule(updates)
 
 		released := make(map[openflow.MsgID]int)
 		acked := make(map[openflow.MsgID]bool)
@@ -72,7 +69,7 @@ func TestEngineRandomDAGProperty(t *testing.T) {
 				return false
 			}
 		}
-		return e.InFlight() == 0 && e.Waiting() == 0
+		return len(e.released) == 0 && len(e.waiting) == 0
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(property, cfg); err != nil {
@@ -102,28 +99,29 @@ func TestReversePathMixedPlanProperty(t *testing.T) {
 						Rule: openflow.Rule{Match: openflow.Match{Src: "x", Dst: "y"}}},
 				})
 			}
-			plan := ReversePath{}.Schedule(updates)
-			if err := Validate(plan); err != nil {
-				t.Fatalf("n=%d d=%d: %v", n, d, err)
-			}
-			groups, err := ParallelGroups(plan)
-			if err != nil {
-				t.Fatalf("n=%d d=%d: %v", n, d, err)
-			}
-			// The first delete's level must be strictly greater than the
-			// ingress add's level (ingress add = updates[0], the deepest
-			// add in the reverse chain).
-			level := make(map[openflow.MsgID]int)
-			for l, g := range groups {
-				for _, su := range g {
-					level[su.ID] = l
-				}
-			}
+			// Ack in release order; the first delete must not be released
+			// before the ingress add is acked.
 			ingress := updates[0].ID
 			firstDel := updates[n].ID
-			if level[firstDel] <= level[ingress] {
-				t.Fatalf("n=%d d=%d: delete at level %d, ingress add at %d",
-					n, d, level[firstDel], level[ingress])
+			var queue []ScheduledUpdate
+			acked := make(map[openflow.MsgID]bool)
+			e := NewEngine(func(su ScheduledUpdate) {
+				if su.ID == firstDel && !acked[ingress] {
+					t.Errorf("n=%d d=%d: first delete released before the ingress add was acked", n, d)
+				}
+				queue = append(queue, su)
+			})
+			if err := e.Add(ReversePath{}.Schedule(updates)); err != nil {
+				t.Fatalf("n=%d d=%d: %v", n, d, err)
+			}
+			for len(queue) > 0 {
+				su := queue[0]
+				queue = queue[1:]
+				acked[su.ID] = true
+				e.Ack(su.ID, su.Mod.Switch)
+			}
+			if len(acked) != n+d {
+				t.Fatalf("n=%d d=%d: %d of %d updates released", n, d, len(acked), n+d)
 			}
 		}
 	}

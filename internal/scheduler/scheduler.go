@@ -12,16 +12,14 @@
 //     upstream-to-downstream, draining before unprogramming).
 //   - Immediate: no ordering, the inconsistent baseline used as a
 //     negative control for the Table 1 scenarios.
-//   - Static: caller-specified dependency graphs (Dionysus-style), with
-//     DAG validation.
+//   - Planned: synthesized dependency graphs replayed per event, with
+//     ReversePath for events that have none.
 //   - Engine: the runtime dependency tracker each controller runs,
 //     releasing updates as acks arrive.
 package scheduler
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 
 	"cicero/internal/openflow"
 )
@@ -49,8 +47,6 @@ type Plan []ScheduledUpdate
 type Scheduler interface {
 	// Schedule returns the dependency plan for the given updates.
 	Schedule(updates []Update) Plan
-	// Name identifies the scheduler in experiment output.
-	Name() string
 }
 
 // ReversePath is the paper's evaluated scheduler (§5.1): for rule
@@ -61,9 +57,6 @@ type Scheduler interface {
 type ReversePath struct{}
 
 var _ Scheduler = ReversePath{}
-
-// Name implements Scheduler.
-func (ReversePath) Name() string { return "reverse-path" }
 
 // Schedule implements Scheduler. Additions and deletions are chained
 // independently so mixed plans (route replacement: install the new path,
@@ -109,9 +102,6 @@ type Immediate struct{}
 
 var _ Scheduler = Immediate{}
 
-// Name implements Scheduler.
-func (Immediate) Name() string { return "immediate" }
-
 // Schedule implements Scheduler.
 func (Immediate) Schedule(updates []Update) Plan {
 	plan := make(Plan, len(updates))
@@ -121,80 +111,43 @@ func (Immediate) Schedule(updates []Update) Plan {
 	return plan
 }
 
-// Static wraps a caller-provided dependency function, supporting
-// Dionysus-style externally computed dependency graphs. Deps receives the
-// update list and returns, for each position, the positions it depends on.
-type Static struct {
-	Label string
-	Deps  func(updates []Update) [][]int
-}
-
-var _ Scheduler = Static{}
-
-// Name implements Scheduler.
-func (s Static) Name() string {
-	if s.Label == "" {
-		return "static"
-	}
-	return s.Label
-}
-
-// Schedule implements Scheduler.
-func (s Static) Schedule(updates []Update) Plan {
-	deps := s.Deps(updates)
-	plan := make(Plan, len(updates))
-	for i, u := range updates {
-		su := ScheduledUpdate{Update: u}
-		if i < len(deps) {
-			for _, j := range deps[i] {
-				if j >= 0 && j < len(updates) && j != i {
-					su.DependsOn = append(su.DependsOn, updates[j].ID)
-				}
-			}
-		}
-		plan[i] = su
-	}
-	return plan
-}
-
 // Planned replays externally synthesized dependency graphs (the update
 // synthesis engine's output): each event's plan is registered under the
 // update origin the control plane will assign its updates, as a
 // positional dependency list aligned with the update order the planning
-// app emits. Origins without a registered graph fall back to Fallback
-// (ReversePath when nil), so a Planned scheduler can serve a mixed
-// workload.
+// app emits. Origins without a registered graph get ReversePath, so a
+// Planned scheduler can serve a mixed workload.
 type Planned struct {
-	Label string
 	// ByOrigin maps an update origin ("<event-id>/d<domain>") to the
 	// positional dependency lists for that event's updates.
 	ByOrigin map[string][][]int
-	// Fallback schedules updates whose origin has no registered graph.
-	Fallback Scheduler
 }
 
 var _ Scheduler = Planned{}
 
-// Name implements Scheduler.
-func (p Planned) Name() string {
-	if p.Label == "" {
-		return "planned"
-	}
-	return p.Label
-}
-
-// Schedule implements Scheduler.
+// Schedule implements Scheduler. A position out of range, or an update's
+// own, is not a dependency.
 func (p Planned) Schedule(updates []Update) Plan {
-	if len(updates) > 0 {
-		if deps, ok := p.ByOrigin[updates[0].ID.Origin]; ok {
-			return Static{Label: p.Name(), Deps: func([]Update) [][]int { return deps }}.Schedule(updates)
+	if len(updates) == 0 {
+		return ReversePath{}.Schedule(updates)
+	}
+	deps, ok := p.ByOrigin[updates[0].ID.Origin]
+	if !ok {
+		return ReversePath{}.Schedule(updates)
+	}
+	plan := make(Plan, len(updates))
+	for i, u := range updates {
+		plan[i] = ScheduledUpdate{Update: u}
+		if i >= len(deps) {
+			continue
+		}
+		for _, j := range deps[i] {
+			if j >= 0 && j < len(updates) && j != i {
+				plan[i].DependsOn = append(plan[i].DependsOn, updates[j].ID)
+			}
 		}
 	}
-	fb := p.Fallback
-	if fb == nil {
-		fb = ReversePath{}
-	}
-	return fb.Schedule(updates)
+	return plan
 }
 
 // Errors returned by the package.
@@ -206,114 +159,3 @@ var (
 	// ErrDuplicateUpdate reports two plan entries with the same id.
 	ErrDuplicateUpdate = errors.New("scheduler: duplicate update id")
 )
-
-// Validate checks that a plan is a DAG over its own updates.
-func Validate(plan Plan) error {
-	index := make(map[openflow.MsgID]int, len(plan))
-	for i, su := range plan {
-		if _, dup := index[su.ID]; dup {
-			return fmt.Errorf("%w: %s", ErrDuplicateUpdate, su.ID)
-		}
-		index[su.ID] = i
-	}
-	for _, su := range plan {
-		for _, dep := range su.DependsOn {
-			if _, ok := index[dep]; !ok {
-				return fmt.Errorf("%w: %s depends on %s", ErrUnknownDependency, su.ID, dep)
-			}
-		}
-	}
-	// Kahn's algorithm for cycle detection.
-	indeg := make([]int, len(plan))
-	dependents := make([][]int, len(plan))
-	for i, su := range plan {
-		indeg[i] = len(su.DependsOn)
-		for _, dep := range su.DependsOn {
-			j := index[dep]
-			dependents[j] = append(dependents[j], i)
-		}
-	}
-	var queue []int
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, j := range dependents[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-	if seen != len(plan) {
-		return ErrCycle
-	}
-	return nil
-}
-
-// ParallelGroups partitions a plan into topological levels: every update
-// in level k depends only on updates in levels < k, so each level can be
-// dispatched in parallel once the previous level is acknowledged. It is
-// an analysis helper for tests and experiments; the Engine releases
-// updates with finer granularity.
-func ParallelGroups(plan Plan) ([][]ScheduledUpdate, error) {
-	if err := Validate(plan); err != nil {
-		return nil, err
-	}
-	index := make(map[openflow.MsgID]int, len(plan))
-	for i, su := range plan {
-		index[su.ID] = i
-	}
-	level := make([]int, len(plan))
-	// Longest-path level assignment via repeated relaxation (plans are
-	// small; O(V·E) is fine).
-	changed := true
-	for changed {
-		changed = false
-		for i, su := range plan {
-			for _, dep := range su.DependsOn {
-				j := index[dep]
-				if level[j]+1 > level[i] {
-					level[i] = level[j] + 1
-					changed = true
-				}
-			}
-		}
-	}
-	maxLevel := 0
-	for _, l := range level {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	groups := make([][]ScheduledUpdate, maxLevel+1)
-	for i, su := range plan {
-		groups[level[i]] = append(groups[level[i]], su)
-	}
-	for _, g := range groups {
-		sort.Slice(g, func(a, b int) bool { return g[a].ID.String() < g[b].ID.String() })
-	}
-	return groups, nil
-}
-
-// DisjointDependencies reports whether two scheduled updates may run in
-// parallel per the paper's §3.3 criterion: their dependency sets are
-// disjoint.
-func DisjointDependencies(a, b ScheduledUpdate) bool {
-	set := make(map[openflow.MsgID]struct{}, len(a.DependsOn))
-	for _, d := range a.DependsOn {
-		set[d] = struct{}{}
-	}
-	for _, d := range b.DependsOn {
-		if _, clash := set[d]; clash {
-			return false
-		}
-	}
-	return true
-}

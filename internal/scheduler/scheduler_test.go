@@ -29,11 +29,23 @@ func pathUpdates(n int, op openflow.FlowModOp) []Update {
 // ack acknowledges u as its own switch does.
 func ack(e *Engine, u Update) bool { return e.Ack(u.ID, u.Mod.Switch) }
 
+// validate checks a plan the way a controller does, on an engine with
+// nothing released or acked.
+func validate(plan Plan) error { return NewEngine(func(ScheduledUpdate) {}).Add(plan) }
+
+// drained fails t unless e holds nothing blocked or in flight.
+func drained(t *testing.T, e *Engine) {
+	t.Helper()
+	if len(e.released) != 0 || len(e.waiting) != 0 {
+		t.Fatalf("engine not drained: inflight=%d waiting=%d", len(e.released), len(e.waiting))
+	}
+}
+
 func TestReversePathAddsDependDownstream(t *testing.T) {
 	updates := pathUpdates(3, openflow.FlowAdd)
 	plan := ReversePath{}.Schedule(updates)
-	if err := Validate(plan); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if err := validate(plan); err != nil {
+		t.Fatalf("validate: %v", err)
 	}
 	// s0 depends on s1, s1 on s2, s2 on nothing.
 	if len(plan[2].DependsOn) != 0 {
@@ -50,8 +62,8 @@ func TestReversePathAddsDependDownstream(t *testing.T) {
 func TestReversePathDeletesDependUpstream(t *testing.T) {
 	updates := pathUpdates(3, openflow.FlowDelete)
 	plan := ReversePath{}.Schedule(updates)
-	if err := Validate(plan); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if err := validate(plan); err != nil {
+		t.Fatalf("validate: %v", err)
 	}
 	if len(plan[0].DependsOn) != 0 {
 		t.Errorf("source-side delete has deps %v", plan[0].DependsOn)
@@ -68,34 +80,12 @@ func TestImmediateHasNoDeps(t *testing.T) {
 			t.Fatalf("immediate scheduler produced deps: %v", su.DependsOn)
 		}
 	}
-	groups, err := ParallelGroups(plan)
-	if err != nil {
+	released := 0
+	if err := NewEngine(func(ScheduledUpdate) { released++ }).Add(plan); err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) != 1 || len(groups[0]) != 4 {
-		t.Fatalf("groups = %d levels, want 1 level of 4", len(groups))
-	}
-}
-
-func TestStaticScheduler(t *testing.T) {
-	updates := pathUpdates(3, openflow.FlowAdd)
-	s := Static{Label: "dionysus", Deps: func(us []Update) [][]int {
-		// Diamond: 1 and 2 depend on 0.
-		return [][]int{nil, {0}, {0}}
-	}}
-	if s.Name() != "dionysus" {
-		t.Errorf("Name = %q", s.Name())
-	}
-	plan := s.Schedule(updates)
-	if err := Validate(plan); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	groups, err := ParallelGroups(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 || len(groups[0]) != 1 || len(groups[1]) != 2 {
-		t.Fatalf("unexpected levels: %v", groups)
+	if released != 4 {
+		t.Fatalf("released %d of 4 at once", released)
 	}
 }
 
@@ -105,7 +95,7 @@ func TestValidateDetectsCycle(t *testing.T) {
 		{Update: updates[0], DependsOn: []openflow.MsgID{updates[1].ID}},
 		{Update: updates[1], DependsOn: []openflow.MsgID{updates[0].ID}},
 	}
-	if err := Validate(plan); !errors.Is(err, ErrCycle) {
+	if err := validate(plan); !errors.Is(err, ErrCycle) {
 		t.Fatalf("expected ErrCycle, got %v", err)
 	}
 }
@@ -113,7 +103,7 @@ func TestValidateDetectsCycle(t *testing.T) {
 func TestValidateDetectsUnknownDependency(t *testing.T) {
 	updates := pathUpdates(1, openflow.FlowAdd)
 	plan := Plan{{Update: updates[0], DependsOn: []openflow.MsgID{{Origin: "ghost", Seq: 1}}}}
-	if err := Validate(plan); !errors.Is(err, ErrUnknownDependency) {
+	if err := validate(plan); !errors.Is(err, ErrUnknownDependency) {
 		t.Fatalf("expected ErrUnknownDependency, got %v", err)
 	}
 }
@@ -121,36 +111,32 @@ func TestValidateDetectsUnknownDependency(t *testing.T) {
 func TestValidateDetectsDuplicate(t *testing.T) {
 	updates := pathUpdates(1, openflow.FlowAdd)
 	plan := Plan{{Update: updates[0]}, {Update: updates[0]}}
-	if err := Validate(plan); !errors.Is(err, ErrDuplicateUpdate) {
+	if err := validate(plan); !errors.Is(err, ErrDuplicateUpdate) {
 		t.Fatalf("expected ErrDuplicateUpdate, got %v", err)
 	}
 }
 
+// TestParallelGroupsReversePathIsSequential checks that reverse-path
+// over a path of five switches leaves nothing to run in parallel: the
+// engine releases one update per ack, downstream-most first.
 func TestParallelGroupsReversePathIsSequential(t *testing.T) {
-	plan := ReversePath{}.Schedule(pathUpdates(5, openflow.FlowAdd))
-	groups, err := ParallelGroups(plan)
-	if err != nil {
+	updates := pathUpdates(5, openflow.FlowAdd)
+	var released []string
+	e := NewEngine(func(su ScheduledUpdate) { released = append(released, su.Mod.Switch) })
+	if err := e.Add(ReversePath{}.Schedule(updates)); err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) != 5 {
-		t.Fatalf("reverse-path over 5 switches should give 5 levels, got %d", len(groups))
+	for i := len(updates) - 1; i >= 0; i-- {
+		want := updates[i].Mod.Switch
+		if len(released) != len(updates)-i || released[len(released)-1] != want {
+			t.Fatalf("released %v, want one more ending in %s", released, want)
+		}
+		ack(e, updates[i])
 	}
-	// First level is the downstream-most switch.
-	if groups[0][0].Mod.Switch != "s4" {
-		t.Errorf("first released switch = %s, want s4", groups[0][0].Mod.Switch)
+	if len(released) != len(updates) {
+		t.Fatalf("released %v, want all %d", released, len(updates))
 	}
-}
-
-func TestDisjointDependencies(t *testing.T) {
-	a := ScheduledUpdate{DependsOn: []openflow.MsgID{{Origin: "e", Seq: 1}}}
-	b := ScheduledUpdate{DependsOn: []openflow.MsgID{{Origin: "e", Seq: 2}}}
-	c := ScheduledUpdate{DependsOn: []openflow.MsgID{{Origin: "e", Seq: 1}}}
-	if !DisjointDependencies(a, b) {
-		t.Error("disjoint sets reported as overlapping")
-	}
-	if DisjointDependencies(a, c) {
-		t.Error("overlapping sets reported as disjoint")
-	}
+	drained(t, e)
 }
 
 func TestEngineReleasesInDependencyOrder(t *testing.T) {
@@ -174,9 +160,7 @@ func TestEngineReleasesInDependencyOrder(t *testing.T) {
 		t.Fatalf("after ack s1: %v, want [s2 s1 s0]", released)
 	}
 	ack(e, updates[0])
-	if e.InFlight() != 0 || e.Waiting() != 0 {
-		t.Fatalf("engine not drained: inflight=%d waiting=%d", e.InFlight(), e.Waiting())
-	}
+	drained(t, e)
 }
 
 func TestEngineIndependentPlansProceedInParallel(t *testing.T) {
@@ -216,8 +200,8 @@ func TestEngineDuplicateAckIgnored(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("released %d, want 2", count)
 	}
-	if e.InFlight() != 1 {
-		t.Fatalf("InFlight = %d, want 1", e.InFlight())
+	if len(e.released) != 1 {
+		t.Fatalf("in flight = %d, want 1", len(e.released))
 	}
 }
 
@@ -283,8 +267,8 @@ func TestEngineAckFromAnotherSwitchReleasesNothing(t *testing.T) {
 	if e.Ack(updates[2].ID, "evil") || e.Ack(updates[2].ID, "s1") || e.Ack(updates[0].ID, "evil") {
 		t.Fatal("an ack from a switch other than the update's was accepted")
 	}
-	if len(released) != 1 || e.InFlight() != 1 || e.Acked(updates[2].ID) || e.Acked(updates[0].ID) {
-		t.Fatalf("forged acks moved the engine: releases = %v, inflight = %d", released, e.InFlight())
+	if len(released) != 1 || len(e.released) != 1 || e.acked[updates[2].ID] || e.acked[updates[0].ID] {
+		t.Fatalf("forged acks moved the engine: releases = %v, inflight = %d", released, len(e.released))
 	}
 	// The real ack still counts, and s1's early ack cascades.
 	if !ack(e, updates[2]) {
@@ -293,9 +277,10 @@ func TestEngineAckFromAnotherSwitchReleasesNothing(t *testing.T) {
 	if want := []string{"s2", "s1", "s0"}; !slices.Equal(released, want) {
 		t.Fatalf("releases = %v, want %v", released, want)
 	}
-	if !ack(e, updates[0]) || e.InFlight() != 0 || e.Waiting() != 0 {
-		t.Fatalf("engine not drained: inflight=%d waiting=%d", e.InFlight(), e.Waiting())
+	if !ack(e, updates[0]) {
+		t.Fatal("the last ack was refused")
 	}
+	drained(t, e)
 }
 
 // TestEngineAckBeforePlanStillReleasesPlan covers the harder live-backend
@@ -326,13 +311,11 @@ func TestEngineAckBeforePlanStillReleasesPlan(t *testing.T) {
 			t.Fatalf("releases = %v, want %v", released, want)
 		}
 	}
-	if e.InFlight() != 1 || e.Waiting() != 0 {
-		t.Fatalf("inflight=%d waiting=%d, want 1/0 (only s0 unacked)", e.InFlight(), e.Waiting())
+	if len(e.released) != 1 || len(e.waiting) != 0 {
+		t.Fatalf("inflight=%d waiting=%d, want 1/0 (only s0 unacked)", len(e.released), len(e.waiting))
 	}
 	ack(e, updates[0])
-	if e.InFlight() != 0 || e.Waiting() != 0 {
-		t.Fatalf("engine not drained: inflight=%d waiting=%d", e.InFlight(), e.Waiting())
-	}
+	drained(t, e)
 }
 
 func BenchmarkEngineChain100(b *testing.B) {
@@ -381,7 +364,5 @@ func TestEngineEarlyAckDefersToLocalRelease(t *testing.T) {
 		}
 	}
 	ack(e, updates[0])
-	if e.InFlight() != 0 || e.Waiting() != 0 {
-		t.Fatalf("engine not drained: inflight=%d waiting=%d", e.InFlight(), e.Waiting())
-	}
+	drained(t, e)
 }

@@ -3,12 +3,14 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"cicero/internal/fabric"
 )
 
 // collector registers a node that records every delivered message.
 func collector(net *Network, id NodeID) *[]Message {
 	var got []Message
-	net.Register(id, HandlerFunc(func(from NodeID, msg Message) {
+	net.Register(id, fabric.HandlerFunc(func(from NodeID, msg Message) {
 		got = append(got, msg)
 	}))
 	return &got
@@ -21,7 +23,7 @@ func TestPartitionOneWayIsAsymmetric(t *testing.T) {
 	gotB := collector(net, "b")
 
 	net.PartitionOneWay("a", "b")
-	if !net.Partitioned("a", "b") || net.Partitioned("b", "a") {
+	if !net.partitioned["a"]["b"] || net.partitioned["b"]["a"] {
 		t.Fatalf("one-way partition should block a->b only")
 	}
 	net.Send("a", "b", "a-to-b", 10)
@@ -58,7 +60,12 @@ func TestPartitionSetSeversGroupsBothWays(t *testing.T) {
 	for _, id := range ids {
 		got[id] = collector(net, id)
 	}
-	net.PartitionSet([]NodeID{"a1", "a2"}, []NodeID{"b1", "b2"})
+	groupA, groupB := []NodeID{"a1", "a2"}, []NodeID{"b1", "b2"}
+	for _, a := range groupA {
+		for _, b := range groupB {
+			net.Partition(a, b)
+		}
+	}
 
 	// Cross-group traffic is blocked in both directions...
 	net.Send("a1", "b1", "x", 1)
@@ -76,7 +83,11 @@ func TestPartitionSetSeversGroupsBothWays(t *testing.T) {
 		t.Errorf("intra-group traffic blocked: b2=%v", *got["b2"])
 	}
 
-	net.HealSet([]NodeID{"a1", "a2"}, []NodeID{"b1", "b2"})
+	for _, a := range groupA {
+		for _, b := range groupB {
+			net.Heal(a, b)
+		}
+	}
 	net.Send("a1", "b1", "healed", 1)
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -91,24 +102,24 @@ func TestFilterDropDelayDuplicateReplace(t *testing.T) {
 	net := NewNetwork(sim, time.Millisecond)
 	got := collector(net, "dst")
 	var arrivals []Time
-	net.Register("dst", HandlerFunc(func(from NodeID, msg Message) {
+	net.Register("dst", fabric.HandlerFunc(func(from NodeID, msg Message) {
 		*got = append(*got, msg)
 		arrivals = append(arrivals, sim.Now())
 	}))
-	net.Register("src", HandlerFunc(func(NodeID, Message) {}))
+	net.Register("src", fabric.HandlerFunc(func(NodeID, Message) {}))
 
-	net.SetFilter(func(from, to NodeID, msg Message, size int) FaultAction {
+	net.SetFilter(func(from, to NodeID, msg Message, size int) fabric.FaultAction {
 		switch msg {
 		case "drop-me":
-			return FaultAction{Drop: true}
+			return fabric.FaultAction{Drop: true}
 		case "delay-me":
-			return FaultAction{Delay: 5 * time.Millisecond}
+			return fabric.FaultAction{Delay: 5 * time.Millisecond}
 		case "dup-me":
-			return FaultAction{Duplicates: 2}
+			return fabric.FaultAction{Duplicates: 2}
 		case "corrupt-me":
-			return FaultAction{Replace: "corrupted"}
+			return fabric.FaultAction{Replace: "corrupted"}
 		}
-		return FaultAction{}
+		return fabric.FaultAction{}
 	})
 
 	net.Send("src", "dst", "drop-me", 10)

@@ -14,15 +14,11 @@ var _ fabric.Fabric = (*Network)(nil)
 // LatencyFunc returns the one-way propagation latency between two nodes.
 type LatencyFunc func(from, to NodeID) time.Duration
 
-// FaultAction and Filter are the fabric-level fault-plane types; they are
-// aliased here (like NodeID and Message) because the chaos engine was
-// originally written against simnet. On simnet the filter runs
-// synchronously on the simulator loop, so any randomness it uses must come
-// from a deterministic source for runs to stay reproducible.
-type (
-	FaultAction = fabric.FaultAction
-	Filter      = fabric.Filter
-)
+// Filter is the fabric-level fault-plane type, aliased here like NodeID and
+// Message. On simnet the filter runs synchronously on the simulator loop,
+// so any randomness it uses must come from a deterministic source for runs
+// to stay reproducible.
+type Filter = fabric.Filter
 
 var _ fabric.FaultInjector = (*Network)(nil)
 
@@ -153,30 +149,6 @@ func (n *Network) PartitionOneWay(from, to NodeID) {
 // HealOneWay restores only the from -> to direction.
 func (n *Network) HealOneWay(from, to NodeID) {
 	delete(n.partitioned[from], to)
-}
-
-// PartitionSet severs every link between a node in groupA and a node in
-// groupB, in both directions. Links within a group are untouched.
-func (n *Network) PartitionSet(groupA, groupB []NodeID) {
-	for _, a := range groupA {
-		for _, b := range groupB {
-			n.Partition(a, b)
-		}
-	}
-}
-
-// HealSet restores every link between the two groups.
-func (n *Network) HealSet(groupA, groupB []NodeID) {
-	for _, a := range groupA {
-		for _, b := range groupB {
-			n.Heal(a, b)
-		}
-	}
-}
-
-// Partitioned reports whether messages from -> to are currently blocked.
-func (n *Network) Partitioned(from, to NodeID) bool {
-	return n.partitioned[from][to]
 }
 
 // SetFilter installs (or, with nil, removes) the message fault filter.

@@ -39,9 +39,6 @@ type Message = fabric.Message
 // Handler processes messages delivered to a node.
 type Handler = fabric.Handler
 
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc = fabric.HandlerFunc
-
 // event is a scheduled callback.
 type event struct {
 	at  Time
@@ -95,9 +92,6 @@ func NewSimulator(seed int64) *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Rand exposes the simulation's deterministic randomness source.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
@@ -147,6 +141,3 @@ func (s *Simulator) RunUntil(deadline Time) (Time, error) {
 	}
 	return s.now, nil
 }
-
-// Pending returns the number of queued events (for tests).
-func (s *Simulator) Pending() int { return s.pending.Len() }

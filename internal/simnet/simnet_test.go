@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"cicero/internal/fabric"
 )
 
 func TestSimulatorOrdersEventsByTime(t *testing.T) {
@@ -74,8 +76,8 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	if now != time.Second {
 		t.Errorf("now = %v, want 1s", now)
 	}
-	if sim.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", sim.Pending())
+	if sim.pending.Len() != 1 {
+		t.Errorf("pending = %d, want 1", sim.pending.Len())
 	}
 }
 
@@ -95,8 +97,8 @@ func TestNetworkDelivery(t *testing.T) {
 	net := NewNetwork(sim, 2*time.Millisecond)
 	var got []string
 	var at Time
-	net.Register("a", HandlerFunc(func(from NodeID, msg Message) {}))
-	net.Register("b", HandlerFunc(func(from NodeID, msg Message) {
+	net.Register("a", fabric.HandlerFunc(func(from NodeID, msg Message) {}))
+	net.Register("b", fabric.HandlerFunc(func(from NodeID, msg Message) {
 		got = append(got, msg.(string))
 		at = sim.Now()
 	}))
@@ -122,9 +124,9 @@ func TestPerPairLatency(t *testing.T) {
 		return -1 // fall back to default
 	}
 	var bAt, cAt Time
-	net.Register("a", HandlerFunc(func(NodeID, Message) {}))
-	net.Register("b", HandlerFunc(func(NodeID, Message) { bAt = sim.Now() }))
-	net.Register("c", HandlerFunc(func(NodeID, Message) { cAt = sim.Now() }))
+	net.Register("a", fabric.HandlerFunc(func(NodeID, Message) {}))
+	net.Register("b", fabric.HandlerFunc(func(NodeID, Message) { bAt = sim.Now() }))
+	net.Register("c", fabric.HandlerFunc(func(NodeID, Message) { cAt = sim.Now() }))
 	net.Send("a", "b", 1, 0)
 	net.Send("a", "c", 2, 0)
 	if _, err := sim.Run(); err != nil {
@@ -143,8 +145,8 @@ func TestCrashDropsMessagesAndTimers(t *testing.T) {
 	net := NewNetwork(sim, time.Millisecond)
 	delivered := 0
 	timerFired := false
-	net.Register("a", HandlerFunc(func(NodeID, Message) {}))
-	net.Register("b", HandlerFunc(func(NodeID, Message) { delivered++ }))
+	net.Register("a", fabric.HandlerFunc(func(NodeID, Message) {}))
+	net.Register("b", fabric.HandlerFunc(func(NodeID, Message) { delivered++ }))
 	net.After("b", 5*time.Millisecond, func() { timerFired = true })
 	net.Crash("b")
 	net.Send("a", "b", 1, 0)
@@ -166,8 +168,8 @@ func TestRecoverRestoresDelivery(t *testing.T) {
 	sim := NewSimulator(1)
 	net := NewNetwork(sim, time.Millisecond)
 	delivered := 0
-	net.Register("a", HandlerFunc(func(NodeID, Message) {}))
-	net.Register("b", HandlerFunc(func(NodeID, Message) { delivered++ }))
+	net.Register("a", fabric.HandlerFunc(func(NodeID, Message) {}))
+	net.Register("b", fabric.HandlerFunc(func(NodeID, Message) { delivered++ }))
 	net.Crash("b")
 	net.Recover("b")
 	net.Send("a", "b", 1, 0)
@@ -183,8 +185,8 @@ func TestPartitionAndHeal(t *testing.T) {
 	sim := NewSimulator(1)
 	net := NewNetwork(sim, time.Millisecond)
 	delivered := 0
-	net.Register("a", HandlerFunc(func(NodeID, Message) { delivered++ }))
-	net.Register("b", HandlerFunc(func(NodeID, Message) { delivered++ }))
+	net.Register("a", fabric.HandlerFunc(func(NodeID, Message) { delivered++ }))
+	net.Register("b", fabric.HandlerFunc(func(NodeID, Message) { delivered++ }))
 	net.Partition("a", "b")
 	net.Send("a", "b", 1, 0)
 	net.Send("b", "a", 2, 0)
@@ -208,8 +210,8 @@ func TestChargeDelaysProcessingAndAccumulates(t *testing.T) {
 	sim := NewSimulator(1)
 	net := NewNetwork(sim, time.Millisecond)
 	var deliveredAt []Time
-	net.Register("a", HandlerFunc(func(NodeID, Message) {}))
-	net.Register("b", HandlerFunc(func(from NodeID, msg Message) {
+	net.Register("a", fabric.HandlerFunc(func(NodeID, Message) {}))
+	net.Register("b", fabric.HandlerFunc(func(from NodeID, msg Message) {
 		deliveredAt = append(deliveredAt, sim.Now())
 		net.Charge("b", 5*time.Millisecond)
 	}))
@@ -236,8 +238,8 @@ func TestBusySenderDelaysEmission(t *testing.T) {
 	sim := NewSimulator(1)
 	net := NewNetwork(sim, time.Millisecond)
 	var at Time
-	net.Register("a", HandlerFunc(func(NodeID, Message) {}))
-	net.Register("b", HandlerFunc(func(NodeID, Message) { at = sim.Now() }))
+	net.Register("a", fabric.HandlerFunc(func(NodeID, Message) {}))
+	net.Register("b", fabric.HandlerFunc(func(NodeID, Message) { at = sim.Now() }))
 	net.Charge("a", 4*time.Millisecond)
 	net.Send("a", "b", 1, 0) // departs at 4ms, arrives at 5ms
 	if _, err := sim.Run(); err != nil {
@@ -254,8 +256,8 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		net := NewNetwork(sim, time.Millisecond)
 		net.JitterFrac = 0.3
 		var times []Time
-		net.Register("a", HandlerFunc(func(NodeID, Message) {}))
-		net.Register("b", HandlerFunc(func(NodeID, Message) { times = append(times, sim.Now()) }))
+		net.Register("a", fabric.HandlerFunc(func(NodeID, Message) {}))
+		net.Register("b", fabric.HandlerFunc(func(NodeID, Message) { times = append(times, sim.Now()) }))
 		for i := 0; i < 20; i++ {
 			net.Send("a", "b", i, 100)
 		}
@@ -279,7 +281,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 func TestSendToUnknownNodeIsDropped(t *testing.T) {
 	sim := NewSimulator(1)
 	net := NewNetwork(sim, time.Millisecond)
-	net.Register("a", HandlerFunc(func(NodeID, Message) {}))
+	net.Register("a", fabric.HandlerFunc(func(NodeID, Message) {}))
 	net.Send("a", "ghost", 1, 0)
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -292,8 +294,8 @@ func TestSendToUnknownNodeIsDropped(t *testing.T) {
 func BenchmarkSendDeliver(b *testing.B) {
 	sim := NewSimulator(1)
 	net := NewNetwork(sim, time.Millisecond)
-	net.Register("a", HandlerFunc(func(NodeID, Message) {}))
-	net.Register("b", HandlerFunc(func(NodeID, Message) {}))
+	net.Register("a", fabric.HandlerFunc(func(NodeID, Message) {}))
+	net.Register("b", fabric.HandlerFunc(func(NodeID, Message) {}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Send("a", "b", i, 128)

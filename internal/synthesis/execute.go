@@ -62,9 +62,6 @@ type planApp struct {
 	plans map[openflow.MsgID][]openflow.FlowMod
 }
 
-// Name implements routing.App.
-func (a *planApp) Name() string { return "synth-plan" }
-
 // PlanFlow implements routing.App.
 func (a *planApp) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 	if ev.Kind != protocol.EventPolicyChange {
@@ -145,7 +142,7 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 	cfg := core.Config{
 		Graph:           scn.Graph,
 		Seed:            opt.Seed,
-		Scheduler:       scheduler.Planned{Label: "synth", ByOrigin: map[string][][]int{origin: plan.Deps}},
+		Scheduler:       scheduler.Planned{ByOrigin: map[string][][]int{origin: plan.Deps}},
 		AppFactory:      func() routing.App { return app },
 		SwitchApplyHook: rec.hook,
 	}

@@ -105,15 +105,6 @@ var (
 	ErrInvalidShare = errors.New("bls: invalid signature share")
 )
 
-// GenerateKey samples a fresh full key pair.
-func (s *Scheme) GenerateKey(rand io.Reader) (PrivateKey, PublicKey, error) {
-	x, err := s.Params.RandomScalar(rand)
-	if err != nil {
-		return PrivateKey{}, PublicKey{}, fmt.Errorf("bls: generate key: %w", err)
-	}
-	return PrivateKey{Scalar: x}, PublicKey{Point: s.Params.ScalarBaseMul(x)}, nil
-}
-
 // HashToPoint maps a message to G1 (pairing.HashToG1), paying a ladder
 // walk to clear the cofactor. Signing and verifying by message do not call
 // it: Sign and SignShare fold the clearing into the signing walk, and

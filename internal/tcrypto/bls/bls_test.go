@@ -2,6 +2,8 @@ package bls
 
 import (
 	"crypto/rand"
+	"fmt"
+	"io"
 	"math/big"
 	"testing"
 
@@ -280,4 +282,13 @@ func BenchmarkLagrangeScalar(b *testing.B) {
 		x := new(big.Int).Exp(big.NewInt(3), big.NewInt(100), s.Params.R)
 		benchSink = x
 	}
+}
+
+// GenerateKey samples a fresh full key pair.
+func (s *Scheme) GenerateKey(rand io.Reader) (PrivateKey, PublicKey, error) {
+	x, err := s.Params.RandomScalar(rand)
+	if err != nil {
+		return PrivateKey{}, PublicKey{}, fmt.Errorf("bls: generate key: %w", err)
+	}
+	return PrivateKey{Scalar: x}, PublicKey{Point: s.Params.ScalarBaseMul(x)}, nil
 }

@@ -155,16 +155,6 @@ func (p *Params) Add(a, b *Point) *Point {
 	return p.toAffine(&j)
 }
 
-// Double returns 2·a.
-func (p *Params) Double(a *Point) *Point {
-	if a.IsInfinity() {
-		return Infinity()
-	}
-	j := p.fromAffine(a)
-	p.jacDouble(&j, nil)
-	return p.toAffine(&j)
-}
-
 // ScalarMul returns k·pt by one Montgomery-ladder walk and one inversion
 // (see ladder.go). The scalar is reduced modulo the group order r and
 // replaced by its balanced representative, kr or −(r − kr), whichever is

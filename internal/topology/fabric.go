@@ -111,18 +111,9 @@ func BuildSinglePod(cfg FabricConfig) (*Graph, error) {
 	return g, nil
 }
 
-// BuildFabric builds one data center with the given number of pods,
-// interconnected by spine planes: pod edge switch k connects to every
-// spine switch in plane k.
-func BuildFabric(cfg FabricConfig, dc, pods int) (*Graph, error) {
-	g := NewGraph()
-	if err := AddFabric(g, cfg, dc, pods); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// AddFabric adds a complete data-center fabric (pods + spine planes) to g.
+// AddFabric adds a complete data-center fabric to g: the given number of
+// pods, interconnected by spine planes (pod edge switch k connects to every
+// spine switch in plane k).
 func AddFabric(g *Graph, cfg FabricConfig, dc, pods int) error {
 	for plane := 0; plane < cfg.EdgePerPod; plane++ {
 		for s := 0; s < cfg.SpinesPerPlane; s++ {

@@ -273,8 +273,8 @@ func randomGraph(t testing.TB, seed int64) (*Graph, map[string][]Edge) {
 // every builder's topology and on seeded random multigraphs, whatever
 // order the nodes and links went in.
 func TestShortestPathMatchesReference(t *testing.T) {
-	fabric, err := BuildFabric(smallFabric(), 0, 3)
-	if err != nil {
+	fabric := NewGraph()
+	if err := AddFabric(fabric, smallFabric(), 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	ix, err := BuildInterconnectedPods(InterconnectPodsConfig{

@@ -129,9 +129,9 @@ func TestBuildSinglePodShape(t *testing.T) {
 
 func TestBuildFabricInterPodPath(t *testing.T) {
 	cfg := smallFabric()
-	g, err := BuildFabric(cfg, 0, 2)
-	if err != nil {
-		t.Fatalf("BuildFabric: %v", err)
+	g := NewGraph()
+	if err := AddFabric(g, cfg, 0, 2); err != nil {
+		t.Fatalf("AddFabric: %v", err)
 	}
 	src := HostName(0, 0, 0, 0)
 	dst := HostName(0, 1, 0, 0)
