@@ -195,10 +195,8 @@ func InterconnectedPods(pods, racks, hostsPerRack int) (*topology.Graph, error) 
 		cfg.HostsPerRack = hostsPerRack
 	}
 	return topology.BuildInterconnectedPods(topology.InterconnectPodsConfig{
-		Fabric:               cfg,
-		Pods:                 pods,
-		InterconnectSwitches: 4,
-		EdgeInterconnect:     60 * time.Microsecond,
+		Fabric: cfg,
+		Pods:   pods,
 	})
 }
 

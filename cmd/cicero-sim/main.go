@@ -59,8 +59,7 @@ func run() int {
 		g, err = topology.BuildSinglePod(fab)
 	case "pods2":
 		g, err = topology.BuildInterconnectedPods(topology.InterconnectPodsConfig{
-			Fabric: fab, Pods: 2, InterconnectSwitches: 4,
-			EdgeInterconnect: 60 * time.Microsecond,
+			Fabric: fab, Pods: 2,
 		})
 		if *domains {
 			numDomains = 3

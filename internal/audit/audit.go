@@ -97,9 +97,6 @@ func (l *Ledger) Append(kind Kind, subject string, canonical []byte) Record {
 	return r
 }
 
-// Len returns the chain length.
-func (l *Ledger) Len() int { return len(l.records) }
-
 // Records returns a copy of the chain.
 func (l *Ledger) Records() []Record {
 	return append([]Record(nil), l.records...)

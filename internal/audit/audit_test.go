@@ -22,8 +22,8 @@ func TestVerifyAcceptsHonestChain(t *testing.T) {
 	if err := Verify(l.Records()); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if l.Len() != 20 {
-		t.Fatalf("Len = %d, want 20", l.Len())
+	if len(l.records) != 20 {
+		t.Fatalf("Len = %d, want 20", len(l.records))
 	}
 }
 

@@ -39,6 +39,9 @@ import (
 	"cicero/internal/topology"
 )
 
+// maxLinkDelay bounds the extra latency a delay fault adds.
+const maxLinkDelay = 2 * time.Millisecond
+
 // LinkFaults sets per-message fault probabilities applied by the network
 // filter. Probabilities are independent per message.
 type LinkFaults struct {
@@ -47,9 +50,8 @@ type LinkFaults struct {
 	// DupProb injects one extra copy (reordering arises naturally from
 	// independent jitter on the copies).
 	DupProb float64
-	// DelayProb adds uniform extra latency in [0, DelayMax).
+	// DelayProb adds uniform extra latency in [0, maxLinkDelay).
 	DelayProb float64
-	DelayMax  time.Duration
 	// CorruptProb flips a payload byte of signed messages (events, acks,
 	// shares, aggregates). Requires real crypto: with fake crypto a
 	// corrupted-but-unauthenticated message would be accepted, which is a
@@ -168,7 +170,7 @@ func (p Profile) Defaulted() Profile {
 func LinksProfile() Profile {
 	return Profile{
 		Name: "links",
-		Link: LinkFaults{DropProb: 0.03, DupProb: 0.03, DelayProb: 0.08, DelayMax: 2 * time.Millisecond},
+		Link: LinkFaults{DropProb: 0.03, DupProb: 0.03, DelayProb: 0.08},
 	}
 }
 
@@ -200,8 +202,7 @@ func MixedProfile() Profile {
 	return Profile{
 		Name: "mixed",
 		Link: LinkFaults{
-			DropProb: 0.02, DupProb: 0.02, DelayProb: 0.05,
-			DelayMax: 2 * time.Millisecond, CorruptProb: 0.01,
+			DropProb: 0.02, DupProb: 0.02, DelayProb: 0.05, CorruptProb: 0.01,
 		},
 		ControllerCrash: true,
 		SwitchCrash:     true,

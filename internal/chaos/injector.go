@@ -64,8 +64,8 @@ func (in *injector) filter(from, to fabric.NodeID, msg fabric.Message, size int)
 		c.count("dup", 1)
 		c.note("inj-dup", fmt.Sprintf("%s->%s %T", from, to, msg))
 	}
-	if lf.DelayProb > 0 && lf.DelayMax > 0 && in.rng.Float64() < lf.DelayProb {
-		act.Delay = time.Duration(in.rng.Int63n(int64(lf.DelayMax)))
+	if lf.DelayProb > 0 && in.rng.Float64() < lf.DelayProb {
+		act.Delay = time.Duration(in.rng.Int63n(int64(maxLinkDelay)))
 		c.count("delay", 1)
 		c.note("inj-delay", fmt.Sprintf("%s->%s %T +%v", from, to, msg, act.Delay))
 	}

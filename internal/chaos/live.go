@@ -107,7 +107,7 @@ type LiveResult struct {
 	// under the canonical metrics names.
 	Injected map[string]uint64
 	Net      fabric.Stats
-	// Resilience snapshots the backend's retry/reconnect/breaker layer.
+	// Resilience snapshots the backend's retry/reconnect layer.
 	Resilience livenet.ResilienceStats
 
 	// CtlRestarts / CtlRecovered: controller processes rebuilt after a
@@ -365,7 +365,6 @@ func runLive(p Profile, opt LiveOptions, verbose bool) (res LiveResult) {
 	res.Resilience = fab.Resilience()
 	c.count(metrics.CounterRetry, res.Resilience.Retries)
 	c.count(metrics.CounterReconnect, res.Resilience.Reconnects)
-	c.count(metrics.CounterBreakerTrip, res.Resilience.BreakerTrips)
 	res.Trace = rec.trace
 	rec.mu.Lock()
 	res.Injected = rec.counter.Map()

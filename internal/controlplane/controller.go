@@ -558,8 +558,8 @@ func (c *Controller) sealerMaySay(sealer pki.Identity, ev protocol.Event) bool {
 }
 
 // receiveEvent is the receipt step of every event, whatever presented it (a
-// sealed envelope, the driver's InjectEvent, this controller's own policy
-// publication): dedup by id, count, forward cross-domain, broadcast.
+// sealed envelope or this controller's own policy publication): dedup by
+// id, count, forward cross-domain, broadcast.
 func (c *Controller) receiveEvent(ev protocol.Event) {
 	key := ev.ID.String()
 	if c.seenEvents[key] {

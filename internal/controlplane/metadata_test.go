@@ -382,7 +382,17 @@ func TestMetadataConfigGate(t *testing.T) {
 	if sw.MetaConfigRejects != 1 {
 		t.Fatalf("MetaConfigRejects = %d, want 1", sw.MetaConfigRejects)
 	}
-	if got := sw.Aggregator(); got != "" {
-		t.Fatalf("forged config installed aggregator %q", got)
+	// The switch still answers to the members it was provisioned with: its
+	// next table miss reaches every one of them.
+	received := make([]uint64, len(cl.ctls))
+	for i, c := range cl.ctls {
+		received[i] = c.EventsReceived
+	}
+	sw.PacketArrival("h1", "h2")
+	cl.run(t)
+	for i, c := range cl.ctls {
+		if c.EventsReceived != received[i]+1 {
+			t.Fatalf("%s received %d events after the forged config, want %d", cl.members[i], c.EventsReceived, received[i]+1)
+		}
 	}
 }

@@ -222,10 +222,8 @@ func TestTeardownModePreventsReuse(t *testing.T) {
 
 func TestMultiDomainEndToEnd(t *testing.T) {
 	cfg := topology.InterconnectPodsConfig{
-		Fabric:               topology.DefaultFabricConfig(),
-		Pods:                 2,
-		InterconnectSwitches: 4,
-		EdgeInterconnect:     50 * time.Microsecond,
+		Fabric: topology.DefaultFabricConfig(),
+		Pods:   2,
 	}
 	cfg.Fabric.RacksPerPod = 3
 	cfg.Fabric.HostsPerRack = 1

@@ -7,6 +7,7 @@ import (
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/simnet"
+	"cicero/internal/topology"
 	"cicero/internal/workload"
 )
 
@@ -32,16 +33,11 @@ type RunOptions struct {
 	// cost of the flow (CostModel.PacketForwardPerKB); used by CPU
 	// utilization measurements.
 	ChargeForwarding bool
-	// HostGbps caps a single flow's rate at the host NIC.
-	HostGbps float64
 }
 
 // RunFlows injects the flow trace and runs the simulation to completion,
 // returning per-flow results in completion order.
 func (n *Network) RunFlows(flows []workload.Flow, opts RunOptions) ([]FlowResult, error) {
-	if opts.HostGbps == 0 {
-		opts.HostGbps = 10
-	}
 	n.results = n.results[:0]
 	for _, f := range flows {
 		f := f
@@ -94,9 +90,11 @@ func (n *Network) finishFlow(f workload.Flow, start, ready simnet.Time, path []s
 	if lat, err := n.Graph.PathLatency(path); err == nil {
 		pathLat = lat
 	}
-	rate := opts.HostGbps
-	if bottleneck, err := n.Graph.PathMinCapacity(path); err == nil && bottleneck > 0 && bottleneck < rate {
-		rate = bottleneck
+	rate, err := n.Graph.PathMinCapacity(path)
+	if err != nil || rate == 0 {
+		// No link to read the bottleneck from (a one-host path crosses
+		// none): only the host NIC bounds the flow.
+		rate = topology.HostGbps
 	}
 	transfer := time.Duration(f.SizeKB * 1024 * 8 / (rate * 1e9) * float64(time.Second))
 	completion := setup + pathLat + transfer

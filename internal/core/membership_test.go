@@ -268,13 +268,34 @@ func TestAggregatorFailoverAfterRemoval(t *testing.T) {
 	if _, err := n.Sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Switches must have been re-pointed at the new aggregator.
-	newAgg := dom.Members[1]
+	// Switches send their events to the aggregator alone. A table miss at
+	// every switch must reach the next member, and no other, once each: a
+	// switch still pointing at the crashed aggregator would reach nobody.
+	newAgg := 1
+	before := make([]uint64, len(dom.Controllers))
+	for i, ctl := range dom.Controllers {
+		before[i] = ctl.EventsReceived
+	}
 	for _, sw := range n.Switches {
-		if sw.Aggregator() != newAgg {
-			t.Fatalf("switch %s aggregator = %q, want %q", sw.ID(), sw.Aggregator(), newAgg)
+		sw.PacketArrival(topology.HostName(0, 0, 0, 0), topology.HostName(0, 0, 1, 0))
+	}
+	if _, err := n.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ctl := range dom.Controllers {
+		if i == 0 {
+			continue // crashed
+		}
+		want := before[i]
+		if i == newAgg {
+			want += uint64(len(n.Switches))
+		}
+		if ctl.EventsReceived != want {
+			t.Fatalf("%s received %d events after a table miss at each of %d switches, want %d (aggregator %s)",
+				ctl.ID(), ctl.EventsReceived-before[i], len(n.Switches), want-before[i], dom.Members[newAgg])
 		}
 	}
+	// The flow below sets up only through the new aggregator.
 	src := topology.HostName(0, 0, 0, 0)
 	dst := topology.HostName(0, 0, 2, 0)
 	results, err := n.RunFlows([]workload.Flow{{ID: 1, Src: src, Dst: dst, SizeKB: 32, Start: 0}}, RunOptions{})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"cicero/internal/controlplane"
 	"cicero/internal/protocol"
@@ -14,10 +13,8 @@ import (
 // is updated so forwarded events keep reaching valid recipients.
 func TestMembershipChangeNotifiesPeerDomains(t *testing.T) {
 	cfg := topology.InterconnectPodsConfig{
-		Fabric:               topology.DefaultFabricConfig(),
-		Pods:                 2,
-		InterconnectSwitches: 2,
-		EdgeInterconnect:     50 * time.Microsecond,
+		Fabric: topology.DefaultFabricConfig(),
+		Pods:   2,
 	}
 	cfg.Fabric.RacksPerPod = 2
 	g, err := topology.BuildInterconnectedPods(cfg)

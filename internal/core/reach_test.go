@@ -2,8 +2,10 @@ package core
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -12,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -23,43 +26,19 @@ var reachAllowlist = map[string]string{
 	"controlplane.Controller.PeerView": "TestMembershipChangeNotifiesPeerDomains (this package) reads another domain's view after a membership change; " +
 		"no ordered effect shows it, since any member a forwarded event reaches orders it for all",
 	"tcrypto/pairing.Params.HashToScalar": "derives the fixtures of bls's TestGoldenVectors; testdata/vectors.golden must not move",
+	"routing.LoadBalancer":                "the Fig. 3 scenario's app; TestCongestionFreedomWithLoadBalancer (this package) runs it under Cicero, and no experiment does yet",
+	"routing.Rerouter":                    "the Fig. 2 scenario's app; TestLinkFailureReroutesWithoutBlackHole and the other reroute tests (this package) run it, and no experiment does yet",
 }
 
 // TestNoExportedNameOnlyTestsReach keeps code that no path runs from
 // growing back. Every exported top-level func, method, type, var and const
-// in a non-test file under internal/ must be named by some non-test file of
-// the module (root package, cmd/, examples/, internal/, bench/), or be on
+// in a non-test file under internal/, and every exported method of an
+// interface declared there, must be reached from some non-test file of the
+// module (root package, cmd/, examples/, internal/, bench/), or be on
 // reachAllowlist. A name that only tests reach goes, or moves into a
 // _test.go file as the helper or oracle it is.
 func TestNoExportedNameOnlyTestsReach(t *testing.T) {
-	var files []source
-	root := filepath.Join("..", "..")
-	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if file != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		text, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, file)
-		files = append(files, source{path: filepath.ToSlash(rel), text: string(text)})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unreached, stale, err := unreachedExports(files, reachAllowlist)
+	unreached, stale, err := unreachedExports(checkedModule(t), reachAllowlist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +126,35 @@ func drain(q *queue) { heap.Init(q) }
 		{
 			name: "a method an interface in the tree declares",
 			files: []source{
-				{lib, "package lib\ntype Namer interface{ Name() string }\ntype T struct{}\nfunc (T) Name() string { return \"t\" }\nvar _ Namer = T{}\n"},
+				{lib, "package lib\ntype Namer interface{ Name() string }\ntype T struct{}\nfunc (T) Name() string { return \"t\" }\nfunc label(n Namer) string { return n.Name() }\nvar l = label(T{})\n"},
+			},
+		},
+		{
+			name: "a method only an interface nothing calls declares",
+			files: []source{
+				{lib, "package lib\ntype Namer interface{ Name() string }\ntype T struct{}\nfunc (T) Name() string { return \"t\" }\nvar def Namer = T{}\n"},
+			},
+			unreached: []string{"lib.Namer.Name", "lib.T.Name"},
+		},
+		{
+			name: "a type only a compile-time assertion names",
+			files: []source{
+				{lib, "package lib\ntype Runner interface{ Run() }\ntype T struct{}\nfunc (T) Run() {}\nvar _ Runner = T{}\nfunc start(r Runner) { r.Run() }\n"},
+			},
+			unreached: []string{"lib.T", "lib.T.Run"},
+		},
+		{
+			name: "a dead method whose name a live method of another type shares",
+			files: []source{
+				{lib, "package lib\ntype Live struct{}\nfunc (Live) Close() {}\ntype Dead struct{}\nfunc (Dead) Close() {}\nfunc stop(l Live, d Dead) { l.Close() }\n"},
+			},
+			unreached: []string{"lib.Dead.Close"},
+		},
+		{
+			name: "a method reached through an embedded field and a type assertion",
+			files: []source{
+				{lib, "package lib\ntype inner struct{}\nfunc (inner) Flush() {}\nfunc (inner) Stats() int { return 0 }\ntype Outer struct{ inner }\n" +
+					"func drain(o Outer, x any) int { o.Flush(); return x.(interface{ Stats() int }).Stats() }\nvar n = drain(Outer{}, Outer{})\n"},
 			},
 		},
 		{
@@ -166,7 +173,11 @@ func drain(q *queue) { heap.Init(q) }
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			unreached, stale, err := unreachedExports(tc.files, tc.allow)
+			m, err := checkModule(tc.files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unreached, stale, err := unreachedExports(m, tc.allow)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,158 +192,311 @@ func drain(q *queue) { heap.Init(q) }
 // its text.
 type source struct{ path, text string }
 
-// stdInterfaceMethods are the methods the standard library calls through
-// an interface no file of the module declares: sort.Interface and
-// heap.Interface.
-var stdInterfaceMethods = []string{"Len", "Less", "Swap", "Push", "Pop"}
+// The module's non-test files, type-checked once per test binary: both
+// guards read them, and checking the standard library from source takes
+// seconds.
+var (
+	moduleOnce sync.Once
+	theModule  *module
+	moduleErr  error
+)
 
-// unreachedExports applies the rule of TestNoExportedNameOnlyTestsReach to
-// files. It returns, sorted, the declarations that nothing reaches and that
-// allow does not name, and the entries of allow that name no such
-// declaration. A declaration is named "<dir under internal/>.<Name>", a
-// method "<dir>.<Type>.<Name>".
-//
-// The rule is syntactic. A package-level name is reached by a bare
-// identifier in a non-test file of its own package, or by a selector on an
-// import of that package, outside its own declaration; a declaring
-// identifier and a method's receiver do not count. A method is reached by a
-// selector of its name anywhere outside its own declaration, and a method
-// whose name an interface declares (in the tree, or stdInterfaceMethods) is
-// exempt: it is called through that interface.
-func unreachedExports(files []source, allow map[string]string) (unreached, stale []string, err error) {
-	const module = "cicero/"
-	type decl struct {
-		method string // the method's name; empty for a package-level name
-		origin ast.Node
+// checkedModule returns the module's non-test files, type-checked.
+func checkedModule(t *testing.T) *module {
+	t.Helper()
+	moduleOnce.Do(func() {
+		files, err := moduleSources()
+		if err == nil {
+			theModule, err = checkModule(files)
+		}
+		moduleErr = err
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
 	}
-	decls := make(map[string]decl)            // name -> its declaration
-	reachedAt := make(map[string][]ast.Node)  // package-level name -> declarations naming it
-	selectedAt := make(map[string][]ast.Node) // method name -> declarations selecting it
-	viaInterface := make(map[string]bool)
-	for _, m := range stdInterfaceMethods {
-		viaInterface[m] = true
+	return theModule
+}
+
+// moduleSources reads every non-test Go file of the module, outside
+// testdata and hidden directories.
+func moduleSources() ([]source, error) {
+	var files []source
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if file != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		text, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, file)
+		files = append(files, source{path: filepath.ToSlash(rel), text: string(text)})
+		return nil
+	})
+	return files, err
+}
+
+// module is the module's non-test files, type-checked together.
+type module struct {
+	pkgFiles   map[string][]*ast.File // import path -> its non-test files
+	paths      []string               // the import paths, sorted
+	info       *types.Info
+	std        types.Importer
+	stdImports map[string]bool // standard packages the files import
+}
+
+// modulePath is the module's path in go.mod.
+const modulePath = "cicero"
+
+// checkModule parses and type-checks the non-test files among files, the
+// standard library from source.
+func checkModule(files []source) (*module, error) {
+	fset := token.NewFileSet()
+	m := &module{
+		pkgFiles:   make(map[string][]*ast.File),
+		stdImports: make(map[string]bool),
+		info: &types.Info{
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+		},
+		std: importer.ForCompiler(fset, "source", nil),
 	}
 	for _, src := range files {
 		if strings.HasSuffix(src.path, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), src.path, src.text, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, src.path, src.text, parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		dir := strings.TrimPrefix(path.Dir(src.path), "internal/")
-		declares := strings.HasPrefix(src.path, "internal/")
-		imports := make(map[string]string) // local name -> dir of a module package, "" outside the module
+		p := modulePath
+		if dir := path.Dir(src.path); dir != "." {
+			p += "/" + dir
+		}
+		m.pkgFiles[p] = append(m.pkgFiles[p], f)
 		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			name := path.Base(p)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = ""
-			if strings.HasPrefix(p, module) {
-				imports[name] = strings.TrimPrefix(strings.TrimPrefix(p, module), "internal/")
+			if p, _ := strconv.Unquote(imp.Path.Value); p != modulePath && !strings.HasPrefix(p, modulePath+"/") {
+				m.stdImports[p] = true
 			}
 		}
-		// visit records what a node reaches from origin, the top-level
-		// declaration being walked.
-		var origin ast.Node
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						viaInterface[name.Name] = true
-					}
-				}
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if pkg, ok := imports[x.Name]; ok {
-						if pkg != "" {
-							reachedAt[pkg+"."+n.Sel.Name] = append(reachedAt[pkg+"."+n.Sel.Name], origin)
-						}
-						return false
-					}
-				}
-				selectedAt[n.Sel.Name] = append(selectedAt[n.Sel.Name], origin)
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				reachedAt[dir+"."+n.Name] = append(reachedAt[dir+"."+n.Name], origin)
-			}
-			return true
+	}
+	checked := make(map[string]*types.Package)
+	var check func(string) (*types.Package, error)
+	check = func(p string) (*types.Package, error) {
+		if pkg, ok := checked[p]; ok {
+			return pkg, nil
 		}
-		// Declaring identifiers and receivers are not walked.
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if declares && d.Name.IsExported() {
+		pf, ok := m.pkgFiles[p]
+		if !ok {
+			return m.std.Import(p)
+		}
+		conf := types.Config{Importer: importerFunc(check)}
+		pkg, err := conf.Check(p, fset, pf, m.info)
+		if err != nil {
+			return nil, err
+		}
+		checked[p] = pkg
+		return pkg, nil
+	}
+	for p := range m.pkgFiles {
+		m.paths = append(m.paths, p)
+	}
+	sort.Strings(m.paths)
+	for _, p := range m.paths {
+		if _, err := check(p); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// unreachedExports applies the rule of TestNoExportedNameOnlyTestsReach to
+// m. It returns, sorted, the declarations that nothing reaches and that
+// allow does not name, and the entries of allow that name no such
+// declaration. A declaration is named "<dir under internal/>.<Name>", a
+// method "<dir>.<Type>.<Name>".
+//
+// The rule resolves types (m is type-checked, the standard library from
+// source), and a declaration is reached by an
+// identifier outside its own declaration that denotes it. A declaring
+// identifier, a method's receiver and a var _ I = (*T)(nil) assertion do
+// not count. A concrete method of a reached type is also reached when it
+// implements a method of an interface that is itself reached: one of the
+// module's whose method a non-test file calls, or an
+// exported one of a standard-library package the module imports, which
+// the library calls (sort.Interface, heap.Interface, fmt.Stringer), or
+// error.
+func unreachedExports(m *module, allow map[string]string) (unreached, stale []string, err error) {
+	info, pkgFiles := m.info, m.pkgFiles
+
+	// The declarations, each with the span of its own declaration.
+	type span struct{ pos, end token.Pos }
+	decls := make(map[types.Object]string)
+	own := make(map[types.Object]span)
+	receivers := make(map[*ast.Ident]bool)
+	declare := func(dir string, id *ast.Ident, owner ast.Node, name string) {
+		if obj := info.Defs[id]; obj != nil && id.IsExported() {
+			decls[obj] = dir + "." + name
+			own[obj] = span{owner.Pos(), owner.End()}
+		}
+	}
+	for _, p := range m.paths {
+		dir, ok := strings.CutPrefix(p, modulePath+"/internal/")
+		if !ok {
+			continue
+		}
+		for _, f := range pkgFiles[p] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
 					if d.Recv == nil {
-						decls[dir+"."+d.Name.Name] = decl{origin: d}
-					} else {
-						decls[dir+"."+receiverType(d.Recv.List[0].Type)+"."+d.Name.Name] = decl{method: d.Name.Name, origin: d}
+						declare(dir, d.Name, d, d.Name.Name)
+						continue
 					}
-				}
-				origin = d
-				ast.Inspect(d.Type, visit)
-				if d.Body != nil {
-					ast.Inspect(d.Body, visit)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					origin = spec
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if declares && s.Name.IsExported() {
-							decls[dir+"."+s.Name.Name] = decl{origin: s}
-						}
-						if s.TypeParams != nil {
-							ast.Inspect(s.TypeParams, visit)
-						}
-						ast.Inspect(s.Type, visit)
-					case *ast.ValueSpec:
-						for _, name := range s.Names {
-							if declares && name.IsExported() {
-								decls[dir+"."+name.Name] = decl{origin: s}
+					recv := receiverIdent(d.Recv.List[0].Type)
+					receivers[recv] = true
+					declare(dir, d.Name, d, recv.Name+"."+d.Name.Name)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							declare(dir, s.Name, s, s.Name.Name)
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, m := range it.Methods.List {
+									for _, id := range m.Names {
+										declare(dir, id, m, s.Name.Name+"."+id.Name)
+									}
+								}
 							}
-						}
-						if s.Type != nil {
-							ast.Inspect(s.Type, visit)
-						}
-						for _, v := range s.Values {
-							ast.Inspect(v, visit)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								declare(dir, id, s, id.Name)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	reachedElsewhere := func(sites []ast.Node, origin ast.Node) bool {
-		for _, site := range sites {
-			if site != origin {
+
+	// A compile-time assertion, var _ I = (*T)(nil), runs nothing.
+	var assertions []span
+	for _, pf := range pkgFiles {
+		for _, f := range pf {
+			for _, d := range f.Decls {
+				if d, ok := d.(*ast.GenDecl); ok && d.Tok == token.VAR {
+					for _, spec := range d.Specs {
+						if s := spec.(*ast.ValueSpec); len(s.Names) == 1 && s.Names[0].Name == "_" {
+							assertions = append(assertions, span{s.Pos(), s.End()})
+						}
+					}
+				}
+			}
+		}
+	}
+	within := func(pos token.Pos, spans ...span) bool {
+		for _, s := range spans {
+			if pos >= s.pos && pos < s.end {
 				return true
 			}
 		}
 		return false
 	}
-	for name, d := range decls {
-		var reached bool
-		if d.method != "" {
-			reached = viaInterface[d.method] || reachedElsewhere(selectedAt[d.method], d.origin)
-		} else {
-			reached = reachedElsewhere(reachedAt[name], d.origin)
+	reached := make(map[types.Object]bool)
+	for id, obj := range info.Uses {
+		if s, ok := own[obj]; (ok && within(id.Pos(), s)) || receivers[id] || within(id.Pos(), assertions...) {
+			continue
 		}
+		reached[obj] = true
+	}
+
+	// A method an interface's reached method dispatches to is reached too.
+	var ifaces []*types.Interface
+	var named []*types.Named
+	for _, tv := range info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() {
+			ifaces = append(ifaces, it)
+		}
+	}
+	for _, obj := range info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok {
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				if it, ok := n.Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				} else {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	stdIfaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for p := range m.stdImports {
+		pkg, err := m.std.Import(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					stdIfaces = append(stdIfaces, it)
+				}
+			}
+		}
+	}
+	dispatch := func(it *types.Interface, called func(*types.Func) bool) {
+		if it.NumMethods() == 0 {
+			return
+		}
+		for _, n := range named {
+			if _, allowed := allow[decls[n.Obj()]]; !reached[n.Obj()] && !allowed {
+				continue // nothing holds a value of it to call through it
+			}
+			for _, t := range []types.Type{n, types.NewPointer(n)} {
+				if !types.Implements(t, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					if m := it.Method(i); called(m) {
+						obj, _, _ := types.LookupFieldOrMethod(t, false, n.Obj().Pkg(), m.Name())
+						reached[obj] = true
+					}
+				}
+				break
+			}
+		}
+	}
+	for _, it := range ifaces {
+		dispatch(it, func(m *types.Func) bool { return reached[m] })
+	}
+	for _, it := range stdIfaces {
+		dispatch(it, func(*types.Func) bool { return true })
+	}
+
+	listed := make(map[string]bool)
+	for obj, name := range decls {
+		listed[name] = true
 		_, allowed := allow[name]
-		if !reached && !allowed {
+		if !reached[obj] && !allowed {
 			unreached = append(unreached, name)
 		}
-		if allowed && reached {
+		if allowed && reached[obj] {
 			stale = append(stale, name)
 		}
 	}
 	for name := range allow {
-		if _, ok := decls[name]; !ok {
+		if !listed[name] {
 			stale = append(stale, name)
 		}
 	}
@@ -341,9 +505,14 @@ func unreachedExports(files []source, allow map[string]string) (unreached, stale
 	return unreached, stale, nil
 }
 
-// receiverType is the name of a method's receiver type: T for T, *T, T[P]
-// and *T[P].
-func receiverType(x ast.Expr) string {
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// receiverIdent is the identifier naming a method's receiver type: T for
+// T, *T, T[P] and *T[P].
+func receiverIdent(x ast.Expr) *ast.Ident {
 	for {
 		switch e := x.(type) {
 		case *ast.StarExpr:
@@ -355,9 +524,9 @@ func receiverType(x ast.Expr) string {
 		case *ast.ParenExpr:
 			x = e.X
 		case *ast.Ident:
-			return e.Name
+			return e
 		default:
-			return ""
+			return nil
 		}
 	}
 }

@@ -378,10 +378,6 @@ func (s *Switch) RequestResync() {
 	}
 }
 
-// Aggregator returns the currently assigned aggregator ("" when events are
-// multicast to the whole control plane).
-func (s *Switch) Aggregator() pki.Identity { return s.aggregator }
-
 // Bootstrap installs the initial control-plane configuration out-of-band,
 // modelling initial provisioning (which also installs the threshold public
 // key). Later configuration changes arrive as threshold-signed MsgConfig.

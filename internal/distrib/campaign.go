@@ -21,10 +21,6 @@ type CampaignOptions struct {
 	// bundles, address map, logs and traces.
 	Bin string
 	Dir string
-	// Controllers sizes the control plane (default 4).
-	Controllers int
-	// Flows is the workload size (default 8).
-	Flows int
 	// Seed drives workload draw; the simnet reference uses the same draw.
 	Seed int64
 	// KillController SIGKILLs a non-bootstrap controller mid-update and
@@ -66,12 +62,6 @@ type CampaignResult struct {
 }
 
 func (o CampaignOptions) defaulted() CampaignOptions {
-	if o.Controllers == 0 {
-		o.Controllers = 4
-	}
-	if o.Flows == 0 {
-		o.Flows = 8
-	}
 	if o.Timeout == 0 {
 		o.Timeout = 2 * time.Minute
 	}
@@ -106,6 +96,10 @@ func digest32(b []byte) (d [32]byte) {
 	return d
 }
 
+// campaignFlows is a campaign's workload: flows drawn over SmokeGraph's
+// four hosts, served by a control plane of core's default four.
+const campaignFlows = 6
+
 // RunCampaign executes one multi-process chaos campaign: plan, launch
 // one process per node, inject the workload, SIGKILL and partition per
 // options, restart through the recovery paths, drain, then verify every
@@ -119,16 +113,15 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 	// script below injects in two halves around the faults), and the
 	// reference its fault-free simnet run of the same deployment shape.
 	g := SmokeGraph()
-	flows := chaos.DrawFlows(g, opt.Flows, time.Second, rand.New(rand.NewSource(opt.Seed)))
+	flows := chaos.DrawFlows(g, campaignFlows, time.Second, rand.New(rand.NewSource(opt.Seed)))
 	res.FlowsTotal = len(flows)
 	cfg := core.Config{
-		Graph:                g,
-		Protocol:             controlplane.ProtoCicero,
-		Aggregation:          controlplane.AggSwitch,
-		ControllersPerDomain: opt.Controllers,
-		Cost:                 protocol.Calibrated(),
-		Seed:                 opt.Seed,
-		Jitter:               0.1,
+		Graph:       g,
+		Protocol:    controlplane.ProtoCicero,
+		Aggregation: controlplane.AggSwitch,
+		Cost:        protocol.Calibrated(),
+		Seed:        opt.Seed,
+		Jitter:      0.1,
 	}
 	refDigest, err := chaos.ReferenceDigest(cfg, flows)
 	if err != nil {

@@ -323,7 +323,6 @@ func TestCampaignSmoke(t *testing.T) {
 	res, err := RunCampaign(CampaignOptions{
 		Bin:     nodeBin,
 		Dir:     campaignDir(t),
-		Flows:   6,
 		Seed:    7,
 		Timeout: 3 * time.Minute,
 	})
@@ -348,7 +347,6 @@ func TestCampaignKill9Recovery(t *testing.T) {
 	res, err := RunCampaign(CampaignOptions{
 		Bin:            nodeBin,
 		Dir:            campaignDir(t),
-		Flows:          6,
 		Seed:           11,
 		KillController: true,
 		KillSwitch:     true,

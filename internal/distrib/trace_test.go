@@ -30,7 +30,7 @@ func TestTraceMergeCausalOrder(t *testing.T) {
 	}
 	la.Add(fabric.Record{Kind: "boot"})
 	la.Add(fabric.Record{Kind: fabric.TapSend, Detail: "update to b", Digest: "digest-1"})
-	clockB.Observe(clockA.Now()) // the frame carries a's clock
+	clockB.Observe(clockA.Tick()) // the frame ticks a's clock and carries it
 	lb.Add(fabric.Record{Kind: fabric.TapRecv, Detail: "update from a", Digest: "digest-1"})
 	lb.Add(fabric.Record{Kind: recApply, Detail: "update", Digest: "digest-1"})
 	fa.Close()
@@ -120,7 +120,7 @@ func TestLamportClock(t *testing.T) {
 	if got := c.Observe(3); got != 12 {
 		t.Fatalf("observe(3) after 11 = %d, want 12 (local dominates)", got)
 	}
-	if got := c.Now(); got != 12 {
-		t.Fatalf("now = %d, want 12", got)
+	if got := c.Tick(); got != 13 {
+		t.Fatalf("tick after 12 = %d, want 13", got)
 	}
 }

@@ -40,10 +40,10 @@ func Distrib(o Options) (*Result, error) {
 		opt  distrib.CampaignOptions
 	}{
 		{"smoke (no faults)", distrib.CampaignOptions{
-			Bin: bin, Flows: 6, Seed: o.Seed, Timeout: 3 * time.Minute,
+			Bin: bin, Seed: o.Seed, Timeout: 3 * time.Minute,
 		}},
 		{"kill -9 + partition", distrib.CampaignOptions{
-			Bin: bin, Flows: 6, Seed: o.Seed + 1,
+			Bin: bin, Seed: o.Seed + 1,
 			KillController: true, KillSwitch: true, Partition: true,
 			Timeout: 4 * time.Minute,
 		}},

@@ -149,10 +149,8 @@ func Fig12c(opt Options) (*Result, error) {
 		fabric.RacksPerPod = 20
 	}
 	icfg := topology.InterconnectPodsConfig{
-		Fabric:               fabric,
-		Pods:                 2,
-		InterconnectSwitches: 4,
-		EdgeInterconnect:     60 * time.Microsecond,
+		Fabric: fabric,
+		Pods:   2,
 	}
 	g, err := topology.BuildInterconnectedPods(icfg)
 	if err != nil {

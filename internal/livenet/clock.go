@@ -35,6 +35,3 @@ func (c *LamportClock) Observe(remote uint64) uint64 {
 		}
 	}
 }
-
-// Now reads the current value without advancing it.
-func (c *LamportClock) Now() uint64 { return c.v.Load() }

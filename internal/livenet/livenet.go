@@ -10,9 +10,8 @@
 //     sockets as length-prefixed codec frames through per-peer links: a
 //     bounded outbound queue, a writer goroutine that writes whatever is
 //     queued in one system call under one deadline per write and retries
-//     with bounded exponential backoff and jitter, and a circuit breaker
-//     that trips after repeated dial failures and probes half-open. The
-//     receiving side reads each connection through one buffered reader.
+//     with bounded exponential backoff and jitter. The receiving side
+//     reads each connection through one buffered reader.
 //
 // Both backends implement fabric.FaultInjector, so the chaos engine's
 // drop/delay/duplicate/corrupt filters inject on live transports exactly
@@ -143,7 +142,7 @@ func (n *node) handler() fabric.Handler {
 
 // stats is the atomic counter block behind fabric.Stats, plus the
 // resilience counters live backends accumulate (retries, reconnects,
-// breaker trips, crash/restart events).
+// crash/restart events).
 type stats struct {
 	sent             atomic.Uint64
 	delivered        atomic.Uint64
@@ -153,11 +152,10 @@ type stats struct {
 	droppedUnknown   atomic.Uint64
 	droppedInjected  atomic.Uint64
 
-	retries      atomic.Uint64
-	reconnects   atomic.Uint64
-	breakerTrips atomic.Uint64
-	crashes      atomic.Uint64
-	restarts     atomic.Uint64
+	retries    atomic.Uint64
+	reconnects atomic.Uint64
+	crashes    atomic.Uint64
+	restarts   atomic.Uint64
 }
 
 // snapshot converts to the fabric view.
@@ -186,8 +184,8 @@ type ResilienceStats struct {
 	// Reconnects is the number of successful redials after a connection
 	// went bad.
 	Reconnects uint64
-	// BreakerTrips is the number of closed -> open transitions across all
-	// per-peer circuit breakers.
+	// BreakerTrips is always zero: no backend has a circuit breaker. It
+	// stays for the benchmark, which still reports livenet.breaker_trips.
 	BreakerTrips uint64
 	// Crashes and Restarts count fault-plane crash/restart events.
 	Crashes  uint64
@@ -197,11 +195,10 @@ type ResilienceStats struct {
 // resilience snapshots the resilience counters.
 func (s *stats) resilience() ResilienceStats {
 	return ResilienceStats{
-		Retries:      s.retries.Load(),
-		Reconnects:   s.reconnects.Load(),
-		BreakerTrips: s.breakerTrips.Load(),
-		Crashes:      s.crashes.Load(),
-		Restarts:     s.restarts.Load(),
+		Retries:    s.retries.Load(),
+		Reconnects: s.reconnects.Load(),
+		Crashes:    s.crashes.Load(),
+		Restarts:   s.restarts.Load(),
 	}
 }
 
@@ -406,7 +403,7 @@ func (b *base) Crashed(id fabric.NodeID) bool {
 func (b *base) Stats() fabric.Stats { return b.st.snapshot() }
 
 // Resilience snapshots the resilience counters (retries, reconnects,
-// breaker trips, crashes, restarts).
+// crashes, restarts).
 func (b *base) Resilience() ResilienceStats { return b.st.resilience() }
 
 // admit applies the shared datagram drop rules (unknown, crashed,

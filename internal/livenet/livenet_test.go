@@ -244,14 +244,11 @@ func TestTCPReconnect(t *testing.T) {
 // reconnect racing a partition heal: the link's connection dies while
 // the pair is partitioned (so the writer's redial overlaps the logical
 // fault window), and delivery must resume promptly once the partition
-// heals — no stale cached connection, no breaker stuck open past the
-// heal.
+// heals — no stale cached connection outlives the heal.
 func TestTCPReconnectRacesPartitionHeal(t *testing.T) {
 	res := defaultResilience
 	res.dialTimeout = 200 * time.Millisecond
 	res.backoff = backoff{base: 2 * time.Millisecond, max: 20 * time.Millisecond, factor: 2, jitter: 0.5}
-	res.breakerThreshold = 3
-	res.breakerCooldown = 30 * time.Millisecond
 	f, err := newTCPWith(res)
 	if err != nil {
 		t.Fatal(err)

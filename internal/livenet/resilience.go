@@ -25,10 +25,9 @@ var (
 	// ErrEncode means the message failed to encode (or re-decode) with the
 	// wire codec.
 	ErrEncode = errors.New("livenet: message failed wire codec")
-	// ErrPeerUnreachable means the per-peer circuit breaker is open: the
-	// peer's transport has failed repeatedly and the cooldown has not
-	// elapsed, so the send fails fast instead of burning a dial timeout.
-	ErrPeerUnreachable = errors.New("livenet: peer unreachable (circuit breaker open)")
+	// ErrPeerUnreachable means the peer link shut down (an end crashed, or
+	// the fabric closed) before the frame could go out.
+	ErrPeerUnreachable = errors.New("livenet: peer unreachable (link shut down)")
 	// ErrSendQueueFull means the peer's bounded outbound queue is full
 	// (the writer cannot drain as fast as the node produces).
 	ErrSendQueueFull = errors.New("livenet: peer send queue full")
@@ -85,12 +84,6 @@ type resilience struct {
 	// queueLen bounds the per-peer outbound queue; SendErr fails fast with
 	// ErrSendQueueFull when it is full.
 	queueLen int
-	// breakerThreshold is the number of consecutive dial failures that
-	// trips the per-peer circuit breaker.
-	breakerThreshold int
-	// breakerCooldown is how long a tripped breaker stays open before it
-	// lets one half-open probe through.
-	breakerCooldown time.Duration
 }
 
 // defaultResilience is fast enough for localhost benchmarks, patient
@@ -105,99 +98,7 @@ var defaultResilience = resilience{
 		factor: 2,
 		jitter: 0.5,
 	},
-	queueLen:         4096,
-	breakerThreshold: 3,
-	breakerCooldown:  200 * time.Millisecond,
-}
-
-// Circuit-breaker states.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breaker is a per-peer circuit breaker: after threshold consecutive
-// transport failures it opens (sends fail fast), and after the cooldown
-// it admits a single half-open probe — success closes it, failure
-// re-opens it for another cooldown.
-type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	onTrip    func()
-
-	state    int
-	fails    int
-	openedAt time.Time
-}
-
-func newBreaker(threshold int, cooldown time.Duration, onTrip func()) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, onTrip: onTrip}
-}
-
-// Allow reports whether a transport attempt may proceed now. When the
-// breaker is open and the cooldown has elapsed, the first caller becomes
-// the half-open probe; concurrent callers keep failing fast until the
-// probe resolves.
-func (k *breaker) Allow(now time.Time) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	switch k.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if now.Sub(k.openedAt) >= k.cooldown {
-			k.state = breakerHalfOpen
-			return true
-		}
-		return false
-	default: // half-open: one probe already in flight
-		return false
-	}
-}
-
-// Rejecting reports (without state transitions) whether a send should
-// fail fast right now. Unlike Allow it never claims the half-open probe,
-// so enqueue-side checks don't consume it.
-func (k *breaker) Rejecting(now time.Time) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.state == breakerOpen && now.Sub(k.openedAt) < k.cooldown
-}
-
-// Success records a working transport: the breaker closes.
-func (k *breaker) Success() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.state = breakerClosed
-	k.fails = 0
-}
-
-// Failure records a transport failure; enough of them (or a failed
-// half-open probe) trip the breaker open.
-func (k *breaker) Failure(now time.Time) {
-	k.mu.Lock()
-	k.fails++
-	tripped := false
-	if k.state == breakerHalfOpen || (k.state == breakerClosed && k.fails >= k.threshold) {
-		k.state = breakerOpen
-		k.openedAt = now
-		tripped = true
-	} else if k.state == breakerOpen {
-		k.openedAt = now
-	}
-	k.mu.Unlock()
-	if tripped && k.onTrip != nil {
-		k.onTrip()
-	}
-}
-
-// State returns the current state (for tests and diagnostics).
-func (k *breaker) State() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.state
+	queueLen: 4096,
 }
 
 // lockedRand is a mutex-guarded rand.Rand: backoff jitter draws from it

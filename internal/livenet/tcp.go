@@ -23,12 +23,11 @@ const maxFrameBytes = 1 << 22
 // its own listener on 127.0.0.1 (kernel-assigned port); each (from, to)
 // pair gets a peer link: a bounded outbound queue drained by a writer
 // goroutine that dials lazily, writes whatever is queued (up to maxBurst
-// frames) in one system call under one write deadline, retries with
-// bounded exponential backoff and jitter, and sits behind a per-peer
-// circuit breaker that trips after repeated dial failures and probes
-// half-open after a cooldown. A link's connection names its sender once,
-// in the hello it opens with, and then carries length-prefixed wire-codec
-// frames, which the receiving side reads through one buffered reader:
+// frames) in one system call under one write deadline, and retries with
+// bounded exponential backoff and jitter. A link's connection names its
+// sender once, in the hello it opens with, and then carries
+// length-prefixed wire-codec frames, which the receiving side reads
+// through one buffered reader:
 //
 //	hello: [2B id length][sender id]
 //	frame: [4B frame length][8B lamport clock][codec bytes]
@@ -116,9 +115,6 @@ func NewTCPNode(opts TCPOptions) (*TCP, error) {
 		links:     make(map[[2]fabric.NodeID]*peerLink),
 	}, nil
 }
-
-// Clock returns the fabric's Lamport clock (nil unless configured).
-func (t *TCP) Clock() *LamportClock { return t.clock }
 
 // Register adds the node and opens its listener. Listener failure is
 // fatal to the node's reachability; it is reported via panic because it
@@ -268,7 +264,7 @@ func (t *TCP) Send(from, to fabric.NodeID, msg fabric.Message, size int) {
 
 // SendErr is Send with a typed verdict. It never blocks: a crashed,
 // partitioned, or unknown destination, an injected drop, an encode
-// failure, an open circuit breaker, or a full peer queue all fail fast
+// failure, a shut-down peer link, or a full peer queue all fail fast
 // with the matching typed error. A nil return means the frame was
 // accepted by the peer link's writer; delivery remains best-effort
 // (datagram semantics — the writer's retry budget can still run out).
@@ -427,8 +423,6 @@ func (t *TCP) link(from, to fabric.NodeID) (*peerLink, error) {
 			to:   to,
 			outq: make(chan []byte, t.res.queueLen),
 			done: make(chan struct{}),
-			brk: newBreaker(t.res.breakerThreshold, t.res.breakerCooldown,
-				func() { t.st.breakerTrips.Add(1) }),
 		}
 		t.links[key] = l
 		t.lwg.Add(1)
@@ -546,14 +540,13 @@ func (t *TCP) Close() {
 const maxBurst = 64
 
 // peerLink is one (from, to) outbound path: a bounded queue drained by a
-// writer goroutine behind a circuit breaker.
+// writer goroutine.
 type peerLink struct {
 	t        *TCP
 	from, to fabric.NodeID
 	outq     chan []byte
 	done     chan struct{}
 	once     sync.Once
-	brk      *breaker
 	// iov and unsent are the writer's: one write's hello and frames, and
 	// the copy of the slice that WriteTo consumes as it writes.
 	iov, unsent net.Buffers
@@ -565,13 +558,9 @@ type peerLink struct {
 	connected bool // a connection has existed before (reconnect accounting)
 }
 
-// send enqueues one frame, failing fast when the breaker is open, the
-// link is shut down, or the bounded queue is full.
+// send enqueues one frame, failing fast when the link is shut down or the
+// bounded queue is full.
 func (l *peerLink) send(frame []byte) error {
-	if l.brk.Rejecting(time.Now()) {
-		l.t.st.droppedUnknown.Add(1)
-		return ErrPeerUnreachable
-	}
 	select {
 	case <-l.done:
 		l.t.st.droppedUnknown.Add(1)
@@ -640,18 +629,11 @@ func (l *peerLink) transmit(frames [][]byte) (int, error) {
 		conn := l.currentConn()
 		var hello []byte
 		if conn == nil {
-			now := time.Now()
-			if !l.brk.Allow(now) {
-				lastErr = ErrPeerUnreachable
-				continue
-			}
 			c, err := l.t.dial(l.to)
 			if err != nil {
-				l.brk.Failure(time.Now())
 				lastErr = err
 				continue
 			}
-			l.brk.Success()
 			conn = c
 			if !l.setConn(c) {
 				return sent, ErrPeerUnreachable // link closed while dialing

@@ -53,14 +53,14 @@ func TestTCPNodeRemoteSend(t *testing.T) {
 	}
 
 	fc.Send("c", "b", protocol.MsgHeartbeat{Seq: 1}, 0)
-	atSend := clockC.Now()
+	atSend := clockC.v.Load()
 	waitFor(t, 5*time.Second, func() bool { return gotA.Load() == 1 },
 		"relayed delivery across three fabrics")
 
 	// Lamport causality across process boundaries: A's clock observed a
 	// chain of ticks that started at C, so it must have moved past the
 	// value C held when the frame left.
-	waitFor(t, 5*time.Second, func() bool { return clockA.Now() > atSend },
+	waitFor(t, 5*time.Second, func() bool { return clockA.v.Load() > atSend },
 		"a's lamport clock to pass c's send timestamp")
 	if atSend == 0 {
 		t.Fatal("c's clock never ticked on send")

@@ -88,14 +88,6 @@ type FlowPolicy struct {
 	Allow bool   `json:"allow"`
 }
 
-// WaypointPolicy requires flows from Src to Dst to traverse Chain in
-// order (mirrors netprop's waypoint property).
-type WaypointPolicy struct {
-	Src   string   `json:"src"`
-	Dst   string   `json:"dst"`
-	Chain []string `json:"chain"`
-}
-
 // Policy is the targets payload: everything a switch or node process
 // previously accepted on faith from its provisioning bundle or an
 // unauthenticated push.
@@ -106,13 +98,8 @@ type Policy struct {
 	Members    []string `json:"members,omitempty"`
 	Quorum     int      `json:"quorum,omitempty"`
 	Aggregator string   `json:"aggregator,omitempty"`
-	// Batching and view-change parameters (nanoseconds, byte-stable).
-	BatchSize           int   `json:"batch_size,omitempty"`
-	BatchDelayNS        int64 `json:"batch_delay_ns,omitempty"`
-	ViewChangeTimeoutNS int64 `json:"view_change_timeout_ns,omitempty"`
 	// Flow-level policy.
-	Flows     []FlowPolicy     `json:"flows,omitempty"`
-	Waypoints []WaypointPolicy `json:"waypoints,omitempty"`
+	Flows []FlowPolicy `json:"flows,omitempty"`
 }
 
 // Targets is the policy-bundle document.

@@ -79,12 +79,12 @@ func TestAdoptGenesisAndUpdate(t *testing.T) {
 		t.Fatalf("store fresh past timestamp expiry")
 	}
 	// v2 update adopts.
-	tg2, sn2, ts2 := BuildSet(Policy{Phase: 1, Quorum: 2, BatchSize: 8}, 2, f.now+10, ttl, tsTTL)
+	tg2, sn2, ts2 := BuildSet(Policy{Phase: 1, Quorum: 2, Aggregator: "ctl-2"}, 2, f.now+10, ttl, tsTTL)
 	if err := s.ApplySet(SignSet(tg2, sn2, ts2, f.keys[1:3])); err != nil {
 		t.Fatalf("set v2: %v", err)
 	}
-	if got := s.PolicyTargets().Policy.BatchSize; got != 8 {
-		t.Fatalf("policy batch size = %d, want 8", got)
+	if got := s.PolicyTargets().Policy.Aggregator; got != "ctl-2" {
+		t.Fatalf("policy aggregator = %q, want ctl-2", got)
 	}
 	// Replaying v1 after v2 is rollback, per role.
 	for _, env := range set {
@@ -101,7 +101,7 @@ func TestAdoptGenesisAndUpdate(t *testing.T) {
 func TestRejectsMixAndMatch(t *testing.T) {
 	f := newFixture(t)
 	rootEnv, set1 := f.genesis(t)
-	tg2, sn2, ts2 := BuildSet(Policy{Phase: 1, Quorum: 2, BatchSize: 4}, 2, f.now, ttl, tsTTL)
+	tg2, sn2, ts2 := BuildSet(Policy{Phase: 1, Quorum: 2, Aggregator: "ctl-1"}, 2, f.now, ttl, tsTTL)
 	set2 := SignSet(tg2, sn2, ts2, f.keys[:2])
 
 	s := f.store()

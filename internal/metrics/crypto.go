@@ -59,17 +59,3 @@ func (c *CryptoCounters) Snapshot() map[string]uint64 {
 		"signature_bytes":       c.SignatureBytes.Load(),
 	}
 }
-
-// Reset zeroes all counters (used by tests and experiment harnesses).
-func (c *CryptoCounters) Reset() {
-	c.Pairings.Store(0)
-	c.PreparedPairings.Store(0)
-	c.PairingProducts.Store(0)
-	c.PointPrepares.Store(0)
-	c.ShareVerifies.Store(0)
-	c.VerifyCacheHits.Store(0)
-	c.VerifyCacheMisses.Store(0)
-	c.LagrangeCacheHits.Store(0)
-	c.LagrangeCacheMisses.Store(0)
-	c.SignatureBytes.Store(0)
-}

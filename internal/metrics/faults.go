@@ -24,8 +24,6 @@ const (
 	CounterRetry = "retry"
 	// CounterReconnect: successful redials after a connection went bad.
 	CounterReconnect = "reconnect"
-	// CounterBreakerTrip: per-peer circuit-breaker closed -> open events.
-	CounterBreakerTrip = "breaker-trip"
 	// CounterCrash: fault-plane node crashes.
 	CounterCrash = "crash"
 	// CounterRestart: fault-plane node restarts.
@@ -47,9 +45,6 @@ func (c *CounterSet) Add(name string, n uint64) {
 	}
 	c.counts[name] += n
 }
-
-// Get returns the named counter's value.
-func (c *CounterSet) Get(name string) uint64 { return c.counts[name] }
 
 // Merge adds every counter from other into c.
 func (c *CounterSet) Merge(other *CounterSet) {

@@ -60,8 +60,8 @@ func TestFlowTableReplaceOnExactDuplicate(t *testing.T) {
 	m := Match{"h1", "h2"}
 	ft.Add(Rule{Priority: 5, Match: m, Action: Action{Type: ActionOutput, NextHop: "a"}})
 	ft.Add(Rule{Priority: 5, Match: m, Action: Action{Type: ActionOutput, NextHop: "b"}})
-	if ft.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (replacement)", ft.Len())
+	if len(ft.rules) != 1 {
+		t.Fatalf("Len = %d, want 1 (replacement)", len(ft.rules))
 	}
 	r, _ := ft.Lookup("h1", "h2")
 	if r.Action.NextHop != "b" {
@@ -79,8 +79,8 @@ func TestFlowTableDelete(t *testing.T) {
 	if n := ft.Delete(Match{"h1", Wildcard}, 0); n != 2 {
 		t.Fatalf("deleted %d, want 2", n)
 	}
-	if ft.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", ft.Len())
+	if len(ft.rules) != 1 {
+		t.Fatalf("Len = %d, want 1", len(ft.rules))
 	}
 	// Cookie-scoped delete does not touch other cookies.
 	if n := ft.Delete(Match{Wildcard, Wildcard}, 999); n != 0 {
@@ -96,12 +96,12 @@ func TestFlowTableApply(t *testing.T) {
 	add := FlowMod{Op: FlowAdd, Switch: "s1",
 		Rule: Rule{Priority: 1, Match: Match{"a", "b"}, Action: Action{Type: ActionOutput, NextHop: "s2"}}}
 	ft.Apply(add)
-	if ft.Len() != 1 {
+	if len(ft.rules) != 1 {
 		t.Fatal("FlowAdd not applied")
 	}
 	del := FlowMod{Op: FlowDelete, Switch: "s1", Rule: Rule{Match: Match{"a", "b"}}}
 	ft.Apply(del)
-	if ft.Len() != 0 {
+	if len(ft.rules) != 0 {
 		t.Fatal("FlowDelete not applied")
 	}
 }

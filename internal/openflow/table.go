@@ -21,9 +21,6 @@ type FlowTable struct {
 // NewFlowTable returns an empty table.
 func NewFlowTable() *FlowTable { return &FlowTable{} }
 
-// Len returns the number of installed rules.
-func (t *FlowTable) Len() int { return len(t.rules) }
-
 // Add installs a rule. A rule with an identical (priority, match) replaces
 // the previous one, mirroring OpenFlow's overlap semantics for exact
 // duplicates.

@@ -89,7 +89,7 @@ func (a *Rerouter) handleLinkDown(ev protocol.Event) ([]openflow.FlowMod, error)
 		}
 		// New path first (adds, installed downstream-first by the
 		// scheduler), then removals on switches the new path abandons.
-		adds := hopMods(a.Graph, replacement, openflow.FlowAdd, openflow.Rule{Priority: a.priority(), Match: a.match(dst)})
+		adds := hopMods(a.Graph, replacement, openflow.FlowAdd, openflow.Rule{Priority: routePriority, Match: a.match(dst)})
 		onNew := make(map[string]bool, len(adds))
 		for _, m := range adds {
 			onNew[m.Switch] = true
@@ -106,14 +106,6 @@ func (a *Rerouter) handleLinkDown(ev protocol.Event) ([]openflow.FlowMod, error)
 		return nil, nil
 	}
 	return mods, nil
-}
-
-// priority mirrors the inner app's rule priority.
-func (a *Rerouter) priority() int {
-	if a.Inner.Priority != 0 {
-		return a.Inner.Priority
-	}
-	return 10
 }
 
 // match mirrors the inner app's match scoping.

@@ -27,6 +27,13 @@ var (
 	ErrUnsupportedEvent = errors.New("routing: unsupported event kind")
 )
 
+// Rule priorities: routes install at routePriority, and the firewall's drop
+// rules above them at dropPriority.
+const (
+	routePriority = 10
+	dropPriority  = 100
+)
+
 // App plans the data-plane changes for an event.
 type App interface {
 	// PlanFlow returns flow mods in path order (source-side switch first).
@@ -44,8 +51,6 @@ type ShortestPath struct {
 	// wildcard rules; required by the unamortized setup/teardown mode
 	// where each flow's rules are removed at completion.
 	PairRules bool
-	// Priority of installed rules.
-	Priority int
 }
 
 var _ App = (*ShortestPath)(nil)
@@ -69,11 +74,7 @@ func (a *ShortestPath) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 	if a.PairRules {
 		match.Src = ev.Src
 	}
-	prio := a.Priority
-	if prio == 0 {
-		prio = 10
-	}
-	mods := hopMods(a.Graph, path, op, openflow.Rule{Priority: prio, Match: match, Cookie: ev.Cookie})
+	mods := hopMods(a.Graph, path, op, openflow.Rule{Priority: routePriority, Match: match, Cookie: ev.Cookie})
 	if len(mods) == 0 {
 		return nil, nil // same-rack flow: no switch updates needed
 	}
@@ -113,9 +114,6 @@ type Firewall struct {
 	Graph *topology.Graph
 	// Blocked lists the firewall policy.
 	Blocked []FirewallRule
-	// DropPriority is the priority of installed drop rules (must exceed
-	// the routing app's priority).
-	DropPriority int
 }
 
 var _ App = (*Firewall)(nil)
@@ -143,15 +141,11 @@ func (a *Firewall) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 			if len(switches) == 0 {
 				return nil, nil
 			}
-			prio := a.DropPriority
-			if prio == 0 {
-				prio = 100
-			}
 			return []openflow.FlowMod{{
 				Op:     openflow.FlowAdd,
 				Switch: switches[0],
 				Rule: openflow.Rule{
-					Priority: prio,
+					Priority: dropPriority,
 					Match:    openflow.Match{Src: ev.Src, Dst: ev.Dst},
 					Action:   openflow.Action{Type: openflow.ActionDrop},
 					Cookie:   ev.Cookie,
@@ -171,8 +165,6 @@ type LoadBalancer struct {
 	Graph *topology.Graph
 	// GbpsPerFlow is the bandwidth reserved per flow.
 	GbpsPerFlow float64
-	// Priority of installed rules.
-	Priority int
 
 	// reserved tracks per-link reservations (replica-local, rebuilt
 	// identically everywhere from the ordered event stream).
@@ -229,11 +221,7 @@ func (a *LoadBalancer) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 			a.reserved[key] = 0
 		}
 	}
-	prio := a.Priority
-	if prio == 0 {
-		prio = 10
-	}
-	rule := openflow.Rule{Priority: prio, Match: openflow.Match{Src: ev.Src, Dst: ev.Dst}, Cookie: ev.Cookie}
+	rule := openflow.Rule{Priority: routePriority, Match: openflow.Match{Src: ev.Src, Dst: ev.Dst}, Cookie: ev.Cookie}
 	return hopMods(a.Graph, path, op, rule), nil
 }
 

@@ -295,15 +295,6 @@ func (n *Network) Stats() Stats {
 	}
 }
 
-// NodeIDs returns the registered node ids (order unspecified).
-func (n *Network) NodeIDs() []NodeID {
-	ids := make([]NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // String renders a short traffic summary for logs.
 func (n *Network) String() string {
 	return fmt.Sprintf("simnet{nodes=%d sent=%d delivered=%d dropped=%d}",

@@ -49,12 +49,6 @@ func NewScheme(params *pairing.Params) *Scheme {
 	return &Scheme{Params: params}
 }
 
-// PrivateKey is a full BLS private key (used by the dealer and by
-// non-threshold signers such as event sources when Ed25519 is not in use).
-type PrivateKey struct {
-	Scalar *big.Int
-}
-
 // PublicKey is a BLS public key X = x·G.
 type PublicKey struct {
 	Point *pairing.Point
@@ -113,12 +107,6 @@ var (
 // point, and for callers that reuse one point across many operations.
 func (s *Scheme) HashToPoint(msg []byte) *pairing.Point {
 	return s.Params.HashToG1(msg)
-}
-
-// Sign produces σ = x·H(m) in one ladder walk from the hash candidate
-// (pairing.HashToG1Mul).
-func (s *Scheme) Sign(sk PrivateKey, msg []byte) Signature {
-	return Signature{Point: s.Params.HashToG1Mul(msg, sk.Scalar)}
 }
 
 // Verify checks e(σ, G) == e(H(m), X) as the product

@@ -284,6 +284,19 @@ func BenchmarkLagrangeScalar(b *testing.B) {
 	}
 }
 
+// PrivateKey is a full BLS private key x, the single-key signer the tests
+// check threshold signatures against.
+type PrivateKey struct {
+	Scalar *big.Int
+}
+
+// Sign produces σ = x·H(m) in one ladder walk from the hash candidate
+// (pairing.HashToG1Mul): a single-key signature, the reference the
+// threshold shares are checked against.
+func (s *Scheme) Sign(sk PrivateKey, msg []byte) Signature {
+	return Signature{Point: s.Params.HashToG1Mul(msg, sk.Scalar)}
+}
+
 // GenerateKey samples a fresh full key pair.
 func (s *Scheme) GenerateKey(rand io.Reader) (PrivateKey, PublicKey, error) {
 	x, err := s.Params.RandomScalar(rand)

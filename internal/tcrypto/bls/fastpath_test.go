@@ -326,8 +326,8 @@ func TestVerifyCacheLRUEviction(t *testing.T) {
 			t.Fatalf("message %d rejected", i)
 		}
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache length %d after eviction; want 2", cache.Len())
+	if cache.ll.Len() != 2 {
+		t.Fatalf("cache length %d after eviction; want 2", cache.ll.Len())
 	}
 	// The two oldest entries are gone: re-verifying message 0 is a miss.
 	misses := metrics.Crypto.VerifyCacheMisses.Load()

@@ -87,13 +87,6 @@ func (c *VerifyCache) store(key [sha256.Size]byte, sig *pairing.Point) {
 	}
 }
 
-// Len reports the number of cached entries.
-func (c *VerifyCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // VerifyCached is Verify with memoization through cache. A nil cache
 // degrades to plain Verify.
 func (s *Scheme) VerifyCached(cache *VerifyCache, pk PublicKey, msg []byte, sig Signature) bool {

@@ -93,9 +93,6 @@ func (t *Tree) build(b int, leaves [][]byte) {
 	t.nodes[b+2*m-2] = nodeHash(t.nodes[b+2*k-2], t.nodes[b+2*m-3])
 }
 
-// Len returns the leaf count.
-func (t *Tree) Len() int { return t.n }
-
 // Root returns the tree root.
 func (t *Tree) Root() [HashSize]byte {
 	if t.n == 0 {

@@ -21,8 +21,8 @@ func TestProofRoundTrip(t *testing.T) {
 	for n := 1; n <= 20; n++ {
 		leaves := batch(n)
 		tree := NewTree(leaves)
-		if tree.Len() != n {
-			t.Fatalf("n=%d: Len() = %d", n, tree.Len())
+		if tree.n != n {
+			t.Fatalf("n=%d: Len() = %d", n, tree.n)
 		}
 		root := tree.Root()
 		for i := 0; i < n; i++ {

@@ -1,7 +1,6 @@
 package pairing
 
 import (
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
@@ -193,10 +192,4 @@ func (p *Params) RandomScalar(rand io.Reader) (*big.Int, error) {
 			return k, nil
 		}
 	}
-}
-
-// constantTimeByteEq is used by tests to compare encodings without
-// early-exit timing artifacts.
-func constantTimeByteEq(a, b []byte) bool {
-	return len(a) == len(b) && subtle.ConstantTimeCompare(a, b) == 1
 }

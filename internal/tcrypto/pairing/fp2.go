@@ -21,11 +21,6 @@ func (g *GT) IsOne() bool {
 	return g.a == g.f.one && g.b.isZero()
 }
 
-// Equal reports whether g and o are the same F_{p^2} element.
-func (g *GT) Equal(o *GT) bool {
-	return g.a == o.a && g.b == o.b
-}
-
 // mul sets g ← g·(c + d·i) using Karatsuba's three-multiplication form:
 // ad + bc = (a+b)(c+d) − ac − bd. Field multiplications dominate the
 // Miller loop, so one saved mult per product is ~25% off the loop.

@@ -26,9 +26,6 @@ type PreparedPoint struct {
 	lines  []prepLine
 }
 
-// Point returns the prepared argument.
-func (pp *PreparedPoint) Point() *Point { return pp.a.Clone() }
-
 // Prepare computes the Miller-loop line coefficients for a fixed first
 // pairing argument. The walk is the one millerProduct runs for a live
 // factor, recording each line instead of evaluating it; one batched

@@ -131,14 +131,6 @@ func (d *Directory) Entries() map[Identity]ed25519.PublicKey {
 	return out
 }
 
-// Remove deletes an identity (e.g., a controller removed from the control
-// plane whose event-layer key should no longer be accepted).
-func (d *Directory) Remove(id Identity) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.keys, id)
-}
-
 // Verify checks msg's signature against the registered key for id.
 func (d *Directory) Verify(id Identity, msg, sig []byte) error {
 	pub, ok := d.Lookup(id)
@@ -149,11 +141,4 @@ func (d *Directory) Verify(id Identity, msg, sig []byte) error {
 		return fmt.Errorf("%w: from %q", ErrBadSignature, id)
 	}
 	return nil
-}
-
-// Len returns the number of registered identities.
-func (d *Directory) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.keys)
 }

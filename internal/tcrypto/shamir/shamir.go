@@ -14,19 +14,6 @@ import (
 	"math/big"
 )
 
-// Share is one participant's evaluation of the sharing polynomial.
-// Index is the (non-zero) evaluation point x; Value is f(x) mod the field
-// modulus.
-type Share struct {
-	Index uint32
-	Value *big.Int
-}
-
-// Clone returns a deep copy of the share.
-func (s Share) Clone() Share {
-	return Share{Index: s.Index, Value: new(big.Int).Set(s.Value)}
-}
-
 // Polynomial is a polynomial over a prime field with coefficients in
 // ascending degree order: Coeffs[0] is the constant term (the secret).
 type Polynomial struct {
@@ -73,9 +60,6 @@ func (p *Polynomial) Eval(x uint32) *big.Int {
 	}
 	return acc
 }
-
-// Threshold returns the number of shares required for reconstruction.
-func (p *Polynomial) Threshold() int { return len(p.Coeffs) }
 
 // LagrangeCoefficient computes λ_i = Π_{j≠i} x_j / (x_j − x_i) mod modulus,
 // the weight of share indices[i] when interpolating at zero.

@@ -17,6 +17,14 @@ var testModulus = func() *big.Int {
 	return m
 }()
 
+// Share is one participant's evaluation of the sharing polynomial.
+// Index is the (non-zero) evaluation point x; Value is f(x) mod the field
+// modulus.
+type Share struct {
+	Index uint32
+	Value *big.Int
+}
+
 // Split shares secret among n participants with reconstruction threshold t.
 // Participant indices are 1..n.
 func Split(rand io.Reader, modulus, secret *big.Int, t, n int) ([]Share, error) {
@@ -136,7 +144,7 @@ func TestSubThresholdRevealsNothing(t *testing.T) {
 	}
 	// Forge the third share; reconstruction must differ from the secret
 	// (with overwhelming probability over the forged value).
-	forged := shares[2].Clone()
+	forged := Share{Index: shares[2].Index, Value: new(big.Int).Set(shares[2].Value)}
 	forged.Value.Add(forged.Value, big.NewInt(1))
 	forged.Value.Mod(forged.Value, testModulus)
 	got, err := Reconstruct(testModulus, []Share{shares[0], shares[1], forged}, 3)
@@ -219,7 +227,7 @@ func TestPolynomialEval(t *testing.T) {
 	if got := poly.Eval(2); got.Cmp(big.NewInt(19)) != 0 {
 		t.Errorf("f(2) = %v, want 19", got)
 	}
-	if got := poly.Threshold(); got != 3 {
+	if got := len(poly.Coeffs); got != 3 {
 		t.Errorf("Threshold = %d, want 3", got)
 	}
 }

@@ -13,42 +13,40 @@ type FabricConfig struct {
 	// RacksPerPod is the number of racks (each with one ToR switch) in a
 	// server pod. The paper uses 40.
 	RacksPerPod int
-	// EdgePerPod is the number of edge switches atop each pod (paper: 4).
-	EdgePerPod int
 	// SpinesPerPlane is the number of spine switches in each spine plane;
-	// there are EdgePerPod planes, and pod edge switch k uplinks to every
+	// there are edgePerPod planes, and pod edge switch k uplinks to every
 	// spine in plane k.
 	SpinesPerPlane int
 	// HostsPerRack is the number of (aggregate) host endpoints attached to
 	// each ToR; flows originate and terminate at hosts.
 	HostsPerRack int
-
-	// Link latencies.
-	HostToR   time.Duration
-	ToREdge   time.Duration
-	EdgeSpine time.Duration
-
-	// Link capacities in Gbps.
-	HostGbps  float64
-	ToRGbps   float64
-	SpineGbps float64
 }
 
-// DefaultFabricConfig mirrors the paper's single-pod setup: 40 racks,
-// 4 edge switches, intra-data-center link latencies in the tens of
-// microseconds, 10/40 Gbps links.
+// The fabric's fixed shape: four edge switches atop each pod (as in the
+// paper), and each tier's link latency, in the tens of microseconds within
+// a data center, and capacity in Gbps.
+const (
+	edgePerPod = 4
+
+	hostToRLatency   = 20 * time.Microsecond
+	torEdgeLatency   = 40 * time.Microsecond
+	edgeSpineLatency = 60 * time.Microsecond
+
+	torGbps   = 40
+	spineGbps = 100
+)
+
+// HostGbps is the capacity of every host's link to its ToR: the host NIC,
+// which caps a single flow's rate.
+const HostGbps = 10
+
+// DefaultFabricConfig mirrors the paper's single-pod setup: 40 racks of
+// one host each, four spines per plane.
 func DefaultFabricConfig() FabricConfig {
 	return FabricConfig{
 		RacksPerPod:    40,
-		EdgePerPod:     4,
 		SpinesPerPlane: 4,
 		HostsPerRack:   1,
-		HostToR:        20 * time.Microsecond,
-		ToREdge:        40 * time.Microsecond,
-		EdgeSpine:      60 * time.Microsecond,
-		HostGbps:       10,
-		ToRGbps:        40,
-		SpineGbps:      100,
 	}
 }
 
@@ -80,7 +78,7 @@ func CoreName(dc int) string {
 // AddPod adds one server pod (hosts, ToRs, edge switches and their links)
 // for data center dc to the graph.
 func AddPod(g *Graph, cfg FabricConfig, dc, pod int) error {
-	for e := 0; e < cfg.EdgePerPod; e++ {
+	for e := 0; e < edgePerPod; e++ {
 		g.AddNode(Node{ID: EdgeName(dc, pod, e), Kind: KindEdge, DC: dc, Pod: pod, Rack: -1})
 	}
 	for r := 0; r < cfg.RacksPerPod; r++ {
@@ -89,12 +87,12 @@ func AddPod(g *Graph, cfg FabricConfig, dc, pod int) error {
 		for h := 0; h < cfg.HostsPerRack; h++ {
 			host := HostName(dc, pod, r, h)
 			g.AddNode(Node{ID: host, Kind: KindHost, DC: dc, Pod: pod, Rack: r})
-			if err := g.AddLink(host, tor, cfg.HostToR, cfg.HostGbps); err != nil {
+			if err := g.AddLink(host, tor, hostToRLatency, HostGbps); err != nil {
 				return err
 			}
 		}
-		for e := 0; e < cfg.EdgePerPod; e++ {
-			if err := g.AddLink(tor, EdgeName(dc, pod, e), cfg.ToREdge, cfg.ToRGbps); err != nil {
+		for e := 0; e < edgePerPod; e++ {
+			if err := g.AddLink(tor, EdgeName(dc, pod, e), torEdgeLatency, torGbps); err != nil {
 				return err
 			}
 		}
@@ -115,7 +113,7 @@ func BuildSinglePod(cfg FabricConfig) (*Graph, error) {
 // pods, interconnected by spine planes (pod edge switch k connects to every
 // spine switch in plane k).
 func AddFabric(g *Graph, cfg FabricConfig, dc, pods int) error {
-	for plane := 0; plane < cfg.EdgePerPod; plane++ {
+	for plane := 0; plane < edgePerPod; plane++ {
 		for s := 0; s < cfg.SpinesPerPlane; s++ {
 			g.AddNode(Node{ID: SpineName(dc, plane, s), Kind: KindSpine, DC: dc, Pod: -1, Rack: -1})
 		}
@@ -124,10 +122,10 @@ func AddFabric(g *Graph, cfg FabricConfig, dc, pods int) error {
 		if err := AddPod(g, cfg, dc, pod); err != nil {
 			return err
 		}
-		for plane := 0; plane < cfg.EdgePerPod; plane++ {
+		for plane := 0; plane < edgePerPod; plane++ {
 			edge := EdgeName(dc, pod, plane)
 			for s := 0; s < cfg.SpinesPerPlane; s++ {
-				if err := g.AddLink(edge, SpineName(dc, plane, s), cfg.EdgeSpine, cfg.SpineGbps); err != nil {
+				if err := g.AddLink(edge, SpineName(dc, plane, s), edgeSpineLatency, spineGbps); err != nil {
 					return err
 				}
 			}
@@ -143,12 +141,14 @@ type InterconnectPodsConfig struct {
 	Fabric FabricConfig
 	// Pods is the number of pods to join.
 	Pods int
-	// InterconnectSwitches is the number of redundant interconnect
-	// switches (paper: 4).
-	InterconnectSwitches int
-	// EdgeInterconnect is the latency of pod-edge-to-interconnect links.
-	EdgeInterconnect time.Duration
 }
+
+// The interconnect domain of Fig. 12c: four redundant switches (as in the
+// paper), each linked to every pod edge switch at this latency.
+const (
+	interconnectSwitches    = 4
+	edgeInterconnectLatency = 60 * time.Microsecond
+)
 
 // InterconnectName returns the canonical interconnect switch id.
 func InterconnectName(dc, idx int) string {
@@ -160,17 +160,17 @@ func InterconnectName(dc, idx int) string {
 func BuildInterconnectedPods(cfg InterconnectPodsConfig) (*Graph, error) {
 	g := NewGraph()
 	const dc = 0
-	for i := 0; i < cfg.InterconnectSwitches; i++ {
+	for i := 0; i < interconnectSwitches; i++ {
 		g.AddNode(Node{ID: InterconnectName(dc, i), Kind: KindSpine, DC: dc, Pod: -1, Rack: -1})
 	}
 	for pod := 0; pod < cfg.Pods; pod++ {
 		if err := AddPod(g, cfg.Fabric, dc, pod); err != nil {
 			return nil, err
 		}
-		for e := 0; e < cfg.Fabric.EdgePerPod; e++ {
+		for e := 0; e < edgePerPod; e++ {
 			edge := EdgeName(dc, pod, e)
-			for i := 0; i < cfg.InterconnectSwitches; i++ {
-				if err := g.AddLink(edge, InterconnectName(dc, i), cfg.EdgeInterconnect, cfg.Fabric.SpineGbps); err != nil {
+			for i := 0; i < interconnectSwitches; i++ {
+				if err := g.AddLink(edge, InterconnectName(dc, i), edgeInterconnectLatency, spineGbps); err != nil {
 					return nil, err
 				}
 			}

@@ -177,9 +177,6 @@ func (g *Graph) NodesOfKind(kind Kind) []*Node {
 	return out
 }
 
-// Len returns the node count.
-func (g *Graph) Len() int { return len(g.nodes) }
-
 // link returns the first link a->b in insertion order, or ok=false.
 func (g *Graph) link(a, b string) (Edge, bool) {
 	list := g.Neighbors(a)

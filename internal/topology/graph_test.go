@@ -278,7 +278,7 @@ func TestShortestPathMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, err := BuildInterconnectedPods(InterconnectPodsConfig{
-		Fabric: smallFabric(), Pods: 2, InterconnectSwitches: 4, EdgeInterconnect: 50 * time.Microsecond,
+		Fabric: smallFabric(), Pods: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

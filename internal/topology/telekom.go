@@ -87,12 +87,14 @@ type MultiDCConfig struct {
 	DataCenters int
 	// PodsPerDC is the number of server pods per data center (paper: 4).
 	PodsPerDC int
-	// CoreSpine is the latency between a DC's WAN core router and its
-	// spine switches.
-	CoreSpine time.Duration
-	// WANGbps is inter-DC link capacity.
-	WANGbps float64
 }
+
+// coreSpineLatency is the latency between a DC's WAN core router and its
+// spine switches, and wanGbps the capacity of every WAN link.
+const (
+	coreSpineLatency = 80 * time.Microsecond
+	wanGbps          = 100
+)
 
 // DefaultMultiDCConfig mirrors the paper's Fig. 12d setup.
 func DefaultMultiDCConfig() MultiDCConfig {
@@ -100,8 +102,6 @@ func DefaultMultiDCConfig() MultiDCConfig {
 		Fabric:      DefaultFabricConfig(),
 		DataCenters: len(TelekomCities),
 		PodsPerDC:   4,
-		CoreSpine:   80 * time.Microsecond,
-		WANGbps:     100,
 	}
 }
 
@@ -120,9 +120,9 @@ func BuildMultiDC(cfg MultiDCConfig) (*Graph, error) {
 		}
 		core := CoreName(dc)
 		g.AddNode(Node{ID: core, Kind: KindCore, DC: dc, Pod: -1, Rack: -1})
-		for plane := 0; plane < cfg.Fabric.EdgePerPod; plane++ {
+		for plane := 0; plane < edgePerPod; plane++ {
 			for s := 0; s < cfg.Fabric.SpinesPerPlane; s++ {
-				if err := g.AddLink(core, SpineName(dc, plane, s), cfg.CoreSpine, cfg.WANGbps); err != nil {
+				if err := g.AddLink(core, SpineName(dc, plane, s), coreSpineLatency, wanGbps); err != nil {
 					return nil, err
 				}
 			}
@@ -134,7 +134,7 @@ func BuildMultiDC(cfg MultiDCConfig) (*Graph, error) {
 			continue
 		}
 		lat := WANLatency(haversineKm(TelekomCities[a], TelekomCities[b]))
-		if err := g.AddLink(CoreName(a), CoreName(b), lat, cfg.WANGbps); err != nil {
+		if err := g.AddLink(CoreName(a), CoreName(b), lat, wanGbps); err != nil {
 			return nil, err
 		}
 	}

@@ -97,8 +97,8 @@ func TestBuildSinglePodShape(t *testing.T) {
 	if len(tors) != cfg.RacksPerPod {
 		t.Errorf("ToRs = %d, want %d", len(tors), cfg.RacksPerPod)
 	}
-	if len(edges) != cfg.EdgePerPod {
-		t.Errorf("edges = %d, want %d", len(edges), cfg.EdgePerPod)
+	if len(edges) != edgePerPod {
+		t.Errorf("edges = %d, want %d", len(edges), edgePerPod)
 	}
 	if len(hosts) != cfg.RacksPerPod*cfg.HostsPerRack {
 		t.Errorf("hosts = %d, want %d", len(hosts), cfg.RacksPerPod*cfg.HostsPerRack)
@@ -111,8 +111,8 @@ func TestBuildSinglePodShape(t *testing.T) {
 				seen++
 			}
 		}
-		if seen != cfg.EdgePerPod {
-			t.Errorf("%s connects to %d edges, want %d", tor.ID, seen, cfg.EdgePerPod)
+		if seen != edgePerPod {
+			t.Errorf("%s connects to %d edges, want %d", tor.ID, seen, edgePerPod)
 		}
 	}
 	// Intra-pod host-to-host path: h - tor - edge - tor - h (5 nodes).
@@ -156,10 +156,8 @@ func TestBuildFabricInterPodPath(t *testing.T) {
 
 func TestBuildInterconnectedPods(t *testing.T) {
 	cfg := InterconnectPodsConfig{
-		Fabric:               smallFabric(),
-		Pods:                 2,
-		InterconnectSwitches: 4,
-		EdgeInterconnect:     50 * time.Microsecond,
+		Fabric: smallFabric(),
+		Pods:   2,
 	}
 	g, err := BuildInterconnectedPods(cfg)
 	if err != nil {
