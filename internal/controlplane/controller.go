@@ -238,7 +238,6 @@ type Controller struct {
 	// Failure detector state.
 	lastSeen  map[pki.Identity]fabric.Time
 	suspected map[pki.Identity]bool
-	hbSeq     uint64
 
 	// ledger is the §7 auditable decision chain: every delivered event
 	// and signed update is appended, enabling cross-controller audits.
@@ -1013,13 +1012,7 @@ func (c *Controller) PushConfig() {
 	}
 	canonical := protocol.ConfigBytes(c.phase, c.Quorum(), c.members, c.aggregatorID())
 	c.cfg.Net.Charge(fabric.NodeID(c.cfg.ID), c.cfg.Cost.BLSSignShare)
-	share := protocol.MsgConfigShare{
-		Phase:      c.phase,
-		Quorum:     c.Quorum(),
-		Members:    c.members,
-		Aggregator: c.aggregatorID(),
-		ShareIndex: c.cfg.Share.Index,
-	}
+	share := protocol.MsgConfigShare{Phase: c.phase, ShareIndex: c.cfg.Share.Index}
 	if c.cfg.CryptoReal {
 		sigShare := c.cfg.Scheme.SignShare(c.cfg.Share, canonical)
 		share.Share = c.cfg.Scheme.Params.PointBytes(sigShare.Point)

@@ -26,13 +26,11 @@ func (c *Controller) scheduleHeartbeat() {
 		if fd.Horizon > 0 && now > fd.Horizon {
 			return
 		}
-		c.hbSeq++
-		hb := protocol.MsgHeartbeat{Seq: c.hbSeq}
 		for _, m := range c.members {
 			if m == c.cfg.ID {
 				continue
 			}
-			c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(m), hb, 64)
+			c.cfg.Net.Send(fabric.NodeID(c.cfg.ID), fabric.NodeID(m), protocol.MsgHeartbeat{}, 64)
 		}
 		c.checkSuspects(now)
 		c.scheduleHeartbeat()

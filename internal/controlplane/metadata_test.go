@@ -296,7 +296,8 @@ func TestMetadataReshareUnderLoad(t *testing.T) {
 // TestGapStallSelfRecovery (regression): a replica wedged behind a
 // garbage-collected gap — committed slots piling up above a frozen
 // delivery horizon — starts its own authenticated recovery, with no
-// supervisor NudgeRecover anywhere.
+// supervisor NudgeRecover anywhere. Core's TestGapStallSelfRecoveryInProc
+// is the same on a wall clock.
 func TestGapStallSelfRecovery(t *testing.T) {
 	cl := buildFDCluster(t, 4, nil)
 	victim := cl.ctls[3]

@@ -299,12 +299,15 @@ func (c *Controller) retransmit(rec dispatchRecord) {
 // deliving, and once peers garbage-collect past the gap nothing in the
 // broadcast layer will ever retransmit it. The replica then sits with
 // committed slots piling up above a delivery horizon that can no longer
-// move — alive, responsive, and permanently behind. Historically only a
-// supervisor's NudgeRecover rescued this state; the watchdog below lets
+// move — alive, responsive, and permanently behind. The watchdog below lets
 // the controller notice the signature itself (committed slots above an
 // uncommittable gap, horizon frozen across a full timeout window) and
 // start its own authenticated f+1 recovery, which fast-forwards the
-// replica past the dead slot via the vouched-state transfer.
+// replica past the dead slot via the vouched-state transfer. It misses one
+// shape of the wedge: a view change drops the committed slots it saw, a
+// new view re-proposes only above the horizon its votes report, and the
+// timer then finds no evidence and is re-armed only by later traffic. A
+// supervisor's NudgeRecover is what rescues that replica.
 
 // gapStallDefaultTimeout bounds the watchdog wait when no view-change
 // timeout is configured.

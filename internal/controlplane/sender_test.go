@@ -163,12 +163,12 @@ func TestHeartbeatFromStrangerLeavesNoState(t *testing.T) {
 	f := newSenderFixture(t)
 	c := f.ctls[0]
 	for i := 0; i < 5000; i++ {
-		c.HandleMessage(simnet.NodeID(fmt.Sprintf("stranger-%d", i)), protocol.MsgHeartbeat{Seq: 1})
+		c.HandleMessage(simnet.NodeID(fmt.Sprintf("stranger-%d", i)), protocol.MsgHeartbeat{})
 	}
 	if len(c.lastSeen) > len(c.members) {
 		t.Fatalf("lastSeen holds %d entries for %d members", len(c.lastSeen), len(c.members))
 	}
-	c.HandleMessage("c2", protocol.MsgHeartbeat{Seq: 1})
+	c.HandleMessage("c2", protocol.MsgHeartbeat{})
 	if _, ok := c.lastSeen["c2"]; !ok || len(c.lastSeen) != 1 {
 		t.Fatalf("lastSeen = %v, want only the member c2", c.lastSeen)
 	}

@@ -188,6 +188,228 @@ func drain(q *queue) { heap.Init(q) }
 	}
 }
 
+// wireFieldAllowlist names the wire types whose fields no receiver needs to
+// read, each with the reason. An entry whose fields are all read, or whose
+// type is no longer on the wire, fails the test.
+var wireFieldAllowlist = map[string]string{
+	"openflow.PacketOut": "the §2.2 attacker's packet: a switch refuses it by type, and reads none of it",
+}
+
+// TestEveryWireFieldHasAReader keeps fields that no receiver needs off the
+// wire. Every field of every type registered through register[…] in
+// internal/protocol, and of every struct of the module those types carry
+// (through pointers, slices, arrays and maps), must be read by some non-test
+// file of the module. Assigning to a field, incrementing it and naming it
+// as a composite-literal key do not read it. A field nothing reads goes,
+// with the code that fills it.
+func TestEveryWireFieldHasAReader(t *testing.T) {
+	unread, stale := unreadWireFields(checkedModule(t), wireFieldAllowlist)
+	if len(unread) > 0 {
+		t.Errorf("wire fields that no non-test file reads (delete them with what fills them, or land their reader): %v", unread)
+	}
+	if len(stale) > 0 {
+		t.Errorf("allowlist entries no longer needed (every field is read, or the type is off the wire): %v", stale)
+	}
+}
+
+// TestUnreadWireFieldsFixtures shows the rule of TestEveryWireFieldHasAReader
+// firing, and not firing, on small trees.
+func TestUnreadWireFieldsFixtures(t *testing.T) {
+	const wire = "internal/protocol/wire.go"
+	const codec = "package protocol\nfunc register[T any]() {}\n"
+	for _, tc := range []struct {
+		name   string
+		files  []source
+		allow  map[string]string
+		unread []string
+		stale  []string
+	}{
+		{
+			name: "written, incremented, or a literal key, and never read",
+			files: []source{
+				{wire, codec + "type Msg struct{ Seq, Count, Tag, Read int }\nfunc init() { register[Msg]() }\n"},
+				{"internal/app/app.go", "package app\nimport \"cicero/internal/protocol\"\n" +
+					"func send(m *protocol.Msg) int { m.Seq = 1; m.Count++; *m = protocol.Msg{Tag: 2}; return m.Read }\n"},
+			},
+			unread: []string{"protocol.Msg.Count", "protocol.Msg.Seq", "protocol.Msg.Tag"},
+		},
+		{
+			name: "read by a receiver",
+			files: []source{
+				{wire, codec + "type Msg struct{ Seq int; Peers map[string]int }\nfunc init() { register[Msg]() }\n"},
+				{"cmd/node/main.go", "package main\nimport \"cicero/internal/protocol\"\n" +
+					"func handle(m protocol.Msg) int { m.Peers[\"a\"] = 1; return m.Seq + len(m.Peers) }\nfunc main() {}\n"},
+			},
+		},
+		{
+			name: "a nested struct through a slice, a map and a pointer",
+			files: []source{
+				{wire, codec + "type Msg struct{ Items []Item; ByName map[string]Inner; Last *Leaf }\n" +
+					"type Item struct{ A, B int }\ntype Inner struct{ C, D int }\ntype Leaf struct{ E, F int }\n" +
+					"func init() { register[Msg]() }\n" +
+					"func handle(m Msg) int { n := m.Items[0].A + m.ByName[\"x\"].C + m.Last.E; m.Last.F = n; return n }\n"},
+			},
+			unread: []string{"protocol.Inner.D", "protocol.Item.B", "protocol.Leaf.F"},
+		},
+		{
+			name: "a struct of another package, read only in a test",
+			files: []source{
+				{wire, "package protocol\nimport \"cicero/internal/ids\"\nfunc register[T any]() {}\n" +
+					"type Msg struct{ ID ids.ID }\nfunc init() { register[Msg]() }\nfunc handle(m Msg) ids.ID { return m.ID }\n"},
+				{"internal/ids/ids.go", "package ids\ntype ID struct{ Origin string; Seq uint64 }\nfunc (id ID) Name() string { return id.Origin }\n"},
+				{"internal/ids/ids_test.go", "package ids\nfunc seq(id ID) uint64 { return id.Seq }\n"},
+			},
+			unread: []string{"ids.ID.Seq"},
+		},
+		{
+			name: "the allowlist covers a type, and a stale entry",
+			files: []source{
+				{wire, codec + "type Probe struct{ Payload string }\ntype Msg struct{ Seq int }\n" +
+					"func init() { register[Probe](); register[Msg]() }\nfunc handle(m Msg) int { return m.Seq }\n"},
+			},
+			allow: map[string]string{"protocol.Probe": "a fixture", "protocol.Msg": "was a fixture", "protocol.Gone": "was a fixture"},
+			stale: []string{"protocol.Gone", "protocol.Msg"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := checkModule(tc.files)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unread, stale := unreadWireFields(m, tc.allow)
+			if !reflect.DeepEqual(unread, tc.unread) || !reflect.DeepEqual(stale, tc.stale) {
+				t.Errorf("unread %v, stale %v; want %v, %v", unread, stale, tc.unread, tc.stale)
+			}
+		})
+	}
+}
+
+// unreadWireFields applies the rule of TestEveryWireFieldHasAReader to m.
+// It returns, sorted, the wire fields that no non-test file reads and whose
+// type allow does not name, and the entries of allow that name no wire type
+// with such a field. A field is named "<dir under internal/>.<Type>.<Field>",
+// a type "<dir>.<Type>".
+//
+// A field is read by an identifier that denotes it, except the field a
+// target of an assignment or an inc/dec statement selects (through the
+// fields, indexes and dereferences of that target) and the key of a
+// composite literal.
+func unreadWireFields(m *module, allow map[string]string) (unread, stale []string) {
+	name := func(n *types.Named) string {
+		return strings.TrimPrefix(n.Obj().Pkg().Path(), modulePath+"/internal/") + "." + n.Obj().Name()
+	}
+
+	// The wire types: register[T] in internal/protocol, and the module's
+	// structs they carry.
+	owner := make(map[*types.Var]*types.Named) // wire field -> its struct
+	seen := make(map[*types.Named]bool)
+	var walk func(types.Type)
+	walk = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Named:
+			if seen[t] || t.Obj().Pkg() == nil || !strings.HasPrefix(t.Obj().Pkg().Path(), modulePath+"/") {
+				return
+			}
+			seen[t] = true
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				walk(t.Underlying())
+				return
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					owner[f] = t
+					walk(f.Type())
+				}
+			}
+		}
+	}
+	for _, f := range m.pkgFiles[modulePath+"/internal/protocol"] {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ix, ok := n.(*ast.IndexExpr); ok {
+				if id, ok := ix.X.(*ast.Ident); ok && id.Name == "register" {
+					walk(m.info.Types[ix.Index].Type)
+				}
+			}
+			return true
+		})
+	}
+
+	// The identifiers that denote a field without reading it.
+	written := make(map[*ast.Ident]bool)
+	target := func(x ast.Expr) {
+		for {
+			switch e := x.(type) {
+			case *ast.SelectorExpr:
+				written[e.Sel] = true
+				x = e.X
+			case *ast.IndexExpr:
+				x = e.X
+			case *ast.StarExpr:
+				x = e.X
+			case *ast.ParenExpr:
+				x = e.X
+			default:
+				return
+			}
+		}
+	}
+	for _, p := range m.paths {
+		for _, f := range m.pkgFiles[p] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := make(map[*types.Var]bool)
+	for id, obj := range m.info.Uses {
+		if v, ok := obj.(*types.Var); ok && owner[v] != nil && !written[id] {
+			read[v] = true
+		}
+	}
+
+	flagged := make(map[string]bool) // allowlisted types with an unread field
+	for f, t := range owner {
+		if read[f] {
+			continue
+		}
+		if _, ok := allow[name(t)]; ok {
+			flagged[name(t)] = true
+			continue
+		}
+		unread = append(unread, name(t)+"."+f.Name())
+	}
+	for entry := range allow {
+		if !flagged[entry] {
+			stale = append(stale, entry)
+		}
+	}
+	sort.Strings(unread)
+	sort.Strings(stale)
+	return unread, stale
+}
+
 // source is one Go file: its slash-separated path from the module root and
 // its text.
 type source struct{ path, text string }

@@ -308,3 +308,99 @@ func TestSwitchRestartUnderTrafficIsRaceFree(t *testing.T) {
 	// The last replacement came up with an empty table and got it back.
 	installed()
 }
+
+// TestGapStallSelfRecoveryInProc is controlplane's TestGapStallSelfRecovery
+// on a wall clock, with no driver call: a controller partitioned while its
+// peers deliver past the broadcast's garbage-collection horizon wedges below
+// a gap that nothing will retransmit, and once traffic resumes its
+// frozen-horizon watchdog alone brings it back through peer state transfer.
+//
+// Events go to the aggregator alone. Under switch aggregation every member
+// submits each event, and a backup that delivers one before it submits it
+// keeps it pending, times out and starts a view change; a view change drops
+// the committed slots the watchdog waits on, and in about one run in fifteen
+// the victim then recovers only after the views have backed off, near
+// 12 view-change timeouts instead of 4.
+func TestGapStallSelfRecoveryInProc(t *testing.T) {
+	const vct = 200 * time.Millisecond
+	n, fab := buildLive(t, Config{Graph: smallPod(t), Aggregation: controlplane.AggController, ViewChangeTimeout: vct})
+	dom := n.Domains[0]
+	victim := dom.Controllers[3] // not the view-0 primary
+	victimID := fabric.NodeID(victim.ID())
+	var others []fabric.NodeID
+	for _, m := range dom.Members[:3] {
+		others = append(others, fabric.NodeID(m))
+	}
+	for id := range n.Switches {
+		others = append(others, fabric.NodeID(id))
+	}
+	on := func(id fabric.NodeID, fn func()) {
+		t.Helper()
+		if err := n.On(id, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swID := topology.ToRName(0, 0, 0)
+	sw := n.Switches[swID]
+	emit := func(from, to uint64) {
+		for seq := from; seq <= to; seq++ {
+			ev := protocol.Event{ID: openflow.MsgID{Origin: swID + "/gap", Seq: seq}, Kind: protocol.EventPolicyChange}
+			on(fabric.NodeID(swID), func() { sw.EmitEvent(ev) })
+		}
+	}
+	delivered := func(ctl *controlplane.Controller) (events, last uint64) {
+		on(fabric.NodeID(ctl.ID()), func() { events = ctl.EventsDelivered; _, last = ctl.BroadcastCoords() })
+		return events, last
+	}
+
+	// The other three deliver every event, far past the victim's horizon
+	// and past the slots they keep (gcKeep, 128).
+	for _, o := range others {
+		fab.Partition(victimID, o)
+	}
+	const total = 140
+	emit(1, total)
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if events, _ := delivered(dom.Controllers[0]); events == total {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the three connected controllers did not deliver %d events", total)
+		}
+	}
+	if _, last := delivered(dom.Controllers[0]); last < 130 {
+		t.Fatalf("peers delivered only %d slots; the gap is not past their horizon", last)
+	}
+	if events, last := delivered(victim); events != 0 || last != 0 {
+		t.Fatalf("victim delivered %d events (%d slots) while partitioned", events, last)
+	}
+
+	// Heal and send fresh traffic: slots now commit far above the victim's
+	// frozen horizon, and its missing prefix is gone for good.
+	for _, o := range others {
+		fab.Heal(victimID, o)
+	}
+	start := time.Now()
+	emit(total+1, total+4)
+	recovered := false
+	for !recovered && time.Since(start) < 5*vct {
+		time.Sleep(5 * time.Millisecond)
+		on(victimID, func() { recovered = victim.Recovered() })
+	}
+	if !recovered {
+		t.Fatalf("victim did not report Recovered within %v of fresh traffic", 5*vct)
+	}
+	ledgers, err := n.Ledgers(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, got := eventRecords(ledgers[0]), eventRecords(ledgers[3])
+	if len(ref) != total+4 || len(got) != len(ref) {
+		t.Fatalf("victim's ledger has %d events after recovery, a peer's %d, want %d", len(got), len(ref), total+4)
+	}
+	for i := range ref {
+		if got[i].Subject != ref[i].Subject || !bytes.Equal(got[i].Canonical, ref[i].Canonical) {
+			t.Fatalf("victim's ledger diverges at %d: %s vs %s", i, got[i].Subject, ref[i].Subject)
+		}
+	}
+}

@@ -101,7 +101,7 @@ func TestPlanShape(t *testing.T) {
 		if b.ID != id {
 			t.Fatalf("bundle %s carries id %s", id, b.ID)
 		}
-		if b.Bootstrap {
+		if b.Role == protocol.RoleController && b.Slot == 0 {
 			boot++
 		}
 		if len(b.KeySeed) == 0 {
@@ -128,7 +128,7 @@ func TestPlanShape(t *testing.T) {
 		}
 	}
 	if boot != 1 {
-		t.Fatalf("%d bootstrap bundles, want exactly 1", boot)
+		t.Fatalf("%d controller bundles at slot 0 (the bootstrap leader), want exactly 1", boot)
 	}
 }
 

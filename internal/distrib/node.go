@@ -243,28 +243,22 @@ func (rt *nodeRuntime) handleControl(msg fabric.Message) bool {
 
 // snapshot builds the node's state snapshot (mailbox context).
 func (rt *nodeRuntime) snapshot() protocol.MsgNodeSnapshot {
-	snap := protocol.MsgNodeSnapshot{ID: rt.bundle.ID, Role: rt.bundle.Role}
+	var snap protocol.MsgNodeSnapshot
 	if rt.ctl != nil {
 		records := rt.ctl.AuditRecords()
-		snap.View, snap.LastDelivered = rt.ctl.BroadcastCoords()
 		snap.Records = make([]protocol.SnapshotRecord, len(records))
 		for i, rec := range records {
 			digest := sha256.Sum256(rec.Canonical)
-			snap.Records[i] = protocol.SnapshotRecord{
-				Seq: rec.Seq, Kind: rec.Kind.String(), Subject: rec.Subject, Digest: digest[:],
-			}
+			snap.Records[i] = protocol.SnapshotRecord{Kind: rec.Kind.String(), Subject: rec.Subject, Digest: digest[:]}
 		}
 		chain := audit.ChainDigest(records)
 		snap.ChainDigest = chain[:]
 		content := audit.ContentDigest(records)
 		snap.ContentDigest = content[:]
-		snap.Recovering = rt.ctl.Recovering()
 		snap.Recovered = rt.ctl.Recovered()
 	}
 	if rt.sw != nil {
 		snap.Rules = rt.sw.Table().Rules()
-		snap.UpdatesApplied = rt.sw.UpdatesApplied
-		snap.UpdatesRejected = rt.sw.UpdatesRejected
 		rt.amu.Lock()
 		snap.Applies = append([]protocol.SnapshotApply(nil), rt.applies...)
 		rt.amu.Unlock()

@@ -109,7 +109,6 @@ func pack(cfg core.Config, p *core.Provisioning, nodes []string) map[string]prot
 		Driver:              DriverID,
 		Members:             d.Members,
 		Switches:            d.Switches,
-		PeerDomains:         p.PeerDomains(),
 		Quorum:              d.Quorum,
 		Aggregator:          d.Aggregator,
 		Directory:           make(map[pki.Identity][]byte),
@@ -132,7 +131,6 @@ func pack(cfg core.Config, p *core.Provisioning, nodes []string) map[string]prot
 			b.Role = protocol.RoleController
 			b.Slot = slot
 			b.Share = d.Shares[slot]
-			b.Bootstrap = slot == 0
 		}
 		bundles[id] = b
 	}

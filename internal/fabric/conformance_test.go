@@ -90,8 +90,8 @@ func (b backend) on(t *testing.T, id fabric.NodeID, fn func()) {
 	}
 }
 
-// ping is the wire-encodable message the tests send; Seq tells them apart.
-func ping(seq uint64) fabric.Message { return protocol.MsgHeartbeat{Seq: seq} }
+// ping is the wire-encodable message the tests send; Phase tells them apart.
+func ping(seq uint64) fabric.Message { return protocol.MsgRecoverRequest{Phase: seq} }
 
 // counter is a handler that counts what it is handed.
 type counter struct{ n atomic.Int64 }
@@ -249,7 +249,7 @@ var conformance = []struct {
 		tapped := fabric.Tap(b, func(kind string, from, to fabric.NodeID, msg fabric.Message) {
 			mu.Lock()
 			defer mu.Unlock()
-			heard = append(heard, fmt.Sprintf("%s %s->%s %d", kind, from, to, msg.(protocol.MsgHeartbeat).Seq))
+			heard = append(heard, fmt.Sprintf("%s %s->%s %d", kind, from, to, msg.(protocol.MsgRecoverRequest).Phase))
 		})
 		var got counter
 		tapped.Register("a", &got)
@@ -277,7 +277,7 @@ var conformance = []struct {
 		for i, id := range ring {
 			next := ring[(i+1)%len(ring)]
 			b.Register(id, fabric.HandlerFunc(func(_ fabric.NodeID, msg fabric.Message) {
-				if hops := msg.(protocol.MsgHeartbeat).Seq; hops > 0 {
+				if hops := msg.(protocol.MsgRecoverRequest).Phase; hops > 0 {
 					b.Send(id, next, ping(hops-1), 8)
 					b.Send(id, "nobody", ping(0), 8)
 				}

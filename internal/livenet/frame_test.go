@@ -30,7 +30,7 @@ func FuzzTCPFrame(f *testing.F) {
 	}
 	f.Cleanup(tcp.Close)
 	for _, msg := range []fabric.Message{
-		protocol.MsgHeartbeat{Seq: 7},
+		protocol.MsgRecoverRequest{Phase: 7},
 		protocol.MsgHeartbeat{},
 		protocol.MsgUpdate{
 			UpdateID: openflow.MsgID{Origin: "d0-p0-tor1#42/d0", Seq: 1},
@@ -158,7 +158,7 @@ func TestHelloNamesEveryFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 2; seq++ {
-		frame, err := f.buildFrame(protocol.MsgHeartbeat{Seq: seq})
+		frame, err := f.buildFrame(protocol.MsgRecoverRequest{Phase: seq})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestBadHelloDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	frame, err := f.buildFrame(protocol.MsgHeartbeat{Seq: 1})
+	frame, err := f.buildFrame(protocol.MsgRecoverRequest{Phase: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +278,11 @@ func stream(t *testing.T, f *TCP, from fabric.NodeID, msgs ...fabric.Message) []
 	return out
 }
 
-// heartbeats returns heartbeats numbered 1…n.
-func heartbeats(n int) []fabric.Message {
+// numbered returns recover requests numbered 1…n.
+func numbered(n int) []fabric.Message {
 	msgs := make([]fabric.Message, n)
 	for i := range msgs {
-		msgs[i] = protocol.MsgHeartbeat{Seq: uint64(i + 1)}
+		msgs[i] = protocol.MsgRecoverRequest{Phase: uint64(i + 1)}
 	}
 	return msgs
 }
@@ -298,7 +298,7 @@ func TestReaderFindsFramesWhereverWritesEnd(t *testing.T) {
 	}
 	defer f.Close()
 	const n = 100
-	wire := stream(t, f, "x", heartbeats(n)...)
+	wire := stream(t, f, "x", numbered(n)...)
 	for _, c := range []struct {
 		name  string
 		chunk func(i int) int // the size of write i
@@ -323,8 +323,8 @@ func TestReaderFindsFramesWhereverWritesEnd(t *testing.T) {
 				t.Fatalf("%d messages handled, want %d", len(msgs), n)
 			}
 			for i, msg := range msgs {
-				if hb, ok := msg.(protocol.MsgHeartbeat); !ok || hb.Seq != uint64(i+1) || froms[i] != "x" {
-					t.Fatalf("message %d is %#v from %q, want heartbeat %d from x", i, msg, froms[i], i+1)
+				if rr, ok := msg.(protocol.MsgRecoverRequest); !ok || rr.Phase != uint64(i+1) || froms[i] != "x" {
+					t.Fatalf("message %d is %#v from %q, want recover request %d from x", i, msg, froms[i], i+1)
 				}
 			}
 		})
@@ -345,11 +345,11 @@ func TestLongFrameBetweenShortOnes(t *testing.T) {
 		long[i] = byte(i % 251)
 	}
 	sent := []fabric.Message{
-		protocol.MsgHeartbeat{Seq: 1},
+		protocol.MsgRecoverRequest{Phase: 1},
 		bft.Request{Payload: long},
-		protocol.MsgHeartbeat{Seq: 2},
+		protocol.MsgRecoverRequest{Phase: 2},
 		bft.Request{Payload: []byte("short")},
-		protocol.MsgHeartbeat{Seq: 3},
+		protocol.MsgRecoverRequest{Phase: 3},
 	}
 	var in inbox
 	f.Register("s1", &in)
@@ -375,7 +375,7 @@ func TestBurstThroughTheFabric(t *testing.T) {
 	var in inbox
 	f.Register("s1", &in)
 	const n = 2000
-	msgs := heartbeats(n)
+	msgs := numbered(n)
 	want := uint64(len(stream(t, f, "c1", msgs...)))
 	for _, msg := range msgs {
 		f.Send("c1", "s1", msg, 0)
@@ -461,7 +461,7 @@ func TestFailedWriteResendsOnlyWhatItDidNotFinish(t *testing.T) {
 	defer f.Close()
 	var in inbox
 	f.Register("s1", &in)
-	msgs := heartbeats(5)
+	msgs := numbered(5)
 	frames := make([][]byte, len(msgs))
 	for i, msg := range msgs {
 		if frames[i], err = f.buildFrame(msg); err != nil {

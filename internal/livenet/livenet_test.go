@@ -72,17 +72,17 @@ func TestInProcStrictCodec(t *testing.T) {
 		got = append(got, msg)
 		mu.Unlock()
 	}))
-	p.Send("n0", "n1", protocol.MsgHeartbeat{Seq: 9}, 64)
+	p.Send("n0", "n1", protocol.MsgRecoverRequest{Phase: 9}, 64)
 	p.Send("n0", "n1", struct{ X int }{1}, 64) // not wire-encodable: dropped
 	waitFor(t, 2*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got) == 1
-	}, "heartbeat delivery")
+	}, "delivery")
 	mu.Lock()
-	hb, ok := got[0].(protocol.MsgHeartbeat)
+	rr, ok := got[0].(protocol.MsgRecoverRequest)
 	mu.Unlock()
-	if !ok || hb.Seq != 9 {
+	if !ok || rr.Phase != 9 {
 		t.Fatalf("got %#v", got[0])
 	}
 	if st := p.Stats(); st.DroppedUnknown != 1 || st.Bytes == 0 {
@@ -150,7 +150,7 @@ func TestDelayedCopySurvivesRestart(t *testing.T) {
 			fab.SetFilter(func(fabric.NodeID, fabric.NodeID, fabric.Message, int) fabric.FaultAction {
 				return fabric.FaultAction{Delay: 100 * time.Millisecond}
 			})
-			fab.Send("a", "b", protocol.MsgHeartbeat{Seq: 1}, 8)
+			fab.Send("a", "b", protocol.MsgRecoverRequest{Phase: 1}, 8)
 			fab.Crash("b")
 			fab.Restart("b")
 			waitFor(t, 5*time.Second, func() bool { return got.Load() == 1 }, "the delayed copy")
@@ -173,7 +173,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	var mu sync.Mutex
 	byFrom := make(map[fabric.NodeID]int)
 	f.Register("s1", fabric.HandlerFunc(func(from fabric.NodeID, msg fabric.Message) {
-		if _, ok := msg.(protocol.MsgHeartbeat); !ok {
+		if _, ok := msg.(protocol.MsgRecoverRequest); !ok {
 			t.Errorf("unexpected message %T", msg)
 		}
 		mu.Lock()
@@ -187,8 +187,8 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	const per = 50
 	for i := 0; i < per; i++ {
-		f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: uint64(i)}, 0)
-		f.Send("c2", "s1", protocol.MsgHeartbeat{Seq: uint64(i)}, 0)
+		f.Send("c1", "s1", protocol.MsgRecoverRequest{Phase: uint64(i)}, 0)
+		f.Send("c2", "s1", protocol.MsgRecoverRequest{Phase: uint64(i)}, 0)
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		mu.Lock()
@@ -211,9 +211,9 @@ func TestTCPReconnect(t *testing.T) {
 	defer f.Close()
 	got := make(chan uint64, 4)
 	f.Register("s1", fabric.HandlerFunc(func(_ fabric.NodeID, msg fabric.Message) {
-		got <- msg.(protocol.MsgHeartbeat).Seq
+		got <- msg.(protocol.MsgRecoverRequest).Phase
 	}))
-	f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: 1}, 0)
+	f.Send("c1", "s1", protocol.MsgRecoverRequest{Phase: 1}, 0)
 	if seq := <-got; seq != 1 {
 		t.Fatalf("first delivery: seq %d", seq)
 	}
@@ -229,7 +229,7 @@ func TestTCPReconnect(t *testing.T) {
 	// not always synchronously visible to the first write (the kernel can
 	// buffer it), so allow a retry send.
 	waitFor(t, 5*time.Second, func() bool {
-		f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: 2}, 0)
+		f.Send("c1", "s1", protocol.MsgRecoverRequest{Phase: 2}, 0)
 		select {
 		case <-got:
 			return true
@@ -271,7 +271,7 @@ func TestTCPReconnectRacesPartitionHeal(t *testing.T) {
 			default:
 			}
 			seq++
-			f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: seq}, 0)
+			f.Send("c1", "s1", protocol.MsgRecoverRequest{Phase: seq}, 0)
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -93,7 +93,7 @@ func TestResilienceCountersExactOnDeadPeer(t *testing.T) {
 
 	const frames = 3
 	for i := 0; i < frames; i++ {
-		if err := f.SendErr("c1", "s1", protocol.MsgHeartbeat{Seq: uint64(i)}, 0); err != nil {
+		if err := f.SendErr("c1", "s1", protocol.MsgRecoverRequest{Phase: uint64(i)}, 0); err != nil {
 			t.Fatalf("send %d: %v (the link queues a frame for a peer it cannot dial)", i, err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestResilienceCountersExactOnReconnect(t *testing.T) {
 		delivered.Add(1)
 	}))
 
-	f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: 1}, 0)
+	f.Send("c1", "s1", protocol.MsgRecoverRequest{Phase: 1}, 0)
 	waitFor(t, 5*time.Second, func() bool { return delivered.Load() == 1 },
 		"first delivery")
 	if st := f.Resilience(); st != (ResilienceStats{}) {
@@ -140,7 +140,7 @@ func TestResilienceCountersExactOnReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.currentConn().Close()
-	f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: 2}, 0)
+	f.Send("c1", "s1", protocol.MsgRecoverRequest{Phase: 2}, 0)
 	waitFor(t, 5*time.Second, func() bool { return delivered.Load() == 2 },
 		"delivery after severed connection")
 	st := f.Resilience()
@@ -182,7 +182,7 @@ func TestTCPKillPeerMidWorkload(t *testing.T) {
 			default:
 			}
 			seq++
-			f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: seq}, 0)
+			f.Send("c1", "s1", protocol.MsgRecoverRequest{Phase: seq}, 0)
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -224,7 +224,7 @@ func TestInProcClosesCleanly(t *testing.T) {
 		p.Register("a", fabric.HandlerFunc(func(fabric.NodeID, fabric.Message) {}))
 		p.Register("b", fabric.HandlerFunc(func(fabric.NodeID, fabric.Message) {}))
 		for i := 0; i < 50; i++ {
-			p.Send("a", "b", protocol.MsgHeartbeat{Seq: uint64(i)}, 0)
+			p.Send("a", "b", protocol.MsgRecoverRequest{Phase: uint64(i)}, 0)
 		}
 		p.After("a", time.Millisecond, func() {})
 		p.After("b", time.Hour, func() {}) // must not pin a goroutine past Close
@@ -245,8 +245,8 @@ func TestTCPClosesCleanly(t *testing.T) {
 		f.Register("s1", fabric.HandlerFunc(func(fabric.NodeID, fabric.Message) { got.Add(1) }))
 		f.Register("s2", fabric.HandlerFunc(func(fabric.NodeID, fabric.Message) { got.Add(1) }))
 		for i := 0; i < 20; i++ {
-			f.Send("c1", "s1", protocol.MsgHeartbeat{Seq: uint64(i)}, 0)
-			f.Send("s1", "s2", protocol.MsgHeartbeat{Seq: uint64(i)}, 0)
+			f.Send("c1", "s1", protocol.MsgRecoverRequest{Phase: uint64(i)}, 0)
+			f.Send("s1", "s2", protocol.MsgRecoverRequest{Phase: uint64(i)}, 0)
 		}
 		waitFor(t, 5*time.Second, func() bool { return got.Load() == 40 }, "tcp deliveries")
 		f.Crash("s2")

@@ -48,11 +48,11 @@ func TestTCPNodeRemoteSend(t *testing.T) {
 
 	// Sends to nodes neither hosted locally nor in the remotes map must
 	// fail fast, not silently vanish.
-	if err := fc.SendErr("c", "a", protocol.MsgHeartbeat{Seq: 99}, 0); err != ErrUnknownNode {
+	if err := fc.SendErr("c", "a", protocol.MsgRecoverRequest{Phase: 99}, 0); err != ErrUnknownNode {
 		t.Fatalf("send to unmapped remote: err=%v, want ErrUnknownNode", err)
 	}
 
-	fc.Send("c", "b", protocol.MsgHeartbeat{Seq: 1}, 0)
+	fc.Send("c", "b", protocol.MsgRecoverRequest{Phase: 1}, 0)
 	atSend := clockC.v.Load()
 	waitFor(t, 5*time.Second, func() bool { return gotA.Load() == 1 },
 		"relayed delivery across three fabrics")

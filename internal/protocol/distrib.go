@@ -55,8 +55,6 @@ type NodeBundle struct {
 	// Members lists the domain's controllers; Switches its data plane.
 	Members  []pki.Identity
 	Switches []string
-	// PeerDomains maps every domain to its controllers.
-	PeerDomains map[int][]pki.Identity
 	// Quorum is the threshold t; Aggregator the designated aggregator
 	// ("" in switch-aggregation mode).
 	Quorum     int
@@ -69,8 +67,6 @@ type NodeBundle struct {
 	// for controllers).
 	GroupKey *bls.GroupKey
 	Share    bls.KeyShare
-	// Bootstrap marks the domain's initial broadcast leader.
-	Bootstrap bool
 	// BatchSize and BatchDelayNS configure batched ordering; timeouts in
 	// nanoseconds so the bundle stays a plain byte-stable encoding.
 	BatchSize           int
@@ -108,7 +104,6 @@ type MsgNodeQuery struct {
 // cross-process prefix comparison and the no-forged-rule check without
 // shipping canonical payloads.
 type SnapshotRecord struct {
-	Seq     uint64
 	Kind    string
 	Subject string
 	// Digest is SHA-256 of the record's canonical bytes.
@@ -130,13 +125,9 @@ type SnapshotApply struct {
 // fields; switches the table/apply fields.
 type MsgNodeSnapshot struct {
 	Nonce uint64
-	ID    string
-	Role  string
 
 	// Controller state.
-	View          uint64
-	LastDelivered uint64
-	Records       []SnapshotRecord
+	Records []SnapshotRecord
 	// ChainDigest is the audit hash chain's final hash — the
 	// order-sensitive commitment; two processes share it only when their
 	// ledgers are byte- and order-identical.
@@ -147,14 +138,14 @@ type MsgNodeSnapshot struct {
 	// cross-process agreement at convergence is "same decisions, any
 	// order" — this digest must be identical on every honest controller.
 	ContentDigest []byte
-	Recovering    bool
-	Recovered     bool
+	// Recovered marks a controller that adopted its history by peer state
+	// transfer: after a crash restart, its frozen-horizon watchdog, or a
+	// recover nudge.
+	Recovered bool
 
 	// Switch state.
-	Rules           []openflow.Rule
-	Applies         []SnapshotApply
-	UpdatesApplied  uint64
-	UpdatesRejected uint64
+	Rules   []openflow.Rule
+	Applies []SnapshotApply
 }
 
 // MsgInjectFlow asks an ingress switch process to simulate a packet

@@ -231,11 +231,10 @@ func ConfigBytes(phase uint64, quorum int, members []pki.Identity, aggregator pk
 
 // MsgConfigShare is one controller's signature share over ConfigBytes,
 // sent to the config leader (lowest-identifier member) for combination.
+// It names only the phase: the leader signs and combines over its own view
+// of the membership at that phase.
 type MsgConfigShare struct {
 	Phase      uint64
-	Quorum     int
-	Members    []pki.Identity
-	Aggregator pki.Identity
 	ShareIndex uint32
 	Share      []byte
 }
@@ -309,12 +308,11 @@ type MsgReshareSub struct {
 	Sub   dkg.SubShare
 }
 
-// MsgHeartbeat is the failure detector's liveness probe. Like every message
-// below that answers or vouches for its sender, it carries no sender field:
-// the receiver takes the sender from the fabric.
-type MsgHeartbeat struct {
-	Seq uint64
-}
+// MsgHeartbeat is the failure detector's liveness probe: its arrival is
+// the whole message. Like every message below that answers or vouches for
+// its sender, it carries no sender field: the receiver takes the sender from
+// the fabric.
+type MsgHeartbeat struct{}
 
 // MsgRecoverRequest is a restarted controller's plea for state: it lost
 // all volatile state in a crash and asks its peers for the delivered

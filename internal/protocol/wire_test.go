@@ -143,7 +143,7 @@ func wireSamples(t testing.TB) []fabric.Message {
 			ReleaseSig: []byte{13, 14, 15},
 		},
 		MsgConfig{Phase: 4, Quorum: 2, Members: members, Aggregator: members[0], GroupKey: gk, Signature: []byte{11}},
-		MsgConfigShare{Phase: 4, Quorum: 2, Members: members, Aggregator: members[0], ShareIndex: 3, Share: []byte{12}},
+		MsgConfigShare{Phase: 4, ShareIndex: 3, Share: []byte{12}},
 		MsgStateTransfer{
 			Phase: 4, NewPhase: 5,
 			Members:     members[:3],
@@ -153,7 +153,7 @@ func wireSamples(t testing.TB) []fabric.Message {
 		},
 		MsgReshareDeal{Phase: 5, Deal: &dkg.ReshareDeal{Dealer: 1, DealerSet: []uint32{1, 2, 3}, Commitments: gk.Commitments}},
 		MsgReshareSub{Phase: 5, Sub: dkg.SubShare{Dealer: 1, Recipient: 4, Value: big.NewInt(123456789)}},
-		MsgHeartbeat{Seq: 42},
+		MsgHeartbeat{},
 		MsgRecoverRequest{Phase: 4},
 		MsgRecoverState{Phase: 4, View: 1, LastDelivered: 9,
 			Events: [][]byte{[]byte(`{"id":"h1/7"}`), []byte(`{"id":"h2/1"}`)}},
@@ -181,17 +181,15 @@ func wireSamples(t testing.TB) []fabric.Message {
 		openflow.PacketOut{ID: id, Switch: "s1", Src: "h1", Dst: "h2", Payload: "attack"},
 		NodeBundle{
 			Role: RoleController, ID: string(members[1]), Domain: 0, Slot: 1,
-			Driver:      "distrib/driver",
-			Members:     members,
-			Switches:    []string{"s1", "s2"},
-			PeerDomains: map[int][]pki.Identity{0: members},
-			Quorum:      2,
-			KeySeed:     bytes.Repeat([]byte{7}, 32),
-			Directory:   map[pki.Identity][]byte{"s1": {1, 2}, members[0]: {3, 4}},
-			GroupKey:    gk,
-			Share:       shares[1],
-			Bootstrap:   false,
-			BatchSize:   4, BatchDelayNS: 2e6, ViewChangeTimeoutNS: 5e8,
+			Driver:    "distrib/driver",
+			Members:   members,
+			Switches:  []string{"s1", "s2"},
+			Quorum:    2,
+			KeySeed:   bytes.Repeat([]byte{7}, 32),
+			Directory: map[pki.Identity][]byte{"s1": {1, 2}, members[0]: {3, 4}},
+			GroupKey:  gk,
+			Share:     shares[1],
+			BatchSize: 4, BatchDelayNS: 2e6, ViewChangeTimeoutNS: 5e8,
 			GraphNodes: []WireGraphNode{{ID: "s1", Kind: 1, DC: -1, Pod: -1, Rack: -1}, {ID: "h1", Kind: 0, DC: -1, Pod: -1, Rack: -1}},
 			GraphLinks: []WireGraphLink{{A: "h1", B: "s1", LatencyNS: 1e6, Gbps: 10}},
 			MetaGenesis: MetaEnvelope{Role: MetaRoleRoot, Signed: []byte(`{"version":1}`),
@@ -200,18 +198,16 @@ func wireSamples(t testing.TB) []fabric.Message {
 		MsgNodeHello{ID: "s1", Addr: "127.0.0.1:45001", BootEpoch: 2, PID: 4242},
 		MsgNodeQuery{Nonce: 99},
 		MsgNodeSnapshot{
-			Nonce: 99, ID: string(members[1]), Role: RoleController,
-			View: 1, LastDelivered: 17,
+			Nonce: 99,
 			Records: []SnapshotRecord{
-				{Seq: 1, Kind: "event", Subject: "h1#7", Digest: bytes.Repeat([]byte{2}, 32)},
-				{Seq: 2, Kind: "update", Subject: "h1#7", Digest: bytes.Repeat([]byte{3}, 32)},
+				{Kind: "event", Subject: "h1#7", Digest: bytes.Repeat([]byte{2}, 32)},
+				{Kind: "update", Subject: "h1#7", Digest: bytes.Repeat([]byte{3}, 32)},
 			},
-			ChainDigest:    bytes.Repeat([]byte{4}, 32),
-			ContentDigest:  bytes.Repeat([]byte{6}, 32),
-			Recovered:      true,
-			Rules:          []openflow.Rule{mods[0].Rule},
-			Applies:        []SnapshotApply{{Origin: "h1", Seq: 7, Phase: 3, Digest: bytes.Repeat([]byte{5}, 32), Valid: true}},
-			UpdatesApplied: 3, UpdatesRejected: 1,
+			ChainDigest:   bytes.Repeat([]byte{4}, 32),
+			ContentDigest: bytes.Repeat([]byte{6}, 32),
+			Recovered:     true,
+			Rules:         []openflow.Rule{mods[0].Rule},
+			Applies:       []SnapshotApply{{Origin: "h1", Seq: 7, Phase: 3, Digest: bytes.Repeat([]byte{5}, 32), Valid: true}},
 		},
 		MsgInjectFlow{FlowID: 12, Src: "h1", Dst: "h2"},
 		MsgFlowDone{FlowID: 12, Switch: "s1"},
@@ -457,7 +453,7 @@ func frameOf(id byte, body ...byte) []byte { return append([]byte{id}, body...) 
 // reason.
 func TestWireDecodeErrors(t *testing.T) {
 	c := NewWireCodec(nil)
-	heartbeat, err := c.Encode(MsgHeartbeat{Seq: 1})
+	request, err := c.Encode(MsgRecoverRequest{Phase: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,12 +467,12 @@ func TestWireDecodeErrors(t *testing.T) {
 		{"empty", nil, errWireEmpty},
 		{"unknown type id", []byte{0xff, 0, 0}, nil},
 		{"type id zero", []byte{0}, nil},
-		{"id only", []byte{8}, errWireShort},
-		{"trailing byte", append(bytes.Clone(heartbeat), 0), errWireTrailing},
+		{"id only", []byte{9}, errWireShort},
+		{"trailing byte", append(bytes.Clone(request), 0), errWireTrailing},
 		// node-nudge: Op, declared five bytes long.
 		{"string past the end", frameOf(70, 5, 'c', '1'), errWireShort},
-		{"non-minimal varint", frameOf(8, 0x81, 0x00), errWireVarint},
-		{"varint over 64 bits", frameOf(8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), errWireVarint},
+		{"non-minimal varint", frameOf(9, 0x81, 0x00), errWireVarint},
+		{"varint over 64 bits", frameOf(9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), errWireVarint},
 		// node-hello: ID, Addr, BootEpoch = 2^33-1 in a uint32.
 		{"uint32 out of range", frameOf(65, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x1f, 0), errWireRange},
 		// update: every field zero, Resend = 2.
@@ -484,7 +480,7 @@ func TestWireDecodeErrors(t *testing.T) {
 		// reshare-deal: phase, Deal presence = 2.
 		{"presence of 2", frameOf(13, 1, 2), errWireBool},
 		{"bft in bft", frameOf(15, 1, 15, 1, 34), errWireInner},
-		{"bft holding a non-bft", append(frameOf(15, 1), heartbeat...), errWireInner},
+		{"bft holding a non-bft", append(frameOf(15, 1), request...), errWireInner},
 		{"bft with unknown inner", frameOf(15, 1, 0xfe), errWireInner},
 		{"bft with no inner", frameOf(15, 1), errWireShort},
 		// reshare-sub: phase, dealer, recipient, then Value.
@@ -731,7 +727,7 @@ func FuzzWireDecode(f *testing.F) {
 		bad[len(bad)/2] ^= 0xff
 		f.Add(bad)
 	}
-	f.Add(frameOf(15, 1, 8, 0)) // a heartbeat inside a bft frame
+	f.Add(frameOf(15, 1, 8)) // a heartbeat inside a bft frame
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := bytes.Clone(data) // the fuzzer's bytes are not ours to overwrite
 		msg, err := decodeAny(t, c, in)
