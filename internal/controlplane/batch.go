@@ -18,12 +18,15 @@
 // the scale benchmark enforces.
 //
 // Dispatch remains dependency-driven with no batch-completion barrier:
-// plans enter the scheduler engine individually and each update leaves the
-// moment its dependencies clear, carrying the already-computed proof
-// (dispatchUpdate sends an update through sendBatchUpdate when a same-phase
-// batch context exists for it, and through the per-update share path
-// otherwise — recovery replays and cross-phase retransmissions always have
-// that path to land on, and switches accept both concurrently).
+// plans enter the scheduler engine individually and each update is released
+// the moment its dependencies clear. A release captures the update's
+// same-phase batch context, if it has one, and the outbox flush sends it
+// through sendBatchUpdate with the already-computed proof, or through the
+// per-update share path otherwise — recovery replays and cross-phase
+// retransmissions always have that path to land on, and switches accept
+// both concurrently. The root share is signed per batch, before any
+// release; what a release its switch has already acknowledged saves is the
+// per-update release attestation.
 package controlplane
 
 import (
@@ -82,7 +85,7 @@ func (c *Controller) signUpdateBatch(plans []scheduler.Plan) {
 	idx := 0
 	for _, plan := range plans {
 		for _, su := range plan {
-			c.batchOf[su.ID.String()] = &batchRef{
+			c.batchOf[su.ID] = &batchRef{
 				phase: c.phase,
 				root:  root[:],
 				index: idx,

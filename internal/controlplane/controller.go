@@ -209,14 +209,22 @@ type Controller struct {
 	configShares map[uint32][]byte
 	configDone   bool
 
-	// dispatchLog records every update this controller signed, in release
-	// order, so crash recovery can answer switch resyncs and retransmit
-	// in-flight updates (see recovery.go).
+	// dispatchLog records every update this controller released, in
+	// release order, so crash recovery can answer switch resyncs and
+	// retransmit in-flight updates (see recovery.go).
 	dispatchLog []dispatchRecord
 	// batchOf maps an update id to its batch-amortized signing context
-	// (Merkle proof + per-batch root share); retained after dispatch so
-	// recovery retransmissions reuse the same proof and share.
-	batchOf map[string]*batchRef
+	// (Merkle proof + per-batch root share) until its switch acknowledges
+	// it.
+	batchOf map[openflow.MsgID]*batchRef
+	// outbox holds the released updates not yet signed and sent, in
+	// release order; flushQueued is set while a flush of it waits in the
+	// node's serial context, and flush is flushOutbox, bound once so a
+	// release allocates no closure. A live crash purges the mailbox, the
+	// flush with it: a crashed controller is replaced, never resumed.
+	outbox      []release
+	flushQueued bool
+	flush       func()
 	// recovery tracks an in-flight crash recovery; recovered stays true
 	// afterwards so retransmitted updates carry the Resend flag (switches
 	// re-acknowledge those instead of silently dropping duplicates).
@@ -245,7 +253,9 @@ type Controller struct {
 
 	stopped bool
 
-	// Counters for experiments.
+	// Counters for experiments. UpdatesSigned counts the releases this
+	// controller signed and sent (a baseline sends them unsigned): a
+	// release its switch had already acknowledged is not signed.
 	EventsReceived  uint64
 	EventsDelivered uint64
 	UpdatesSigned   uint64
@@ -263,7 +273,7 @@ type Controller struct {
 	GapRecoveries uint64
 }
 
-// dispatchRecord is one signed update in the dispatch log.
+// dispatchRecord is one released update in the dispatch log.
 type dispatchRecord struct {
 	id    openflow.MsgID
 	phase uint64
@@ -297,11 +307,12 @@ func New(cfg Config) (*Controller, error) {
 		pendingSubmit:   make(map[string][]byte),
 		aggPending:      make(map[[sha256.Size]byte]*aggCollect),
 		configShares:    make(map[uint32][]byte),
-		batchOf:         make(map[string]*batchRef),
+		batchOf:         make(map[openflow.MsgID]*batchRef),
 		lastSeen:        make(map[pki.Identity]fabric.Time),
 		suspected:       make(map[pki.Identity]bool),
 	}
 	c.engine = scheduler.NewEngine(c.dispatchUpdate)
+	c.flush = c.flushOutbox
 	if cfg.Protocol != ProtoCentralized {
 		if err := c.rebuildReplica(); err != nil {
 			return nil, err
@@ -805,28 +816,72 @@ func updateOrigin(ev openflow.MsgID, domain int) string {
 	return string(strconv.AppendInt(b, int64(domain), 10))
 }
 
-// dispatchUpdate signs and sends one ready update (the engine's release
-// callback).
+// release is one released update waiting in the outbox: what its send
+// needs, as it stood when the engine released it.
+type release struct {
+	id        openflow.MsgID
+	phase     uint64
+	mods      []openflow.FlowMod
+	canonical []byte
+	// ref is the update's same-phase batch signing context, nil for the
+	// per-update share path.
+	ref    *batchRef
+	resend bool
+}
+
+// dispatchUpdate releases one ready update (the engine's release callback).
+// The release is recorded at once — ledger, dispatch log — so the release
+// order and the audit ledger do not depend on when the update is sent.
+// Signing and sending wait in the outbox for a flush through the node's
+// serial context: on a live backend that runs behind every message already
+// in the mailbox, so an ack the switch sent ahead of this release is read
+// first and the flush signs nothing for it. The simulator runs the flush
+// at once.
 func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 	mods := []openflow.FlowMod{su.Mod}
 	canonical := openflow.CanonicalUpdateBytes(su.ID, c.phase, mods)
 	c.ledger.Append(audit.KindUpdate, su.ID.String(), canonical)
-	c.UpdatesSigned++
 	c.dispatchLog = append(c.dispatchLog, dispatchRecord{id: su.ID, phase: c.phase, mods: mods})
 	// After a recovery, every dispatch is a potential retransmission of an
 	// update the switch decided before the crash; Resend makes the switch
 	// re-acknowledge so the rebuilt engine can release dependents.
-	if ref, ok := c.batchOf[su.ID.String()]; ok && ref.phase == c.phase {
-		c.sendBatchUpdate(su.ID, mods, ref, c.recovered)
-		return
+	r := release{id: su.ID, phase: c.phase, mods: mods, canonical: canonical, resend: c.recovered}
+	if ref, ok := c.batchOf[su.ID]; ok && ref.phase == c.phase {
+		r.ref = ref
 	}
-	c.sendUpdate(su.ID, c.phase, mods, canonical, c.recovered)
+	c.outbox = append(c.outbox, r)
+	if !c.flushQueued {
+		c.flushQueued = true
+		c.cfg.Net.Invoke(fabric.NodeID(c.cfg.ID), c.flush)
+	}
+}
+
+// flushOutbox signs and sends the outbox in release order. It skips an
+// update its own switch has acknowledged since the release — the switch
+// applied it on the other controllers' shares and drops later ones unread
+// — and sends nothing for a stopped controller.
+func (c *Controller) flushOutbox() {
+	for i := 0; i < len(c.outbox); i++ { // a send that released more would append here
+		r := &c.outbox[i]
+		if c.stopped || c.engine.Acked(r.id) {
+			continue
+		}
+		c.UpdatesSigned++
+		if r.ref != nil {
+			c.sendBatchUpdate(r.id, r.mods, r.ref, r.resend)
+		} else {
+			c.sendUpdate(r.id, r.phase, r.mods, r.canonical, r.resend)
+		}
+	}
+	clear(c.outbox)
+	c.outbox = c.outbox[:0]
+	c.flushQueued = false
 }
 
 // sendUpdate share-signs one update and routes it to its switch (or to
-// the aggregator). It is the transmission half of dispatchUpdate for an
-// update without a batch signing context, and what the recovery layer
-// retransmits logged updates through, with fresh shares. canonical is
+// the aggregator). It is how flushOutbox sends an update without a batch
+// signing context, and what the recovery layer retransmits logged updates
+// through, with fresh shares. canonical is
 // openflow.CanonicalUpdateBytes(id, phase, mods), which the caller has
 // already built.
 func (c *Controller) sendUpdate(id openflow.MsgID, phase uint64, mods []openflow.FlowMod, canonical []byte, resend bool) {
@@ -953,11 +1008,12 @@ func (c *Controller) handleAckMsg(m protocol.MsgAck) {
 	}
 	c.AcksReceived++
 	if c.engine.Ack(ack.UpdateID, string(m.Env.From)) {
-		// The batch signing context exists only for the initial dispatch;
-		// every retransmission path resends through legacy per-update
-		// shares, so an acked update's ref is dead weight on a long-running
-		// controller.
-		delete(c.batchOf, ack.UpdateID.String())
+		// The batch signing context serves only the send at release, which
+		// an acked update no longer needs (a release waiting in the outbox
+		// holds its own reference, and the flush skips it); every
+		// retransmission path resends through per-update shares, so the
+		// ref is dead weight on a long-running controller.
+		delete(c.batchOf, ack.UpdateID)
 	}
 }
 

@@ -392,7 +392,7 @@ func (c *Controller) completeChange(newShare bls.KeyShare, newGK *bls.GroupKey) 
 	// Old-phase batch refs can never be dispatched again (dispatchUpdate
 	// requires a same-phase ref and falls back to legacy per-update shares
 	// across phases), so drop them with the phase.
-	c.batchOf = make(map[string]*batchRef)
+	c.batchOf = make(map[openflow.MsgID]*batchRef)
 	// Likewise the previous phase's config shares are never read again.
 	c.configShares, c.configDone = make(map[uint32][]byte), false
 	if err := c.rebuildReplica(); err != nil {

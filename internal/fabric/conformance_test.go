@@ -230,6 +230,51 @@ var conformance = []struct {
 		}
 	}},
 
+	// A thunk a handler invokes on its own node runs before any message
+	// sent to the node after the Invoke. A live backend queues it behind
+	// the messages already in the mailbox; the simulator runs it at once.
+	{"invoke-from-handler", func(t *testing.T, b backend) {
+		var mu sync.Mutex
+		var log []uint64 // the phases of the pings handled; 0 is the thunk
+		note := func(v uint64) {
+			mu.Lock()
+			defer mu.Unlock()
+			log = append(log, v)
+		}
+		gate := make(chan struct{})
+		b.Register("a", fabric.HandlerFunc(func(_ fabric.NodeID, msg fabric.Message) {
+			seq := msg.(protocol.MsgRecoverRequest).Phase
+			note(seq)
+			if seq == 1 {
+				<-gate
+				b.Invoke("a", func() { note(0) })
+				b.Send("b", "a", ping(3), 8)
+			}
+		}))
+		b.Register("b", &counter{})
+		b.Send("b", "a", ping(1), 8)
+		b.Send("b", "a", ping(2), 8)
+		if b.sim == nil {
+			// Ping 2 reaches a's mailbox while the handler of ping 1 waits.
+			time.Sleep(100 * time.Millisecond)
+		}
+		close(gate)
+		b.eventually(t, "three pings and the thunk", func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(log) == 4
+		})
+		want := []uint64{1, 2, 0, 3}
+		if b.sim != nil {
+			want = []uint64{1, 0, 2, 3}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if !slices.Equal(log, want) {
+			t.Errorf("node a ran %v, want %v (0 is the thunk)", log, want)
+		}
+	}},
+
 	// Charge adds up in BusyTotal.
 	{"charge", func(t *testing.T, b backend) {
 		b.Register("a", &counter{})

@@ -120,7 +120,11 @@ type Fabric interface {
 	// possible: after whatever the node is handling now, never beside it.
 	// It is how code outside a node touches the node's state (flow tables,
 	// counters, ledgers), and it runs even on a crashed node. A node's own
-	// handler defers work with After, not Invoke.
+	// handler may Invoke on itself to defer work until what it has already
+	// been sent is handled: a live backend runs fn behind every message
+	// queued in the node's mailbox, and still before any message sent to
+	// the node after the call; the simulator runs fn before Invoke returns.
+	// Work that must wait a time is for After.
 	Invoke(id NodeID, fn func())
 
 	// Charge accounts cost seconds of CPU work to a node. On simnet this

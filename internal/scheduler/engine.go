@@ -244,6 +244,11 @@ func (e *Engine) satisfy(id openflow.MsgID) {
 	delete(e.dependents, id)
 }
 
+// Acked reports whether the update's own switch has acknowledged it. A
+// controller asks before it signs a released update: a switch that applied
+// the update on the other controllers' shares drops any later one unread.
+func (e *Engine) Acked(id openflow.MsgID) bool { return e.acked[id] }
+
 // Unacked returns the ids of updates that were released to their switches
 // but have not been acknowledged, in deterministic (sorted) order. A
 // recovery layer uses this to retransmit in-flight updates after faults:
