@@ -857,9 +857,9 @@ func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 }
 
 // flushOutbox signs and sends the outbox in release order. It skips an
-// update its own switch has acknowledged since the release — the switch
-// applied it on the other controllers' shares and drops later ones unread
-// — and sends nothing for a stopped controller.
+// update its own switch has acknowledged by now — the switch applied it on
+// the other controllers' shares and drops later ones unread — and sends
+// nothing for a stopped controller.
 func (c *Controller) flushOutbox() {
 	for i := 0; i < len(c.outbox); i++ { // a send that released more would append here
 		r := &c.outbox[i]
