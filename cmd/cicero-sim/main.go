@@ -171,7 +171,14 @@ func run() int {
 		rejected += sw.UpdatesRejected
 		cpu += n.Net.BusyTotal(simnet.NodeID(id))
 	}
-	fmt.Printf("control plane: events-delivered=%d updates-signed=%d acks=%d\n", events, updates, acks)
+	// 2f+1 designated members sign each update at release; a ratio above
+	// that counts the late signers whose switch stayed silent.
+	perApplied := 0.0
+	if applied > 0 {
+		perApplied = float64(updates) / float64(applied)
+	}
+	fmt.Printf("control plane: events-delivered=%d updates-signed=%d (%.2f per applied update) acks=%d\n",
+		events, updates, perApplied, acks)
 	fmt.Printf("data plane:    updates-applied=%d rejected=%d switch-cpu=%v\n",
 		applied, rejected, cpu.Round(time.Millisecond))
 	fmt.Printf("network:       %v\n", n.Net)

@@ -26,7 +26,10 @@
 // retransmissions always have that path to land on, and switches accept
 // both concurrently. The root share is signed per batch, before any
 // release; what a release its switch has already acknowledged saves is the
-// per-update release attestation.
+// per-update release attestation. So does a release this member was not
+// designated to sign (controller.go, designated): it sends the update, root
+// share and attestation, only if the switch is still silent one
+// view-change timeout after the release.
 package controlplane
 
 import (

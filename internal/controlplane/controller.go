@@ -14,6 +14,7 @@ package controlplane
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -225,6 +226,15 @@ type Controller struct {
 	outbox      []release
 	flushQueued bool
 	flush       func()
+	// late holds, oldest first, the releases this member was not
+	// designated to sign, each until one view-change timeout after its
+	// release; lateAt is when the one timer serving them fires, zero while
+	// none is armed (see signLate).
+	late   []lateRelease
+	lateAt fabric.Time
+	// replaying is set while a recovery replays adopted events: every
+	// member signs what that releases at once, as on every Resend path.
+	replaying bool
 	// recovery tracks an in-flight crash recovery; recovered stays true
 	// afterwards so retransmitted updates carry the Resend flag (switches
 	// re-acknowledge those instead of silently dropping duplicates).
@@ -255,7 +265,10 @@ type Controller struct {
 
 	// Counters for experiments. UpdatesSigned counts the releases this
 	// controller signed and sent (a baseline sends them unsigned): a
-	// release its switch had already acknowledged is not signed.
+	// release its switch had already acknowledged is not signed, and a
+	// release this member was not designated to sign is signed only when
+	// its timer finds the switch still silent, one view-change timeout
+	// later (see designated).
 	EventsReceived  uint64
 	EventsDelivered uint64
 	UpdatesSigned   uint64
@@ -827,16 +840,29 @@ type release struct {
 	// per-update share path.
 	ref    *batchRef
 	resend bool
+	// now marks a release this member signs at its flush: it is designated,
+	// or every member signs it (a Resend, a recovery replay, a baseline).
+	// log is the release's index in the dispatch log, which is what a
+	// deferred release keeps.
+	now bool
+	log int
+}
+
+// lateRelease is a deferred release: its dispatch log index, and when it
+// falls due.
+type lateRelease struct {
+	log int
+	due fabric.Time
 }
 
 // dispatchUpdate releases one ready update (the engine's release callback).
 // The release is recorded at once — ledger, dispatch log — so the release
-// order and the audit ledger do not depend on when the update is sent.
-// Signing and sending wait in the outbox for a flush through the node's
-// serial context: on a live backend that runs behind every message already
-// in the mailbox, so an ack the switch sent ahead of this release is read
-// first and the flush signs nothing for it. The simulator runs the flush
-// at once.
+// order and the audit ledger do not depend on when, or whether, the update
+// is sent. Signing and sending wait in the outbox for a flush through the
+// node's serial context: on a live backend that runs behind every message
+// already in the mailbox, so an ack the switch sent ahead of this release
+// is read first and the flush signs nothing for it. The simulator runs the
+// flush at once.
 func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 	mods := []openflow.FlowMod{su.Mod}
 	canonical := openflow.CanonicalUpdateBytes(su.ID, c.phase, mods)
@@ -845,7 +871,11 @@ func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 	// After a recovery, every dispatch is a potential retransmission of an
 	// update the switch decided before the crash; Resend makes the switch
 	// re-acknowledge so the rebuilt engine can release dependents.
-	r := release{id: su.ID, phase: c.phase, mods: mods, canonical: canonical, resend: c.recovered}
+	r := release{
+		id: su.ID, phase: c.phase, mods: mods, canonical: canonical, resend: c.recovered,
+		now: c.recovered || c.replaying || c.designated(su.ID),
+		log: len(c.dispatchLog) - 1,
+	}
 	if ref, ok := c.batchOf[su.ID]; ok && ref.phase == c.phase {
 		r.ref = ref
 	}
@@ -856,26 +886,122 @@ func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 	}
 }
 
+// designated reports whether this member is one of the 2f+1 that sign
+// update id at its release: the members whose slot s in the current
+// membership of n has (s − h(id)) mod n < 2f+1, where h hashes the whole
+// id, so the set rotates from update to update and each member signs about
+// (2f+1)/n of them. At most f members are faulty, so the 2f+1 include
+// t = f+1 honest ones: the switch's quorum, with the other f silent. The
+// baselines sign nothing, and every member sends.
+func (c *Controller) designated(id openflow.MsgID) bool {
+	if c.cfg.Protocol != ProtoCicero {
+		return true
+	}
+	n, slot := len(c.members), c.memberSlot(c.cfg.ID)
+	if slot < 0 {
+		return false
+	}
+	var buf [64]byte
+	sum := sha256.Sum256(id.AppendTo(buf[:0]))
+	h := int(binary.BigEndian.Uint64(sum[:8]) % uint64(n))
+	return (slot-h+n)%n < 2*((n-1)/3)+1
+}
+
 // flushOutbox signs and sends the outbox in release order. It skips an
 // update its own switch has acknowledged by now — the switch applied it on
 // the other controllers' shares and drops later ones unread — and sends
-// nothing for a stopped controller.
+// nothing for a stopped controller. A release this member was not
+// designated to sign moves to the late queue: signLate signs it one
+// view-change timeout later if the switch is still silent then.
 func (c *Controller) flushOutbox() {
 	for i := 0; i < len(c.outbox); i++ { // a send that released more would append here
 		r := &c.outbox[i]
-		if c.stopped || c.engine.Acked(r.id) {
-			continue
-		}
-		c.UpdatesSigned++
-		if r.ref != nil {
-			c.sendBatchUpdate(r.id, r.mods, r.ref, r.resend)
-		} else {
-			c.sendUpdate(r.id, r.phase, r.mods, r.canonical, r.resend)
+		switch {
+		case c.stopped || c.engine.Acked(r.id):
+		case !r.now:
+			c.deferRelease(r.log)
+		default:
+			c.UpdatesSigned++
+			c.signRelease(r.id, r.phase, r.mods, r.canonical, r.ref, r.resend)
 		}
 	}
 	clear(c.outbox)
 	c.outbox = c.outbox[:0]
 	c.flushQueued = false
+}
+
+// signRelease signs and sends one release: through its batch signing
+// context when it has one, as a per-update share otherwise.
+func (c *Controller) signRelease(id openflow.MsgID, phase uint64, mods []openflow.FlowMod, canonical []byte, ref *batchRef, resend bool) {
+	if ref != nil {
+		c.sendBatchUpdate(id, mods, ref, resend)
+	} else {
+		c.sendUpdate(id, phase, mods, canonical, resend)
+	}
+}
+
+// lateSignDelay is how long a member that was not designated waits before
+// it signs a release whose switch is still silent: one view-change timeout,
+// the time the group itself gives a stalled request.
+func (c *Controller) lateSignDelay() time.Duration {
+	if c.cfg.ViewChangeTimeout > 0 {
+		return c.cfg.ViewChangeTimeout
+	}
+	return gapStallDefaultTimeout
+}
+
+// deferRelease queues dispatch log entry log for signLate, and arms the
+// timer if none is pending. The simulator drops a timer that falls due
+// while its node is crashed and resumes the node afterwards, so a timer
+// whose time has passed unrun counts as none.
+func (c *Controller) deferRelease(log int) {
+	now := c.cfg.Net.Now()
+	c.late = append(c.late, lateRelease{log: log, due: now + c.lateSignDelay()})
+	if c.lateAt == 0 || now > c.lateAt {
+		c.armLate(now)
+	}
+}
+
+// armLate arms the late queue's timer for its oldest entry.
+func (c *Controller) armLate(now fabric.Time) {
+	at := c.late[0].due
+	c.lateAt = at
+	c.cfg.Net.After(fabric.NodeID(c.cfg.ID), max(at-now, 0), func() { c.signLate(at) })
+}
+
+// signLate runs when the late queue's timer, armed for at, fires. Each
+// entry due by now is signed and sent if its switch is still silent — not
+// acknowledged, from the current phase, on a running controller — and
+// dropped otherwise; the timer is re-armed only while entries remain, so a
+// quiet controller arms none. A timer re-armed past this one makes it
+// stale.
+func (c *Controller) signLate(at fabric.Time) {
+	if at != c.lateAt {
+		return
+	}
+	c.lateAt = 0
+	if c.stopped {
+		c.late = nil
+		return
+	}
+	now := c.cfg.Net.Now()
+	i := 0
+	for ; i < len(c.late) && c.late[i].due <= now; i++ {
+		rec := c.dispatchLog[c.late[i].log]
+		if rec.phase != c.phase || c.engine.Acked(rec.id) {
+			continue
+		}
+		c.UpdatesSigned++
+		ref := c.batchOf[rec.id]
+		if ref != nil && ref.phase != rec.phase {
+			ref = nil
+		}
+		c.signRelease(rec.id, rec.phase, rec.mods, openflow.CanonicalUpdateBytes(rec.id, rec.phase, rec.mods), ref, false)
+	}
+	c.late = c.late[:copy(c.late, c.late[i:])]
+	if len(c.late) > 0 {
+		c.armLate(now)
+	}
 }
 
 // sendUpdate share-signs one update and routes it to its switch (or to

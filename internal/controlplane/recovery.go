@@ -242,8 +242,10 @@ func (c *Controller) adoptRecovery(state protocol.MsgRecoverState) {
 		// One event at a time and never batch-signed: the replayed ledger
 		// interleaves events and updates as unbatched delivery did, and the
 		// replayed updates leave as per-update shares, which pool with the
-		// peers' retransmissions.
+		// peers' retransmissions. Every member signs them at once.
+		c.replaying = true
 		c.processEvents([]protocol.Event{ev}, false)
+		c.replaying = false
 	}
 	if c.replica != nil {
 		c.replica.SyncTo(state.View, state.LastDelivered)

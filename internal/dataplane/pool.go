@@ -28,6 +28,13 @@
 // own bytes, so the share quorum is the release quorum. Per-update traffic
 // is accepted concurrently with batches — recovery replays and cross-phase
 // retransmissions use it.
+//
+// Not every member sends. Each update has 2f+1 designated controllers,
+// chosen by its id, which send at release; at least t = f+1 of them are
+// honest. The other f send only if the switch is still silent one
+// view-change timeout later, and every member sends a Resend. A pool
+// therefore fills from the designated shares, and a late share arrives
+// only when some of them were lost or refused.
 package dataplane
 
 import (
