@@ -874,16 +874,23 @@ func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 	r := release{
 		id: su.ID, phase: c.phase, mods: mods, canonical: canonical, resend: c.recovered,
 		now: c.recovered || c.replaying || c.designated(su.ID),
-		log: len(c.dispatchLog) - 1,
-	}
-	if ref, ok := c.batchOf[su.ID]; ok && ref.phase == c.phase {
-		r.ref = ref
+		log: len(c.dispatchLog) - 1, ref: c.batchContext(su.ID),
 	}
 	c.outbox = append(c.outbox, r)
 	if !c.flushQueued {
 		c.flushQueued = true
 		c.cfg.Net.Invoke(fabric.NodeID(c.cfg.ID), c.flush)
 	}
+}
+
+// batchContext returns id's batch signing context if it was signed in the
+// current phase, and nil otherwise: the update then leaves as a per-update
+// share.
+func (c *Controller) batchContext(id openflow.MsgID) *batchRef {
+	if ref := c.batchOf[id]; ref != nil && ref.phase == c.phase {
+		return ref
+	}
+	return nil
 }
 
 // designated reports whether this member is one of the 2f+1 that sign
@@ -992,11 +999,7 @@ func (c *Controller) signLate(at fabric.Time) {
 			continue
 		}
 		c.UpdatesSigned++
-		ref := c.batchOf[rec.id]
-		if ref != nil && ref.phase != rec.phase {
-			ref = nil
-		}
-		c.signRelease(rec.id, rec.phase, rec.mods, openflow.CanonicalUpdateBytes(rec.id, rec.phase, rec.mods), ref, false)
+		c.signRelease(rec.id, rec.phase, rec.mods, openflow.CanonicalUpdateBytes(rec.id, rec.phase, rec.mods), c.batchContext(rec.id), false)
 	}
 	c.late = c.late[:copy(c.late, c.late[i:])]
 	if len(c.late) > 0 {
