@@ -22,24 +22,13 @@ import (
 // the update id and the membership slot alone, so a fault-free run of a
 // deployment names them for every faulted run of the same deployment.
 
-// shareSends is what a simulator filter saw of update signatures: per
-// update, its senders in send order and the time of each send.
+// shareSends is what a simulator filter saw of update shares: per update,
+// its senders in send order and the time of each send.
 type shareSends map[openflow.MsgID][]shareSend
 
 type shareSend struct {
 	from fabric.NodeID
 	at   fabric.Time
-}
-
-// updateOf returns the update id a signed update message carries.
-func updateOf(msg fabric.Message) (openflow.MsgID, bool) {
-	switch m := msg.(type) {
-	case protocol.MsgUpdate:
-		return m.UpdateID, true
-	case protocol.MsgBatchUpdate:
-		return m.UpdateID, true
-	}
-	return openflow.MsgID{}, false
 }
 
 // senders lists the distinct senders of one update.
@@ -53,15 +42,16 @@ func (s shareSends) senders(id openflow.MsgID) []fabric.NodeID {
 	return out
 }
 
-// watchShares records every update signature the simulator carries; fault,
+// watchShares records every update share the simulator carries; fault,
 // when not nil, decides each one's fate.
 func watchShares(n *Network, fault func(from fabric.NodeID, id openflow.MsgID, msg fabric.Message) fabric.FaultAction) shareSends {
 	seen := make(shareSends)
 	n.Net.SetFilter(func(from, _ fabric.NodeID, msg fabric.Message, _ int) fabric.FaultAction {
-		id, ok := updateOf(msg)
+		up, ok := msg.(protocol.MsgUpdate)
 		if !ok {
 			return fabric.FaultAction{}
 		}
+		id := up.UpdateID
 		seen[id] = append(seen[id], shareSend{from: from, at: n.Sim.Now()})
 		if fault == nil {
 			return fabric.FaultAction{}
@@ -143,8 +133,8 @@ func TestDesignatedSignersFaultFree(t *testing.T) {
 	}
 }
 
-// oneFlow is the flow the fault tests install: its path, its ingress and
-// the update released first, which the egress switch applies.
+// oneFlow is the flow the fault tests install, and the egress switch
+// whose update the scheduler releases first.
 type oneFlow struct {
 	src, dst string
 	egress   string
@@ -199,9 +189,9 @@ func (fl oneFlow) install(t *testing.T, r *faultRun) {
 }
 
 // designatedFor runs the flow once without a fault and returns the update
-// its egress applies and the members that signed it, then the one that did
-// not.
-func designatedFor(t *testing.T, fl oneFlow) (openflow.MsgID, []fabric.NodeID, fabric.NodeID) {
+// its egress applies, the members that signed it, the one that did not,
+// and the view-0 primary.
+func designatedFor(t *testing.T, fl oneFlow) (id openflow.MsgID, designated []fabric.NodeID, late, primary fabric.NodeID) {
 	t.Helper()
 	r := newFaultRun(t, fl)
 	sends := watchShares(r.Network, nil)
@@ -209,20 +199,18 @@ func designatedFor(t *testing.T, fl oneFlow) (openflow.MsgID, []fabric.NodeID, f
 	if len(r.applied) != 1 || r.forged {
 		t.Fatalf("fault-free: the egress applied %v, forged %v; want 1 update", r.applied, r.forged)
 	}
-	var id openflow.MsgID
 	for id = range r.applied {
 	}
-	who := sends.senders(id)
-	var late fabric.NodeID
+	designated = sends.senders(id)
 	for _, m := range r.Domains[0].Members {
-		if !slices.Contains(who, fabric.NodeID(m)) {
+		if !slices.Contains(designated, fabric.NodeID(m)) {
 			late = fabric.NodeID(m)
 		}
 	}
-	if len(who) != 3 || late == "" {
-		t.Fatalf("fault-free: %s was signed by %v, want 3 of the 4 members", id, who)
+	if len(designated) != 3 || late == "" {
+		t.Fatalf("fault-free: %s was signed by %v, want 3 of the 4 members", id, designated)
 	}
-	return id, who, late
+	return id, designated, late, fabric.NodeID(r.Domains[0].Members[0])
 }
 
 // TestLostDesignatedSharesFallBackToLateSigner: of the three members
@@ -234,8 +222,7 @@ func designatedFor(t *testing.T, fl oneFlow) (openflow.MsgID, []fabric.NodeID, f
 // are a quorum.
 func TestLostDesignatedSharesFallBackToLateSigner(t *testing.T) {
 	fl := smallFlow()
-	id, designated, late := designatedFor(t, fl)
-	primary := fabric.NodeID(newFaultRun(t, fl).Domains[0].Members[0])
+	id, designated, late, primary := designatedFor(t, fl)
 	var backups []fabric.NodeID // designated, and not the view-0 primary
 	for _, m := range designated {
 		if m != primary {
@@ -298,11 +285,11 @@ func TestLostDesignatedSharesFallBackToLateSigner(t *testing.T) {
 // without waiting for the late signer.
 func TestByzantineDesignatedSignerCannotForgeOrBlock(t *testing.T) {
 	fl := smallFlow()
-	id, designated, late := designatedFor(t, fl)
+	id, designated, late, _ := designatedFor(t, fl)
 	byz := designated[0]
 	r := newFaultRun(t, fl)
 	junk := r.Scheme.Params.PointBytes(r.Scheme.Params.ScalarBaseMul(bigOne()))
-	sends := watchShares(r.Network, func(from fabric.NodeID, sid openflow.MsgID, msg fabric.Message) fabric.FaultAction {
+	sends := watchShares(r.Network, func(from fabric.NodeID, _ openflow.MsgID, msg fabric.Message) fabric.FaultAction {
 		up, ok := msg.(protocol.MsgUpdate)
 		if from != byz || !ok {
 			return fabric.FaultAction{}
