@@ -19,8 +19,8 @@
 // injected, not how it interleaves. -live with -replay therefore re-rolls
 // the interleaving of that one seed, but retains and prints the full
 // debugging trace: every broadcast message (kind "bft"), the controllers'
-// broadcast coordinates at each drain nudge ("ctl-state"), and every
-// snapshotted ledger entry ("ledger").
+// broadcast coordinates each time they change while the drain awaits
+// quiescence ("ctl-state"), and every snapshotted ledger entry ("ledger").
 //
 // Exit status is 1 when any invariant violation (or run error) occurred,
 // 0 otherwise — except with -canary, where catching the planted mutation

@@ -156,19 +156,21 @@ func run() int {
 	fmt.Printf("completion: %s\n", completion.Summary())
 	fmt.Printf("setup:      %s\n", setup.Summary())
 
-	var events, updates, acks uint64
+	var events, updates, retransmitted, acks uint64
 	for _, d := range n.Domains {
 		for _, ctl := range d.Controllers {
 			events += ctl.EventsDelivered
 			updates += ctl.UpdatesSigned
+			retransmitted += ctl.UpdatesRetransmitted
 			acks += ctl.AcksReceived
 		}
 	}
-	var applied, rejected uint64
+	var applied, rejected, resent uint64
 	var cpu time.Duration
 	for id, sw := range n.Switches {
 		applied += sw.UpdatesApplied
 		rejected += sw.UpdatesRejected
+		resent += sw.EventsResent
 		cpu += n.Net.BusyTotal(simnet.NodeID(id))
 	}
 	// 2f+1 designated members sign each update at release; a ratio above
@@ -177,10 +179,10 @@ func run() int {
 	if applied > 0 {
 		perApplied = float64(updates) / float64(applied)
 	}
-	fmt.Printf("control plane: events-delivered=%d updates-signed=%d (%.2f per applied update) acks=%d\n",
-		events, updates, perApplied, acks)
-	fmt.Printf("data plane:    updates-applied=%d rejected=%d switch-cpu=%v\n",
-		applied, rejected, cpu.Round(time.Millisecond))
+	fmt.Printf("control plane: events-delivered=%d updates-signed=%d (%.2f per applied update) updates-retransmitted=%d acks=%d\n",
+		events, updates, perApplied, retransmitted, acks)
+	fmt.Printf("data plane:    updates-applied=%d rejected=%d events-resent=%d switch-cpu=%v\n",
+		applied, rejected, resent, cpu.Round(time.Millisecond))
 	fmt.Printf("network:       %v\n", n.Net)
 	return 0
 }

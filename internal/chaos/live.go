@@ -203,7 +203,8 @@ type liveRun struct {
 	*campaign
 	lc *liveCluster
 	// verbose retains the debugging trace a replay prints: the BFT tap,
-	// controller state at drain nudges, and the snapshotted ledgers.
+	// controller state as the drain awaits quiescence, and the snapshotted
+	// ledgers.
 	verbose bool
 }
 
@@ -213,10 +214,10 @@ type liveRun struct {
 func RunLiveSeed(p Profile, opt LiveOptions) LiveResult { return runLive(p, opt, false) }
 
 // ReplayLiveSeed is RunLiveSeed with the full debugging trace retained:
-// every broadcast message, the controllers' broadcast coordinates at each
-// drain nudge, and every snapshotted ledger entry. Live runs are not
-// bit-reproducible, so a replay re-rolls the interleaving — it reproduces
-// what was injected, not how it raced.
+// every broadcast message, the controllers' broadcast coordinates each time
+// they change while the drain awaits quiescence, and every snapshotted
+// ledger entry. Live runs are not bit-reproducible, so a replay re-rolls
+// the interleaving — it reproduces what was injected, not how it raced.
 func ReplayLiveSeed(p Profile, opt LiveOptions) LiveResult { return runLive(p, opt, true) }
 
 func runLive(p Profile, opt LiveOptions, verbose bool) (res LiveResult) {
@@ -374,40 +375,17 @@ func runLive(p Profile, opt LiveOptions, verbose bool) (res LiveResult) {
 }
 
 // drainFlows re-drives stalled flows until all complete or the deadline
-// passes. Re-driving is cheap and idempotent; every third round it also
-// nudges the protocol layers — switches re-emit pending table-miss events
-// (covering events that died with a crashed controller) and controllers
-// retransmit released-but-unacknowledged updates (covering dispatches and
-// acks that died in a fault window). The first round always nudges, even
-// with nothing stalled: a flow completes once a quorum released its
-// updates, but an honest controller whose ack died in a fault window is
-// still mid-plan, and if the quorum that did commit then crashed (taking
-// its ledgers with it) no surviving honest ledger would vouch for the
-// applied rule at the convergence check.
+// passes. Re-driving is cheap and idempotent, and it is all the drain
+// does: an event or update a fault window lost, the switches and
+// controllers retransmit on their own timers.
 func (lr *liveRun) drainFlows(deadline time.Time) {
-	for round := 0; ; round++ {
+	for {
 		stalled := 0
 		for _, f := range lr.flows {
 			if !f.done.Load() && !f.Unroutable {
 				stalled++
 				lr.driveFlow(f)
 			}
-		}
-		if round%3 == 0 {
-			for _, id := range lr.switches {
-				lr.lc.Invoke(fabric.NodeID(id), lr.net.Switches[id].ResendPendingEvents)
-			}
-			for _, ctl := range lr.net.Domains[0].Controllers {
-				lr.lc.Invoke(fabric.NodeID(ctl.ID()), func() {
-					ctl.RedispatchUnacked()
-					if lr.verbose {
-						view, ld := ctl.BroadcastCoords()
-						lr.note("ctl-state", fmt.Sprintf("%s view=%d ld=%d delivered=%d recovering=%v recovered=%v",
-							ctl.ID(), view, ld, ctl.EventsDelivered, ctl.Recovering(), ctl.Recovered()))
-					}
-				})
-			}
-			lr.note("drain-nudge", fmt.Sprintf("round=%d stalled=%d", round, stalled))
 		}
 		if stalled == 0 || !time.Now().Before(deadline) {
 			return
@@ -448,9 +426,12 @@ func (lr *liveRun) awaitRecoveries(deadline time.Time) (recoveredCtls int) {
 	return recoveredCtls
 }
 
-// awaitQuiescence polls honest controllers' ledger lengths until they are
-// stable across consecutive polls — trailing deliveries, resync
+// awaitQuiescence polls honest controllers until no current member among
+// them awaits an acknowledgement and their ledger lengths are stable
+// across consecutive polls — retransmissions, trailing deliveries, resync
 // retransmissions, and recovery replays drain before snapshots are taken.
+// (An honest controller whose ack died in a fault window is still
+// mid-plan, and it may be the only one left to vouch for the rule.)
 // Stability, not cross-controller equality: a restarted controller's
 // ledger legitimately differs in total length from a never-crashed peer's
 // (recovery replays delivered events, not the per-update bookkeeping lost
@@ -460,17 +441,30 @@ func (lr *liveRun) awaitRecoveries(deadline time.Time) (recoveredCtls int) {
 func (lr *liveRun) awaitQuiescence(deadline time.Time) {
 	var prev []int
 	stable := 0
+	state := make(map[pki.Identity]string)
 	for time.Now().Before(deadline) {
 		var cur []int
+		unacked := 0
 		for _, ctl := range lr.honest() {
-			var ln int
-			if err := lr.on(fabric.NodeID(ctl.ID()), func() { ln = len(ctl.AuditRecords()) }); err != nil {
+			if err := lr.on(fabric.NodeID(ctl.ID()), func() {
+				cur = append(cur, len(ctl.AuditRecords()))
+				if slices.Contains(ctl.Members(), ctl.ID()) {
+					unacked += ctl.Unacked()
+				}
+				if lr.verbose {
+					view, ld := ctl.BroadcastCoords()
+					if line := fmt.Sprintf("%s view=%d ld=%d delivered=%d unacked=%d recovering=%v recovered=%v",
+						ctl.ID(), view, ld, ctl.EventsDelivered, ctl.Unacked(), ctl.Recovering(), ctl.Recovered()); line != state[ctl.ID()] {
+						state[ctl.ID()] = line
+						lr.note("ctl-state", line)
+					}
+				}
+			}); err != nil {
 				lr.fail(err)
 				return
 			}
-			cur = append(cur, ln)
 		}
-		if prev != nil && slices.Equal(cur, prev) {
+		if unacked == 0 && prev != nil && slices.Equal(cur, prev) {
 			if stable++; stable >= 3 {
 				return
 			}

@@ -13,6 +13,7 @@
 package controlplane
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -226,12 +227,9 @@ type Controller struct {
 	outbox      []release
 	flushQueued bool
 	flush       func()
-	// late holds, oldest first, the releases this member was not
-	// designated to sign, each until one view-change timeout after its
-	// release; lateAt is when the one timer serving them fires, zero while
-	// none is armed (see signLate).
-	late   []lateRelease
-	lateAt fabric.Time
+	// retries holds, by dispatch log index, every release its switch has
+	// not acknowledged yet (see retryRelease).
+	retries *fabric.Backoff[int]
 	// replaying is set while a recovery replays adopted events: every
 	// member signs what that releases at once, as on every Resend path.
 	replaying bool
@@ -268,14 +266,16 @@ type Controller struct {
 	// release its switch had already acknowledged is not signed, and a
 	// release this member was not designated to sign is signed only when
 	// its timer finds the switch still silent, one view-change timeout
-	// later (see designated).
-	EventsReceived  uint64
-	EventsDelivered uint64
-	UpdatesSigned   uint64
-	AcksReceived    uint64
-	Reshares        uint64
-	Recoveries      uint64
-	BatchesSigned   uint64
+	// later (see designated), and retransmitted from twice that on
+	// (UpdatesRetransmitted).
+	EventsReceived       uint64
+	EventsDelivered      uint64
+	UpdatesSigned        uint64
+	UpdatesRetransmitted uint64
+	AcksReceived         uint64
+	Reshares             uint64
+	Recoveries           uint64
+	BatchesSigned        uint64
 	// Metadata-plane counters.
 	MetaPublished   uint64 // sets assembled and distributed (leader)
 	MetaRefreshes   uint64 // timestamp refreshes minted (leader)
@@ -286,11 +286,14 @@ type Controller struct {
 	GapRecoveries uint64
 }
 
-// dispatchRecord is one released update in the dispatch log.
+// dispatchRecord is one released update in the dispatch log. signed marks
+// a release this member signs at its flush: it is designated, or every
+// member signs it (a Resend, a recovery replay, a baseline).
 type dispatchRecord struct {
-	id    openflow.MsgID
-	phase uint64
-	mods  []openflow.FlowMod
+	id     openflow.MsgID
+	phase  uint64
+	mods   []openflow.FlowMod
+	signed bool
 }
 
 var _ fabric.Handler = (*Controller)(nil)
@@ -326,6 +329,13 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.engine = scheduler.NewEngine(c.dispatchUpdate)
 	c.flush = c.flushOutbox
+	// T is the time the group gives a stalled request; a release waits while
+	// its switch is silent: unacked, from this phase, on a running controller.
+	unanswered := func(log int) bool {
+		rec := c.dispatchLog[log]
+		return !c.stopped && rec.phase == c.phase && !c.engine.Acked(rec.id)
+	}
+	c.retries = fabric.NewBackoff(cfg.Net, fabric.NodeID(cfg.ID), cmp.Or(cfg.ViewChangeTimeout, gapStallDefaultTimeout), 1+fabric.Retries, unanswered, c.retryRelease)
 	if cfg.Protocol != ProtoCentralized {
 		if err := c.rebuildReplica(); err != nil {
 			return nil, err
@@ -585,8 +595,8 @@ func (c *Controller) sealerMaySay(sealer pki.Identity, ev protocol.Event) bool {
 // id, count, forward cross-domain, broadcast.
 func (c *Controller) receiveEvent(ev protocol.Event) {
 	key := ev.ID.String()
-	if c.seenEvents[key] {
-		return // previously processed (Fig. 7a)
+	if c.seenEvents[key] || c.deliveredEvents[key] {
+		return // previously processed (Fig. 7a), or ordered already
 	}
 	c.seenEvents[key] = true
 	c.EventsReceived++
@@ -829,30 +839,16 @@ func updateOrigin(ev openflow.MsgID, domain int) string {
 	return string(strconv.AppendInt(b, int64(domain), 10))
 }
 
-// release is one released update waiting in the outbox: what its send
-// needs, as it stood when the engine released it.
+// release is one released update waiting in the outbox: its index in the
+// dispatch log, and what else its send needs, as it stood when the engine
+// released it.
 type release struct {
-	id        openflow.MsgID
-	phase     uint64
-	mods      []openflow.FlowMod
+	log       int
 	canonical []byte
 	// ref is the update's same-phase batch signing context, nil for the
 	// per-update share path.
 	ref    *batchRef
 	resend bool
-	// now marks a release this member signs at its flush: it is designated,
-	// or every member signs it (a Resend, a recovery replay, a baseline).
-	// log is the release's index in the dispatch log, which is what a
-	// deferred release keeps.
-	now bool
-	log int
-}
-
-// lateRelease is a deferred release: its dispatch log index, and when it
-// falls due.
-type lateRelease struct {
-	log int
-	due fabric.Time
 }
 
 // dispatchUpdate releases one ready update (the engine's release callback).
@@ -867,16 +863,11 @@ func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 	mods := []openflow.FlowMod{su.Mod}
 	canonical := openflow.CanonicalUpdateBytes(su.ID, c.phase, mods)
 	c.ledger.Append(audit.KindUpdate, su.ID.String(), canonical)
-	c.dispatchLog = append(c.dispatchLog, dispatchRecord{id: su.ID, phase: c.phase, mods: mods})
+	c.dispatchLog = append(c.dispatchLog, dispatchRecord{id: su.ID, phase: c.phase, mods: mods, signed: c.recovered || c.replaying || c.designated(su.ID)})
 	// After a recovery, every dispatch is a potential retransmission of an
 	// update the switch decided before the crash; Resend makes the switch
 	// re-acknowledge so the rebuilt engine can release dependents.
-	r := release{
-		id: su.ID, phase: c.phase, mods: mods, canonical: canonical, resend: c.recovered,
-		now: c.recovered || c.replaying || c.designated(su.ID),
-		log: len(c.dispatchLog) - 1, ref: c.batchContext(su.ID),
-	}
-	c.outbox = append(c.outbox, r)
+	c.outbox = append(c.outbox, release{log: len(c.dispatchLog) - 1, canonical: canonical, ref: c.batchContext(su.ID), resend: c.recovered})
 	if !c.flushQueued {
 		c.flushQueued = true
 		c.cfg.Net.Invoke(fabric.NodeID(c.cfg.ID), c.flush)
@@ -918,19 +909,20 @@ func (c *Controller) designated(id openflow.MsgID) bool {
 // update its own switch has acknowledged by now — the switch applied it on
 // the other controllers' shares and drops later ones unread — and sends
 // nothing for a stopped controller. A release this member was not
-// designated to sign moves to the late queue: signLate signs it one
-// view-change timeout later if the switch is still silent then.
+// designated to sign waits unsigned: every release enters the retry queue,
+// where retryRelease signs it one view-change timeout later if the switch
+// is still silent then.
 func (c *Controller) flushOutbox() {
 	for i := 0; i < len(c.outbox); i++ { // a send that released more would append here
-		r := &c.outbox[i]
-		switch {
-		case c.stopped || c.engine.Acked(r.id):
-		case !r.now:
-			c.deferRelease(r.log)
-		default:
-			c.UpdatesSigned++
-			c.signRelease(r.id, r.phase, r.mods, r.canonical, r.ref, r.resend)
+		r, rec := &c.outbox[i], c.dispatchLog[c.outbox[i].log]
+		if c.stopped || c.engine.Acked(rec.id) {
+			continue
 		}
+		if rec.signed {
+			c.UpdatesSigned++
+			c.signRelease(rec.id, rec.phase, rec.mods, r.canonical, r.ref, r.resend)
+		}
+		c.retries.Add(r.log)
 	}
 	clear(c.outbox)
 	c.outbox = c.outbox[:0]
@@ -947,63 +939,20 @@ func (c *Controller) signRelease(id openflow.MsgID, phase uint64, mods []openflo
 	}
 }
 
-// lateSignDelay is how long a member that was not designated waits before
-// it signs a release whose switch is still silent: one view-change timeout,
-// the time the group itself gives a stalled request.
-func (c *Controller) lateSignDelay() time.Duration {
-	if c.cfg.ViewChangeTimeout > 0 {
-		return c.cfg.ViewChangeTimeout
-	}
-	return gapStallDefaultTimeout
-}
-
-// deferRelease queues dispatch log entry log for signLate, and arms the
-// timer if none is pending. The simulator drops a timer that falls due
-// while its node is crashed and resumes the node afterwards, so a timer
-// whose time has passed unrun counts as none.
-func (c *Controller) deferRelease(log int) {
-	now := c.cfg.Net.Now()
-	c.late = append(c.late, lateRelease{log: log, due: now + c.lateSignDelay()})
-	if c.lateAt == 0 || now > c.lateAt {
-		c.armLate(now)
-	}
-}
-
-// armLate arms the late queue's timer for its oldest entry.
-func (c *Controller) armLate(now fabric.Time) {
-	at := c.late[0].due
-	c.lateAt = at
-	c.cfg.Net.After(fabric.NodeID(c.cfg.ID), max(at-now, 0), func() { c.signLate(at) })
-}
-
-// signLate runs when the late queue's timer, armed for at, fires. Each
-// entry due by now is signed and sent if its switch is still silent — not
-// acknowledged, from the current phase, on a running controller — and
-// dropped otherwise; the timer is re-armed only while entries remain, so a
-// quiet controller arms none. A timer re-armed past this one makes it
-// stale.
-func (c *Controller) signLate(at fabric.Time) {
-	if at != c.lateAt {
-		return
-	}
-	c.lateAt = 0
-	if c.stopped {
-		c.late = nil
-		return
-	}
-	now := c.cfg.Net.Now()
-	i := 0
-	for ; i < len(c.late) && c.late[i].due <= now; i++ {
-		rec := c.dispatchLog[c.late[i].log]
-		if rec.phase != c.phase || c.engine.Acked(rec.id) {
-			continue
-		}
+// retryRelease acts on an unanswered release at attempt k, T·2^k after the
+// release for T = ViewChangeTimeout. At attempt 0 a member that did not
+// sign it at release signs it. From attempt 1 on every member that holds
+// it retransmits it (fresh share, Resend), as a client retransmits its
+// request until it is answered.
+func (c *Controller) retryRelease(log, k int) {
+	rec := c.dispatchLog[log]
+	switch {
+	case k > 0:
+		c.UpdatesRetransmitted++
+		c.retransmit(rec)
+	case !rec.signed:
 		c.UpdatesSigned++
 		c.signRelease(rec.id, rec.phase, rec.mods, openflow.CanonicalUpdateBytes(rec.id, rec.phase, rec.mods), c.batchContext(rec.id), false)
-	}
-	c.late = c.late[:copy(c.late, c.late[i:])]
-	if len(c.late) > 0 {
-		c.armLate(now)
 	}
 }
 

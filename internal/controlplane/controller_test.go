@@ -223,7 +223,7 @@ func TestPlanEventOriginPinned(t *testing.T) {
 }
 
 // TestAckFromAnotherIdentityReleasesNothing: s3 holds the first update of a
-// reverse-path plan and stays silent. A registered identity that is not s3
+// reverse-path plan and stays silent through every retransmission. A registered identity that is not s3
 // acknowledges that update — twice; where an ack names its switch, naming s3,
 // then itself — and the controller must keep s2's dependent update back until
 // s3 itself answers.
@@ -265,9 +265,10 @@ func TestAckFromAnotherIdentityReleasesNothing(t *testing.T) {
 		Src:  "h1", Dst: "h2",
 	})
 	run()
-	if len(stubs["s3"].updates) != 1 || len(stubs["s2"].updates) != 0 {
-		t.Fatalf("before any ack: s3 has %d updates, s2 has %d; want 1 and 0",
-			len(stubs["s3"].updates), len(stubs["s2"].updates))
+	// The silent s3 receives the release and each of its retransmissions.
+	if len(stubs["s3"].updates) != 1+fabric.Retries || len(stubs["s2"].updates) != 0 {
+		t.Fatalf("before any ack: s3 has %d updates, s2 has %d; want %d and 0",
+			len(stubs["s3"].updates), len(stubs["s2"].updates), 1+fabric.Retries)
 	}
 	pending := stubs["s3"].updates[0].UpdateID
 	for _, claimed := range []string{"s3", "evil-member"} {

@@ -51,9 +51,13 @@
 // Resend flag. The flow table rebuilds through the ordinary
 // quorum-authentication path, so resynchronization is exactly as hard to
 // forge as a first-time update.
+//
+// Lost shares and events need no driver either: a controller retransmits an
+// unacknowledged release (retryRelease), a switch an unanswered event.
 package controlplane
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"slices"
@@ -321,10 +325,7 @@ const gapStallDefaultTimeout = time.Second
 // gap slot when peers still hold its agreement state, so the watchdog
 // must be the slower mechanism.
 func (c *Controller) gapStallTimeout() time.Duration {
-	if c.cfg.ViewChangeTimeout > 0 {
-		return 4 * c.cfg.ViewChangeTimeout
-	}
-	return gapStallDefaultTimeout
+	return cmp.Or(4*c.cfg.ViewChangeTimeout, gapStallDefaultTimeout)
 }
 
 // checkGapStall arms the watchdog when the wedge signature appears. It
@@ -363,30 +364,6 @@ func (c *Controller) onGapStallTimer(horizon uint64) {
 	c.StartRecovery()
 }
 
-// RedispatchUnacked retransmits every released-but-unacknowledged update
-// (fresh shares, Resend flag) and returns how many were sent. The chaos
-// drain phase calls it to recover in-flight updates whose dispatch or ack
-// died in a fault window.
-func (c *Controller) RedispatchUnacked() int {
-	if c.stopped || c.engine == nil {
-		return 0
-	}
-	ids := c.engine.Unacked()
-	if len(ids) == 0 {
-		return 0
-	}
-	byKey := make(map[string]dispatchRecord, len(c.dispatchLog))
-	for _, rec := range c.dispatchLog {
-		byKey[rec.id.String()] = rec
-	}
-	sent := 0
-	for _, id := range ids {
-		rec, ok := byKey[id.String()]
-		if !ok {
-			continue
-		}
-		c.retransmit(rec)
-		sent++
-	}
-	return sent
-}
+// Unacked returns how many released updates still await their switch's
+// acknowledgement: a harness waits for none before it judges a quiesced run.
+func (c *Controller) Unacked() int { return c.engine.Unacked() }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cicero/internal/fabric"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
 	"cicero/internal/routing"
@@ -149,7 +150,7 @@ func from(updates []protocol.MsgUpdate, id openflow.MsgID) []pki.Identity {
 
 // TestAckBeforeTimerSendsNoLateShare: each switch acknowledges on the first
 // share, long before one view-change timeout. Every update reaches its
-// switch from its three designated members only; when the late timers
+// switch from its three designated members only; when the retry timers
 // fire they find every update acknowledged, send nothing, and arm nothing
 // more, so the simulation quiesces.
 func TestAckBeforeTimerSendsNoLateShare(t *testing.T) {
@@ -161,8 +162,8 @@ func TestAckBeforeTimerSendsNoLateShare(t *testing.T) {
 	var signed uint64
 	for _, c := range f.ctls {
 		signed += c.UpdatesSigned
-		if len(c.late) != 0 || c.lateAt != 0 {
-			t.Errorf("%s still holds %d late releases, timer at %v", c.ID(), len(c.late), c.lateAt)
+		if c.UpdatesRetransmitted != 0 || c.Unacked() != 0 {
+			t.Errorf("%s retransmitted %d updates and awaits %d acks", c.ID(), c.UpdatesRetransmitted, c.Unacked())
 		}
 	}
 	for name, st := range f.stubs {
@@ -182,9 +183,11 @@ func TestAckBeforeTimerSendsNoLateShare(t *testing.T) {
 }
 
 // TestLateReleaseSignsOnlyInItsPhase: no switch answers, so the member not
-// designated for s3's update signs it one view-change timeout after the
-// release — unless the controller has moved to another membership phase
-// by then, in which case the entry is dropped unsent.
+// designated for s3's update signs it one view-change timeout T after the
+// release, and every member retransmits it 2T, 4T, … after the release
+// until the cap, then stops, so the simulation quiesces — unless the
+// controller has moved to another membership phase by then, in which case
+// it sends nothing more.
 func TestLateReleaseSignsOnlyInItsPhase(t *testing.T) {
 	for _, moved := range []bool{false, true} {
 		f := newSignerFixture(t, true)
@@ -195,13 +198,10 @@ func TestLateReleaseSignsOnlyInItsPhase(t *testing.T) {
 		}
 		id := f.stubs["s3"].updates[0].UpdateID
 		late := f.late(t, id)
-		if len(late.late) != 1 {
-			t.Fatalf("%s holds %d late releases, want 1", late.ID(), len(late.late))
-		}
 		if moved {
 			late.phase++ // as a completed membership change leaves it
 		}
-		f.runUntil(t, 3*signerTimeout)
+		f.runUntil(t, 3*signerTimeout/2)
 		got := from(f.stubs["s3"].updates, id)
 		want := []pki.Identity{late.ID()} // the one late share
 		if moved {
@@ -210,8 +210,21 @@ func TestLateReleaseSignsOnlyInItsPhase(t *testing.T) {
 		if !slices.Equal(got[3:], want) || late.UpdatesSigned != uint64(len(want)) {
 			t.Errorf("phase moved=%v: s3 received %s from %v, and %s counts %d signed", moved, id, got, late.ID(), late.UpdatesSigned)
 		}
-		if len(late.late) != 0 || late.lateAt != 0 {
-			t.Errorf("phase moved=%v: %s still holds %d late releases, timer at %v", moved, late.ID(), len(late.late), late.lateAt)
+		if _, err := f.sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got = from(f.stubs["s3"].updates, id)[3+len(want):]
+		for _, c := range f.ctls {
+			n := uint64(fabric.Retries)
+			if c == late && moved {
+				n = 0
+			}
+			if sent := uint64(len(slices.DeleteFunc(slices.Clone(got), func(who pki.Identity) bool { return who != c.ID() }))); sent != n || c.UpdatesRetransmitted != n {
+				t.Errorf("phase moved=%v: %s retransmitted %s %d times (counts %d), want %d", moved, c.ID(), id, sent, c.UpdatesRetransmitted, n)
+			}
+		}
+		if end := f.sim.Now(); end > signerTimeout<<fabric.Retries+signerTimeout {
+			t.Errorf("phase moved=%v: the last retransmission ran at %v, past the cap", moved, end)
 		}
 	}
 }

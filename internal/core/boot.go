@@ -96,17 +96,18 @@ func BootSwitch(cfg Config, fab fabric.Fabric, p *Provisioning, id string, epoch
 		}
 	}
 	swCfg := dataplane.Config{
-		ID:             id,
-		Net:            fab,
-		Cost:           cfg.Cost,
-		Mode:           mode,
-		Keys:           p.Keys[pki.Identity(id)],
-		Directory:      p.Directory,
-		Controllers:    d.Members,
-		CryptoReal:     cfg.CryptoReal,
-		ApplyHook:      cfg.SwitchApplyHook,
-		BatchApplyHook: cfg.SwitchBatchHook,
-		BootEpoch:      epoch,
+		ID:                id,
+		Net:               fab,
+		Cost:              cfg.Cost,
+		Mode:              mode,
+		Keys:              p.Keys[pki.Identity(id)],
+		Directory:         p.Directory,
+		Controllers:       d.Members,
+		CryptoReal:        cfg.CryptoReal,
+		ApplyHook:         cfg.SwitchApplyHook,
+		BatchApplyHook:    cfg.SwitchBatchHook,
+		BootEpoch:         epoch,
+		ViewChangeTimeout: cfg.ViewChangeTimeout,
 	}
 	if cfg.Protocol == controlplane.ProtoCicero {
 		swCfg.Scheme = p.Scheme
@@ -161,6 +162,8 @@ func (n *Network) RestartSwitch(id string) (*dataplane.Switch, error) {
 	if n.Switches[id] == nil {
 		return nil, fmt.Errorf("core: restart switch: no switch %s", id)
 	}
+	// Retire the old instance in its serial context, so its timer sends nothing.
+	n.Fab.Invoke(fabric.NodeID(id), n.Switches[id].Stop)
 	n.epoch[fabric.NodeID(id)]++
 	sw, err := BootSwitch(n.Cfg, n.Fab, n.Provisioning, id, n.epoch[fabric.NodeID(id)])
 	if err != nil {

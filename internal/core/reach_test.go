@@ -103,6 +103,14 @@ func TestUnreachedExportsFixtures(t *testing.T) {
 			},
 		},
 		{
+			name: "a method of a generic type, reached through an instantiation",
+			files: []source{
+				{lib, "package lib\ntype Queue[E any] struct{ items []E }\nfunc (q *Queue[E]) Add(e E) { q.items = append(q.items, e) }\nfunc (q *Queue[E]) Drop() {}\n"},
+				{"internal/app/app.go", "package app\nimport \"cicero/internal/lib\"\nfunc run(q *lib.Queue[int]) { q.Add(1) }\n"},
+			},
+			unreached: []string{"lib.Queue.Drop"},
+		},
+		{
 			name: "used only inside its own file",
 			files: []source{
 				{lib, "package lib\nvar Limit = 3\ntype Kind int\nfunc count(k Kind) int { return Limit }\n"},
@@ -640,6 +648,14 @@ func unreachedExports(m *module, allow map[string]string) (unreached, stale []st
 	for id, obj := range info.Uses {
 		if s, ok := own[obj]; (ok && within(id.Pos(), s)) || receivers[id] || within(id.Pos(), assertions...) {
 			continue
+		}
+		// A use of an instantiated generic method or field reaches its
+		// declaration.
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
 		}
 		reached[obj] = true
 	}

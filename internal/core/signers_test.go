@@ -63,8 +63,8 @@ func watchShares(n *Network, fault func(from fabric.NodeID, id openflow.MsgID, m
 
 // TestDesignatedSignersFaultFree runs a few hundred flows without a fault at
 // n = 4 and n = 7. Every applied update is signed by exactly 2f+1 members
-// and by no late signer, and the designated set rotates so that each member
-// signs (2f+1)/n of the updates.
+// and by no late signer, no node retransmits anything, and the designated
+// set rotates so that each member signs (2f+1)/n of the updates.
 func TestDesignatedSignersFaultFree(t *testing.T) {
 	for _, n := range []int{4, 7} {
 		f := (n - 1) / 3
@@ -96,13 +96,18 @@ func TestDesignatedSignersFaultFree(t *testing.T) {
 		if len(results) != len(flows) {
 			t.Fatalf("n=%d: %d of %d flows completed", n, len(results), len(flows))
 		}
-		var signed, applied uint64
+		var signed, applied, retransmitted, resent uint64
 		dom := net.Domains[0]
 		for _, c := range dom.Controllers {
 			signed += c.UpdatesSigned
+			retransmitted += c.UpdatesRetransmitted
 		}
 		for _, sw := range net.Switches {
 			applied += sw.UpdatesApplied
+			resent += sw.EventsResent
+		}
+		if retransmitted != 0 || resent != 0 {
+			t.Errorf("n=%d: without a fault, %d updates were retransmitted and %d events re-sent, want none", n, retransmitted, resent)
 		}
 		if applied == 0 || signed != uint64(signers)*applied {
 			t.Errorf("n=%d: %d signatures for %d applied updates (%.3f each), want exactly %d each",

@@ -7,9 +7,12 @@
 package dataplane
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"time"
 
 	"cicero/internal/fabric"
 	"cicero/internal/metarepo"
@@ -83,6 +86,11 @@ type Config struct {
 	// (requires Scheme and GroupKey; see metadata.go).
 	Metadata *MetadataConfig
 
+	// ViewChangeTimeout is the control plane's view-change timeout T. A
+	// table-miss event still pending 4T after the switch emitted it is
+	// sent again (see resendEvent); zero sends each event once.
+	ViewChangeTimeout time.Duration
+
 	// BootEpoch namespaces this instance's event sequence numbers (the
 	// high 32 bits). Controllers dedup events by id, so a switch that
 	// restarts with a reset counter would collide with its pre-crash ids
@@ -112,6 +120,9 @@ type Switch struct {
 	eventSeq uint64
 	// pendingEvents dedups outstanding table-miss events per match.
 	pendingEvents map[matchKey]openflow.MsgID
+	// resends re-sends the pending ones; nil without a view-change timeout.
+	resends *fabric.Backoff[protocol.Event]
+	stopped bool
 	// pools collects the share quorums of updates and batch roots, keyed
 	// by the digest of the bytes the shares sign (see pool.go). Bounded by
 	// maxPendingBatches per class (verified, unverified); poolSeq orders
@@ -139,8 +150,10 @@ type Switch struct {
 	// policy metadata contradicted them.
 	MetaConfigRejects uint64
 
-	// Counters for experiments.
+	// Counters for experiments. EventsGenerated counts every event sent,
+	// re-sends included; EventsResent the re-sends alone.
 	EventsGenerated uint64
+	EventsResent    uint64
 	UpdatesApplied  uint64
 	UpdatesRejected uint64
 }
@@ -166,12 +179,19 @@ func New(cfg Config) (*Switch, error) {
 		pools:         make(map[[sha256.Size]byte]*pool),
 		applied:       make(map[string]bool),
 	}
+	if cfg.ViewChangeTimeout > 0 {
+		pending := func(ev protocol.Event) bool { return !s.stopped && s.pendingEvents[matchKey{ev.Src, ev.Dst}] == ev.ID }
+		s.resends = fabric.NewBackoff(cfg.Net, fabric.NodeID(cfg.ID), 4*cfg.ViewChangeTimeout, fabric.Retries, pending, s.resendEvent)
+	}
 	if err := s.initMetadata(); err != nil {
 		return nil, err
 	}
 	cfg.Net.Register(fabric.NodeID(cfg.ID), s)
 	return s, nil
 }
+
+// Stop silences the re-send timer of an instance a restarted one replaces.
+func (s *Switch) Stop() { s.stopped = true }
 
 // ID returns the switch's node id.
 func (s *Switch) ID() string { return s.cfg.ID }
@@ -221,7 +241,18 @@ func (s *Switch) PacketArrival(src, dst string) (openflow.Rule, bool) {
 	}
 	s.pendingEvents[key] = ev.ID
 	s.EmitEvent(ev)
+	if s.resends != nil {
+		s.resends.Add(ev)
+	}
 	return openflow.Rule{}, false
+}
+
+// resendEvent sends a pending table-miss event again under its own id and as
+// the same bytes, as a client retransmits its request until it is answered;
+// a controller that has seen the id drops it, so nothing is ordered twice.
+func (s *Switch) resendEvent(ev protocol.Event, _ int) {
+	s.EventsResent++
+	s.EmitEvent(ev)
 }
 
 // EmitEvent seals and sends an event to the control plane: to the
@@ -330,39 +361,15 @@ func (s *Switch) handleConfig(m protocol.MsgConfig) {
 		}
 	}
 	// The control plane that should serve outstanding table-miss events
-	// may have changed (e.g., a crashed aggregator was replaced), so nudge
-	// them again.
-	s.ResendPendingEvents()
-}
-
-// ResendPendingEvents re-emits every outstanding table-miss event under a
-// fresh id. Controllers deduplicate by event id, so a fresh id is the only
-// way to push a request whose first emission died with a crashed
-// controller or a dropped message. The chaos drain phase calls this to
-// re-drive stalled flows; handleConfig calls it after membership changes.
-func (s *Switch) ResendPendingEvents() {
-	pending := s.pendingEvents
-	s.pendingEvents = make(map[matchKey]openflow.MsgID, len(pending))
-	keys := make([]matchKey, 0, len(pending))
-	for key := range pending {
+	// may have changed (e.g., a crashed aggregator was replaced), so send
+	// them again at once, each under its own id.
+	keys := make([]matchKey, 0, len(s.pendingEvents))
+	for key := range s.pendingEvents {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].src != keys[j].src {
-			return keys[i].src < keys[j].src
-		}
-		return keys[i].dst < keys[j].dst
-	})
+	slices.SortFunc(keys, func(a, b matchKey) int { return cmp.Or(strings.Compare(a.src, b.src), strings.Compare(a.dst, b.dst)) })
 	for _, key := range keys {
-		s.eventSeq++
-		ev := protocol.Event{
-			ID:   openflow.MsgID{Origin: s.cfg.ID, Seq: s.eventSeq},
-			Kind: protocol.EventFlowRequest,
-			Src:  key.src,
-			Dst:  key.dst,
-		}
-		s.pendingEvents[key] = ev.ID
-		s.EmitEvent(ev)
+		s.resendEvent(protocol.Event{ID: s.pendingEvents[key], Kind: protocol.EventFlowRequest, Src: key.src, Dst: key.dst}, 0)
 	}
 }
 

@@ -201,9 +201,9 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 	}
 
 	// Drain: re-inject incomplete flows (a killed switch lost its pending
-	// events) and nudge the liveness paths until everything lands.
-	round := 0
-	for time.Now().Before(deadline) {
+	// events) until everything lands. What else a fault lost, the nodes
+	// retransmit on their own timers.
+	for round := 0; time.Now().Before(deadline); round++ {
 		done := 0
 		for _, f := range flows {
 			if sup.FlowDone(flowID(f)) {
@@ -220,14 +220,7 @@ func RunCampaign(opt CampaignOptions) (*CampaignResult, error) {
 					sup.InjectFlow(f.Ingress, flowID(f), f.Src, f.Dst)
 				}
 			}
-			for _, m := range dep.Members {
-				sup.Nudge(string(m), protocol.NudgeRedispatch)
-			}
-			for _, sw := range dep.Switches {
-				sup.Nudge(sw, protocol.NudgeResendEvents)
-			}
 		}
-		round++
 		time.Sleep(300 * time.Millisecond)
 	}
 	if res.FlowsDone != res.FlowsTotal {

@@ -222,19 +222,8 @@ func (rt *nodeRuntime) handleControl(msg fabric.Message) bool {
 		}
 		return true
 	case protocol.MsgNudge:
-		switch m.Op {
-		case protocol.NudgeResendEvents:
-			if rt.sw != nil {
-				rt.sw.ResendPendingEvents()
-			}
-		case protocol.NudgeRedispatch:
-			if rt.ctl != nil {
-				rt.ctl.RedispatchUnacked()
-			}
-		case protocol.NudgeRecover:
-			if rt.ctl != nil {
-				rt.ctl.StartRecovery()
-			}
+		if m.Op == protocol.NudgeRecover && rt.ctl != nil {
+			rt.ctl.StartRecovery()
 		}
 		return true
 	}

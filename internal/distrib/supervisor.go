@@ -362,7 +362,7 @@ func (s *Supervisor) FlowDone(flowID uint64) bool {
 	return len(s.flows[flowID]) > 0
 }
 
-// Nudge sends a liveness nudge (resend-events, redispatch, recover).
+// Nudge sends a liveness nudge (protocol.NudgeRecover).
 func (s *Supervisor) Nudge(id, op string) error {
 	return s.fab.SendErr(DriverID, fabric.NodeID(id), protocol.MsgNudge{Op: op}, 0)
 }

@@ -213,6 +213,11 @@ type base struct {
 	parts   map[[2]fabric.NodeID]bool
 	closed  bool
 
+	// tmu guards the pending After timers, which Close stops: a timer holds
+	// its callback, and with it the node, until it fires.
+	tmu    sync.Mutex
+	timers map[*time.Timer]struct{}
+
 	// fmu guards the chaos fault filter separately from the node maps so
 	// hot-path sends read it with minimal contention.
 	fmu    sync.RWMutex
@@ -228,6 +233,7 @@ func newBase() base {
 		nodes:   make(map[fabric.NodeID]*node),
 		crashed: make(map[fabric.NodeID]bool),
 		parts:   make(map[[2]fabric.NodeID]bool),
+		timers:  make(map[*time.Timer]struct{}),
 	}
 }
 
@@ -261,9 +267,16 @@ func (b *base) lookup(id fabric.NodeID) (*node, bool) {
 }
 
 // After schedules fn on the node's mailbox after a wall-clock delay; the
-// timer is suppressed if the node is crashed when it fires.
+// timer is suppressed if the node is crashed when it fires, and stopped
+// when the fabric closes.
 func (b *base) After(id fabric.NodeID, delay time.Duration, fn func()) {
-	time.AfterFunc(delay, func() {
+	b.tmu.Lock()
+	defer b.tmu.Unlock()
+	var t *time.Timer
+	t = time.AfterFunc(delay, func() {
+		b.tmu.Lock()
+		delete(b.timers, t)
+		b.tmu.Unlock()
 		if b.Crashed(id) {
 			return
 		}
@@ -271,6 +284,7 @@ func (b *base) After(id fabric.NodeID, delay time.Duration, fn func()) {
 			n.enqueue(fn)
 		}
 	})
+	b.timers[t] = struct{}{}
 }
 
 // Invoke runs fn on the node's mailbox as soon as possible (even when the
@@ -477,6 +491,11 @@ func (b *base) closeNodes() {
 		return
 	}
 	b.closed = true
+	b.tmu.Lock()
+	for t := range b.timers {
+		t.Stop()
+	}
+	b.tmu.Unlock()
 	nodes := make([]*node, 0, len(b.nodes))
 	for _, n := range b.nodes {
 		nodes = append(nodes, n)

@@ -163,23 +163,16 @@ type MsgFlowDone struct {
 	Switch string
 }
 
-// Nudge operations (MsgNudge.Op).
-const (
-	// NudgeResendEvents makes a switch retransmit its unconfirmed events.
-	NudgeResendEvents = "resend-events"
-	// NudgeRedispatch makes a controller redispatch unacked updates.
-	NudgeRedispatch = "redispatch"
-	// NudgeRecover makes a controller start peer state transfer (the
-	// crash-recovery path) without having crashed: the rescue for a
-	// replica whose broadcast wedged below a delivery gap — a partition
-	// window can swallow the prepares for a sequence its peers then
-	// deliver and garbage-collect, and sequential delivery blocks there
-	// forever while the quorum moves on.
-	NudgeRecover = "recover"
-)
+// NudgeRecover, the one nudge operation (MsgNudge.Op), makes a controller
+// start peer state transfer (the crash-recovery path) without having
+// crashed: the rescue for a replica whose broadcast wedged below a delivery
+// gap — a partition window can swallow the prepares for a sequence its
+// peers then deliver and garbage-collect, and sequential delivery blocks
+// there forever while the quorum moves on.
+const NudgeRecover = "recover"
 
-// MsgNudge is a driver liveness nudge, mirroring the in-process drain
-// helpers the chaos campaigns use.
+// MsgNudge is a driver liveness nudge; what a fault loses short of a wedge,
+// the nodes retransmit on their own timers.
 type MsgNudge struct {
 	Op string
 }

@@ -211,7 +211,7 @@ func wireSamples(t testing.TB) []fabric.Message {
 		},
 		MsgInjectFlow{FlowID: 12, Src: "h1", Dst: "h2"},
 		MsgFlowDone{FlowID: 12, Switch: "s1"},
-		MsgNudge{Op: NudgeRedispatch},
+		MsgNudge{Op: "redispatch"}, // the op the golden frame was cut with
 		sampleEvent,
 		Ack{UpdateID: id, Applied: true},
 		BroadcastItem{Event: &sampleEvent},

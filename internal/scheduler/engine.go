@@ -3,7 +3,6 @@ package scheduler
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"cicero/internal/openflow"
 )
@@ -249,20 +248,6 @@ func (e *Engine) satisfy(id openflow.MsgID) {
 // the update on the other controllers' shares drops any later one unread.
 func (e *Engine) Acked(id openflow.MsgID) bool { return e.acked[id] }
 
-// Unacked returns the ids of updates that were released to their switches
-// but have not been acknowledged, in deterministic (sorted) order. A
-// recovery layer uses this to retransmit in-flight updates after faults:
-// the dispatch may have died with a crashed switch or a severed link.
-func (e *Engine) Unacked() []openflow.MsgID {
-	ids := make([]openflow.MsgID, 0, len(e.released))
-	for id := range e.released {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Origin != ids[j].Origin {
-			return ids[i].Origin < ids[j].Origin
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
-	return ids
-}
+// Unacked returns how many updates were released to their switches and
+// not acknowledged yet.
+func (e *Engine) Unacked() int { return len(e.released) }
