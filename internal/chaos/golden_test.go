@@ -9,7 +9,7 @@ import (
 )
 
 // TestGoldenTraceHashes pins the simulated campaigns' trace hashes across
-// binaries: testdata/trace_hashes.golden was computed once and any change
+// binaries, canary runs included: testdata/trace_hashes.golden was computed once and any change
 // to the chaos-RNG draw order, the event interleaving or a trace string
 // moves a hash. (TestDeterministicTraceHash only compares two runs of one
 // binary.)
@@ -27,36 +27,44 @@ func TestGoldenTraceHashes(t *testing.T) {
 			continue
 		}
 		fields := strings.Fields(line)
+		if len(fields) < 3 {
+			t.Fatalf("bad golden line %q", line)
+		}
 		p, err := ProfileByName(fields[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		p = fastProfile(p)
-		name := fields[0]
-		if len(fields) == 4 {
-			p.BatchSize, err = strconv.Atoi(strings.TrimPrefix(fields[1], "batch="))
-			if err != nil {
-				t.Fatalf("bad golden line %q: %v", line, err)
+		name := strings.Join(fields[:len(fields)-2], " ")
+		for _, tok := range fields[1 : len(fields)-2] {
+			switch {
+			case tok == "canary":
+				if p.Metadata {
+					p.CanaryMetaBypass = true
+				} else {
+					p.CanarySkipVerify = true
+				}
+			case strings.HasPrefix(tok, "batch="):
+				if p.BatchSize, err = strconv.Atoi(strings.TrimPrefix(tok, "batch=")); err != nil {
+					t.Fatalf("bad golden line %q: %v", line, err)
+				}
+			default:
+				t.Fatalf("bad golden line %q: unknown token %q", line, tok)
 			}
-			name += " " + fields[1]
-			fields = fields[1:]
 		}
-		if len(fields) != 3 {
-			t.Fatalf("bad golden line %q", line)
-		}
-		seed, err := strconv.ParseInt(fields[1], 10, 64)
+		seed, err := strconv.ParseInt(fields[len(fields)-2], 10, 64)
 		if err != nil {
 			t.Fatalf("bad golden line %q: %v", line, err)
 		}
-		if got := RunSeed(p, seed).TraceHash; got != fields[2] {
-			t.Errorf("%s seed %d: trace hash %s, pinned %s", name, seed, got, fields[2])
+		if want, got := fields[len(fields)-1], RunSeed(p, seed).TraceHash; got != want {
+			t.Errorf("%s seed %d: trace hash %s, pinned %s", name, seed, got, want)
 		}
 		pinned++
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if pinned != 16 {
-		t.Fatalf("golden file pins %d hashes, want 16", pinned)
+	if pinned != 19 {
+		t.Fatalf("golden file pins %d hashes, want 19", pinned)
 	}
 }
