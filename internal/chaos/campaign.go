@@ -8,13 +8,16 @@ import (
 	"cicero/internal/metrics"
 )
 
-// Campaign is a batch of seeds run against one profile. Each seed is an
-// independent deterministic simulation; workers only parallelize across
-// seeds, never within one, so parallelism cannot affect results.
+// Campaign is a batch of seeds run against one profile, on its backend.
+// On the simulator each seed is an independent deterministic run, and
+// workers only parallelize across seeds, never within one, so parallelism
+// cannot affect results. A live backend runs one seed at a time:
+// wall-clock runs contend for the same cores, so parallel seeds would
+// perturb each other.
 type Campaign struct {
 	Profile Profile
 	Seeds   []int64
-	// Workers caps concurrent seeds; <= 0 selects GOMAXPROCS.
+	// Workers caps concurrent simulator seeds; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Progress, when set, is called after each seed completes (for CLI
 	// progress output). It may be called from worker goroutines.
@@ -49,6 +52,9 @@ func (c Campaign) Run() CampaignResult {
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if c.Profile.Backend != "" {
+		workers = 1
 	}
 	if workers > len(c.Seeds) {
 		workers = len(c.Seeds)

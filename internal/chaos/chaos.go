@@ -12,8 +12,9 @@
 // schedule (schedule.go), the injector (injector.go) and the checker
 // (invariants.go), all written against the small cluster seam of
 // cluster.go. A backend supplies fault actuation, a clock and serialized
-// node access, nothing else: the simulator (RunSeed, this file) checks
-// online at every step; the live fabrics (RunLiveSeed, live.go) and the
+// node access, nothing else. One runner (RunSeed, this file) sets a seed up
+// and fills its result on every backend; only the drive step differs: the
+// simulator checks online at every step, the live fabrics (live.go) and the
 // one-process-per-node deployment (internal/distrib) hand a quiesced
 // Snapshot to Converge.
 //
@@ -29,13 +30,14 @@ package chaos
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"cicero/internal/controlplane"
 	"cicero/internal/core"
 	"cicero/internal/fabric"
+	"cicero/internal/livenet"
 	"cicero/internal/protocol"
-	"cicero/internal/simnet"
 	"cicero/internal/topology"
 )
 
@@ -59,10 +61,15 @@ type LinkFaults struct {
 	CorruptProb float64
 }
 
-// Profile describes one campaign configuration: topology size, workload,
-// and which fault families are active.
+// Profile describes one campaign configuration: the backend, topology
+// size, workload, and which fault families are active.
 type Profile struct {
 	Name string
+	// Backend is where a seed runs: "" is the simulator, "inproc" or "tcp"
+	// a live backend (internal/livenet) on the wall clock. Live runs are
+	// not bit-reproducible: the seed fixes what is injected, not how it
+	// interleaves.
+	Backend string
 
 	// Topology/workload (single pod, single domain: cross-domain updates
 	// have no global ordering, so data-plane walk invariants only hold
@@ -71,7 +78,9 @@ type Profile struct {
 	HostsPerRack int
 	Controllers  int
 	Flows        int
-	// FlowWindow spreads flow arrivals uniformly over [0, FlowWindow).
+	// FlowWindow spreads flow arrivals uniformly over [0, FlowWindow):
+	// simulated time on the simulator, wall time on a live backend, where
+	// the fault windows scale from it.
 	FlowWindow time.Duration
 
 	// Fault families.
@@ -100,22 +109,26 @@ type Profile struct {
 	Metadata bool
 
 	// CryptoReal runs real BLS/Ed25519 end to end. Forced on by Byzantine
-	// faults, payload corruption, and the canary (they are only meaningful
-	// against real verification).
+	// faults, payload corruption, the switch canary (they are only
+	// meaningful against real verification) and a live backend.
 	CryptoReal bool
-	// CanarySkipVerify disables signature verification at every switch —
-	// the built-in mutation the no-forged-rule invariant must catch.
-	CanarySkipVerify bool
-	// CanaryMetaBypass disables metadata verification at every switch
-	// store — the built-in mutation the metadata invariants must catch:
+	// Canary plants the built-in mutation the checker must catch; which
+	// one follows Metadata. Without it, signature verification is disabled
+	// at every switch (the switch canary): forged updates then apply, and
+	// no-forged-rule or forged-batch-proof must fire. With it, metadata
+	// verification is disabled at every switch store (the store canary):
 	// the attacker's rollbacks, freezes, splices and forged keys then
 	// adopt, and the stale-policy / meta-store sweeps must fire.
-	CanaryMetaBypass bool
+	// CanaryCaught is the verdict.
+	Canary bool
 
-	// Budgets.
+	// Simulator budgets.
 	SimBudget     time.Duration
 	EventBudget   uint64
 	CheckInterval time.Duration
+	// DrainTimeout bounds a live run's post-fault drain: re-driving
+	// stalled flows, awaiting recoveries and quiescence.
+	DrainTimeout time.Duration
 
 	ViewChangeTimeout time.Duration
 
@@ -144,6 +157,9 @@ func (p Profile) Defaulted() Profile {
 	}
 	if p.FlowWindow == 0 {
 		p.FlowWindow = 120 * time.Millisecond
+		if p.Backend != "" {
+			p.FlowWindow = 400 * time.Millisecond
+		}
 	}
 	if p.SimBudget == 0 {
 		p.SimBudget = 400 * time.Millisecond
@@ -154,16 +170,38 @@ func (p Profile) Defaulted() Profile {
 	if p.CheckInterval == 0 {
 		p.CheckInterval = 20 * time.Millisecond
 	}
+	if p.DrainTimeout == 0 {
+		p.DrainTimeout = 45 * time.Second
+	}
 	if p.ViewChangeTimeout == 0 {
 		p.ViewChangeTimeout = 15 * time.Millisecond
 	}
-	if p.Byzantine || p.CanarySkipVerify || p.Link.CorruptProb > 0 {
+	if p.Byzantine || p.switchCanary() || p.Link.CorruptProb > 0 || p.Backend != "" {
 		p.CryptoReal = true
 	}
 	if p.Metadata && p.Controllers < 5 {
 		p.Controllers = 5
 	}
 	return p
+}
+
+// switchCanary and storeCanary name the mutation Canary plants.
+func (p Profile) switchCanary() bool { return p.Canary && !p.Metadata }
+func (p Profile) storeCanary() bool  { return p.Canary && p.Metadata }
+
+// CanaryCaught reports whether v catches the profile's canary: the switch
+// canary only on no-forged-rule or forged-batch-proof, the store canary
+// only on meta-store-rollback, meta-store-forged or stale-policy. Any
+// other violation (a bft-agreement split, say) is no evidence that the
+// checker saw the planted mutation.
+func (p Profile) CanaryCaught(v Violation) bool {
+	switch v.Invariant {
+	case InvNoForgedRule, InvBatchProof:
+		return p.switchCanary()
+	case InvMetaRollback, InvMetaForged, InvStalePolicy:
+		return p.storeCanary()
+	}
+	return false
 }
 
 // LinksProfile exercises message-level faults only.
@@ -231,7 +269,7 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("chaos: unknown profile %q (want links, crash, partitions, byzantine, metadata, mixed)", name)
 }
 
-// SeedResult reports one seed's outcome.
+// SeedResult reports one seed's outcome on any backend.
 type SeedResult struct {
 	Seed      int64
 	Profile   string
@@ -241,17 +279,49 @@ type SeedResult struct {
 	FlowsDone  int
 	FlowsTotal int
 	// Injected counts faults by kind (drop, dup, delay, corrupt, crash,
-	// partition, byz-*).
+	// partition, byz-*), plus transport-resilience and recovery events
+	// under the canonical metrics names on a live backend.
 	Injected map[string]uint64
-	Net      simnet.Stats
+	Net      fabric.Stats
 	// Aggregate switch counters.
 	UpdatesApplied  uint64
 	UpdatesRejected uint64
 	MetaTotals
+	// SimEvents counts the simulator's processed events (0 on a live
+	// backend).
 	SimEvents uint64
-	SimEnd    simnet.Time
-	Err       string
-	// Trace is the run's trace (campaigns drop it; a replay keeps it).
+
+	// What only a live backend's convergence run reports.
+	// Resilience snapshots the backend's retry/reconnect layer.
+	Resilience livenet.ResilienceStats
+	// CtlRestarts / CtlRecovered: controller processes rebuilt after a
+	// crash window, and how many completed peer-state recovery.
+	CtlRestarts  int
+	CtlRecovered int
+	// SwitchRestarts: switch processes rebuilt (empty table + resync).
+	SwitchRestarts int
+	// ResyncProven: every restarted controller's event ledger was
+	// byte-identical to some never-crashed honest peer's at quiescence.
+	// Expected true for benign fault profiles; under Byzantine message
+	// loss a lawful delivery lag can leave it false (prefix consistency,
+	// the safety property, is still enforced via InvResync).
+	ResyncProven bool
+	// TableMatch: final flow tables matched the fault-free simnet
+	// reference (only meaningful when FlowsDone == FlowsTotal and no
+	// switch canary is planted).
+	TableMatch  bool
+	TableDigest string
+
+	Wall time.Duration
+	// Err is the first harness error: an event budget run out, a node
+	// that never answered, a restart that failed, a cluster that never
+	// quiesced. The verdict of a run with an Err cannot be trusted.
+	Err string
+	// Trace is the run's trace (campaigns drop it; a replay keeps it). On
+	// a live backend it also holds the debugging records a replay prints:
+	// every broadcast message ("bft"), the controllers' broadcast
+	// coordinates each time they change while the drain awaits quiescence
+	// ("ctl-state"), and every snapshotted ledger entry ("ledger").
 	Trace *fabric.Log
 }
 
@@ -280,13 +350,17 @@ func campaignConfig(p Profile, g *topology.Graph, fab fabric.Fabric, seed int64)
 }
 
 // withMetadata turns the metadata plane on under the backend's freshness
-// regime; horizon bounds the leader's timestamp-refresh loop.
-func withMetadata(cfg core.Config, p Profile, tm timing, horizon time.Duration) core.Config {
+// regime, frozen under the store canary.
+func withMetadata(cfg core.Config, p Profile, tm timing) core.Config {
 	cfg.Metadata = p.Metadata
 	cfg.MetadataTTL = tm.metaDocumentTTL
 	cfg.MetadataTimestampTTL = tm.metaTimestampTTL
 	cfg.MetadataRefresh = tm.metaRefreshEvery
-	cfg.MetadataRefreshHorizon = horizon
+	cfg.MetadataRefreshHorizon = tm.metaRefreshFor
+	if p.storeCanary() {
+		cfg.MetadataTimestampTTL = tm.metaCanaryTimestampTTL
+		cfg.MetadataRefreshHorizon = tm.metaCanaryRefreshFor
+	}
 	return cfg
 }
 
@@ -298,82 +372,107 @@ func buildGraph(p Profile) (*topology.Graph, error) {
 	return topology.BuildSinglePod(fab)
 }
 
-// RunSeed executes one seed of the profile on the simulator and returns
-// its result.
-func RunSeed(p Profile, seed int64) SeedResult {
+// RunSeed executes one seed of the profile on p.Backend and returns its
+// result. The set-up and the result are the same on every backend; only
+// the drive step differs. The simulator runs its event loop with the
+// online sweeps. A live backend runs the wall-clock timeline, heals and
+// drains, and judges a quiesced snapshot with Converge (live.go).
+func RunSeed(p Profile, seed int64) (res SeedResult) {
 	p = p.Defaulted()
-	res := SeedResult{Seed: seed, Profile: p.Name}
+	res = SeedResult{Seed: seed, Profile: p.Name}
+	start := time.Now()
+	defer func() { res.Wall = time.Since(start) }()
 	g, err := buildGraph(p)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	tm := simTiming(p.FlowWindow)
-	c := newCampaign(p, seed, tm, hostIDs(g))
-	ck := newChecker(c)
-
-	// Refresh to the end of the budget so freshness is a live obligation
-	// for the whole run. The bypass canary withholds refreshes for the
-	// back half instead (the freeze attack) — modelling a withholding
-	// attacker whose victim stores then sit on expired proofs while (being
-	// bypassed) still claiming freshness, which the stale-policy sweep
-	// must catch.
-	horizon := p.SimBudget
-	if p.CanaryMetaBypass {
-		horizon = p.SimBudget / 2
+	tm := simTiming(p.FlowWindow, p.SimBudget)
+	if p.Backend != "" {
+		tm = liveTiming(p.FlowWindow)
 	}
-	cfg := withMetadata(campaignConfig(p, g, nil, seed), p, tm, horizon)
-	cfg.SwitchApplyHook = ck.onApply
-	cfg.SwitchBatchHook = ck.onBatchApply
-	n, err := core.Build(cfg)
+	c := newCampaign(p, seed, tm, hostIDs(g))
+	// Draw the workload first: a fixed consumption order on the chaos RNG
+	// (flows, then the fault schedules, then the Byzantine injections),
+	// which the simulator's filter then shares.
+	specs := DrawFlows(g, p.Flows, tm.flowWindow, c.rng)
+
+	cfg := withMetadata(campaignConfig(p, g, nil, seed), p, tm)
+	cfg.SwitchApplyHook = c.applied
+	cfg.SwitchBatchHook = c.batchApplied
+	var lc *liveCluster // nil on the simulator
+	if p.Backend != "" {
+		fab, err := livenet.Open(p.Backend, protocol.NewWireCodec(nil))
+		if err != nil {
+			res.Err = err.Error()
+			return res
+		}
+		defer fab.Close()
+		lc = newLiveCluster(fab, c)
+		// Nodes send from the moment they boot, so the recorder runs on
+		// the fabric's clock before the build.
+		c.recorder = newRecorder(fab.Now)
+		cfg.Fabric = fabric.Tap(fab, c.tapBFT)
+		cfg.ViewChangeTimeout = liveViewChangeTimeout
+	}
+	net, err := core.Build(cfg)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	n.Sim.MaxEvents = p.EventBudget
-	c.attach(simCluster{n.Net}, newRecorder(n.Sim.Now), n)
-	c.plantCanaries()
+	if lc == nil {
+		net.Sim.MaxEvents = p.EventBudget
+		c.recorder = newRecorder(net.Sim.Now)
+		c.online = newChecker(c)
+		c.attach(simCluster{net.Net}, net)
+	} else {
+		c.attach(lc, net)
+	}
+	if c.plantCanary(); c.err != "" {
+		res.Err = c.err
+		return res
+	}
 
-	// Draw the deterministic timeline before the run starts: flows first,
-	// then fault schedules, then Byzantine injections — a fixed consumption
-	// order on the chaos RNG, which the filter then shares.
-	c.scheduleFlows(DrawFlows(g, p.Flows, tm.flowWindow, c.rng))
+	// Install the injector before the timeline. On the simulator it draws
+	// from the schedule's own stream in event order; on a live backend it
+	// runs on sender goroutines, so it draws from its own.
+	filterRNG := c.rng
+	if lc != nil {
+		filterRNG = rand.New(rand.NewSource(seed ^ chaosSeedSalt ^ 0x11fe))
+	}
+	c.SetFilter((&injector{c: c, rng: filterRNG}).filter)
+	defer c.SetFilter(nil)
+	c.scheduleFlows(specs)
 	c.scheduleCrashes()
 	c.schedulePartitions()
 	c.scheduleByzantine()
 	c.scheduleMetadata()
-	n.Net.SetFilter((&injector{c: c, rng: c.rng}).filter)
 
-	// Online invariant sweep.
-	var tick func()
-	tick = func() {
-		ck.sweep()
-		if n.Sim.Now()+p.CheckInterval <= p.SimBudget {
-			n.Sim.Schedule(p.CheckInterval, tick)
-		}
+	if lc == nil {
+		c.online.drive()
+	} else {
+		lc.drive(&res)
 	}
-	n.Sim.Schedule(p.CheckInterval, tick)
-
-	if _, err := n.Sim.RunUntil(p.SimBudget); err != nil {
-		c.fail(err)
-	}
-	// Final sweep over the quiesced (or budget-bounded) state.
-	ck.sweep()
 
 	res.TraceHash = c.trace.Hash()
 	res.Violations = c.found.list
 	res.FlowsDone = c.flowsDone()
 	res.FlowsTotal = len(c.flows)
-	res.Injected = c.counter.Map()
-	res.Net = n.Net.Stats()
+	res.Net = net.Fab.Stats()
 	for _, id := range c.switches {
-		sw := n.Switches[id]
-		res.UpdatesApplied += sw.UpdatesApplied
-		res.UpdatesRejected += sw.UpdatesRejected
+		sw := net.Switches[id]
+		c.fail(c.on(fabric.NodeID(id), func() {
+			res.UpdatesApplied += sw.UpdatesApplied
+			res.UpdatesRejected += sw.UpdatesRejected
+		}))
 	}
 	res.MetaTotals = c.metaTotals()
-	res.SimEvents = n.Sim.Processed()
-	res.SimEnd = n.Sim.Now()
+	if net.Sim != nil {
+		res.SimEvents = net.Sim.Processed()
+	}
+	c.mu.Lock()
+	res.Injected = c.counter.Map()
+	c.mu.Unlock()
 	res.Err = c.err
 	res.Trace = c.trace
 	return res

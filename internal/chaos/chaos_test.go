@@ -50,7 +50,7 @@ func TestMixedCampaignNoViolations(t *testing.T) {
 
 func TestCanaryCaughtByNoForgedRule(t *testing.T) {
 	p := fastProfile(ByzantineProfile())
-	p.CanarySkipVerify = true
+	p.Canary = true
 	caught := false
 	for _, seed := range Seeds(1, 5) {
 		res := RunSeed(p, seed)
@@ -143,7 +143,7 @@ func TestBatchedByzantineRejected(t *testing.T) {
 // proof re-check must surface it as a forged-batch-proof violation.
 func TestBatchedCanaryCaught(t *testing.T) {
 	p := batchProfile(fastProfile(ByzantineProfile()))
-	p.CanarySkipVerify = true
+	p.Canary = true
 	caught := false
 	for _, seed := range Seeds(1, 6) {
 		res := RunSeed(p, seed)
@@ -161,6 +161,34 @@ func TestBatchedCanaryCaught(t *testing.T) {
 	}
 	if !caught {
 		t.Fatal("canary (verification bypass) was never caught by the forged-batch-proof invariant")
+	}
+}
+
+// TestCanaryVerdict pins which violations catch which canary: the switch
+// canary only the rule checks, the store canary only the metadata-store
+// checks, and neither a violation of another invariant.
+func TestCanaryVerdict(t *testing.T) {
+	switchCanary := Profile{Name: "links", Canary: true}
+	storeCanary := Profile{Name: "metadata", Metadata: true, Canary: true}
+	for _, tc := range []struct {
+		p         Profile
+		invariant string
+		caught    bool
+	}{
+		{switchCanary, InvBFTAgreement, false},
+		{storeCanary, InvBFTAgreement, false},
+		{switchCanary, InvNoForgedRule, true},
+		{switchCanary, InvBatchProof, true},
+		{storeCanary, InvNoForgedRule, false},
+		{storeCanary, InvMetaForged, true},
+		{storeCanary, InvMetaRollback, true},
+		{storeCanary, InvStalePolicy, true},
+		{switchCanary, InvMetaForged, false},
+		{switchCanary, InvReference, false},
+	} {
+		if got := tc.p.CanaryCaught(Violation{Invariant: tc.invariant}); got != tc.caught {
+			t.Errorf("%s canary, %s: caught=%v, want %v", tc.p.Name, tc.invariant, got, tc.caught)
+		}
 	}
 }
 

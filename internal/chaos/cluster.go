@@ -35,6 +35,7 @@ type cluster interface {
 	Heal(a, b fabric.NodeID)
 	PartitionOneWay(from, to fabric.NodeID)
 	HealOneWay(from, to fabric.NodeID)
+	SetFilter(f fabric.Filter)
 
 	// at schedules fn at offset d from the start of the run: a simulator
 	// event on simnet, an entry of the wall-clock timeline on live
@@ -81,14 +82,23 @@ type timing struct {
 	// re-mint period, and the slack the stale-policy sweep grants for
 	// multicast latency.
 	metaDocumentTTL, metaTimestampTTL, metaRefreshEvery, metaStaleGrace time.Duration
+	// metaRefreshFor bounds the leader's refresh loop (< 0: it never
+	// stops). The store canary withholds refreshes from
+	// metaCanaryRefreshFor on, under proofs that live
+	// metaCanaryTimestampTTL (the freeze attack): the victim stores then
+	// sit on expired proofs while, bypassed, still claiming freshness,
+	// which the stale-policy sweep must catch within the run.
+	metaRefreshFor, metaCanaryRefreshFor, metaCanaryTimestampTTL time.Duration
 }
 
-// simTiming is the simulator's table. Freshness proofs live 40ms and the
-// leader re-mints every 15ms, so an honest store is never more than one
-// missed refresh from expiry while a frozen one expires well inside the
-// run. The membership removal precedes the first attack wave, and the
-// retired-share probe follows the reshare it depends on.
-func simTiming(flowWindow time.Duration) timing {
+// simTiming is the simulator's table for a run of the given budget.
+// Freshness proofs live 40ms and the leader re-mints every 15ms to the
+// end of the budget, so freshness is a live obligation for the whole run
+// and an honest store is never more than one missed refresh from expiry;
+// the canary's freeze withholds the back half, so a frozen store expires
+// well inside the run. The membership removal precedes the first attack
+// wave, and the retired-share probe follows the reshare it depends on.
+func simTiming(flowWindow, budget time.Duration) timing {
 	const ms = time.Millisecond
 	return timing{
 		flowWindow:       flowWindow,
@@ -109,16 +119,22 @@ func simTiming(flowWindow time.Duration) timing {
 		metaTimestampTTL: 40 * ms,
 		metaRefreshEvery: 15 * ms,
 		metaStaleGrace:   40 * ms, // one extra TTL
+
+		metaRefreshFor:         budget,
+		metaCanaryRefreshFor:   budget / 2,
+		metaCanaryTimestampTTL: 40 * ms,
 	}
 }
 
 // liveTiming is the wall-clock table: fault windows scale from the flow
 // window fw. Freshness proofs live two seconds and the leader re-mints
-// well inside that, so an honest store never expires while a frozen one
-// does within the drain budget. The removal falls between the two attack
-// waves, after which the retired member's replayed envelopes classify as
-// retired-key rejections; how long its reshare takes on a wall clock is
-// not known in advance, so the retired-share probe stays simulator-only.
+// well inside that, forever, so an honest store never expires. The
+// canary's freeze withholds every refresh under proofs that live 300ms,
+// so the last mint expires before the post-drain sweep. The removal
+// falls between the two attack waves, after which the retired member's
+// replayed envelopes classify as retired-key rejections; how long its
+// reshare takes on a wall clock is not known in advance, so the
+// retired-share probe stays simulator-only.
 func liveTiming(fw time.Duration) timing {
 	return timing{
 		flowWindow:       fw,
@@ -138,6 +154,10 @@ func liveTiming(fw time.Duration) timing {
 		metaTimestampTTL: 2 * time.Second,
 		metaRefreshEvery: 700 * time.Millisecond,
 		metaStaleGrace:   100 * time.Millisecond,
+
+		metaRefreshFor:         -1,
+		metaCanaryRefreshFor:   0,
+		metaCanaryTimestampTTL: 300 * time.Millisecond,
 	}
 }
 
@@ -223,6 +243,25 @@ func (rec *recorder) onBatchApply(sw string, m protocol.MsgBatchUpdate, valid bo
 	return ap
 }
 
+// applied is every backend's switch apply hook: the decision goes to the
+// apply log, and the simulator's online checker judges it at apply time —
+// the instant the no-forged-rule argument is about.
+func (c *campaign) applied(sw string, id openflow.MsgID, phase uint64, mods []openflow.FlowMod, valid bool) {
+	ap := c.onApply(sw, id, phase, mods, valid)
+	if ck := c.online; ck != nil && valid {
+		ck.refreshLegit()
+		checkForgedRule(ap, ck.legit, c.report)
+	}
+}
+
+// batchApplied is the batch-amortized counterpart of applied.
+func (c *campaign) batchApplied(sw string, m protocol.MsgBatchUpdate, valid bool) {
+	ap := c.onBatchApply(sw, m, valid)
+	if c.online != nil {
+		checkBatchProof(ap, c.report)
+	}
+}
+
 // applyLog returns a copy of every apply decision observed so far.
 func (rec *recorder) applyLog() ([]Apply, []BatchApply) {
 	rec.mu.Lock()
@@ -256,6 +295,9 @@ type campaign struct {
 	flows []*flow
 
 	found findings
+	// online is the simulator's online checker (nil on a live backend,
+	// which judges a quiesced snapshot instead).
+	online *checker
 	// err is the first harness error (a restart that failed, a node that
 	// did not answer): the run's verdict cannot be trusted past it.
 	err string
@@ -275,8 +317,8 @@ func newCampaign(p Profile, seed int64, tm timing, hosts []string) *campaign {
 }
 
 // attach binds the campaign to a built deployment and its backend.
-func (c *campaign) attach(cl cluster, rec *recorder, net *core.Network) {
-	c.cluster, c.recorder, c.net = cl, rec, net
+func (c *campaign) attach(cl cluster, net *core.Network) {
+	c.cluster, c.net = cl, net
 	for id := range net.Switches {
 		c.switches = append(c.switches, id)
 	}
@@ -323,27 +365,25 @@ func (c *campaign) honest() []*controlplane.Controller {
 	return out
 }
 
-// plantCanaries disables the verification the profile's canary names on
-// every switch — the built-in mutations the invariants must catch.
-func (c *campaign) plantCanaries() {
-	if !c.p.CanarySkipVerify && !c.p.CanaryMetaBypass {
+// plantCanary disables the verification the profile's canary names on
+// every switch — the built-in mutation the invariants must catch.
+func (c *campaign) plantCanary() {
+	if !c.p.Canary {
 		return
 	}
 	for _, id := range c.switches {
 		sw := c.net.Switches[id]
 		c.fail(c.on(fabric.NodeID(id), func() {
-			if c.p.CanarySkipVerify {
+			if c.p.switchCanary() {
 				sw.SetVerifyBypass(true)
-			}
-			if st := sw.MetaStore(); st != nil && c.p.CanaryMetaBypass {
+			} else if st := sw.MetaStore(); st != nil {
 				st.SetVerifyBypass(true)
 			}
 		}))
 	}
-	if c.p.CanarySkipVerify {
+	if c.p.switchCanary() {
 		c.note("canary", "switch verification bypassed on all switches")
-	}
-	if c.p.CanaryMetaBypass {
+	} else {
 		c.note("canary", "metadata verification bypassed on all switch stores")
 	}
 }

@@ -39,11 +39,7 @@ func TestGoldenTraceHashes(t *testing.T) {
 		for _, tok := range fields[1 : len(fields)-2] {
 			switch {
 			case tok == "canary":
-				if p.Metadata {
-					p.CanaryMetaBypass = true
-				} else {
-					p.CanarySkipVerify = true
-				}
+				p.Canary = true
 			case strings.HasPrefix(tok, "batch="):
 				if p.BatchSize, err = strconv.Atoi(strings.TrimPrefix(tok, "batch=")); err != nil {
 					t.Fatalf("bad golden line %q: %v", line, err)

@@ -12,7 +12,6 @@ import (
 	"cicero/internal/metarepo"
 	"cicero/internal/netprop"
 	"cicero/internal/openflow"
-	"cicero/internal/protocol"
 	"cicero/internal/simnet"
 )
 
@@ -325,20 +324,23 @@ func newChecker(c *campaign) *checker {
 	return &checker{c: c, legit: make(map[[32]byte]bool), ledgerPos: make(map[fabric.NodeID]int)}
 }
 
-// onApply judges every switch apply decision at apply time (dataplane
-// ApplyHook) — the instant the no-forged-rule argument is about.
-func (ck *checker) onApply(sw string, id openflow.MsgID, phase uint64, mods []openflow.FlowMod, valid bool) {
-	ap := ck.c.onApply(sw, id, phase, mods, valid)
-	if valid {
-		ck.refreshLegit()
-		checkForgedRule(ap, ck.legit, ck.c.report)
+// drive is the simulator's drive step: the event loop to the budget with
+// an online sweep every check interval, then a final sweep over the
+// quiesced (or budget-bounded) state.
+func (ck *checker) drive() {
+	c, sim := ck.c, ck.c.net.Sim
+	var tick func()
+	tick = func() {
+		ck.sweep()
+		if sim.Now()+c.p.CheckInterval <= c.p.SimBudget {
+			sim.Schedule(c.p.CheckInterval, tick)
+		}
 	}
-}
-
-// onBatchApply judges every batch-amortized apply decision (dataplane
-// BatchApplyHook).
-func (ck *checker) onBatchApply(sw string, m protocol.MsgBatchUpdate, valid bool) {
-	checkBatchProof(ck.c.onBatchApply(sw, m, valid), ck.c.report)
+	sim.Schedule(c.p.CheckInterval, tick)
+	if _, err := sim.RunUntil(c.p.SimBudget); err != nil {
+		c.fail(err)
+	}
+	ck.sweep()
 }
 
 // refreshLegit ingests newly ledgered updates from honest controllers.

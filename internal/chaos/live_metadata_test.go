@@ -9,8 +9,7 @@ import "testing"
 // zero violations while the stores visibly classify and reject the
 // attacks.
 func TestLiveChaosMetadataInProc(t *testing.T) {
-	p := liveTestProfile(MetadataProfile(), 6)
-	res := RunLiveSeed(p, liveTestOptions("inproc", 5))
+	res := RunSeed(liveTestProfile(MetadataProfile(), "inproc", 6), 5)
 	requireClean(t, res)
 	if res.MetaPublished < 2 {
 		t.Errorf("publications = %d, want >= 2 (initial + post-change)", res.MetaPublished)
@@ -37,9 +36,9 @@ func TestLiveChaosMetadataInProc(t *testing.T) {
 // (forgery), and the frozen stores must be caught claiming freshness on
 // expired proofs (stale-policy).
 func TestLiveChaosMetadataCanaryInProc(t *testing.T) {
-	p := liveTestProfile(MetadataProfile(), 4)
-	p.CanaryMetaBypass = true
-	res := RunLiveSeed(p, liveTestOptions("inproc", 6))
+	p := liveTestProfile(MetadataProfile(), "inproc", 4)
+	p.Canary = true
+	res := RunSeed(p, 6)
 	if res.Err != "" {
 		t.Fatalf("live run error: %s", res.Err)
 	}

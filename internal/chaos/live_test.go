@@ -5,26 +5,20 @@ import (
 	"time"
 )
 
-// liveTestProfile shrinks a profile so a wall-clock run with real crypto
-// stays CI-friendly.
-func liveTestProfile(p Profile, flows int) Profile {
+// liveTestProfile puts a profile on a live backend, shrunk so a
+// wall-clock run with real crypto stays CI-friendly.
+func liveTestProfile(p Profile, backend string, flows int) Profile {
+	p.Backend = backend
 	p.RacksPerPod = 2
 	p.HostsPerRack = 2
 	p.Flows = flows
+	p.FlowWindow = 300 * time.Millisecond
+	p.DrainTimeout = 60 * time.Second
 	return p
 }
 
-func liveTestOptions(backend string, seed int64) LiveOptions {
-	return LiveOptions{
-		Backend:      backend,
-		Seed:         seed,
-		FlowWindow:   300 * time.Millisecond,
-		DrainTimeout: 60 * time.Second,
-	}
-}
-
 // requireClean asserts a live run converged with no invariant violations.
-func requireClean(t *testing.T, res LiveResult) {
+func requireClean(t *testing.T, res SeedResult) {
 	t.Helper()
 	if res.Err != "" {
 		t.Fatalf("live run error: %s", res.Err)
@@ -47,8 +41,7 @@ func requireClean(t *testing.T, res LiveResult) {
 // crash/restart windows, partitions, a Byzantine controller — against real
 // crypto, converging with zero invariant violations.
 func TestLiveChaosMixedInProc(t *testing.T) {
-	p := liveTestProfile(MixedProfile(), 6)
-	res := RunLiveSeed(p, liveTestOptions("inproc", 7))
+	res := RunSeed(liveTestProfile(MixedProfile(), "inproc", 6), 7)
 	requireClean(t, res)
 	if res.CtlRestarts == 0 || res.SwitchRestarts == 0 {
 		t.Errorf("expected both controller and switch restarts, got ctl=%d sw=%d", res.CtlRestarts, res.SwitchRestarts)
@@ -59,8 +52,7 @@ func TestLiveChaosMixedInProc(t *testing.T) {
 // no link noise, no Byzantine controller — every flow must complete and
 // the rebuilt state must match the fault-free reference exactly.
 func TestLiveChaosCrashRecoveryInProc(t *testing.T) {
-	p := liveTestProfile(CrashProfile(), 6)
-	res := RunLiveSeed(p, liveTestOptions("inproc", 11))
+	res := RunSeed(liveTestProfile(CrashProfile(), "inproc", 6), 11)
 	requireClean(t, res)
 	if res.FlowsDone != res.FlowsTotal {
 		t.Errorf("only %d of %d flows completed", res.FlowsDone, res.FlowsTotal)
@@ -79,22 +71,40 @@ func TestLiveChaosCrashRecoveryInProc(t *testing.T) {
 // TestLiveChaosCanaryInProc plants the verification-bypass canary: with
 // switch signature verification disabled, the Byzantine controller's
 // forged updates must surface as no-forged-rule violations on the live
-// backend too.
+// backend too. It runs as a one-seed campaign, whose totals must be that
+// seed's result.
 func TestLiveChaosCanaryInProc(t *testing.T) {
-	p := liveTestProfile(ByzantineProfile(), 4)
-	p.CanarySkipVerify = true
-	res := RunLiveSeed(p, liveTestOptions("inproc", 5))
+	p := liveTestProfile(ByzantineProfile(), "inproc", 4)
+	p.Canary = true
+	camp := Campaign{Profile: p, Seeds: []int64{5}}.Run()
+	if len(camp.Results) != 1 {
+		t.Fatalf("campaign of one seed returned %d results", len(camp.Results))
+	}
+	res := camp.Results[0]
 	if res.Err != "" {
 		t.Fatalf("live run error: %s", res.Err)
 	}
+	var injected uint64
+	for _, n := range res.Injected {
+		injected += n
+	}
+	if camp.Violations != len(res.Violations) || camp.FlowsDone != res.FlowsDone ||
+		camp.FlowsTotal != res.FlowsTotal || camp.Injected.Total() != injected || len(camp.ErrSeeds) != 0 {
+		t.Errorf("campaign totals violations=%d flows=%d/%d injected=%d errs=%v, its one seed violations=%d flows=%d/%d injected=%d",
+			camp.Violations, camp.FlowsDone, camp.FlowsTotal, camp.Injected.Total(), camp.ErrSeeds,
+			len(res.Violations), res.FlowsDone, res.FlowsTotal, injected)
+	}
 	forged := 0
 	for _, v := range res.Violations {
-		if v.Invariant == InvNoForgedRule {
+		if v.Invariant == InvNoForgedRule && p.CanaryCaught(v) {
 			forged++
 		}
 	}
 	if forged == 0 {
 		t.Fatalf("canary not caught: expected no-forged-rule violations, got %v", res.Violations)
+	}
+	if len(camp.FailingSeeds) != 1 || camp.FailingSeeds[0] != 5 {
+		t.Errorf("failing seeds %v, want [5]", camp.FailingSeeds)
 	}
 	t.Logf("canary caught: %d no-forged-rule violations", forged)
 }
@@ -105,9 +115,9 @@ func TestLiveChaosCanaryInProc(t *testing.T) {
 // real crypto, converging with zero invariant violations (including the
 // forged-batch-proof re-check over every batched apply).
 func TestLiveChaosBatchedMixedInProc(t *testing.T) {
-	p := liveTestProfile(MixedProfile(), 6)
+	p := liveTestProfile(MixedProfile(), "inproc", 6)
 	p.BatchSize = 8
-	res := RunLiveSeed(p, liveTestOptions("inproc", 7))
+	res := RunSeed(p, 7)
 	requireClean(t, res)
 	batched := false
 	for _, e := range res.Trace.Records() {
@@ -126,12 +136,12 @@ func TestLiveChaosBatchedMixedInProc(t *testing.T) {
 // forged batch roots and spliced contents then apply, and the recorder's
 // independent Merkle re-check must surface them.
 func TestLiveChaosBatchedCanaryInProc(t *testing.T) {
-	p := liveTestProfile(ByzantineProfile(), 4)
+	p := liveTestProfile(ByzantineProfile(), "inproc", 4)
 	p.BatchSize = 8
-	p.CanarySkipVerify = true
+	p.Canary = true
 	caught := 0
 	for seed := int64(5); seed < 8 && caught == 0; seed++ {
-		res := RunLiveSeed(p, liveTestOptions("inproc", seed))
+		res := RunSeed(p, seed)
 		if res.Err != "" {
 			t.Fatalf("live run error: %s", res.Err)
 		}
@@ -154,8 +164,7 @@ func TestLiveChaosTCPCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock TCP chaos run skipped in -short mode")
 	}
-	p := liveTestProfile(CrashProfile(), 5)
-	res := RunLiveSeed(p, liveTestOptions("tcp", 3))
+	res := RunSeed(liveTestProfile(CrashProfile(), "tcp", 5), 3)
 	requireClean(t, res)
 	if res.FlowsDone != res.FlowsTotal {
 		t.Errorf("only %d of %d flows completed over TCP", res.FlowsDone, res.FlowsTotal)

@@ -49,7 +49,7 @@ func TestMetadataCampaignNoViolations(t *testing.T) {
 // every seed.
 func TestMetadataCanaryCaught(t *testing.T) {
 	p := fastProfile(MetadataProfile())
-	p.CanaryMetaBypass = true
+	p.Canary = true
 	for _, seed := range Seeds(1, 5) {
 		res := RunSeed(p, seed)
 		if res.Err != "" {

@@ -42,6 +42,7 @@ func (f *fakeCluster) Partition(a, b fabric.NodeID)                         { f.
 func (f *fakeCluster) Heal(a, b fabric.NodeID)                              { f.step("heal", a, b) }
 func (f *fakeCluster) PartitionOneWay(from, to fabric.NodeID)               { f.step("partition-1w", from, to) }
 func (f *fakeCluster) HealOneWay(from, to fabric.NodeID)                    { f.step("heal-1w", from, to) }
+func (f *fakeCluster) SetFilter(fabric.Filter)                              {}
 func (f *fakeCluster) at(d time.Duration, fn func())                        { f.queue = append(f.queue, liveEvent{d, fn}) }
 
 func (f *fakeCluster) restart(id fabric.NodeID) error {
@@ -78,13 +79,13 @@ func fakeCampaign(p Profile, seed int64, tm timing) (*campaign, *fakeCluster) {
 }
 
 func TestFailedRestartIsARunError(t *testing.T) {
-	c, f := fakeCampaign(CrashProfile(), 1, simTiming(120*time.Millisecond))
+	c, f := fakeCampaign(CrashProfile(), 1, simTiming(120*time.Millisecond, 400*time.Millisecond))
 	f.failRestart = true
 	f.run()
 	if c.err == "" {
 		t.Fatal("a restart failed but the campaign reports no error")
 	}
-	healthy, g := fakeCampaign(CrashProfile(), 1, simTiming(120*time.Millisecond))
+	healthy, g := fakeCampaign(CrashProfile(), 1, simTiming(120*time.Millisecond, 400*time.Millisecond))
 	g.run()
 	if healthy.err != "" {
 		t.Fatalf("healthy restarts reported error %q", healthy.err)
@@ -100,7 +101,7 @@ func TestScheduleWindowsCloseInsideTheRun(t *testing.T) {
 	}{
 		// The simulator stops at the budget; the live timeline's last
 		// restart falls at 13/8 of the flow window at the latest.
-		{"sim", simTiming(MixedProfile().Defaulted().FlowWindow), MixedProfile().Defaulted().SimBudget},
+		{"sim", simTiming(MixedProfile().Defaulted().FlowWindow, MixedProfile().Defaulted().SimBudget), MixedProfile().Defaulted().SimBudget},
 		{"live", liveTiming(fw), 2 * fw},
 	}
 	opens := map[string]string{"crash": "restart", "partition": "heal", "partition-1w": "heal-1w"}

@@ -68,7 +68,7 @@ func Tuf(o Options) (*Result, error) {
 	// skip verification must be caught by the invariant plane — this is
 	// the proof the campaign's zero above is load-bearing.
 	canaryProfile := chaos.MetadataProfile()
-	canaryProfile.CanaryMetaBypass = true
+	canaryProfile.Canary = true
 	canary := chaos.Campaign{Profile: canaryProfile, Seeds: chaos.Seeds(o.Seed, canarySeeds)}.Run()
 	caught := map[string]int{}
 	for _, sr := range canary.Results {
