@@ -41,8 +41,19 @@ import (
 	"cicero/internal/topology"
 )
 
-// maxLinkDelay bounds the extra latency a delay fault adds.
-const maxLinkDelay = 2 * time.Millisecond
+const (
+	// maxLinkDelay bounds the extra latency a delay fault adds.
+	maxLinkDelay = 2 * time.Millisecond
+	// hostsPerRack is the host endpoints under each rack's ToR.
+	hostsPerRack = 2
+	// simViewChangeTimeout is the simulated controllers' view-change
+	// timeout (a live backend uses liveViewChangeTimeout).
+	simViewChangeTimeout = 15 * time.Millisecond
+	// simEventBudget caps the events one simulated run may process.
+	simEventBudget = 2_000_000
+	// simCheckInterval is the simulated time between online sweeps.
+	simCheckInterval = 20 * time.Millisecond
+)
 
 // LinkFaults sets per-message fault probabilities applied by the network
 // filter. Probabilities are independent per message.
@@ -74,10 +85,9 @@ type Profile struct {
 	// Topology/workload (single pod, single domain: cross-domain updates
 	// have no global ordering, so data-plane walk invariants only hold
 	// within one domain).
-	RacksPerPod  int
-	HostsPerRack int
-	Controllers  int
-	Flows        int
+	RacksPerPod int
+	Controllers int
+	Flows       int
 	// FlowWindow spreads flow arrivals uniformly over [0, FlowWindow):
 	// simulated time on the simulator, wall time on a live backend, where
 	// the fault windows scale from it.
@@ -122,15 +132,11 @@ type Profile struct {
 	// CanaryCaught is the verdict.
 	Canary bool
 
-	// Simulator budgets.
-	SimBudget     time.Duration
-	EventBudget   uint64
-	CheckInterval time.Duration
+	// SimBudget bounds the simulated time of a run.
+	SimBudget time.Duration
 	// DrainTimeout bounds a live run's post-fault drain: re-driving
 	// stalled flows, awaiting recoveries and quiescence.
 	DrainTimeout time.Duration
-
-	ViewChangeTimeout time.Duration
 
 	// BatchSize > 1 runs the batched hot path (batched BFT ordering plus
 	// batch-amortized signing with Merkle inclusion proofs) under the same
@@ -145,9 +151,6 @@ type Profile struct {
 func (p Profile) Defaulted() Profile {
 	if p.RacksPerPod == 0 {
 		p.RacksPerPod = 4
-	}
-	if p.HostsPerRack == 0 {
-		p.HostsPerRack = 2
 	}
 	if p.Controllers == 0 {
 		p.Controllers = 4
@@ -164,17 +167,8 @@ func (p Profile) Defaulted() Profile {
 	if p.SimBudget == 0 {
 		p.SimBudget = 400 * time.Millisecond
 	}
-	if p.EventBudget == 0 {
-		p.EventBudget = 2_000_000
-	}
-	if p.CheckInterval == 0 {
-		p.CheckInterval = 20 * time.Millisecond
-	}
 	if p.DrainTimeout == 0 {
 		p.DrainTimeout = 45 * time.Second
-	}
-	if p.ViewChangeTimeout == 0 {
-		p.ViewChangeTimeout = 15 * time.Millisecond
 	}
 	if p.Byzantine || p.switchCanary() || p.Link.CorruptProb > 0 || p.Backend != "" {
 		p.CryptoReal = true
@@ -344,7 +338,7 @@ func campaignConfig(p Profile, g *topology.Graph, fab fabric.Fabric, seed int64)
 	}
 	if fab == nil {
 		cfg.Jitter = 0.1
-		cfg.ViewChangeTimeout = p.ViewChangeTimeout
+		cfg.ViewChangeTimeout = simViewChangeTimeout
 	}
 	return cfg
 }
@@ -368,7 +362,7 @@ func withMetadata(cfg core.Config, p Profile, tm timing) core.Config {
 func buildGraph(p Profile) (*topology.Graph, error) {
 	fab := topology.DefaultFabricConfig()
 	fab.RacksPerPod = p.RacksPerPod
-	fab.HostsPerRack = p.HostsPerRack
+	fab.HostsPerRack = hostsPerRack
 	return topology.BuildSinglePod(fab)
 }
 
@@ -421,7 +415,7 @@ func RunSeed(p Profile, seed int64) (res SeedResult) {
 		return res
 	}
 	if lc == nil {
-		net.Sim.MaxEvents = p.EventBudget
+		net.Sim.MaxEvents = simEventBudget
 		c.recorder = newRecorder(net.Sim.Now)
 		c.online = newChecker(c)
 		c.attach(simCluster{net.Net}, net)

@@ -332,11 +332,11 @@ func (ck *checker) drive() {
 	var tick func()
 	tick = func() {
 		ck.sweep()
-		if sim.Now()+c.p.CheckInterval <= c.p.SimBudget {
-			sim.Schedule(c.p.CheckInterval, tick)
+		if sim.Now()+simCheckInterval <= c.p.SimBudget {
+			sim.Schedule(simCheckInterval, tick)
 		}
 	}
-	sim.Schedule(c.p.CheckInterval, tick)
+	sim.Schedule(simCheckInterval, tick)
 	if _, err := sim.RunUntil(c.p.SimBudget); err != nil {
 		c.fail(err)
 	}

@@ -10,7 +10,6 @@ import (
 func liveTestProfile(p Profile, backend string, flows int) Profile {
 	p.Backend = backend
 	p.RacksPerPod = 2
-	p.HostsPerRack = 2
 	p.Flows = flows
 	p.FlowWindow = 300 * time.Millisecond
 	p.DrainTimeout = 60 * time.Second

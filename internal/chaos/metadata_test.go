@@ -8,7 +8,8 @@ import "testing"
 // signatures) must never produce a violation, and the defenses must
 // visibly engage — stores classify and reject the attacks, the root
 // collector refuses the retired BLS share, and the mid-run membership
-// change completes with a rotated root on every seed.
+// change completes with a rotated root on every seed, its config push
+// adopted by every switch's metadata gate.
 func TestMetadataCampaignNoViolations(t *testing.T) {
 	for _, seed := range Seeds(1, 8) {
 		res := RunSeed(fastProfile(MetadataProfile()), seed)
@@ -32,6 +33,9 @@ func TestMetadataCampaignNoViolations(t *testing.T) {
 		}
 		if res.MetaRejects["meta-rollback"] == 0 {
 			t.Errorf("seed %d: no store ever classified a rollback replay (rejects=%v)", seed, res.MetaRejects)
+		}
+		if res.MetaConfigRejects != 0 {
+			t.Errorf("seed %d: switches' metadata gate refused %d honest config pushes", seed, res.MetaConfigRejects)
 		}
 		if res.MetaRejects["meta-wrong-role"] == 0 {
 			t.Errorf("seed %d: no store ever rejected the forged role key (rejects=%v)", seed, res.MetaRejects)
@@ -85,5 +89,17 @@ func TestMetadataDeterministic(t *testing.T) {
 	}
 	if c := RunSeed(p, 12); c.TraceHash == a.TraceHash {
 		t.Fatal("different seeds produced identical traces")
+	}
+}
+
+// TestMetadataReleasesOutliveTheReshare runs the seeds on which a release
+// logged before the mid-run removal's reshare completed, and was then never
+// retried, left flows undone: every flow must complete.
+func TestMetadataReleasesOutliveTheReshare(t *testing.T) {
+	for _, seed := range []int64{15, 171, 179, 186} {
+		res := RunSeed(MetadataProfile(), seed)
+		if res.Err != "" || len(res.Violations) != 0 || res.FlowsDone != res.FlowsTotal {
+			t.Errorf("seed %d: flows %d/%d, violations %v, err %q", seed, res.FlowsDone, res.FlowsTotal, res.Violations, res.Err)
+		}
 	}
 }

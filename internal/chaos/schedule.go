@@ -383,7 +383,6 @@ func (c *campaign) scheduleMetadata() {
 				Phase:   leader.Phase(),
 				Members: members,
 				Quorum:  leader.Quorum(),
-				Flows:   []metarepo.FlowPolicy{{Src: c.hosts[0], Dst: c.hosts[len(c.hosts)-1], Allow: true}},
 			})
 		}))
 		c.note("meta-publish", "initial policy")
@@ -508,11 +507,10 @@ func (c *campaign) metaAttackWave(wave string, replayOnly bool) {
 		}
 		// Forged role key: a far-future targets document signed by a
 		// key the root never delegated.
-		signed := metarepo.Encode(metarepo.Targets{
+		signed := metarepo.Encode(metarepo.Targets{Header: metarepo.Header{
 			Version:   1000,
-			IssuedNS:  int64(c.Now()),
 			ExpiresNS: int64(c.Now()) + int64(c.tm.metaDocumentTTL),
-		})
+		}})
 		c.Send(c.meta.attacker, sw, protocol.MsgMeta{Env: protocol.MetaEnvelope{
 			Role:   protocol.MetaRoleTargets,
 			Signed: signed,

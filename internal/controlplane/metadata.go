@@ -232,11 +232,7 @@ func (c *Controller) handleMetaSig(m protocol.MsgMetaSig) {
 		c.meta.sigCols[key] = col
 	}
 	env, done, err := col.Add(m)
-	if err != nil {
-		c.MetaSigRejects++
-		return
-	}
-	if !done {
+	if err != nil || !done {
 		return
 	}
 	set, ok := c.meta.sets[m.Version]
@@ -286,7 +282,7 @@ func (c *Controller) mintTimestamp(snVersion uint64, snDigest []byte) (protocol.
 		ver = cur.Version + 1
 	}
 	ts := metarepo.Timestamp{
-		Version: ver, IssuedNS: nowNS, ExpiresNS: nowNS + c.cfg.Metadata.tsTTLNS(),
+		Header:          metarepo.Header{Version: ver, ExpiresNS: nowNS + c.cfg.Metadata.tsTTLNS()},
 		SnapshotVersion: snVersion, SnapshotDigest: snDigest,
 	}
 	signed := metarepo.Encode(ts)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cicero/internal/dataplane"
+	"cicero/internal/fabric"
 	"cicero/internal/metarepo"
 	"cicero/internal/openflow"
 	"cicero/internal/protocol"
@@ -114,7 +115,6 @@ func TestMetadataPublishAdoptsEverywhere(t *testing.T) {
 	cl := buildMetaCluster(t, 4)
 	cl.ctls[2].PublishPolicy(metarepo.Policy{
 		Quorum: CiceroQuorum(4),
-		Flows:  []metarepo.FlowPolicy{{Src: "h1", Dst: "h2", Allow: true}},
 	})
 	cl.run(t)
 
@@ -135,7 +135,7 @@ func TestMetadataPublishAdoptsEverywhere(t *testing.T) {
 			t.Fatalf("switch %s: store not fresh after adoption", id)
 		}
 		p := st.PolicyTargets()
-		if len(p.Policy.Flows) != 1 || p.Policy.Flows[0].Src != "h1" {
+		if p.Policy.Quorum != CiceroQuorum(4) {
 			t.Fatalf("switch %s: wrong policy payload %+v", id, p.Policy)
 		}
 	}
@@ -252,8 +252,8 @@ func TestMetadataReshareUnderLoad(t *testing.T) {
 	}
 
 	// Attack 1: new metadata signed by the retired role key.
-	doc := metarepo.Targets{Version: tg.Version + 1, IssuedNS: int64(cl.net.Now()),
-		ExpiresNS: int64(cl.net.Now()) + int64(time.Hour)}
+	doc := metarepo.Targets{Header: metarepo.Header{Version: tg.Version + 1,
+		ExpiresNS: int64(cl.net.Now()) + int64(time.Hour)}}
 	signed := metarepo.Encode(doc)
 	env := protocol.MetaEnvelope{Role: protocol.MetaRoleTargets, Signed: signed,
 		Sigs: []protocol.MetaSig{metarepo.SignRole(cl.keyPairs[n-1], protocol.MetaRoleTargets, signed)}}
@@ -394,6 +394,73 @@ func TestMetadataConfigGate(t *testing.T) {
 	for i, c := range cl.ctls {
 		if c.EventsReceived != received[i]+1 {
 			t.Fatalf("%s received %d events after the forged config, want %d", cl.members[i], c.EventsReceived, received[i]+1)
+		}
+	}
+}
+
+// TestMetadataConfigGateReadsQuorumAndAggregator: a threshold-signed config
+// at the signed policy's phase, naming the policy's members, is refused by
+// the switch's metadata gate when its quorum or its aggregator differs from
+// the policy's, and adopted when all three match.
+func TestMetadataConfigGateReadsQuorumAndAggregator(t *testing.T) {
+	cl := buildMetaCluster(t, 4)
+	quorum := CiceroQuorum(4)
+	names := make([]string, len(cl.members))
+	for i, m := range cl.members {
+		names[i] = string(m)
+	}
+	cl.ctls[0].PublishPolicy(metarepo.Policy{Phase: 0, Members: names, Quorum: quorum})
+	cl.run(t)
+
+	// A switch that verifies the config signature for real, holding the
+	// set the leader assembled: only the metadata gate can refuse a config
+	// the group key signed.
+	keys, err := pki.NewKeyPair(rand.Reader, "s9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.dir.MustRegister(keys)
+	sw, err := dataplane.New(dataplane.Config{
+		ID: "s9", Net: cl.net, Mode: dataplane.ModeThreshold, CryptoReal: true,
+		Keys: keys, Directory: cl.dir, Scheme: cl.scheme, GroupKey: cl.gk, Quorum: quorum,
+		Metadata: &dataplane.MetadataConfig{Genesis: cl.rootEnv},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Bootstrap(cl.members, "", quorum)
+	sw.HandleMessage(fabric.NodeID(cl.members[0]), protocol.MsgMetaSet{Envs: cl.ctls[0].MetaStore().CurrentSet()})
+	if tg := sw.MetaStore().PolicyTargets(); tg == nil || tg.Policy.Quorum != quorum {
+		t.Fatalf("switch holds policy targets %+v, want quorum %d", tg, quorum)
+	}
+
+	signed := func(quorum int, aggregator pki.Identity) protocol.MsgConfig {
+		canonical := protocol.ConfigBytes(0, quorum, cl.members, aggregator)
+		var shares []bls.SignatureShare
+		for _, share := range cl.shares[:cl.gk.T] {
+			shares = append(shares, cl.scheme.SignShare(share, canonical))
+		}
+		sig, err := cl.scheme.Combine(cl.gk, shares)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return protocol.MsgConfig{Phase: 0, Quorum: quorum, Members: cl.members, Aggregator: aggregator,
+			GroupKey: cl.gk, Signature: cl.scheme.Params.PointBytes(sig.Point)}
+	}
+	for _, tc := range []struct {
+		name   string
+		config protocol.MsgConfig
+		refuse bool
+	}{
+		{"another quorum", signed(quorum-1, ""), true},
+		{"another aggregator", signed(quorum, cl.members[1]), true},
+		{"the signed policy", signed(quorum, ""), false},
+	} {
+		gate, rejected := sw.MetaConfigRejects, sw.UpdatesRejected
+		sw.HandleMessage(fabric.NodeID(cl.members[0]), tc.config)
+		if refused := sw.MetaConfigRejects == gate+1; refused != tc.refuse || sw.UpdatesRejected != rejected+sw.MetaConfigRejects-gate {
+			t.Errorf("%s: MetaConfigRejects %d → %d, UpdatesRejected %d → %d; want the gate to refuse it: %v",
+				tc.name, gate, sw.MetaConfigRejects, rejected, sw.UpdatesRejected, tc.refuse)
 		}
 	}
 }

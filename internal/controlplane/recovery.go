@@ -102,7 +102,6 @@ func (c *Controller) StartRecovery() {
 	if c.cfg.Protocol == ProtoCentralized || len(c.members) < 2 {
 		c.recovery = nil
 		c.recovered = true
-		c.Recoveries++
 		return
 	}
 	// The session may already exist: a controller built with
@@ -257,7 +256,6 @@ func (c *Controller) adoptRecovery(state protocol.MsgRecoverState) {
 	if first {
 		c.recovery.adopted = true
 		c.recovered = true
-		c.Recoveries++
 		// Un-mute: replay the submissions held back while the replica had
 		// no trustworthy coordinates. Delivery-level dedup discards any
 		// that the adopted history already covers.

@@ -17,16 +17,19 @@ import (
 var optionAllowlist = map[string]string{
 	"core.Config.FailureDetector": "no deployment turns heartbeats on, but the detector's MsgHeartbeat is a wire type pinned in wire.golden; " +
 		"controlplane's failure-detector tests run it",
+	"fabric.FaultAction.Drop": "a filter's verdict, not a knob: the one literal that names it drops, and every other message " +
+		"goes on with the zero action a var declaration builds, which the rule does not count as a caller",
 }
 
 // TestNoOptionEveryCallerSetsAlike keeps options that select nothing from
-// growing back. An exported field of a struct type under internal/ whose
-// name ends in Config or Options is an option. Every non-test file of the
-// module that builds one with a composite literal, or assigns the field,
-// is a caller; a default filled in under if x.F == 0 is not. An option
-// that every caller leaves unset, or sets to one and the same constant, is
-// a constant: fold it into a named one where it is read, or allowlist it
-// with the reason it must stay.
+// growing back. Every exported field of a struct type declared under
+// internal/ is an option. Every non-test file of the module that builds
+// the type with a composite literal, or assigns or increments the field, is
+// a caller; a default filled in under if x.F == 0 is not, and neither is a
+// constructor in the type's own package. An option that every caller
+// leaves unset, or sets to one and the same constant, is a constant: fold
+// it into a named one where it is read, or allowlist it with the reason it
+// must stay.
 func TestNoOptionEveryCallerSetsAlike(t *testing.T) {
 	alike, stale := sameValuedOptions(checkedModule(t), optionAllowlist)
 	if len(alike) > 0 {
@@ -96,8 +99,25 @@ func TestSameValuedOptionsFixtures(t *testing.T) {
 		{
 			name: "a struct not named as options",
 			files: []source{
-				{lib, "package lib\ntype Record struct{ Kind string }\n"},
-				{"cmd/a/main.go", "package main\nimport \"cicero/internal/lib\"\nvar r = lib.Record{Kind: \"boot\"}\n"},
+				{lib, "package lib\ntype Profile struct{ Name string; Budget int }\n" +
+					"func (p Profile) Defaulted() Profile { if p.Budget == 0 { p.Budget = 8 }; return p }\n"},
+				{"cmd/a/main.go", "package main\nimport \"cicero/internal/lib\"\nvar name string\nvar p = lib.Profile{Name: name}.Defaulted()\n"},
+			},
+			alike: []string{"lib.Profile.Budget"},
+		},
+		{
+			name: "a constructor in the type's own package is not a caller",
+			files: []source{
+				{lib, "package lib\ntype Model struct{ Sign, Verify int }\n" +
+					"func Calibrated() Model { m := Model{Sign: 50}; m.Verify = 130; return m }\n"},
+				{"cmd/a/main.go", "package main\nimport \"cicero/internal/lib\"\nvar m = lib.Calibrated()\n"},
+			},
+		},
+		{
+			name: "a counter incremented after construction",
+			files: []source{
+				{lib, "package lib\ntype Node struct{ Seen int }\nfunc New() *Node { return &Node{} }\n"},
+				{"cmd/a/main.go", "package main\nimport \"cicero/internal/lib\"\nfunc main() { n := lib.New(); n.Seen++; _ = lib.Node{} }\n"},
 			},
 		},
 		{
@@ -129,13 +149,18 @@ func TestSameValuedOptionsFixtures(t *testing.T) {
 // and that allow does not name, and the entries of allow that name no such
 // option. An option is named "<dir under internal/>.<Type>.<Field>".
 //
-// A composite literal of an options type sets each of its exported fields:
+// A composite literal of a struct type sets each of its exported fields:
 // to a constant's value, to the zero value when it leaves the field out or
 // writes nil or a zero constant, and to something that varies otherwise.
-// An assignment to the field sets it the same way, and a compound
-// assignment varies, except a default: x.F = c directly in the body of
-// if x.F == zero reads the option rather than sets it. An option that no
-// non-test literal builds has no callers and is not judged.
+// An assignment
+// to the field sets it the same way, and a compound assignment or an
+// inc/dec statement varies, except a default: x.F = c directly in the body
+// of if x.F == zero reads the option rather than sets it. Each of these is
+// a caller, except a literal in a constructor of the type's
+// own package (a function that returns the type or a pointer to it): its
+// values count, but it does not make the type's fields options. A struct
+// that no non-test literal builds, or that has no caller,
+// is not judged.
 func sameValuedOptions(m *module, allow map[string]string) (alike, stale []string) {
 	const zero, varies = "zero", "varies"
 	valueOf := func(e ast.Expr) string {
@@ -148,13 +173,53 @@ func sameValuedOptions(m *module, allow map[string]string) (alike, stale []strin
 		}
 		return varies
 	}
-	options := make(map[*types.Var]string) // field -> its option name
+	type option struct {
+		name string
+		typ  *types.TypeName
+	}
+	options := make(map[*types.Var]option)
 	values := make(map[*types.Var]map[string]bool)
 	set := func(v *types.Var, value string) {
 		if values[v] == nil {
 			values[v] = make(map[string]bool)
 		}
 		values[v][value] = true
+	}
+	called := make(map[types.Object]bool) // the types that have a caller, and the fields assigned
+	// build records a literal of a struct under internal/ that sets the
+	// fields given names, and leaves the others zero.
+	build := func(t types.Type, given map[string]string, made map[types.Object]bool) {
+		named, st := structType(t)
+		if st == nil {
+			return
+		}
+		dir := strings.TrimPrefix(named.Obj().Pkg().Path(), modulePath+"/internal/")
+		for i := 0; i < st.NumFields(); i++ {
+			field := st.Field(i)
+			if !field.Exported() {
+				continue
+			}
+			options[field] = option{dir + "." + named.Obj().Name() + "." + field.Name(), named.Obj()}
+			value, ok := given[field.Name()]
+			if !ok {
+				value = zero
+			}
+			set(field, value)
+		}
+		if !made[named.Obj()] {
+			called[named.Obj()] = true
+		}
+	}
+	// assign records a write to lhs with value, when lhs selects a field.
+	assign := func(lhs ast.Expr, value string, made map[types.Object]bool) {
+		if sel, ok := lhs.(*ast.SelectorExpr); ok {
+			if field, ok := m.info.Uses[sel.Sel].(*types.Var); ok && field.IsField() {
+				set(field, value)
+				if !made[field] {
+					called[field] = true
+				}
+			}
+		}
 	}
 	// zeroTest returns the field and the spelling of the operand x when
 	// cond is x.F == zero.
@@ -172,70 +237,77 @@ func sameValuedOptions(m *module, allow map[string]string) (alike, stale []strin
 	defaults := make(map[*ast.AssignStmt]bool)
 	for _, p := range m.paths {
 		for _, f := range m.pkgFiles[p] {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					named, st := optionsType(m.info.Types[n].Type)
-					if st == nil {
-						return true
-					}
-					given := make(map[string]string)
-					for i, el := range n.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							given[kv.Key.(*ast.Ident).Name] = valueOf(kv.Value)
-						} else {
-							given[st.Field(i).Name()] = valueOf(el)
-						}
-					}
-					dir := strings.TrimPrefix(named.Obj().Pkg().Path(), modulePath+"/internal/")
-					for i := 0; i < st.NumFields(); i++ {
-						field := st.Field(i)
-						if !field.Exported() {
-							continue
-						}
-						options[field] = dir + "." + named.Obj().Name() + "." + field.Name()
-						value, ok := given[field.Name()]
-						if !ok {
-							value = zero
-						}
-						set(field, value)
-					}
-				case *ast.IfStmt:
-					// if x.F == 0 { x.F = c } fills in a default: it is
-					// where the option is read, not a caller.
-					if field, x := zeroTest(n.Cond); field != nil {
-						for _, st := range n.Body.List {
-							if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 {
-								if sel, ok := as.Lhs[0].(*ast.SelectorExpr); ok && m.info.Uses[sel.Sel] == field && types.ExprString(sel.X) == x {
-									defaults[as] = true
-								}
+			for _, d := range f.Decls {
+				// made holds the types d constructs, its own package's
+				// structs among a function's results, and their fields.
+				made := make(map[types.Object]bool)
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					results := m.info.Defs[fd.Name].Type().(*types.Signature).Results()
+					for i := 0; i < results.Len(); i++ {
+						if named, st := structType(results.At(i).Type()); named != nil && named.Obj().Pkg().Path() == p {
+							made[named.Obj()] = true
+							for j := 0; j < st.NumFields(); j++ {
+								made[st.Field(j)] = true
 							}
 						}
 					}
-				case *ast.AssignStmt:
-					if defaults[n] {
-						return true
-					}
-					for i, lhs := range n.Lhs {
-						sel, ok := lhs.(*ast.SelectorExpr)
-						if !ok {
-							continue
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						_, st := structType(m.info.Types[n].Type)
+						if st == nil {
+							return true
 						}
-						if field, ok := m.info.Uses[sel.Sel].(*types.Var); ok && field.IsField() {
+						given := make(map[string]string)
+						for i, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								given[kv.Key.(*ast.Ident).Name] = valueOf(kv.Value)
+							} else {
+								given[st.Field(i).Name()] = valueOf(el)
+							}
+						}
+						build(m.info.Types[n].Type, given, made)
+					case *ast.IfStmt:
+						// if x.F == 0 { x.F = c } fills in a default: it is
+						// where the option is read, not a caller.
+						if field, x := zeroTest(n.Cond); field != nil {
+							for _, st := range n.Body.List {
+								if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 {
+									if sel, ok := as.Lhs[0].(*ast.SelectorExpr); ok && m.info.Uses[sel.Sel] == field && types.ExprString(sel.X) == x {
+										defaults[as] = true
+									}
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						if defaults[n] {
+							return true
+						}
+						for i, lhs := range n.Lhs {
 							value := varies
 							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
 								value = valueOf(n.Rhs[i])
 							}
-							set(field, value)
+							assign(lhs, value, made)
 						}
+					case *ast.IncDecStmt:
+						assign(n.X, varies, made)
 					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
 	listed := make(map[string]bool)
-	for field, name := range options {
+	for field, o := range options {
+		called[o.typ] = called[o.typ] || called[field]
+	}
+	for field, o := range options {
+		if !called[o.typ] {
+			continue
+		}
+		name := o.name
 		listed[name] = true
 		vs := values[field]
 		same := len(vs) == 1 && !vs[varies]
@@ -270,18 +342,14 @@ func isZero(v constant.Value) bool {
 	return false
 }
 
-// optionsType returns t's named type and struct when t, or what it points
-// to, is a struct declared under internal/ whose name ends in Config or
-// Options; otherwise nil.
-func optionsType(t types.Type) (*types.Named, *types.Struct) {
+// structType returns t's named type and struct when t, or what it points
+// to, is a struct declared under internal/; otherwise nil.
+func structType(t types.Type) (*types.Named, *types.Struct) {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil || !strings.HasPrefix(named.Obj().Pkg().Path(), modulePath+"/internal/") {
-		return nil, nil
-	}
-	if name := named.Obj().Name(); !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
 		return nil, nil
 	}
 	st, ok := named.Underlying().(*types.Struct)

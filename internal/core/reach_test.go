@@ -196,35 +196,39 @@ func drain(q *queue) { heap.Init(q) }
 	}
 }
 
-// wireFieldAllowlist names the wire types whose fields no receiver needs to
-// read, each with the reason. An entry whose fields are all read, or whose
-// type is no longer on the wire, fails the test.
-var wireFieldAllowlist = map[string]string{
+// fieldAllowlist names the struct types, or single fields, under internal/
+// that stay although TestEveryFieldHasAReader finds no reader, each with the
+// reason. An entry that covers no unread field fails the test.
+var fieldAllowlist = map[string]string{
 	"openflow.PacketOut": "the §2.2 attacker's packet: a switch refuses it by type, and reads none of it",
 }
 
-// TestEveryWireFieldHasAReader keeps fields that no receiver needs off the
-// wire. Every field of every type registered through register[…] in
-// internal/protocol, and of every struct of the module those types carry
-// (through pointers, slices, arrays and maps), must be read by some non-test
-// file of the module. Assigning to a field, incrementing it and naming it
-// as a composite-literal key do not read it. A field nothing reads goes,
-// with the code that fills it.
-func TestEveryWireFieldHasAReader(t *testing.T) {
-	unread, stale := unreadWireFields(checkedModule(t), wireFieldAllowlist)
+// TestEveryFieldHasAReader keeps state that nothing consults from growing
+// back. Every exported field of every struct type declared in a non-test
+// file under internal/ must be read by some non-test file of the module.
+// Assigning to a field, incrementing it and naming it as a composite-literal
+// key do not read it; an embedded field is read when one of its promoted
+// fields or methods is. Two kinds of field are read by design when a test
+// reads them: a counter, which a non-test file increments (++, -- or +=),
+// and a field of a record that a non-test function returns (by value,
+// through a pointer, or as the elements of a slice, array or map). A field
+// that no file reads goes, with the code that fills it.
+func TestEveryFieldHasAReader(t *testing.T) {
+	unread, stale := unreadFields(checkedModule(t), fieldAllowlist)
 	if len(unread) > 0 {
-		t.Errorf("wire fields that no non-test file reads (delete them with what fills them, or land their reader): %v", unread)
+		t.Errorf("fields that no non-test file reads (delete them with what fills them, or land their reader): %v", unread)
 	}
 	if len(stale) > 0 {
-		t.Errorf("allowlist entries no longer needed (every field is read, or the type is off the wire): %v", stale)
+		t.Errorf("allowlist entries no longer needed (every field they cover is read, or they are gone): %v", stale)
 	}
 }
 
-// TestUnreadWireFieldsFixtures shows the rule of TestEveryWireFieldHasAReader
+// TestUnreadWireFieldsFixtures shows the rule of TestEveryFieldHasAReader
 // firing, and not firing, on small trees.
 func TestUnreadWireFieldsFixtures(t *testing.T) {
 	const wire = "internal/protocol/wire.go"
 	const codec = "package protocol\nfunc register[T any]() {}\n"
+	const lib = "internal/lib/lib.go"
 	for _, tc := range []struct {
 		name   string
 		files  []source
@@ -263,7 +267,7 @@ func TestUnreadWireFieldsFixtures(t *testing.T) {
 			name: "a struct of another package, read only in a test",
 			files: []source{
 				{wire, "package protocol\nimport \"cicero/internal/ids\"\nfunc register[T any]() {}\n" +
-					"type Msg struct{ ID ids.ID }\nfunc init() { register[Msg]() }\nfunc handle(m Msg) ids.ID { return m.ID }\n"},
+					"type Msg struct{ ID ids.ID }\nfunc init() { register[Msg]() }\nfunc handle(m Msg) string { return m.ID.Name() }\n"},
 				{"internal/ids/ids.go", "package ids\ntype ID struct{ Origin string; Seq uint64 }\nfunc (id ID) Name() string { return id.Origin }\n"},
 				{"internal/ids/ids_test.go", "package ids\nfunc seq(id ID) uint64 { return id.Seq }\n"},
 			},
@@ -278,13 +282,41 @@ func TestUnreadWireFieldsFixtures(t *testing.T) {
 			allow: map[string]string{"protocol.Probe": "a fixture", "protocol.Msg": "was a fixture", "protocol.Gone": "was a fixture"},
 			stale: []string{"protocol.Gone", "protocol.Msg"},
 		},
+		{
+			name: "a field no file reads, tests included, on a struct no message carries",
+			files: []source{
+				{lib, "package lib\ntype Cache struct{ Size, Hits int }\nfunc (c *Cache) Grow() int { c.Hits = 0; c.Size *= 2; return c.Size }\n"},
+				{"internal/lib/lib_test.go", "package lib\nvar grown = (&Cache{Size: 1, Hits: 2}).Grow()\n"},
+				{"cmd/tool/main.go", "package main\nimport \"cicero/internal/lib\"\nfunc main() { new(lib.Cache).Grow() }\n"},
+			},
+			unread: []string{"lib.Cache.Hits"},
+		},
+		{
+			name: "a counter and a result field that only a test reads",
+			files: []source{
+				{lib, "package lib\ntype Node struct{ Seen, Lost, Dropped int }\n" +
+					"func (n *Node) Recv(ok bool) { if ok { n.Seen++ } else { n.Lost += 1; n.Dropped++ } }\n" +
+					"type Outcome struct{ Flows, Steps int }\nfunc Run() Outcome { return Outcome{Flows: 2, Steps: 3} }\n"},
+				{"internal/lib/lib_test.go", "package lib\nfunc check(n *Node) bool { return n.Seen+n.Lost > 0 && Run().Flows == 2 }\n"},
+			},
+			unread: []string{"lib.Node.Dropped", "lib.Outcome.Steps"},
+		},
+		{
+			name: "an embedded field read through a promoted member",
+			files: []source{
+				{lib, "package lib\nimport \"sync\"\ntype Totals struct{ Sent int }\n" +
+					"type Stats struct{ Totals; sync.Mutex; Extra Totals }\n" +
+					"func load(s *Stats) int { s.Lock(); defer s.Unlock(); s.Extra.Sent = 1; return s.Sent }\n"},
+			},
+			unread: []string{"lib.Stats.Extra"},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := checkModule(tc.files)
 			if err != nil {
 				t.Fatal(err)
 			}
-			unread, stale := unreadWireFields(m, tc.allow)
+			unread, stale := unreadFields(m, tc.allow)
 			if !reflect.DeepEqual(unread, tc.unread) || !reflect.DeepEqual(stale, tc.stale) {
 				t.Errorf("unread %v, stale %v; want %v, %v", unread, stale, tc.unread, tc.stale)
 			}
@@ -292,74 +324,100 @@ func TestUnreadWireFieldsFixtures(t *testing.T) {
 	}
 }
 
-// unreadWireFields applies the rule of TestEveryWireFieldHasAReader to m.
-// It returns, sorted, the wire fields that no non-test file reads and whose
-// type allow does not name, and the entries of allow that name no wire type
-// with such a field. A field is named "<dir under internal/>.<Type>.<Field>",
-// a type "<dir>.<Type>".
+// unreadFields applies the rule of TestEveryFieldHasAReader to m. It
+// returns, sorted, the fields that fail it and that allow names neither by
+// type nor by field, and the entries of allow that cover no such field. A
+// field is named "<dir under internal/>.<Type>.<Field>", a type
+// "<dir>.<Type>".
 //
 // A field is read by an identifier that denotes it, except the field a
 // target of an assignment or an inc/dec statement selects (through the
 // fields, indexes and dereferences of that target) and the key of a
-// composite literal.
-func unreadWireFields(m *module, allow map[string]string) (unread, stale []string) {
-	name := func(n *types.Named) string {
-		return strings.TrimPrefix(n.Obj().Pkg().Path(), modulePath+"/internal/") + "." + n.Obj().Name()
-	}
-
-	// The wire types: register[T] in internal/protocol, and the module's
-	// structs they carry.
-	owner := make(map[*types.Var]*types.Named) // wire field -> its struct
-	seen := make(map[*types.Named]bool)
-	var walk func(types.Type)
-	walk = func(t types.Type) {
-		switch t := t.(type) {
-		case *types.Pointer:
-			walk(t.Elem())
-		case *types.Slice:
-			walk(t.Elem())
-		case *types.Array:
-			walk(t.Elem())
-		case *types.Map:
-			walk(t.Key())
-			walk(t.Elem())
-		case *types.Named:
-			if seen[t] || t.Obj().Pkg() == nil || !strings.HasPrefix(t.Obj().Pkg().Path(), modulePath+"/") {
-				return
-			}
-			seen[t] = true
-			st, ok := t.Underlying().(*types.Struct)
-			if !ok {
-				walk(t.Underlying())
-				return
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() {
-					owner[f] = t
-					walk(f.Type())
+// composite literal. An embedded field is also read by a selector, not such
+// a target, that reaches a promoted member through it.
+func unreadFields(m *module, allow map[string]string) (unread, stale []string) {
+	// The fields, each with its struct.
+	owner := make(map[*types.Var]*types.TypeName)
+	for _, p := range m.paths {
+		if !strings.HasPrefix(p, modulePath+"/internal/") {
+			continue
+		}
+		for _, f := range m.pkgFiles[p] {
+			for _, d := range f.Decls {
+				d, ok := d.(*ast.GenDecl)
+				if !ok || d.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range d.Specs {
+					tn := m.info.Defs[spec.(*ast.TypeSpec).Name].(*types.TypeName)
+					if st, ok := tn.Type().Underlying().(*types.Struct); ok && !tn.IsAlias() {
+						for i := 0; i < st.NumFields(); i++ {
+							if f := st.Field(i); f.Exported() {
+								owner[f] = tn
+							}
+						}
+					}
 				}
 			}
 		}
 	}
-	for _, f := range m.pkgFiles[modulePath+"/internal/protocol"] {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if ix, ok := n.(*ast.IndexExpr); ok {
-				if id, ok := ix.X.(*ast.Ident); ok && id.Name == "register" {
-					walk(m.info.Types[ix.Index].Type)
-				}
-			}
-			return true
-		})
+	name := func(tn *types.TypeName) string {
+		return strings.TrimPrefix(tn.Pkg().Path(), modulePath+"/internal/") + "." + tn.Name()
 	}
 
-	// The identifiers that denote a field without reading it.
+	// The records non-test functions return.
+	results := make(map[*types.TypeName]bool)
+	returns := func(sig *types.Signature) {
+		for i := 0; i < sig.Results().Len(); i++ {
+			t := sig.Results().At(i).Type()
+			for t != nil {
+				switch u := t.(type) {
+				case *types.Pointer:
+					t = u.Elem()
+				case *types.Slice:
+					t = u.Elem()
+				case *types.Array:
+					t = u.Elem()
+				case *types.Map:
+					t = u.Elem()
+				case *types.Named:
+					results[u.Origin().Obj()] = true
+					t = nil
+				default:
+					t = nil
+				}
+			}
+		}
+	}
+
+	// Who reads each field, and which fields non-test files count with.
+	type readers struct{ prod, test bool }
+	read := make(map[*types.Var]*readers)
+	reads := func(v *types.Var, at token.Pos) {
+		v = v.Origin()
+		if owner[v] == nil {
+			return
+		}
+		if read[v] == nil {
+			read[v] = new(readers)
+		}
+		if m.inTest(at) {
+			read[v].test = true
+		} else {
+			read[v].prod = true
+		}
+	}
+	counter := make(map[*types.Var]bool)
 	written := make(map[*ast.Ident]bool)
-	target := func(x ast.Expr) {
+	target := func(x ast.Expr, counts bool) {
 		for {
 			switch e := x.(type) {
 			case *ast.SelectorExpr:
+				if v, ok := m.info.Uses[e.Sel].(*types.Var); ok && counts && !m.inTest(e.Pos()) {
+					counter[v.Origin()] = true
+				}
 				written[e.Sel] = true
-				x = e.X
+				x, counts = e.X, false
 			case *ast.IndexExpr:
 				x = e.X
 			case *ast.StarExpr:
@@ -372,44 +430,75 @@ func unreadWireFields(m *module, allow map[string]string) (unread, stale []strin
 		}
 	}
 	for _, p := range m.paths {
-		for _, f := range m.pkgFiles[p] {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						target(lhs)
+		for _, files := range [][]*ast.File{m.pkgFiles[p], m.testFiles[p]} {
+			for _, f := range files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							target(lhs, n.Tok == token.ADD_ASSIGN)
+						}
+					case *ast.IncDecStmt:
+						target(n.X, true)
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							written[id] = true
+						}
+					case *ast.SelectorExpr:
+						// The embedded fields a promoted member is reached through.
+						sel := m.info.Selections[n]
+						if sel == nil || written[n.Sel] {
+							break
+						}
+						t := sel.Recv()
+						for _, i := range sel.Index()[:len(sel.Index())-1] {
+							if p, ok := t.(*types.Pointer); ok {
+								t = p.Elem()
+							}
+							st, ok := t.Underlying().(*types.Struct)
+							if !ok {
+								break
+							}
+							reads(st.Field(i), n.Pos())
+							t = st.Field(i).Type()
+						}
+					case *ast.FuncDecl:
+						if !m.inTest(n.Pos()) {
+							returns(m.info.Defs[n.Name].Type().(*types.Signature))
+						}
+					case *ast.FuncLit:
+						if !m.inTest(n.Pos()) {
+							returns(m.info.Types[n].Type.(*types.Signature))
+						}
 					}
-				case *ast.IncDecStmt:
-					target(n.X)
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok {
-						written[id] = true
-					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
-	read := make(map[*types.Var]bool)
 	for id, obj := range m.info.Uses {
-		if v, ok := obj.(*types.Var); ok && owner[v] != nil && !written[id] {
-			read[v] = true
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			reads(v, id.Pos())
 		}
 	}
 
-	flagged := make(map[string]bool) // allowlisted types with an unread field
-	for f, t := range owner {
-		if read[f] {
+	covered := make(map[string]bool) // allowlist entries that cover an unread field
+	for f, tn := range owner {
+		r := read[f]
+		if r != nil && (r.prod || r.test && (counter[f] || results[tn])) {
 			continue
 		}
-		if _, ok := allow[name(t)]; ok {
-			flagged[name(t)] = true
-			continue
+		field := name(tn) + "." + f.Name()
+		if _, ok := allow[name(tn)]; ok {
+			covered[name(tn)] = true
+		} else if _, ok := allow[field]; ok {
+			covered[field] = true
+		} else {
+			unread = append(unread, field)
 		}
-		unread = append(unread, name(t)+"."+f.Name())
 	}
 	for entry := range allow {
-		if !flagged[entry] {
+		if !covered[entry] {
 			stale = append(stale, entry)
 		}
 	}
@@ -422,16 +511,15 @@ func unreadWireFields(m *module, allow map[string]string) (unread, stale []strin
 // its text.
 type source struct{ path, text string }
 
-// The module's non-test files, type-checked once per test binary: both
-// guards read them, and checking the standard library from source takes
-// seconds.
+// The module's files, type-checked once per test binary: every guard reads
+// them, and checking the standard library from source takes seconds.
 var (
 	moduleOnce sync.Once
 	theModule  *module
 	moduleErr  error
 )
 
-// checkedModule returns the module's non-test files, type-checked.
+// checkedModule returns the module's files, type-checked.
 func checkedModule(t *testing.T) *module {
 	t.Helper()
 	moduleOnce.Do(func() {
@@ -447,8 +535,8 @@ func checkedModule(t *testing.T) *module {
 	return theModule
 }
 
-// moduleSources reads every non-test Go file of the module, outside
-// testdata and hidden directories.
+// moduleSources reads every Go file of the module, outside testdata and
+// hidden directories.
 func moduleSources() ([]source, error) {
 	var files []source
 	root := filepath.Join("..", "..")
@@ -463,7 +551,7 @@ func moduleSources() ([]source, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		text, err := os.ReadFile(file)
@@ -477,36 +565,44 @@ func moduleSources() ([]source, error) {
 	return files, err
 }
 
-// module is the module's non-test files, type-checked together.
+// module is the module's files, type-checked together: each package with
+// its in-package tests, and each external test package on its own.
 type module struct {
+	fset       *token.FileSet
 	pkgFiles   map[string][]*ast.File // import path -> its non-test files
+	testFiles  map[string][]*ast.File // import path -> its _test.go files; <path>_test for an external test package
 	paths      []string               // the import paths, sorted
 	info       *types.Info
 	std        types.Importer
-	stdImports map[string]bool // standard packages the files import
+	stdImports map[string]bool // standard packages the non-test files import
+}
+
+// inTest reports whether pos lies in a _test.go file.
+func (m *module) inTest(pos token.Pos) bool {
+	return strings.HasSuffix(m.fset.File(pos).Name(), "_test.go")
 }
 
 // modulePath is the module's path in go.mod.
 const modulePath = "cicero"
 
-// checkModule parses and type-checks the non-test files among files, the
-// standard library from source.
+// checkModule parses and type-checks files, the standard library from
+// source.
 func checkModule(files []source) (*module, error) {
 	fset := token.NewFileSet()
 	m := &module{
+		fset:       fset,
 		pkgFiles:   make(map[string][]*ast.File),
+		testFiles:  make(map[string][]*ast.File),
 		stdImports: make(map[string]bool),
 		info: &types.Info{
-			Defs:  make(map[*ast.Ident]types.Object),
-			Uses:  make(map[*ast.Ident]types.Object),
-			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		},
 		std: importer.ForCompiler(fset, "source", nil),
 	}
 	for _, src := range files {
-		if strings.HasSuffix(src.path, "_test.go") {
-			continue
-		}
 		f, err := parser.ParseFile(fset, src.path, src.text, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -514,6 +610,13 @@ func checkModule(files []source) (*module, error) {
 		p := modulePath
 		if dir := path.Dir(src.path); dir != "." {
 			p += "/" + dir
+		}
+		if strings.HasSuffix(src.path, "_test.go") {
+			if strings.HasSuffix(f.Name.Name, "_test") {
+				p += "_test"
+			}
+			m.testFiles[p] = append(m.testFiles[p], f)
+			continue
 		}
 		m.pkgFiles[p] = append(m.pkgFiles[p], f)
 		for _, imp := range f.Imports {
@@ -528,8 +631,8 @@ func checkModule(files []source) (*module, error) {
 		if pkg, ok := checked[p]; ok {
 			return pkg, nil
 		}
-		pf, ok := m.pkgFiles[p]
-		if !ok {
+		pf := append(append([]*ast.File(nil), m.pkgFiles[p]...), m.testFiles[p]...)
+		if len(pf) == 0 {
 			return m.std.Import(p)
 		}
 		conf := types.Config{Importer: importerFunc(check)}
@@ -542,6 +645,11 @@ func checkModule(files []source) (*module, error) {
 	}
 	for p := range m.pkgFiles {
 		m.paths = append(m.paths, p)
+	}
+	for p := range m.testFiles {
+		if m.pkgFiles[p] == nil {
+			m.paths = append(m.paths, p)
+		}
 	}
 	sort.Strings(m.paths)
 	for _, p := range m.paths {
@@ -646,7 +754,7 @@ func unreachedExports(m *module, allow map[string]string) (unreached, stale []st
 	}
 	reached := make(map[types.Object]bool)
 	for id, obj := range info.Uses {
-		if s, ok := own[obj]; (ok && within(id.Pos(), s)) || receivers[id] || within(id.Pos(), assertions...) {
+		if s, ok := own[obj]; (ok && within(id.Pos(), s)) || receivers[id] || within(id.Pos(), assertions...) || m.inTest(id.Pos()) {
 			continue
 		}
 		// A use of an instantiated generic method or field reaches its
@@ -663,13 +771,13 @@ func unreachedExports(m *module, allow map[string]string) (unreached, stale []st
 	// A method an interface's reached method dispatches to is reached too.
 	var ifaces []*types.Interface
 	var named []*types.Named
-	for _, tv := range info.Types {
-		if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() {
+	for x, tv := range info.Types {
+		if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() && !m.inTest(x.Pos()) {
 			ifaces = append(ifaces, it)
 		}
 	}
-	for _, obj := range info.Defs {
-		if tn, ok := obj.(*types.TypeName); ok {
+	for id, obj := range info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && !m.inTest(id.Pos()) {
 			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
 				if it, ok := n.Underlying().(*types.Interface); ok {
 					ifaces = append(ifaces, it)

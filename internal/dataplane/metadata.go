@@ -82,30 +82,25 @@ func (s *Switch) RequestMeta() {
 }
 
 // metaAllowsConfig gates configuration adoption on the verified policy
-// metadata: if the store holds a targets document at or past the
-// config's membership phase, the config's member list must match the
-// signed one. A lagging store (metadata phase behind the config) does
-// not block — metadata distribution is asynchronous — but it can never
-// be used to smuggle in a membership the signed policy contradicts.
+// metadata: if the store holds a targets document for the config's
+// membership phase, the config's members, quorum and aggregator must
+// match the signed ones. A store at another phase does not block —
+// metadata distribution is asynchronous — but it can never be used to
+// smuggle in a configuration the signed policy contradicts.
 func (s *Switch) metaAllowsConfig(m protocol.MsgConfig) bool {
 	if s.meta == nil {
 		return true
 	}
 	tg := s.meta.PolicyTargets()
-	if tg == nil || tg.Policy.Phase < m.Phase || len(tg.Policy.Members) == 0 {
+	if tg == nil || tg.Policy.Phase != m.Phase || len(tg.Policy.Members) == 0 {
 		return true
 	}
-	// The signed policy at this phase (or later) names the membership;
-	// find the entry for exactly this phase when available, else trust
-	// the newer one only for a mismatch in the same phase.
-	if tg.Policy.Phase != m.Phase {
-		return true
-	}
-	if len(tg.Policy.Members) != len(m.Members) {
+	p := tg.Policy
+	if p.Quorum != m.Quorum || p.Aggregator != string(m.Aggregator) || len(p.Members) != len(m.Members) {
 		return false
 	}
 	for i, id := range m.Members {
-		if tg.Policy.Members[i] != string(id) {
+		if p.Members[i] != string(id) {
 			return false
 		}
 	}

@@ -171,7 +171,7 @@ func (rt *nodeRuntime) hello() error {
 	}
 	var err error
 	for attempt := 0; attempt < 20; attempt++ {
-		if err = rt.fab.SendErr(self, fabric.NodeID(rt.bundle.Driver), msg, 0); err == nil {
+		if err = rt.fab.SendErr(self, DriverID, msg, 0); err == nil {
 			rt.note("hello", msg.Addr, "")
 			return nil
 		}
@@ -204,19 +204,18 @@ func (rt *nodeRuntime) onApply(sw string, id openflow.MsgID, phase uint64, mods 
 // the message was consumed.
 func (rt *nodeRuntime) handleControl(msg fabric.Message) bool {
 	self := fabric.NodeID(rt.bundle.ID)
-	driver := fabric.NodeID(rt.bundle.Driver)
 	switch m := msg.(type) {
 	case protocol.MsgNodeQuery:
 		snap := rt.snapshot()
 		snap.Nonce = m.Nonce
-		rt.fab.SendErr(self, driver, snap, 0)
+		rt.fab.SendErr(self, DriverID, snap, 0)
 		return true
 	case protocol.MsgInjectFlow:
 		if rt.sw != nil {
 			sw := rt.sw
 			flow := m
 			sw.Subscribe(flow.Src, flow.Dst, func(fabric.Time) {
-				rt.fab.SendErr(self, driver, protocol.MsgFlowDone{FlowID: flow.FlowID, Switch: rt.bundle.ID}, 0)
+				rt.fab.SendErr(self, DriverID, protocol.MsgFlowDone{FlowID: flow.FlowID, Switch: rt.bundle.ID}, 0)
 			})
 			sw.PacketArrival(flow.Src, flow.Dst)
 		}

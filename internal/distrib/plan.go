@@ -106,7 +106,6 @@ func pack(cfg core.Config, p *core.Provisioning, nodes []string) map[string]prot
 	common := protocol.NodeBundle{
 		Role:                protocol.RoleSwitch,
 		Domain:              d.Index,
-		Driver:              DriverID,
 		Members:             d.Members,
 		Switches:            d.Switches,
 		Quorum:              d.Quorum,

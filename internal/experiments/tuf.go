@@ -145,7 +145,6 @@ func tufVerifyCost(o Options) (*metrics.Table, error) {
 	tg, sn, ts := metarepo.BuildSet(metarepo.Policy{
 		Phase:  1,
 		Quorum: quorum,
-		Flows:  []metarepo.FlowPolicy{{Src: "h1", Dst: "h2", Allow: true}},
 	}, 1, issued, ttl, ttl)
 	set := metarepo.SignSet(tg, sn, ts, signers[:quorum])
 

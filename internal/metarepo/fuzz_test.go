@@ -53,7 +53,7 @@ func FuzzStoreApply(f *testing.F) {
 	flipped.Sigs = append([]protocol.MetaSig(nil), flipped.Sigs...)
 	flipped.Sigs[0].Sig = append([]byte{flipped.Sigs[0].Sig[0] ^ 1}, flipped.Sigs[0].Sig[1:]...)
 	edited := set1[2]
-	edited.Signed = bytes.Replace(edited.Signed, []byte(`"issued_ns":1000`), []byte(`"issued_ns":1001`), 1)
+	edited.Signed = bytes.Replace(edited.Signed, []byte(`"version":1,`), []byte(`"version":7,`), 1)
 	relabelled := set1[1]
 	relabelled.Role = protocol.MetaRoleTimestamp
 	for _, env := range []protocol.MetaEnvelope{flipped, edited, relabelled} {

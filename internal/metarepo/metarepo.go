@@ -18,8 +18,9 @@
 //     no longer verify against the fresh Feldman commitments, so a
 //     retired sharing cannot mint roots even though the group public key
 //     never changes.
-//   - targets: the policy bundle — membership, quorum, aggregator,
-//     batching and view-change parameters, flow and waypoint policies.
+//   - targets: the policy bundle — a phase's membership, quorum and
+//     aggregator, which a switch's config gate checks config pushes
+//     against.
 //   - snapshot: a version vector binding the exact targets version and
 //     digest, so an attacker cannot mix an old targets with a new
 //     snapshot (mix-and-match).
@@ -72,20 +73,18 @@ func (d Delegation) Key(id string) []byte {
 	return nil
 }
 
+// Header is the version and expiry every document starts with. Each
+// document embeds it, so its fields lead the document's JSON.
+type Header struct {
+	Version   uint64 `json:"version"`
+	ExpiresNS int64  `json:"expires_ns"`
+}
+
 // Root is the trust-anchor document. Roles maps each delegated role
 // name (targets, snapshot, timestamp) to its delegation.
 type Root struct {
-	Version   uint64                `json:"version"`
-	IssuedNS  int64                 `json:"issued_ns"`
-	ExpiresNS int64                 `json:"expires_ns"`
-	Roles     map[string]Delegation `json:"roles"`
-}
-
-// FlowPolicy is one allow/deny policy entry over a flow pair.
-type FlowPolicy struct {
-	Src   string `json:"src"`
-	Dst   string `json:"dst"`
-	Allow bool   `json:"allow"`
+	Header
+	Roles map[string]Delegation `json:"roles"`
 }
 
 // Policy is the targets payload: everything a switch or node process
@@ -94,36 +93,29 @@ type FlowPolicy struct {
 type Policy struct {
 	// Phase is the control-plane membership phase this bundle describes.
 	Phase uint64 `json:"phase"`
-	// Members, Quorum, Aggregator mirror MsgConfig's payload.
+	// Members, Quorum, Aggregator mirror MsgConfig's payload; a switch
+	// adopts a config only when all three match.
 	Members    []string `json:"members,omitempty"`
 	Quorum     int      `json:"quorum,omitempty"`
 	Aggregator string   `json:"aggregator,omitempty"`
-	// Flow-level policy.
-	Flows []FlowPolicy `json:"flows,omitempty"`
 }
 
 // Targets is the policy-bundle document.
 type Targets struct {
-	Version   uint64 `json:"version"`
-	IssuedNS  int64  `json:"issued_ns"`
-	ExpiresNS int64  `json:"expires_ns"`
-	Policy    Policy `json:"policy"`
+	Header
+	Policy Policy `json:"policy"`
 }
 
 // Snapshot binds the exact targets version and digest.
 type Snapshot struct {
-	Version        uint64 `json:"version"`
-	IssuedNS       int64  `json:"issued_ns"`
-	ExpiresNS      int64  `json:"expires_ns"`
+	Header
 	TargetsVersion uint64 `json:"targets_version"`
 	TargetsDigest  []byte `json:"targets_digest"`
 }
 
 // Timestamp is the short-lived freshness proof binding the snapshot.
 type Timestamp struct {
-	Version         uint64 `json:"version"`
-	IssuedNS        int64  `json:"issued_ns"`
-	ExpiresNS       int64  `json:"expires_ns"`
+	Header
 	SnapshotVersion uint64 `json:"snapshot_version"`
 	SnapshotDigest  []byte `json:"snapshot_digest"`
 }
@@ -145,12 +137,6 @@ func Encode(doc any) []byte {
 // It is the one reader of the format: nothing outside this package
 // unmarshals a document itself.
 func Decode(signed []byte, doc any) error { return json.Unmarshal(signed, doc) }
-
-// Header is the version and expiry every document starts with.
-type Header struct {
-	Version   uint64 `json:"version"`
-	ExpiresNS int64  `json:"expires_ns"`
-}
 
 // Digest is the document digest used by snapshot/timestamp bindings and
 // by the leader's signature grouping: SHA-256 over the canonical bytes.
@@ -232,9 +218,7 @@ func RootAt(version uint64, quorum int, keys []RoleKey, issuedNS, ttlNS int64) R
 		quorum = len(keys)
 	}
 	return Root{
-		Version:   version,
-		IssuedNS:  issuedNS,
-		ExpiresNS: issuedNS + ttlNS,
+		Header: Header{Version: version, ExpiresNS: issuedNS + ttlNS},
 		Roles: map[string]Delegation{
 			protocol.MetaRoleTargets:   {Threshold: quorum, Keys: keys},
 			protocol.MetaRoleSnapshot:  {Threshold: quorum, Keys: keys},
@@ -248,15 +232,15 @@ func RootAt(version uint64, quorum int, keys []RoleKey, issuedNS, ttlNS int64) R
 // that runs this with identical inputs derives byte-identical documents,
 // which is what lets a quorum sign without further coordination.
 func BuildSet(policy Policy, version uint64, issuedNS, ttlNS, timestampTTLNS int64) (Targets, Snapshot, Timestamp) {
-	tg := Targets{Version: version, IssuedNS: issuedNS, ExpiresNS: issuedNS + ttlNS, Policy: policy}
+	tg := Targets{Header: Header{Version: version, ExpiresNS: issuedNS + ttlNS}, Policy: policy}
 	tgBytes := Encode(tg)
 	sn := Snapshot{
-		Version: version, IssuedNS: issuedNS, ExpiresNS: issuedNS + ttlNS,
+		Header:         Header{Version: version, ExpiresNS: issuedNS + ttlNS},
 		TargetsVersion: tg.Version, TargetsDigest: Digest(tgBytes),
 	}
 	snBytes := Encode(sn)
 	ts := Timestamp{
-		Version: version, IssuedNS: issuedNS, ExpiresNS: issuedNS + timestampTTLNS,
+		Header:          Header{Version: version, ExpiresNS: issuedNS + timestampTTLNS},
 		SnapshotVersion: sn.Version, SnapshotDigest: Digest(snBytes),
 	}
 	return tg, sn, ts
@@ -266,9 +250,7 @@ func BuildSet(policy Policy, version uint64, issuedNS, ttlNS, timestampTTLNS int
 // snapshot: same binding, next version, fresh expiry.
 func RefreshTimestamp(prev Timestamp, issuedNS, timestampTTLNS int64) Timestamp {
 	return Timestamp{
-		Version:         prev.Version + 1,
-		IssuedNS:        issuedNS,
-		ExpiresNS:       issuedNS + timestampTTLNS,
+		Header:          Header{Version: prev.Version + 1, ExpiresNS: issuedNS + timestampTTLNS},
 		SnapshotVersion: prev.SnapshotVersion,
 		SnapshotDigest:  prev.SnapshotDigest,
 	}

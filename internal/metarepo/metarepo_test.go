@@ -147,7 +147,7 @@ func TestRejectsWrongRoleAndForeignKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := Timestamp{Version: 9, IssuedNS: f.now, ExpiresNS: f.now + tsTTL, SnapshotVersion: 9}
+	ts := Timestamp{Header: Header{Version: 9, ExpiresNS: f.now + tsTTL}, SnapshotVersion: 9}
 	env := protocol.MetaEnvelope{Role: protocol.MetaRoleTimestamp, Signed: Encode(ts)}
 	env.Sigs = []protocol.MetaSig{SignRole(outsider, protocol.MetaRoleTimestamp, env.Signed)}
 	if err := s.Apply(env); Reason(err) != RejectWrongRole {
@@ -201,7 +201,7 @@ func TestRootRotationRetiresKeys(t *testing.T) {
 	}
 	// A post-rotation document signed by the retired key is rejected as
 	// retired-key, not generic garbage.
-	ts2 := Timestamp{Version: 2, IssuedNS: f.now, ExpiresNS: f.now + tsTTL,
+	ts2 := Timestamp{Header: Header{Version: 2, ExpiresNS: f.now + tsTTL},
 		SnapshotVersion: 1, SnapshotDigest: Digest(set[1].Signed)}
 	env := protocol.MetaEnvelope{Role: protocol.MetaRoleTimestamp, Signed: Encode(ts2)}
 	env.Sigs = []protocol.MetaSig{SignRole(f.keys[3], protocol.MetaRoleTimestamp, env.Signed)}

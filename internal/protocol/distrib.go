@@ -50,8 +50,6 @@ type NodeBundle struct {
 	// Domain and Slot locate a controller (slot indexes Members).
 	Domain int
 	Slot   int
-	// Driver is the supervising driver's node id (hello/snapshot target).
-	Driver string
 	// Members lists the domain's controllers; Switches its data plane.
 	Members  []pki.Identity
 	Switches []string

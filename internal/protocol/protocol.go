@@ -60,8 +60,6 @@ type Event struct {
 	// link ends for EventLinkDown.
 	Src string
 	Dst string
-	// Cookie tags flow-scoped rules for teardown.
-	Cookie uint64
 	// Forwarded marks an event relayed from another domain; it must be
 	// processed locally and never forwarded again (§4.1).
 	Forwarded bool

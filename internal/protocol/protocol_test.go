@@ -16,7 +16,6 @@ func TestEventEncodeDecodeRoundTrip(t *testing.T) {
 		Kind:      EventFlowRequest,
 		Src:       "h1",
 		Dst:       "h2",
-		Cookie:    7,
 		Forwarded: true,
 		Info:      "extra",
 	}
@@ -76,7 +75,7 @@ func TestBroadcastItemRoundTrip(t *testing.T) {
 func TestBroadcastItemIsNeverABatch(t *testing.T) {
 	magic := string(bft.EncodeBatch([][]byte{{1}})[:8])
 	full := Event{ID: openflow.MsgID{Origin: magic, Seq: 1 << 60}, Kind: EventPolicyChange,
-		Src: magic, Dst: "b", Cookie: 9, Forwarded: true, Info: magic}
+		Src: magic, Dst: "b", Forwarded: true, Info: magic}
 	payloads := [][]byte{nil, {}} // null requests
 	for _, item := range []BroadcastItem{
 		{},

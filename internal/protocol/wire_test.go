@@ -181,7 +181,6 @@ func wireSamples(t testing.TB) []fabric.Message {
 		openflow.PacketOut{ID: id, Switch: "s1", Src: "h1", Dst: "h2", Payload: "attack"},
 		NodeBundle{
 			Role: RoleController, ID: string(members[1]), Domain: 0, Slot: 1,
-			Driver:    "distrib/driver",
 			Members:   members,
 			Switches:  []string{"s1", "s2"},
 			Quorum:    2,
@@ -221,7 +220,7 @@ func wireSamples(t testing.TB) []fabric.Message {
 
 var sampleEvent = Event{
 	ID: openflow.MsgID{Origin: "s1/td", Seq: 300}, Kind: EventFlowTeardown,
-	Src: "h1", Dst: "h2", Cookie: 9, Forwarded: true, Info: "info",
+	Src: "h1", Dst: "h2", Forwarded: true, Info: "info",
 }
 
 // TestWireRoundTrip encodes every sample, decodes it, re-encodes the
@@ -516,8 +515,8 @@ func TestWireDecodeErrors(t *testing.T) {
 		{"event trailing byte", decEvent, append(bytes.Clone(event), 0), errWireTrailing},
 		{"ack trailing byte", decAck, append(bytes.Clone(ack), 0), errWireTrailing},
 		{"event origin past the end", decEvent, frameOf(80, 5, 's', '1'), errWireShort},
-		{"event non-minimal seq", decEvent, frameOf(80, 0, 0x81, 0x00, 2, 0, 0, 0, 0, 0), errWireVarint},
-		{"event forwarded of 2", decEvent, frameOf(80, 0, 0, 2, 0, 0, 0, 2, 0), errWireBool},
+		{"event non-minimal seq", decEvent, frameOf(80, 0, 0x81, 0x00, 2, 0, 0, 0, 0), errWireVarint},
+		{"event forwarded of 2", decEvent, frameOf(80, 0, 0, 2, 0, 0, 2, 0), errWireBool},
 		{"ack applied of 2", decAck, frameOf(81, 0, 0, 2), errWireBool},
 		{"item presence of 2", decItem, frameOf(82, 2, 0), errWireBool},
 		{"item ends inside its event", decItem, frameOf(82, 1, 0, 0), errWireShort},

@@ -74,7 +74,7 @@ func (a *ShortestPath) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 	if a.PairRules {
 		match.Src = ev.Src
 	}
-	mods := hopMods(a.Graph, path, op, openflow.Rule{Priority: routePriority, Match: match, Cookie: ev.Cookie})
+	mods := hopMods(a.Graph, path, op, openflow.Rule{Priority: routePriority, Match: match})
 	if len(mods) == 0 {
 		return nil, nil // same-rack flow: no switch updates needed
 	}
@@ -148,7 +148,6 @@ func (a *Firewall) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 					Priority: dropPriority,
 					Match:    openflow.Match{Src: ev.Src, Dst: ev.Dst},
 					Action:   openflow.Action{Type: openflow.ActionDrop},
-					Cookie:   ev.Cookie,
 				},
 			}}, nil
 		}
@@ -221,7 +220,7 @@ func (a *LoadBalancer) PlanFlow(ev protocol.Event) ([]openflow.FlowMod, error) {
 			a.reserved[key] = 0
 		}
 	}
-	rule := openflow.Rule{Priority: routePriority, Match: openflow.Match{Src: ev.Src, Dst: ev.Dst}, Cookie: ev.Cookie}
+	rule := openflow.Rule{Priority: routePriority, Match: openflow.Match{Src: ev.Src, Dst: ev.Dst}}
 	return hopMods(a.Graph, path, op, rule), nil
 }
 

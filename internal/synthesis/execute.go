@@ -43,7 +43,6 @@ func (o ExecOptions) defaulted() ExecOptions {
 
 // ExecResult reports one plan execution.
 type ExecResult struct {
-	Backend string
 	// Applied counts valid switch applies observed for the plan.
 	Applied int
 	// Checks counts property evaluations (simulator ticks plus replayed
@@ -180,7 +179,7 @@ func Execute(scn *Scenario, plan *Plan, opt ExecOptions) (*ExecResult, error) {
 
 	emitter := n.Switches[emitterID]
 	ev := protocol.Event{ID: evID, Kind: protocol.EventPolicyChange}
-	res := &ExecResult{Backend: opt.Backend}
+	res := &ExecResult{}
 	viol := &collector{seen: make(map[string]bool)}
 
 	if err := n.On(fabric.NodeID(emitter.ID()), func() { emitter.EmitEvent(ev) }); err != nil {

@@ -18,23 +18,22 @@ import (
 
 // City is a Deutsche Telekom backbone point of presence.
 type City struct {
-	Name string
-	Lat  float64
-	Lon  float64
+	Lat float64
+	Lon float64
 }
 
 // TelekomCities lists the backbone PoPs (one data center each).
 var TelekomCities = []City{
-	{"berlin", 52.52, 13.405},
-	{"hamburg", 53.551, 9.994},
-	{"hannover", 52.376, 9.732},
-	{"dortmund", 51.514, 7.466},
-	{"koeln", 50.938, 6.96},
-	{"frankfurt", 50.110, 8.682},
-	{"stuttgart", 48.776, 9.183},
-	{"muenchen", 48.137, 11.575},
-	{"nuernberg", 49.453, 11.077},
-	{"leipzig", 51.340, 12.375},
+	{52.52, 13.405},  // berlin
+	{53.551, 9.994},  // hamburg
+	{52.376, 9.732},  // hannover
+	{51.514, 7.466},  // dortmund
+	{50.938, 6.96},   // koeln
+	{50.110, 8.682},  // frankfurt
+	{48.776, 9.183},  // stuttgart
+	{48.137, 11.575}, // muenchen
+	{49.453, 11.077}, // nuernberg
+	{51.340, 12.375}, // leipzig
 }
 
 // telekomLinks is the backbone adjacency (index pairs into TelekomCities).

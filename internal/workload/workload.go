@@ -74,12 +74,11 @@ type Flow struct {
 	Locality Locality
 }
 
-// Mix describes a traffic class: locality probabilities (summing to 1)
-// and mean flow sizes per locality in kilobytes.
+// Mix describes a traffic class: locality probabilities and mean flow
+// sizes per locality in kilobytes.
 type Mix struct {
-	Class Class
-	// Fractions of flows per locality.
-	PIntraRack, PInterRack, PInterPod, PInterDC float64
+	// Fractions of flows per locality; inter-DC flows take the rest.
+	PIntraRack, PInterRack, PInterPod float64
 	// Mean flow size per locality (kB), exponentially distributed.
 	SizeKB map[Locality]float64
 }
@@ -89,11 +88,9 @@ type Mix struct {
 // with the cross-pod/cross-DC fractions the paper reports.
 func HadoopMix() Mix {
 	return Mix{
-		Class:      Hadoop,
 		PIntraRack: 0.884,
 		PInterRack: 0.058,
-		PInterPod:  0.033,
-		PInterDC:   0.025,
+		PInterPod:  0.033, // inter-DC: 0.025
 		SizeKB: map[Locality]float64{
 			IntraRack: 2048,
 			InterRack: 1024,
@@ -107,11 +104,9 @@ func HadoopMix() Mix {
 // paper's 15.7% inter-pod / 15.9% inter-DC fractions.
 func WebServerMix() Mix {
 	return Mix{
-		Class:      WebServer,
 		PIntraRack: 0.368,
 		PInterRack: 0.316,
-		PInterPod:  0.157,
-		PInterDC:   0.159,
+		PInterPod:  0.157, // inter-DC: 0.159
 		SizeKB: map[Locality]float64{
 			IntraRack: 256,
 			InterRack: 192,

@@ -58,8 +58,8 @@ func TestGenerateLocalityFractions(t *testing.T) {
 	if !within(frac(InterPod), mix.PInterPod, 0.03) {
 		t.Errorf("inter-pod fraction %.3f, want ~%.3f", frac(InterPod), mix.PInterPod)
 	}
-	if !within(frac(InterDC), mix.PInterDC, 0.03) {
-		t.Errorf("inter-dc fraction %.3f, want ~%.3f", frac(InterDC), mix.PInterDC)
+	if interDC := 1 - mix.PIntraRack - mix.PInterRack - mix.PInterPod; !within(frac(InterDC), interDC, 0.03) {
+		t.Errorf("inter-dc fraction %.3f, want ~%.3f", frac(InterDC), interDC)
 	}
 	if !within(frac(IntraRack), mix.PIntraRack, 0.03) {
 		t.Errorf("intra-rack fraction %.3f, want ~%.3f", frac(IntraRack), mix.PIntraRack)
