@@ -17,15 +17,13 @@ import (
 var optionAllowlist = map[string]string{
 	"core.Config.FailureDetector": "no deployment turns heartbeats on, but the detector's MsgHeartbeat is a wire type pinned in wire.golden; " +
 		"controlplane's failure-detector tests run it",
-	"fabric.FaultAction.Drop": "a filter's verdict, not a knob: the one literal that names it drops, and every other message " +
-		"goes on with the zero action a var declaration builds, which the rule does not count as a caller",
 }
 
 // TestNoOptionEveryCallerSetsAlike keeps options that select nothing from
 // growing back. Every exported field of a struct type declared under
 // internal/ is an option. Every non-test file of the module that builds
-// the type with a composite literal, or assigns or increments the field, is
-// a caller; a default filled in under if x.F == 0 is not, and neither is a
+// the type with a composite literal or a var declaration, or assigns or
+// increments the field, is a caller; a default filled in under if x.F == 0 is not, and neither is a
 // constructor in the type's own package. An option that every caller
 // leaves unset, or sets to one and the same constant, is a constant: fold
 // it into a named one where it is read, or allowlist it with the reason it
@@ -114,6 +112,17 @@ func TestSameValuedOptionsFixtures(t *testing.T) {
 			},
 		},
 		{
+			name: "a var declaration leaves every field zero, and in the type's own package is no caller",
+			files: []source{
+				{lib, "package lib\nimport \"sync/atomic\"\ntype Verdict struct{ Drop, Hold bool }\ntype Gate struct{ Open bool }\n" +
+					"type Counters struct{ Hits atomic.Uint64 }\nvar Totals Counters\n"},
+				{"cmd/a/main.go", "package main\nimport \"cicero/internal/lib\"\n" +
+					"func pick(bad bool) lib.Verdict { if bad { return lib.Verdict{Drop: true, Hold: true} }; var v lib.Verdict; return v }\n" +
+					"var none *lib.Gate\nvar open = lib.Gate{Open: true}\n"},
+			},
+			alike: []string{"lib.Gate.Open"},
+		},
+		{
 			name: "a counter incremented after construction",
 			files: []source{
 				{lib, "package lib\ntype Node struct{ Seen int }\nfunc New() *Node { return &Node{} }\n"},
@@ -152,8 +161,9 @@ func TestSameValuedOptionsFixtures(t *testing.T) {
 // A composite literal of a struct type sets each of its exported fields:
 // to a constant's value, to the zero value when it leaves the field out or
 // writes nil or a zero constant, and to something that varies otherwise.
-// An assignment
-// to the field sets it the same way, and a compound assignment or an
+// A var declaration of the struct type without a value is a literal that
+// leaves every field out; in the type's own package it is a constructor.
+// An assignment to the field sets it the same way, and a compound assignment or an
 // inc/dec statement varies, except a default: x.F = c directly in the body
 // of if x.F == zero reads the option rather than sets it. Each of these is
 // a caller, except a literal in a constructor of the type's
@@ -268,6 +278,21 @@ func sameValuedOptions(m *module, allow map[string]string) (alike, stale []strin
 							}
 						}
 						build(m.info.Types[n].Type, given, made)
+					case *ast.ValueSpec:
+						// var x T builds T's zero value, var p *T none. In T's
+						// own package it is a constructor, not a caller.
+						if n.Type == nil || len(n.Values) > 0 {
+							return true
+						}
+						t, own := m.info.Types[n.Type].Type, made
+						named, _ := structType(t)
+						if _, ptr := t.(*types.Pointer); ptr || named == nil {
+							return true
+						}
+						if named.Obj().Pkg().Path() == p {
+							own = map[types.Object]bool{named.Obj(): true}
+						}
+						build(t, nil, own)
 					case *ast.IfStmt:
 						// if x.F == 0 { x.F = c } fills in a default: it is
 						// where the option is read, not a caller.

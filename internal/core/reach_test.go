@@ -211,8 +211,11 @@ var fieldAllowlist = map[string]string{
 // fields or methods is. Two kinds of field are read by design when a test
 // reads them: a counter, which a non-test file increments (++, -- or +=),
 // and a field of a record that a non-test function returns (by value,
-// through a pointer, or as the elements of a slice, array or map). A field
-// that no file reads goes, with the code that fills it.
+// through a pointer, or as the elements of a slice, array or map). Neither
+// holds for a wire type: every field of a type registered through
+// register[…] in internal/protocol, and of every struct of the module those
+// types carry, needs a non-test reader, since its receivers are other nodes.
+// A field that no file reads goes, with the code that fills it.
 func TestEveryFieldHasAReader(t *testing.T) {
 	unread, stale := unreadFields(checkedModule(t), fieldAllowlist)
 	if len(unread) > 0 {
@@ -267,11 +270,19 @@ func TestUnreadWireFieldsFixtures(t *testing.T) {
 			name: "a struct of another package, read only in a test",
 			files: []source{
 				{wire, "package protocol\nimport \"cicero/internal/ids\"\nfunc register[T any]() {}\n" +
-					"type Msg struct{ ID ids.ID }\nfunc init() { register[Msg]() }\nfunc handle(m Msg) string { return m.ID.Name() }\n"},
+					"type Msg struct{ ID ids.ID }\nfunc init() { register[Msg]() }\nfunc handle(m Msg) ids.ID { return m.ID }\n"},
 				{"internal/ids/ids.go", "package ids\ntype ID struct{ Origin string; Seq uint64 }\nfunc (id ID) Name() string { return id.Origin }\n"},
 				{"internal/ids/ids_test.go", "package ids\nfunc seq(id ID) uint64 { return id.Seq }\n"},
 			},
 			unread: []string{"ids.ID.Seq"},
+		},
+		{
+			name: "a counter and a returned record on the wire, read only in a test",
+			files: []source{
+				{wire, codec + "type Msg struct{ Seq, Sent int }\nfunc init() { register[Msg]() }\nfunc (m *Msg) Send() *Msg { m.Sent++; return m }\n"},
+				{"internal/protocol/wire_test.go", "package protocol\nfunc check(m *Msg) bool { return m.Send().Sent+m.Seq > 0 }\n"},
+			},
+			unread: []string{"protocol.Msg.Sent", "protocol.Msg.Seq"},
 		},
 		{
 			name: "the allowlist covers a type, and a stale entry",
@@ -363,6 +374,55 @@ func unreadFields(m *module, allow map[string]string) (unread, stale []string) {
 	}
 	name := func(tn *types.TypeName) string {
 		return strings.TrimPrefix(tn.Pkg().Path(), modulePath+"/internal/") + "." + tn.Name()
+	}
+
+	// The wire types: register[T] in internal/protocol, and the module's
+	// structs they carry (through pointers, slices, arrays and maps). Their
+	// receivers are other nodes, so a test's read counts for none of their
+	// fields.
+	wire := make(map[*types.TypeName]bool)
+	seen := make(map[*types.Named]bool)
+	var walk func(types.Type)
+	walk = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Named:
+			t = t.Origin()
+			if seen[t] || t.Obj().Pkg() == nil || !strings.HasPrefix(t.Obj().Pkg().Path(), modulePath+"/") {
+				return
+			}
+			seen[t] = true
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				walk(t.Underlying())
+				return
+			}
+			wire[t.Obj()] = true
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					owner[f] = t.Obj()
+					walk(f.Type())
+				}
+			}
+		}
+	}
+	for _, f := range m.pkgFiles[modulePath+"/internal/protocol"] {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ix, ok := n.(*ast.IndexExpr); ok {
+				if id, ok := ix.X.(*ast.Ident); ok && id.Name == "register" {
+					walk(m.info.Types[ix.Index].Type)
+				}
+			}
+			return true
+		})
 	}
 
 	// The records non-test functions return.
@@ -485,7 +545,7 @@ func unreadFields(m *module, allow map[string]string) (unread, stale []string) {
 	covered := make(map[string]bool) // allowlist entries that cover an unread field
 	for f, tn := range owner {
 		r := read[f]
-		if r != nil && (r.prod || r.test && (counter[f] || results[tn])) {
+		if r != nil && (r.prod || r.test && !wire[tn] && (counter[f] || results[tn])) {
 			continue
 		}
 		field := name(tn) + "." + f.Name()
