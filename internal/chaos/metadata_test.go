@@ -91,15 +91,3 @@ func TestMetadataDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced identical traces")
 	}
 }
-
-// TestMetadataReleasesOutliveTheReshare runs the seeds on which a release
-// logged before the mid-run removal's reshare completed, and was then never
-// retried, left flows undone: every flow must complete.
-func TestMetadataReleasesOutliveTheReshare(t *testing.T) {
-	for _, seed := range []int64{15, 171, 179, 186} {
-		res := RunSeed(MetadataProfile(), seed)
-		if res.Err != "" || len(res.Violations) != 0 || res.FlowsDone != res.FlowsTotal {
-			t.Errorf("seed %d: flows %d/%d, violations %v, err %q", seed, res.FlowsDone, res.FlowsTotal, res.Violations, res.Err)
-		}
-	}
-}

@@ -286,14 +286,12 @@ type Controller struct {
 
 // dispatchRecord is one released update in the dispatch log. signed marks
 // a release this member signs at its flush: it is designated, or every
-// member signs it (a Resend, a recovery replay, a baseline). changing marks
-// a release logged while a membership change was under way.
+// member signs it (a Resend, a recovery replay, a baseline).
 type dispatchRecord struct {
-	id       openflow.MsgID
-	phase    uint64
-	mods     []openflow.FlowMod
-	signed   bool
-	changing bool
+	id     openflow.MsgID
+	phase  uint64
+	mods   []openflow.FlowMod
+	signed bool
 }
 
 var _ fabric.Handler = (*Controller)(nil)
@@ -330,14 +328,10 @@ func New(cfg Config) (*Controller, error) {
 	c.engine = scheduler.NewEngine(c.dispatchUpdate)
 	c.flush = c.flushOutbox
 	// T is the time the group gives a stalled request; a release waits while
-	// its switch is silent: unacked, on a running controller, and from this
-	// phase or logged while the change to it was under way. Such a release
-	// carries the old phase, but once the change completes this member's
-	// share of it is of the new sharing, the one a switch holding the new
-	// config verifies, and no other path sends one.
+	// its switch is silent: unacked, from this phase, on a running controller.
 	unanswered := func(log int) bool {
 		rec := c.dispatchLog[log]
-		return !c.stopped && (rec.phase == c.phase || rec.changing) && !c.engine.Acked(rec.id)
+		return !c.stopped && rec.phase == c.phase && !c.engine.Acked(rec.id)
 	}
 	c.retries = fabric.NewBackoff(cfg.Net, fabric.NodeID(cfg.ID), cmp.Or(cfg.ViewChangeTimeout, gapStallDefaultTimeout), 1+fabric.Retries, unanswered, c.retryRelease)
 	if cfg.Protocol != ProtoCentralized {
@@ -867,8 +861,7 @@ func (c *Controller) dispatchUpdate(su scheduler.ScheduledUpdate) {
 	mods := []openflow.FlowMod{su.Mod}
 	canonical := openflow.CanonicalUpdateBytes(su.ID, c.phase, mods)
 	c.ledger.Append(audit.KindUpdate, su.ID.String(), canonical)
-	c.dispatchLog = append(c.dispatchLog, dispatchRecord{id: su.ID, phase: c.phase, mods: mods,
-		signed: c.recovered || c.replaying || c.designated(su.ID), changing: c.change != nil})
+	c.dispatchLog = append(c.dispatchLog, dispatchRecord{id: su.ID, phase: c.phase, mods: mods, signed: c.recovered || c.replaying || c.designated(su.ID)})
 	// After a recovery, every dispatch is a potential retransmission of an
 	// update the switch decided before the crash; Resend makes the switch
 	// re-acknowledge so the rebuilt engine can release dependents.
