@@ -251,13 +251,17 @@ func (l *liveCluster) awaitRecoveries(deadline time.Time) (recoveredCtls int) {
 // with the crash), and under Byzantine message loss one honest replica
 // can lawfully trail another — the convergence sweep's prefix checks
 // judge the content. Each controller's broadcast coordinates go to the
-// trace whenever they change.
+// trace whenever they change. It polls at least once, as awaitRecoveries
+// does: a drain that spent the whole deadline still leaves each honest
+// controller's state in the trace. A poll past the deadline only records;
+// the verdict is the one the polls before it reached.
 func (l *liveCluster) awaitQuiescence(deadline time.Time) {
 	c := l.c
 	var prev []int
 	stable := 0
 	state := make(map[pki.Identity]string)
-	for time.Now().Before(deadline) {
+	for {
+		expired := !time.Now().Before(deadline)
 		var cur []int
 		unacked := 0
 		for _, ctl := range c.honest() {
@@ -276,6 +280,9 @@ func (l *liveCluster) awaitQuiescence(deadline time.Time) {
 				c.fail(err)
 				return
 			}
+		}
+		if expired {
+			break
 		}
 		if unacked == 0 && prev != nil && slices.Equal(cur, prev) {
 			if stable++; stable >= 3 {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -170,5 +171,33 @@ func TestLiveChaosTCPCrashRestart(t *testing.T) {
 	}
 	if !res.TableMatch {
 		t.Errorf("tables diverge from fault-free reference (digest %s)", res.TableDigest)
+	}
+}
+
+// TestLiveDrainPastDeadlineRecordsControllerState gives the drain no time
+// at all, as a drain that a wedged flow ran out of has none left: the run
+// must still fail for controllers that did not quiesce, and the trace must
+// still show where each honest controller stood, one ctl-state record
+// apiece from the one poll that comes after the deadline.
+func TestLiveDrainPastDeadlineRecordsControllerState(t *testing.T) {
+	p := Profile{Name: "drain-expired", Backend: "inproc", RacksPerPod: 2, Flows: 2,
+		FlowWindow: 100 * time.Millisecond, DrainTimeout: time.Nanosecond}
+	res := RunSeed(p, 1)
+	if !strings.Contains(res.Err, "did not quiesce") {
+		t.Fatalf("run error %q, want the quiescence failure", res.Err)
+	}
+	states := make(map[string]int)
+	for _, r := range res.Trace.Records() {
+		if r.Kind == "ctl-state" {
+			states[strings.Fields(r.Detail)[0]]++
+		}
+	}
+	if len(states) != p.Defaulted().Controllers {
+		t.Fatalf("ctl-state records by controller %v, want one for each of %d honest controllers", states, p.Defaulted().Controllers)
+	}
+	for id, n := range states {
+		if n != 1 {
+			t.Errorf("controller %s has %d ctl-state records, want 1", id, n)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"crypto/rand"
+	"math/big"
 	"testing"
 	"time"
 
@@ -211,6 +212,44 @@ func TestForgedContentFirstDoesNotPinUpdate(t *testing.T) {
 			h.sw.UpdatesApplied, h.sw.UpdatesRejected, len(h.sw.pools))
 	}
 	if rule, ok := h.sw.Lookup("x", "hv"); !ok || rule.Action.NextHop != "next" {
+		t.Fatalf("installed rule = %v (%v), want the honest next hop", rule, ok)
+	}
+}
+
+// TestMauledShareLeavesPoolPending: a Byzantine controller adds T, a
+// point of the cofactor subgroup, to its genuine share. The pairing cannot
+// see T, so the pool's pairing check passes on σ + λ·T; what refuses it is
+// the subgroup walk — of the combination since shares are parsed as curve
+// points, of each share before. Either way the pool of one honest and one
+// mauled share is rejected once and stays pending, and the next honest
+// share completes it with the honest rule.
+func TestMauledShareLeavesPoolPending(t *testing.T) {
+	h := newHarness(t, ModeThreshold, true)
+	p := h.scheme.Params
+	id := openflow.MsgID{Origin: "e", Seq: 1}
+	m := mod("hm")
+	// T = c − c_G1 for the hash candidate c of some message, its G1 part
+	// being (h⁻¹ mod r)·(h·c) = (h⁻¹ mod r)·HashToG1.
+	x := []byte("cofactor component")
+	hInv := new(big.Int).ModInverse(p.H, p.R)
+	cofactor := p.Add(p.HashToCurve(x), p.Neg(p.ScalarMul(p.HashToG1(x), hInv)))
+	mauled := h.shareMsg(t, 1, id, m)
+	sigma, err := p.ParsePoint(mauled.Share)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mauled.Share = p.PointBytes(p.Add(sigma, cofactor))
+
+	h.sw.HandleMessage("c1", h.shareMsg(t, 0, id, m))
+	h.sw.HandleMessage("c2", mauled)
+	if h.sw.UpdatesApplied != 0 || h.sw.UpdatesRejected != 1 {
+		t.Fatalf("after the mauled share: applied=%d rejected=%d, want 0 and 1", h.sw.UpdatesApplied, h.sw.UpdatesRejected)
+	}
+	h.sw.HandleMessage("c3", h.shareMsg(t, 2, id, m))
+	if h.sw.UpdatesApplied != 1 || h.sw.UpdatesRejected != 1 {
+		t.Fatalf("after a second honest share: applied=%d rejected=%d, want 1 and 1", h.sw.UpdatesApplied, h.sw.UpdatesRejected)
+	}
+	if rule, ok := h.sw.Lookup("x", "hm"); !ok || rule.Action.NextHop != "next" {
 		t.Fatalf("installed rule = %v (%v), want the honest next hop", rule, ok)
 	}
 }

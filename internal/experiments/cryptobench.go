@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -35,8 +36,9 @@ type CryptoBenchReport struct {
 }
 
 // RunCryptoBench measures the cryptographic hot paths — pairing with and
-// without precomputation, share and aggregate verification, and threshold
-// combining at the quorum sizes used by the paper's deployments — on the
+// without precomputation, hashing to the curve, share and aggregate
+// verification, threshold combining at the quorum sizes used by the
+// paper's deployments, and a switch's pool of two shares — on the
 // Fast254 parameter set (the one every simulation and test uses).
 func RunCryptoBench(opt Options) (*CryptoBenchReport, error) {
 	params := pairing.Fast254()
@@ -84,6 +86,17 @@ func RunCryptoBench(opt Options) (*CryptoBenchReport, error) {
 	measure("prepare", func() { params.Prepare(pt) })
 	measure("scalar-mul", func() { params.ScalarMul(hm, ka) })
 	measure("hash-to-g1", func() { params.HashToG1([]byte("cryptobench/h2g")) })
+	// hash-to-curve is the candidate alone, which verification pairs
+	// against: try-and-increment without the cofactor walk. How many
+	// counters it tries depends on the message, so the op counts through
+	// messages rather than repeat one.
+	h2c := []byte("cryptobench/h2c/........")
+	var ctr uint64
+	measure("hash-to-curve", func() {
+		binary.BigEndian.PutUint64(h2c[len(h2c)-8:], ctr)
+		ctr++
+		params.HashToCurve(h2c)
+	})
 
 	msg := []byte("cryptobench/threshold")
 	for _, t := range []int{2, 4, 7} {
@@ -101,6 +114,35 @@ func RunCryptoBench(opt Options) (*CryptoBenchReport, error) {
 				panic(err)
 			}
 		})
+		if t == 2 {
+			// What a switch pays when its share pool completes
+			// (dataplane/pool.go): decode the wire-encoded pool, hash,
+			// combine, check, and walk the combination. The hash's cost
+			// depends on the message, so the op cycles through pools of
+			// poolMsgs messages.
+			const poolMsgs = 64
+			type poolCase struct {
+				msg  []byte
+				pool map[uint32][]byte
+			}
+			cases := make([]poolCase, poolMsgs)
+			for i := range cases {
+				m := []byte(fmt.Sprintf("cryptobench/pool/%d", i))
+				pool := make(map[uint32][]byte, t)
+				for _, ks := range keyShares[:t] {
+					pool[ks.Index] = params.PointBytes(scheme.SignShare(ks, m).Point)
+				}
+				cases[i] = poolCase{m, pool}
+			}
+			next := 0
+			measure("combine-verified/t=2/pool", func() {
+				c := cases[next%poolMsgs]
+				next++
+				if _, err := scheme.CombineVerified(gk, c.msg, scheme.ParseShares(c.pool)); err != nil {
+					panic(err)
+				}
+			})
+		}
 		if t == 4 {
 			// sign/share, verify/share and verify/aggregate take a cleared
 			// point and so leave out hashing; hash-and-sign/share and

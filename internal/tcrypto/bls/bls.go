@@ -264,11 +264,15 @@ func (s *Scheme) Combine(gk *GroupKey, shares []SignatureShare) (Signature, erro
 // pool is first deduplicated by index (duplicates would otherwise poison
 // the optimistic combine even when every share is honest), then combined
 // optimistically and checked against the group key on the uncleared hash
-// point (checkOn) — one product pairing in the common all-honest case. On
-// failure the cofactor is cleared once, invalid shares are identified with
-// FilterVerifiedShares (one check per share) on the cleared point, and the
-// survivors are recombined. This is the robust combine switches and
-// aggregators run against potentially Byzantine controllers.
+// point (checkOn) — one product pairing in the common all-honest case —
+// and the combination, the one point it returns, walks the subgroup
+// check. Shares may lie outside G1 (ParseShares does not walk them): the
+// pairing cannot see a cofactor component, so a check that passes proves
+// the combination's G1 part, and the walk refuses one that carries more.
+// On failure the cofactor is cleared once, shares outside G1 or failing
+// their own check are dropped with FilterVerifiedShares on the cleared
+// point, and the survivors are recombined. This is the robust combine
+// switches and aggregators run against potentially Byzantine controllers.
 func (s *Scheme) CombineVerified(gk *GroupKey, msg []byte, shares []SignatureShare) (Signature, error) {
 	return s.combineVerifiedOn(gk, msg, s.Params.HashToCurve(msg), shares)
 }
@@ -282,13 +286,14 @@ func (s *Scheme) combineVerifiedOn(gk *GroupKey, msg []byte, c *pairing.Point, s
 	}
 	if !sig.Point.IsInfinity() && !gk.PK.Point.IsInfinity() {
 		_, gPrime := s.prepared()
-		if s.pairsToOne(gPrime, pairing.ProductTerm{Prep: s.preparedKey(gk.PK.Point)}, c, sig.Point) {
+		if s.pairsToOne(gPrime, pairing.ProductTerm{Prep: s.preparedKey(gk.PK.Point)}, c, sig.Point) && s.Params.InG1(sig.Point) {
 			return sig, nil
 		}
 	}
-	// Slow path: some share in the pool is forged, or h·c = ∞ (see
-	// checkOn). Either way the pool is judged on the cleared point, as a
-	// check that never saw c would judge it.
+	// Slow path: some share in the pool is forged or outside G1, or
+	// h·c = ∞ (see checkOn). Either way the pool is judged on the cleared
+	// point, as a check that never saw c would judge it. The survivors are
+	// all in G1, so their combination is too.
 	hm := s.HashToPoint(msg)
 	valid := s.FilterVerifiedShares(gk, hm, deduped)
 	if len(valid) < gk.T {
@@ -306,13 +311,15 @@ func (s *Scheme) combineVerifiedOn(gk *GroupKey, msg []byte, c *pairing.Point, s
 
 // ParseShares decodes a quorum pool — wire-encoded signature shares by
 // share index, where a later share for an index has overwritten the
-// earlier one — into shares CombineVerified accepts. Encodings that are
-// not points of G1 are dropped; the result is in index order, so which
+// earlier one — into shares for CombineVerified. Encodings that are not
+// curve points are dropped. Shares are not walked into G1 here: only
+// CombineVerified's result is, which saves a subgroup walk per share, so
+// the result is for CombineVerified alone. It is in index order, so which
 // shares an over-full pool combines does not depend on map iteration.
 func (s *Scheme) ParseShares(pool map[uint32][]byte) []SignatureShare {
 	shares := make([]SignatureShare, 0, len(pool))
 	for idx, raw := range pool {
-		if pt, err := s.Params.ParsePoint(raw); err == nil {
+		if pt, err := s.Params.ParseCurvePoint(raw); err == nil {
 			shares = append(shares, SignatureShare{Index: idx, Point: pt})
 		}
 	}

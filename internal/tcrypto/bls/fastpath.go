@@ -57,8 +57,11 @@ func (s *Scheme) pairsToOne(g *pairing.PreparedPoint, key pairing.ProductTerm, m
 // repeats the verdict, and in the case h·c = ∞ (probability about 1/r per
 // message; HashToG1 then moved on to a later candidate) it is the check
 // that counts. A pass with h·c = ∞ would need e(G′, σ) = 1, which no σ in
-// G1 but ∞ meets — callers refuse ∞, and ParsePoint admits nothing outside
-// G1.
+// G1 but ∞ meets — callers refuse ∞, and a σ outside G1 is never trusted
+// on this check alone: ParsePoint walks every point a node keeps, and
+// CombineVerified walks the combination it returns. (On such a σ the
+// check judges only its G1 part, the pairing being trivial on the
+// cofactor subgroup.)
 func (s *Scheme) checkOn(key pairing.ProductTerm, msg []byte, c, sig *pairing.Point) bool {
 	g, gPrime := s.prepared()
 	return s.pairsToOne(gPrime, key, c, sig) || s.pairsToOne(g, key, s.HashToPoint(msg), sig)
@@ -145,15 +148,17 @@ func (s *Scheme) lagrangeSet(indices []uint32) ([]*big.Int, error) {
 	return set, nil
 }
 
-// FilterVerifiedShares returns the subset of shares that verify against
-// the group key for the given message point, preserving order. It is the
-// culprit identification behind CombineVerified, reached only once an
-// aggregate over the pool has already failed, so some share IS bad; quorum
-// pools hold at most n shares, one check each.
+// FilterVerifiedShares returns the subset of shares that lie in G1 and
+// verify against the group key for the given message point, preserving
+// order. It is the culprit identification behind CombineVerified, reached
+// only once an aggregate over the pool has already failed, so some share
+// IS bad; quorum pools hold at most n shares, one walk and one check
+// each. The walk comes first: the pairing check alone would pass σᵢ + T
+// for a T of the cofactor subgroup.
 func (s *Scheme) FilterVerifiedShares(gk *GroupKey, hm *pairing.Point, shares []SignatureShare) []SignatureShare {
 	valid := make([]SignatureShare, 0, len(shares))
 	for _, sh := range shares {
-		if s.VerifyShareDigest(gk, hm, sh) {
+		if s.Params.InG1(sh.Point) && s.VerifyShareDigest(gk, hm, sh) {
 			valid = append(valid, sh)
 		}
 	}

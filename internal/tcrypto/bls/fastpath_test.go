@@ -234,8 +234,9 @@ func TestUnclearedCheckMatchesClearedEquation(t *testing.T) {
 // An honest pool: one product pairing, no share check, no preparation.
 // One forged share: the counts a check on the cleared point always had —
 // the failed aggregate, one check per share, the survivors' aggregate —
-// plus one cofactor walk, which clears the hash point for them and which
-// no counter sees.
+// plus one cofactor walk, which clears the hash point for them. No counter
+// sees the walks: that one, and the subgroup walk of the honest
+// combination or of each share on the slow path.
 func TestCombineVerifiedCost(t *testing.T) {
 	s := testScheme()
 	msg := []byte("cost/combine-verified")

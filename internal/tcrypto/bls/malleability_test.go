@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 )
 
@@ -52,19 +53,23 @@ func affineAdd(p *big.Int, a, b affinePoint) affinePoint {
 // x ≥ start.
 func cofactorPoint(s *Scheme, start int64) affinePoint {
 	p := s.Params.P
-	exp := new(big.Int).Add(p, big.NewInt(1))
-	exp.Rsh(exp, 2)
 	for x := big.NewInt(start); ; x.Add(x, big.NewInt(1)) {
-		y2 := new(big.Int).Mul(x, x)
-		y2.Mul(y2, x).Add(y2, x).Mod(y2, p)
-		y := new(big.Int).Exp(y2, exp, p)
-		if new(big.Int).Exp(y, big.NewInt(2), p).Cmp(y2) != 0 {
-			continue
-		}
-		if t := affineMul(p, affinePoint{new(big.Int).Set(x), y}, s.Params.R); t.x != nil {
-			return t
+		if q, ok := lift(p, x); ok {
+			if t := affineMul(p, q, s.Params.R); t.x != nil {
+				return t
+			}
 		}
 	}
+}
+
+// lift returns the curve point with x-coordinate x, if x³ + x is a square.
+func lift(p, x *big.Int) (affinePoint, bool) {
+	exp := new(big.Int).Add(p, big.NewInt(1))
+	exp.Rsh(exp, 2)
+	y2 := new(big.Int).Mul(x, x)
+	y2.Mul(y2, x).Add(y2, x).Mod(y2, p)
+	y := new(big.Int).Exp(y2, exp, p)
+	return affinePoint{new(big.Int).Set(x), y}, new(big.Int).Exp(y, big.NewInt(2), p).Cmp(y2) == 0
 }
 
 // affineMul returns k·pt by double-and-add; k is not reduced.
@@ -146,4 +151,129 @@ func TestMauledSignatureDoesNotParse(t *testing.T) {
 			t.Fatalf("honest signature rejected on VerifyCached call %d", i+1)
 		}
 	}
+}
+
+// TestMauledShareInPoolIsNeverReturned lets the mauled share in where
+// ParseShares admits it: the pool's shares are curve points, walked into
+// G1 only as the combination CombineVerified returns. A pool of one honest
+// and one mauled share combines to σ + λ·T, which passes the pairing
+// check and fails the walk; the slow path then drops the mauled share and
+// is a share short. Once an honest third share arrives the pool completes
+// with the honest signature, byte for byte.
+func TestMauledShareInPoolIsNeverReturned(t *testing.T) {
+	s := testScheme()
+	gk, shares, err := s.Deal(rand.Reader, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("update u43")
+	enc := func(i int) []byte { return s.Params.PointBytes(s.SignShare(shares[i], msg).Point) }
+	honest, err := s.Combine(gk, []SignatureShare{s.SignShare(shares[0], msg), s.SignShare(shares[2], msg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pool := map[uint32][]byte{1: enc(0), 2: maul(s, enc(1), cofactorPoint(s, 1000))}
+	parsed := s.ParseShares(pool)
+	if len(parsed) != 2 {
+		t.Fatalf("ParseShares kept %d of 2 curve points", len(parsed))
+	}
+	if sig, err := s.CombineVerified(gk, msg, parsed); err == nil {
+		t.Fatalf("combination with a mauled share returned: %x (honest %x)", sig.Bytes(s), honest.Bytes(s))
+	}
+
+	pool[3] = enc(2)
+	sig, err := s.CombineVerified(gk, msg, s.ParseShares(pool))
+	if err != nil {
+		t.Fatalf("pool with two honest shares: %v", err)
+	}
+	if !bytes.Equal(sig.Bytes(s), honest.Bytes(s)) {
+		t.Fatalf("pool completed with %x, want the honest %x", sig.Bytes(s), honest.Bytes(s))
+	}
+}
+
+// FuzzCombineVerified builds pools from honest shares, shares carrying a
+// cofactor component — of order 2, of order 4, r·Q for a curve point Q, or
+// both of the last two — shares off by the generator, infinity, repeated
+// indices and indices no member holds (0, and 5 to 7 of four), and decodes
+// each as ParseShares does. Whatever the pool, CombineVerified returns
+// nothing but the honest signature, byte for byte, and returns it whenever
+// the pool's first share per index includes t honest ones.
+func FuzzCombineVerified(f *testing.F) {
+	s := testScheme()
+	p := s.Params.P
+	gk, keys, err := s.Deal(mrand.New(mrand.NewSource(1)), 2, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	msg := []byte("fuzz/combine-verified")
+	honest, err := s.Combine(gk, []SignatureShare{s.SignShare(keys[0], msg), s.SignShare(keys[1], msg)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	order4, ok := lift(p, big.NewInt(1))
+	if !ok {
+		order4, _ = lift(p, new(big.Int).Sub(p, big.NewInt(1)))
+	}
+	tq := cofactorPoint(s, 7)
+	comps := []affinePoint{
+		{x: new(big.Int), y: new(big.Int)}, // (0, 0), order 2
+		order4,
+		tq,
+		affineAdd(p, order4, tq),
+	}
+	signed := make([][]byte, len(keys))
+	for i, k := range keys {
+		signed[i] = s.Params.PointBytes(s.SignShare(k, msg).Point)
+	}
+	// A byte per share: bits 0–2 the index it claims, 3–4 the key that
+	// signed it, 5–7 its kind.
+	f.Add([]byte{0x01, 0x0a})
+	f.Add([]byte{0x41, 0x0a, 0x13})
+	f.Add([]byte{0x61, 0x6a, 0x13, 0x1c})
+	f.Add([]byte{0x81, 0x8a, 0x93})
+	f.Add([]byte{0xa1, 0x0a, 0x0a, 0x13})
+	f.Add([]byte{0xc1, 0xca, 0x05, 0x13, 0x1c})
+	f.Add([]byte{0xe1, 0x00, 0x0a, 0x0f, 0x13})
+	f.Fuzz(func(t *testing.T, pool []byte) {
+		if len(pool) > 8 {
+			return
+		}
+		var shares []SignatureShare
+		seen := make(map[uint32]bool)
+		good := 0
+		for _, c := range pool {
+			idx, key, kind := uint32(c&7), int(c>>3&3), c>>5
+			enc := signed[key]
+			switch {
+			case kind >= 2 && kind <= 5:
+				enc = maul(s, enc, comps[kind-2])
+			case kind == 6:
+				enc = s.Params.PointBytes(s.Params.Add(s.SignShare(keys[key], msg).Point, s.Params.G))
+			case kind == 7:
+				enc = []byte{0}
+			}
+			pt, err := s.Params.ParseCurvePoint(enc)
+			if err != nil {
+				t.Fatalf("share %x does not decode: %v", enc, err)
+			}
+			if !seen[idx] {
+				seen[idx] = true
+				if kind < 2 && idx == keys[key].Index {
+					good++
+				}
+			}
+			shares = append(shares, SignatureShare{Index: idx, Point: pt})
+		}
+		sig, err := s.CombineVerified(gk, msg, shares)
+		if err != nil {
+			if good >= gk.T {
+				t.Fatalf("pool %x holds %d honest shares, CombineVerified: %v", pool, good, err)
+			}
+			return
+		}
+		if !bytes.Equal(sig.Bytes(s), honest.Bytes(s)) || !s.Params.InG1(sig.Point) || sig.Point.IsInfinity() {
+			t.Fatalf("pool %x combined to %x, want the honest %x", pool, sig.Bytes(s), honest.Bytes(s))
+		}
+	})
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // Point is a point in G1, the order-r subgroup of E(F_p): y² = x³ + x,
-// in affine coordinates on Montgomery limbs — or, from HashToCurve only, a
-// point of E(F_p) outside G1. The zero value (nil field) is the point at
-// infinity. Points are immutable: all operations allocate fresh results.
+// in affine coordinates on Montgomery limbs — or, from HashToCurve and
+// ParseCurvePoint only, a point of E(F_p) outside G1. The zero value (nil
+// field) is the point at infinity. Points are immutable: all operations
+// allocate fresh results.
 type Point struct {
 	f    *field // nil marks the point at infinity
 	x, y fe
@@ -71,16 +72,29 @@ func (p *Params) PointBytes(pt *Point) []byte {
 // errBadPoint reports a malformed, off-curve or out-of-subgroup encoding.
 var errBadPoint = errors.New("pairing: invalid point encoding")
 
-// ParsePoint decodes a point produced by PointBytes. It is the trust
-// boundary for every point that arrives from the wire: it rejects
-// encodings that are malformed, non-canonical, not on the curve, or on the
-// curve but outside G1. The last check matters because the reduced pairing
-// is trivial on the cofactor subgroup: for any T = r·Q ≠ ∞ there, σ + T
-// verifies exactly like σ while encoding differently, which breaks the
-// uniqueness of BLS signatures that bls.VerifyCache relies on. The check
-// walks r on the Montgomery ladder and reads the Z of r·P, so it pays no
-// inversion.
+// ParsePoint decodes a point produced by PointBytes and admits it only in
+// G1: it is ParseCurvePoint followed by the subgroup walk (InG1). Every
+// point a node keeps or passes on comes through here — aggregate, config
+// and metadata signatures and keys, and every point field of a wire
+// message. The walk matters because the reduced pairing is trivial on
+// the cofactor subgroup: for any T = r·Q ≠ ∞ there, σ + T verifies
+// exactly like σ while encoding differently, which breaks the uniqueness
+// of BLS signatures that bls.VerifyCache relies on.
 func (p *Params) ParsePoint(data []byte) (*Point, error) {
+	pt, err := p.ParseCurvePoint(data)
+	if err != nil || !p.InG1(pt) {
+		return nil, errBadPoint
+	}
+	return pt, nil
+}
+
+// ParseCurvePoint decodes a point produced by PointBytes and rejects
+// encodings that are malformed, non-canonical or not on the curve. It does
+// not walk the subgroup, so the point may lie outside G1: use it only for
+// a point that is walked later before anything trusts it, as
+// bls.ParseShares' shares are, whose combination CombineVerified walks
+// before it returns it.
+func (p *Params) ParseCurvePoint(data []byte) (*Point, error) {
 	if len(data) == 1 && data[0] == 0 {
 		return Infinity(), nil
 	}
@@ -89,10 +103,7 @@ func (p *Params) ParsePoint(data []byte) (*Point, error) {
 		return nil, errBadPoint
 	}
 	pt := &Point{f: p.fp}
-	if !p.fp.fromBytes(&pt.x, data[1:1+w]) || !p.fp.fromBytes(&pt.y, data[1+w:]) {
-		return nil, errBadPoint
-	}
-	if !p.IsOnCurve(pt) || !p.inG1(pt) {
+	if !p.fp.fromBytes(&pt.x, data[1:1+w]) || !p.fp.fromBytes(&pt.y, data[1+w:]) || !p.IsOnCurve(pt) {
 		return nil, errBadPoint
 	}
 	return pt, nil
@@ -118,9 +129,9 @@ func (p *Params) curveRHS(z, x *fe) {
 	p.fp.add(z, &t, x)
 }
 
-// inG1 reports whether a curve point has order dividing r, by walking r
+// InG1 reports whether a curve point has order dividing r, by walking r
 // on the ladder and testing the Z of r·P: no y-recovery, so no inversion.
-func (p *Params) inG1(pt *Point) bool {
+func (p *Params) InG1(pt *Point) bool {
 	if pt.IsInfinity() {
 		return true
 	}

@@ -44,7 +44,7 @@ func fieldOp(p *Params, op uint8, a, b *big.Int) (name string, got, want *big.In
 	f.fromBig(&x, a)
 	f.fromBig(&y, b)
 	want = new(big.Int)
-	switch op % 8 {
+	switch op % fieldOps {
 	case 0:
 		name = "add"
 		f.add(&z, &x, &y)
@@ -73,8 +73,8 @@ func fieldOp(p *Params, op uint8, a, b *big.Int) (name string, got, want *big.In
 		}
 	case 6:
 		name = "sqrt-exp"
-		f.exp(&z, &x, p.sqrtExp)
-		want.Exp(a, p.sqrtExp, p.P)
+		f.exp(&z, &x, &p.sqrtExp)
+		want.Exp(a, sqrtExponent(p.P), p.P)
 	case 7:
 		name = "dbl-aliased"
 		z = x
@@ -82,9 +82,14 @@ func fieldOp(p *Params, op uint8, a, b *big.Int) (name string, got, want *big.In
 		f.mul(&z, &z, &z)
 		want.Lsh(a, 1)
 		want.Mul(want, want)
+	case 8:
+		return "legendre", big.NewInt(int64(f.legendre(&x))), big.NewInt(int64(big.Jacobi(a, p.P)))
 	}
 	return name, f.toBig(&z), want.Mod(want, p.P)
 }
+
+// fieldOps is the number of operations fieldOp numbers.
+const fieldOps = 9
 
 func TestFieldOpsMatchBig(t *testing.T) {
 	for _, p := range threeFields() {
@@ -92,7 +97,7 @@ func TestFieldOpsMatchBig(t *testing.T) {
 			vals := sampleValues(p, 1, 40)
 			for _, a := range vals {
 				for _, b := range vals {
-					for op := uint8(0); op < 8; op++ {
+					for op := uint8(0); op < fieldOps; op++ {
 						if name, got, want := fieldOp(p, op, a, b); got.Cmp(want) != 0 {
 							t.Fatalf("%s(%x, %x) = %x, want %x", name, a, b, got, want)
 						}
@@ -155,7 +160,7 @@ func liftX(p *Params, x *big.Int, neg bool) (pt *Point, ok bool) {
 	p.fp.fromBig(&pt.x, x)
 	var y2 fe
 	p.curveRHS(&y2, &pt.x)
-	p.fp.exp(&pt.y, &y2, p.sqrtExp)
+	p.fp.exp(&pt.y, &y2, &p.sqrtExp)
 	if neg {
 		p.fp.neg(&pt.y, &pt.y)
 	}
@@ -418,7 +423,9 @@ func TestScalarMulMatchesReference(t *testing.T) {
 // FuzzFieldOps checks one base-field operation on two fuzzed elements
 // against big.Int on both limb counts, and at four limbs — the 254-bit
 // field and the full-width 2²⁵⁶ − 189 — the kernel against the looped code
-// as well, limb for limb.
+// as well, limb for limb. The binary GCD behind inv (against
+// big.Int.ModInverse) and legendre (against big.Jacobi) is seeded with 0,
+// 1, p − 1, a square and a non-square of each field.
 func FuzzFieldOps(f *testing.F) {
 	f.Add([]byte{0}, []byte{1}, uint8(3))
 	f.Add(bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xff}, 64), uint8(3))
@@ -428,6 +435,15 @@ func FuzzFieldOps(f *testing.F) {
 		pm1 := new(big.Int).Sub(p.P, big.NewInt(1)).Bytes()
 		for op := uint8(0); op < 8; op++ {
 			f.Add(pm1, pm1, op)
+		}
+	}
+	for _, p := range fields {
+		one := big.NewInt(1)
+		sq := new(big.Int).Exp(big.NewInt(0xc1c), big.NewInt(2), p.P)
+		nonSq := new(big.Int).Sub(p.P, sq) // −1 is not a square when p ≡ 3 (mod 4)
+		for _, a := range []*big.Int{new(big.Int), one, new(big.Int).Sub(p.P, one), sq, nonSq} {
+			f.Add(a.Bytes(), one.Bytes(), uint8(5))
+			f.Add(a.Bytes(), one.Bytes(), uint8(8))
 		}
 	}
 	f.Fuzz(func(t *testing.T, ab, bb []byte, op uint8) {
@@ -524,8 +540,8 @@ func FuzzScalarMul(f *testing.F) {
 				if !r.samePoint(p.mul(pt, k), r.scalarMul(rp, k)) {
 					t.Fatalf("%s: ladder walk of %x on %v differs from reference", paramsName(p), k, pt)
 				}
-				if got, want := p.inG1(pt), r.scalarMul(rp, p.R).inf(); got != want {
-					t.Fatalf("%s: inG1(%v) = %v, reference says %v", paramsName(p), pt, got, want)
+				if got, want := p.InG1(pt), r.scalarMul(rp, p.R).inf(); got != want {
+					t.Fatalf("%s: InG1(%v) = %v, reference says %v", paramsName(p), pt, got, want)
 				}
 			}
 			// HashToG1Mul against clearing the candidate on the reference,

@@ -146,11 +146,6 @@ func (x *fe) isZero() bool {
 // Montgomery form: (x·R)·1·R⁻¹ = x.
 var plainOne = fe{1}
 
-// isPlainOne reports x == plainOne.
-func (x *fe) isPlainOne() bool {
-	return x[0]^1|x[1]|x[2]|x[3]|x[4]|x[5]|x[6]|x[7] == 0
-}
-
 // wide is an n-limb sum with its overflow in limb n.
 type wide [maxLimbs + 1]uint64
 
@@ -471,71 +466,98 @@ func (f *field) mulN(z, x, y *fe) {
 // pay for a second multiply kernel.
 func (f *field) sqr(z, x *fe) { f.mul(z, x, x) }
 
-// exp sets z = x^e for a non-negative exponent, by square-and-multiply.
-func (f *field) exp(z, x *fe, e *big.Int) {
-	base := *x
-	*z = f.one
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		f.sqr(z, z)
-		if e.Bit(i) == 1 {
-			f.mul(z, z, &base)
-		}
-	}
+// window is a fixed exponent e > 0 recoded for sliding-window
+// exponentiation: a table of the odd powers x, x³, …, x^(2^width − 1), a
+// first digit, and then runs of squarings each followed by one table
+// multiply (or none, for the exponent's trailing zeros). newWindow
+// recodes once per exponent, so an exponentiation pays only the table and
+// the digits; the table lives on exp's stack.
+type window struct {
+	width int
+	first uint8
+	steps []windowStep
 }
 
-// shr1 halves the plain integer x, shifting carry in at the top.
-func (f *field) shr1(x *fe, carry uint64) {
-	n := f.limbs()
-	for i := 0; i < n-1; i++ {
-		x[i] = x[i]>>1 | x[i+1]<<63
-	}
-	x[n-1] = x[n-1]>>1 | carry<<63
+// windowStep squares sqrs times, then multiplies by x^odd unless odd is 0.
+type windowStep struct {
+	sqrs int
+	odd  uint8
 }
 
-// halve sets x = x/2 mod p on a plain residue: x is shifted when even,
-// and x + p (which is even) is shifted otherwise.
-func (f *field) halve(x *fe) {
-	var c uint64
-	if x[0]&1 == 1 {
-		for i, n := 0, f.limbs(); i < n; i++ {
-			x[i], c = bits.Add64(x[i], f.p[i], c)
+// maxWindow bounds the table at 2^(maxWindow−1) field elements.
+const maxWindow = 6
+
+// newWindow recodes e > 0 at the width that costs the fewest multiplies,
+// table included.
+func newWindow(e *big.Int) window {
+	var best window
+	bestCost := -1
+	for w := 1; w <= maxWindow; w++ {
+		c := recode(e, w)
+		cost := len(c.steps) + 1<<(w-1) - 1
+		if w > 1 {
+			cost++ // x² for the table
+		}
+		if bestCost < 0 || cost < bestCost {
+			best, bestCost = c, cost
 		}
 	}
-	f.shr1(x, c)
+	return best
 }
 
-// inv sets z = x⁻¹ for x ≠ 0 with the binary extended Euclidean
-// algorithm. It keeps r·x ≡ u·R² and s·x ≡ v·R² (mod p) on plain
-// integers, so starting from the Montgomery form x·R the survivor at
-// u = 1 (or v = 1) is R²/(x·R) = x⁻¹·R, already in Montgomery form.
-// The inverse of 0 is 0.
-func (f *field) inv(z, x *fe) {
-	if x.isZero() {
-		*z = fe{}
-		return
-	}
-	u, v := *x, f.p
-	r, s := f.r2, fe{}
-	for !u.isPlainOne() && !v.isPlainOne() {
-		for u[0]&1 == 0 {
-			f.shr1(&u, 0)
-			f.halve(&r)
+// recode is the left-to-right sliding-window recoding of e at width w:
+// each window starts at a set bit, spans at most w bits and ends at a set
+// bit, so its value is odd.
+func recode(e *big.Int, w int) window {
+	c := window{width: w}
+	sqrs := 0
+	for i := e.BitLen() - 1; i >= 0; {
+		if e.Bit(i) == 0 {
+			sqrs++
+			i--
+			continue
 		}
-		for v[0]&1 == 0 {
-			f.shr1(&v, 0)
-			f.halve(&s)
+		l := max(i-w+1, 0)
+		for e.Bit(l) == 0 {
+			l++
 		}
-		if f.less(&u, &v) {
-			f.sub(&v, &v, &u) // no borrow: plain v − u
-			f.sub(&s, &s, &r)
+		var d uint8
+		for k := i; k >= l; k-- {
+			d = d<<1 | uint8(e.Bit(k))
+		}
+		if i == e.BitLen()-1 {
+			c.first = d
 		} else {
-			f.sub(&u, &u, &v)
-			f.sub(&r, &r, &s)
+			c.steps = append(c.steps, windowStep{sqrs: sqrs + i - l + 1, odd: d})
+		}
+		sqrs = 0
+		i = l - 1
+	}
+	if sqrs > 0 {
+		c.steps = append(c.steps, windowStep{sqrs: sqrs})
+	}
+	return c
+}
+
+// exp sets z = x^e for the exponent w encodes.
+func (f *field) exp(z, x *fe, w *window) {
+	var table [1 << (maxWindow - 1)]fe
+	table[0] = *x
+	if w.width > 1 {
+		var x2 fe
+		f.sqr(&x2, x)
+		for i := 1; i < 1<<(w.width-1); i++ {
+			f.mul(&table[i], &table[i-1], &x2)
 		}
 	}
-	if u.isPlainOne() {
-		*z = r
-	} else {
-		*z = s
+	acc := table[w.first>>1]
+	for _, s := range w.steps {
+		for k := 0; k < s.sqrs; k++ {
+			f.sqr(&acc, &acc)
+		}
+		if s.odd != 0 {
+			f.mul(&acc, &acc, &table[s.odd>>1])
+		}
 	}
+	*z = acc
 }

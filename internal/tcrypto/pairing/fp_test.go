@@ -22,8 +22,13 @@ var p256Full = func() *big.Int {
 // bareField wraps a field in just enough of a Params for fieldOp and
 // edgeValues: no curve, no generator.
 func bareField(p *big.Int) *Params {
+	return &Params{P: p, fp: newField(p), sqrtExp: newWindow(sqrtExponent(p))}
+}
+
+// sqrtExponent is (p+1)/4, the exponent Params.sqrtExp recodes.
+func sqrtExponent(p *big.Int) *big.Int {
 	e := new(big.Int).Add(p, big.NewInt(1))
-	return &Params{P: p, fp: newField(p), sqrtExp: e.Rsh(e, 2)}
+	return e.Rsh(e, 2)
 }
 
 // threeFields are the two pairing fields and the full-width four-limb one.
@@ -107,12 +112,12 @@ func TestFieldOpsAliased(t *testing.T) {
 // dispatching entry points and through the looped code directly, and
 // reports whether the limbs agree. On a four-limb field that is kernel
 // against loop; at any other width both sides are the loop and it is
-// vacuous. inv and exp have one implementation, built on mul and sub.
+// vacuous. inv, legendre and exp have one implementation each.
 func kernelMatchesLoop(f *field, op uint8, a, b *big.Int) (name string, ok bool) {
 	var x, y, k, l fe
 	f.fromBig(&x, a)
 	f.fromBig(&y, b)
-	switch op % 8 {
+	switch op % fieldOps {
 	case 0:
 		name = "add"
 		f.add(&k, &x, &y)
@@ -145,7 +150,8 @@ func kernelMatchesLoop(f *field, op uint8, a, b *big.Int) (name string, ok bool)
 
 // BenchmarkFieldOps times each base-field operation as a dependent chain
 // (the next operation reads the last one's result), which is how the curve
-// and tower formulas use them. The second operand walks a table of random
+// and tower formulas use them; legendre, whose result is a sign, reads the
+// table instead. The second operand walks a table of random
 // elements that fits the first-level cache: add and sub end in a decision
 // the operands settle about evenly, and one fixed operand would let a
 // branch predictor learn what real inputs never let it learn.
@@ -166,6 +172,8 @@ func BenchmarkFieldOps(b *testing.B) {
 			{"add", func(z, y *fe) { f.add(z, z, y) }},
 			{"sub", func(z, y *fe) { f.sub(z, z, y) }},
 			{"inv", func(z, _ *fe) { f.inv(z, z) }},
+			{"legendre", func(z, y *fe) { z[0] += uint64(f.legendre(y)) }},
+			{"sqrt-exp", func(z, _ *fe) { f.exp(z, z, &p.sqrtExp) }},
 		}
 		for _, op := range ops {
 			b.Run(op.name+"/"+paramsName(p), func(b *testing.B) {
@@ -180,3 +188,75 @@ func BenchmarkFieldOps(b *testing.B) {
 }
 
 var benchSink fe
+
+// TestBinaryGCDMatchesBig runs inv and legendre on values chosen to take
+// the binary GCD through its rarer branches — operands whose top bits
+// agree, so that the words cannot order them; powers of two, whose zero
+// runs outlast a batch; values just below p — as well as random ones.
+func TestBinaryGCDMatchesBig(t *testing.T) {
+	for _, p := range threeFields() {
+		t.Run(paramsName(p), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(12))
+			one := big.NewInt(1)
+			vals := sampleValues(p, 13, 200)
+			for k := 1; k < p.P.BitLen(); k += 7 {
+				pow := new(big.Int).Lsh(one, uint(k))
+				vals = append(vals, pow, new(big.Int).Sub(p.P, pow))
+				// p − x with x sharing p's top bits, and x close to p/2^k.
+				near := new(big.Int).Rsh(p.P, uint(k))
+				vals = append(vals, near, near.Add(near, big.NewInt(int64(rng.Intn(1000)))))
+				vals = append(vals, new(big.Int).Sub(p.P, new(big.Int).Rand(rng, pow)))
+			}
+			for _, a := range vals {
+				a.Mod(a, p.P)
+				for _, op := range []uint8{5, 8} { // inv, legendre
+					if name, got, want := fieldOp(p, op, a, a); got.Cmp(want) != 0 {
+						t.Fatalf("%s(%x) = %x, want %x", name, a, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWindowExpMatchesBig checks the sliding-window recoding and exp at
+// every width on random exponents and on ones with long runs of ones and
+// zeros, against big.Int.Exp; and that newWindow picks, for each field's
+// square-root exponent, a width no costlier than the plain binary method.
+func TestWindowExpMatchesBig(t *testing.T) {
+	for _, p := range threeFields() {
+		f := p.fp
+		rng := rand.New(rand.NewSource(14))
+		one := big.NewInt(1)
+		exps := []*big.Int{one, big.NewInt(2), big.NewInt(0x3f), big.NewInt(0x40), big.NewInt(0x8001),
+			sqrtExponent(p.P), new(big.Int).Sub(new(big.Int).Lsh(one, 200), one), new(big.Int).Lsh(one, 199)}
+		for i := 0; i < 20; i++ {
+			exps = append(exps, new(big.Int).Rand(rng, p.P).Add(exps[len(exps)-1], one))
+		}
+		a := new(big.Int).Rand(rng, p.P)
+		var x, z fe
+		f.fromBig(&x, a)
+		for _, e := range exps {
+			want := new(big.Int).Exp(a, e, p.P)
+			for w := 1; w <= maxWindow; w++ {
+				c := recode(e, w)
+				f.exp(&z, &x, &c)
+				if got := f.toBig(&z); got.Cmp(want) != 0 {
+					t.Fatalf("%s: width %d: %x^%x = %x, want %x", paramsName(p), w, a, e, got, want)
+				}
+			}
+		}
+		muls := func(c window) int {
+			n := 0
+			for _, s := range c.steps {
+				if s.odd != 0 {
+					n++
+				}
+			}
+			return n + 1<<(c.width-1) - 1
+		}
+		if c := newWindow(sqrtExponent(p.P)); muls(c) > muls(recode(sqrtExponent(p.P), 1)) {
+			t.Fatalf("%s: width %d costs %d multiplies, the binary method %d", paramsName(p), c.width, muls(c), muls(recode(sqrtExponent(p.P), 1)))
+		}
+	}
+}

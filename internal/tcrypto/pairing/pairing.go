@@ -165,22 +165,20 @@ func (p *Params) HashToCurve(msg []byte) *Point {
 }
 
 // candidate lifts hash-to-field's element for (msg, ctr) to the curve;
-// ok is false when x³ + x is zero or not a square.
+// ok is false when x³ + x is zero or not a square. The Legendre symbol
+// turns a non-square away before the square root's exponentiation, which
+// about half of all candidates would otherwise pay for nothing.
 func (p *Params) candidate(msg []byte, ctr uint32) (c *Point, ok bool) {
 	fp := p.fp
 	c = &Point{f: fp}
 	fp.fromBig(&c.x, p.hashToField(msg, ctr))
-	var y2, check fe
+	var y2 fe
 	p.curveRHS(&y2, &c.x)
-	if y2.isZero() {
+	if fp.legendre(&y2) != 1 {
 		return nil, false
 	}
-	// Since p ≡ 3 (mod 4), a square root, if any, is y2^((p+1)/4).
-	fp.exp(&c.y, &y2, p.sqrtExp)
-	fp.sqr(&check, &c.y)
-	if check != y2 {
-		return nil, false
-	}
+	// Since p ≡ 3 (mod 4), the square y2 has the root y2^((p+1)/4).
+	fp.exp(&c.y, &y2, &p.sqrtExp)
 	return c, true
 }
 

@@ -47,8 +47,9 @@ type Params struct {
 
 	// fp is the base field on Montgomery limbs.
 	fp *field
-	// sqrtExp caches (p+1)/4 for square roots in F_p.
-	sqrtExp *big.Int
+	// sqrtExp is (p+1)/4, the square-root exponent in F_p, recoded once
+	// for window exponentiation.
+	sqrtExp window
 }
 
 // mustInt parses a base-10 integer literal, panicking on malformed input.
@@ -79,8 +80,7 @@ func newParams(p, r, h *big.Int) *Params {
 	if new(big.Int).GCD(nil, nil, h, r).Cmp(big.NewInt(1)) != 0 {
 		panic("pairing: gcd(h, r) != 1")
 	}
-	params.sqrtExp = new(big.Int).Add(p, big.NewInt(1))
-	params.sqrtExp.Rsh(params.sqrtExp, 2)
+	params.sqrtExp = newWindow(new(big.Int).Rsh(new(big.Int).Add(p, big.NewInt(1)), 2))
 	params.fp = newField(p)
 	params.G = params.HashToG1([]byte("cicero/pairing/type-a/generator/v1"))
 	return params
